@@ -65,7 +65,7 @@ fn shape(smoke: bool) -> Shape {
     if smoke {
         Shape { batch: 4, input: 6, classes: 3, hidden: vec![8] }
     } else {
-        Shape { batch: 8, input: 24, classes: 10, hidden: vec![64, 48, 32] }
+        Shape { batch: 256, input: 256, classes: 10, hidden: vec![256, 256] }
     }
 }
 

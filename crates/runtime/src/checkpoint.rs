@@ -25,6 +25,7 @@ use std::path::Path;
 
 use crate::error::RuntimeError;
 use crate::exec::Executor;
+use crate::frame::crc32;
 use crate::solver::SolverState;
 
 const MAGIC: &[u8; 8] = b"LATTEwt2";
@@ -44,20 +45,6 @@ pub struct CheckpointMeta {
     pub epoch_iter: u64,
     /// Training loss at the checkpointed iteration.
     pub loss: f32,
-}
-
-/// CRC32 (IEEE 802.3, reflected) — the integrity check appended to every
-/// checkpoint.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
 }
 
 /// Serializes every learnable parameter of the executor (no training
@@ -563,12 +550,5 @@ mod tests {
         let (_, none_state) = load_checkpoint_full(&mut b, &path).unwrap();
         assert_eq!(none_state, None);
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn crc32_matches_known_vector() {
-        // The classic IEEE test vector.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 }

@@ -24,10 +24,10 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::checkpoint::crc32;
 use crate::cluster::SyncMode;
 use crate::error::RuntimeError;
 use crate::exec::{Executor, GradBucket};
+use crate::frame::crc32;
 use crate::metrics::FaultMetrics;
 use crate::ring::{BucketReport, CommPolicy, RingComm};
 use crate::transport::Transport;
@@ -36,12 +36,12 @@ use crate::transport::Transport;
 /// transport handshake: two processes whose batch size, parameters
 /// (names and sizes), or backward bucketing differ must not average
 /// gradients, whatever their binaries think. CRC32 over a canonical
-/// description, via the same [`crate::checkpoint::crc32`] as everything
+/// description, via the same [`crate::frame::crc32`] as everything
 /// else.
 pub fn net_fingerprint(exec: &Executor) -> u32 {
     let mut desc = format!("batch={};", exec.batch());
     for p in exec.params() {
-        let len = exec.read_buffer(&p.value).map(|v| v.len()).unwrap_or(0);
+        let len = exec.buffer(&p.value).map_or(0, <[f32]>::len);
         desc.push_str(&format!("param={}:{len};", p.value));
     }
     for b in exec.grad_buckets() {
@@ -115,8 +115,14 @@ impl DistStats {
 pub struct DistTrainer {
     exec: Executor,
     buckets: Vec<GradBucket>,
-    /// Per bucket: the gradient buffer names, in param order.
-    grad_names: Vec<Vec<String>>,
+    /// Per bucket: each gradient buffer's name and length, in param
+    /// order — the bucket's layout, fixed at construction.
+    grads: Vec<Vec<(String, usize)>>,
+    /// Per bucket: its flat gradient buffer while at rest. The backward
+    /// hook fills it from the executor and ships it to the comm thread;
+    /// the reduced result comes back in the same allocation, so steady
+    /// state moves buffers around and allocates none.
+    flat: Vec<Vec<f32>>,
     jobs: Option<mpsc::Sender<CommJob>>,
     results: mpsc::Receiver<CommResult>,
     comm: Option<std::thread::JoinHandle<()>>,
@@ -145,15 +151,20 @@ impl DistTrainer {
         let world = transport.world();
         let metrics = Arc::clone(transport.metrics());
         let buckets = exec.grad_buckets();
-        let grad_names: Vec<Vec<String>> = buckets
+        let grads = buckets
             .iter()
             .map(|b| {
                 b.params
                     .iter()
-                    .map(|&pi| exec.params()[pi].grad.clone())
+                    .map(|&pi| {
+                        let name = exec.params()[pi].grad.clone();
+                        let len = exec.buffer(&name)?.len();
+                        Ok((name, len))
+                    })
                     .collect()
             })
-            .collect();
+            .collect::<Result<Vec<Vec<(String, usize)>>, RuntimeError>>()?;
+        let flat = vec![Vec::new(); buckets.len()];
         let mut ring = RingComm::new(transport, policy)?;
         let (jtx, jrx) = mpsc::channel::<CommJob>();
         let (rtx, rrx) = mpsc::channel::<CommResult>();
@@ -182,7 +193,8 @@ impl DistTrainer {
         Ok(DistTrainer {
             exec,
             buckets,
-            grad_names,
+            grads,
+            flat,
             jobs: Some(jtx),
             results: rrx,
             comm: Some(comm),
@@ -266,16 +278,18 @@ impl DistTrainer {
         let t_bwd = Instant::now();
         {
             let buckets = &self.buckets;
-            let grad_names = &self.grad_names;
+            let grads = &self.grads;
+            let flat = &mut self.flat;
             let jobs = &self.jobs;
             let mut hook = |gi: usize, exec: &Executor| {
                 for (bi, b) in buckets.iter().enumerate() {
                     if b.group != gi {
                         continue;
                     }
-                    let mut data = Vec::new();
-                    for name in &grad_names[bi] {
-                        data.extend(exec.read_buffer(name).expect("param grad readable"));
+                    let mut data = std::mem::take(&mut flat[bi]);
+                    data.clear();
+                    for (name, _) in &grads[bi] {
+                        data.extend_from_slice(exec.buffer(name).expect("param grad readable"));
                     }
                     if let Some(tx) = jobs.as_ref() {
                         let _ = tx.send(CommJob {
@@ -293,7 +307,6 @@ impl DistTrainer {
         // Reap every bucket; only the part of comm that outlives
         // backward is exposed.
         let t_wait = Instant::now();
-        let mut merged: Vec<Option<Vec<f32>>> = vec![None; self.buckets.len()];
         let mut comm_ms = 0.0;
         let mut evicted = Vec::new();
         let mut live = self.live;
@@ -309,15 +322,13 @@ impl DistTrainer {
                 mode = SyncMode::LossyDegraded;
             }
             evicted.extend(report.evicted.iter().copied());
-            merged[res.idx] = Some(res.data);
+            self.flat[res.idx] = res.data;
         }
         let exposed_ms = t_wait.elapsed().as_secs_f64() * 1e3;
 
-        for (bi, data) in merged.into_iter().enumerate() {
-            let data = data.expect("every bucket reduced");
+        for (grads, data) in self.grads.iter().zip(&self.flat) {
             let mut at = 0;
-            for name in &self.grad_names[bi] {
-                let len = self.exec.read_buffer(name)?.len();
+            for (name, len) in grads {
                 self.exec.write_buffer(name, &data[at..at + len])?;
                 at += len;
             }

@@ -442,6 +442,17 @@ impl Executor {
         self.store.read(name)
     }
 
+    /// Borrows a buffer's full storage: [`Executor::read_buffer`]
+    /// without the copy, for per-step readers such as the gradient
+    /// all-reduce.
+    ///
+    /// # Errors
+    ///
+    /// Fails for unknown buffers.
+    pub fn buffer(&self, name: &str) -> Result<&[f32], RuntimeError> {
+        self.store.view(name)
+    }
+
     /// Reads one batch item of a buffer.
     ///
     /// # Errors

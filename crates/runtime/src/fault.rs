@@ -11,13 +11,13 @@
 //! recovery trace.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::transport::{corrupt_payload, Frame, FrameKind, TransportError, Wire};
+use crate::transport::{corrupt_payload, Frame, FrameKind, TransportError, Wire, WireBytes};
 
 /// One scheduled failure.
 #[derive(Debug, Clone, PartialEq)]
@@ -396,7 +396,7 @@ impl<W: Wire> FaultyTransport<W> {
 }
 
 impl<W: Wire> Wire for FaultyTransport<W> {
-    fn send(&self, to: usize, mut bytes: Vec<u8>) -> Result<(), TransportError> {
+    fn send(&self, to: usize, mut bytes: WireBytes) -> Result<(), TransportError> {
         let peeked = Frame::peek(&bytes);
         let mut st = self.state.lock().unwrap();
         if st.crashed {
@@ -404,7 +404,7 @@ impl<W: Wire> Wire for FaultyTransport<W> {
             // timing out.
             return Ok(());
         }
-        if let Some(p) = peeked {
+        if let Some((p, _)) = peeked {
             if p.kind == FrameKind::Data {
                 let step = p.key.step as usize;
                 if self.plan.crashed_by(self.rank, step) {
@@ -429,7 +429,10 @@ impl<W: Wire> Wire for FaultyTransport<W> {
                         match f {
                             TransferFault::Dropped => return Ok(()),
                             TransferFault::Corrupted => {
-                                corrupt_payload(&mut bytes);
+                                // Copy-on-write: the sender's retransmit
+                                // window shares this buffer and must keep
+                                // the clean frame a resend recovers.
+                                corrupt_payload(Arc::make_mut(&mut bytes).as_mut_slice());
                             }
                         }
                     }

@@ -10,10 +10,10 @@
 //!    off the stream before it can act, and an oversized prefix is
 //!    rejected *before* any allocation ([`read_frame`]'s `max_len`).
 //! 2. **CRC32 seal**: the message body carries a CRC32 trailer computed
-//!    by the same [`crate::checkpoint::crc32`] that guards checkpoints,
-//!    so a flipped bit anywhere in the body is caught at the receiver
-//!    ([`verify`]) instead of silently corrupting gradients or
-//!    inference results.
+//!    by [`crc32`] — the workspace's one CRC, which also guards
+//!    checkpoints and tuning caches — so a flipped bit anywhere in the
+//!    body is caught at the receiver ([`verify`]) instead of silently
+//!    corrupting gradients or inference results.
 //!
 //! The two layers compose but are independent: [`seal`]/[`verify`] are
 //! pure byte transforms, [`write_frame`]/[`read_frame`] are the stream
@@ -21,11 +21,93 @@
 //! encoded header+payload; the serving protocol seals each message
 //! body. Corruption surfaces as [`FrameIntegrity::BadCrc`], the signal
 //! both protocols treat as retryable-or-fatal per their own policy.
+//!
+//! Tensors cross both wires as little-endian `f32`s; [`put_f32s_le`] and
+//! [`f32s_le`] are the one bulk conversion pair both codecs use.
 
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
-use crate::checkpoint::crc32;
+/// The reflected IEEE 802.3 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-16 lookup tables (16 KiB): `CRC_TABLES[0]` is the classic
+/// byte-at-a-time table, `CRC_TABLES[j][b]` is the CRC of byte `b`
+/// followed by `j` zero bytes.
+static CRC_TABLES: [[u32; 256]; 16] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 16] {
+    let mut t = [[0u32; 256]; 16];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut j = 1;
+    while j < 16 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[j - 1][b];
+            t[j][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        j += 1;
+    }
+    t
+}
+
+/// CRC32 (IEEE 802.3, reflected; the zlib/PNG checksum) — the integrity
+/// check behind every sealed format in the workspace: wire frames,
+/// checkpoints, tuning caches, and the net fingerprint.
+///
+/// Table-driven, sixteen bytes per step (slicing-by-16): the sixteen
+/// lookups of a step are independent of each other, so the only serial
+/// dependency is one XOR tree per 16 bytes instead of eight shifts per
+/// byte.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let word = |c: &[u8], at: usize| u32::from_le_bytes([c[at], c[at + 1], c[at + 2], c[at + 3]]);
+    let mut crc = !0u32;
+    let mut blocks = data.chunks_exact(16);
+    for c in &mut blocks {
+        let w = [word(c, 0) ^ crc, word(c, 4), word(c, 8), word(c, 12)];
+        crc = 0;
+        for (i, w) in w.into_iter().enumerate() {
+            let base = 12 - 4 * i;
+            crc ^= t[base + 3][(w & 0xFF) as usize]
+                ^ t[base + 2][((w >> 8) & 0xFF) as usize]
+                ^ t[base + 1][((w >> 16) & 0xFF) as usize]
+                ^ t[base][(w >> 24) as usize];
+        }
+    }
+    for &b in blocks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+    }
+    !crc
+}
+
+/// Appends `values` to `out` as little-endian bytes, in bulk.
+#[inline]
+pub fn put_f32s_le(out: &mut Vec<u8>, values: &[f32]) {
+    out.reserve(values.len() * 4);
+    out.extend(values.iter().flat_map(|v| v.to_le_bytes()));
+}
+
+/// Views little-endian bytes as the `f32`s they encode, bit patterns
+/// preserved; a trailing partial value is ignored (callers bound the
+/// slice to a whole number of values).
+#[inline]
+pub fn f32s_le(bytes: &[u8]) -> impl ExactSizeIterator<Item = f32> + '_ {
+    bytes
+        .chunks_exact(4)
+        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+}
 
 /// Byte length of the CRC32 trailer appended by [`seal`].
 pub const CRC_LEN: usize = 4;
@@ -81,14 +163,36 @@ pub fn verify(bytes: &[u8]) -> Result<&[u8], FrameIntegrity> {
 }
 
 /// Writes one length-prefixed frame (`u32` LE length, then the bytes)
-/// and flushes the stream.
+/// and flushes the stream. Prefix and body go out in one vectored write
+/// (looping only on a short write), so a `TCP_NODELAY` socket sends one
+/// segment train per frame instead of a 4-byte packet and then the body.
 ///
 /// # Errors
 ///
-/// Any I/O error from the underlying stream.
+/// `InvalidInput` when `bytes` does not fit the `u32` prefix; otherwise
+/// any I/O error from the underlying stream.
 pub fn write_frame(w: &mut impl Write, bytes: &[u8]) -> std::io::Result<()> {
-    w.write_all(&(bytes.len() as u32).to_le_bytes())?;
-    w.write_all(bytes)?;
+    let len = u32::try_from(bytes.len())
+        .map_err(|_| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "wire frame of {} bytes overflows the u32 length prefix",
+                    bytes.len()
+                ),
+            )
+        })?
+        .to_le_bytes();
+    let mut bufs = [IoSlice::new(&len), IoSlice::new(bytes)];
+    let mut bufs = &mut bufs[..];
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -119,6 +223,125 @@ pub fn read_frame(r: &mut impl Read, max_len: usize) -> std::io::Result<Vec<u8>>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngCore, SeedableRng};
+
+    /// The bit-at-a-time definition of the checksum: the reference the
+    /// table-driven [`crc32`] is tested (and timed) against.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (CRC_POLY & mask);
+            }
+        }
+        !crc
+    }
+
+    /// Deterministic filler bytes.
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..len).map(|_| rng.next_u64() as u8).collect()
+    }
+
+    #[test]
+    fn crc32_matches_known_vectors() {
+        // The standard CRC-32/IEEE check value.
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_matches_the_bitwise_reference_at_every_short_length() {
+        // Every length 0..=4096 crosses every block/remainder split of
+        // the 16-byte kernel.
+        let data = noise(4096, 1);
+        for len in 0..=data.len() {
+            assert_eq!(
+                crc32(&data[..len]),
+                crc32_bitwise(&data[..len]),
+                "length {len}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        #[test]
+        fn crc32_matches_the_bitwise_reference_on_unaligned_mebibytes(
+            seed in 0u64..u64::MAX,
+            offset in 0usize..64,
+        ) {
+            let data = noise(offset + (1 << 20), seed);
+            let slice = &data[offset..];
+            prop_assert_eq!(crc32(slice), crc32_bitwise(slice));
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn verify_never_panics_on_arbitrary_bytes(
+            bytes in proptest::collection::vec((0u16..256).prop_map(|b| b as u8), 0..512),
+        ) {
+            // Structured outcome only: the body, or one of two errors.
+            match verify(&bytes) {
+                Ok(body) => prop_assert_eq!(body.len() + CRC_LEN, bytes.len()),
+                Err(FrameIntegrity::Truncated) => prop_assert!(bytes.len() < CRC_LEN),
+                Err(FrameIntegrity::BadCrc) => prop_assert!(bytes.len() >= CRC_LEN),
+            }
+        }
+
+        #[test]
+        fn f32_bulk_codec_preserves_bit_patterns(
+            mut bits in proptest::collection::vec(0u32..u32::MAX, 0..200),
+        ) {
+            // NaN payloads, infinities and -0.0 must survive: compare
+            // bits, not values.
+            bits.extend([0x8000_0000, 0x7FC0_0001, 0xFFFF_FFFF, 0x7F80_0000]);
+            let values: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
+            let mut bytes = vec![0xAA];
+            put_f32s_le(&mut bytes, &values);
+            prop_assert_eq!(bytes.len(), 1 + 4 * values.len());
+            let back: Vec<u32> = f32s_le(&bytes[1..]).map(f32::to_bits).collect();
+            prop_assert_eq!(back, bits);
+        }
+    }
+
+    /// The release-mode throughput gate `scripts/check.sh` and CI run:
+    /// both kernels timed back to back on the same MiB, best of several
+    /// rounds each, compared as a ratio so a slow or noisy host scales
+    /// both sides alike.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "a timing ratio: run with --release")]
+    fn crc32_beats_the_bitwise_reference_fivefold() {
+        let data = noise(1 << 20, 7);
+        let best = |f: &dyn Fn(&[u8]) -> u32| {
+            (0..7)
+                .map(|_| {
+                    let t0 = std::time::Instant::now();
+                    std::hint::black_box(f(std::hint::black_box(&data)));
+                    t0.elapsed().as_secs_f64()
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        let (fast, slow) = (best(&crc32), best(&crc32_bitwise));
+        let mb = data.len() as f64 / 1e6;
+        println!(
+            "crc32: table {:.0} MB/s, bitwise {:.0} MB/s, ratio {:.1}x",
+            mb / fast,
+            mb / slow,
+            slow / fast
+        );
+        assert!(
+            slow / fast >= 5.0,
+            "table-driven crc32 is only {:.1}x the bitwise loop",
+            slow / fast
+        );
+    }
 
     #[test]
     fn seal_verify_roundtrip() {

@@ -39,7 +39,7 @@ use rand::{Rng, SeedableRng};
 use crate::cluster::SyncMode;
 use crate::error::RuntimeError;
 use crate::metrics::FaultMetrics;
-use crate::transport::{Delivery, Frame, FrameKind, Key, Transport, TransportError};
+use crate::transport::{Delivery, Frame, FrameKind, Header, Key, Transport, TransportError};
 
 /// Retry, deadline, backoff, and straggler policy for the ring.
 #[derive(Debug, Clone)]
@@ -227,6 +227,9 @@ pub struct RingComm {
     misses: Vec<u32>,
     /// Peers already flagged as stragglers this bucket.
     flagged: Vec<bool>,
+    /// The working copy of the bucket being reduced, kept across calls
+    /// so a step allocates no bucket-sized buffer.
+    scratch: Vec<f32>,
 }
 
 impl RingComm {
@@ -248,6 +251,7 @@ impl RingComm {
             ewma_n: vec![0; world],
             misses: vec![0; world],
             flagged: vec![false; world],
+            scratch: Vec::new(),
         })
     }
 
@@ -295,6 +299,24 @@ impl RingComm {
         bucket: u16,
         grad: &mut [f32],
     ) -> Result<BucketReport, RuntimeError> {
+        // The working buffer leaves `self` for the call: the receive
+        // path borrows `self` mutably while chunks of it are folded into.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let out = self.allreduce_in(step, bucket, grad, &mut scratch);
+        self.scratch = scratch;
+        out
+    }
+
+    /// [`RingComm::allreduce`] with `scratch` as the working copy of the
+    /// bucket. `grad` stays pristine until the bucket closes, so every
+    /// healing restart re-seeds `scratch` from it.
+    fn allreduce_in(
+        &mut self,
+        step: u32,
+        bucket: u16,
+        grad: &mut [f32],
+        scratch: &mut Vec<f32>,
+    ) -> Result<BucketReport, RuntimeError> {
         let me_rank = self.tp.rank();
         let own_bit = 1u32 << me_rank;
         let t0 = Instant::now();
@@ -335,7 +357,8 @@ impl RingComm {
             let right = live[(me + 1) % k];
             let left = live[(me + k - 1) % k];
             let spans = chunk_spans(grad.len(), k);
-            let mut scratch = grad.to_vec();
+            scratch.clear();
+            scratch.extend_from_slice(grad);
             let mut contrib = vec![own_bit; k];
             let mut bytes = 0u64;
 
@@ -350,10 +373,13 @@ impl RingComm {
                     phase: 0,
                     ring_step: s as u16,
                 };
-                let mut f = Frame::control(FrameKind::Data, 0, key, send_c as u16);
-                f.contributors = contrib[send_c];
-                f.payload = scratch[spans[send_c].clone()].to_vec();
-                if self.tp.send_data(right, f).is_err() {
+                let mut head = Header::control(FrameKind::Data, 0, key, send_c as u16);
+                head.contributors = contrib[send_c];
+                if self
+                    .tp
+                    .send_data(right, head, &scratch[spans[send_c].clone()])
+                    .is_err()
+                {
                     self.evict_failed(right, &mut evicted);
                     restarts += 1;
                     continue 'attempt;
@@ -361,18 +387,30 @@ impl RingComm {
                 match self.recv_op(left, right, key, &mut stash, mask0, &mut evicted) {
                     RecvOutcome::Frame(fr) => {
                         let span = spans[recv_c].clone();
-                        if fr.payload.iter().any(|v| !v.is_finite()) {
-                            // A poisoned running sum: reject the whole
-                            // contribution chain, keep our own partial
-                            // (mirrors `cluster::merge_finite_gradients`).
-                            FaultMetrics::bump(&self.tp.metrics().gradients_rejected);
-                        } else if fr.payload.len() == span.len() {
-                            let dst = &mut scratch[span];
-                            for (d, &v) in dst.iter_mut().zip(&fr.payload) {
+                        let mut payload = fr.payload();
+                        if payload.len() == span.len() {
+                            // One pass over the receive buffer: decode,
+                            // fold, and scan for non-finite values.
+                            let mut finite = true;
+                            for (d, v) in scratch[span.clone()].iter_mut().zip(payload) {
+                                finite &= v.is_finite();
                                 *d += v;
                             }
-                            contrib[recv_c] = fr.contributors | own_bit;
-                            bytes += (fr.payload.len() * 4) as u64;
+                            if finite {
+                                contrib[recv_c] = fr.head.contributors | own_bit;
+                                bytes += (span.len() * 4) as u64;
+                            } else {
+                                // A poisoned running sum: reject the whole
+                                // contribution chain, keep our own partial
+                                // (mirrors `cluster::merge_finite_gradients`).
+                                // A chunk is received once per reduce-
+                                // scatter, so until this fold it held our
+                                // own gradient: `grad` restores it exactly.
+                                scratch[span.clone()].copy_from_slice(&grad[span]);
+                                FaultMetrics::bump(&self.tp.metrics().gradients_rejected);
+                            }
+                        } else if payload.any(|v| !v.is_finite()) {
+                            FaultMetrics::bump(&self.tp.metrics().gradients_rejected);
                         }
                     }
                     RecvOutcome::Missed => {}
@@ -396,10 +434,13 @@ impl RingComm {
                     phase: 1,
                     ring_step: s as u16,
                 };
-                let mut f = Frame::control(FrameKind::Data, 0, key, send_c as u16);
-                f.contributors = contrib[send_c];
-                f.payload = scratch[spans[send_c].clone()].to_vec();
-                if self.tp.send_data(right, f).is_err() {
+                let mut head = Header::control(FrameKind::Data, 0, key, send_c as u16);
+                head.contributors = contrib[send_c];
+                if self
+                    .tp
+                    .send_data(right, head, &scratch[spans[send_c].clone()])
+                    .is_err()
+                {
                     self.evict_failed(right, &mut evicted);
                     restarts += 1;
                     continue 'attempt;
@@ -407,18 +448,23 @@ impl RingComm {
                 match self.recv_op(left, right, key, &mut stash, mask0, &mut evicted) {
                     RecvOutcome::Frame(fr) => {
                         let span = spans[recv_c].clone();
-                        let finite = fr.payload.iter().all(|v| v.is_finite());
+                        // Unlike reduce-scatter, the chunk this would
+                        // overwrite is a partial sum held nowhere else,
+                        // so the scan must finish before the copy starts.
+                        let finite = fr.payload().fold(true, |ok, v| ok & v.is_finite());
                         // Synchronized: the received chunk is the fully
                         // reduced one — always adopt. Lossy: adopt when
                         // it folds at least as many contributors as ours.
                         let adopt = finite
-                            && fr.payload.len() == span.len()
+                            && fr.payload().len() == span.len()
                             && (self.mode == SyncMode::Synchronized
-                                || fr.contributors.count_ones()
+                                || fr.head.contributors.count_ones()
                                     >= contrib[recv_c].count_ones());
                         if adopt {
-                            scratch[span].copy_from_slice(&fr.payload);
-                            contrib[recv_c] = fr.contributors;
+                            for (d, v) in scratch[span].iter_mut().zip(fr.payload()) {
+                                *d = v;
+                            }
+                            contrib[recv_c] = fr.head.contributors;
                         } else if !finite {
                             FaultMetrics::bump(&self.tp.metrics().gradients_rejected);
                         }
@@ -457,11 +503,10 @@ impl RingComm {
                 let n = contrib[c].count_ones().max(1);
                 min_contrib = min_contrib.min(n);
                 let scale = 1.0f32 / n as f32;
-                for v in &mut scratch[span.clone()] {
-                    *v *= scale;
+                for (g, &v) in grad[span.clone()].iter_mut().zip(&scratch[span.clone()]) {
+                    *g = v * scale;
                 }
             }
-            grad.copy_from_slice(&scratch);
             return Ok(BucketReport {
                 mode: self.mode,
                 live: k,
@@ -531,7 +576,7 @@ impl RingComm {
                 self.policy.op_timeout_ms
             });
             let out = match self.tp.recv(from, Instant::now() + per_op, mask0) {
-                Ok(Delivery::Frame(f)) if f.kind == FrameKind::Busy => {
+                Ok(Delivery::Frame(f)) if f.head.kind == FrameKind::Busy => {
                     if busy_credit > 0 {
                         busy_credit -= 1;
                         // The upstream is provably alive, just blocked:
@@ -556,10 +601,10 @@ impl RingComm {
                     )
                 }
                 Ok(Delivery::Frame(f)) => {
-                    if f.kind != FrameKind::Data {
+                    if f.head.kind != FrameKind::Data {
                         continue;
                     }
-                    if f.alive & self.tp.failed_mask() != 0 {
+                    if f.head.alive & self.tp.failed_mask() != 0 {
                         // Sent before its sender learned of a death we
                         // already know about: a stale duplicate from the
                         // pre-healing ring (possibly queued before our
@@ -571,14 +616,14 @@ impl RingComm {
                         // resends recover it after the restart.
                         return RecvOutcome::Restart;
                     }
-                    if f.key == key {
+                    if f.head.key == key {
                         self.misses[from] = 0;
                         self.observe_latency(from, t_start.elapsed());
                         return RecvOutcome::Frame(f);
                     }
                     // Out-of-order (the peer ran ahead, or a duplicate
                     // resend): park it for a later op this bucket.
-                    stash.insert(f.key, f);
+                    stash.insert(f.head.key, f);
                     continue;
                 }
                 Ok(Delivery::Corrupt) => {

@@ -216,24 +216,27 @@ impl BufferStore {
     /// backing storage, or `None` when the arena retired it. Used by the
     /// numerical sentinels, which must never scan a co-resident's bytes.
     pub fn scan_view(&self, name: &str) -> Option<&[f32]> {
-        let info = self.infos.get(name)?;
-        match info.vis {
-            Visibility::Retained | Visibility::Final => {
-                Some(&self.storages[info.storage][..info.logical_len(self.batch)])
-            }
-            Visibility::Expired | Visibility::Dead => None,
-        }
+        self.view(name).ok()
+    }
+
+    /// Borrows a buffer's entire logical contents (all batch items).
+    ///
+    /// # Errors
+    ///
+    /// Fails for unknown buffers, and for buffers retired by the arena
+    /// (never returns another buffer's bytes).
+    pub fn view(&self, name: &str) -> Result<&[f32], RuntimeError> {
+        let info = self.visible(name, self.require(name)?)?;
+        Ok(&self.storages[info.storage][..info.logical_len(self.batch)])
     }
 
     /// Copies a buffer's entire logical contents out (all batch items).
     ///
     /// # Errors
     ///
-    /// Fails for unknown buffers, and for buffers retired by the arena
-    /// (never returns another buffer's bytes).
+    /// As [`BufferStore::view`].
     pub fn read(&self, name: &str) -> Result<Vec<f32>, RuntimeError> {
-        let info = self.visible(name, self.require(name)?)?;
-        Ok(self.storages[info.storage][..info.logical_len(self.batch)].to_vec())
+        self.view(name).map(<[f32]>::to_vec)
     }
 
     /// Copies one item's slice of a batched buffer (or the whole buffer

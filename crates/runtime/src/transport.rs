@@ -8,7 +8,9 @@
 //!   (magic, protocol version, kind, sender, step/bucket/phase/ring-step
 //!   /chunk key, alive mask, failed mask, contributors mask), an `f32`
 //!   payload, and a CRC32 trailer computed by the *same*
-//!   [`crate::checkpoint::crc32`] that guards checkpoints.
+//!   [`crate::frame::crc32`] that guards checkpoints. Encoded bytes are
+//!   built once and then only shared ([`WireBytes`]): wire, retransmit
+//!   window and the receiver's decoded frame all hold the same buffer.
 //! * [`Wire`] — "push these bytes toward peer `p`", unreliable by
 //!   design. Two real wires live here ([`ChannelWire`] over in-process
 //!   `mpsc` channels, [`TcpWire`] over sockets) and
@@ -51,7 +53,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::error::RuntimeError;
-use crate::frame::{read_frame, seal, verify, write_frame, FrameIntegrity, CRC_LEN};
+use crate::frame::{
+    f32s_le, put_f32s_le, read_frame, seal, verify, write_frame, FrameIntegrity, CRC_LEN,
+};
 use crate::metrics::FaultMetrics;
 
 /// Version stamped into every frame and checked during the handshake.
@@ -132,9 +136,9 @@ pub struct Key {
     pub ring_step: u16,
 }
 
-/// A decoded transport frame.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Frame {
+/// The fixed header of a transport frame: everything but the payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Header {
     /// What the frame carries.
     pub kind: FrameKind,
     /// Sender rank.
@@ -154,8 +158,79 @@ pub struct Frame {
     /// Ranks whose gradients are folded into the payload (also: the net
     /// fingerprint for [`FrameKind::Hello`]).
     pub contributors: u32,
-    /// Gradient values (empty for control frames).
-    pub payload: Vec<f32>,
+}
+
+impl Header {
+    /// A header with empty masks — what control frames start from.
+    pub fn control(kind: FrameKind, from: u16, key: Key, chunk: u16) -> Header {
+        Header {
+            kind,
+            from,
+            key,
+            chunk,
+            alive: 0,
+            failed: 0,
+            contributors: 0,
+        }
+    }
+
+    /// Parses and validates the header of an encoded frame against the
+    /// frame's total length, without touching payload or CRC. Returns
+    /// the header and the payload length in bytes.
+    fn parse(bytes: &[u8]) -> Result<(Header, usize), FrameError> {
+        if bytes.len() < HEADER_LEN + TRAILER_LEN {
+            return Err(FrameError::Truncated);
+        }
+        let u16_at = |o: usize| u16::from_le_bytes([bytes[o], bytes[o + 1]]);
+        let u32_at =
+            |o: usize| u32::from_le_bytes([bytes[o], bytes[o + 1], bytes[o + 2], bytes[o + 3]]);
+        if u16_at(0) != MAGIC {
+            return Err(FrameError::BadMagic);
+        }
+        let version = u16_at(2);
+        if version != PROTOCOL_VERSION {
+            return Err(FrameError::BadVersion(version));
+        }
+        let kind = FrameKind::from_u8(bytes[4]).ok_or(FrameError::BadKind)?;
+        let plen = u32_at(32) as usize;
+        if plen > MAX_PAYLOAD
+            || !plen.is_multiple_of(4)
+            || bytes.len() != HEADER_LEN + plen + TRAILER_LEN
+        {
+            return Err(FrameError::Truncated);
+        }
+        let head = Header {
+            kind,
+            from: u16_at(6),
+            key: Key {
+                step: u32_at(8),
+                bucket: u16_at(12),
+                phase: bytes[5],
+                ring_step: u16_at(14),
+            },
+            chunk: u16_at(16),
+            alive: u32_at(20),
+            failed: u32_at(24),
+            contributors: u32_at(28),
+        };
+        Ok((head, plen))
+    }
+}
+
+/// Encoded frame bytes. One allocation is shared — never copied — by the
+/// sender's wire, its retransmit window, and (in process) the receiver's
+/// decoded [`Frame`].
+pub type WireBytes = Arc<Vec<u8>>;
+
+/// A received, CRC-verified transport frame: the parsed [`Header`] plus
+/// the encoded bytes it arrived as. The payload is never copied out;
+/// [`Frame::payload`] decodes it in place, so the ring folds and copies
+/// straight from the receive buffer.
+#[derive(Debug, Clone)]
+pub struct Frame {
+    /// The parsed header.
+    pub head: Header,
+    bytes: WireBytes,
 }
 
 /// Why a byte string failed to decode as a frame.
@@ -174,142 +249,62 @@ pub enum FrameError {
 }
 
 impl Frame {
-    /// A control frame (no payload).
-    pub fn control(kind: FrameKind, from: u16, key: Key, chunk: u16) -> Frame {
-        Frame {
-            kind,
-            from,
-            key,
-            chunk,
-            alive: 0,
-            failed: 0,
-            contributors: 0,
-            payload: Vec::new(),
-        }
-    }
-
-    /// Serializes to header + payload + CRC32 trailer.
-    pub fn encode(&self) -> Vec<u8> {
-        let plen = self.payload.len() * 4;
+    /// Serializes `head` + `payload` + CRC32 trailer into one exactly
+    /// sized buffer: the payload is converted in bulk straight from the
+    /// caller's slice, then the whole frame is checksummed once.
+    pub fn encode(head: &Header, payload: &[f32]) -> Vec<u8> {
+        let plen = payload.len() * 4;
         let mut out = Vec::with_capacity(HEADER_LEN + plen + TRAILER_LEN);
         out.extend_from_slice(&MAGIC.to_le_bytes());
         out.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
-        out.push(self.kind.to_u8());
-        out.push(self.key.phase);
-        out.extend_from_slice(&self.from.to_le_bytes());
-        out.extend_from_slice(&self.key.step.to_le_bytes());
-        out.extend_from_slice(&self.key.bucket.to_le_bytes());
-        out.extend_from_slice(&self.key.ring_step.to_le_bytes());
-        out.extend_from_slice(&self.chunk.to_le_bytes());
+        out.push(head.kind.to_u8());
+        out.push(head.key.phase);
+        out.extend_from_slice(&head.from.to_le_bytes());
+        out.extend_from_slice(&head.key.step.to_le_bytes());
+        out.extend_from_slice(&head.key.bucket.to_le_bytes());
+        out.extend_from_slice(&head.key.ring_step.to_le_bytes());
+        out.extend_from_slice(&head.chunk.to_le_bytes());
         out.extend_from_slice(&0u16.to_le_bytes()); // reserved
-        out.extend_from_slice(&self.alive.to_le_bytes());
-        out.extend_from_slice(&self.failed.to_le_bytes());
-        out.extend_from_slice(&self.contributors.to_le_bytes());
+        out.extend_from_slice(&head.alive.to_le_bytes());
+        out.extend_from_slice(&head.failed.to_le_bytes());
+        out.extend_from_slice(&head.contributors.to_le_bytes());
         out.extend_from_slice(&(plen as u32).to_le_bytes());
         debug_assert_eq!(out.len(), HEADER_LEN);
-        for v in &self.payload {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
+        put_f32s_le(&mut out, payload);
         seal(out)
     }
 
-    /// Parses and CRC-verifies an encoded frame.
+    /// Validates the header and CRC-verifies `bytes` in one pass over
+    /// them, taking ownership instead of copying the payload out.
+    /// Allocates nothing, whatever the header claims.
     ///
     /// # Errors
     ///
     /// Any [`FrameError`]; [`FrameError::BadCrc`] is the corruption
     /// signal the retransmission path reacts to.
-    pub fn decode(bytes: &[u8]) -> Result<Frame, FrameError> {
-        if bytes.len() < HEADER_LEN + TRAILER_LEN {
-            return Err(FrameError::Truncated);
-        }
-        let u16_at = |o: usize| u16::from_le_bytes([bytes[o], bytes[o + 1]]);
-        let u32_at =
-            |o: usize| u32::from_le_bytes([bytes[o], bytes[o + 1], bytes[o + 2], bytes[o + 3]]);
-        if u16_at(0) != MAGIC {
-            return Err(FrameError::BadMagic);
-        }
-        let version = u16_at(2);
-        if version != PROTOCOL_VERSION {
-            return Err(FrameError::BadVersion(version));
-        }
-        let kind = FrameKind::from_u8(bytes[4]).ok_or(FrameError::BadKind)?;
-        let plen = u32_at(32) as usize;
-        if plen > MAX_PAYLOAD || !plen.is_multiple_of(4) {
-            return Err(FrameError::Truncated);
-        }
-        if bytes.len() != HEADER_LEN + plen + TRAILER_LEN {
-            return Err(FrameError::Truncated);
-        }
-        verify(bytes).map_err(|e| match e {
+    pub fn decode(bytes: WireBytes) -> Result<Frame, FrameError> {
+        let (head, _) = Header::parse(&bytes)?;
+        verify(&bytes).map_err(|e| match e {
             FrameIntegrity::BadCrc => FrameError::BadCrc,
             FrameIntegrity::Truncated => FrameError::Truncated,
         })?;
-        let mut payload = Vec::with_capacity(plen / 4);
-        for i in 0..plen / 4 {
-            let o = HEADER_LEN + 4 * i;
-            payload.push(f32::from_le_bytes([
-                bytes[o],
-                bytes[o + 1],
-                bytes[o + 2],
-                bytes[o + 3],
-            ]));
-        }
-        Ok(Frame {
-            kind,
-            from: u16_at(6),
-            key: Key {
-                step: u32_at(8),
-                bucket: u16_at(12),
-                phase: bytes[5],
-                ring_step: u16_at(14),
-            },
-            chunk: u16_at(16),
-            alive: u32_at(20),
-            failed: u32_at(24),
-            contributors: u32_at(28),
-            payload,
-        })
+        Ok(Frame { head, bytes })
+    }
+
+    /// The payload's gradient values, decoded in place from the receive
+    /// buffer (empty for control frames).
+    #[inline]
+    pub fn payload(&self) -> impl ExactSizeIterator<Item = f32> + '_ {
+        f32s_le(&self.bytes[HEADER_LEN..self.bytes.len() - TRAILER_LEN])
     }
 
     /// Reads just the header of an encoded frame, without CRC
     /// verification — used by the fault injector to key injections by
-    /// `(sender, step, bucket)` without paying a full decode.
-    pub fn peek(bytes: &[u8]) -> Option<PeekedFrame> {
-        if bytes.len() < HEADER_LEN {
-            return None;
-        }
-        let u16_at = |o: usize| u16::from_le_bytes([bytes[o], bytes[o + 1]]);
-        let u32_at =
-            |o: usize| u32::from_le_bytes([bytes[o], bytes[o + 1], bytes[o + 2], bytes[o + 3]]);
-        if u16_at(0) != MAGIC {
-            return None;
-        }
-        Some(PeekedFrame {
-            kind: FrameKind::from_u8(bytes[4])?,
-            from: u16_at(6),
-            key: Key {
-                step: u32_at(8),
-                bucket: u16_at(12),
-                phase: bytes[5],
-                ring_step: u16_at(14),
-            },
-            payload_len: u32_at(32) as usize,
-        })
+    /// `(sender, step, bucket)` without paying a full decode. Returns
+    /// the header and the payload length in bytes.
+    pub fn peek(bytes: &[u8]) -> Option<(Header, usize)> {
+        Header::parse(bytes).ok()
     }
-}
-
-/// Header fields surfaced by [`Frame::peek`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PeekedFrame {
-    /// Frame kind.
-    pub kind: FrameKind,
-    /// Sender rank.
-    pub from: u16,
-    /// Ring-operation key.
-    pub key: Key,
-    /// Payload length in bytes.
-    pub payload_len: usize,
 }
 
 /// Flips one payload bit of an encoded [`FrameKind::Data`] frame in
@@ -318,14 +313,9 @@ pub struct PeekedFrame {
 /// [`crate::fault::Fault::TransferCorrupt`] reaches the real wire.
 pub fn corrupt_payload(bytes: &mut [u8]) -> bool {
     match Frame::peek(bytes) {
-        Some(p) if p.kind == FrameKind::Data && p.payload_len > 0 => {
-            let at = HEADER_LEN + p.payload_len / 2;
-            if at < bytes.len() {
-                bytes[at] ^= 0x10;
-                true
-            } else {
-                false
-            }
+        Some((head, plen)) if head.kind == FrameKind::Data && plen > 0 => {
+            bytes[HEADER_LEN + plen / 2] ^= 0x10;
+            true
         }
         _ => false,
     }
@@ -427,7 +417,7 @@ pub trait Wire: Send + Sync + 'static {
     /// # Errors
     ///
     /// [`TransportError::Disconnected`] when the link is known down.
-    fn send(&self, to: usize, bytes: Vec<u8>) -> Result<(), TransportError>;
+    fn send(&self, to: usize, bytes: WireBytes) -> Result<(), TransportError>;
 
     /// Tears down the wire's links so reader threads blocked on it can
     /// exit. Called from [`Endpoint`]'s drop; wrappers must forward it.
@@ -439,7 +429,7 @@ pub trait Wire: Send + Sync + 'static {
 // ---------------------------------------------------------------------------
 
 /// What a deadline-bounded receive yields.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum Delivery {
     /// A verified frame.
     Frame(Frame),
@@ -457,9 +447,11 @@ struct RouterState {
     failed: u32,
     queues: Vec<VecDeque<Delivery>>,
     link_down: Vec<bool>,
-    /// Encoded frames we sent, for servicing resend requests. Pruned to
-    /// the two most recent steps.
-    sent: HashMap<(usize, Key), Vec<u8>>,
+    /// Encoded frames we sent, for servicing resend requests: the same
+    /// buffers the wire carried. Pruned to the two most recent steps.
+    sent: HashMap<(usize, Key), WireBytes>,
+    /// Newest step in `sent`; the window is pruned only when it moves.
+    sent_step: u32,
     closed: bool,
 }
 
@@ -521,6 +513,7 @@ impl Router {
                     queues: (0..world).map(|_| VecDeque::new()).collect(),
                     link_down: vec![false; world],
                     sent: HashMap::new(),
+                    sent_step: 0,
                     closed: false,
                 }),
                 cv: Condvar::new(),
@@ -612,18 +605,25 @@ impl Router {
         self.inner.state.lock().unwrap().link_down[peer] = false;
     }
 
-    /// Remembers an encoded data frame for resend servicing and prunes
-    /// entries older than the previous step.
-    fn note_sent(&self, to: usize, key: Key, bytes: Vec<u8>) {
+    /// Remembers an encoded data frame for resend servicing. Entries
+    /// older than the previous step are pruned when — and only when — a
+    /// new step's first frame arrives, so the per-send cost under the
+    /// state lock is one insert.
+    fn note_sent(&self, to: usize, key: Key, bytes: WireBytes) {
         let mut st = self.inner.state.lock().unwrap();
-        let floor = key.step.saturating_sub(1);
-        st.sent.retain(|(_, k), _| k.step >= floor);
+        if key.step > st.sent_step {
+            st.sent_step = key.step;
+            let floor = key.step - 1;
+            st.sent.retain(|(_, k), _| k.step >= floor);
+        }
         st.sent.insert((to, key), bytes);
     }
 
-    /// Ingests raw bytes read off the wire from `from`. Reader threads
-    /// call this; `wire` is borrowed to service resend requests.
-    pub fn deliver(&self, from: usize, bytes: &[u8], wire: &dyn Wire) {
+    /// Ingests encoded bytes read off the wire from `from`, taking the
+    /// buffer over: a verified frame is queued still backed by it.
+    /// Reader threads call this; `wire` is borrowed to service resend
+    /// requests.
+    pub fn deliver(&self, from: usize, bytes: WireBytes, wire: &dyn Wire) {
         let frame = match Frame::decode(bytes) {
             Ok(f) => f,
             Err(_) => {
@@ -635,7 +635,8 @@ impl Router {
                 return;
             }
         };
-        match frame.kind {
+        let head = frame.head;
+        match head.kind {
             FrameKind::Data => {
                 let mut st = self.inner.state.lock().unwrap();
                 if st.alive & (1u32 << from) == 0 {
@@ -643,7 +644,7 @@ impl Router {
                     // frames (and the mask they carry) are void.
                     return;
                 }
-                let news = frame.failed & st.alive;
+                let news = head.failed & st.alive;
                 if news != 0 {
                     // The sender knows about *failures* we haven't seen:
                     // adopt them (grow-only CRDT merge on the failed
@@ -660,7 +661,7 @@ impl Router {
                     }
                     st = self.inner.state.lock().unwrap();
                 }
-                if frame.alive & st.failed != 0 {
+                if head.alive & st.failed != 0 {
                     // The sender believes someone we know *failed* is
                     // alive: a stale pre-healing frame. Drop it; the
                     // sender converges via the Evict broadcast / its
@@ -678,7 +679,7 @@ impl Router {
             FrameKind::Resend => {
                 let buf = {
                     let st = self.inner.state.lock().unwrap();
-                    st.sent.get(&(from, frame.key)).cloned()
+                    st.sent.get(&(from, head.key)).cloned()
                 };
                 if let Some(b) = buf {
                     FaultMetrics::bump(&self.inner.metrics.send_retries);
@@ -695,7 +696,7 @@ impl Router {
                 if self.inner.state.lock().unwrap().alive & (1u32 << from) == 0 {
                     return;
                 }
-                let victim = frame.chunk as usize;
+                let victim = head.chunk as usize;
                 if victim < self.inner.world {
                     self.mark_dead(victim, true);
                 }
@@ -799,13 +800,15 @@ pub trait Transport: Send {
     /// eviction, and broadcasts [`FrameKind::Evict`] to the survivors.
     /// Returns whether the mask changed.
     fn evict(&self, peer: usize) -> bool;
-    /// Sends a data frame (stamping `from` and the current alive mask)
-    /// and retains it for resend servicing.
+    /// Sends `payload` as a data frame under `head` (stamping kind,
+    /// `from` and the current membership masks), encoding straight from
+    /// the caller's slice, and retains the encoded buffer for resend
+    /// servicing.
     ///
     /// # Errors
     ///
     /// [`TransportError::Disconnected`] when the link is down.
-    fn send_data(&self, to: usize, frame: Frame) -> Result<(), TransportError>;
+    fn send_data(&self, to: usize, head: Header, payload: &[f32]) -> Result<(), TransportError>;
     /// Asks `from` to re-send the frame with `key`.
     ///
     /// # Errors
@@ -859,6 +862,16 @@ impl<W: Wire> Endpoint<W> {
         &self.router
     }
 
+    /// A control header from this rank.
+    fn control(&self, kind: FrameKind, key: Key, chunk: u16) -> Header {
+        Header::control(kind, self.router.rank() as u16, key, chunk)
+    }
+
+    /// Encodes and sends a payload-free frame.
+    fn send_control(&self, to: usize, head: &Header) -> Result<(), TransportError> {
+        self.wire.send(to, Arc::new(Frame::encode(head, &[])))
+    }
+
     fn live_peers(&self) -> Vec<usize> {
         let mask = self.router.alive_mask();
         (0..self.router.world())
@@ -899,28 +912,33 @@ impl<W: Wire> Transport for Endpoint<W> {
             ring_step: 0,
         };
         for p in self.live_peers() {
-            let mut f = Frame::control(FrameKind::Evict, self.router.rank() as u16, key, peer as u16);
-            f.alive = self.router.alive_mask();
-            f.failed = self.router.failed_mask();
-            let _ = self.wire.send(p, f.encode());
+            let mut h = self.control(FrameKind::Evict, key, peer as u16);
+            h.alive = self.router.alive_mask();
+            h.failed = self.router.failed_mask();
+            let _ = self.send_control(p, &h);
         }
         true
     }
 
-    fn send_data(&self, to: usize, mut frame: Frame) -> Result<(), TransportError> {
-        frame.kind = FrameKind::Data;
-        frame.from = self.router.rank() as u16;
-        frame.alive = self.router.alive_mask();
-        frame.failed = self.router.failed_mask();
-        let bytes = frame.encode();
-        self.router.note_sent(to, frame.key, bytes.clone());
+    fn send_data(
+        &self,
+        to: usize,
+        mut head: Header,
+        payload: &[f32],
+    ) -> Result<(), TransportError> {
+        head.kind = FrameKind::Data;
+        head.from = self.router.rank() as u16;
+        head.alive = self.router.alive_mask();
+        head.failed = self.router.failed_mask();
+        let bytes = Arc::new(Frame::encode(&head, payload));
+        self.router.note_sent(to, head.key, Arc::clone(&bytes));
         self.wire.send(to, bytes)
     }
 
     fn request_resend(&self, from: usize, key: Key) -> Result<(), TransportError> {
-        let mut f = Frame::control(FrameKind::Resend, self.router.rank() as u16, key, 0);
-        f.alive = self.router.alive_mask();
-        self.wire.send(from, f.encode())
+        let mut h = self.control(FrameKind::Resend, key, 0);
+        h.alive = self.router.alive_mask();
+        self.send_control(from, &h)
     }
 
     fn recv(
@@ -933,10 +951,10 @@ impl<W: Wire> Transport for Endpoint<W> {
     }
 
     fn send_busy(&self, to: usize, key: Key) {
-        let mut f = Frame::control(FrameKind::Busy, self.router.rank() as u16, key, 0);
-        f.alive = self.router.alive_mask();
-        f.failed = self.router.failed_mask();
-        let _ = self.wire.send(to, f.encode());
+        let mut h = self.control(FrameKind::Busy, key, 0);
+        h.alive = self.router.alive_mask();
+        h.failed = self.router.failed_mask();
+        let _ = self.send_control(to, &h);
     }
 
     fn wait_failure(&self, mask: u32, deadline: Instant) -> bool {
@@ -951,8 +969,7 @@ impl<W: Wire> Transport for Endpoint<W> {
             ring_step: 0,
         };
         for p in self.live_peers() {
-            let f = Frame::control(FrameKind::Goodbye, self.router.rank() as u16, key, 0);
-            let _ = self.wire.send(p, f.encode());
+            let _ = self.send_control(p, &self.control(FrameKind::Goodbye, key, 0));
         }
         self.router.close();
     }
@@ -964,7 +981,7 @@ impl<W: Wire> Transport for Endpoint<W> {
 
 /// One take-able sender per peer: taken on eviction/goodbye so later
 /// sends fail fast instead of queueing into a dead endpoint.
-type PeerSenders = Vec<Mutex<Option<mpsc::Sender<(usize, Vec<u8>)>>>>;
+type PeerSenders = Vec<Mutex<Option<mpsc::Sender<(usize, WireBytes)>>>>;
 
 /// In-process wire: one `mpsc` channel per receiving endpoint, FIFO and
 /// lossless (until wrapped by [`crate::fault::FaultyTransport`]).
@@ -974,7 +991,7 @@ pub struct ChannelWire {
 }
 
 impl Wire for ChannelWire {
-    fn send(&self, to: usize, bytes: Vec<u8>) -> Result<(), TransportError> {
+    fn send(&self, to: usize, bytes: WireBytes) -> Result<(), TransportError> {
         let slot = self
             .peers
             .get(to)
@@ -1014,7 +1031,7 @@ pub fn channel_group_with<W: Wire>(
     let mut txs = Vec::with_capacity(world);
     let mut rxs = Vec::with_capacity(world);
     for _ in 0..world {
-        let (tx, rx) = mpsc::channel::<(usize, Vec<u8>)>();
+        let (tx, rx) = mpsc::channel::<(usize, WireBytes)>();
         txs.push(tx);
         rxs.push(rx);
     }
@@ -1034,7 +1051,7 @@ pub fn channel_group_with<W: Wire>(
             .name(format!("latte-chan-rx-{rank}"))
             .spawn(move || {
                 while let Ok((from, bytes)) = rx.recv() {
-                    r2.deliver(from, &bytes, w2.as_ref());
+                    r2.deliver(from, bytes, w2.as_ref());
                 }
             })
             .expect("spawn channel reader");
@@ -1126,7 +1143,7 @@ fn read_wire_frame(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
 }
 
 fn hello_frame(rank: usize, world: usize, fingerprint: u32) -> Vec<u8> {
-    let mut f = Frame::control(
+    let mut h = Header::control(
         FrameKind::Hello,
         rank as u16,
         Key {
@@ -1137,14 +1154,14 @@ fn hello_frame(rank: usize, world: usize, fingerprint: u32) -> Vec<u8> {
         },
         world as u16,
     );
-    f.contributors = fingerprint;
-    f.alive = full_mask(world);
-    f.encode()
+    h.contributors = fingerprint;
+    h.alive = full_mask(world);
+    Frame::encode(&h, &[])
 }
 
 /// Validates a peer's hello; returns its rank.
-fn check_hello(bytes: &[u8], world: usize, fingerprint: u32) -> Result<usize, TransportError> {
-    let f = Frame::decode(bytes).map_err(|e| TransportError::Handshake {
+fn check_hello(bytes: Vec<u8>, world: usize, fingerprint: u32) -> Result<usize, TransportError> {
+    let f = Frame::decode(Arc::new(bytes)).map_err(|e| TransportError::Handshake {
         detail: match e {
             FrameError::BadVersion(v) => {
                 format!("protocol version mismatch: peer speaks v{v}, we speak v{PROTOCOL_VERSION}")
@@ -1152,6 +1169,7 @@ fn check_hello(bytes: &[u8], world: usize, fingerprint: u32) -> Result<usize, Tr
             other => format!("undecodable hello: {other:?}"),
         },
     })?;
+    let f = f.head;
     if f.kind != FrameKind::Hello {
         return Err(TransportError::Handshake {
             detail: format!("expected hello, got {:?}", f.kind),
@@ -1190,7 +1208,7 @@ fn spawn_tcp_reader(router: Router, wire: Arc<TcpWire>, peer: usize, cfg: TcpCon
         .spawn(move || loop {
             let Some(s) = stream.as_mut() else { return };
             match read_wire_frame(s) {
-                Ok(bytes) => router.deliver(peer, &bytes, wire.as_ref()),
+                Ok(bytes) => router.deliver(peer, Arc::new(bytes), wire.as_ref()),
                 Err(_) => {
                     if wire.closing.load(Ordering::Relaxed) {
                         return;
@@ -1244,7 +1262,7 @@ fn dial_peer(cfg: &TcpConfig, peer: usize) -> Result<TcpStream, TransportError> 
     let reply = read_wire_frame(&mut stream).map_err(|e| TransportError::Io {
         detail: format!("hello-ack from peer {peer}: {e}"),
     })?;
-    let got = check_hello(&reply, world, cfg.fingerprint)?;
+    let got = check_hello(reply, world, cfg.fingerprint)?;
     if got != peer {
         return Err(TransportError::Handshake {
             detail: format!("dialed peer {peer} but rank {got} answered"),
@@ -1305,7 +1323,7 @@ pub fn tcp_rendezvous(cfg: TcpConfig) -> Result<Endpoint<TcpWire>, TransportErro
                     let Ok(hello) = read_wire_frame(&mut stream) else {
                         continue;
                     };
-                    let peer = match check_hello(&hello, cfg.addrs.len(), cfg.fingerprint) {
+                    let peer = match check_hello(hello, cfg.addrs.len(), cfg.fingerprint) {
                         Ok(p) if p > cfg.rank => p,
                         // Wrong direction, bad version, or bad
                         // fingerprint: refuse by closing the socket.
@@ -1383,7 +1401,7 @@ impl<W: Wire> Drop for Endpoint<W> {
 }
 
 impl Wire for TcpWire {
-    fn send(&self, to: usize, bytes: Vec<u8>) -> Result<(), TransportError> {
+    fn send(&self, to: usize, bytes: WireBytes) -> Result<(), TransportError> {
         let mut guard = self.peers[to].stream.lock().unwrap();
         let Some(stream) = guard.as_mut() else {
             return Err(TransportError::Disconnected { peer: to });
@@ -1412,6 +1430,7 @@ impl Wire for TcpWire {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn key(step: u32, ring_step: u16) -> Key {
         Key {
@@ -1422,9 +1441,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn frame_roundtrip_preserves_everything() {
-        let f = Frame {
+    /// The frame the wire-format pin and the round-trip tests share.
+    fn sample() -> (Header, Vec<f32>) {
+        let head = Header {
             kind: FrameKind::Data,
             from: 3,
             key: Key {
@@ -1437,80 +1456,187 @@ mod tests {
             alive: 0b1011,
             failed: 0b0100,
             contributors: 0b0011,
-            payload: vec![1.0, -2.5, f32::MIN_POSITIVE, 0.0],
         };
-        let bytes = f.encode();
-        assert_eq!(Frame::decode(&bytes).unwrap(), f);
-        let p = Frame::peek(&bytes).unwrap();
-        assert_eq!(p.kind, FrameKind::Data);
-        assert_eq!(p.from, 3);
-        assert_eq!(p.key, f.key);
-        assert_eq!(p.payload_len, 16);
+        (head, vec![1.0, -2.5, f32::MIN_POSITIVE, 0.0])
+    }
+
+    fn decode(bytes: Vec<u8>) -> Result<Frame, FrameError> {
+        Frame::decode(Arc::new(bytes))
+    }
+
+    fn data_head(step: u32, ring_step: u16) -> Header {
+        Header::control(FrameKind::Data, 0, key(step, ring_step), 0)
+    }
+
+    fn expect_payload(d: Delivery) -> Vec<f32> {
+        match d {
+            Delivery::Frame(f) => f.payload().collect(),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn frame_roundtrip_preserves_everything() {
+        let (head, payload) = sample();
+        let bytes = Frame::encode(&head, &payload);
+        let f = decode(bytes.clone()).unwrap();
+        assert_eq!(f.head, head);
+        assert_eq!(f.payload().collect::<Vec<_>>(), payload);
+        assert_eq!(Frame::peek(&bytes), Some((head, 16)));
+    }
+
+    #[test]
+    fn wire_v2_bytes_are_pinned() {
+        // The exact bytes the bit-at-a-time CRC and per-element encoder
+        // of the first wire-v2 build produced for this frame: an encoder
+        // or checksum that drifts by one bit fails here before it fails
+        // to interoperate with deployed workers.
+        let (head, payload) = sample();
+        let want: [u8; HEADER_LEN + 16 + TRAILER_LEN] = [
+            0x54, 0x4C, 0x02, 0x00, // magic "LT", version 2
+            0x00, 0x01, 0x03, 0x00, // kind Data, phase 1, from 3
+            0x07, 0x00, 0x00, 0x00, // step 7
+            0x02, 0x00, 0x05, 0x00, // bucket 2, ring step 5
+            0x04, 0x00, 0x00, 0x00, // chunk 4, reserved
+            0x0B, 0x00, 0x00, 0x00, // alive
+            0x04, 0x00, 0x00, 0x00, // failed
+            0x03, 0x00, 0x00, 0x00, // contributors
+            0x10, 0x00, 0x00, 0x00, // payload length 16
+            0x00, 0x00, 0x80, 0x3F, // 1.0
+            0x00, 0x00, 0x20, 0xC0, // -2.5
+            0x00, 0x00, 0x80, 0x00, // f32::MIN_POSITIVE
+            0x00, 0x00, 0x00, 0x00, // 0.0
+            0x7D, 0x56, 0x5F, 0x44, // CRC32 0x445F567D
+        ];
+        assert_eq!(Frame::encode(&head, &payload), want);
     }
 
     #[test]
     fn flipped_bit_is_caught_by_crc() {
         // The negative control for the corruption path: any single
         // flipped bit anywhere in the frame must fail decode.
-        let f = Frame {
-            kind: FrameKind::Data,
-            from: 1,
-            key: key(3, 0),
-            chunk: 0,
-            alive: 0b11,
-            failed: 0,
-            contributors: 0b01,
-            payload: vec![0.25, 0.5, 0.75],
-        };
-        let clean = f.encode();
-        assert!(Frame::decode(&clean).is_ok());
+        let (head, payload) = sample();
+        let clean = Frame::encode(&head, &payload);
+        assert!(decode(clean.clone()).is_ok());
         for byte in 0..clean.len() {
             let mut bad = clean.clone();
             bad[byte] ^= 0x01;
-            assert!(
-                Frame::decode(&bad).is_err(),
-                "flipping byte {byte} went undetected"
-            );
+            assert!(decode(bad).is_err(), "flipping byte {byte} went undetected");
         }
         // The injector's canonical corruption helper, too.
         let mut bad = clean.clone();
         assert!(corrupt_payload(&mut bad));
-        assert_eq!(Frame::decode(&bad), Err(FrameError::BadCrc));
+        assert_eq!(decode(bad).unwrap_err(), FrameError::BadCrc);
     }
 
     #[test]
     fn decode_rejects_malformed_inputs() {
-        assert_eq!(Frame::decode(&[]), Err(FrameError::Truncated));
-        let f = Frame::control(FrameKind::Data, 0, key(0, 0), 0);
-        let mut bytes = f.encode();
+        assert_eq!(decode(Vec::new()).unwrap_err(), FrameError::Truncated);
+        let clean = Frame::encode(&data_head(0, 0), &[]);
+        let mut bytes = clean.clone();
         bytes[0] = 0xFF;
-        assert_eq!(Frame::decode(&bytes), Err(FrameError::BadMagic));
-        let mut bytes = f.encode();
+        assert_eq!(decode(bytes).unwrap_err(), FrameError::BadMagic);
+        let mut bytes = clean.clone();
         bytes[2] = 0xEE;
-        assert!(matches!(Frame::decode(&bytes), Err(FrameError::BadVersion(_))));
-        let mut bytes = f.encode();
+        assert!(matches!(decode(bytes), Err(FrameError::BadVersion(_))));
+        let mut bytes = clean.clone();
         bytes.truncate(bytes.len() - 1);
-        assert_eq!(Frame::decode(&bytes), Err(FrameError::Truncated));
+        assert_eq!(decode(bytes).unwrap_err(), FrameError::Truncated);
+        // A header claiming more payload than the cap (or than arrived)
+        // is refused from the 40 bytes in hand, with nothing allocated.
+        let mut bytes = clean;
+        bytes[32..36].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(decode(bytes).unwrap_err(), FrameError::Truncated);
+    }
+
+    proptest! {
+        #[test]
+        fn frame_roundtrip_preserves_payload_bits(
+            mut bits in proptest::collection::vec(0u32..u32::MAX, 0..300),
+            step in 0u32..u32::MAX,
+            masks in (0u32..u32::MAX, 0u32..u32::MAX, 0u32..u32::MAX),
+        ) {
+            // Quiet and signalling NaNs, infinities and -0.0 must cross
+            // the wire bit for bit: compare `to_bits`, never values.
+            bits.extend([0x8000_0000, 0x7FC0_0001, 0x7FA0_0000, 0xFFFF_FFFF, 0xFF80_0000]);
+            let payload: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
+            let mut head = data_head(step, (step % 7) as u16);
+            (head.alive, head.failed, head.contributors) = masks;
+            let f = decode(Frame::encode(&head, &payload)).unwrap();
+            prop_assert_eq!(f.head, head);
+            let back: Vec<u32> = f.payload().map(f32::to_bits).collect();
+            prop_assert_eq!(back, bits);
+        }
+
+        #[test]
+        fn decode_of_arbitrary_bytes_is_a_structured_error(
+            mut bytes in proptest::collection::vec((0u16..256).prop_map(|b| b as u8), 0..256),
+            keep_preamble in 0u8..4,
+        ) {
+            // Most cases keep a valid magic/version/kind so the fuzz
+            // reaches the length and CRC checks instead of dying at the
+            // first byte. No input may panic; random bytes never carry a
+            // matching CRC32 by construction here (p = 2^-32 per case).
+            if keep_preamble > 0 && bytes.len() >= 5 {
+                bytes[..4].copy_from_slice(&[0x54, 0x4C, 0x02, 0x00]);
+                bytes[4] %= 6;
+            }
+            prop_assert!(decode(bytes.clone()).is_err());
+            if let Some((_, plen)) = Frame::peek(&bytes) {
+                prop_assert_eq!(bytes.len(), HEADER_LEN + plen + TRAILER_LEN);
+            }
+        }
     }
 
     #[test]
     fn channel_group_delivers_and_services_resends() {
         let group = channel_group(2).unwrap();
-        let mut f = Frame::control(FrameKind::Data, 0, key(1, 0), 0);
-        f.payload = vec![1.0, 2.0];
-        group[0].send_data(1, f.clone()).unwrap();
+        group[0].send_data(1, data_head(1, 0), &[1.0, 2.0]).unwrap();
         let deadline = Instant::now() + Duration::from_secs(2);
-        match group[1].recv(0, deadline, 0).unwrap() {
-            Delivery::Frame(got) => assert_eq!(got.payload, vec![1.0, 2.0]),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(
+            expect_payload(group[1].recv(0, deadline, 0).unwrap()),
+            vec![1.0, 2.0]
+        );
         // Resend: endpoint 1 asks 0 to replay the frame it already sent.
         group[1].request_resend(0, key(1, 0)).unwrap();
-        match group[1].recv(0, deadline, 0).unwrap() {
-            Delivery::Frame(got) => assert_eq!(got.payload, vec![1.0, 2.0]),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(
+            expect_payload(group[1].recv(0, deadline, 0).unwrap()),
+            vec![1.0, 2.0]
+        );
         assert_eq!(group[0].metrics().snapshot().send_retries, 1);
+    }
+
+    #[test]
+    fn retransmit_window_keeps_the_previous_step() {
+        // While step n is in flight a slow peer may still be asking for
+        // step n-1: that frame must stay resendable, step n-2 must not.
+        let group = channel_group(2).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(2);
+        for step in 1..=3u32 {
+            for ring_step in 0..2u16 {
+                group[0]
+                    .send_data(1, data_head(step, ring_step), &[step as f32])
+                    .unwrap();
+                group[1].recv(0, deadline, 0).unwrap();
+            }
+        }
+        group[1].request_resend(0, key(2, 1)).unwrap();
+        assert_eq!(
+            expect_payload(group[1].recv(0, deadline, 0).unwrap()),
+            vec![2.0]
+        );
+        group[1].request_resend(0, key(3, 0)).unwrap();
+        assert_eq!(
+            expect_payload(group[1].recv(0, deadline, 0).unwrap()),
+            vec![3.0]
+        );
+        // Step 1 left the window when step 3 began: no reply comes.
+        group[1].request_resend(0, key(1, 0)).unwrap();
+        let err = group[1]
+            .recv(0, Instant::now() + Duration::from_millis(50), 0)
+            .unwrap_err();
+        assert_eq!(err, TransportError::Timeout { peer: 0 });
+        assert_eq!(group[0].metrics().snapshot().send_retries, 2);
     }
 
     #[test]
@@ -1583,20 +1709,16 @@ mod tests {
         // by using the router directly).
         group[0].router().mark_dead(2, true);
         // A data frame from 0 now carries mask 0b011; node 1 adopts it.
-        let mut f = Frame::control(FrameKind::Data, 0, key(5, 0), 0);
-        f.payload = vec![9.0];
-        group[0].send_data(1, f).unwrap();
+        group[0].send_data(1, data_head(5, 0), &[9.0]).unwrap();
         let deadline = Instant::now() + Duration::from_secs(2);
-        match group[1].recv(0, deadline, 0).unwrap() {
-            Delivery::Frame(got) => assert_eq!(got.payload, vec![9.0]),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(
+            expect_payload(group[1].recv(0, deadline, 0).unwrap()),
+            vec![9.0]
+        );
         assert_eq!(group[1].alive_mask(), 0b011, "death news adopted in-band");
         // A stale frame from 2 (whose mask still includes itself) is
         // dropped at node 1 — never delivered.
-        let mut stale = Frame::control(FrameKind::Data, 2, key(5, 0), 0);
-        stale.payload = vec![7.0];
-        group[2].send_data(1, stale).unwrap();
+        group[2].send_data(1, data_head(5, 0), &[7.0]).unwrap();
         let err = group[1]
             .recv(2, Instant::now() + Duration::from_millis(50), 0)
             .unwrap_err();
@@ -1613,25 +1735,21 @@ mod tests {
         });
         let t1 = tcp_rendezvous(TcpConfig::new(1, addrs, 0xABCD)).expect("rank 1 rendezvous");
         let t0 = h.join().unwrap();
-        let mut f = Frame::control(FrameKind::Data, 0, key(1, 0), 0);
-        f.payload = vec![1.5, -2.5];
-        t0.send_data(1, f).unwrap();
+        t0.send_data(1, data_head(1, 0), &[1.5, -2.5]).unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
         match t1.recv(0, deadline, 0).unwrap() {
             Delivery::Frame(got) => {
-                assert_eq!(got.payload, vec![1.5, -2.5]);
-                assert_eq!(got.from, 0);
+                assert_eq!(got.payload().collect::<Vec<_>>(), vec![1.5, -2.5]);
+                assert_eq!(got.head.from, 0);
             }
             other => panic!("unexpected {other:?}"),
         }
         // And the reverse direction.
-        let mut g = Frame::control(FrameKind::Data, 1, key(1, 1), 0);
-        g.payload = vec![4.0];
-        t1.send_data(0, g).unwrap();
-        match t0.recv(1, deadline, 0).unwrap() {
-            Delivery::Frame(got) => assert_eq!(got.payload, vec![4.0]),
-            other => panic!("unexpected {other:?}"),
-        }
+        t1.send_data(0, data_head(1, 1), &[4.0]).unwrap();
+        assert_eq!(
+            expect_payload(t0.recv(1, deadline, 0).unwrap()),
+            vec![4.0]
+        );
     }
 
     #[test]

@@ -53,7 +53,7 @@ use latte_core::dsl::Net;
 use latte_core::{compile, compile_tuned, CompileError, CompiledNet, OptLevel, TunedSchedule};
 use latte_tensor::gemm::{cpu_features, Gemm, Transpose};
 
-use crate::checkpoint::crc32;
+use crate::frame::crc32;
 use crate::error::RuntimeError;
 use crate::exec::{CompiledProgram, ExecConfig, Executor};
 use crate::pool::WorkerPool;

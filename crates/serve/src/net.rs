@@ -59,7 +59,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use latte_runtime::frame::{read_frame, seal, verify, write_frame};
+use latte_runtime::frame::{f32s_le, put_f32s_le, read_frame, seal, verify, write_frame};
 
 use crate::batcher::FlushReason;
 use crate::error::ServeError;
@@ -355,9 +355,7 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
 
 fn put_values(buf: &mut Vec<u8>, values: &[f32]) {
     put_u32(buf, values.len() as u32);
-    for v in values {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
+    put_f32s_le(buf, values);
 }
 
 /// A bounds-checked little-endian reader over a decoded body.
@@ -411,10 +409,7 @@ impl<'a> Dec<'a> {
         let raw = self.take(n.checked_mul(4).ok_or_else(|| {
             NetError::Protocol("tensor length overflows".into())
         })?)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+        Ok(f32s_le(raw).collect())
     }
 
     fn finish(self) -> Result<(), NetError> {

@@ -36,6 +36,9 @@ cargo test --release --test distributed -q
 echo "==> serving over loopback TCP (framed protocol, adversaries, SIGTERM drain; incl. chaos soak)"
 LATTE_FAULT_SWEEP=1 cargo test --release -p latte-serve --test net_loopback -q
 
+echo "==> crc32 throughput gate (table-driven kernel >= 5x the bitwise reference on 1 MiB, paired in one process)"
+cargo test --release -p latte-runtime --lib frame::tests::crc32_beats_the_bitwise_reference_fivefold -- --exact --nocapture
+
 echo "==> autotuner smoke (cold tune -> warm replay with zero re-measurements, corrupt-cache rejection)"
 cargo test --release -p latte-runtime --test tune_smoke -q
 cargo test --release -p latte-oracle --test tuned -q

@@ -29,9 +29,9 @@ use std::time::Duration;
 
 use latte::core::{compile, OptLevel};
 use latte::nn::models::{mlp, ModelConfig};
-use latte::runtime::checkpoint::crc32;
 use latte::runtime::cluster::SyncMode;
 use latte::runtime::dist::{net_fingerprint, DistTrainer};
+use latte::runtime::frame::crc32;
 use latte::runtime::ring::CommPolicy;
 use latte::runtime::solver::{LrPolicy, MomPolicy, Sgd, Solver, SolverParams};
 use latte::runtime::transport::{tcp_rendezvous, TcpConfig};
