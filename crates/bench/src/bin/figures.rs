@@ -12,19 +12,23 @@
 //! EXPERIMENTS.md.
 
 use latte_baselines::{caffe, mocha, spec};
+use std::sync::atomic::{AtomicU32, Ordering};
+
+use latte_bench::accel::{AcceleratorSpec, HeterogeneousScheduler, WorkloadModel};
+use latte_bench::cluster_model::{
+    analytic_profiles, profiles_from_measurements, strong_scaling, weak_scaling, LayerProfile,
+    NetworkModel,
+};
 use latte_bench::{
     compile_or_die, executor_or_die, print_compile_stats, print_table, seeded, speedup,
     time_baseline, time_latte, Pass,
 };
 use latte_core::OptLevel;
 use latte_nn::models::{self, ModelConfig};
-use latte_runtime::accel::{AcceleratorSpec, HeterogeneousScheduler, WorkloadModel};
-use latte_runtime::cluster::{
-    profiles_from_measurements, strong_scaling, weak_scaling, NetworkModel,
-};
 use latte_runtime::data::{synthetic_mnist, BatchSource, MemoryDataSource};
-use latte_runtime::parallel::{DataParallelConfig, DataParallelTrainer, GradSync};
-
+use latte_runtime::metrics::top1_accuracy;
+use latte_runtime::solver::{LrPolicy, MomPolicy, Sgd, Solver, SolverParams};
+use latte_runtime::Executor;
 
 #[derive(Clone, Copy)]
 struct Scale {
@@ -422,7 +426,7 @@ fn fig17(scale: Scale) {
 
 /// Per-layer profiles for the cluster simulations, measured from a real
 /// executor run of the scaled VGG model.
-fn measured_profiles(_scale: Scale, model: &models::Model) -> Vec<latte_runtime::cluster::LayerProfile> {
+fn measured_profiles(_scale: Scale, model: &models::Model) -> Vec<LayerProfile> {
     let compiled = compile_or_die(&model.net, &OptLevel::full(), "cluster model");
     // Gradient bytes per forward group, by ensemble membership.
     let mut group_bytes: Vec<(String, f64)> = Vec::new();
@@ -532,7 +536,7 @@ fn fig18(scale: Scale) {
     );
     // Paper-scale analytic profile: full-width VGG at 224x224, where
     // communication is substantial (the regime Cori actually ran).
-    let analytic = latte_runtime::cluster::analytic_profiles(
+    let analytic = analytic_profiles(
         &analytic_layers(&spec::vgg_a_specs(1, 1000), (3, 224, 224)),
         NODE_GFLOPS,
         2.0,
@@ -565,7 +569,7 @@ fn fig19(scale: Scale) {
         &["nodes", "throughput", "efficiency vs linear"],
         &rows,
     );
-    let analytic = latte_runtime::cluster::analytic_profiles(
+    let analytic = analytic_profiles(
         &analytic_layers(&spec::alexnet_specs(1, 1000), (3, 227, 227)),
         NODE_GFLOPS,
         2.0,
@@ -583,6 +587,30 @@ fn fig19(scale: Scale) {
     );
 }
 
+/// The paper's lossy gradient accumulation (Section 3.1, after Project
+/// Adam): one thread per worker folds that worker's gradient into the
+/// shared accumulator with a *non-atomic* read-modify-write through
+/// relaxed atomic cells, so concurrent updates to one element can be
+/// lost. This is what Figure 20 measures; the ring's deadline-lossy
+/// mode drops whole contributions instead and is not a stand-in for it.
+/// With a single contribution the fold is exact.
+fn racy_fold(acc: &mut [f32], contributions: &[&[f32]]) {
+    // SAFETY: f32 and AtomicU32 have identical size and alignment, and
+    // the exclusive borrow of `acc` outlives `cells`, so every access
+    // for the rest of this function goes through the atomics.
+    let cells: &[AtomicU32] = unsafe { &*(acc as *mut [f32] as *const [AtomicU32]) };
+    std::thread::scope(|scope| {
+        for grad in contributions {
+            scope.spawn(move || {
+                for (cell, x) in cells.iter().zip(*grad) {
+                    let cur = f32::from_bits(cell.load(Ordering::Relaxed));
+                    cell.store((cur + x).to_bits(), Ordering::Relaxed);
+                }
+            });
+        }
+    });
+}
+
 /// Figure 20: MNIST top-1 accuracy, lossy vs sequential gradients.
 fn fig20() {
     let worker_batch = 16;
@@ -597,51 +625,73 @@ fn fig20() {
         seed: 31,
     };
 
-    let run = |workers: usize, sync: GradSync| -> f32 {
-        let mut trainer = DataParallelTrainer::new(
-            || {
-                compile_or_die(
-                    &models::mlp(&cfg, &[128, 64]).net,
-                    &OptLevel::full(),
-                    "mnist mlp",
-                )
-            },
-            DataParallelConfig {
-                workers,
-                sync,
-                lr: 0.02,
-                momentum: 0.9,
-            },
-        )
-        .expect("trainer");
+    // `workers` replicas each run forward/backward on their own shard in
+    // their own thread; their gradients are raced into replica 0, which
+    // takes an ordinary SGD step on the mean and re-broadcasts weights.
+    let run = |workers: usize| -> f32 {
+        let mut replicas: Vec<Executor> = (0..workers)
+            .map(|_| {
+                let net = models::mlp(&cfg, &[128, 64]).net;
+                executor_or_die(compile_or_die(&net, &OptLevel::full(), "mnist mlp"), "mnist mlp")
+            })
+            .collect();
+        let params = replicas[0].params().to_vec();
+        let mut solver = Sgd::new(SolverParams {
+            lr_policy: LrPolicy::Fixed { lr: 0.02 },
+            mom_policy: MomPolicy::Fixed { mom: 0.9 },
+            regu_coef: 0.0,
+            max_epoch: 4,
+        });
         let mut sources: Vec<MemoryDataSource> = (0..workers)
             .map(|w| {
                 let shard: Vec<_> = train.iter().skip(w).step_by(workers).cloned().collect();
                 MemoryDataSource::try_new("data", "label", shard, worker_batch).unwrap()
             })
             .collect();
-        for _epoch in 0..4 {
+        for _epoch in 0..solver.params().max_epoch {
             for s in &mut sources {
                 s.reset();
             }
             loop {
                 let shards: Option<Vec<_>> =
                     sources.iter_mut().map(|s| s.next_batch().expect("batch")).collect();
-                match shards {
-                    Some(shards) => {
-                        trainer.step(&shards).expect("step");
+                let Some(shards) = shards else { break };
+                std::thread::scope(|scope| {
+                    for (exec, shard) in replicas.iter_mut().zip(&shards) {
+                        scope.spawn(move || {
+                            for (ensemble, values) in shard {
+                                exec.set_input(ensemble, values).expect("shard fits");
+                            }
+                            exec.forward();
+                            exec.backward();
+                        });
                     }
-                    None => break,
+                });
+                for p in &params {
+                    let grads: Vec<&[f32]> = replicas
+                        .iter()
+                        .map(|r| r.buffer(&p.grad).expect("gradient readable"))
+                        .collect();
+                    let mut mean = vec![0.0f32; grads[0].len()];
+                    racy_fold(&mut mean, &grads);
+                    mean.iter_mut().for_each(|g| *g /= workers as f32);
+                    replicas[0].write_buffer(&p.grad, &mean).expect("gradient writable");
+                }
+                let (master, rest) = replicas.split_first_mut().expect("at least one replica");
+                solver.step(master);
+                for p in &params {
+                    let weights = master.buffer(&p.value).expect("parameter readable");
+                    for replica in rest.iter_mut() {
+                        replica.write_buffer(&p.value, weights).expect("parameter writable");
+                    }
                 }
             }
         }
-        trainer
-            .accuracy("data", "ip_out.value", &test)
-            .expect("accuracy")
+        top1_accuracy(&mut replicas[0], "data", "ip_out.value", &test).expect("accuracy")
     };
 
-    let lossy = run(4, GradSync::Lossy);
-    let sequential = run(1, GradSync::Synchronized);
+    let lossy = run(4);
+    let sequential = run(1);
     let rows = vec![
         vec!["Goodfellow et al. (paper ref)".into(), "99.55%".into()],
         vec!["Adam (paper ref)".into(), "99.63%".into()],
@@ -663,4 +713,24 @@ fn fig20() {
         "lossy == sequential (paper: both 99.20%): Δ = {:.3}%",
         (lossy - sequential).abs() * 100.0
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::racy_fold;
+
+    #[test]
+    fn racy_fold_is_exact_alone_and_loses_at_most_whole_updates() {
+        // One contribution: nothing to race with.
+        let g: Vec<f32> = (0..1000).map(|i| i as f32 * 0.5).collect();
+        let mut acc = vec![0.0f32; g.len()];
+        racy_fold(&mut acc, &[&g]);
+        assert_eq!(acc, g);
+        // Four racing contributions of ones: each element keeps between
+        // one and four of them — updates can be lost, never invented.
+        let ones = vec![1.0f32; 4096];
+        let mut acc = vec![0.0f32; ones.len()];
+        racy_fold(&mut acc, &[&ones, &ones, &ones, &ones]);
+        assert!(acc.iter().all(|&v| (1.0..=4.0).contains(&v) && v.fract() == 0.0), "{acc:?}");
+    }
 }

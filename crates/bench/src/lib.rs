@@ -2,10 +2,15 @@
 //!
 //! The measurement harness behind the `figures` binary, which regenerates
 //! every figure and table of the paper's evaluation (Section 7), and the
-//! criterion ablation benches.
+//! criterion ablation benches — plus the two models of hardware this
+//! host does not have: the Xeon-Phi-like coprocessor of Figure 17
+//! ([`accel`]) and the analytic cluster of Figures 18–19
+//! ([`cluster_model`]).
 
 #![warn(missing_docs)]
 
+pub mod accel;
+pub mod cluster_model;
 pub mod json;
 
 use std::time::Instant;

@@ -53,7 +53,7 @@ pub enum FieldLen {
     /// A single scalar per (possibly shared) neuron.
     Scalar,
     /// One element per staged input of connection `c` — e.g. the weight
-    /// vector of a [`WeightedNeuron`](crate::dsl::weighted_neuron).
+    /// vector of a [`weighted_neuron`](crate::dsl::stdlib::weighted_neuron).
     InputLen(usize),
     /// A fixed length.
     Fixed(usize),

@@ -9,7 +9,8 @@
 //! * [`synth`] — program synthesis: data copies + SoA compute nests.
 //! * [`opt`] — GEMM pattern matching, loop tiling, cross-layer fusion,
 //!   parallelization.
-//! * [`program`] — the compiled program handed to `latte-runtime`.
+//! * `program` — the compiled program ([`CompiledNet`]) handed to
+//!   `latte-runtime`.
 //!
 //! The entry point is [`compile`]:
 //!

@@ -279,7 +279,7 @@ fn hash_region(h: &mut Hasher, region: &SourceRegion) {
 /// cached compiled program — which embeds them — is safe to reuse).
 /// Mapping closures are opaque, so they are fingerprinted by *probing*:
 /// the mapping is evaluated over a deterministic sample of the sink
-/// index space ([`MAPPING_SAMPLES`] strided indices, endpoints always
+/// index space (`MAPPING_SAMPLES` strided indices, endpoints always
 /// included; exhaustive below that) and the resulting source regions
 /// are hashed. Neuron bodies are likewise hashed by the IR they emit
 /// against a probe context sized from the real connections. This is the

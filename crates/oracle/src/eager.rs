@@ -2,7 +2,7 @@
 //! interpreter, one op-group at a time, with no optimization passes.
 //!
 //! This is the "define-by-run" counterpart of the JIT path. A
-//! [`Trace`](latte_core::Trace) recorded by a
+//! [`Trace`] recorded by a
 //! [`TraceSession`](latte_core::TraceSession) can either be handed to a
 //! [`TraceCache`](latte_runtime::TraceCache) — which compiles it through
 //! the full pass pipeline and executes it on the optimized runtime — or

@@ -25,7 +25,9 @@ use std::path::Path;
 
 use crate::error::RuntimeError;
 use crate::exec::Executor;
-use crate::frame::crc32;
+use crate::frame::{
+    crc32, put_f32_vec, put_f32s_le, put_str, put_u32, put_u64, verify, ReadError, Reader, CRC_LEN,
+};
 use crate::solver::SolverState;
 
 const MAGIC: &[u8; 8] = b"LATTEwt2";
@@ -101,38 +103,27 @@ pub fn save_checkpoint_full(
         flags |= FLAG_HAS_SOLVER;
     }
     let mut payload = Vec::new();
-    payload.extend_from_slice(&flags.to_le_bytes());
+    put_u32(&mut payload, flags);
     if let Some(m) = meta {
-        payload.extend_from_slice(&m.epoch.to_le_bytes());
-        payload.extend_from_slice(&m.iteration.to_le_bytes());
-        payload.extend_from_slice(&m.epoch_iter.to_le_bytes());
-        payload.extend_from_slice(&m.loss.to_le_bytes());
+        put_u64(&mut payload, m.epoch);
+        put_u64(&mut payload, m.iteration);
+        put_u64(&mut payload, m.epoch_iter);
+        put_f32s_le(&mut payload, &[m.loss]);
     }
-    let names: Vec<String> = exec.params().iter().map(|p| p.value.clone()).collect();
-    payload.extend_from_slice(&(names.len() as u32).to_le_bytes());
-    for name in &names {
-        let data = exec.read_buffer(name)?;
-        payload.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        payload.extend_from_slice(name.as_bytes());
-        payload.extend_from_slice(&(data.len() as u32).to_le_bytes());
-        for v in &data {
-            payload.extend_from_slice(&v.to_le_bytes());
-        }
+    put_u32(&mut payload, exec.params().len() as u32);
+    for p in exec.params() {
+        put_str(&mut payload, &p.value);
+        put_f32_vec(&mut payload, exec.buffer(&p.value)?);
     }
     if let Some(s) = solver {
-        payload.extend_from_slice(&(s.kind.len() as u32).to_le_bytes());
-        payload.extend_from_slice(s.kind.as_bytes());
-        payload.extend_from_slice(&s.iter.to_le_bytes());
-        payload.extend_from_slice(&(s.groups.len() as u32).to_le_bytes());
+        put_str(&mut payload, &s.kind);
+        put_u64(&mut payload, s.iter);
+        put_u32(&mut payload, s.groups.len() as u32);
         for (group, vecs) in &s.groups {
-            payload.extend_from_slice(&(group.len() as u32).to_le_bytes());
-            payload.extend_from_slice(group.as_bytes());
-            payload.extend_from_slice(&(vecs.len() as u32).to_le_bytes());
+            put_str(&mut payload, group);
+            put_u32(&mut payload, vecs.len() as u32);
             for v in vecs {
-                payload.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                for x in v {
-                    payload.extend_from_slice(&x.to_le_bytes());
-                }
+                put_f32_vec(&mut payload, v);
             }
         }
     }
@@ -188,7 +179,8 @@ pub fn load_checkpoint(
 /// Restores parameters and returns both the training metadata and the
 /// solver state, when present. Pass the state to
 /// [`crate::solver::Solver::import_state`] to resume a stateful solver
-/// bit-exactly.
+/// bit-exactly. The whole file is parsed before the first buffer is
+/// written, so a rejected checkpoint leaves the executor untouched.
 ///
 /// # Errors
 ///
@@ -200,104 +192,80 @@ pub fn load_checkpoint_full(
     let path = path.as_ref();
     let bytes = std::fs::read(path)
         .map_err(|e| RuntimeError::io(format!("reading checkpoint `{}`", path.display()), e))?;
-    if bytes.len() < MAGIC.len() + 4 + 4 {
-        return Err(RuntimeError::Malformed {
-            detail: format!(
-                "checkpoint `{}` is truncated ({} bytes — too short for header and checksum)",
-                path.display(),
-                bytes.len()
-            ),
-        });
+    let parsed = parse_checkpoint(&bytes).map_err(|detail| RuntimeError::Malformed {
+        detail: format!("checkpoint `{}` {detail}", path.display()),
+    })?;
+    for (name, data) in &parsed.params {
+        exec.write_buffer(name, data)?;
+    }
+    Ok((parsed.meta, parsed.solver))
+}
+
+/// Everything a checkpoint file holds.
+struct Parsed {
+    meta: Option<CheckpointMeta>,
+    params: Vec<(String, Vec<f32>)>,
+    solver: Option<SolverState>,
+}
+
+/// Parses a whole checkpoint file: magic, CRC32 trailer (verified before
+/// any payload byte is interpreted), then the payload. The error is the
+/// reason, to be prefixed with the file's name.
+fn parse_checkpoint(bytes: &[u8]) -> Result<Parsed, String> {
+    if bytes.len() < MAGIC.len() + 4 + CRC_LEN {
+        return Err(format!(
+            "is truncated ({} bytes — too short for header and checksum)",
+            bytes.len()
+        ));
     }
     let (magic, rest) = bytes.split_at(MAGIC.len());
+    if magic == MAGIC_V1 {
+        return Err(
+            "uses the legacy un-checksummed v1 format; re-save it with this version".into(),
+        );
+    }
     if magic != MAGIC {
-        let detail = if magic == MAGIC_V1 {
-            format!(
-                "checkpoint `{}` uses the legacy un-checksummed v1 format; re-save it with this version",
-                path.display()
-            )
-        } else {
-            format!("`{}` is not a latte checkpoint (bad magic)", path.display())
-        };
-        return Err(RuntimeError::Malformed { detail });
+        return Err("is not a latte checkpoint (bad magic)".into());
     }
-    let (payload, crc_bytes) = rest.split_at(rest.len() - 4);
-    let stored = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
-    let computed = crc32(payload);
-    if stored != computed {
-        return Err(RuntimeError::Malformed {
-            detail: format!(
-                "checkpoint `{}` failed its integrity check \
-                 (stored crc32 {stored:#010x}, computed {computed:#010x}); \
-                 the file is truncated or corrupted",
-                path.display()
-            ),
-        });
-    }
+    let payload = verify(rest).map_err(|e| {
+        format!("failed its integrity check ({e}); the file is truncated or corrupted")
+    })?;
+    parse_payload(payload).map_err(|e| format!("payload {e}"))
+}
 
-    let mut cur = Cursor::new(payload);
-    let flags = cur.u32()?;
+fn parse_payload(payload: &[u8]) -> Result<Parsed, ReadError> {
+    let mut r = Reader::new(payload);
+    let flags = r.u32()?;
     let meta = if flags & FLAG_HAS_META != 0 {
         Some(CheckpointMeta {
-            epoch: cur.u64()?,
-            iteration: cur.u64()?,
-            epoch_iter: cur.u64()?,
-            loss: cur.f32()?,
+            epoch: r.u64()?,
+            iteration: r.u64()?,
+            epoch_iter: r.u64()?,
+            loss: r.f32()?,
         })
     } else {
         None
     };
-    let count = cur.u32()? as usize;
-    for _ in 0..count {
-        let name_len = cur.u32()? as usize;
-        let name = String::from_utf8(cur.take(name_len)?.to_vec()).map_err(|_| {
-            RuntimeError::Malformed {
-                detail: "checkpoint contains a non-UTF-8 buffer name".to_string(),
-            }
-        })?;
-        let len = cur.u32()? as usize;
-        let raw = cur.take(len * 4)?;
-        let data: Vec<f32> = raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect();
-        exec.write_buffer(&name, &data)?;
-    }
+    // Counts come from the file: collecting (not pre-sizing) keeps every
+    // allocation bounded by the bytes actually present.
+    let params = (0..r.u32()?)
+        .map(|_| Ok((r.str()?.to_string(), r.f32_vec()?)))
+        .collect::<Result<_, ReadError>>()?;
     let solver = if flags & FLAG_HAS_SOLVER != 0 {
-        let kind_len = cur.u32()? as usize;
-        let kind = String::from_utf8(cur.take(kind_len)?.to_vec()).map_err(|_| {
-            RuntimeError::Malformed {
-                detail: "checkpoint contains a non-UTF-8 solver kind".to_string(),
-            }
-        })?;
-        let iter = cur.u64()?;
-        let group_count = cur.u32()? as usize;
-        let mut groups = Vec::with_capacity(group_count);
-        for _ in 0..group_count {
-            let name_len = cur.u32()? as usize;
-            let name = String::from_utf8(cur.take(name_len)?.to_vec()).map_err(|_| {
-                RuntimeError::Malformed {
-                    detail: "checkpoint contains a non-UTF-8 solver group name".to_string(),
-                }
-            })?;
-            let vec_count = cur.u32()? as usize;
-            let mut vecs = Vec::with_capacity(vec_count);
-            for _ in 0..vec_count {
-                let len = cur.u32()? as usize;
-                let raw = cur.take(len * 4)?;
-                vecs.push(
-                    raw.chunks_exact(4)
-                        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                        .collect(),
-                );
-            }
-            groups.push((name, vecs));
-        }
+        let kind = r.str()?.to_string();
+        let iter = r.u64()?;
+        let groups = (0..r.u32()?)
+            .map(|_| {
+                let name = r.str()?.to_string();
+                let vecs = (0..r.u32()?).map(|_| r.f32_vec()).collect::<Result<_, _>>()?;
+                Ok((name, vecs))
+            })
+            .collect::<Result<_, ReadError>>()?;
         Some(SolverState { kind, iter, groups })
     } else {
         None
     };
-    Ok((meta, solver))
+    Ok(Parsed { meta, params, solver })
 }
 
 /// Sibling temporary path used by the atomic write. Exposed for tests
@@ -311,53 +279,10 @@ pub fn tmp_path(path: &Path) -> std::path::PathBuf {
     path.with_file_name(name)
 }
 
-/// Bounds-checked little-endian reader over the verified payload.
-struct Cursor<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        Cursor { data, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], RuntimeError> {
-        if self.pos + n > self.data.len() {
-            return Err(RuntimeError::Malformed {
-                detail: format!(
-                    "checkpoint payload ends early (wanted {n} bytes at offset {}, have {})",
-                    self.pos,
-                    self.data.len() - self.pos
-                ),
-            });
-        }
-        let out = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u32(&mut self) -> Result<u32, RuntimeError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, RuntimeError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn f32(&mut self) -> Result<f32, RuntimeError> {
-        let b = self.take(4)?;
-        Ok(f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use latte_core::{compile, OptLevel};
     use latte_nn::models::{mlp, ModelConfig};
 
@@ -550,5 +475,49 @@ mod tests {
         let (_, none_state) = load_checkpoint_full(&mut b, &path).unwrap();
         assert_eq!(none_state, None);
         let _ = std::fs::remove_file(&path);
+    }
+    /// A well-formed file around `payload`: magic, payload, its CRC.
+    fn file_of(payload: Vec<u8>) -> Vec<u8> {
+        let mut file = MAGIC.to_vec();
+        file.extend(crate::frame::seal(payload));
+        file
+    }
+
+    proptest! {
+        /// Fuzz: the checkpoint parser answers arbitrary bytes — raw, or
+        /// correctly sealed behind the magic under every flag
+        /// combination so the payload decoder itself is reached — with a
+        /// parse or a reason, never a panic, a hang, or an allocation
+        /// sized by a count the bytes do not back.
+        #[test]
+        fn parse_checkpoint_answers_arbitrary_bytes_with_a_structured_result(
+            flags in 0u32..4,
+            body in proptest::collection::vec((0u16..256).prop_map(|b| b as u8), 0..256),
+        ) {
+            let _ = parse_checkpoint(&body);
+            let mut payload = flags.to_le_bytes().to_vec();
+            payload.extend_from_slice(&body);
+            if let Ok(parsed) = parse_checkpoint(&file_of(payload)) {
+                let floats: usize = parsed.params.iter().map(|(_, v)| v.len()).sum();
+                prop_assert!(floats * 4 <= body.len());
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_counts_fail_without_allocating_for_them() {
+        // A sealed payload announcing u32::MAX parameters, then nothing.
+        let mut payload = Vec::new();
+        put_u32(&mut payload, 0);
+        put_u32(&mut payload, u32::MAX);
+        let err = parse_checkpoint(&file_of(payload)).err().expect("rejected");
+        assert!(err.contains("ends early"), "{err}");
+        // One parameter whose element count is u32::MAX.
+        let mut payload = Vec::new();
+        put_u32(&mut payload, 0);
+        put_u32(&mut payload, 1);
+        put_str(&mut payload, "w");
+        put_u32(&mut payload, u32::MAX);
+        assert!(parse_checkpoint(&file_of(payload)).is_err());
     }
 }

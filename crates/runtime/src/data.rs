@@ -3,7 +3,6 @@
 //! double-buffered prefetching loader matching the paper's Section 6.1
 //! input pipeline.
 
-use std::collections::VecDeque;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -343,39 +342,6 @@ pub fn synthetic_sequences(
             (xs, hot as f32)
         })
         .collect()
-}
-
-/// A bounded batch queue used by the accelerator scheduler tests.
-#[derive(Debug, Default)]
-pub struct BatchQueue {
-    inner: VecDeque<Batch>,
-}
-
-impl BatchQueue {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        BatchQueue::default()
-    }
-
-    /// Enqueues a batch.
-    pub fn push(&mut self, b: Batch) {
-        self.inner.push_back(b);
-    }
-
-    /// Dequeues the oldest batch.
-    pub fn pop(&mut self) -> Option<Batch> {
-        self.inner.pop_front()
-    }
-
-    /// Queue length.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
 }
 
 #[cfg(test)]

@@ -24,12 +24,11 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::cluster::SyncMode;
 use crate::error::RuntimeError;
 use crate::exec::{Executor, GradBucket};
 use crate::frame::crc32;
 use crate::metrics::FaultMetrics;
-use crate::ring::{BucketReport, CommPolicy, RingComm};
+use crate::ring::{BucketReport, CommPolicy, RingComm, SyncMode};
 use crate::transport::Transport;
 
 /// Fingerprints the compiled program a rank is about to train, for the
@@ -48,6 +47,30 @@ pub fn net_fingerprint(exec: &Executor) -> u32 {
         desc.push_str(&format!("bucket={}:{};", b.group, b.name));
     }
     crc32(desc.as_bytes())
+}
+
+/// Runs one thread per endpoint — rank `i` gets `endpoints[i]` — and
+/// returns what each `rank_main(rank, endpoint)` returned, in rank
+/// order. This is all "in-process data parallelism" needs beyond
+/// [`DistTrainer`] itself: hand it a [`crate::transport::channel_group`]
+/// and build one trainer per rank inside `rank_main`.
+///
+/// # Panics
+///
+/// If a rank's thread panicked (the scope still joins every rank first).
+pub fn run_ranks<E: Send, R: Send>(
+    endpoints: Vec<E>,
+    rank_main: impl Fn(usize, E) -> R + Sync,
+) -> Vec<R> {
+    let rank_main = &rank_main;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = endpoints
+            .into_iter()
+            .enumerate()
+            .map(|(rank, ep)| scope.spawn(move || rank_main(rank, ep)))
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("a rank's thread panicked")).collect()
+    })
 }
 
 struct CommJob {
@@ -133,6 +156,9 @@ pub struct DistTrainer {
     mode: SyncMode,
     step: u32,
     stats: DistStats,
+    /// The terminal error of the step that broke the ring for this rank;
+    /// every later [`DistTrainer::step`] returns it again.
+    failed: Option<RuntimeError>,
 }
 
 impl DistTrainer {
@@ -205,6 +231,7 @@ impl DistTrainer {
             mode: SyncMode::Synchronized,
             step: 0,
             stats: DistStats::default(),
+            failed: None,
         })
     }
 
@@ -262,12 +289,17 @@ impl DistTrainer {
     /// # Errors
     ///
     /// Input errors from the executor and terminal
-    /// [`RuntimeError::Transport`] failures.
+    /// [`RuntimeError::Transport`] failures. A transport failure is
+    /// sticky: the ring has no place for this rank any more, so every
+    /// later call returns the same error without touching the executor.
     pub fn step(
         &mut self,
         batch: &[(String, Vec<f32>)],
         apply: &mut dyn FnMut(&mut Executor),
     ) -> Result<StepReport, RuntimeError> {
+        if let Some(e) = &self.failed {
+            return Err(e.clone());
+        }
         for (ensemble, data) in batch {
             self.exec.set_input(ensemble, data)?;
         }
@@ -304,25 +336,40 @@ impl DistTrainer {
         }
         let backward_ms = t_bwd.elapsed().as_secs_f64() * 1e3;
 
-        // Reap every bucket; only the part of comm that outlives
+        // Reap every bucket — also after one has failed, so no result of
+        // this step is left queued. Only the part of comm that outlives
         // backward is exposed.
         let t_wait = Instant::now();
         let mut comm_ms = 0.0;
         let mut evicted = Vec::new();
         let mut live = self.live;
         let mut mode = self.mode;
+        let mut failure = None;
         for _ in 0..self.buckets.len() {
-            let res = self.results.recv().map_err(|_| RuntimeError::Transport {
-                detail: "comm thread died mid-step".into(),
-            })?;
-            let report = res.report?;
-            comm_ms += report.elapsed_ms;
-            live = report.live;
-            if report.mode == SyncMode::LossyDegraded {
-                mode = SyncMode::LossyDegraded;
-            }
-            evicted.extend(report.evicted.iter().copied());
+            let Ok(res) = self.results.recv() else {
+                failure.get_or_insert(RuntimeError::Transport {
+                    detail: "comm thread died mid-step".into(),
+                });
+                break;
+            };
             self.flat[res.idx] = res.data;
+            match res.report {
+                Ok(report) => {
+                    comm_ms += report.elapsed_ms;
+                    live = report.live;
+                    if report.mode == SyncMode::LossyDegraded {
+                        mode = SyncMode::LossyDegraded;
+                    }
+                    evicted.extend(report.evicted);
+                }
+                Err(e) => {
+                    failure.get_or_insert(e);
+                }
+            }
+        }
+        if let Some(e) = failure {
+            self.failed = Some(e.clone());
+            return Err(e);
         }
         let exposed_ms = t_wait.elapsed().as_secs_f64() * 1e3;
 
@@ -367,5 +414,78 @@ impl Drop for DistTrainer {
         if let Some(h) = self.comm.take() {
             let _ = h.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::solver::{LrPolicy, MomPolicy, Sgd, Solver, SolverParams};
+    use crate::transport::{channel_group, Frame, FrameKind, Header, Key, Wire};
+    use latte_core::{compile, OptLevel};
+    use latte_nn::models::{mlp, ModelConfig};
+
+    /// A rank told it was evicted fails its step once every bucket of
+    /// that step has been reaped, and keeps returning the same terminal
+    /// error — without consuming the failed step's leftovers as a new
+    /// step's results, and without touching the executor again.
+    ///
+    /// The death news is injected as the frame a peer would send, not
+    /// provoked through `FaultyTransport`: a rank whose frames are
+    /// dropped or corrupted is evicted by the *others*, never hears of
+    /// it, and ends up training solo (see `tests/transport.rs`), so no
+    /// fault plan makes this error deterministic.
+    #[test]
+    fn evicted_rank_keeps_failing_cleanly() {
+        let done = std::sync::Barrier::new(2);
+        let outcomes = run_ranks(channel_group(2).unwrap(), |rank, ep| {
+            if rank == 1 {
+                let key = Key { step: 0, bucket: 0, phase: 0, ring_step: 0 };
+                let evict_rank_0 = Header::control(FrameKind::Evict, 1, key, 0);
+                ep.wire().send(0, Arc::new(Frame::encode(&evict_rank_0, &[]))).unwrap();
+                done.wait();
+                return None;
+            }
+            let cfg = ModelConfig {
+                batch: 4,
+                input_size: 6,
+                channel_div: 1,
+                classes: 3,
+                with_loss: true,
+                seed: 7,
+            };
+            let exec = Executor::new(compile(&mlp(&cfg, &[8]).net, &OptLevel::full()).unwrap())
+                .unwrap();
+            let mut trainer = DistTrainer::new(exec, Box::new(ep), CommPolicy::default()).unwrap();
+            assert!(trainer.buckets().len() > 1, "the scenario needs a multi-bucket step");
+            let mut solver = Sgd::new(SolverParams {
+                lr_policy: LrPolicy::Fixed { lr: 0.05 },
+                mom_policy: MomPolicy::None,
+                regu_coef: 0.0,
+                max_epoch: 1,
+            });
+            let batch: crate::data::Batch = vec![
+                ("data".into(), (0..4 * 6).map(|i| (i % 5) as f32 * 0.2).collect()),
+                ("label".into(), vec![0.0, 1.0, 2.0, 1.0]),
+            ];
+            let mut applied = 0;
+            let mut errors = Vec::new();
+            for _ in 0..3 {
+                let res = trainer.step(&batch, &mut |e| {
+                    applied += 1;
+                    solver.step(e);
+                });
+                errors.push(res.expect_err("an evicted rank's step must fail"));
+            }
+            // Sticky means *before* any work: not even the inputs are looked at.
+            let bogus = vec![("no-such-ensemble".to_string(), vec![0.0])];
+            errors.push(trainer.step(&bogus, &mut |_| applied += 1).expect_err("still failed"));
+            done.wait();
+            Some((errors, applied))
+        });
+        let (errors, applied) = outcomes[0].as_ref().expect("rank 0 reports");
+        assert!(matches!(errors[0], RuntimeError::Transport { .. }), "{}", errors[0]);
+        assert!(errors.iter().all(|e| e == &errors[0]), "{errors:?}");
+        assert_eq!(*applied, 0, "no update may be applied on a failed step");
     }
 }

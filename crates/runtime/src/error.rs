@@ -67,15 +67,6 @@ pub enum RuntimeError {
         /// Which guard tripped, where, and on what.
         detail: String,
     },
-    /// A data-parallel worker thread failed; carries the worker index
-    /// and the underlying error (a panic is reported as
-    /// [`RuntimeError::Interrupted`]).
-    Worker {
-        /// Index of the failed worker.
-        worker: usize,
-        /// What went wrong inside the worker.
-        source: Box<RuntimeError>,
-    },
     /// A distributed-transport operation failed terminally: handshake
     /// rejected, every peer evicted, the comm thread lost, or a wire
     /// error that retries and ring healing could not absorb.
@@ -154,10 +145,6 @@ impl PartialEq for RuntimeError {
             ) => a == b && sa.as_ref().map(|e| e.kind()) == sb.as_ref().map(|e| e.kind()),
             (Interrupted { detail: a }, Interrupted { detail: b }) => a == b,
             (Numerical { detail: a }, Numerical { detail: b }) => a == b,
-            (
-                Worker { worker: a, source: sa },
-                Worker { worker: b, source: sb },
-            ) => a == b && sa == sb,
             (Transport { detail: a }, Transport { detail: b }) => a == b,
             (
                 BufferRetired { name: a, detail: da },
@@ -198,9 +185,6 @@ impl fmt::Display for RuntimeError {
             RuntimeError::Numerical { detail } => {
                 write!(f, "numerical fault: {detail}")
             }
-            RuntimeError::Worker { worker, source } => {
-                write!(f, "worker {worker} failed: {source}")
-            }
             RuntimeError::Transport { detail } => {
                 write!(f, "transport failure: {detail}")
             }
@@ -220,7 +204,6 @@ impl std::error::Error for RuntimeError {
             RuntimeError::Io {
                 source: Some(e), ..
             } => Some(e.as_ref()),
-            RuntimeError::Worker { source, .. } => Some(source.as_ref()),
             _ => None,
         }
     }
@@ -248,19 +231,6 @@ mod tests {
         assert!(src.to_string().contains("short read"));
         let plain = RuntimeError::Malformed { detail: "x".into() };
         assert!(plain.source().is_none());
-    }
-
-    #[test]
-    fn worker_errors_chain_their_source() {
-        let e = RuntimeError::Worker {
-            worker: 2,
-            source: Box::new(RuntimeError::Interrupted {
-                detail: "worker thread panicked: boom".into(),
-            }),
-        };
-        assert!(e.to_string().contains("worker 2"));
-        let src = e.source().expect("source present");
-        assert!(src.to_string().contains("boom"));
     }
 
     #[test]

@@ -11,9 +11,8 @@
 //! scratch copy which is reduced afterwards in lane order — the paper's
 //! synchronized-reduction mode ("a small performance overhead during
 //! back-propagation"), structured so results are **bit-identical for any
-//! thread count** (see [`crate::pool`]). The *lossy* mode of Section 3.1
-//! is exercised at the data-parallel-training level in
-//! [`crate::parallel`].
+//! thread count** (see [`crate::pool`]). The *lossy* accumulation of
+//! Section 3.1 is the Figure-20 experiment (`latte-bench`'s `figures`).
 //!
 //! All threaded work — parallel per-item groups and partitioned batched
 //! GEMMs — runs on one persistent [`WorkerPool`] created with the
@@ -566,7 +565,7 @@ impl Executor {
 
     /// Runs forward propagation, returning per-group wall-clock
     /// milliseconds — the per-layer profile used by the Figure-15
-    /// breakdown and the cluster simulator.
+    /// breakdown and the Figure 18–19 cluster model.
     pub fn forward_timed(&mut self) -> Vec<(String, f64)> {
         let mut out = Vec::new();
         let _ = self.run_phase(false, Some(&mut out), None, None);

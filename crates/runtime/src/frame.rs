@@ -24,6 +24,12 @@
 //!
 //! Tensors cross both wires as little-endian `f32`s; [`put_f32s_le`] and
 //! [`f32s_le`] are the one bulk conversion pair both codecs use.
+//!
+//! What is *inside* a verified body is each format's own business, but
+//! all of them — serving messages, checkpoints, the tuning cache — are
+//! little-endian fields read front to back, so they share one
+//! bounds-checked [`Reader`] (and the `put_*` writers beside it) and map
+//! its [`ReadError`] into their own error types.
 
 use std::fmt;
 use std::io::{IoSlice, Read, Write};
@@ -107,6 +113,191 @@ pub fn f32s_le(bytes: &[u8]) -> impl ExactSizeIterator<Item = f32> + '_ {
     bytes
         .chunks_exact(4)
         .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+}
+
+/// Appends a little-endian `u16`.
+#[inline]
+pub fn put_u16(out: &mut Vec<u8>, v: u16) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a little-endian `u32`.
+#[inline]
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a little-endian `u64`.
+#[inline]
+pub fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends `s` behind a `u32` byte-length prefix — the string encoding
+/// [`Reader::str`] reads back.
+///
+/// # Panics
+///
+/// If `s` is longer than `u32::MAX` bytes.
+pub fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_u32(out, u32::try_from(s.len()).expect("string fits its u32 length prefix"));
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// Appends a tensor: a `u32` element count, then the values — what
+/// [`Reader::f32_vec`] reads back.
+pub fn put_f32_vec(out: &mut Vec<u8>, values: &[f32]) {
+    put_u32(out, values.len() as u32);
+    put_f32s_le(out, values);
+}
+
+/// Why a [`Reader`] could not produce the value asked of it. Every
+/// decoder of sealed or wire bytes maps this one error into its own
+/// (`RuntimeError::Malformed`, `TuneError::Corrupt`, serve's
+/// `NetError::Protocol`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReadError {
+    /// Fewer bytes remain than the field needs.
+    Truncated {
+        /// Bytes the field needs.
+        wanted: usize,
+        /// Offset the read started at.
+        at: usize,
+        /// Bytes that remain from there.
+        have: usize,
+    },
+    /// A string field is not UTF-8.
+    Utf8 {
+        /// Offset of the string's first byte.
+        at: usize,
+    },
+}
+
+impl fmt::Display for ReadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ReadError::Truncated { wanted, at, have } => {
+                write!(f, "ends early (wanted {wanted} bytes at offset {at}, have {have})")
+            }
+            ReadError::Utf8 { at } => write!(f, "non-UTF-8 string at offset {at}"),
+        }
+    }
+}
+
+impl std::error::Error for ReadError {}
+
+/// The workspace's one bounds-checked little-endian byte reader, behind
+/// the checkpoint, tuning-cache and serving-protocol decoders. Every
+/// read checks the remaining length first and borrows from the input,
+/// so a decoder that collects what it reads (instead of pre-sizing from a
+/// count field) allocates no more than the input is long.
+#[derive(Debug, Clone)]
+pub struct Reader<'a> {
+    bytes: &'a [u8],
+    at: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Reader<'a> {
+        Reader { bytes, at: 0 }
+    }
+
+    /// Bytes not yet consumed.
+    pub fn remaining(&self) -> usize {
+        self.bytes.len() - self.at
+    }
+
+    /// The next `n` bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`ReadError::Truncated`] when fewer than `n` remain (every other
+    /// read method fails the same way).
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], ReadError> {
+        if n > self.remaining() {
+            return Err(ReadError::Truncated {
+                wanted: n,
+                at: self.at,
+                have: self.remaining(),
+            });
+        }
+        let out = &self.bytes[self.at..self.at + n];
+        self.at += n;
+        Ok(out)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], ReadError> {
+        Ok(self.take(N)?.try_into().expect("take returned N bytes"))
+    }
+
+    /// One byte.
+    pub fn u8(&mut self) -> Result<u8, ReadError> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    /// A little-endian `u16`.
+    pub fn u16(&mut self) -> Result<u16, ReadError> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    /// A little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, ReadError> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    /// A little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, ReadError> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// A little-endian `f32`, bit pattern preserved.
+    pub fn f32(&mut self) -> Result<f32, ReadError> {
+        self.array().map(f32::from_le_bytes)
+    }
+
+    /// A little-endian `f64`, bit pattern preserved.
+    pub fn f64(&mut self) -> Result<f64, ReadError> {
+        self.array().map(f64::from_le_bytes)
+    }
+
+    /// `count` little-endian `f32`s.
+    ///
+    /// # Errors
+    ///
+    /// [`ReadError::Truncated`] when `4 × count` bytes do not remain
+    /// (including when that product overflows).
+    pub fn f32s(&mut self, count: usize) -> Result<impl ExactSizeIterator<Item = f32> + 'a, ReadError> {
+        let bytes = self.take(count.saturating_mul(4))?;
+        Ok(f32s_le(bytes))
+    }
+
+    /// A [`put_f32_vec`]-encoded tensor; fails like [`Reader::f32s`].
+    pub fn f32_vec(&mut self) -> Result<Vec<f32>, ReadError> {
+        let count = self.u32()? as usize;
+        Ok(self.f32s(count)?.collect())
+    }
+
+    /// The next `len` bytes as UTF-8 (for codecs with their own length
+    /// prefix width).
+    ///
+    /// # Errors
+    ///
+    /// [`ReadError::Truncated`], or [`ReadError::Utf8`].
+    pub fn utf8(&mut self, len: usize) -> Result<&'a str, ReadError> {
+        let at = self.at;
+        std::str::from_utf8(self.take(len)?).map_err(|_| ReadError::Utf8 { at })
+    }
+
+    /// A [`put_str`]-encoded string: `u32` length, then UTF-8 bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`ReadError::Truncated`], or [`ReadError::Utf8`].
+    pub fn str(&mut self) -> Result<&'a str, ReadError> {
+        let len = self.u32()? as usize;
+        self.utf8(len)
+    }
 }
 
 /// Byte length of the CRC32 trailer appended by [`seal`].
@@ -412,5 +603,32 @@ mod tests {
             read_frame(&mut r, 64).unwrap_err().kind(),
             std::io::ErrorKind::UnexpectedEof
         );
+    }
+    #[test]
+    fn reader_reads_back_what_the_writers_wrote_and_stops_at_the_end() {
+        let mut bytes = vec![7u8];
+        put_u16(&mut bytes, 0xBEEF);
+        put_u32(&mut bytes, 0xDEAD_BEEF);
+        put_u64(&mut bytes, u64::MAX - 1);
+        put_str(&mut bytes, "héllo");
+        put_f32s_le(&mut bytes, &[1.5, -0.0]);
+        let mut r = Reader::new(&bytes);
+        assert_eq!(r.u8(), Ok(7));
+        assert_eq!(r.u16(), Ok(0xBEEF));
+        assert_eq!(r.u32(), Ok(0xDEAD_BEEF));
+        assert_eq!(r.u64(), Ok(u64::MAX - 1));
+        assert_eq!(r.str(), Ok("héllo"));
+        let bits: Vec<u32> = r.f32s(2).unwrap().map(f32::to_bits).collect();
+        assert_eq!(bits, [1.5f32.to_bits(), (-0.0f32).to_bits()]);
+        assert_eq!(r.remaining(), 0);
+        assert_eq!(r.u8(), Err(ReadError::Truncated { wanted: 1, at: bytes.len(), have: 0 }));
+        // A failed read consumes nothing.
+        let mut r = Reader::new(&bytes[..4]);
+        assert!(r.u64().is_err());
+        assert_eq!(r.remaining(), 4);
+        // Length fields larger than the input, up to overflow, are errors.
+        assert!(Reader::new(&[0xFF; 4]).str().is_err());
+        assert!(Reader::new(&[0; 8]).f32s(usize::MAX).is_err());
+        assert_eq!(Reader::new(&[1, 0, 0, 0, 0xFF]).str(), Err(ReadError::Utf8 { at: 4 }));
     }
 }

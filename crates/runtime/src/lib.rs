@@ -2,8 +2,10 @@
 //!
 //! The Latte runtime: buffer allocation, kernel lowering ("code
 //! generation"), the execution engine, solvers, data pipelines, and the
-//! data-parallel / heterogeneous / cluster training machinery of the
-//! paper's Section 6.
+//! replicated-training machinery of the paper's Section 6 — one ring
+//! all-reduce, one distributed trainer. Models of hardware this crate
+//! does not run on (the Fig 17 coprocessor, the Fig 18–19 cluster) live
+//! in `latte-bench`, beside the figures that use them.
 //!
 //! * [`Executor`] — lowers a `latte_core::CompiledNet` to native kernels
 //!   and runs forward/backward passes over an allocated buffer store.
@@ -16,16 +18,12 @@
 //! * [`pool`] — the persistent worker pool (the paper's
 //!   `schedule(static, 1)` OpenMP team): per-worker GEMM engines,
 //!   pool-owned gradient-lane scratch, deterministic static interleaving.
-//! * [`parallel`] — intra-node data parallelism with synchronized or
-//!   *lossy* gradient accumulation (Figure 20).
-//! * [`accel`] — the simulated-coprocessor chunk scheduler (Figure 17).
-//! * [`cluster`] — the discrete-event cluster simulation with overlapped
-//!   ring all-reduce (Figures 18–19), including the fault-aware
-//!   multi-iteration mode with retries, straggler detection, and
-//!   degraded (lossy) all-reduce.
+//! * [`cluster`] — `train_replicated`, the serial oracle the
+//!   distributed trainer is bit-identical to.
 //! * [`frame`] — the shared wire-framing conventions (CRC32-sealed
 //!   payloads behind a length prefix) used by both the training
-//!   transport and the `latte-serve` network front-end.
+//!   transport and the `latte-serve` network front-end, and the one
+//!   bounds-checked byte reader every decoder parses with.
 //! * [`transport`] — the real communicator layer: framed, CRC-checked,
 //!   deadline-bounded gradient exchange behind the `Transport` trait,
 //!   with an in-process channel backend (deterministic tests) and a TCP
@@ -33,9 +31,10 @@
 //! * [`ring`] — ring all-reduce over a `Transport`: overlapped
 //!   reduce-scatter/all-gather with retries, exponential backoff, EWMA
 //!   straggler detection, and ring healing into the lossy mode.
-//! * [`dist`] — the distributed trainer: layer-by-layer gradient
+//! * [`dist`] — the one replicated trainer: layer-by-layer gradient
 //!   streaming into a background comm thread, bit-identical to the
-//!   serial oracle in synchronized mode.
+//!   serial oracle in synchronized mode; in-process over
+//!   `transport::channel_group`, multi-process over TCP.
 //! * [`fault`] — deterministic, seedable fault injection (crashes,
 //!   stragglers, transfer drops/corruption, I/O errors, process death),
 //!   including `FaultyTransport` to replay fault plans against the real
@@ -54,7 +53,6 @@
 
 #![warn(missing_docs)]
 
-pub mod accel;
 pub mod checkpoint;
 pub mod cluster;
 pub mod data;
@@ -66,7 +64,6 @@ pub mod health;
 pub mod metrics;
 mod exec;
 mod lower;
-pub mod parallel;
 mod plan;
 pub mod pool;
 pub mod registry;
@@ -81,5 +78,5 @@ pub mod tune;
 pub use error::RuntimeError;
 pub use exec::{CompiledProgram, ExecConfig, Executor, GradBucket};
 pub use plan::ExecutionPlan;
-pub use trace::{TraceCache, TraceCacheStats};
+pub use trace::{ProgramCache, TraceCache, TraceCacheStats};
 pub use tune::{TuneError, Tuner, TunerStats};

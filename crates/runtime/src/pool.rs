@@ -4,10 +4,10 @@
 //! OpenMP's *persistent* thread team with `schedule(static, 1)` — threads
 //! are created once per process and every parallel region reuses them.
 //! This module is that backbone for the Rust runtime: a [`WorkerPool`] is
-//! created **once per [`Executor`](crate::Executor)** (or once per
-//! [`DataParallelTrainer`](crate::parallel::DataParallelTrainer)) and
-//! every parallel group, batched GEMM, and replica step of every
-//! iteration broadcasts work to the same long-lived workers. Nothing on
+//! created **once per [`Executor`](crate::Executor)** (or shared by the
+//! executors of one serving replica) and every parallel group and
+//! batched GEMM of every iteration broadcasts work to the same
+//! long-lived workers. Nothing on
 //! the per-iteration path spawns a thread or allocates a scratch buffer.
 //!
 //! Three kinds of state ride along with the workers:

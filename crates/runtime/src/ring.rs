@@ -36,10 +36,23 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::cluster::SyncMode;
 use crate::error::RuntimeError;
 use crate::metrics::FaultMetrics;
 use crate::transport::{Delivery, Frame, FrameKind, Header, Key, Transport, TransportError};
+
+/// All-reduce synchronization mode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SyncMode {
+    /// Every live rank contributes to every gradient sum; the slowest
+    /// rank gates the step.
+    Synchronized,
+    /// The paper's lossy unsynchronized mode over a shrunken participant
+    /// set: deadlines turn short and single-attempt, and whatever
+    /// contributions arrived in time are averaged, so stragglers and
+    /// dead ranks no longer gate progress (at the cost of dropped
+    /// contributions).
+    LossyDegraded,
+}
 
 /// Retry, deadline, backoff, and straggler policy for the ring.
 #[derive(Debug, Clone)]
@@ -230,6 +243,8 @@ pub struct RingComm {
     /// The working copy of the bucket being reduced, kept across calls
     /// so a step allocates no bucket-sized buffer.
     scratch: Vec<f32>,
+    /// When this rank last relayed a Busy downstream (see `recv_op`).
+    busy_relayed: Option<Instant>,
 }
 
 impl RingComm {
@@ -252,6 +267,7 @@ impl RingComm {
             misses: vec![0; world],
             flagged: vec![false; world],
             scratch: Vec::new(),
+            busy_relayed: None,
         })
     }
 
@@ -401,8 +417,7 @@ impl RingComm {
                                 bytes += (span.len() * 4) as u64;
                             } else {
                                 // A poisoned running sum: reject the whole
-                                // contribution chain, keep our own partial
-                                // (mirrors `cluster::merge_finite_gradients`).
+                                // contribution chain, keep our own partial.
                                 // A chunk is received once per reduce-
                                 // scatter, so until this fold it held our
                                 // own gradient: `grad` restores it exactly.
@@ -587,10 +602,33 @@ impl RingComm {
                         silent = 0;
                         self.misses[from] = 0;
                         stalled = true;
+                        // Blocked on *what*, though? Possibly on us, round
+                        // the ring, while the frame we wait for was sent
+                        // and lost — and this Busy has just postponed the
+                        // timeout that would have asked for it again. So
+                        // ask now: a frame not sent yet is a no-op miss,
+                        // a lost one comes straight back. (Only a Busy
+                        // from this same bucket says anything about this
+                        // frame; one left over from an earlier stall
+                        // would just fetch a duplicate.)
+                        if (f.head.key.step, f.head.key.bucket) == (key.step, key.bucket) {
+                            let _ = self.tp.request_resend(from, key);
+                        }
                         // Pass the liveness signal downstream: our
                         // neighbor is now also waiting on a stalled
-                        // (but live) chain.
-                        self.tp.send_busy(right, key);
+                        // (but live) chain. At most twice per window,
+                        // though: when every rank is waiting (one lost
+                        // frame is enough) no dead rank breaks the cycle,
+                        // and a Busy relayed unconditionally laps the
+                        // ring in microseconds — burning every credit
+                        // until a healthy upstream is charged with
+                        // silence — and then keeps circulating, a hop per
+                        // receive, through every later step. Genuine
+                        // signals come a window apart and always pass.
+                        if self.busy_relayed.is_none_or(|at| at.elapsed() >= per_op / 2) {
+                            self.busy_relayed = Some(Instant::now());
+                            self.tp.send_busy(right, key);
+                        }
                         continue;
                     }
                     // An upstream "busy" for this many windows is
@@ -807,5 +845,82 @@ mod tests {
         let mut r1 = StdRng::seed_from_u64(3);
         let mut r2 = StdRng::seed_from_u64(3);
         assert_eq!(p.backoff(2, &mut r1), p.backoff(2, &mut r2));
+    }
+
+    /// Every rank all-reduces its own `grads[rank]` `steps` times over
+    /// `endpoints`; per rank and step: the merged gradient, the report,
+    /// and the counters afterwards.
+    fn allreduce_steps<W: crate::transport::Wire>(
+        endpoints: Vec<crate::transport::Endpoint<W>>,
+        policy: &CommPolicy,
+        grads: &[Vec<f32>],
+        steps: u32,
+    ) -> Vec<Vec<(Vec<f32>, BucketReport, crate::metrics::FaultMetricsSnapshot)>> {
+        crate::dist::run_ranks(endpoints, |rank, ep| {
+            let metrics = Arc::clone(ep.metrics());
+            let mut ring = RingComm::new(Box::new(ep), policy.clone()).unwrap();
+            (0..steps)
+                .map(|step| {
+                    let mut grad = grads[rank].clone();
+                    let report = ring.allreduce(step, 0, &mut grad).expect("bucket reduces");
+                    (grad, report, metrics.snapshot())
+                })
+                .collect()
+        })
+    }
+
+    #[test]
+    fn a_lost_frame_is_asked_for_again_and_the_busy_signals_die_down() {
+        use crate::fault::{Fault, FaultPlan, FaultyTransport};
+        // Rank 0's first frame is lost, so within a few hops all four
+        // ranks wait on each other and time out together, and whichever
+        // does so first sends a Busy round a ring with no dead rank to
+        // stop it. Three things must hold: rank 1 gets its frame within
+        // the first window even when that Busy reaches it before its own
+        // deadline; nobody is evicted for "silence"; and once the step is
+        // through, no Busy is left circulating.
+        let plan = FaultPlan::new(vec![Fault::TransferDrop { node: 0, iter: 0, layer: 0 }]);
+        let policy = CommPolicy { op_timeout_ms: 100, max_retries: 2, ..CommPolicy::default() };
+        let grads: Vec<Vec<f32>> = (0..4)
+            .map(|r| (0..13).map(|i| (i + 1) as f32 * (r + 1) as f32 + 0.25 * r as f32).collect())
+            .collect();
+        let expect = reference_allreduce(&grads);
+        let endpoints = crate::transport::channel_group_with(4, |rank, wire| {
+            FaultyTransport::new(rank, plan.clone(), wire)
+        })
+        .unwrap();
+        let runs = allreduce_steps(endpoints, &policy, &grads, 6);
+        for (rank, steps) in runs.iter().enumerate() {
+            for (merged, report, metrics) in steps {
+                assert_eq!(merged, &expect, "rank {rank} diverged");
+                assert_eq!((report.mode, report.live), (SyncMode::Synchronized, 4));
+                assert_eq!(metrics.peers_evicted, 0, "rank {rank}");
+            }
+            // One window to notice the loss, none wasted.
+            assert!(steps[0].2.timeouts <= 1, "rank {rank} sat out {} windows", steps[0].2.timeouts);
+            // Healthy steps ask for nothing again.
+            assert_eq!(steps[5].2.send_retries, steps[2].2.send_retries, "rank {rank}");
+        }
+    }
+
+    #[test]
+    fn nonfinite_contribution_is_rejected_not_merged() {
+        // Rank 1's gradient is all NaN. Whatever running sum it touches is
+        // refused on receipt (reduce-scatter restores the receiver's own
+        // chunk, all-gather keeps the partial it has), counted, and never
+        // reaches a healthy rank's result.
+        let mut grads: Vec<Vec<f32>> = (0..3).map(|r| vec![r as f32 + 1.0; 9]).collect();
+        grads[1] = vec![f32::NAN; 9];
+        let endpoints = crate::transport::channel_group(3).unwrap();
+        let out = allreduce_steps(endpoints, &CommPolicy::default(), &grads, 1);
+        for rank in [0, 2] {
+            let (merged, report, _) = &out[rank][0];
+            assert!(merged.iter().all(|v| v.is_finite()), "rank {rank} merged {merged:?}");
+            // Nothing was averaged in that the poisoned rank had touched.
+            assert!(merged.iter().all(|&v| (1.0..=3.0).contains(&v)), "rank {rank}: {merged:?}");
+            assert!(report.evicted.is_empty());
+        }
+        let rejected: u64 = out.iter().map(|steps| steps[0].2.gradients_rejected).sum();
+        assert!(rejected >= 2, "both healthy ranks must refuse the poisoned chunks");
     }
 }

@@ -5,7 +5,7 @@
 //! This is the runtime half of the LazyTensor-style split in
 //! [`latte_core::trace`]: eager code *records* ops into a
 //! [`TraceSession`](latte_core::TraceSession), the finished
-//! [`Trace`](latte_core::Trace) carries a canonical [`TraceKey`], and this
+//! [`Trace`] carries a canonical [`TraceKey`], and this
 //! cache maps `(TraceKey, OptLevel)` to a fully lowered
 //! [`CompiledProgram`]. The first sighting of a key pays the whole
 //! pipeline — synthesis, the nine optimization passes, kernel lowering,
@@ -25,7 +25,7 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use latte_core::dsl::Net;
 use latte_core::{compile, CompiledNet, OptLevel, Trace, TraceKey};
@@ -52,6 +52,160 @@ pub struct TraceCacheStats {
 struct Entry {
     program: Arc<CompiledProgram>,
     last_used: u64,
+}
+
+struct Lru<K> {
+    entries: HashMap<K, Entry>,
+    tick: u64,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+}
+
+/// The workspace's one bounded LRU of lowered programs: `capacity`
+/// entries of `Arc<CompiledProgram>` under any hashable key, ordered by
+/// a recency tick, with hit/miss/eviction counters. [`TraceCache`] keys
+/// it by `(TraceKey, OptLevel)`; `latte-serve`'s `PlanCache` by
+/// `(fingerprint, batch)`.
+///
+/// Shareable (`&self` throughout): a hit is one lock, one hash lookup
+/// and one `Arc::clone`. A miss builds **outside** the lock, so slow
+/// compiles do not serialize unrelated lookups; when two threads miss
+/// the same key at once both build, the first insert wins, and both get
+/// that one plan.
+pub struct ProgramCache<K> {
+    capacity: usize,
+    lru: Mutex<Lru<K>>,
+}
+
+impl<K> std::fmt::Debug for ProgramCache<K> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let lru = self.lock();
+        f.debug_struct("ProgramCache")
+            .field("capacity", &self.capacity)
+            .field("entries", &lru.entries.len())
+            .field("hits", &lru.hits)
+            .field("misses", &lru.misses)
+            .field("evictions", &lru.evictions)
+            .finish()
+    }
+}
+
+impl<K> ProgramCache<K> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Lru<K>> {
+        // Every update leaves the map and counters valid at every step,
+        // so a panic elsewhere while holding the lock poisons nothing.
+        self.lru.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// An empty cache holding at most `capacity` programs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero (a cache that can hold nothing
+    /// cannot serve plans).
+    pub fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "program cache capacity must be nonzero");
+        ProgramCache {
+            capacity,
+            lru: Mutex::new(Lru {
+                entries: HashMap::new(),
+                tick: 0,
+                hits: 0,
+                misses: 0,
+                evictions: 0,
+            }),
+        }
+    }
+
+    /// The maximum number of resident programs.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// The number of currently resident programs.
+    pub fn len(&self) -> usize {
+        self.lock().entries.len()
+    }
+
+    /// Whether the cache holds no programs.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Lookups served from the cache.
+    pub fn hits(&self) -> u64 {
+        self.lock().hits
+    }
+
+    /// Lookups that built (and inserted) a program; a failed build is
+    /// not counted.
+    pub fn misses(&self) -> u64 {
+        self.lock().misses
+    }
+
+    /// Entries evicted to stay within the capacity.
+    pub fn evictions(&self) -> u64 {
+        self.lock().evictions
+    }
+}
+
+impl<K: Hash + Eq + Clone> ProgramCache<K> {
+    /// Whether a program for `key` is resident (does not touch recency
+    /// or counters).
+    pub fn contains(&self, key: &K) -> bool {
+        self.lock().entries.contains_key(key)
+    }
+
+    /// The program for `key`, and whether it was already resident. On a
+    /// miss, `build` runs (unlocked), the least-recently-used entry is
+    /// evicted if the cache is full, and the result is inserted.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `build` returns; nothing is inserted or counted then.
+    pub fn get_or_build<E>(
+        &self,
+        key: &K,
+        build: impl FnOnce() -> Result<CompiledProgram, E>,
+    ) -> Result<(Arc<CompiledProgram>, bool), E> {
+        {
+            let mut lru = self.lock();
+            lru.tick += 1;
+            let tick = lru.tick;
+            if let Some(hit) = lru.entries.get_mut(key) {
+                hit.last_used = tick;
+                let program = Arc::clone(&hit.program);
+                lru.hits += 1;
+                return Ok((program, true));
+            }
+        }
+        let built = Arc::new(build()?);
+        let mut lru = self.lock();
+        lru.tick += 1;
+        let tick = lru.tick;
+        lru.misses += 1;
+        // A concurrent miss may have inserted first: keep its entry so
+        // every holder shares one plan.
+        if !lru.entries.contains_key(key) {
+            while lru.entries.len() >= self.capacity {
+                let victim = lru
+                    .entries
+                    .iter()
+                    .min_by_key(|(_, e)| e.last_used)
+                    .map(|(k, _)| k.clone())
+                    .expect("a full cache has a least-recently-used entry");
+                lru.entries.remove(&victim);
+                lru.evictions += 1;
+            }
+        }
+        let entry = lru
+            .entries
+            .entry(key.clone())
+            .or_insert(Entry { program: built, last_used: tick });
+        entry.last_used = tick;
+        Ok((Arc::clone(&entry.program), false))
+    }
 }
 
 /// A bounded, LRU-evicting cache of lowered programs keyed by
@@ -87,20 +241,17 @@ struct Entry {
 /// # Ok::<(), latte_runtime::RuntimeError>(())
 /// ```
 pub struct TraceCache {
-    capacity: usize,
     registry: KernelRegistry,
     cfg: ExecConfig,
-    entries: HashMap<(TraceKey, OptLevel), Entry>,
-    tick: u64,
-    stats: TraceCacheStats,
+    programs: ProgramCache<(TraceKey, OptLevel)>,
+    passes_run: usize,
 }
 
 impl std::fmt::Debug for TraceCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceCache")
-            .field("capacity", &self.capacity)
-            .field("entries", &self.entries.len())
-            .field("stats", &self.stats)
+            .field("programs", &self.programs)
+            .field("passes_run", &self.passes_run)
             .finish_non_exhaustive()
     }
 }
@@ -123,41 +274,43 @@ impl TraceCache {
     ///
     /// Panics if `capacity` is zero.
     pub fn with_config(capacity: usize, registry: KernelRegistry, cfg: ExecConfig) -> Self {
-        assert!(capacity > 0, "trace cache capacity must be non-zero");
         TraceCache {
-            capacity,
             registry,
             cfg,
-            entries: HashMap::new(),
-            tick: 0,
-            stats: TraceCacheStats::default(),
+            programs: ProgramCache::new(capacity),
+            passes_run: 0,
         }
     }
 
     /// The maximum number of resident programs.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.programs.capacity()
     }
 
     /// The number of currently resident programs.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.programs.len()
     }
 
     /// Whether the cache holds no programs.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.programs.is_empty()
     }
 
     /// The cache's counters.
     pub fn stats(&self) -> TraceCacheStats {
-        self.stats
+        TraceCacheStats {
+            hits: self.programs.hits() as usize,
+            misses: self.programs.misses() as usize,
+            evictions: self.programs.evictions() as usize,
+            passes_run: self.passes_run,
+        }
     }
 
     /// Whether a program for `(key, opt)` is resident (does not touch
     /// LRU state or counters).
     pub fn contains(&self, key: &TraceKey, opt: &OptLevel) -> bool {
-        self.entries.contains_key(&(*key, *opt))
+        self.programs.contains(&(*key, *opt))
     }
 
     /// The lowered program for a finished trace: a cache hit returns the
@@ -188,39 +341,15 @@ impl TraceCache {
         opt: &OptLevel,
         build: impl FnOnce() -> Net,
     ) -> Result<Arc<CompiledProgram>, RuntimeError> {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(entry) = self.entries.get_mut(&(key, *opt)) {
-            entry.last_used = tick;
-            self.stats.hits += 1;
-            return Ok(Arc::clone(&entry.program));
-        }
-        let net = build();
-        let compiled = compile(&net, opt).map_err(|e| RuntimeError::Compile {
-            detail: e.to_string(),
+        let (registry, cfg, passes_run) = (&self.registry, self.cfg, &mut self.passes_run);
+        let (program, _) = self.programs.get_or_build(&(key, *opt), || {
+            let compiled = compile(&build(), opt).map_err(|e| RuntimeError::Compile {
+                detail: e.to_string(),
+            })?;
+            *passes_run += compiled.stats.passes.iter().filter(|p| p.enabled).count();
+            dump_ir(&key, opt, &compiled);
+            CompiledProgram::lower(compiled, registry, cfg)
         })?;
-        self.stats.passes_run += compiled.stats.passes.iter().filter(|p| p.enabled).count();
-        dump_ir(&key, opt, &compiled);
-        let program = Arc::new(CompiledProgram::lower(compiled, &self.registry, self.cfg)?);
-        self.stats.misses += 1;
-        if self.entries.len() >= self.capacity {
-            if let Some(oldest) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
-            {
-                self.entries.remove(&oldest);
-                self.stats.evictions += 1;
-            }
-        }
-        self.entries.insert(
-            (key, *opt),
-            Entry {
-                program: Arc::clone(&program),
-                last_used: tick,
-            },
-        );
         Ok(program)
     }
 
@@ -362,5 +491,28 @@ mod tests {
         s.connect(b, b, Mapping::one_to_one());
         let err = cache.get(&s.finish(), &OptLevel::none()).unwrap_err();
         assert!(matches!(err, RuntimeError::Compile { .. }), "{err}");
+    }
+    #[test]
+    fn racing_misses_of_one_key_share_the_first_inserted_plan() {
+        let cache: ProgramCache<u8> = ProgramCache::new(4);
+        let both_missed = std::sync::Barrier::new(2);
+        let build = || {
+            // Neither build returns until both lookups have missed.
+            both_missed.wait();
+            let compiled = compile(record(2, 4).net(), &OptLevel::none()).unwrap();
+            CompiledProgram::lower(compiled, &KernelRegistry::with_builtins(), ExecConfig::default())
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| cache.get_or_build(&7, build).unwrap());
+            let b = s.spawn(|| cache.get_or_build(&7, build).unwrap());
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert!(Arc::ptr_eq(&a.0, &b.0), "both holders must share one plan");
+        assert!(!a.1 && !b.1);
+        assert_eq!((cache.len(), cache.misses(), cache.hits()), (1, 2, 0));
+        // A failed build inserts and counts nothing.
+        let err: Result<_, &str> = cache.get_or_build(&9, || Err("no"));
+        assert_eq!(err.err(), Some("no"));
+        assert_eq!((cache.len(), cache.misses()), (1, 2));
     }
 }

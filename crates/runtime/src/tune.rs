@@ -53,7 +53,7 @@ use latte_core::dsl::Net;
 use latte_core::{compile, compile_tuned, CompileError, CompiledNet, OptLevel, TunedSchedule};
 use latte_tensor::gemm::{cpu_features, Gemm, Transpose};
 
-use crate::frame::crc32;
+use crate::frame::{put_str, put_u32, seal, verify, ReadError, Reader, CRC_LEN};
 use crate::error::RuntimeError;
 use crate::exec::{CompiledProgram, ExecConfig, Executor};
 use crate::pool::WorkerPool;
@@ -615,79 +615,65 @@ fn challenger_wins(incumbent: &[f64], challenger: &[f64]) -> bool {
 // ---------------------------------------------------------------------
 
 fn render_cache(entries: &BTreeMap<String, CacheEntry>) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+    let mut out = MAGIC.to_vec();
+    put_u32(&mut out, entries.len() as u32);
     for (key, entry) in entries {
         put_str(&mut out, key);
-        match entry.schedule.tile_size {
-            Some(t) => {
-                out.push(1);
-                out.extend_from_slice(&(t as u32).to_le_bytes());
-            }
-            None => {
-                out.push(0);
-                out.extend_from_slice(&0u32.to_le_bytes());
-            }
-        }
-        match entry.schedule.gemm_blocking {
-            Some((kc, nc, mc)) => {
-                out.push(1);
-                for v in [kc, nc, mc] {
-                    out.extend_from_slice(&(v as u32).to_le_bytes());
-                }
-            }
-            None => {
-                out.push(0);
-                out.extend_from_slice(&[0u8; 12]);
-            }
+        let tile = entry.schedule.tile_size;
+        out.push(u8::from(tile.is_some()));
+        put_u32(&mut out, tile.unwrap_or(0) as u32);
+        let blocking = entry.schedule.gemm_blocking;
+        out.push(u8::from(blocking.is_some()));
+        let (kc, nc, mc) = blocking.unwrap_or((0, 0, 0));
+        for v in [kc, nc, mc] {
+            put_u32(&mut out, v as u32);
         }
         out.push(u8::from(entry.schedule.parallel_default));
-        out.extend_from_slice(&(entry.schedule.group_parallel.len() as u32).to_le_bytes());
+        put_u32(&mut out, entry.schedule.group_parallel.len() as u32);
         for (group, &parallel) in &entry.schedule.group_parallel {
             put_str(&mut out, group);
             out.push(u8::from(parallel));
         }
         out.extend_from_slice(&entry.score_ms.to_le_bytes());
     }
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+    seal(out)
+}
+
+impl From<ReadError> for TuneError {
+    fn from(e: ReadError) -> TuneError {
+        TuneError::Corrupt { detail: format!("entry {e}") }
+    }
 }
 
 fn parse_cache(bytes: &[u8]) -> Result<BTreeMap<String, CacheEntry>, TuneError> {
     let corrupt = |detail: &str| TuneError::Corrupt { detail: detail.to_string() };
-    if bytes.len() < MAGIC.len() + 8 {
+    if bytes.len() < MAGIC.len() + 4 + CRC_LEN {
         return Err(corrupt("file shorter than header + seal"));
     }
     if &bytes[..MAGIC.len()] != MAGIC {
         return Err(corrupt("bad magic"));
     }
-    let (body, seal) = bytes.split_at(bytes.len() - 4);
-    let stored = u32::from_le_bytes(seal.try_into().expect("4-byte seal"));
-    if crc32(body) != stored {
-        return Err(corrupt("CRC mismatch"));
-    }
-    let mut cur = Cursor { bytes: &body[MAGIC.len()..] };
-    let count = cur.u32()? as usize;
+    let body = verify(bytes).map_err(|_| corrupt("CRC mismatch"))?;
+    let mut r = Reader::new(&body[MAGIC.len()..]);
+    let count = r.u32()?;
     let mut entries = BTreeMap::new();
     for _ in 0..count {
-        let key = cur.str()?;
-        let tile_flag = cur.u8()?;
-        let tile_val = cur.u32()? as usize;
+        let key = r.str()?.to_string();
+        let tile_flag = r.u8()?;
+        let tile_val = r.u32()? as usize;
         let tile_size = (tile_flag != 0).then_some(tile_val);
-        let blk_flag = cur.u8()?;
-        let (kc, nc, mc) = (cur.u32()? as usize, cur.u32()? as usize, cur.u32()? as usize);
+        let blk_flag = r.u8()?;
+        let (kc, nc, mc) = (r.u32()? as usize, r.u32()? as usize, r.u32()? as usize);
         let gemm_blocking = (blk_flag != 0).then_some((kc, nc, mc));
-        let parallel_default = cur.u8()? != 0;
-        let n_groups = cur.u32()? as usize;
+        let parallel_default = r.u8()? != 0;
+        let n_groups = r.u32()?;
         let mut group_parallel = BTreeMap::new();
         for _ in 0..n_groups {
-            let name = cur.str()?;
-            let parallel = cur.u8()? != 0;
+            let name = r.str()?.to_string();
+            let parallel = r.u8()? != 0;
             group_parallel.insert(name, parallel);
         }
-        let score_ms = cur.f64()?;
+        let score_ms = r.f64()?;
         entries.insert(
             key,
             CacheEntry {
@@ -701,58 +687,16 @@ fn parse_cache(bytes: &[u8]) -> Result<BTreeMap<String, CacheEntry>, TuneError> 
             },
         );
     }
-    if !cur.bytes.is_empty() {
+    if r.remaining() != 0 {
         return Err(corrupt("trailing bytes after last entry"));
     }
     Ok(entries)
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Bounds-checked little-endian reader over the cache body.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-}
-
-impl Cursor<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], TuneError> {
-        if self.bytes.len() < n {
-            return Err(TuneError::Corrupt { detail: "truncated entry".to_string() });
-        }
-        let (head, tail) = self.bytes.split_at(n);
-        self.bytes = tail;
-        Ok(head)
-    }
-
-    fn u8(&mut self) -> Result<u8, TuneError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, TuneError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn f64(&mut self) -> Result<f64, TuneError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn str(&mut self) -> Result<String, TuneError> {
-        let len = self.u32()? as usize;
-        if len > 1 << 20 {
-            return Err(TuneError::Corrupt { detail: "implausible string length".to_string() });
-        }
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| TuneError::Corrupt { detail: "non-UTF-8 string".to_string() })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_entries() -> BTreeMap<String, CacheEntry> {
         let mut groups = BTreeMap::new();
@@ -815,5 +759,25 @@ mod tests {
     fn empty_cache_round_trips() {
         let bytes = render_cache(&BTreeMap::new());
         assert!(parse_cache(&bytes).expect("valid").is_empty());
+    }
+    proptest! {
+        /// Fuzz: the cache parser answers arbitrary bytes — raw, or
+        /// correctly sealed behind the magic so the entry decoder itself
+        /// is reached — with a cache or `Corrupt`, never a panic.
+        #[test]
+        fn parse_cache_answers_arbitrary_bytes_with_a_structured_result(
+            body in proptest::collection::vec((0u16..256).prop_map(|b| b as u8), 0..256),
+            count in prop_oneof![0u32..4, 0u32..u32::MAX],
+        ) {
+            let structured = |bytes: &[u8]| match parse_cache(bytes) {
+                Ok(_) | Err(TuneError::Corrupt { .. }) => true,
+                Err(_) => false,
+            };
+            prop_assert!(structured(&body));
+            let mut sealed = MAGIC.to_vec();
+            put_u32(&mut sealed, count);
+            sealed.extend_from_slice(&body);
+            prop_assert!(structured(&seal(sealed)));
+        }
     }
 }

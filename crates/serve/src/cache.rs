@@ -17,11 +17,10 @@
 //! [`PlanCache::evictions`] under a steady workload means the capacity
 //! is too small for the working set.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use latte_runtime::registry::KernelRegistry;
+use latte_runtime::trace::ProgramCache;
 use latte_runtime::{CompiledProgram, ExecConfig};
 
 use crate::error::ServeError;
@@ -32,41 +31,14 @@ use crate::model::Model;
 /// models times their tail batches.
 pub const DEFAULT_PLAN_CAPACITY: usize = 64;
 
-/// One cached plan plus the recency tick the LRU policy orders by.
-struct Entry {
-    program: Arc<CompiledProgram>,
-    last_used: u64,
-}
-
-/// The mutable half of the cache: entries plus the monotonically
-/// increasing recency clock.
-struct Inner {
-    entries: HashMap<(u64, usize), Entry>,
-    tick: u64,
-}
-
 /// A shareable, bounded LRU cache of lowered programs, keyed by
-/// `(CompiledNet::fingerprint(), batch)`.
+/// `(CompiledNet::fingerprint(), batch)` — the serving-side user of the
+/// runtime's [`ProgramCache`].
+#[derive(Debug)]
 pub struct PlanCache {
     registry: KernelRegistry,
     cfg: ExecConfig,
-    capacity: usize,
-    inner: Mutex<Inner>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl std::fmt::Debug for PlanCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PlanCache")
-            .field("entries", &self.len())
-            .field("capacity", &self.capacity)
-            .field("hits", &self.hits())
-            .field("misses", &self.misses())
-            .field("evictions", &self.evictions())
-            .finish_non_exhaustive()
-    }
+    programs: ProgramCache<(u64, usize)>,
 }
 
 impl PlanCache {
@@ -84,18 +56,10 @@ impl PlanCache {
     /// When `capacity` is zero (a cache that can hold nothing cannot
     /// serve plans).
     pub fn with_capacity(cfg: ExecConfig, capacity: usize) -> Self {
-        assert!(capacity > 0, "PlanCache capacity must be nonzero");
         PlanCache {
             registry: KernelRegistry::with_builtins(),
             cfg,
-            capacity,
-            inner: Mutex::new(Inner {
-                entries: HashMap::new(),
-                tick: 0,
-            }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            programs: ProgramCache::new(capacity),
         }
     }
 
@@ -118,92 +82,55 @@ impl PlanCache {
         model: &Model,
         batch: usize,
     ) -> Result<(Arc<CompiledProgram>, bool), ServeError> {
-        let key = (model.fingerprint(), batch);
-        {
-            let mut inner = self.inner.lock().unwrap();
-            inner.tick += 1;
-            let tick = inner.tick;
-            if let Some(hit) = inner.entries.get_mut(&key) {
-                hit.last_used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((Arc::clone(&hit.program), true));
+        self.programs.get_or_build(&(model.fingerprint(), batch), || {
+            let compiled = model.compile_batch(batch)?;
+            if compiled.fingerprint() != model.fingerprint() {
+                return Err(ServeError::Compile {
+                    detail: format!(
+                        "{}: factory is not batch-invariant (fingerprint {:#x} at batch {batch}, \
+                         {:#x} at batch 1)",
+                        model.name(),
+                        compiled.fingerprint(),
+                        model.fingerprint()
+                    ),
+                });
             }
-        }
-        let compiled = model.compile_batch(batch)?;
-        if compiled.fingerprint() != model.fingerprint() {
-            return Err(ServeError::Compile {
-                detail: format!(
-                    "{}: factory is not batch-invariant (fingerprint {:#x} at batch {batch}, \
-                     {:#x} at batch 1)",
-                    model.name(),
-                    compiled.fingerprint(),
-                    model.fingerprint()
-                ),
-            });
-        }
-        let program = CompiledProgram::lower(compiled, &self.registry, self.cfg)
-            .map(Arc::new)
-            .map_err(|e| ServeError::Compile {
-                detail: format!("{} @ batch {batch}: {e}", model.name()),
-            })?;
-        let mut inner = self.inner.lock().unwrap();
-        inner.tick += 1;
-        let tick = inner.tick;
-        // A concurrent miss may have raced us here; keep the first entry
-        // so every holder shares one plan.
-        if !inner.entries.contains_key(&key) {
-            while inner.entries.len() >= self.capacity {
-                let victim = inner
-                    .entries
-                    .iter()
-                    .min_by_key(|(_, e)| e.last_used)
-                    .map(|(k, _)| *k)
-                    .expect("a full cache has a least-recently-used entry");
-                inner.entries.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-            inner.entries.insert(
-                key,
-                Entry {
-                    program,
-                    last_used: tick,
-                },
-            );
-        }
-        let entry = inner.entries.get_mut(&key).expect("just ensured present");
-        entry.last_used = tick;
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        Ok((Arc::clone(&entry.program), false))
+            CompiledProgram::lower(compiled, &self.registry, self.cfg).map_err(|e| {
+                ServeError::Compile {
+                    detail: format!("{} @ batch {batch}: {e}", model.name()),
+                }
+            })
+        })
     }
 
     /// Cache hits served so far (lookups that found an entry).
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.programs.hits()
     }
 
     /// Cache misses so far (lookups that compiled).
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.programs.misses()
     }
 
     /// Entries evicted to keep the cache within its capacity.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.programs.evictions()
     }
 
     /// The maximum number of entries the cache will hold.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.programs.capacity()
     }
 
     /// Distinct `(fingerprint, batch)` entries currently cached.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().entries.len()
+        self.programs.len()
     }
 
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.programs.is_empty()
     }
 }
 

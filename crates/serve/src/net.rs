@@ -59,7 +59,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use latte_runtime::frame::{f32s_le, put_f32s_le, read_frame, seal, verify, write_frame};
+use latte_runtime::frame::{
+    put_f32_vec, put_u16, put_u32, put_u64, read_frame, seal, verify, write_frame, ReadError, Reader,
+};
 
 use crate::batcher::FlushReason;
 use crate::error::ServeError;
@@ -273,7 +275,7 @@ pub struct ServerHello {
 }
 
 /// A completed inference as decoded from the wire — the network twin of
-/// [`Response`](crate::Response).
+/// [`Response`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetReply {
     /// The client-chosen request id being answered.
@@ -335,92 +337,29 @@ pub enum ServerMsg {
 // Codec
 // ---------------------------------------------------------------------------
 
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
+/// A `u16`-length-prefixed string, truncated to what the prefix can say.
 fn put_str(buf: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    put_u16(buf, bytes.len().min(u16::MAX as usize) as u16);
-    buf.extend_from_slice(&bytes[..bytes.len().min(u16::MAX as usize)]);
+    let bytes = &s.as_bytes()[..s.len().min(u16::MAX as usize)];
+    put_u16(buf, bytes.len() as u16);
+    buf.extend_from_slice(bytes);
 }
 
-fn put_values(buf: &mut Vec<u8>, values: &[f32]) {
-    put_u32(buf, values.len() as u32);
-    put_f32s_le(buf, values);
+impl From<ReadError> for NetError {
+    fn from(e: ReadError) -> NetError {
+        NetError::Protocol(format!("body {e}"))
+    }
 }
 
-/// A bounds-checked little-endian reader over a decoded body.
-struct Dec<'a> {
-    b: &'a [u8],
-    at: usize,
+/// This protocol's string: `u16` length, then UTF-8.
+fn get_str(d: &mut Reader) -> Result<String, NetError> {
+    let n = d.u16()? as usize;
+    Ok(d.utf8(n)?.to_string())
 }
 
-impl<'a> Dec<'a> {
-    fn new(b: &'a [u8]) -> Dec<'a> {
-        Dec { b, at: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], NetError> {
-        if self.at + n > self.b.len() {
-            return Err(NetError::Protocol(format!(
-                "truncated body: wanted {n} bytes at offset {}, have {}",
-                self.at,
-                self.b.len()
-            )));
-        }
-        let s = &self.b[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, NetError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, NetError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, NetError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, NetError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> Result<String, NetError> {
-        let n = self.u16()? as usize;
-        String::from_utf8(self.take(n)?.to_vec())
-            .map_err(|_| NetError::Protocol("non-UTF-8 string".into()))
-    }
-
-    fn values(&mut self) -> Result<Vec<f32>, NetError> {
-        let n = self.u32()? as usize;
-        let raw = self.take(n.checked_mul(4).ok_or_else(|| {
-            NetError::Protocol("tensor length overflows".into())
-        })?)?;
-        Ok(f32s_le(raw).collect())
-    }
-
-    fn finish(self) -> Result<(), NetError> {
-        if self.at == self.b.len() {
-            Ok(())
-        } else {
-            Err(NetError::Protocol(format!(
-                "{} trailing bytes after message",
-                self.b.len() - self.at
-            )))
-        }
+fn finish(d: &Reader) -> Result<(), NetError> {
+    match d.remaining() {
+        0 => Ok(()),
+        n => Err(NetError::Protocol(format!("{n} trailing bytes after message"))),
     }
 }
 
@@ -443,7 +382,7 @@ pub fn encode_client(msg: &ClientMsg) -> Vec<u8> {
             put_u16(&mut b, inputs.len() as u16);
             for (name, values) in inputs {
                 put_str(&mut b, name);
-                put_values(&mut b, values);
+                put_f32_vec(&mut b, values);
             }
         }
         ClientMsg::Health => b.push(K_HEALTH),
@@ -458,17 +397,17 @@ pub fn encode_client(msg: &ClientMsg) -> Vec<u8> {
 ///
 /// [`NetError::Protocol`] on an unknown kind or malformed fields.
 pub fn decode_client(body: &[u8]) -> Result<ClientMsg, NetError> {
-    let mut d = Dec::new(body);
+    let mut d = Reader::new(body);
     let msg = match d.u8()? {
         K_HELLO => ClientMsg::Hello { version: d.u16()? },
         K_REQUEST => {
             let id = d.u64()?;
             let budget_us = d.u64()?;
             let n = d.u16()? as usize;
-            let mut inputs = Vec::with_capacity(n);
+            let mut inputs = Vec::with_capacity(n.min(d.remaining()));
             for _ in 0..n {
-                let name = d.str()?;
-                let values = d.values()?;
+                let name = get_str(&mut d)?;
+                let values = d.f32_vec()?;
                 inputs.push((name, values));
             }
             ClientMsg::Request {
@@ -481,7 +420,7 @@ pub fn decode_client(body: &[u8]) -> Result<ClientMsg, NetError> {
         K_BYE => ClientMsg::Bye,
         k => return Err(NetError::Protocol(format!("unknown client kind {k}"))),
     };
-    d.finish()?;
+    finish(&d)?;
     Ok(msg)
 }
 
@@ -584,7 +523,7 @@ pub fn encode_server(msg: &ServerMsg) -> Vec<u8> {
             put_u16(&mut b, r.outputs.len() as u16);
             for (name, values) in &r.outputs {
                 put_str(&mut b, name);
-                put_values(&mut b, values);
+                put_f32_vec(&mut b, values);
             }
         }
         ServerMsg::Error { id, code, detail } => {
@@ -612,23 +551,23 @@ pub fn encode_server(msg: &ServerMsg) -> Vec<u8> {
 ///
 /// [`NetError::Protocol`] on an unknown kind or malformed fields.
 pub fn decode_server(body: &[u8]) -> Result<ServerMsg, NetError> {
-    let mut d = Dec::new(body);
+    let mut d = Reader::new(body);
     let msg = match d.u8()? {
         K_HELLO_OK => {
             let version = d.u16()?;
-            let model = d.str()?;
+            let model = get_str(&mut d)?;
             let fingerprint = d.u64()?;
             let n_in = d.u16()? as usize;
-            let mut inputs = Vec::with_capacity(n_in);
+            let mut inputs = Vec::with_capacity(n_in.min(d.remaining()));
             for _ in 0..n_in {
-                let name = d.str()?;
+                let name = get_str(&mut d)?;
                 let len = d.u32()? as usize;
                 inputs.push((name, len));
             }
             let n_out = d.u16()? as usize;
-            let mut outputs = Vec::with_capacity(n_out);
+            let mut outputs = Vec::with_capacity(n_out.min(d.remaining()));
             for _ in 0..n_out {
-                outputs.push(d.str()?);
+                outputs.push(get_str(&mut d)?);
             }
             ServerMsg::HelloOk(ServerHello {
                 version,
@@ -648,10 +587,10 @@ pub fn decode_server(body: &[u8]) -> Result<ServerMsg, NetError> {
             let cache_hit = d.u8()? != 0;
             let latency = Duration::from_micros(d.u64()?);
             let n = d.u16()? as usize;
-            let mut outputs = Vec::with_capacity(n);
+            let mut outputs = Vec::with_capacity(n.min(d.remaining()));
             for _ in 0..n {
-                let name = d.str()?;
-                let values = d.values()?;
+                let name = get_str(&mut d)?;
+                let values = d.f32_vec()?;
                 outputs.push((name, values));
             }
             ServerMsg::Reply(NetReply {
@@ -669,7 +608,7 @@ pub fn decode_server(body: &[u8]) -> Result<ServerMsg, NetError> {
         K_ERROR => ServerMsg::Error {
             id: d.u64()?,
             code: WireError::from_code(d.u16()?),
-            detail: d.str()?,
+            detail: get_str(&mut d)?,
         },
         K_HEALTH_REPLY => {
             let draining = d.u8()? != 0;
@@ -688,7 +627,7 @@ pub fn decode_server(body: &[u8]) -> Result<ServerMsg, NetError> {
         }
         k => return Err(NetError::Protocol(format!("unknown server kind {k}"))),
     };
-    d.finish()?;
+    finish(&d)?;
     Ok(msg)
 }
 
@@ -1479,6 +1418,7 @@ fn zero_inputs(hello: &ServerHello) -> Vec<(String, Vec<f32>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn roundtrip_client(msg: ClientMsg) {
         let body = encode_client(&msg);
@@ -1593,5 +1533,50 @@ mod tests {
         assert!(decode_client(&long).is_err(), "trailing byte accepted");
         assert!(decode_client(&[250]).is_err(), "unknown kind accepted");
         assert!(decode_server(&[250]).is_err(), "unknown kind accepted");
+    }
+    #[test]
+    fn hostile_length_fields_fail_before_any_allocation() {
+        // 65535 inputs announced, none present.
+        let mut body = vec![K_REQUEST];
+        put_u64(&mut body, 1);
+        put_u64(&mut body, 0);
+        put_u16(&mut body, u16::MAX);
+        assert!(matches!(decode_client(&body), Err(NetError::Protocol(_))));
+        // One input whose tensor claims u32::MAX values (16 GiB).
+        let mut body = vec![K_REQUEST];
+        put_u64(&mut body, 1);
+        put_u64(&mut body, 0);
+        put_u16(&mut body, 1);
+        put_str(&mut body, "data");
+        put_u32(&mut body, u32::MAX);
+        assert!(matches!(decode_client(&body), Err(NetError::Protocol(_))));
+        let mut body = vec![K_REPLY];
+        body.extend_from_slice(&[0; 8 + 8 + 4 + 1 + 4 + 4 + 1 + 8]);
+        put_u16(&mut body, u16::MAX);
+        assert!(matches!(decode_server(&body), Err(NetError::Protocol(_))));
+    }
+
+    proptest! {
+        /// Fuzz: any byte string behind any message kind decodes to a
+        /// message or a `Protocol` error — never a panic or a hang.
+        #[test]
+        fn decoders_answer_arbitrary_bytes_with_a_structured_result(
+            kind in prop_oneof![
+                (1u16..5).prop_map(|k| k as u8),
+                (101u16..105).prop_map(|k| k as u8),
+                (0u16..256).prop_map(|k| k as u8),
+            ],
+            tail in proptest::collection::vec((0u16..256).prop_map(|b| b as u8), 0..192),
+        ) {
+            let mut body = vec![kind];
+            body.extend(tail);
+            match decode_client(&body) {
+                Ok(msg) => prop_assert_eq!(encode_client(&msg).len(), body.len()),
+                Err(e) => prop_assert!(matches!(e, NetError::Protocol(_)), "{e:?}"),
+            }
+            if let Err(e) = decode_server(&body) {
+                prop_assert!(matches!(e, NetError::Protocol(_)), "{e:?}");
+            }
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Dynamic-shape serving: route variable-length sequence requests
 //! through a power-of-two bucket ladder of compiled models.
 //!
-//! A fixed-shape [`Model`](crate::Model) compiles one program per
+//! A fixed-shape [`Model`] compiles one program per
 //! micro-batch size. Sequences add a second dynamic axis — the length —
 //! and compiling one program per *exact* length would blow the plan
 //! cache open (and recompile on every odd length the warmup never saw).

@@ -1,20 +1,29 @@
-//! Distributed training features: intra-node data parallelism with
-//! synchronized vs. lossy gradient accumulation, and the cluster
-//! simulator's scaling projections.
+//! Data-parallel training in one process: four `DistTrainer` replicas on
+//! an in-process `channel_group`, each streaming its gradients layer by
+//! layer into the ring all-reduce while its backward pass is still
+//! running, and stepping an ordinary solver on the merged result. The
+//! same trainer runs multi-process over TCP (`latte-worker`).
 //!
 //! ```text
 //! cargo run --release --example distributed
 //! ```
+//!
+//! (The Fig 18–19 scaling projections are `figures -- fig18|fig19`; the
+//! Fig 20 lossy-accumulation experiment is `figures -- fig20`.)
 
 use latte::core::{compile, OptLevel};
 use latte::nn::models::{mlp, ModelConfig};
-use latte::runtime::cluster::{weak_scaling, LayerProfile, NetworkModel};
-use latte::runtime::data::{synthetic_mnist, MemoryDataSource, BatchSource};
-use latte::runtime::parallel::{DataParallelConfig, DataParallelTrainer, GradSync};
+use latte::runtime::data::{synthetic_mnist, BatchSource, MemoryDataSource};
+use latte::runtime::dist::{run_ranks, DistTrainer};
+use latte::runtime::metrics::top1_accuracy;
+use latte::runtime::ring::CommPolicy;
+use latte::runtime::solver::{LrPolicy, MomPolicy, Sgd, Solver, SolverParams};
+use latte::runtime::transport::channel_group;
+use latte::runtime::{Executor, RuntimeError};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let worker_batch = 8;
-    let workers = 4;
+    let world = 4;
     let cfg = ModelConfig {
         batch: worker_batch,
         input_size: 28 * 28,
@@ -23,72 +32,37 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         with_loss: true,
         seed: 21,
     };
+    let train = synthetic_mnist(1024, 5);
+    let test = synthetic_mnist(256, 77);
 
-    for sync in [GradSync::Synchronized, GradSync::Lossy] {
-        let mut trainer = DataParallelTrainer::new(
-            || compile(&mlp(&cfg, &[64]).net, &OptLevel::full()).expect("compiles"),
-            DataParallelConfig {
-                workers,
-                sync,
-                lr: 0.02,
-                momentum: 0.9,
-            },
-        )?;
-        let train = synthetic_mnist(1024, 5);
-        let mut sources: Vec<MemoryDataSource> = (0..workers)
-            .map(|w| {
-                let shard: Vec<_> = train
-                    .iter()
-                    .skip(w)
-                    .step_by(workers)
-                    .cloned()
-                    .collect();
-                MemoryDataSource::try_new("data", "label", shard, worker_batch).unwrap()
-            })
-            .collect();
+    let ranks = run_ranks(channel_group(world)?, |rank, endpoint| -> Result<_, RuntimeError> {
+        let compiled = compile(&mlp(&cfg, &[64]).net, &OptLevel::full()).expect("compiles");
+        let mut trainer =
+            DistTrainer::new(Executor::new(compiled)?, Box::new(endpoint), CommPolicy::default())?;
+        let mut solver = Sgd::new(SolverParams {
+            lr_policy: LrPolicy::Fixed { lr: 0.02 },
+            mom_policy: MomPolicy::Fixed { mom: 0.9 },
+            regu_coef: 0.0,
+            max_epoch: 3,
+        });
+        let shard: Vec<_> = train.iter().skip(rank).step_by(world).cloned().collect();
+        let mut source = MemoryDataSource::try_new("data", "label", shard, worker_batch)?;
         let mut last = 0.0;
-        for _epoch in 0..3 {
-            for s in &mut sources {
-                s.reset();
-            }
-            loop {
-                let shards: Option<Vec<_>> = sources
-                    .iter_mut()
-                    .map(|s| s.next_batch())
-                    .collect::<Result<_, _>>()?;
-                match shards {
-                    Some(shards) => last = trainer.step(&shards)?,
-                    None => break,
-                }
+        for _epoch in 0..solver.params().max_epoch {
+            source.reset();
+            while let Some(batch) = source.next_batch()? {
+                last = trainer.step(&batch, &mut |e| solver.step(e))?.loss;
             }
         }
-        let acc = trainer.accuracy("data", "ip_out.value", &synthetic_mnist(256, 77))?;
-        println!(
-            "{sync:?}: final loss {last:.4}, top-1 accuracy {:.1}%",
-            acc * 100.0
-        );
-    }
+        let accuracy = top1_accuracy(trainer.exec_mut(), "data", "ip_out.value", &test)?;
+        Ok((last, accuracy, trainer.stats().steps, trainer.mode()))
+    });
 
-    // Cluster-scale projection with the discrete-event simulator.
-    println!("\nweak scaling (64 items/node, InfiniBand-like fabric):");
-    let layers: Vec<LayerProfile> = (0..8)
-        .map(|i| LayerProfile {
-            name: format!("layer{i}"),
-            fwd_ms_per_item: 0.4 / (i + 1) as f64,
-            bwd_ms_per_item: 0.8 / (i + 1) as f64,
-            fixed_ms: 0.3,
-            grad_bytes: if i >= 5 { 100e6 } else { 5e6 },
-        })
-        .collect();
-    for (nodes, throughput, efficiency) in weak_scaling(
-        NetworkModel::infiniband_like(),
-        &layers,
-        64,
-        &[1, 2, 4, 8, 16, 32],
-    ) {
+    for (rank, outcome) in ranks.into_iter().enumerate() {
+        let (loss, accuracy, steps, mode) = outcome?;
         println!(
-            "  {nodes:>3} nodes: {throughput:>9.1} img/s  ({:.1}% efficiency)",
-            efficiency * 100.0
+            "rank {rank}: {steps} steps {mode:?}, final shard loss {loss:.4}, top-1 accuracy {:.1}%",
+            accuracy * 100.0,
         );
     }
     Ok(())

@@ -60,6 +60,9 @@ cargo run --release --quiet -p latte-bench --bin serving -- --validate BENCH_ser
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps with RUSTDOCFLAGS=-D warnings (dangling intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> examples smoke run (release)"
 for ex in examples/*.rs; do
   name="$(basename "$ex" .rs)"

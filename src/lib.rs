@@ -11,7 +11,8 @@
 //! * [`tensor`] — dense tensors, GEMM, convolution primitives.
 //! * [`ir`] — the compiler's expression and loop-nest IR.
 //! * [`core`] — the DSL (neurons, ensembles, connections) and compiler.
-//! * [`runtime`] — executor, solvers, accelerator & cluster simulators.
+//! * [`runtime`] — executor, solvers, checkpoints, the ring all-reduce and
+//!   the distributed trainer.
 //! * [`nn`] — the standard library of layers and model zoo.
 //! * [`baselines`] — Caffe-style and Mocha-style reference stacks.
 

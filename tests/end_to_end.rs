@@ -8,8 +8,10 @@ use latte::nn::layers::{convolution, data, fully_connected, max_pool, relu, soft
 use latte::nn::models::{lenet, mlp, ModelConfig};
 use latte::core::dsl::Net;
 use latte::runtime::data::{synthetic_mnist, MemoryDataSource};
-use latte::runtime::parallel::{DataParallelConfig, DataParallelTrainer, GradSync};
+use latte::runtime::dist::{run_ranks, DistTrainer};
+use latte::runtime::ring::CommPolicy;
 use latte::runtime::solver::{solve, LrPolicy, MomPolicy, Sgd, SolverParams};
+use latte::runtime::transport::channel_group;
 use latte::runtime::Executor;
 
 fn seeded(len: usize, seed: u32) -> Vec<f32> {
@@ -135,53 +137,29 @@ fn distributed_gradients_match_single_worker() {
     single.backward();
     let g_single = single.read_buffer("ip1.g_weights").unwrap();
 
-    // Two workers over contiguous shards.
-    let mut trainer = DataParallelTrainer::new(
-        || build(worker_batch),
-        DataParallelConfig {
-            workers,
-            sync: GradSync::Synchronized,
-            lr: 0.0, // keep weights identical
-            momentum: 0.0,
-        },
-    )
-    .unwrap();
-    let shards: Vec<_> = (0..workers)
-        .map(|w| {
-            vec![
-                (
-                    "data".to_string(),
-                    inputs[w * worker_batch * width..(w + 1) * worker_batch * width].to_vec(),
-                ),
-                (
-                    "label".to_string(),
-                    labels[w * worker_batch..(w + 1) * worker_batch].to_vec(),
-                ),
-            ]
-        })
-        .collect();
-    trainer.step(&shards).unwrap();
-    // Each worker's softmax loss divides by its own (smaller) batch, so
-    // the summed shard gradients equal `workers` x the full-batch
-    // gradient.
-    // Re-run a worker pair manually to read the summed gradients:
-    let mut w0 = Executor::new(build(worker_batch)).unwrap();
-    let mut w1 = Executor::new(build(worker_batch)).unwrap();
-    for (w, shard) in [(&mut w0, &shards[0]), (&mut w1, &shards[1])] {
-        for (name, vals) in shard {
-            w.set_input(name, vals).unwrap();
-        }
-        w.forward();
-        w.backward();
-    }
-    let g0 = w0.read_buffer("ip1.g_weights").unwrap();
-    let g1 = w1.read_buffer("ip1.g_weights").unwrap();
-    for ((a, b), s) in g0.iter().zip(&g1).zip(&g_single) {
-        let summed = (a + b) / workers as f32;
-        assert!(
-            (summed - s).abs() < 1e-4 * s.abs().max(1.0),
-            "{summed} vs {s}"
-        );
+    // Two ranks over contiguous shards, all-reduced by the real ring.
+    // Each rank's softmax loss divides by its own (smaller) batch, so
+    // the ring's *mean* of the shard gradients is the full-batch one.
+    let merged = run_ranks(channel_group(workers).unwrap(), |rank, ep| {
+        let exec = Executor::new(build(worker_batch)).unwrap();
+        let mut trainer = DistTrainer::new(exec, Box::new(ep), CommPolicy::default()).unwrap();
+        let shard = vec![
+            (
+                "data".to_string(),
+                inputs[rank * worker_batch * width..(rank + 1) * worker_batch * width].to_vec(),
+            ),
+            (
+                "label".to_string(),
+                labels[rank * worker_batch..(rank + 1) * worker_batch].to_vec(),
+            ),
+        ];
+        // No update: the merged gradient is what is under test.
+        trainer.step(&shard, &mut |_| {}).unwrap();
+        trainer.exec().read_buffer("ip1.g_weights").unwrap()
+    });
+    assert_eq!(merged[0], merged[1], "both ranks hold the same merged gradient");
+    for (m, s) in merged[0].iter().zip(&g_single) {
+        assert!((m - s).abs() < 1e-4 * s.abs().max(1.0), "{m} vs {s}");
     }
 }
 

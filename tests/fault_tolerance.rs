@@ -1,96 +1,161 @@
-//! End-to-end fault-tolerance acceptance tests (tier-1): a simulated
-//! 4-node cluster surviving a node crash plus a straggler, and a
+//! End-to-end fault-tolerance acceptance tests (tier-1): a 4-rank ring —
+//! the real transport, ring and trainer behind `FaultyTransport` —
+//! surviving a dropped transfer, a straggler and a node crash, and a
 //! single-node training run surviving a process death mid-epoch by
 //! resuming from the supervisor's checkpoint.
 
+use std::sync::Arc;
+
 use latte::core::{compile, OptLevel};
 use latte::nn::models::{mlp, ModelConfig};
-use latte::runtime::cluster::{
-    simulate_run, ClusterSpec, FaultPolicy, LayerProfile, NetworkModel, SyncMode,
-};
-use latte::runtime::data::MemoryDataSource;
-use latte::runtime::fault::{Fault, FaultPlan};
+use latte::runtime::data::{Batch, MemoryDataSource};
+use latte::runtime::dist::{run_ranks, DistTrainer};
+use latte::runtime::fault::{Fault, FaultPlan, FaultyTransport};
 use latte::runtime::metrics::FaultMetrics;
-use latte::runtime::solver::{solve, LrPolicy, MomPolicy, Sgd, SolverParams};
+use latte::runtime::ring::{CommPolicy, SyncMode};
+use latte::runtime::solver::{solve, LrPolicy, MomPolicy, Sgd, Solver, SolverParams};
 use latte::runtime::supervisor::{supervise, SupervisorConfig};
+use latte::runtime::transport::{channel_group_with, Transport};
 use latte::runtime::Executor;
 
-fn layers() -> Vec<LayerProfile> {
-    (0..6)
-        .map(|i| LayerProfile {
-            name: format!("layer{i}"),
-            fwd_ms_per_item: 0.2 / (i + 1) as f64,
-            bwd_ms_per_item: 0.4 / (i + 1) as f64,
-            fixed_ms: 0.3,
-            grad_bytes: [0.5e6, 2e6, 9e6, 9e6, 200e6, 16e6][i],
-        })
-        .collect()
+const WORLD: usize = 4;
+const STEPS: u32 = 12;
+
+/// The scripted faults. Rank 1 sits behind a slow link for the whole
+/// run (5 ms per frame), so its neighbour's latency estimate is a stable
+/// 5 ms rather than scheduler noise, and "slow" is 25x that:
+///
+/// * step 2 — rank 0's first reduce-scatter frame is dropped; rank 1
+///   times out, asks again, and the step stays synchronized;
+/// * steps 6–7 — rank 1 takes 120 ms per frame; rank 2's EWMA flags it;
+/// * step 10 — rank 2 goes silent for good; the others evict it and
+///   finish lossy over the three survivors.
+fn scripted_plan() -> FaultPlan {
+    FaultPlan::new(vec![
+        Fault::Straggler { node: 1, from_iter: 0, to_iter: STEPS as usize, factor: 2.0 },
+        Fault::TransferDrop { node: 0, iter: 2, layer: 0 },
+        Fault::Straggler { node: 1, from_iter: 6, to_iter: 8, factor: 12.5 },
+        Fault::NodeCrash { node: 2, iter: 10 },
+    ])
 }
 
-/// A 4-node cluster hit by a mid-run node crash, a straggler phase, and
-/// a dropped gradient transfer recovers: the transfer is retried, the
-/// straggler is detected against the rolling estimate, and after the
-/// crash the all-reduce degrades to the lossy unsynchronized mode over
-/// the three survivors — with every event visible in the fault counters.
+fn ring_policy() -> CommPolicy {
+    CommPolicy {
+        op_timeout_ms: 250,
+        max_retries: 2,
+        lossy_timeout_ms: 150,
+        straggler_threshold: 8.0,
+        // Six receives per peer per step: the detector arms after step 2,
+        // so the wait behind the drop's retry is not taken for a straggler.
+        straggler_grace: 18,
+        ..CommPolicy::default()
+    }
+}
+
+/// One replica of a softmax classifier: a single gradient bucket, so a
+/// step is six frames per rank.
+fn replica() -> Executor {
+    let cfg = ModelConfig {
+        batch: 4,
+        input_size: 8,
+        channel_div: 1,
+        classes: 3,
+        with_loss: true,
+        seed: 5,
+    };
+    Executor::new(compile(&mlp(&cfg, &[]).net, &OptLevel::full()).unwrap()).unwrap()
+}
+
+fn shard(step: u32, rank: usize) -> Batch {
+    let (mut inputs, mut labels) = (Vec::new(), Vec::new());
+    for item in 0..4 {
+        let class = (step as usize + rank + item) % 3;
+        inputs.extend((0..8).map(|j| if j % 3 == class { 1.0 } else { 0.05 * (rank + 1) as f32 }));
+        labels.push(class as f32);
+    }
+    vec![("data".into(), inputs), ("label".into(), labels)]
+}
+
+/// A 4-rank ring hit by a dropped gradient transfer, a straggler phase
+/// and a mid-run crash recovers: the transfer is retried, the straggler
+/// is flagged by its neighbour's EWMA while it is slow and only then,
+/// and after the crash the all-reduce degrades to the lossy mode over
+/// the three survivors — with every event on the books.
 #[test]
 fn cluster_survives_crash_straggler_and_dropped_transfer() {
-    let spec = ClusterSpec {
-        nodes: 4,
-        network: NetworkModel::infiniband_like(),
-    };
-    let plan = FaultPlan::new(vec![
-        Fault::TransferDrop { node: 0, iter: 2, layer: 4 },
-        Fault::Straggler { node: 1, from_iter: 4, to_iter: 7, factor: 4.0 },
-        Fault::NodeCrash { node: 2, iter: 8 },
-    ]);
-    let metrics = FaultMetrics::new();
-    let run = simulate_run(
-        &spec,
-        &layers(),
-        32,
-        12,
-        &plan,
-        &FaultPolicy::default(),
-        &metrics,
-    )
+    let plan = scripted_plan();
+    let endpoints = channel_group_with(WORLD, |rank, wire| {
+        FaultyTransport::new(rank, plan.clone(), wire)
+    })
     .unwrap();
+    // Per rank: the report and the counters after every completed step.
+    let runs = run_ranks(endpoints, |rank, ep| {
+        let metrics = Arc::clone(ep.metrics());
+        let mut trainer = DistTrainer::new(replica(), Box::new(ep), ring_policy()).unwrap();
+        let mut solver = Sgd::new(training_params());
+        let mut steps = Vec::new();
+        for step in 0..STEPS {
+            match trainer.step(&shard(step, rank), &mut |e| solver.step(e)) {
+                Ok(report) => steps.push((report, metrics.snapshot())),
+                // The crashed rank may notice it is alone and stop.
+                Err(e) => {
+                    assert_eq!(rank, 2, "survivor {rank} failed step {step}: {e}");
+                    break;
+                }
+            }
+        }
+        steps
+    });
+    let survivors = [0, 1, 3];
+    for &rank in &survivors {
+        assert_eq!(runs[rank].len(), STEPS as usize, "survivor {rank} must finish every step");
+    }
+    let counters = |rank: usize, step: usize| runs[rank][step].1;
 
-    assert_eq!(run.iterations.len(), 12);
+    // The dropped transfer is retried — its sender services exactly the
+    // resend it was asked for — and the step stays synchronized.
+    let retries_after = |step| (0..WORLD).map(|r| counters(r, step).retries).sum::<u64>();
+    assert_eq!(retries_after(1), 0);
+    assert!(retries_after(2) >= 1, "the lost frame must cost a retry");
+    assert_eq!(counters(0, 1).send_retries, 0);
+    assert!(counters(0, 2).send_retries >= 1, "rank 0 must have re-sent it");
+    for run in &runs {
+        assert_eq!((run[2].0.mode, run[2].0.live), (SyncMode::Synchronized, WORLD));
+    }
 
-    // The dropped transfer costs a visible retry penalty but stays
-    // synchronized.
-    assert!(run.iterations[2].retry_penalty_ms > 0.0);
-    assert_eq!(run.iterations[2].mode, SyncMode::Synchronized);
+    // The straggler is flagged by its downstream neighbour when it turns
+    // slow, and at no other time: not during the retry above, not before,
+    // and not again once it has recovered.
+    let flagged = |step| counters(2, step).stragglers_detected;
+    assert_eq!(flagged(5), 0, "no flag while rank 1 is healthy");
+    assert!(flagged(6) >= 1, "the 25x slowdown must trip rank 2's detector");
+    assert_eq!(flagged(9), flagged(7), "no flag after recovery");
+    // Slow is not dead.
+    assert!(runs.iter().all(|run| run[9].0.evicted.is_empty() && run[9].1.peers_evicted == 0));
 
-    // The straggler is detected while it is slow, and only then.
-    assert_eq!(run.iterations[5].stragglers, vec![1]);
-    assert!(run.iterations[3].stragglers.is_empty());
-    assert!(run.iterations[7].stragglers.is_empty());
+    // The crash removes rank 2 from the ring — evicted by the neighbour
+    // that waited on it — and degrades the run to the lossy mode over
+    // the three survivors.
+    for &rank in &survivors {
+        let steps = &runs[rank];
+        assert_eq!((steps[9].0.mode, steps[9].0.live), (SyncMode::Synchronized, WORLD));
+        for step in [10, 11] {
+            assert_eq!((steps[step].0.mode, steps[step].0.live), (SyncMode::LossyDegraded, 3));
+        }
+    }
+    assert_eq!(runs[3][10].0.evicted, vec![2]);
 
-    // The crash removes node 2 from the ring and degrades the run to
-    // the lossy unsynchronized mode over the 3 survivors.
-    assert_eq!(run.iterations[7].live_nodes, 4);
-    assert_eq!(run.iterations[8].newly_dead, vec![2]);
-    assert_eq!(run.iterations[8].mode, SyncMode::LossyDegraded);
-    assert_eq!(run.iterations[8].live_nodes, 3);
-    assert_eq!(run.live_nodes, 3);
-    assert_eq!(run.final_mode, SyncMode::LossyDegraded);
-
-    // Degraded iterations no longer pay the straggler/sync barrier: the
-    // post-crash iteration is not slower than the synchronized baseline.
-    let healthy = run.iterations[1].total_ms;
-    let straggled = run.iterations[5].total_ms;
-    assert!(straggled > healthy, "sync mode pays for the straggler");
-
-    // Every event is visible through the metrics registry.
-    let snap = metrics.snapshot();
-    assert_eq!(snap.nodes_failed, 1);
-    assert_eq!(snap.transfers_dropped, 1);
-    assert_eq!(snap.retries, 1);
-    assert_eq!(snap.stragglers_detected, 1);
-    assert_eq!(snap.degraded_iterations, 4);
-    let text = snap.to_string();
-    assert!(text.contains("nodes_failed=1") && text.contains("retries=1"), "{text}");
+    // Every event is on the books of every survivor.
+    for &rank in &survivors {
+        let snap = counters(rank, STEPS as usize - 1);
+        assert_eq!(snap.nodes_failed, 1);
+        assert_eq!(snap.peers_evicted, 1);
+        assert_eq!(snap.degraded_iterations, 2);
+        assert_eq!(snap.lossy_steps, 2);
+        let text = snap.to_string();
+        assert!(text.contains("nodes_failed=1") && text.contains("degraded_iters=2"), "{text}");
+        assert!(text.starts_with(&format!("retries={} ", snap.retries)), "{text}");
+    }
 }
 
 fn build_exec(seed: u64) -> Executor {
