@@ -28,8 +28,9 @@ pub struct OptLevel {
     /// Mark tile loops parallel (collapsed with the batch loop by the
     /// runtime).
     pub parallel: bool,
-    /// Let the runtime lower unit-stride inner loops to native slice
-    /// kernels (the stand-in for `#pragma simd` vectorization).
+    /// Let the runtime run element loops strip-mined over 64-lane
+    /// columns instead of one element at a time (the stand-in for
+    /// `#pragma simd` vectorization).
     pub vectorize: bool,
     /// Shared-variable buffer optimizations: drop uniform staging
     /// dimensions, alias all-to-all inputs.

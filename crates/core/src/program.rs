@@ -231,8 +231,9 @@ pub struct CompiledNet {
     /// The runtime writes these once at executor construction and on
     /// `reset_params`.
     pub param_inits: Vec<(String, Vec<f32>)>,
-    /// Whether the runtime may lower unit-stride inner loops to native
-    /// slice kernels (the compiler's `vectorize` flag).
+    /// Whether the runtime may run element loops a strip of lanes at a
+    /// time instead of an element at a time (the compiler's `vectorize`
+    /// flag).
     pub vectorize: bool,
     /// Compiler statistics.
     pub stats: CompileStats,

@@ -290,6 +290,7 @@ pub enum UnaryOp {
 
 impl UnaryOp {
     /// Applies the operation to a value.
+    #[inline]
     pub fn apply(self, x: f32) -> f32 {
         match self {
             UnaryOp::Neg => -x,
@@ -347,6 +348,7 @@ pub enum BinOp {
 
 impl BinOp {
     /// Applies the operation to two values.
+    #[inline]
     pub fn apply(self, a: f32, b: f32) -> f32 {
         match self {
             BinOp::Add => a + b,

@@ -25,6 +25,7 @@ pub enum AssignOp {
 
 impl AssignOp {
     /// Combines the previous destination value with the new value.
+    #[inline]
     pub fn apply(self, dest: f32, value: f32) -> f32 {
         match self {
             AssignOp::Set => value,

@@ -624,8 +624,8 @@ impl Interpreter {
                 &e.attrs,
                 self.net.batch,
                 item,
-                per_item,
-                batched,
+                &per_item,
+                &batched,
                 views,
             );
             f(&mut inv)?;

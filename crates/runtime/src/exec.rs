@@ -16,8 +16,9 @@
 //!
 //! All threaded work — parallel per-item groups and partitioned batched
 //! GEMMs — runs on one persistent [`WorkerPool`] created with the
-//! executor; nothing on the per-iteration path spawns threads or
-//! allocates scratch.
+//! executor; nothing on the per-iteration path spawns threads, and
+//! running a `(group, item)` allocates nothing — each worker keeps a
+//! [`Scratch`] (loop variables, buffer views, element-program columns).
 //!
 //! # Safety architecture
 //!
@@ -34,17 +35,15 @@
 use std::sync::Arc;
 
 use latte_core::{CompiledNet, ParamBinding};
-use latte_ir::{AssignOp, BinOp, UnaryOp};
+use latte_ir::AssignOp;
 use latte_tensor::gemm::{Gemm, Transpose};
 
+use crate::elem::{self, Columns};
 use crate::error::RuntimeError;
 use crate::health::{scan_slice, BufferAnomaly, SentinelMode};
-use crate::lower::{
-    BatchedGemm, CCopy, CExpr, CExtern, CGather, CGemm, CGroup, CRef, FastKind, InnerLoop,
-    Kernel, Segment,
-};
+use crate::lower::{BatchedGemm, CCopy, CExtern, CGather, CGemm, CGroup, Kernel, Segment};
 use crate::plan::ExecutionPlan;
-use crate::pool::{WorkerPool, GRAD_LANES};
+use crate::pool::{WorkerCtx, WorkerPool, GRAD_LANES};
 use crate::registry::{ExternInvocation, KernelRegistry};
 use crate::store::BufferStore;
 
@@ -107,9 +106,9 @@ pub struct GradBucket {
 
 /// A raw view of one buffer for the current batch item.
 #[derive(Clone, Copy)]
-struct RawBuf {
-    ptr: *mut f32,
-    len: usize,
+pub(crate) struct RawBuf {
+    pub(crate) ptr: *mut f32,
+    pub(crate) len: usize,
 }
 
 impl RawBuf {
@@ -142,56 +141,135 @@ impl RawBuf {
     }
 }
 
-/// Per-item frame: one [`RawBuf`] per group buffer.
-struct Frame {
-    bufs: Vec<RawBuf>,
+/// What running one `(group, item)` needs besides the plan and the
+/// store, kept per worker so the per-item path allocates nothing: the
+/// loop-variable values, the item's buffer views, the element programs'
+/// register columns, and the view list an extern kernel is handed.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    env: Vec<i64>,
+    frame: Vec<RawBuf>,
+    columns: Columns,
+    /// Always empty between calls; only its allocation is kept.
+    views: Vec<&'static mut [f32]>,
+}
+
+// SAFETY: the raw pointers in `frame` and `columns` are rewritten by
+// every `run_item` / `elem::run` before they are read, and never
+// dereferenced outside the call that wrote them, so a scratch carries no
+// live pointer from one thread to another.
+unsafe impl Send for Scratch {}
+
+impl std::fmt::Debug for Scratch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Scratch").finish_non_exhaustive()
+    }
+}
+
+/// Empties a view list and returns its allocation to a [`Scratch`].
+fn recycle(mut views: Vec<&mut [f32]>) -> Vec<&'static mut [f32]> {
+    views.clear();
+    let mut views = std::mem::ManuallyDrop::new(views);
+    // SAFETY: the vector is empty, so no borrow is carried into the
+    // longer lifetime; element types that differ only in a lifetime have
+    // one layout, so the allocation fits.
+    unsafe { Vec::from_raw_parts(views.as_mut_ptr().cast(), 0, views.capacity()) }
 }
 
 /// Parallel-worker buffer redirection: storage indices to replace, and
 /// their replacement `(pointer, length)` pairs.
 type RedirectTable<'a> = (&'a [usize], &'a [(*mut f32, usize)]);
 
-/// Builds the per-item frame from the store's base pointer.
+/// What every batch item of one per-item segment shares.
+#[derive(Clone, Copy)]
+struct ItemSegment<'a> {
+    /// The store's storages.
+    base: *mut Vec<f32>,
+    g: &'a CGroup,
+    kernels: &'a [Kernel],
+    batch: usize,
+    n_slots: usize,
+}
+
+/// Runs a per-item segment's kernels for one batch item on `ctx`'s
+/// scratch.
 ///
 /// # Safety
 ///
-/// `base` must point at `n_storages` live `Vec<f32>` storages with no
+/// `seg.base` must point at the store's live `Vec<f32>` storages with no
 /// other active borrows; the caller must guarantee the disjointness
 /// invariants described in the module docs.
-unsafe fn build_frame(
-    base: *mut Vec<f32>,
-    g: &CGroup,
+unsafe fn run_item(
+    ctx: &mut WorkerCtx,
+    seg: ItemSegment<'_>,
     item: usize,
     redirect: Option<RedirectTable<'_>>,
-) -> Frame {
-    let bufs = g
-        .bufs
-        .iter()
-        .map(|b| {
-            let (ptr, len) = match &redirect {
-                Some((storages, scratch)) if b.param_grad => {
-                    let pos = storages
-                        .iter()
-                        .position(|&s| s == b.storage)
-                        .expect("redirected storage present");
-                    scratch[pos]
-                }
-                _ => {
-                    let s = &mut *base.add(b.storage);
-                    (s.as_mut_ptr(), s.len())
-                }
-            };
-            if b.batched {
-                RawBuf {
-                    ptr: ptr.add(item * b.per_item),
-                    len: b.per_item,
-                }
-            } else {
-                RawBuf { ptr, len }
+) {
+    let ItemSegment {
+        base,
+        g,
+        kernels,
+        batch,
+        n_slots,
+    } = seg;
+    let Scratch {
+        env,
+        frame,
+        columns,
+        views,
+    } = &mut ctx.scratch;
+    if env.len() < n_slots {
+        env.resize(n_slots, 0);
+    }
+    frame.clear();
+    frame.extend(g.bufs.iter().map(|b| {
+        let (ptr, len) = match &redirect {
+            Some((storages, scratch)) if b.param_grad => {
+                let pos = storages
+                    .iter()
+                    .position(|&s| s == b.storage)
+                    .expect("redirected storage present");
+                scratch[pos]
             }
-        })
-        .collect();
-    Frame { bufs }
+            _ => {
+                let s = &mut *base.add(b.storage);
+                (s.as_mut_ptr(), s.len())
+            }
+        };
+        if b.batched {
+            RawBuf {
+                ptr: ptr.add(item * b.per_item),
+                len: b.per_item,
+            }
+        } else {
+            RawBuf { ptr, len }
+        }
+    }));
+    let mut cx = ItemCx {
+        env,
+        frame,
+        columns,
+        views,
+        gemm: &mut ctx.gemm,
+        batch,
+        item,
+    };
+    for k in kernels {
+        exec_kernel(k, &mut cx);
+    }
+}
+
+/// One batch item's execution state: the worker's scratch, its GEMM
+/// engine (packing buffers reused across items and iterations), and
+/// where in the batch it is.
+struct ItemCx<'a> {
+    env: &'a mut [i64],
+    frame: &'a [RawBuf],
+    columns: &'a mut Columns,
+    views: &'a mut Vec<&'static mut [f32]>,
+    gemm: &'a mut Gemm,
+    batch: usize,
+    item: usize,
 }
 
 /// A per-group callback invoked after each compute group of a phase
@@ -257,6 +335,11 @@ impl CompiledProgram {
     /// The compiled network this program was lowered from.
     pub fn compiled(&self) -> &CompiledNet {
         &self.net
+    }
+
+    /// The lowered plan every executor of this program shares.
+    pub fn plan(&self) -> &ExecutionPlan {
+        &self.plan
     }
 
     /// Builds a warm executor on `pool`, sharing this program's plan:
@@ -724,24 +807,26 @@ impl Executor {
                 Segment::Batched(b) => self.run_batched_gemm(b),
                 Segment::ExternWhole(e) => self.run_extern_whole(g, e),
                 Segment::PerItem(kernels) => {
+                    let seg = ItemSegment {
+                        base: self.store.storages.as_mut_ptr(),
+                        g,
+                        kernels,
+                        batch,
+                        n_slots,
+                    };
                     if g.parallel {
                         // Parallel groups take the lane-scratch path at
                         // EVERY thread count (including 1): the lane
                         // structure fixes the gradient summation order,
                         // which is what makes threads=4 bit-identical to
                         // threads=1.
-                        self.run_items_parallel(g, kernels, n_slots);
+                        self.run_items_parallel(seg);
                     } else {
-                        let base = self.store.storages.as_mut_ptr();
                         self.pool.with_caller_ctx(|ctx| {
-                            let mut env = vec![0i64; n_slots.max(1)];
                             for item in 0..batch {
                                 // SAFETY: single-threaded exclusive access
                                 // through `&mut self`.
-                                let frame = unsafe { build_frame(base, g, item, None) };
-                                for k in kernels {
-                                    exec_kernel(k, &mut env, &frame, batch, g, item, &mut ctx.gemm);
-                                }
+                                unsafe { run_item(ctx, seg, item, None) };
                             }
                         });
                     }
@@ -754,8 +839,8 @@ impl Executor {
     /// fixed-lane parameter-gradient scratch reduced afterwards in lane
     /// order (see [`crate::pool`] for the determinism argument). Lane
     /// scratch is pool-owned: zeroed per group, never reallocated.
-    fn run_items_parallel(&mut self, g: &CGroup, kernels: &[Kernel], n_slots: usize) {
-        let batch = self.net.batch;
+    fn run_items_parallel(&mut self, seg: ItemSegment<'_>) {
+        let (g, batch) = (seg.g, seg.batch);
         let pg_storages: Vec<usize> = {
             let mut v: Vec<usize> = g
                 .bufs
@@ -779,14 +864,10 @@ impl Executor {
         /// Everything the item job needs, bundled so one `unsafe impl
         /// Sync` covers the raw pointers (base storage + lane spans).
         struct ItemJob<'a> {
-            base: *mut Vec<f32>,
-            g: &'a CGroup,
-            kernels: &'a [Kernel],
+            seg: ItemSegment<'a>,
             pg: &'a [usize],
             lanes: &'a [Vec<(*mut f32, usize)>],
-            batch: usize,
             n_lanes: usize,
-            n_slots: usize,
             nt: usize,
         }
         // SAFETY: workers access disjoint batched slices; shared
@@ -795,14 +876,10 @@ impl Executor {
         unsafe impl Sync for ItemJob<'_> {}
 
         let job = ItemJob {
-            base: self.store.storages.as_mut_ptr(),
-            g,
-            kernels,
+            seg,
             pg: &pg_storages,
             lanes: &lane_scratch,
-            batch,
             n_lanes,
-            n_slots,
             nt: self.pool.threads(),
         };
         // schedule(static, 1) over lanes: the driving worker owns lanes
@@ -810,20 +887,15 @@ impl Executor {
         // item→accumulator mapping independent of the worker count, so
         // any `(first, step)` coverage of the lanes produces the same
         // bits.
-        fn run_lanes(j: &ItemJob<'_>, ctx: &mut crate::pool::WorkerCtx, first: usize, step: usize) {
-            let mut env = vec![0i64; j.n_slots.max(1)];
+        fn run_lanes(j: &ItemJob<'_>, ctx: &mut WorkerCtx, first: usize, step: usize) {
             let mut lane = first;
             while lane < j.n_lanes {
                 let scratch = &j.lanes[lane];
                 let mut item = lane;
-                while item < j.batch {
+                while item < j.seg.batch {
                     // SAFETY: see module docs; this lane's scratch
                     // pointers are exclusive to this worker.
-                    let frame =
-                        unsafe { build_frame(j.base, j.g, item, Some((j.pg, scratch))) };
-                    for k in j.kernels {
-                        exec_kernel(k, &mut env, &frame, j.batch, j.g, item, &mut ctx.gemm);
-                    }
+                    unsafe { run_item(ctx, j.seg, item, Some((j.pg, scratch.as_slice()))) };
                     item += j.n_lanes;
                 }
                 lane += step;
@@ -873,10 +945,9 @@ impl Executor {
 
     fn run_extern_whole(&mut self, g: &CGroup, e: &CExtern) {
         let batch = self.net.batch;
-        let per_item: Vec<usize> = e.bufs.iter().map(|&i| g.bufs[i].per_item).collect();
-        let batched: Vec<bool> = e.bufs.iter().map(|&i| g.bufs[i].batched).collect();
         let base = self.store.storages.as_mut_ptr();
-        let mut views: Vec<&mut [f32]> = Vec::with_capacity(e.bufs.len());
+        let mut views: Vec<&mut [f32]> =
+            self.pool.with_caller_ctx(|ctx| std::mem::take(&mut ctx.scratch.views));
         for &i in &e.bufs {
             let b = &g.bufs[i];
             // Clamp each view to the binding's logical span — an arena
@@ -890,335 +961,68 @@ impl Executor {
             attrs: &e.attrs,
             batch,
             item: None,
-            per_item,
-            batched,
+            per_item: &e.per_item,
+            batched: &e.batched,
             bufs: views,
         };
         (e.f)(&mut inv).expect("extern kernel failed");
+        let views = recycle(inv.bufs);
+        self.pool.with_caller_ctx(|ctx| ctx.scratch.views = views);
     }
 }
 
-/// Executes one kernel for one batch item. `gemm` is the executing
-/// worker's persistent engine (its packing buffers are reused across
-/// items and iterations).
-fn exec_kernel(
-    k: &Kernel,
-    env: &mut [i64],
-    frame: &Frame,
-    batch: usize,
-    g: &CGroup,
-    item: usize,
-    gemm: &mut Gemm,
-) {
+/// Executes one kernel for one batch item.
+fn exec_kernel(k: &Kernel, cx: &mut ItemCx<'_>) {
     match k {
         Kernel::Loop { slot, extent, body } => {
             for v in 0..*extent {
-                env[*slot] = v as i64;
+                cx.env[*slot] = v as i64;
                 for k in body {
-                    exec_kernel(k, env, frame, batch, g, item, gemm);
+                    exec_kernel(k, cx);
                 }
             }
         }
-        Kernel::Inner(inner) => exec_inner(inner, env, frame),
-        Kernel::Assign(a) => {
-            let v = eval_expr(&a.expr, &a.loads, env, frame);
-            let d = &frame.bufs[a.dest.buf];
-            d.write(a.dest.idx.eval(env), a.op, v);
-        }
-        Kernel::Gemm(gm) => exec_gemm(gm, env, frame, gemm),
-        Kernel::Copy(c) => exec_copy(c, env, frame),
-        Kernel::Gather(ga) => exec_gather(ga, frame),
+        // SAFETY: `run_item` bound a view for every buffer of the group,
+        // lowering proved every reference of the program in bounds for
+        // all loop values, and the item owns what it writes (module
+        // docs).
+        Kernel::Elem(p) => unsafe { elem::run(p, cx.env, cx.frame, cx.columns) },
+        Kernel::Gemm(gm) => exec_gemm(gm, cx.env, cx.frame, cx.gemm),
+        Kernel::Copy(c) => exec_copy(c, cx.env, cx.frame),
+        Kernel::Gather(ga) => exec_gather(ga, cx.frame),
         Kernel::Extern(e) => {
-            let per_item: Vec<usize> = e.bufs.iter().map(|&i| g.bufs[i].per_item).collect();
-            let batched: Vec<bool> = e.bufs.iter().map(|&i| g.bufs[i].batched).collect();
-            let mut views: Vec<&mut [f32]> = Vec::with_capacity(e.bufs.len());
-            for &i in &e.bufs {
-                let b = &frame.bufs[i];
-                views.push(b.slice_mut(0, b.len));
-            }
+            let mut views: Vec<&mut [f32]> = std::mem::take(cx.views);
+            views.extend(e.bufs.iter().map(|&i| {
+                let b = &cx.frame[i];
+                b.slice_mut(0, b.len)
+            }));
             let mut inv = ExternInvocation {
                 attrs: &e.attrs,
-                batch,
-                item: Some(item),
-                per_item,
-                batched,
+                batch: cx.batch,
+                item: Some(cx.item),
+                per_item: &e.per_item,
+                batched: &e.batched,
                 bufs: views,
             };
             (e.f)(&mut inv).expect("extern kernel failed");
+            *cx.views = recycle(inv.bufs);
         }
     }
 }
 
-#[inline]
-fn eval_expr(e: &CExpr, loads: &[CRef], env: &[i64], frame: &Frame) -> f32 {
-    match e {
-        CExpr::Const(c) => *c,
-        CExpr::Load(i) => {
-            let r = &loads[*i];
-            frame.bufs[r.buf].read(r.idx.eval(env))
-        }
-        CExpr::Un(op, x) => op.apply(eval_expr(x, loads, env, frame)),
-        CExpr::Bin(op, a, b) => op.apply(
-            eval_expr(a, loads, env, frame),
-            eval_expr(b, loads, env, frame),
-        ),
-    }
-}
-
-/// Evaluates an expression with per-load element offsets (the hoisted
-/// inner-loop form).
-#[inline]
-fn eval_expr_off(e: &CExpr, loads: &[CRef], offs: &[i64], frame: &Frame) -> f32 {
-    match e {
-        CExpr::Const(c) => *c,
-        CExpr::Load(i) => frame.bufs[loads[*i].buf].read(offs[*i]),
-        CExpr::Un(op, x) => op.apply(eval_expr_off(x, loads, offs, frame)),
-        CExpr::Bin(op, a, b) => op.apply(
-            eval_expr_off(a, loads, offs, frame),
-            eval_expr_off(b, loads, offs, frame),
-        ),
-    }
-}
-
-fn exec_inner(inner: &InnerLoop, env: &mut [i64], frame: &Frame) {
-    let a = &inner.assign;
-    let slot = inner.slot;
-    let n = inner.extent;
-    env[slot] = 0;
-    match inner.fast {
-        FastKind::Dot => {
-            if let CExpr::Bin(BinOp::Mul, l, r) = &a.expr {
-                if let (CExpr::Load(i), CExpr::Load(j)) = (l.as_ref(), r.as_ref()) {
-                    let ra = &a.loads[*i];
-                    let rb = &a.loads[*j];
-                    let xa = frame.bufs[ra.buf].slice(ra.idx.eval(env), n);
-                    let xb = frame.bufs[rb.buf].slice(rb.idx.eval(env), n);
-                    let mut acc = 0.0f32;
-                    for (p, q) in xa.iter().zip(xb) {
-                        acc += p * q;
-                    }
-                    let d = &frame.bufs[a.dest.buf];
-                    d.write(a.dest.idx.eval(env), AssignOp::Add, acc);
-                    return;
-                }
-            }
-            unreachable!("Dot classification implies mul-of-loads");
-        }
-        FastKind::MaxReduce => {
-            if let CExpr::Load(i) = &a.expr {
-                let r = &a.loads[*i];
-                let s = frame.bufs[r.buf].slice(r.idx.eval(env), n);
-                let m = s.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                let d = &frame.bufs[a.dest.buf];
-                d.write(a.dest.idx.eval(env), AssignOp::Max, m);
-                return;
-            }
-            unreachable!("MaxReduce classification implies a load");
-        }
-        FastKind::UnitMap if run_unit_fast(inner, env, frame) => {}
-        FastKind::UnitMap | FastKind::Generic => {
-            // Stack-allocated offset tables: this runs once per inner
-            // loop, so a heap allocation here would dominate small loops.
-            const MAX_LOADS: usize = 12;
-            let nl = a.loads.len();
-            debug_assert!(nl <= MAX_LOADS, "expression with {nl} loads");
-            let mut offs = [0i64; MAX_LOADS];
-            let mut steps = [0i64; MAX_LOADS];
-            for (i, l) in a.loads.iter().enumerate().take(MAX_LOADS) {
-                offs[i] = l.idx.eval(env);
-                steps[i] = l.idx.coef(slot);
-            }
-            let mut doff = a.dest.idx.eval(env);
-            let dstep = a.dest.idx.coef(slot);
-            let d = &frame.bufs[a.dest.buf];
-            for _ in 0..n {
-                let v = eval_expr_off(&a.expr, &a.loads, &offs[..nl], frame);
-                d.write(doff, a.op, v);
-                doff += dstep;
-                for (o, s) in offs.iter_mut().zip(&steps).take(nl) {
-                    *o += *s;
-                }
-            }
-        }
-    }
-    env[slot] = 0;
-}
-
-/// Specialized loops for the element-wise shapes that dominate network
-/// execution (the runtime analogue of the generated code's `#pragma simd`
-/// loops). Returns `false` when the expression does not match a known
-/// shape, falling back to the hoisted interpreter.
-fn run_unit_fast(inner: &InnerLoop, env: &[i64], frame: &Frame) -> bool {
-    let a = &inner.assign;
-    let slot = inner.slot;
-    let n = inner.extent;
-    let load = |i: &usize| &a.loads[*i];
-    let unit = |i: &usize| load(i).idx.coef(slot) == 1;
-    let dest = &frame.bufs[a.dest.buf];
-    let d0 = a.dest.idx.eval(env);
-    let set = a.op == AssignOp::Set;
-    match &a.expr {
-        // dest[i] = max(src[i], k): ReLU.
-        CExpr::Bin(BinOp::Max, l, r) if set => {
-            if let (CExpr::Load(i), CExpr::Const(k)) = (l.as_ref(), r.as_ref()) {
-                if unit(i) {
-                    let s = frame.bufs[load(i).buf].slice(load(i).idx.eval(env), n);
-                    let d = dest.slice_mut(d0, n);
-                    let k = *k;
-                    for (dv, sv) in d.iter_mut().zip(s) {
-                        *dv = sv.max(k);
-                    }
-                    return true;
-                }
-            }
-            false
-        }
-        // dest[i] (op)= src[i]: copy / accumulate.
-        CExpr::Load(i) if unit(i) => {
-            let s = frame.bufs[load(i).buf].slice(load(i).idx.eval(env), n);
-            let d = dest.slice_mut(d0, n);
-            if set {
-                d.copy_from_slice(s);
-            } else if a.op == AssignOp::Add {
-                for (dv, sv) in d.iter_mut().zip(s) {
-                    *dv += sv;
-                }
-            } else {
-                for (dv, sv) in d.iter_mut().zip(s) {
-                    *dv = dv.max(*sv);
-                }
-            }
-            true
-        }
-        // dest[i] = k: fill (max-neuron -inf init).
-        CExpr::Const(k) if set => {
-            dest.slice_mut(d0, n).fill(*k);
-            true
-        }
-        // dest[i] += g * eq(in[i], v): max-pooling gradient routing.
-        CExpr::Bin(BinOp::Mul, l, r) if a.op == AssignOp::Add => {
-            let (g_load, eq) = match (l.as_ref(), r.as_ref()) {
-                (CExpr::Load(g), CExpr::Bin(BinOp::EqIndicator, x, v)) => (g, (x, v)),
-                _ => return run_unit_fast_binary(inner, env, frame),
-            };
-            if load(g_load).idx.coef(slot) != 0 {
-                return run_unit_fast_binary(inner, env, frame);
-            }
-            if let (CExpr::Load(x), CExpr::Load(v)) = (eq.0.as_ref(), eq.1.as_ref()) {
-                if unit(x) && load(v).idx.coef(slot) == 0 {
-                    let gval = frame.bufs[load(g_load).buf].read(load(g_load).idx.eval(env));
-                    let vval = frame.bufs[load(v).buf].read(load(v).idx.eval(env));
-                    let xs = frame.bufs[load(x).buf].slice(load(x).idx.eval(env), n);
-                    let d = dest.slice_mut(d0, n);
-                    for (dv, xv) in d.iter_mut().zip(xs) {
-                        if *xv == vval {
-                            *dv += gval;
-                        }
-                    }
-                    return true;
-                }
-            }
-            run_unit_fast_binary(inner, env, frame)
-        }
-        // dest[i] (op)= x[i] * y[i] / x[i] + y[i], including the in-place
-        // ReLU gradient g[i] * step(v[i]).
-        CExpr::Bin(BinOp::Mul | BinOp::Add, _, _) => {
-            run_unit_fast_binary(inner, env, frame)
-        }
-        _ => false,
-    }
-}
-
-/// The binary element-wise fast paths (`x op y`, `x op const`,
-/// `g * step(v)`), split out so the pooling-gradient arm can fall through
-/// to them.
-fn run_unit_fast_binary(inner: &InnerLoop, env: &[i64], frame: &Frame) -> bool {
-    let a = &inner.assign;
-    let slot = inner.slot;
-    let n = inner.extent;
-    let load = |i: &usize| &a.loads[*i];
-    let unit = |i: &usize| load(i).idx.coef(slot) == 1;
-    let dest = &frame.bufs[a.dest.buf];
-    let d0 = a.dest.idx.eval(env);
-    let set = a.op == AssignOp::Set;
-    match &a.expr {
-        CExpr::Bin(op @ (BinOp::Mul | BinOp::Add), l, r) => {
-            let (i, rhs) = match l.as_ref() {
-                CExpr::Load(i) if unit(i) => (i, r.as_ref()),
-                _ => return false,
-            };
-            match rhs {
-                CExpr::Load(j) if unit(j) => {
-                    let s1 = frame.bufs[load(i).buf].slice(load(i).idx.eval(env), n);
-                    let s2 = frame.bufs[load(j).buf].slice(load(j).idx.eval(env), n);
-                    let d = dest.slice_mut(d0, n);
-                    let mul = *op == BinOp::Mul;
-                    if set {
-                        for ((dv, x), y) in d.iter_mut().zip(s1).zip(s2) {
-                            *dv = if mul { x * y } else { x + y };
-                        }
-                    } else if a.op == AssignOp::Add {
-                        for ((dv, x), y) in d.iter_mut().zip(s1).zip(s2) {
-                            *dv += if mul { x * y } else { x + y };
-                        }
-                    } else {
-                        return false;
-                    }
-                    true
-                }
-                CExpr::Un(UnaryOp::Step, x) if *op == BinOp::Mul => {
-                    if let CExpr::Load(j) = x.as_ref() {
-                        if unit(j) && set {
-                            let s1 =
-                                frame.bufs[load(i).buf].slice(load(i).idx.eval(env), n);
-                            let s2 =
-                                frame.bufs[load(j).buf].slice(load(j).idx.eval(env), n);
-                            let d = dest.slice_mut(d0, n);
-                            for ((dv, g), v) in d.iter_mut().zip(s1).zip(s2) {
-                                *dv = if *v > 0.0 { *g } else { 0.0 };
-                            }
-                            return true;
-                        }
-                    }
-                    false
-                }
-                CExpr::Const(k) => {
-                    let s1 = frame.bufs[load(i).buf].slice(load(i).idx.eval(env), n);
-                    let d = dest.slice_mut(d0, n);
-                    let (k, mul) = (*k, *op == BinOp::Mul);
-                    if set {
-                        for (dv, x) in d.iter_mut().zip(s1) {
-                            *dv = if mul { x * k } else { x + k };
-                        }
-                    } else if a.op == AssignOp::Add {
-                        for (dv, x) in d.iter_mut().zip(s1) {
-                            *dv += if mul { x * k } else { x + k };
-                        }
-                    } else {
-                        return false;
-                    }
-                    true
-                }
-                _ => false,
-            }
-        }
-        _ => false,
-    }
-}
-
-fn exec_gemm(g: &CGemm, env: &[i64], frame: &Frame, engine: &mut Gemm) {
+fn exec_gemm(g: &CGemm, env: &[i64], frame: &[RawBuf], engine: &mut Gemm) {
     // Operand sizes are transpose-invariant (k*m == m*k).
     let a_need = g.m * g.k;
     let b_need = g.k * g.n;
-    let a = frame.bufs[g.a.buf].slice(g.a.idx.eval(env), a_need);
-    let b = frame.bufs[g.b.buf].slice(g.b.idx.eval(env), b_need);
-    let c = frame.bufs[g.c.buf].slice_mut(g.c.idx.eval(env), g.m * g.n);
+    let a = frame[g.a.buf].slice(g.a.idx.eval(env), a_need);
+    let b = frame[g.b.buf].slice(g.b.idx.eval(env), b_need);
+    let c = frame[g.c.buf].slice_mut(g.c.idx.eval(env), g.m * g.n);
     let ta = if g.ta { Transpose::Yes } else { Transpose::No };
     let tb = if g.tb { Transpose::Yes } else { Transpose::No };
     engine.compute(ta, tb, g.m, g.n, g.k, a, b, c);
 }
 
-fn exec_copy(c: &CCopy, env: &[i64], frame: &Frame) {
+fn exec_copy(c: &CCopy, env: &[i64], frame: &[RawBuf]) {
     if let Some(table) = &c.programs {
         // Mixed-radix program lookup over the offset slots.
         let mut idx = 0usize;
@@ -1241,10 +1045,10 @@ fn exec_copy(c: &CCopy, env: &[i64], frame: &Frame) {
 fn exec_copy_program(
     c: &CCopy,
     prog: &crate::lower::CopyProgram,
-    frame: &Frame,
+    frame: &[RawBuf],
 ) {
-    let dest = &frame.bufs[c.dest];
-    let src = &frame.bufs[c.src];
+    let dest = &frame[c.dest];
+    let src = &frame[c.src];
     let contiguous = prog.s_step == 1 && prog.d_step == 1;
     if c.scatter {
         for r in &prog.runs {
@@ -1317,11 +1121,11 @@ fn exec_copy_program(
 /// innermost dimension is clipped to its valid interval analytically
 /// (every source index is affine in the inner counter).
 #[allow(clippy::needless_range_loop)] // walks several parallel index arrays
-fn exec_copy_clipped(c: &CCopy, offsets: &[i64], frame: &Frame) {
+fn exec_copy_clipped(c: &CCopy, offsets: &[i64], frame: &[RawBuf]) {
     let ndd = c.extents.len();
     let nsd = c.src_dims.len();
-    let dest = &frame.bufs[c.dest];
-    let src = &frame.bufs[c.src];
+    let dest = &frame[c.dest];
+    let src = &frame[c.src];
     let last = ndd - 1;
     let inner = c.extents[last] as i64;
     let d_step = c.dest_strides[last] as i64;
@@ -1465,10 +1269,10 @@ fn div_ceil_i64(a: i64, b: i64) -> i64 {
 /// Padding-free copy: walk destination and flat source offsets
 /// incrementally with a mixed-radix counter; the innermost dimension is a
 /// tight strided (or contiguous) run.
-fn exec_copy_fast(c: &CCopy, offsets: &[i64], frame: &Frame) {
+fn exec_copy_fast(c: &CCopy, offsets: &[i64], frame: &[RawBuf]) {
     let ndd = c.extents.len();
-    let dest = &frame.bufs[c.dest];
-    let src = &frame.bufs[c.src];
+    let dest = &frame[c.dest];
+    let src = &frame[c.src];
     let last = ndd - 1;
     let inner = c.extents[last];
     let s_step = c.flat_stride[last];
@@ -1533,9 +1337,9 @@ fn exec_copy_fast(c: &CCopy, offsets: &[i64], frame: &Frame) {
         }
     }
 }
-fn exec_gather(g: &CGather, frame: &Frame) {
-    let dest = &frame.bufs[g.dest];
-    let src = &frame.bufs[g.src];
+fn exec_gather(g: &CGather, frame: &[RawBuf]) {
+    let dest = &frame[g.dest];
+    let src = &frame[g.src];
     if g.scatter {
         for (i, &t) in g.table.iter().enumerate() {
             if t >= 0 {

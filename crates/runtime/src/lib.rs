@@ -57,6 +57,7 @@ pub mod checkpoint;
 pub mod cluster;
 pub mod data;
 pub mod dist;
+mod elem;
 pub mod error;
 pub mod fault;
 pub mod frame;

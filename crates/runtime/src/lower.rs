@@ -6,10 +6,12 @@
 //! is translated once, ahead of execution, into a [`Kernel`] tree whose
 //! buffer references are pre-resolved affine functions of loop slots:
 //!
-//! * innermost loops are specialized — unit-stride multiply-accumulate
-//!   reductions become native dot products, and unit-stride element maps
-//!   run over raw slices (the stand-in for `#pragma simd` vectorization,
-//!   gated by the compiler's `vectorize` flag);
+//! * a perfect loop nest around one store (down to a bare assignment)
+//!   becomes an element program ([`crate::elem`]): the expression tree
+//!   is flattened once into a register program that runs strip-mined
+//!   over fixed-width columns (the stand-in for `#pragma simd`
+//!   vectorization; the compiler's `vectorize` flag selects the strip
+//!   width);
 //! * matched GEMM statements call the blocked kernel in `latte-tensor`;
 //!   top-level fully-connected GEMMs whose operands are batched buffers
 //!   are *hoisted* to one whole-batch GEMM per pass;
@@ -21,13 +23,12 @@
 //! execution hot path use unchecked accesses.
 
 use std::collections::HashMap;
+use std::fmt;
 
 use latte_core::{CompiledNet, Group};
-use latte_ir::{
-    AssignOp, BinOp, BufRef, CopyStmt, Expr, ExternOp, GemmStmt, IndexExpr, Stmt,
-    UnaryOp,
-};
+use latte_ir::{Assign, BufRef, CopyStmt, Expr, ExternOp, GemmStmt, IndexExpr, Stmt};
 
+use crate::elem::{self, ElemProgram, Reg};
 use crate::error::RuntimeError;
 use crate::registry::{ExternFn, KernelRegistry};
 use crate::store::BufferStore;
@@ -64,6 +65,15 @@ impl CIdx {
             .unwrap_or(0)
     }
 
+    /// Removes a slot's term and returns its coefficient (0 when
+    /// absent): how an element program splits an index into where its
+    /// nest starts and the stride of each of the nest's loops.
+    pub fn take_coef(&mut self, slot: usize) -> i64 {
+        let coef = self.coef(slot);
+        self.terms.retain(|(s, _)| *s != slot);
+        coef
+    }
+
     /// Minimum and maximum value over slot ranges `[0, extent)`.
     fn range(&self, extents: &[usize]) -> (i64, i64) {
         let mut lo = self.base;
@@ -80,54 +90,31 @@ impl CIdx {
     }
 }
 
+impl fmt::Display for CIdx {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let terms: Vec<String> = self
+            .terms
+            .iter()
+            .map(|(slot, coef)| match coef {
+                1 => format!("s{slot}"),
+                _ => format!("{coef}*s{slot}"),
+            })
+            .collect();
+        let body = terms.join(" + ");
+        match (body.is_empty(), self.base) {
+            (true, base) => write!(f, "{base}"),
+            (false, 0) => write!(f, "{body}"),
+            (false, base) => write!(f, "{body} + {base}"),
+        }
+    }
+}
+
 /// A buffer reference resolved to a buffer-table index plus an affine
 /// element offset.
 #[derive(Debug, Clone)]
 pub(crate) struct CRef {
     pub buf: usize,
     pub idx: CIdx,
-}
-
-/// A compiled scalar expression; loads index into the owning
-/// [`CAssign::loads`] table.
-#[derive(Debug, Clone)]
-pub(crate) enum CExpr {
-    Const(f32),
-    Load(usize),
-    Un(UnaryOp, Box<CExpr>),
-    Bin(BinOp, Box<CExpr>, Box<CExpr>),
-}
-
-/// A compiled scalar store.
-#[derive(Debug, Clone)]
-pub(crate) struct CAssign {
-    pub dest: CRef,
-    pub op: AssignOp,
-    pub expr: CExpr,
-    pub loads: Vec<CRef>,
-}
-
-/// Specialization of an innermost loop, chosen at lowering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FastKind {
-    /// Per-element interpretation (hoisted strides).
-    Generic,
-    /// `dest += Σ a[i] * b[i]` with unit strides: native dot product.
-    Dot,
-    /// `dest[i] (op)= f(src[i])` with unit strides and a pure unary map.
-    UnitMap,
-    /// `dest max= src[i]` with unit stride: native max reduction
-    /// (max-pooling windows).
-    MaxReduce,
-}
-
-/// An innermost loop containing a single store.
-#[derive(Debug, Clone)]
-pub(crate) struct InnerLoop {
-    pub slot: usize,
-    pub extent: usize,
-    pub assign: CAssign,
-    pub fast: FastKind,
 }
 
 /// A compiled GEMM.
@@ -356,6 +343,10 @@ pub(crate) struct CExtern {
     pub f: ExternFn,
     pub attrs: std::collections::BTreeMap<String, f64>,
     pub bufs: Vec<usize>,
+    /// Per-item element count and batchedness of each entry of `bufs`:
+    /// what every invocation reports to the kernel.
+    pub per_item: Vec<usize>,
+    pub batched: Vec<bool>,
 }
 
 impl std::fmt::Debug for CExtern {
@@ -375,8 +366,8 @@ pub(crate) enum Kernel {
         extent: usize,
         body: Vec<Kernel>,
     },
-    Inner(InnerLoop),
-    Assign(CAssign),
+    /// A perfect nest around a single store, or a bare assignment.
+    Elem(ElemProgram),
     Gemm(CGemm),
     Copy(CCopy),
     Gather(CGather),
@@ -429,6 +420,118 @@ pub(crate) struct Plan {
     /// Groups whose compiled body was reused from an earlier unrolled
     /// step (see [`latte_core::StepShare`]) instead of being re-lowered.
     pub step_groups_reused: usize,
+}
+
+impl fmt::Display for Plan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (title, groups) in [("forward", &self.forward), ("backward", &self.backward)] {
+            writeln!(f, "== {title} kernels ==")?;
+            for g in groups {
+                write!(f, "{g}")?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// BLAS's letter for an operand's transposition.
+fn t(transposed: bool) -> char {
+    if transposed {
+        'T'
+    } else {
+        'N'
+    }
+}
+
+impl fmt::Display for CGroup {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let schedule = match (self.parallel, self.serial_hint) {
+            (false, _) => "serial",
+            (true, false) => "parallel",
+            (true, true) => "parallel lanes, caller only",
+        };
+        writeln!(f, "group {} [{schedule}]", self.name)?;
+        for (i, (b, name)) in self.bufs.iter().zip(&self.buf_names).enumerate() {
+            let kind = if b.batched { "per item" } else { "shared" };
+            writeln!(f, "  b{i} = {name} ({} {kind})", b.per_item)?;
+        }
+        let mut names = self.gemm_names.iter();
+        for seg in &self.segments {
+            match seg {
+                Segment::PerItem(kernels) => {
+                    writeln!(f, "  per item:")?;
+                    for k in kernels {
+                        k.render(f, 4)?;
+                    }
+                }
+                Segment::Batched(g) => {
+                    let [a, b, c] = names.next().expect("a name triple per batched gemm");
+                    writeln!(
+                        f,
+                        "  whole batch: gemm {}{} m={} n={} k={} A={a}+{} B={b}+{} C={c}+{}",
+                        t(g.ta),
+                        t(g.tb),
+                        g.m,
+                        g.n,
+                        g.k,
+                        g.a_base,
+                        g.b_base,
+                        g.c_base
+                    )?;
+                }
+                Segment::ExternWhole(e) => {
+                    writeln!(f, "  whole batch: extern {}{:?}", e.op, e.bufs)?;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Kernel {
+    fn render(&self, f: &mut fmt::Formatter<'_>, indent: usize) -> fmt::Result {
+        let pad = " ".repeat(indent);
+        match self {
+            Kernel::Loop { extent: 0, .. } => writeln!(f, "{pad}barrier"),
+            Kernel::Loop { slot, extent, body } => {
+                writeln!(f, "{pad}for s{slot} in 0..{extent}")?;
+                body.iter().try_for_each(|k| k.render(f, indent + 2))
+            }
+            Kernel::Elem(p) => p
+                .to_string()
+                .lines()
+                .try_for_each(|line| writeln!(f, "{pad}{line}")),
+            Kernel::Gemm(g) => writeln!(
+                f,
+                "{pad}gemm {}{} m={} n={} k={} A=b{}[{}] B=b{}[{}] C=b{}[{}]",
+                t(g.ta),
+                t(g.tb),
+                g.m,
+                g.n,
+                g.k,
+                g.a.buf,
+                g.a.idx,
+                g.b.buf,
+                g.b.idx,
+                g.c.buf,
+                g.c.idx
+            ),
+            Kernel::Copy(c) => {
+                let (verb, arrow) = if c.scatter { ("scatter", "+=>") } else { ("copy", "<-") };
+                let how = match &c.programs {
+                    Some(t) => format!("{} transfer program(s)", t.programs.len()),
+                    None if c.never_oob => "odometer".to_string(),
+                    None => "clipped odometer".to_string(),
+                };
+                writeln!(f, "{pad}{verb} b{} {arrow} b{} {:?}: {how}", c.dest, c.src, c.extents)
+            }
+            Kernel::Gather(g) => {
+                let (verb, arrow) = if g.scatter { ("scatter", "+=>") } else { ("gather", "<-") };
+                writeln!(f, "{pad}{verb} b{} {arrow} b{} by table[{}]", g.dest, g.src, g.table.len())
+            }
+            Kernel::Extern(e) => writeln!(f, "{pad}extern {}{:?}", e.op, e.bufs),
+        }
+    }
 }
 
 /// Lowers a compiled network against an allocated store.
@@ -539,6 +642,16 @@ fn reuse_group(rep: &CGroup, group: &Group, delta: i64, store: &BufferStore) -> 
             param_grad: binding.param_grad,
         });
         buf_names.push(new_name);
+    }
+    // The representative's element programs were scheduled around which
+    // of its bindings overlap; the clone must overlap in the same places.
+    for i in 0..bufs.len() {
+        for j in 0..i {
+            let shared = |b: &[BufBinding]| b[i].storage == b[j].storage;
+            if shared(&bufs) != shared(&rep.bufs) {
+                return None;
+            }
+        }
     }
     let mut gemm_names = Vec::with_capacity(rep.gemm_names.len());
     let mut segments = rep.segments.clone();
@@ -734,6 +847,10 @@ impl GroupLowerer<'_> {
                 }
             }
         }
+        // One spelling per affine function: element programs compare
+        // indices structurally to recognise in-place updates.
+        flat.terms.retain(|&(_, coef)| coef != 0);
+        flat.terms.sort_unstable_by_key(|&(slot, _)| slot);
         let (lo, hi) = flat.range(&self.slot_extents);
         if lo < 0 || hi >= info.per_item as i64 {
             return Err(RuntimeError::Malformed {
@@ -746,47 +863,62 @@ impl GroupLowerer<'_> {
         Ok(CRef { buf, idx: flat })
     }
 
-    fn cexpr(&mut self, e: &Expr, loads: &mut Vec<CRef>) -> Result<CExpr, RuntimeError> {
+    /// Emits `e` into an element program, returning the register that
+    /// holds its value.
+    fn emit(&mut self, e: &Expr, b: &mut elem::Builder) -> Result<Reg, RuntimeError> {
         Ok(match e {
-            Expr::Const(c) => CExpr::Const(*c),
+            Expr::Const(c) => b.constant(*c),
             Expr::Load(r) => {
-                loads.push(self.cref(r)?);
-                CExpr::Load(loads.len() - 1)
+                let src = self.cref(r)?;
+                b.load(src)
             }
-            Expr::Unary(op, x) => CExpr::Un(*op, Box::new(self.cexpr(x, loads)?)),
-            Expr::Binary(op, a, b) => CExpr::Bin(
-                *op,
-                Box::new(self.cexpr(a, loads)?),
-                Box::new(self.cexpr(b, loads)?),
-            ),
+            Expr::Unary(op, x) => {
+                let x = self.emit(x, b)?;
+                b.un(*op, x)
+            }
+            Expr::Binary(op, x, y) => {
+                let x = self.emit(x, b)?;
+                let y = self.emit(y, b)?;
+                b.bin(*op, x, y)
+            }
         })
+    }
+
+    /// Lowers the assignment `a` inside the perfect loop nest `nest`
+    /// (`(slot, extent)`, outermost first; empty for a bare assignment)
+    /// into one element program.
+    fn lower_assign(
+        &mut self,
+        a: &Assign,
+        nest: &[(usize, usize)],
+    ) -> Result<Kernel, RuntimeError> {
+        let mut b = elem::Builder::default();
+        self.emit(&a.value, &mut b)?;
+        let dest = self.cref(&a.dest)?;
+        Ok(Kernel::Elem(b.finish(dest, a.op, nest, self.vectorize, &self.bufs)))
     }
 
     fn lower_stmt(&mut self, stmt: &Stmt) -> Result<Kernel, RuntimeError> {
         match stmt {
             Stmt::For(l) => {
-                let slot = self.slot(&l.var, l.extent);
-                // Innermost single-assign loops get the specialized path.
-                if l.body.len() == 1 {
-                    if let Stmt::Assign(a) = &l.body[0] {
-                        let mut loads = Vec::new();
-                        let expr = self.cexpr(&a.value, &mut loads)?;
-                        let dest = self.cref(&a.dest)?;
-                        let assign = CAssign {
-                            dest,
-                            op: a.op,
-                            expr,
-                            loads,
-                        };
-                        let fast = self.classify_inner(&assign, slot);
-                        return Ok(Kernel::Inner(InnerLoop {
-                            slot,
-                            extent: l.extent,
-                            assign,
-                            fast,
-                        }));
+                // A perfect nest around a single store is one element
+                // program: it walks the rows itself instead of being
+                // re-entered, indices re-evaluated, once per row.
+                let mut nest = vec![l];
+                while let [Stmt::For(inner)] = nest[nest.len() - 1].body.as_slice() {
+                    if nest.iter().any(|outer| outer.var == inner.var) {
+                        break;
                     }
+                    nest.push(inner);
                 }
+                if let [Stmt::Assign(a)] = nest[nest.len() - 1].body.as_slice() {
+                    let nest: Vec<_> = nest
+                        .iter()
+                        .map(|l| (self.slot(&l.var, l.extent), l.extent))
+                        .collect();
+                    return self.lower_assign(a, &nest);
+                }
+                let slot = self.slot(&l.var, l.extent);
                 let body = l
                     .body
                     .iter()
@@ -798,17 +930,7 @@ impl GroupLowerer<'_> {
                     body,
                 })
             }
-            Stmt::Assign(a) => {
-                let mut loads = Vec::new();
-                let expr = self.cexpr(&a.value, &mut loads)?;
-                let dest = self.cref(&a.dest)?;
-                Ok(Kernel::Assign(CAssign {
-                    dest,
-                    op: a.op,
-                    expr,
-                    loads,
-                }))
-            }
+            Stmt::Assign(a) => self.lower_assign(a, &[]),
             Stmt::Gemm(g) => Ok(Kernel::Gemm(self.lower_gemm(g)?)),
             Stmt::Copy(c) => Ok(Kernel::Copy(self.lower_copy(c)?)),
             Stmt::Gather(g) => Ok(Kernel::Gather(CGather {
@@ -832,45 +954,6 @@ impl GroupLowerer<'_> {
                 extent: 0,
                 body: Vec::new(),
             }),
-        }
-    }
-
-    fn classify_inner(&self, a: &CAssign, slot: usize) -> FastKind {
-        if !self.vectorize {
-            return FastKind::Generic;
-        }
-        let dstep = a.dest.idx.coef(slot);
-        match (&a.expr, a.op) {
-            // dest += x[i] * y[i], dest invariant in i.
-            (CExpr::Bin(BinOp::Mul, l, r), AssignOp::Add) if dstep == 0 => {
-                if let (CExpr::Load(i), CExpr::Load(j)) = (l.as_ref(), r.as_ref()) {
-                    if a.loads[*i].idx.coef(slot) == 1 && a.loads[*j].idx.coef(slot) == 1 {
-                        return FastKind::Dot;
-                    }
-                }
-                FastKind::Generic
-            }
-            // dest max= src[i]: max-pooling reduction.
-            (CExpr::Load(i), AssignOp::Max) if dstep == 0 => {
-                if a.loads[*i].idx.coef(slot) == 1 {
-                    FastKind::MaxReduce
-                } else {
-                    FastKind::Generic
-                }
-            }
-            // dest[i] op= f(...) where every load steps by 0 or 1.
-            _ if dstep == 1 => {
-                let ok = a
-                    .loads
-                    .iter()
-                    .all(|l| matches!(l.idx.coef(slot), 0 | 1));
-                if ok {
-                    FastKind::UnitMap
-                } else {
-                    FastKind::Generic
-                }
-            }
-            _ => FastKind::Generic,
         }
     }
 
@@ -1235,6 +1318,8 @@ impl GroupLowerer<'_> {
             op: e.op.clone(),
             f,
             attrs: e.attrs.clone(),
+            per_item: bufs.iter().map(|&i| self.bufs[i].per_item).collect(),
+            batched: bufs.iter().map(|&i| self.bufs[i].batched).collect(),
             bufs,
         })
     }

@@ -227,6 +227,16 @@ pub struct ExecutionPlan {
     arena: bool,
 }
 
+/// The lowered program as text: per group its schedule, buffer table
+/// and segments — whole-batch GEMM shapes, and per-item kernels down to
+/// each element program's instruction list and strip width. What
+/// `latte-explain --kernels` prints and `tests/golden_ir.rs` pins.
+impl std::fmt::Display for ExecutionPlan {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.lowered.fmt(f)
+    }
+}
+
 impl ExecutionPlan {
     pub(crate) fn new(lowered: Plan, layout: Option<&MemoryLayout>) -> Self {
         let n_fwd = lowered.forward.len();

@@ -72,6 +72,9 @@ pub struct WorkerCtx {
     /// The worker's GEMM engine. Packing buffers grow to the largest
     /// shape seen and are reused across iterations.
     pub gemm: Gemm,
+    /// The executor's per-item working storage (loop variables, buffer
+    /// views, element-program columns), grown once and reused.
+    pub(crate) scratch: crate::exec::Scratch,
 }
 
 /// Type-erased job pointer broadcast to workers. The pointed-to closure
@@ -205,7 +208,12 @@ impl WorkerPool {
         });
         let ctxs: Arc<Vec<CtxCell>> = Arc::new(
             (0..threads)
-                .map(|_| CtxCell(UnsafeCell::new(WorkerCtx { gemm: proto.clone() })))
+                .map(|_| {
+                    CtxCell(UnsafeCell::new(WorkerCtx {
+                        gemm: proto.clone(),
+                        scratch: Default::default(),
+                    }))
+                })
                 .collect(),
         );
         let mut handles = Vec::with_capacity(threads.saturating_sub(1));

@@ -29,9 +29,9 @@ pub struct ExternInvocation<'a> {
     /// The current item for per-item calls; `None` for whole-batch calls.
     pub item: Option<usize>,
     /// Per-item element count of each buffer.
-    pub per_item: Vec<usize>,
+    pub per_item: &'a [usize],
     /// Whether each buffer is batched.
-    pub batched: Vec<bool>,
+    pub batched: &'a [bool],
     pub(crate) bufs: Vec<&'a mut [f32]>,
 }
 
@@ -48,8 +48,8 @@ impl<'a> ExternInvocation<'a> {
         attrs: &'a BTreeMap<String, f64>,
         batch: usize,
         item: Option<usize>,
-        per_item: Vec<usize>,
-        batched: Vec<bool>,
+        per_item: &'a [usize],
+        batched: &'a [bool],
         bufs: Vec<&'a mut [f32]>,
     ) -> Self {
         ExternInvocation {
@@ -506,8 +506,9 @@ mod tests {
         batch: usize,
         bufs: Vec<&'a mut [f32]>,
     ) -> ExternInvocation<'a> {
-        let per_item = bufs.iter().map(|b| b.len()).collect();
-        let batched = bufs.iter().map(|_| true).collect();
+        // Leaked: a few bytes per test, for borrows as long-lived as `bufs`.
+        let per_item = Vec::leak(bufs.iter().map(|b| b.len()).collect());
+        let batched = Vec::leak(bufs.iter().map(|_| true).collect());
         ExternInvocation {
             attrs,
             batch,
@@ -633,8 +634,8 @@ mod tests {
             attrs: &attrs,
             batch: 4,
             item: None,
-            per_item: vec![1, 1, 1, 1],
-            batched: vec![true, true, false, false],
+            per_item: &[1, 1, 1, 1],
+            batched: &[true, true, false, false],
             bufs: vec![&mut input, &mut out, &mut mean, &mut var],
         };
         batch_norm_forward(&mut inv).unwrap();

@@ -386,3 +386,87 @@ fn shared_buffers_reduce_memory() {
         without.allocated_elements()
     );
 }
+
+/// A neuron body with more loads than any fixed-size table anticipates
+/// (the pre-strip interpreter sized its offset table for 12 and, in
+/// release, indexed past it): a degree-13 polynomial with one scalar
+/// coefficient field per term — 14 field loads plus the input. It must
+/// lower, match a direct evaluation, and train.
+#[test]
+fn a_neuron_with_fifteen_loads_runs_and_trains() {
+    use latte_core::dsl::{Ensemble, FieldLen, Mapping, NeuronType};
+
+    const TERMS: usize = 14;
+    let coef = |k: usize| 0.5 / ((k + 1) * (k + 1)) as f32 * if k.is_multiple_of(2) { 1.0 } else { -1.0 };
+    let mut builder = NeuronType::builder("Poly13");
+    for k in 0..TERMS {
+        builder = builder.field(format!("c{k}"), FieldLen::Scalar);
+    }
+    let poly = builder
+        .forward(|b| {
+            // Σ c_k · x^k, spelled out term by term (no Horner): every
+            // term loads its own coefficient and `x` again.
+            let x = b.input(0, 0);
+            let mut sum = b.field("c0", 0);
+            let mut power = x.clone();
+            for k in 1..TERMS {
+                sum = sum.add(b.field(&format!("c{k}"), 0).mul(power.clone()));
+                power = power.mul(x.clone());
+            }
+            b.assign(b.value(), sum);
+        })
+        .backward(|b| {
+            // Σ k · c_k · x^(k-1)
+            let x = b.input(0, 0);
+            let mut deriv = b.field("c1", 0);
+            let mut power = x.clone();
+            for k in 2..TERMS {
+                let term = b.field(&format!("c{k}"), 0).mul(power.clone());
+                deriv = deriv.add(b.lit(k as f32).mul(term));
+                power = power.mul(x.clone());
+            }
+            b.accumulate(b.grad_input(0, 0), b.grad_expr().mul(deriv));
+        })
+        .build();
+
+    let (batch, width) = (4, 6);
+    for (tag, opt) in [("none", OptLevel::none()), ("full", OptLevel::full())] {
+        let mut net = Net::new(batch);
+        let d = data(&mut net, "data", vec![width]);
+        let fc1 = fully_connected(&mut net, "fc1", d, width, 3);
+        let mut ens = Ensemble::new("poly", vec![width], poly.clone());
+        for k in 0..TERMS {
+            ens = ens.with_field(format!("c{k}"), vec![false], Tensor::full(vec![width, 1], coef(k)));
+        }
+        let p = net.add(ens);
+        net.connect(fc1, p, Mapping::one_to_one());
+        let fc2 = fully_connected(&mut net, "fc2", p, width, 4);
+        let target = data(&mut net, "target", vec![width]);
+        layers::l2_loss(&mut net, "loss", fc2, target);
+
+        let mut exec = Executor::new(compile(&net, &opt).unwrap()).unwrap();
+        let input = seeded(batch * width, 9);
+        exec.set_input("data", &input).unwrap();
+        exec.set_input("target", &input).unwrap();
+        exec.forward();
+        let x = exec.read_buffer("fc1.value").unwrap();
+        let y = exec.read_buffer("poly.value").unwrap();
+        for (i, (x, y)) in x.iter().zip(&y).enumerate() {
+            let want: f32 = (0..TERMS).map(|k| coef(k) * x.powi(k as i32)).sum();
+            assert!((y - want).abs() < 1e-4, "[{tag}] element {i}: {y} vs {want}");
+        }
+        let before = exec.loss();
+        for _ in 0..10 {
+            exec.forward();
+            exec.backward();
+            exec.for_each_param_mut(|v, g, lr_mult| {
+                for (vi, gi) in v.iter_mut().zip(g) {
+                    *vi -= 0.01 * lr_mult * gi;
+                }
+            });
+        }
+        exec.forward();
+        let after = exec.loss();
+        assert!(after < before, "[{tag}] loss {before} -> {after}");
+    }
+}

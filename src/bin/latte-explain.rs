@@ -5,13 +5,19 @@
 //! the paper's Figures 9, 10, and 12.
 //!
 //! ```text
-//! cargo run --release --bin latte-explain -- [convblock|mlp|lenet|lstm] [--diff-only]
+//! cargo run --release --bin latte-explain -- [convblock|mlp|lenet|lstm] [--kernels]
 //! ```
+//!
+//! `--kernels` prints instead what the runtime lowers the fully
+//! optimized program to: per group its segments, GEMM shapes, and every
+//! element program's instruction list, schedule and strip width.
 
 use latte::core::dsl::Net;
 use latte::core::{compile, OptLevel};
 use latte::nn::layers::{convolution, data, fully_connected, max_pool, relu, softmax_loss, ConvSpec};
 use latte::nn::models::{lenet, mlp, ModelConfig};
+use latte::runtime::registry::KernelRegistry;
+use latte::runtime::{CompiledProgram, ExecConfig};
 
 fn convblock() -> Net {
     let mut net = Net::new(2);
@@ -75,6 +81,22 @@ fn main() {
             std::process::exit(2);
         }
     };
+    if args.iter().any(|a| a == "--kernels") {
+        let lowered = compile(&net, &OptLevel::full())
+            .map_err(|e| e.to_string())
+            .and_then(|c| {
+                CompiledProgram::lower(c, &KernelRegistry::with_builtins(), ExecConfig::default())
+                    .map_err(|e| e.to_string())
+            });
+        match lowered {
+            Ok(program) => print!("{}", program.plan()),
+            Err(e) => {
+                eprintln!("lowering failed: {e}");
+                std::process::exit(1);
+            }
+        }
+        return;
+    }
     let stages: Vec<(&str, OptLevel)> = vec![
         ("synthesized (analysis only)", OptLevel::none()),
         (

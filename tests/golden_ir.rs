@@ -1,6 +1,9 @@
 //! Golden-IR snapshots: the compiled program text for two small
 //! reference nets, at the two extreme optimization levels, checked into
-//! `tests/golden/` and diffed on every CI run.
+//! `tests/golden/` and diffed on every CI run — and, one stage further
+//! down, the *lowered kernel program* the runtime executes for the conv
+//! net and for one LSTM step at full optimization (`*.kernels.txt`: what
+//! `latte-explain --kernels` prints).
 //!
 //! A pipeline refactor that accidentally changes *what* the compiler
 //! emits — reordered groups, lost annotations, different loop structure —
@@ -16,6 +19,8 @@ use latte::core::{compile, CompiledNet, OptLevel};
 use latte::nn::layers::{
     convolution, data, fully_connected, max_pool, relu, softmax_loss, ConvSpec,
 };
+use latte::runtime::registry::KernelRegistry;
+use latte::runtime::{CompiledProgram, ExecConfig};
 
 /// data[6] → fc4 → relu → fc3 → softmax loss, batch 2.
 fn mlp_ref() -> Net {
@@ -43,6 +48,34 @@ fn conv_ref() -> Net {
     net
 }
 
+/// One LSTM step (input 4, hidden 3) with a 2-way head, batch 2: the
+/// gate nonlinearities and their derivatives are the element programs
+/// with something to schedule (`g * (1 - v*v)`, `g * (v * (1 - v))`).
+fn lstm_step_ref() -> Net {
+    let mut step = Net::new(2);
+    let x = data(&mut step, "x", vec![4]);
+    latte::nn::rnn::lstm(&mut step, "lstm", x, 3, 1);
+    let mut net = step.unroll(1);
+    let last = net.find("lstm_h@t0").expect("the unrolled step has an output");
+    let head = fully_connected(&mut net, "head", last, 2, 5);
+    let label = data(&mut net, "label", vec![1]);
+    softmax_loss(&mut net, "loss", head, label);
+    net
+}
+
+/// The lowered kernel program, as `latte-explain --kernels` prints it.
+fn render_kernels(net: &CompiledNet) -> String {
+    let cfg = ExecConfig {
+        threads: 1,
+        arena: false,
+        gemm_blocking: None,
+    };
+    CompiledProgram::lower(net.clone(), &KernelRegistry::with_builtins(), cfg)
+        .expect("reference net lowers")
+        .plan()
+        .to_string()
+}
+
 /// The same textual format `LATTE_DUMP_IR` writes: buffer table, then
 /// both phases.
 fn render(net: &CompiledNet) -> String {
@@ -56,6 +89,10 @@ fn render(net: &CompiledNet) -> String {
 }
 
 fn check(name: &str, net: &Net, opt: &OptLevel) {
+    check_rendered(name, net, opt, render);
+}
+
+fn check_rendered(name: &str, net: &Net, opt: &OptLevel, render: fn(&CompiledNet) -> String) {
     let compiled = compile(net, opt).expect("reference net compiles");
     let actual = render(&compiled);
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -117,4 +154,14 @@ fn conv_none_matches_golden() {
 #[test]
 fn conv_full_matches_golden() {
     check("conv-full", &conv_ref(), &OptLevel::full());
+}
+
+#[test]
+fn conv_full_kernels_match_golden() {
+    check_rendered("conv-full.kernels", &conv_ref(), &OptLevel::full(), render_kernels);
+}
+
+#[test]
+fn lstm_step_full_kernels_match_golden() {
+    check_rendered("lstm-step-full.kernels", &lstm_step_ref(), &OptLevel::full(), render_kernels);
 }
