@@ -140,7 +140,7 @@ fn write_escaped(out: &mut String, s: &str) {
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing content at byte {pos}"));
@@ -163,8 +163,16 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Containers may nest this deep. The parser recurses once per level,
+/// so without a limit a few thousand `[` overflow the stack; bench
+/// artifacts nest four or five levels.
+const MAX_DEPTH: usize = 64;
+
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
+    if depth > MAX_DEPTH {
+        return Err(format!("nested deeper than {MAX_DEPTH} levels at byte {}", *pos));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'{') => {
@@ -180,7 +188,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, b':')?;
-                map.insert(key, parse_value(b, pos)?);
+                map.insert(key, parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -201,7 +209,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -284,6 +292,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn roundtrips_nested_document() {
@@ -329,5 +338,74 @@ mod tests {
     fn integers_render_without_exponent() {
         assert_eq!(Json::Num(512.0).render(), "512\n");
         assert!(Json::Num(f64::NAN).render().starts_with("null"));
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_recursed_into() {
+        let at_limit = format!("{}1{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        let past_it = format!("{}1{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&past_it).expect_err("too deep").contains("nested deeper"));
+        // Deep enough to overflow the stack if the parser recursed.
+        for open in ["[", "{\"k\":"] {
+            assert!(parse(&open.repeat(200_000)).is_err());
+        }
+    }
+
+    /// What a hostile artifact is made of: structure, string and escape
+    /// syntax, number syntax, literals and their prefixes, multi-byte
+    /// characters.
+    const FRAGMENTS: [&str; 28] = [
+        "{", "}", "[", "]", ":", ",", "\"", "\\", "\\u", "\\ud800", "\\u00e9", "\\n", "\\x", " ", "\n",
+        "0", "-", "+", ".", "e", "1e999", "true", "tru", "false", "null", "nul", "\u{e9}", "\u{1f600}",
+    ];
+
+    fn document() -> String {
+        Json::obj([
+            ("schema", Json::Str("latte-throughput/v1".into())),
+            ("rows", Json::Arr(vec![Json::obj([("m", Json::Num(512.0)), ("ok", Json::Bool(true))])])),
+            ("label", Json::Str("a \"quoted\" \u{e9}\n".into())),
+            ("nothing", Json::Null),
+        ])
+        .render()
+    }
+
+    /// Whatever `parse` accepts it can render and read back.
+    fn answers(text: &str) -> Result<(), TestCaseError> {
+        if let Ok(value) = parse(text) {
+            let rendered = value.render();
+            prop_assert!(parse(&rendered).is_ok(), "accepted {text:?}, rejected its rendering {rendered:?}");
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Fuzz: arbitrary bytes (read as text the way a file would be),
+        /// arbitrary runs of JSON's own syntax, and both spliced into a
+        /// valid document at any character boundary, get a value or an
+        /// error from `parse` — never a panic or a stack overflow.
+        #[test]
+        fn parse_answers_arbitrary_text(
+            bytes in proptest::collection::vec((0u16..256).prop_map(|b| b as u8), 0..64),
+            picks in proptest::collection::vec(0usize..FRAGMENTS.len(), 0..24),
+            at in 0usize..10_000,
+            cut in 0usize..40,
+        ) {
+            let raw = String::from_utf8_lossy(&bytes).into_owned();
+            let syntax: String = picks.iter().map(|&p| FRAGMENTS[p]).collect();
+            answers(&raw)?;
+            answers(&syntax)?;
+            let doc = document();
+            let boundaries: Vec<usize> = doc.char_indices().map(|(i, _)| i).chain([doc.len()]).collect();
+            let from = boundaries[at % boundaries.len()];
+            let to = boundaries[(at % boundaries.len() + cut).min(boundaries.len() - 1)];
+            for fragment in [&raw, &syntax] {
+                // Inserted, and replacing up to `cut` characters.
+                answers(&format!("{}{fragment}{}", &doc[..from], &doc[from..]))?;
+                answers(&format!("{}{fragment}{}", &doc[..from], &doc[to..]))?;
+            }
+        }
     }
 }

@@ -25,8 +25,10 @@ use std::path::Path;
 
 use crate::error::RuntimeError;
 use crate::exec::Executor;
+pub use crate::frame::tmp_path;
 use crate::frame::{
-    crc32, put_f32_vec, put_f32s_le, put_str, put_u32, put_u64, verify, ReadError, Reader, CRC_LEN,
+    crc32, put_f32_vec, put_f32s_le, put_str, put_u32, put_u64, read_sealed_file,
+    write_sealed_file, ReadError, Reader,
 };
 use crate::solver::SolverState;
 
@@ -127,25 +129,9 @@ pub fn save_checkpoint_full(
             }
         }
     }
-    let crc = crc32(&payload);
-
-    let tmp = tmp_path(path);
-    let write = |dst: &Path| -> std::io::Result<()> {
-        use std::io::Write;
-        let mut file = std::fs::File::create(dst)?;
-        file.write_all(MAGIC)?;
-        file.write_all(&payload)?;
-        file.write_all(&crc.to_le_bytes())?;
-        file.sync_all()
-    };
-    write(&tmp).map_err(|e| RuntimeError::io(format!("writing checkpoint `{}`", tmp.display()), e))?;
-    std::fs::rename(&tmp, path).map_err(|e| {
-        RuntimeError::io(
-            format!("committing checkpoint `{}` into place", path.display()),
-            e,
-        )
-    })?;
-    Ok(())
+    let crc = crc32(&payload).to_le_bytes();
+    write_sealed_file(path, &[MAGIC, &payload, &crc])
+        .map_err(|e| RuntimeError::io(format!("writing checkpoint `{}`", path.display()), e))
 }
 
 /// Restores parameters saved by [`save_params`]/[`save_checkpoint`] into
@@ -212,24 +198,12 @@ struct Parsed {
 /// any payload byte is interpreted), then the payload. The error is the
 /// reason, to be prefixed with the file's name.
 fn parse_checkpoint(bytes: &[u8]) -> Result<Parsed, String> {
-    if bytes.len() < MAGIC.len() + 4 + CRC_LEN {
-        return Err(format!(
-            "is truncated ({} bytes — too short for header and checksum)",
-            bytes.len()
-        ));
-    }
-    let (magic, rest) = bytes.split_at(MAGIC.len());
-    if magic == MAGIC_V1 {
+    if bytes.starts_with(MAGIC_V1) {
         return Err(
             "uses the legacy un-checksummed v1 format; re-save it with this version".into(),
         );
     }
-    if magic != MAGIC {
-        return Err("is not a latte checkpoint (bad magic)".into());
-    }
-    let payload = verify(rest).map_err(|e| {
-        format!("failed its integrity check ({e}); the file is truncated or corrupted")
-    })?;
+    let payload = read_sealed_file(bytes, MAGIC, false)?;
     parse_payload(payload).map_err(|e| format!("payload {e}"))
 }
 
@@ -266,17 +240,6 @@ fn parse_payload(payload: &[u8]) -> Result<Parsed, ReadError> {
         None
     };
     Ok(Parsed { meta, params, solver })
-}
-
-/// Sibling temporary path used by the atomic write. Exposed for tests
-/// that simulate a crash mid-write.
-pub fn tmp_path(path: &Path) -> std::path::PathBuf {
-    let mut name = path
-        .file_name()
-        .map(|n| n.to_os_string())
-        .unwrap_or_else(|| "checkpoint".into());
-    name.push(".tmp");
-    path.with_file_name(name)
 }
 
 #[cfg(test)]

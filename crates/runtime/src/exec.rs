@@ -16,9 +16,15 @@
 //!
 //! All threaded work — parallel per-item groups and partitioned batched
 //! GEMMs — runs on one persistent [`WorkerPool`] created with the
-//! executor; nothing on the per-iteration path spawns threads, and
-//! running a `(group, item)` allocates nothing — each worker keeps a
-//! [`Scratch`] (loop variables, buffer views, element-program columns).
+//! executor; nothing on the per-iteration path spawns threads or
+//! allocates: each worker keeps a [`Scratch`] (loop variables, buffer
+//! views, element-program columns, a per-call transfer's run list), and
+//! a parallel group's gradient-lane layout was fixed at lowering
+//! (`CGroup::grad_spans`).
+//!
+//! This module dispatches and drives phases; it moves no buffer element
+//! itself. Element loops run in [`crate::elem`], data-copies and
+//! gathers in [`crate::transfer`], GEMMs in `latte-tensor`.
 //!
 //! # Safety architecture
 //!
@@ -29,23 +35,23 @@
 //! slice; unbatched parameter buffers are only read; unbatched gradient
 //! buffers are either executed single-threaded or redirected to
 //! thread-private scratch. Lowering additionally proves every compiled
-//! index in-bounds for all loop values, so the hot path uses
-//! `debug_assert`-checked accesses.
+//! index — and builds every transfer's run list — in-bounds for all loop
+//! values, so the hot path uses `debug_assert`-checked accesses.
 
 use std::sync::Arc;
 
 use latte_core::{CompiledNet, ParamBinding};
-use latte_ir::AssignOp;
 use latte_tensor::gemm::{Gemm, Transpose};
 
 use crate::elem::{self, Columns};
 use crate::error::RuntimeError;
 use crate::health::{scan_slice, BufferAnomaly, SentinelMode};
-use crate::lower::{BatchedGemm, CCopy, CExtern, CGather, CGemm, CGroup, Kernel, Segment};
+use crate::lower::{BatchedGemm, CExtern, CGemm, CGroup, Kernel, Segment};
 use crate::plan::ExecutionPlan;
 use crate::pool::{WorkerCtx, WorkerPool, GRAD_LANES};
 use crate::registry::{ExternInvocation, KernelRegistry};
 use crate::store::BufferStore;
+use crate::transfer;
 
 /// Execution configuration.
 #[derive(Debug, Clone, Copy)]
@@ -113,29 +119,14 @@ pub(crate) struct RawBuf {
 
 impl RawBuf {
     #[inline]
-    fn read(&self, i: i64) -> f32 {
-        debug_assert!(i >= 0 && (i as usize) < self.len, "read {i} of {}", self.len);
-        unsafe { *self.ptr.add(i as usize) }
-    }
-
-    #[inline]
-    fn write(&self, i: i64, op: AssignOp, v: f32) {
-        debug_assert!(i >= 0 && (i as usize) < self.len, "write {i} of {}", self.len);
-        unsafe {
-            let p = self.ptr.add(i as usize);
-            *p = op.apply(*p, v);
-        }
-    }
-
-    #[inline]
-    fn slice(&self, start: i64, len: usize) -> &[f32] {
+    pub(crate) fn slice(&self, start: i64, len: usize) -> &[f32] {
         debug_assert!(start >= 0 && start as usize + len <= self.len);
         unsafe { std::slice::from_raw_parts(self.ptr.add(start as usize), len) }
     }
 
     #[inline]
     #[allow(clippy::mut_from_ref)]
-    fn slice_mut(&self, start: i64, len: usize) -> &mut [f32] {
+    pub(crate) fn slice_mut(&self, start: i64, len: usize) -> &mut [f32] {
         debug_assert!(start >= 0 && start as usize + len <= self.len);
         unsafe { std::slice::from_raw_parts_mut(self.ptr.add(start as usize), len) }
     }
@@ -144,12 +135,14 @@ impl RawBuf {
 /// What running one `(group, item)` needs besides the plan and the
 /// store, kept per worker so the per-item path allocates nothing: the
 /// loop-variable values, the item's buffer views, the element programs'
-/// register columns, and the view list an extern kernel is handed.
+/// register columns, a per-call transfer's run list, and the view list
+/// an extern kernel is handed.
 #[derive(Default)]
 pub(crate) struct Scratch {
     env: Vec<i64>,
     frame: Vec<RawBuf>,
     columns: Columns,
+    transfer: transfer::Work,
     /// Always empty between calls; only its allocation is kept.
     views: Vec<&'static mut [f32]>,
 }
@@ -176,10 +169,6 @@ fn recycle(mut views: Vec<&mut [f32]>) -> Vec<&'static mut [f32]> {
     unsafe { Vec::from_raw_parts(views.as_mut_ptr().cast(), 0, views.capacity()) }
 }
 
-/// Parallel-worker buffer redirection: storage indices to replace, and
-/// their replacement `(pointer, length)` pairs.
-type RedirectTable<'a> = (&'a [usize], &'a [(*mut f32, usize)]);
-
 /// What every batch item of one per-item segment shares.
 #[derive(Clone, Copy)]
 struct ItemSegment<'a> {
@@ -192,44 +181,32 @@ struct ItemSegment<'a> {
 }
 
 /// Runs a per-item segment's kernels for one batch item on `ctx`'s
-/// scratch.
+/// scratch. With `lane`, the group's parameter-gradient storages are
+/// redirected to their spans (`CGroup::grad_spans`) of that gradient
+/// lane's scratch.
 ///
 /// # Safety
 ///
 /// `seg.base` must point at the store's live `Vec<f32>` storages with no
-/// other active borrows; the caller must guarantee the disjointness
-/// invariants described in the module docs.
-unsafe fn run_item(
-    ctx: &mut WorkerCtx,
-    seg: ItemSegment<'_>,
-    item: usize,
-    redirect: Option<RedirectTable<'_>>,
-) {
-    let ItemSegment {
-        base,
-        g,
-        kernels,
-        batch,
-        n_slots,
-    } = seg;
-    let Scratch {
-        env,
-        frame,
-        columns,
-        views,
-    } = &mut ctx.scratch;
+/// other active borrows, `lane` at scratch as long as the group's spans;
+/// the caller must guarantee the disjointness invariants described in
+/// the module docs.
+unsafe fn run_item(ctx: &mut WorkerCtx, seg: ItemSegment<'_>, item: usize, lane: Option<*mut f32>) {
+    let ItemSegment { base, g, kernels, batch, n_slots } = seg;
+    let Scratch { env, frame, .. } = &mut ctx.scratch;
     if env.len() < n_slots {
         env.resize(n_slots, 0);
     }
     frame.clear();
     frame.extend(g.bufs.iter().map(|b| {
-        let (ptr, len) = match &redirect {
-            Some((storages, scratch)) if b.param_grad => {
-                let pos = storages
+        let (ptr, len) = match lane {
+            Some(lane) if b.param_grad => {
+                let &(_, offset, len) = g
+                    .grad_spans
                     .iter()
-                    .position(|&s| s == b.storage)
-                    .expect("redirected storage present");
-                scratch[pos]
+                    .find(|span| span.0 == b.storage)
+                    .expect("a span per parameter-gradient storage");
+                (lane.add(offset), len)
             }
             _ => {
                 let s = &mut *base.add(b.storage);
@@ -245,29 +222,17 @@ unsafe fn run_item(
             RawBuf { ptr, len }
         }
     }));
-    let mut cx = ItemCx {
-        env,
-        frame,
-        columns,
-        views,
-        gemm: &mut ctx.gemm,
-        batch,
-        item,
-    };
+    let mut cx = ItemCx { ctx, batch, item };
     for k in kernels {
         exec_kernel(k, &mut cx);
     }
 }
 
-/// One batch item's execution state: the worker's scratch, its GEMM
+/// One batch item's execution state: the worker's scratch and GEMM
 /// engine (packing buffers reused across items and iterations), and
 /// where in the batch it is.
 struct ItemCx<'a> {
-    env: &'a mut [i64],
-    frame: &'a [RawBuf],
-    columns: &'a mut Columns,
-    views: &'a mut Vec<&'static mut [f32]>,
-    gemm: &'a mut Gemm,
+    ctx: &'a mut WorkerCtx,
     batch: usize,
     item: usize,
 }
@@ -841,32 +806,17 @@ impl Executor {
     /// scratch is pool-owned: zeroed per group, never reallocated.
     fn run_items_parallel(&mut self, seg: ItemSegment<'_>) {
         let (g, batch) = (seg.g, seg.batch);
-        let pg_storages: Vec<usize> = {
-            let mut v: Vec<usize> = g
-                .bufs
-                .iter()
-                .filter(|b| b.param_grad)
-                .map(|b| b.storage)
-                .collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
-        let sizes: Vec<usize> = pg_storages
-            .iter()
-            .map(|&s| self.store.storages[s].len())
-            .collect();
         // Lane count is capped by the batch (tail lanes would be empty)
         // but NEVER depends on the thread count.
         let n_lanes = GRAD_LANES.min(batch.max(1));
-        let lane_scratch = self.pool.lane_scratch(n_lanes, &sizes);
+        let lane_len = g.grad_spans.last().map_or(0, |&(_, offset, len)| offset + len);
+        let lanes = self.pool.lane_scratch(n_lanes, lane_len);
 
         /// Everything the item job needs, bundled so one `unsafe impl
-        /// Sync` covers the raw pointers (base storage + lane spans).
+        /// Sync` covers the raw pointers (base storage + lane scratch).
         struct ItemJob<'a> {
             seg: ItemSegment<'a>,
-            pg: &'a [usize],
-            lanes: &'a [Vec<(*mut f32, usize)>],
+            lanes: [*mut f32; GRAD_LANES],
             n_lanes: usize,
             nt: usize,
         }
@@ -877,8 +827,7 @@ impl Executor {
 
         let job = ItemJob {
             seg,
-            pg: &pg_storages,
-            lanes: &lane_scratch,
+            lanes,
             n_lanes,
             nt: self.pool.threads(),
         };
@@ -890,12 +839,11 @@ impl Executor {
         fn run_lanes(j: &ItemJob<'_>, ctx: &mut WorkerCtx, first: usize, step: usize) {
             let mut lane = first;
             while lane < j.n_lanes {
-                let scratch = &j.lanes[lane];
                 let mut item = lane;
                 while item < j.seg.batch {
-                    // SAFETY: see module docs; this lane's scratch
-                    // pointers are exclusive to this worker.
-                    unsafe { run_item(ctx, j.seg, item, Some((j.pg, scratch.as_slice()))) };
+                    // SAFETY: see module docs; this lane's scratch is
+                    // exclusive to this worker.
+                    unsafe { run_item(ctx, j.seg, item, Some(j.lanes[lane])) };
                     item += j.n_lanes;
                 }
                 lane += step;
@@ -911,13 +859,12 @@ impl Executor {
 
         // Synchronized reduction, folding lanes in lane order — the same
         // association for every thread count.
-        for (si, &storage) in pg_storages.iter().enumerate() {
+        for &(storage, offset, len) in &g.grad_spans {
             let main = &mut self.store.storages[storage];
-            for lane in &lane_scratch {
-                let (ptr, len) = lane[si];
+            for &lane in &lanes[..n_lanes] {
                 // SAFETY: the job finished; the caller again has exclusive
-                // access to every lane span.
-                let s = unsafe { std::slice::from_raw_parts(ptr, len) };
+                // access to every lane, each `lane_len` long.
+                let s = unsafe { std::slice::from_raw_parts(lane.add(offset), len) };
                 for (m, v) in main.iter_mut().zip(s) {
                     *m += v;
                 }
@@ -973,10 +920,11 @@ impl Executor {
 
 /// Executes one kernel for one batch item.
 fn exec_kernel(k: &Kernel, cx: &mut ItemCx<'_>) {
+    let Scratch { env, frame, columns, transfer, views } = &mut cx.ctx.scratch;
     match k {
         Kernel::Loop { slot, extent, body } => {
             for v in 0..*extent {
-                cx.env[*slot] = v as i64;
+                cx.ctx.scratch.env[*slot] = v as i64;
                 for k in body {
                     exec_kernel(k, cx);
                 }
@@ -986,26 +934,25 @@ fn exec_kernel(k: &Kernel, cx: &mut ItemCx<'_>) {
         // lowering proved every reference of the program in bounds for
         // all loop values, and the item owns what it writes (module
         // docs).
-        Kernel::Elem(p) => unsafe { elem::run(p, cx.env, cx.frame, cx.columns) },
-        Kernel::Gemm(gm) => exec_gemm(gm, cx.env, cx.frame, cx.gemm),
-        Kernel::Copy(c) => exec_copy(c, cx.env, cx.frame),
-        Kernel::Gather(ga) => exec_gather(ga, cx.frame),
+        Kernel::Elem(p) => unsafe { elem::run(p, env, frame, columns) },
+        Kernel::Gemm(gm) => exec_gemm(gm, env, frame, &mut cx.ctx.gemm),
+        // SAFETY: as for element programs; lowering built every run list
+        // inside the two bindings' per-item spans and checked that the
+        // two are different storages.
+        Kernel::Transfer(t) => unsafe { t.run(env, frame, transfer) },
         Kernel::Extern(e) => {
-            let mut views: Vec<&mut [f32]> = std::mem::take(cx.views);
-            views.extend(e.bufs.iter().map(|&i| {
-                let b = &cx.frame[i];
-                b.slice_mut(0, b.len)
-            }));
+            let mut bufs: Vec<&mut [f32]> = std::mem::take(views);
+            bufs.extend(e.bufs.iter().map(|&i| frame[i].slice_mut(0, frame[i].len)));
             let mut inv = ExternInvocation {
                 attrs: &e.attrs,
                 batch: cx.batch,
                 item: Some(cx.item),
                 per_item: &e.per_item,
                 batched: &e.batched,
-                bufs: views,
+                bufs,
             };
             (e.f)(&mut inv).expect("extern kernel failed");
-            *cx.views = recycle(inv.bufs);
+            *views = recycle(inv.bufs);
         }
     }
 }
@@ -1020,336 +967,4 @@ fn exec_gemm(g: &CGemm, env: &[i64], frame: &[RawBuf], engine: &mut Gemm) {
     let ta = if g.ta { Transpose::Yes } else { Transpose::No };
     let tb = if g.tb { Transpose::Yes } else { Transpose::No };
     engine.compute(ta, tb, g.m, g.n, g.k, a, b, c);
-}
-
-fn exec_copy(c: &CCopy, env: &[i64], frame: &[RawBuf]) {
-    if let Some(table) = &c.programs {
-        // Mixed-radix program lookup over the offset slots.
-        let mut idx = 0usize;
-        for (&slot, &ext) in table.slots.iter().zip(&table.extents) {
-            idx = idx * ext + env[slot] as usize;
-        }
-        exec_copy_program(c, &table.programs[idx], frame);
-        return;
-    }
-    let offsets: Vec<i64> = c.offsets.iter().map(|o| o.eval(env)).collect();
-    if c.never_oob {
-        exec_copy_fast(c, &offsets, frame);
-        return;
-    }
-    exec_copy_clipped(c, &offsets, frame);
-}
-
-/// Executes a precompiled transfer program: the fastest path — every
-/// clipping decision was made at lowering.
-fn exec_copy_program(
-    c: &CCopy,
-    prog: &crate::lower::CopyProgram,
-    frame: &[RawBuf],
-) {
-    let dest = &frame[c.dest];
-    let src = &frame[c.src];
-    let contiguous = prog.s_step == 1 && prog.d_step == 1;
-    if c.scatter {
-        for r in &prog.runs {
-            if r.len == 0 {
-                continue;
-            }
-            let d0 = r.d_off + r.pre as i64 * prog.d_step;
-            if contiguous {
-                let d = dest.slice(d0, r.len as usize);
-                let s = src.slice_mut(r.s_off, r.len as usize);
-                for (sv, dv) in s.iter_mut().zip(d) {
-                    *sv += dv;
-                }
-            } else {
-                let (mut so, mut do_) = (r.s_off, d0);
-                for _ in 0..r.len {
-                    src.write(so, AssignOp::Add, dest.read(do_));
-                    so += prog.s_step;
-                    do_ += prog.d_step;
-                }
-            }
-        }
-    } else {
-        for r in &prog.runs {
-            let mut do_ = r.d_off;
-            if prog.d_step == 1 {
-                if r.pre > 0 {
-                    dest.slice_mut(do_, r.pre as usize).fill(0.0);
-                    do_ += r.pre as i64;
-                }
-                if r.len > 0 {
-                    if prog.s_step == 1 {
-                        let s = src.slice(r.s_off, r.len as usize);
-                        dest.slice_mut(do_, r.len as usize).copy_from_slice(s);
-                    } else {
-                        let mut so = r.s_off;
-                        let d = dest.slice_mut(do_, r.len as usize);
-                        for dv in d {
-                            *dv = src.read(so);
-                            so += prog.s_step;
-                        }
-                    }
-                    do_ += r.len as i64;
-                }
-                if r.post > 0 {
-                    dest.slice_mut(do_, r.post as usize).fill(0.0);
-                }
-            } else {
-                for _ in 0..r.pre {
-                    dest.write(do_, AssignOp::Set, 0.0);
-                    do_ += prog.d_step;
-                }
-                let mut so = r.s_off;
-                for _ in 0..r.len {
-                    dest.write(do_, AssignOp::Set, src.read(so));
-                    so += prog.s_step;
-                    do_ += prog.d_step;
-                }
-                for _ in 0..r.post {
-                    dest.write(do_, AssignOp::Set, 0.0);
-                    do_ += prog.d_step;
-                }
-            }
-        }
-    }
-}
-
-/// General copy with zero padding: an odometer over the outer dimensions
-/// with incrementally maintained per-source-dimension indices; the
-/// innermost dimension is clipped to its valid interval analytically
-/// (every source index is affine in the inner counter).
-#[allow(clippy::needless_range_loop)] // walks several parallel index arrays
-fn exec_copy_clipped(c: &CCopy, offsets: &[i64], frame: &[RawBuf]) {
-    let ndd = c.extents.len();
-    let nsd = c.src_dims.len();
-    let dest = &frame[c.dest];
-    let src = &frame[c.src];
-    let last = ndd - 1;
-    let inner = c.extents[last] as i64;
-    let d_step = c.dest_strides[last] as i64;
-    let s_flat_step = c.flat_stride[last];
-
-    // Per-source-dim index at the counter origin (g = offsets).
-    let mut sidx = vec![0i64; nsd];
-    for (s, si) in sidx.iter_mut().enumerate() {
-        *si = c.src_base[s]
-            + offsets
-                .iter()
-                .enumerate()
-                .map(|(d, &o)| c.coefs[s][d] * o)
-                .sum::<i64>();
-    }
-    let mut d_off: i64 = offsets
-        .iter()
-        .zip(&c.dest_strides)
-        .map(|(&o, &st)| o * st as i64)
-        .sum();
-    // Maintain the flat source offset incrementally alongside sidx.
-    let mut s_base: i64 = (0..nsd).map(|s| sidx[s] * c.src_strides[s] as i64).sum();
-
-    let outer: usize = c.extents[..last].iter().product();
-    let mut ctr = vec![0usize; last];
-    for _ in 0..outer.max(1) {
-        // Valid inner interval [lo, hi): intersect per-dimension
-        // constraints 0 <= sidx[s] + coef*i < dims[s]. Coefficients are
-        // almost always 0 or ±1, so divisions are the cold path.
-        let mut lo = 0i64;
-        let mut hi = inner;
-        for s in 0..nsd {
-            let coef = c.coefs[s][last];
-            let v = sidx[s];
-            let dim = c.src_dims[s] as i64;
-            match coef {
-                0 => {
-                    if v < 0 || v >= dim {
-                        hi = 0;
-                        break;
-                    }
-                }
-                1 => {
-                    lo = lo.max(-v);
-                    hi = hi.min(dim - v);
-                }
-                -1 => {
-                    hi = hi.min(v + 1);
-                    lo = lo.max(v - dim + 1);
-                }
-                coef if coef > 0 => {
-                    lo = lo.max(div_ceil_i64(-v, coef));
-                    hi = hi.min(div_ceil_i64(dim - v, coef));
-                }
-                coef => {
-                    let nc = -coef;
-                    hi = hi.min(v / nc + 1);
-                    lo = lo.max(div_ceil_i64(v - dim + 1, nc));
-                }
-            }
-        }
-        let lo = lo.clamp(0, inner);
-        let hi = hi.clamp(lo, inner);
-        let s_off0: i64 = s_base;
-        if c.scatter {
-            if hi > lo {
-                let (mut so, mut do_) = (s_off0 + lo * s_flat_step, d_off + lo * d_step);
-                if s_flat_step == 1 && d_step == 1 {
-                    let d = dest.slice(do_, (hi - lo) as usize);
-                    let s = src.slice_mut(so, (hi - lo) as usize);
-                    for (sv, dv) in s.iter_mut().zip(d) {
-                        *sv += dv;
-                    }
-                } else {
-                    for _ in lo..hi {
-                        src.write(so, AssignOp::Add, dest.read(do_));
-                        so += s_flat_step;
-                        do_ += d_step;
-                    }
-                }
-            }
-        } else {
-            // Pad, copy, pad.
-            let mut do_ = d_off;
-            for _ in 0..lo {
-                dest.write(do_, AssignOp::Set, 0.0);
-                do_ += d_step;
-            }
-            if hi > lo {
-                if s_flat_step == 1 && d_step == 1 {
-                    let s = src.slice(s_off0 + lo, (hi - lo) as usize);
-                    dest.slice_mut(do_, (hi - lo) as usize).copy_from_slice(s);
-                    do_ += hi - lo;
-                } else {
-                    let mut so = s_off0 + lo * s_flat_step;
-                    for _ in lo..hi {
-                        dest.write(do_, AssignOp::Set, src.read(so));
-                        so += s_flat_step;
-                        do_ += d_step;
-                    }
-                }
-            }
-            for _ in hi..inner {
-                dest.write(do_, AssignOp::Set, 0.0);
-                do_ += d_step;
-            }
-        }
-        // Advance the outer odometer, updating sidx, s_base, and d_off.
-        let mut d = last;
-        while d > 0 {
-            d -= 1;
-            ctr[d] += 1;
-            d_off += c.dest_strides[d] as i64;
-            s_base += c.flat_stride[d];
-            for s in 0..nsd {
-                sidx[s] += c.coefs[s][d];
-            }
-            if ctr[d] < c.extents[d] {
-                break;
-            }
-            ctr[d] = 0;
-            d_off -= (c.dest_strides[d] * c.extents[d]) as i64;
-            s_base -= c.flat_stride[d] * c.extents[d] as i64;
-            for s in 0..nsd {
-                sidx[s] -= c.coefs[s][d] * c.extents[d] as i64;
-            }
-        }
-    }
-}
-
-#[inline]
-fn div_ceil_i64(a: i64, b: i64) -> i64 {
-    debug_assert!(b > 0);
-    if a >= 0 {
-        (a + b - 1) / b
-    } else {
-        a / b
-    }
-}
-
-/// Padding-free copy: walk destination and flat source offsets
-/// incrementally with a mixed-radix counter; the innermost dimension is a
-/// tight strided (or contiguous) run.
-fn exec_copy_fast(c: &CCopy, offsets: &[i64], frame: &[RawBuf]) {
-    let ndd = c.extents.len();
-    let dest = &frame[c.dest];
-    let src = &frame[c.src];
-    let last = ndd - 1;
-    let inner = c.extents[last];
-    let s_step = c.flat_stride[last];
-    let d_step = c.dest_strides[last] as i64;
-
-    // Initial offsets at g = offsets (counter all-zero).
-    let mut d_off: i64 = offsets
-        .iter()
-        .zip(&c.dest_strides)
-        .map(|(&o, &s)| o * s as i64)
-        .sum();
-    let mut s_off: i64 = c.src_flat_base
-        + offsets
-            .iter()
-            .zip(&c.flat_stride)
-            .map(|(&o, &f)| o * f)
-            .sum::<i64>();
-
-    let outer: usize = c.extents[..last].iter().product();
-    let mut ctr = vec![0usize; last];
-    for _ in 0..outer.max(1) {
-        // Innermost run.
-        if c.scatter {
-            if s_step == 1 && d_step == 1 {
-                let d = dest.slice(d_off, inner);
-                let s = src.slice_mut(s_off, inner);
-                for (sv, dv) in s.iter_mut().zip(d) {
-                    *sv += dv;
-                }
-            } else {
-                let (mut so, mut do_) = (s_off, d_off);
-                for _ in 0..inner {
-                    src.write(so, AssignOp::Add, dest.read(do_));
-                    so += s_step;
-                    do_ += d_step;
-                }
-            }
-        } else if s_step == 1 && d_step == 1 {
-            let s = src.slice(s_off, inner);
-            dest.slice_mut(d_off, inner).copy_from_slice(s);
-        } else {
-            let (mut so, mut do_) = (s_off, d_off);
-            for _ in 0..inner {
-                dest.write(do_, AssignOp::Set, src.read(so));
-                so += s_step;
-                do_ += d_step;
-            }
-        }
-        // Advance the outer mixed-radix counter.
-        let mut d = last;
-        while d > 0 {
-            d -= 1;
-            ctr[d] += 1;
-            s_off += c.flat_stride[d];
-            d_off += c.dest_strides[d] as i64;
-            if ctr[d] < c.extents[d] {
-                break;
-            }
-            ctr[d] = 0;
-            s_off -= c.flat_stride[d] * c.extents[d] as i64;
-            d_off -= (c.dest_strides[d] * c.extents[d]) as i64;
-        }
-    }
-}
-fn exec_gather(g: &CGather, frame: &[RawBuf]) {
-    let dest = &frame[g.dest];
-    let src = &frame[g.src];
-    if g.scatter {
-        for (i, &t) in g.table.iter().enumerate() {
-            if t >= 0 {
-                src.write(t, AssignOp::Add, dest.read(i as i64));
-            }
-        }
-    } else {
-        for (i, &t) in g.table.iter().enumerate() {
-            let v = if t >= 0 { src.read(t) } else { 0.0 };
-            dest.write(i as i64, AssignOp::Set, v);
-        }
-    }
 }

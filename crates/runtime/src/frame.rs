@@ -30,9 +30,14 @@
 //! little-endian fields read front to back, so they share one
 //! bounds-checked [`Reader`] (and the `put_*` writers beside it) and map
 //! its [`ReadError`] into their own error types.
+//!
+//! The two formats that live in files — checkpoints and the tuning
+//! cache — are a magic, a body and the CRC trailer, replaced atomically:
+//! `write_sealed_file` and `read_sealed_file` are that half.
 
 use std::fmt;
 use std::io::{IoSlice, Read, Write};
+use std::path::{Path, PathBuf};
 
 /// The reflected IEEE 802.3 polynomial.
 const CRC_POLY: u32 = 0xEDB8_8320;
@@ -351,6 +356,65 @@ pub fn verify(bytes: &[u8]) -> Result<&[u8], FrameIntegrity> {
         return Err(FrameIntegrity::BadCrc);
     }
     Ok(body)
+}
+
+/// Sibling temporary path (`<file name>.tmp`) of the atomic write of a
+/// checkpoint or tuning cache, for tests that simulate a crash mid-write.
+pub fn tmp_path(path: &Path) -> PathBuf {
+    let mut name = path.file_name().map_or_else(|| "sealed".into(), |n| n.to_os_string());
+    name.push(".tmp");
+    path.with_file_name(name)
+}
+
+/// Writes `parts`, back to back, as the new contents of `path`, so that
+/// a crash at any point leaves either the previous file or the new one:
+/// the bytes go to the [`tmp_path`] sibling, are synced, and the sibling
+/// is renamed over `path`; the directory is synced last so the rename
+/// itself survives. The parts are a sealed file's magic, body and CRC
+/// trailer — the checkpoint and the tuning cache, whose trailers cover
+/// different spans, each render their own.
+///
+/// # Errors
+///
+/// The first I/O error; `path` is untouched unless the rename happened.
+pub(crate) fn write_sealed_file(path: &Path, parts: &[&[u8]]) -> std::io::Result<()> {
+    let tmp = tmp_path(path);
+    let mut file = std::fs::File::create(&tmp)?;
+    for part in parts {
+        file.write_all(part)?;
+    }
+    file.sync_all()?;
+    drop(file);
+    std::fs::rename(&tmp, path)?;
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
+}
+
+/// Opens the bytes of a sealed file — `magic`, a body, a CRC32 trailer —
+/// and returns the body: length floor, then magic, then [`verify`],
+/// before any body byte is interpreted. The trailer covers the body, and
+/// the magic too when `crc_covers_magic` (the tuning cache seals its
+/// magic, the checkpoint does not; both formats predate this function
+/// and stay as they are on disk).
+///
+/// # Errors
+///
+/// Which check failed, phrased to follow the file's name.
+pub(crate) fn read_sealed_file<'a>(
+    bytes: &'a [u8],
+    magic: &[u8],
+    crc_covers_magic: bool,
+) -> Result<&'a [u8], String> {
+    if bytes.len() < magic.len() + CRC_LEN {
+        return Err(format!("is truncated ({} bytes — too short for header and checksum)", bytes.len()));
+    }
+    if !bytes.starts_with(magic) {
+        return Err("is another kind of file (bad magic)".into());
+    }
+    let unsealed = if crc_covers_magic { 0 } else { magic.len() };
+    let body = verify(&bytes[unsealed..])
+        .map_err(|e| format!("failed its integrity check ({e}); the file is truncated or corrupted"))?;
+    Ok(&body[magic.len() - unsealed..])
 }
 
 /// Writes one length-prefixed frame (`u32` LE length, then the bytes)

@@ -73,6 +73,7 @@ pub mod solver;
 pub mod store;
 pub mod supervisor;
 pub mod trace;
+mod transfer;
 pub mod transport;
 pub mod tune;
 

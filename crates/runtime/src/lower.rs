@@ -15,8 +15,9 @@
 //! * matched GEMM statements call the blocked kernel in `latte-tensor`;
 //!   top-level fully-connected GEMMs whose operands are batched buffers
 //!   are *hoisted* to one whole-batch GEMM per pass;
-//! * data-copy nests run as native strided loops with a contiguous-run
-//!   fast path and zero-padding at the source boundary.
+//! * data-copy nests and gather tables become transfer programs
+//!   ([`crate::transfer`]): run lists with every clipping decision at the
+//!   source boundary already made.
 //!
 //! Lowering statically verifies that every compiled reference stays inside
 //! its buffer for all loop-variable values — a bounds proof that lets the
@@ -26,12 +27,13 @@ use std::collections::HashMap;
 use std::fmt;
 
 use latte_core::{CompiledNet, Group};
-use latte_ir::{Assign, BufRef, CopyStmt, Expr, ExternOp, GemmStmt, IndexExpr, Stmt};
+use latte_ir::{Assign, BufRef, Expr, ExternOp, GemmStmt, IndexExpr, Stmt};
 
 use crate::elem::{self, ElemProgram, Reg};
 use crate::error::RuntimeError;
 use crate::registry::{ExternFn, KernelRegistry};
 use crate::store::BufferStore;
+use crate::transfer::Transfer;
 
 /// A compiled affine index: `base + Σ terms[i].1 * env[terms[i].0]`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,7 +77,7 @@ impl CIdx {
     }
 
     /// Minimum and maximum value over slot ranges `[0, extent)`.
-    fn range(&self, extents: &[usize]) -> (i64, i64) {
+    pub fn range(&self, extents: &[usize]) -> (i64, i64) {
         let mut lo = self.base;
         let mut hi = self.base;
         for &(slot, coef) in &self.terms {
@@ -149,193 +151,6 @@ pub(crate) struct BatchedGemm {
     pub c_base: usize,
 }
 
-/// A compiled data-copy nest.
-#[derive(Debug, Clone)]
-pub(crate) struct CCopy {
-    pub dest: usize,
-    /// Row-major strides of the staging buffer.
-    pub dest_strides: Vec<usize>,
-    /// Iterated extents per destination dimension.
-    pub extents: Vec<usize>,
-    /// Global starting index per destination dimension.
-    pub offsets: Vec<CIdx>,
-    pub src: usize,
-    pub src_dims: Vec<usize>,
-    pub src_strides: Vec<usize>,
-    /// `coefs[s][d]`: source dim `s`'s dependence on global dest index `d`.
-    pub coefs: Vec<Vec<i64>>,
-    /// Constant part of each source index.
-    pub src_base: Vec<i64>,
-    pub scatter: bool,
-    /// Statically proven: no source index can ever fall outside the
-    /// buffer, so execution may skip every padding check and walk flat
-    /// offsets incrementally.
-    pub never_oob: bool,
-    /// Flat source-offset increment per unit of each global dest index:
-    /// `flat_stride[d] = Σ_s coefs[s][d] * src_strides[s]`.
-    pub flat_stride: Vec<i64>,
-    /// Constant flat source offset: `Σ_s src_base[s] * src_strides[s]`.
-    pub src_flat_base: i64,
-    /// Precompiled transfer programs, indexed by the values of the offset
-    /// slots (mixed-radix). All clipping decisions are resolved ahead of
-    /// time, leaving pure run copies at execution.
-    pub programs: Option<ProgramTable>,
-}
-
-/// A table of precompiled transfer programs, one per combination of the
-/// enclosing loop variables the copy's offsets depend on.
-#[derive(Debug, Clone)]
-pub(crate) struct ProgramTable {
-    /// Slots feeding the offsets, major first.
-    pub slots: Vec<usize>,
-    /// Extent of each slot.
-    pub extents: Vec<usize>,
-    /// Programs in mixed-radix order over `extents`.
-    pub programs: Vec<std::sync::Arc<CopyProgram>>,
-}
-
-/// One precompiled transfer program: the complete run list of a copy.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct CopyProgram {
-    /// Inner source stride (elements) within a run.
-    pub s_step: i64,
-    /// Inner destination stride within a run.
-    pub d_step: i64,
-    /// The runs.
-    pub runs: Vec<CopyRun>,
-}
-
-/// One run: `pre` padding zeros, `len` transferred elements, `post`
-/// padding zeros (padding applies to gathers only).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CopyRun {
-    /// First destination element of the run (including padding).
-    pub d_off: i64,
-    /// First *transferred* source element.
-    pub s_off: i64,
-    /// Leading padding elements.
-    pub pre: u32,
-    /// Transferred elements.
-    pub len: u32,
-    /// Trailing padding elements.
-    pub post: u32,
-}
-
-/// Enumerates a copy's runs for fixed offset values — the shared
-/// generator behind both the precompiled programs and (indirectly) the
-/// runtime fallback semantics.
-#[allow(clippy::needless_range_loop)] // walks several parallel index arrays
-pub(crate) fn copy_runs(c: &CCopy, offsets: &[i64]) -> CopyProgram {
-    let ndd = c.extents.len();
-    let nsd = c.src_dims.len();
-    let last = ndd - 1;
-    let inner = c.extents[last] as i64;
-    let mut prog = CopyProgram {
-        s_step: c.flat_stride[last],
-        d_step: c.dest_strides[last] as i64,
-        runs: Vec::new(),
-    };
-    let mut sidx = vec![0i64; nsd];
-    for (s, si) in sidx.iter_mut().enumerate() {
-        *si = c.src_base[s]
-            + offsets
-                .iter()
-                .enumerate()
-                .map(|(d, &o)| c.coefs[s][d] * o)
-                .sum::<i64>();
-    }
-    let mut d_off: i64 = offsets
-        .iter()
-        .zip(&c.dest_strides)
-        .map(|(&o, &st)| o * st as i64)
-        .sum();
-    let mut s_base: i64 = (0..nsd).map(|s| sidx[s] * c.src_strides[s] as i64).sum();
-    let outer: usize = c.extents[..last].iter().product();
-    let mut ctr = vec![0usize; last];
-    let div_ceil = |a: i64, b: i64| if a >= 0 { (a + b - 1) / b } else { a / b };
-    for _ in 0..outer.max(1) {
-        let mut lo = 0i64;
-        let mut hi = inner;
-        for s in 0..nsd {
-            let coef = c.coefs[s][last];
-            let v = sidx[s];
-            let dim = c.src_dims[s] as i64;
-            if coef == 0 {
-                if v < 0 || v >= dim {
-                    hi = 0;
-                    break;
-                }
-            } else if coef > 0 {
-                lo = lo.max(div_ceil(-v, coef));
-                hi = hi.min(div_ceil(dim - v, coef));
-            } else {
-                let nc = -coef;
-                hi = hi.min(v / nc + 1);
-                lo = lo.max(div_ceil(v - dim + 1, nc));
-            }
-        }
-        let lo = lo.clamp(0, inner);
-        let hi = hi.clamp(lo, inner);
-        let run = CopyRun {
-            d_off,
-            s_off: s_base + lo * prog.s_step,
-            pre: lo as u32,
-            len: (hi - lo) as u32,
-            post: (inner - hi) as u32,
-        };
-        // Merge with the previous run when both are unpadded and
-        // contiguous in source and destination.
-        let merged = match prog.runs.last_mut() {
-            Some(prev)
-                if prog.s_step == 1
-                    && prog.d_step == 1
-                    && prev.pre == 0
-                    && prev.post == 0
-                    && run.pre == 0
-                    && run.post == 0
-                    && prev.d_off + prev.len as i64 == run.d_off
-                    && prev.s_off + prev.len as i64 == run.s_off =>
-            {
-                prev.len += run.len;
-                true
-            }
-            _ => false,
-        };
-        if !merged {
-            prog.runs.push(run);
-        }
-        let mut d = last;
-        while d > 0 {
-            d -= 1;
-            ctr[d] += 1;
-            d_off += c.dest_strides[d] as i64;
-            s_base += c.flat_stride[d];
-            for s in 0..nsd {
-                sidx[s] += c.coefs[s][d];
-            }
-            if ctr[d] < c.extents[d] {
-                break;
-            }
-            ctr[d] = 0;
-            d_off -= (c.dest_strides[d] * c.extents[d]) as i64;
-            s_base -= c.flat_stride[d] * c.extents[d] as i64;
-            for s in 0..nsd {
-                sidx[s] -= c.coefs[s][d] * c.extents[d] as i64;
-            }
-        }
-    }
-    prog
-}
-
-/// A compiled gather/scatter.
-#[derive(Debug, Clone)]
-pub(crate) struct CGather {
-    pub dest: usize,
-    pub src: usize,
-    pub table: std::sync::Arc<Vec<i64>>,
-    pub scatter: bool,
-}
-
 /// A compiled extern-kernel call.
 #[derive(Clone)]
 pub(crate) struct CExtern {
@@ -369,8 +184,8 @@ pub(crate) enum Kernel {
     /// A perfect nest around a single store, or a bare assignment.
     Elem(ElemProgram),
     Gemm(CGemm),
-    Copy(CCopy),
-    Gather(CGather),
+    /// A data-copy nest or a gather table.
+    Transfer(Transfer),
     Extern(CExtern),
 }
 
@@ -400,6 +215,10 @@ pub(crate) struct CGroup {
     /// decision-invariant) but drive every lane from the calling thread.
     pub serial_hint: bool,
     pub bufs: Vec<BufBinding>,
+    /// The parameter-gradient storages among `bufs`, ascending, each
+    /// with its span `(storage, offset, len)` in a gradient lane's
+    /// scratch: what a parallel group redirects and folds.
+    pub grad_spans: Vec<(usize, usize, usize)>,
     /// Buffer name behind each `bufs` entry, kept so a step-shared clone
     /// can rebind the table under the `@t{j}` → `@t{j+delta}` rename.
     pub buf_names: Vec<String>,
@@ -516,19 +335,7 @@ impl Kernel {
                 g.c.buf,
                 g.c.idx
             ),
-            Kernel::Copy(c) => {
-                let (verb, arrow) = if c.scatter { ("scatter", "+=>") } else { ("copy", "<-") };
-                let how = match &c.programs {
-                    Some(t) => format!("{} transfer program(s)", t.programs.len()),
-                    None if c.never_oob => "odometer".to_string(),
-                    None => "clipped odometer".to_string(),
-                };
-                writeln!(f, "{pad}{verb} b{} {arrow} b{} {:?}: {how}", c.dest, c.src, c.extents)
-            }
-            Kernel::Gather(g) => {
-                let (verb, arrow) = if g.scatter { ("scatter", "+=>") } else { ("gather", "<-") };
-                writeln!(f, "{pad}{verb} b{} {arrow} b{} by table[{}]", g.dest, g.src, g.table.len())
-            }
+            Kernel::Transfer(t) => writeln!(f, "{pad}{t}"),
             Kernel::Extern(e) => writeln!(f, "{pad}extern {}{:?}", e.op, e.bufs),
         }
     }
@@ -681,6 +488,7 @@ fn reuse_group(rep: &CGroup, group: &Group, delta: i64, store: &BufferStore) -> 
         name: group.name.clone(),
         parallel: rep.parallel,
         serial_hint: group.meta.serial_hint,
+        grad_spans: grad_spans(&bufs, store),
         bufs,
         buf_names,
         segments,
@@ -737,7 +545,7 @@ fn lower_group(
         if let Stmt::Extern(e) = stmt {
             let (f, whole) = registry.get(&e.op)?;
             if whole {
-                let ce = lw.lower_extern(e, f.clone(), true)?;
+                let ce = lw.lower_extern(e, f.clone())?;
                 if !current.is_empty() {
                     segments.push(Segment::PerItem(std::mem::take(&mut current)));
                 }
@@ -755,11 +563,29 @@ fn lower_group(
         name: group.name.clone(),
         parallel,
         serial_hint: group.meta.serial_hint,
+        grad_spans: grad_spans(&lw.bufs, store),
         bufs: lw.bufs,
         buf_names: lw.buf_names,
         segments,
         gemm_names,
     })
+}
+
+/// Lays a group's parameter-gradient storages out back to back in a
+/// gradient lane's scratch.
+fn grad_spans(bufs: &[BufBinding], store: &BufferStore) -> Vec<(usize, usize, usize)> {
+    let mut storages: Vec<usize> = bufs.iter().filter(|b| b.param_grad).map(|b| b.storage).collect();
+    storages.sort_unstable();
+    storages.dedup();
+    let mut offset = 0;
+    storages
+        .into_iter()
+        .map(|s| {
+            let len = store.storages[s].len();
+            offset += len;
+            (s, offset - len, len)
+        })
+        .collect()
 }
 
 fn group_is_parallel(group: &Group) -> bool {
@@ -932,13 +758,20 @@ impl GroupLowerer<'_> {
             }
             Stmt::Assign(a) => self.lower_assign(a, &[]),
             Stmt::Gemm(g) => Ok(Kernel::Gemm(self.lower_gemm(g)?)),
-            Stmt::Copy(c) => Ok(Kernel::Copy(self.lower_copy(c)?)),
-            Stmt::Gather(g) => Ok(Kernel::Gather(CGather {
-                dest: self.buf(&g.dest)?,
-                src: self.buf(&g.src)?,
-                table: g.table.clone(),
-                scatter: g.scatter,
-            })),
+            Stmt::Copy(c) => {
+                let (dest, src) = (self.buf(&c.dest)?, self.buf(&c.src)?);
+                let offsets = c
+                    .offsets
+                    .iter()
+                    .map(|o| self.cidx(o))
+                    .collect::<Result<Vec<_>, _>>()?;
+                let t = Transfer::copy(c, dest, src, &self.bufs, offsets, &self.slot_extents)?;
+                Ok(Kernel::Transfer(t))
+            }
+            Stmt::Gather(g) => {
+                let (dest, src) = (self.buf(&g.dest)?, self.buf(&g.src)?);
+                Ok(Kernel::Transfer(Transfer::table(g, dest, src, &self.bufs)?))
+            }
             Stmt::Extern(e) => {
                 let (f, whole) = self.registry.get(&e.op)?;
                 if whole {
@@ -947,7 +780,7 @@ impl GroupLowerer<'_> {
                     });
                 }
                 let f = f.clone();
-                Ok(Kernel::Extern(self.lower_extern(e, f, false)?))
+                Ok(Kernel::Extern(self.lower_extern(e, f)?))
             }
             Stmt::Barrier => Ok(Kernel::Loop {
                 slot: 0,
@@ -1114,188 +947,10 @@ impl GroupLowerer<'_> {
         Ok(None)
     }
 
-    fn lower_copy(&mut self, c: &CopyStmt) -> Result<CCopy, RuntimeError> {
-        let dest = self.buf(&c.dest)?;
-        let src = self.buf(&c.src)?;
-        let dinfo = self.store.require(&c.dest)?;
-        let sinfo = self.store.require(&c.src)?;
-        let dest_shape = latte_tensor::Shape::new(c.dest_shape.clone());
-        if dest_shape.len() != dinfo.per_item {
-            return Err(RuntimeError::Malformed {
-                detail: format!(
-                    "copy dest shape {dest_shape} does not match buffer `{}`",
-                    c.dest
-                ),
-            });
-        }
-        let src_shape = latte_tensor::Shape::new(c.src_shape.clone());
-        if src_shape.len() != sinfo.per_item {
-            return Err(RuntimeError::Malformed {
-                detail: format!(
-                    "copy src shape {src_shape} does not match buffer `{}`",
-                    c.src
-                ),
-            });
-        }
-        let ndd = c.extents.len();
-        let nsd = c.src_shape.len();
-        // Decompose each source map into coefficients over global dest
-        // dims (variables d0..d{ndd-1}); any other variable is malformed.
-        let mut coefs = vec![vec![0i64; ndd]; nsd];
-        let mut src_base = vec![0i64; nsd];
-        for (s, m) in c.map.iter().enumerate() {
-            src_base[s] = m.offset();
-            for (var, coef) in m.terms() {
-                let d = var
-                    .strip_prefix('d')
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&d| d < ndd)
-                    .ok_or_else(|| RuntimeError::Malformed {
-                        detail: format!("copy map uses unexpected variable `{var}`"),
-                    })?;
-                coefs[s][d] = coef;
-            }
-        }
-        let offsets = c
-            .offsets
-            .iter()
-            .map(|o| self.cidx(o))
-            .collect::<Result<Vec<_>, _>>()?;
-        // Static bound: offset + extent within dest shape per dim.
-        for (d, off) in offsets.iter().enumerate() {
-            let (lo, hi) = off.range(&self.slot_extents);
-            if lo < 0 || hi + c.extents[d] as i64 > c.dest_shape[d] as i64 {
-                return Err(RuntimeError::Malformed {
-                    detail: format!(
-                        "copy dim {d} covers [{lo}, {}] outside extent {}",
-                        hi + c.extents[d] as i64,
-                        c.dest_shape[d]
-                    ),
-                });
-            }
-        }
-        // Trim unit iteration dimensions with zero offset: they contribute
-        // nothing to any index and only add odometer overhead (pooling
-        // windows routinely end in a channel extent of 1).
-        let mut extents = c.extents.clone();
-        let mut dest_strides = dest_shape.strides().to_vec();
-        let keep: Vec<usize> = (0..ndd)
-            .filter(|&d| {
-                !(extents[d] == 1 && offsets[d].terms.is_empty() && offsets[d].base == 0)
-            })
-            .collect();
-        let keep = if keep.is_empty() { vec![ndd - 1] } else { keep };
-        let mut offsets = offsets;
-        if keep.len() != ndd {
-            extents = keep.iter().map(|&d| extents[d]).collect();
-            dest_strides = keep.iter().map(|&d| dest_strides[d]).collect();
-            offsets = keep.iter().map(|&d| offsets[d].clone()).collect();
-            for row in &mut coefs {
-                *row = keep.iter().map(|&d| row[d]).collect();
-            }
-        }
-        let ndd = extents.len();
-
-        // Static padding-free proof: bound every source index over the
-        // whole (offset range) x (extent) iteration space.
-        let mut never_oob = true;
-        for s in 0..nsd {
-            let mut lo = src_base[s];
-            let mut hi = src_base[s];
-            for d in 0..ndd {
-                let (off_lo, off_hi) = offsets[d].range(&self.slot_extents);
-                let g_lo = off_lo;
-                let g_hi = off_hi + extents[d] as i64 - 1;
-                let coef = coefs[s][d];
-                if coef >= 0 {
-                    lo += coef * g_lo;
-                    hi += coef * g_hi;
-                } else {
-                    lo += coef * g_hi;
-                    hi += coef * g_lo;
-                }
-            }
-            if lo < 0 || hi >= c.src_shape[s] as i64 {
-                never_oob = false;
-            }
-        }
-        let flat_stride: Vec<i64> = (0..ndd)
-            .map(|d| {
-                (0..nsd)
-                    .map(|s| coefs[s][d] * src_shape.strides()[s] as i64)
-                    .sum()
-            })
-            .collect();
-        let src_flat_base: i64 = (0..nsd)
-            .map(|s| src_base[s] * src_shape.strides()[s] as i64)
-            .sum();
-        let mut copy = CCopy {
-            dest,
-            dest_strides,
-            extents,
-            offsets,
-            src,
-            src_dims: c.src_shape.clone(),
-            src_strides: src_shape.strides().to_vec(),
-            coefs,
-            src_base,
-            scatter: c.scatter,
-            never_oob,
-            flat_stride,
-            src_flat_base,
-            programs: None,
-        };
-        copy.programs = self.build_programs(&copy);
-        Ok(copy)
-    }
-
-    /// Precompiles a copy's transfer programs for every combination of
-    /// its offset variables, when the combination count is manageable.
-    fn build_programs(&self, c: &CCopy) -> Option<ProgramTable> {
-        let mut slots: Vec<usize> = Vec::new();
-        for o in &c.offsets {
-            for &(s, _) in &o.terms {
-                if !slots.contains(&s) {
-                    slots.push(s);
-                }
-            }
-        }
-        slots.sort_unstable();
-        let extents: Vec<usize> = slots
-            .iter()
-            .map(|&s| self.slot_extents.get(s).copied().unwrap_or(1).max(1))
-            .collect();
-        let combos: usize = extents.iter().product();
-        let dest_total: usize = c.extents.iter().product();
-        if combos > 256 || combos.saturating_mul(dest_total) > 16_000_000 {
-            return None;
-        }
-        let n_slots = self.slot_extents.len().max(1);
-        let mut programs = Vec::with_capacity(combos);
-        let mut env = vec![0i64; n_slots];
-        for idx in 0..combos {
-            // Mixed-radix decode, major first.
-            let mut rem = idx;
-            for (pos, (&slot, &ext)) in slots.iter().zip(&extents).enumerate().rev() {
-                let _ = pos;
-                env[slot] = (rem % ext) as i64;
-                rem /= ext;
-            }
-            let offsets: Vec<i64> = c.offsets.iter().map(|o| o.eval(&env)).collect();
-            programs.push(std::sync::Arc::new(copy_runs(c, &offsets)));
-        }
-        Some(ProgramTable {
-            slots,
-            extents,
-            programs,
-        })
-    }
-
     fn lower_extern(
         &mut self,
         e: &ExternOp,
         f: ExternFn,
-        whole_batch: bool,
     ) -> Result<CExtern, RuntimeError> {
         let mut bufs = Vec::with_capacity(e.buffers.len());
         let mut storages = Vec::new();
@@ -1313,7 +968,6 @@ impl GroupLowerer<'_> {
             storages.push(st);
             bufs.push(i);
         }
-        let _ = whole_batch;
         Ok(CExtern {
             op: e.op.clone(),
             f,

@@ -314,38 +314,31 @@ impl WorkerPool {
         f(ctx)
     }
 
-    /// Prepares `lanes` zeroed scratch areas, each holding one buffer per
-    /// entry of `sizes`, and returns their raw spans (lane-major). The
-    /// backing arenas are pool-owned: they grow monotonically to the
-    /// largest request and are *zeroed*, never reallocated, on reuse.
+    /// Prepares `lanes` (at most [`GRAD_LANES`]) zeroed scratch areas of
+    /// `total` elements each and returns their base pointers; unused
+    /// entries are null. The backing arenas are pool-owned: they grow
+    /// monotonically to the largest request and are *zeroed*, never
+    /// reallocated, on reuse, and the call itself allocates nothing
+    /// once they have grown.
     ///
     /// The returned pointers stay valid until the next `lane_scratch`
     /// call (which may grow — and thereby reallocate — an arena); each
-    /// lane's spans must be written by at most one worker at a time (the
+    /// lane must be written by at most one worker at a time (the
     /// lane-ownership schedule guarantees this), and the exclusive-run
     /// protocol forbids a second executor from calling in while the
-    /// spans are live.
-    pub(crate) fn lane_scratch(&self, lanes: usize, sizes: &[usize]) -> Vec<Vec<(*mut f32, usize)>> {
-        let total: usize = sizes.iter().sum();
+    /// lanes are live.
+    pub(crate) fn lane_scratch(&self, lanes: usize, total: usize) -> [*mut f32; GRAD_LANES] {
         let mut arenas = self.lanes.lock().expect("pool lane arenas");
-        while arenas.len() < lanes {
-            arenas.push(Vec::new());
+        if arenas.len() < lanes {
+            arenas.resize_with(lanes, Vec::new);
         }
-        let mut out = Vec::with_capacity(lanes);
-        for arena in arenas.iter_mut().take(lanes) {
+        let mut out = [std::ptr::null_mut(); GRAD_LANES];
+        for (arena, base) in arenas.iter_mut().zip(&mut out).take(lanes) {
             if arena.len() < total {
                 arena.resize(total, 0.0);
             }
             arena[..total].fill(0.0);
-            let mut spans = Vec::with_capacity(sizes.len());
-            let mut off = 0usize;
-            let base = arena.as_mut_ptr();
-            for &len in sizes {
-                // SAFETY: `off + len <= total <= arena.len()`.
-                spans.push((unsafe { base.add(off) }, len));
-                off += len;
-            }
-            out.push(spans);
+            *base = arena.as_mut_ptr();
         }
         out
     }
@@ -483,16 +476,15 @@ mod tests {
     #[test]
     fn lane_scratch_is_zeroed_and_reused() {
         let pool = WorkerPool::new(1);
-        let spans = pool.lane_scratch(2, &[3, 5]);
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].len(), 2);
-        // Dirty lane 0's first buffer.
-        let p0 = spans[0][0].0;
-        unsafe { *p0 = 42.0 };
-        let again = pool.lane_scratch(2, &[3, 5]);
+        let lanes = pool.lane_scratch(2, 8);
+        assert!(!lanes[0].is_null() && !lanes[1].is_null());
+        assert!(lanes[2..].iter().all(|l| l.is_null()));
+        // Dirty lane 0.
+        unsafe { *lanes[0] = 42.0 };
+        let again = pool.lane_scratch(2, 8);
         // Same backing storage (no reallocation), content re-zeroed.
-        assert_eq!(again[0][0].0, spans[0][0].0);
-        assert_eq!(unsafe { *again[0][0].0 }, 0.0);
+        assert_eq!(again[0], lanes[0]);
+        assert_eq!(unsafe { *again[0] }, 0.0);
     }
 
     #[test]

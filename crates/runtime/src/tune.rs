@@ -44,7 +44,6 @@
 //! trailing CRC32 seal, written atomically (temp file + rename).
 
 use std::collections::BTreeMap;
-use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -53,7 +52,7 @@ use latte_core::dsl::Net;
 use latte_core::{compile, compile_tuned, CompileError, CompiledNet, OptLevel, TunedSchedule};
 use latte_tensor::gemm::{cpu_features, Gemm, Transpose};
 
-use crate::frame::{put_str, put_u32, seal, verify, ReadError, Reader, CRC_LEN};
+use crate::frame::{put_str, put_u32, read_sealed_file, seal, write_sealed_file, ReadError, Reader};
 use crate::error::RuntimeError;
 use crate::exec::{CompiledProgram, ExecConfig, Executor};
 use crate::pool::WorkerPool;
@@ -560,18 +559,10 @@ impl Tuner {
         Ok(CompiledProgram::lower(compiled, &KernelRegistry::with_builtins(), cfg)?)
     }
 
-    /// Writes the cache atomically: serialize, CRC-seal, write to a temp
-    /// file, sync, rename over the final path.
+    /// Writes the cache atomically: serialize, CRC-seal, replace.
     fn save(&self) -> Result<(), TuneError> {
-        let bytes = render_cache(&self.entries);
-        let tmp = self.path.with_extension("tmp");
-        let io_err = |source| TuneError::Io { path: self.path.clone(), source };
-        let mut f = std::fs::File::create(&tmp).map_err(io_err)?;
-        f.write_all(&bytes).map_err(io_err)?;
-        f.sync_all().map_err(io_err)?;
-        drop(f);
-        std::fs::rename(&tmp, &self.path).map_err(io_err)?;
-        Ok(())
+        write_sealed_file(&self.path, &[&render_cache(&self.entries)])
+            .map_err(|source| TuneError::Io { path: self.path.clone(), source })
     }
 }
 
@@ -647,14 +638,8 @@ impl From<ReadError> for TuneError {
 
 fn parse_cache(bytes: &[u8]) -> Result<BTreeMap<String, CacheEntry>, TuneError> {
     let corrupt = |detail: &str| TuneError::Corrupt { detail: detail.to_string() };
-    if bytes.len() < MAGIC.len() + 4 + CRC_LEN {
-        return Err(corrupt("file shorter than header + seal"));
-    }
-    if &bytes[..MAGIC.len()] != MAGIC {
-        return Err(corrupt("bad magic"));
-    }
-    let body = verify(bytes).map_err(|_| corrupt("CRC mismatch"))?;
-    let mut r = Reader::new(&body[MAGIC.len()..]);
+    let body = read_sealed_file(bytes, MAGIC, true).map_err(|e| corrupt(&e))?;
+    let mut r = Reader::new(body);
     let count = r.u32()?;
     let mut entries = BTreeMap::new();
     for _ in 0..count {

@@ -470,3 +470,107 @@ fn a_neuron_with_fifteen_loads_runs_and_trains() {
         assert!(after < before, "[{tag}] loss {before} -> {after}");
     }
 }
+
+/// A gather table is compiled straight into raw-pointer runs, so an
+/// entry outside the source, an entry below the `-1` padding marker, or
+/// a table longer than its destination must be refused at lowering —
+/// `latte_ir::verify` does not run in release builds, and nothing on the
+/// execution path checks an index.
+#[test]
+fn a_gather_table_that_leaves_its_buffers_is_refused_at_lowering() {
+    use latte_core::dsl::stdlib::identity_neuron;
+    use latte_core::dsl::{Ensemble, Mapping, SourceRange, SourceRegion};
+    use latte_ir::Stmt;
+    use latte_runtime::RuntimeError;
+    let n = 8;
+    let mut net = Net::new(2);
+    let d = data(&mut net, "data", vec![n]);
+    let shuf = net.add(Ensemble::new("shuffle", vec![n], identity_neuron()));
+    net.connect(
+        d,
+        shuf,
+        Mapping::new(move |idx| {
+            SourceRegion::new(vec![SourceRange::single(((idx[0] * 3 + idx[0] * idx[0]) % n) as isize)])
+        }),
+    );
+    layers::l2_loss(&mut net, "loss", shuf, d);
+    let compiled = compile(&net, &OptLevel::full()).unwrap();
+    let tables = |c: &latte_core::CompiledNet| {
+        let mut found = 0;
+        for g in c.forward.iter().chain(&c.backward) {
+            for s in &g.stmts {
+                s.visit(&mut |s| found += usize::from(matches!(s, Stmt::Gather(_))));
+            }
+        }
+        found
+    };
+    assert!(tables(&compiled) > 0, "the permutation lowers to a gather table");
+    Executor::new(compiled.clone()).expect("the compiler's own table is fine");
+
+    type Edit = fn(&mut Vec<i64>);
+    let edits: [(&str, Edit); 3] = [
+        ("an entry past the source", |t| t[3] = 8),
+        ("an entry below -1", |t| t[3] = -2),
+        ("a table longer than its destination", |t| t.push(0)),
+    ];
+    for (what, edit) in edits {
+        let mut bad = compiled.clone();
+        for g in bad.forward.iter_mut().chain(&mut bad.backward) {
+            for s in &mut g.stmts {
+                if let Stmt::Gather(g) = s {
+                    let mut table = g.table.to_vec();
+                    edit(&mut table);
+                    g.table = std::sync::Arc::new(table);
+                }
+            }
+        }
+        match Executor::new(bad) {
+            Err(RuntimeError::Malformed { .. }) => {}
+            Err(other) => panic!("{what}: refused, but with {other}"),
+            Ok(_) => panic!("{what}: lowered"),
+        }
+    }
+}
+
+/// Every data-copy of every zoo model lowers to precompiled run lists:
+/// the bound past which a copy generates its list on every call
+/// (DESIGN.md §10.2) sits above all of them, untiled, tiled, and at the
+/// two explicit tile sizes. EXPERIMENTS.md has the same census at the
+/// published input sizes.
+#[test]
+fn every_zoo_transfer_is_precompiled() {
+    use latte_nn::models::{alexnet, overfeat, vgg_a, vgg_prefix};
+    use latte_runtime::CompiledProgram;
+    let cfg = |input_size, channel_div| ModelConfig {
+        batch: 2,
+        input_size,
+        channel_div,
+        classes: 10,
+        with_loss: true,
+        seed: 5,
+    };
+    let nets = [
+        ("lenet", lenet(&cfg(28, 4)).net),
+        ("alexnet", alexnet(&cfg(67, 16)).net),
+        ("vgg_a", vgg_a(&cfg(32, 16)).net),
+        ("vgg_prefix2", vgg_prefix(&cfg(32, 4), 2).net),
+        ("overfeat", overfeat(&cfg(71, 16)).net),
+    ];
+    let configs = [
+        ("none", OptLevel::none()),
+        ("full", OptLevel::full()),
+        ("tile 4", OptLevel::full().with_tile_size(4)),
+        ("tile 1", OptLevel::full().with_tile_size(1)),
+    ];
+    for (name, net) in &nets {
+        for (config, opt) in &configs {
+            let compiled = compile(net, opt).unwrap();
+            let exec = ExecConfig { threads: 1, arena: false, gemm_blocking: None };
+            let program = CompiledProgram::lower(compiled, &KernelRegistry::with_builtins(), exec).unwrap();
+            let plan = program.plan().to_string();
+            let transfers = plan.lines().filter(|l| l.contains(" program(s), ")).count();
+            assert!(transfers > 0, "{name} at {config} stages nothing");
+            assert!(!plan.contains(": per call"), "{name} at {config}:\n{plan}");
+        }
+    }
+}

@@ -73,4 +73,7 @@ for ex in examples/*.rs; do
   cargo run --release --quiet --example "$name" >/dev/null
 done
 
+echo "==> repo benchmark smoke (benchmark/ is its own workspace with path deps on eight crates; nothing above builds it)"
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --smoke
+
 echo "All checks passed."
