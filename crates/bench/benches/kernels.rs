@@ -2,6 +2,7 @@
 //! sizes, im2col, and the synthesized-copy execution paths.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use latte_runtime::pool::WorkerPool;
 use latte_tensor::conv::{im2col, Conv2dParams};
 use latte_tensor::gemm::{Gemm, Transpose};
 
@@ -27,6 +28,27 @@ fn bench_gemm_shapes(c: &mut Criterion) {
                 engine.compute(ta, tb, m, n, k, &a, &b, &mut out);
             });
         });
+    }
+    // The threads axis: serial `compute` against `compute_parallel` on a
+    // persistent pool of 2 and 4, at the square sizes where ROADMAP
+    // records the parallel path losing to serial (below 512^3).
+    let pools = [WorkerPool::new(2), WorkerPool::new(4)];
+    for n in [128usize, 256, 512] {
+        let a = vec![1.0f32; n * n];
+        let b = vec![1.0f32; n * n];
+        let mut out = vec![0.0f32; n * n];
+        let mut engine = Gemm::new();
+        group.bench_function(BenchmarkId::new("square_t1", n), |bencher| {
+            bencher.iter(|| engine.compute(Transpose::No, Transpose::No, n, n, n, &a, &b, &mut out));
+        });
+        for pool in &pools {
+            let id = BenchmarkId::new(format!("square_t{}", pool.threads()), n);
+            group.bench_function(id, |bencher| {
+                bencher.iter(|| {
+                    Gemm::compute_parallel(pool, Transpose::No, Transpose::No, n, n, n, &a, &b, &mut out)
+                });
+            });
+        }
     }
     group.finish();
 }

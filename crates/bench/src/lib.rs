@@ -11,7 +11,6 @@
 
 pub mod accel;
 pub mod cluster_model;
-pub mod json;
 
 use std::time::Instant;
 
@@ -32,7 +31,7 @@ pub enum Pass {
 
 /// Measures the median seconds per invocation of `f`, adaptively choosing
 /// the iteration count (at least `min_iters`, at least ~0.2 s total).
-pub fn measure(min_iters: usize, mut f: impl FnMut()) -> f64 {
+fn measure(min_iters: usize, mut f: impl FnMut()) -> f64 {
     // Warm up.
     f();
     let mut times = Vec::new();

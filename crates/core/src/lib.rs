@@ -56,5 +56,5 @@ pub use program::{
     CompileStats, CompiledNet, Group, GroupMeta, InputBinding, ParamBinding, PassStat, Phase,
     StepShare, Upstream,
 };
-pub use trace::{structure_hash, Trace, TraceKey, TraceSession};
+pub use trace::{Trace, TraceKey};
 pub use tuned::TunedSchedule;

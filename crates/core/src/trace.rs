@@ -1,19 +1,19 @@
 //! Lazy traces: eager op recording and shape-aware structure hashing.
 //!
 //! This module splits *describing* a computation from *compiling* it.
-//! A [`TraceSession`] records ensemble additions and connections as
-//! they happen — it derefs to [`Net`], so every existing `latte-nn`
-//! builder works unchanged as an eager op recorder — and
-//! [`TraceSession::finish`] seals the recording into a [`Trace`]: the
-//! recorded network plus its canonical [`TraceKey`].
+//! A [`Net`] is built eagerly, op by op, by the ordinary `latte-nn`
+//! builders; [`Trace::from_net`] (or [`Trace::from_net_bucketed`]) seals
+//! the recording into a [`Trace`]: the recorded network plus its
+//! canonical [`TraceKey`].
 //!
-//! The key is the contract with the JIT cache
-//! (`latte_runtime::trace::TraceCache`): two traces with equal keys
-//! compile to interchangeable programs, so the second execution of any
-//! `(structure, dynamic dims)` pair never touches the pass pipeline.
-//! It factors as **structure fingerprint × dynamic dims**:
+//! The key is the contract with a JIT cache
+//! (`latte_runtime::ProgramCache` keyed by `(TraceKey, OptLevel)`): two
+//! traces with equal keys compile to interchangeable programs, so the
+//! second execution of any `(structure, dynamic dims)` pair never
+//! touches the pass pipeline. It factors as **structure fingerprint ×
+//! dynamic dims**:
 //!
-//! * [`structure_hash`] fingerprints everything that determines the
+//! * `structure_hash` fingerprints everything that determines the
 //!   compiled program *except* the dynamic dimensions: ensemble names,
 //!   grid shapes, kinds (including full normalization specs), neuron
 //!   types (field declarations plus the *built* forward/backward bodies
@@ -26,8 +26,6 @@
 //!   sequence workloads, the power-of-two length bucket — stay out of
 //!   the hash and live as explicit key fields, so plan caches
 //!   specialize per shape while sharing one structural identity.
-
-use std::ops::{Deref, DerefMut};
 
 use crate::dsl::{EnsembleKind, Net, SourceRegion};
 
@@ -85,24 +83,14 @@ impl Hasher {
 /// compiled program to be reusable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceKey {
-    /// [`structure_hash`] of the recorded network (batch-independent).
+    /// Structural fingerprint of the recorded network
+    /// (batch-independent).
     pub structure: u64,
     /// Batch size the trace will execute at.
     pub batch: usize,
     /// Power-of-two sequence-length bucket for variable-length
     /// recurrent workloads; `None` for fixed-shape networks.
     pub seq_bucket: Option<usize>,
-}
-
-impl TraceKey {
-    /// A filesystem-safe label, used for `LATTE_DUMP_IR` dump names:
-    /// `trace-<hash>-b<batch>[-l<bucket>]`.
-    pub fn label(&self) -> String {
-        match self.seq_bucket {
-            Some(l) => format!("trace-{:016x}-b{}-l{}", self.structure, self.batch, l),
-            None => format!("trace-{:016x}-b{}", self.structure, self.batch),
-        }
-    }
 }
 
 /// A sealed recording: the network plus its canonical key.
@@ -143,95 +131,6 @@ impl Trace {
     /// The recorded network.
     pub fn net(&self) -> &Net {
         &self.net
-    }
-
-    /// Unwraps the recorded network.
-    pub fn into_net(self) -> Net {
-        self.net
-    }
-}
-
-/// An eager recorder: ops applied to the session build up a [`Net`]
-/// exactly as they would directly — the session derefs to [`Net`], so
-/// the whole `latte-nn` builder vocabulary records through it — and
-/// [`finish`](TraceSession::finish) seals the result into a [`Trace`].
-///
-/// # Examples
-///
-/// ```
-/// use latte_core::trace::TraceSession;
-/// use latte_core::dsl::Ensemble;
-///
-/// let mut s = TraceSession::new(4);
-/// s.add(Ensemble::data("data", vec![8])); // any &mut Net op records
-/// assert_eq!(s.ops(), 1);
-/// let trace = s.finish();
-/// assert_eq!(trace.key().batch, 4);
-/// ```
-#[derive(Debug)]
-pub struct TraceSession {
-    net: Net,
-    seq_bucket: Option<usize>,
-}
-
-impl TraceSession {
-    /// Starts recording at a batch size.
-    pub fn new(batch: usize) -> Self {
-        TraceSession {
-            net: Net::new(batch),
-            seq_bucket: None,
-        }
-    }
-
-    /// Starts recording one sequence-length bucket of a variable-length
-    /// workload.
-    pub fn for_bucket(batch: usize, seq_bucket: usize) -> Self {
-        TraceSession {
-            net: Net::new(batch),
-            seq_bucket: Some(seq_bucket),
-        }
-    }
-
-    /// Wraps an existing network (e.g. the output of
-    /// [`Net::unroll`](crate::dsl::Net::unroll)) so further ops keep
-    /// recording onto it.
-    pub fn from_net(net: Net) -> Self {
-        TraceSession {
-            net,
-            seq_bucket: None,
-        }
-    }
-
-    /// Recorded op count: ensembles plus connections.
-    pub fn ops(&self) -> usize {
-        let conns: usize = self
-            .net
-            .ensembles()
-            .map(|(id, _)| self.net.connections(id).len())
-            .sum();
-        self.net.len() + conns
-    }
-
-    /// Seals the recording.
-    pub fn finish(self) -> Trace {
-        match self.seq_bucket {
-            Some(b) => Trace::from_net_bucketed(self.net, b),
-            None => Trace::from_net(self.net),
-        }
-    }
-}
-
-impl Deref for TraceSession {
-    type Target = Net;
-
-    fn deref(&self) -> &Net {
-        &self.net
-    }
-}
-
-impl DerefMut for TraceSession {
-    fn deref_mut(&mut self) -> &mut Net {
-        &mut self.net
     }
 }
 
@@ -287,7 +186,7 @@ fn hash_region(h: &mut Hasher, region: &SourceRegion) {
 /// differing only between sample points collides — and the bucketing
 /// policy in DESIGN.md §15 spells out why recorded workloads never do
 /// that.
-pub fn structure_hash(net: &Net) -> u64 {
+fn structure_hash(net: &Net) -> u64 {
     let mut h = Hasher::new();
     h.usize(net.len());
     for (id, ens) in net.ensembles() {
@@ -443,39 +342,14 @@ mod tests {
     }
 
     #[test]
-    fn session_records_and_keys() {
-        let mut s = TraceSession::new(4);
-        let data = s.add(Ensemble::data("data", vec![8]));
-        let fc = s.add(
-            Ensemble::new("fc1", vec![2], weighted_neuron())
-                .with_field("weights", vec![false], init::xavier(vec![2, 8], 8, 0))
-                .with_field("bias", vec![false], Tensor::zeros(vec![2, 1]))
-                .with_param("weights", 1.0)
-                .with_param("bias", 2.0),
-        );
-        s.connect(data, fc, Mapping::all_to_all(vec![8]));
-        assert_eq!(s.ops(), 3);
-        let trace = s.finish();
-        assert_eq!(trace.key().batch, 4);
-        assert_eq!(trace.key().seq_bucket, None);
-        assert_eq!(trace.key().structure, structure_hash(&fc_net(4, 0)));
-    }
-
-    #[test]
-    fn bucketed_sessions_key_on_the_bucket() {
-        let a = TraceSession::for_bucket(2, 4).finish();
-        let b = TraceSession::for_bucket(2, 8).finish();
+    fn traces_key_on_structure_batch_and_bucket() {
+        let fixed = Trace::from_net(fc_net(4, 0));
+        assert_eq!(fixed.key().batch, 4);
+        assert_eq!(fixed.key().seq_bucket, None);
+        assert_eq!(fixed.key().structure, structure_hash(&fc_net(4, 0)));
+        let a = Trace::from_net_bucketed(fc_net(2, 0), 4);
+        let b = Trace::from_net_bucketed(fc_net(2, 0), 8);
         assert_eq!(a.key().structure, b.key().structure);
         assert_ne!(a.key(), b.key());
-        assert_eq!(a.key().label(), format!("trace-{:016x}-b2-l4", a.key().structure));
-    }
-
-    #[test]
-    fn key_label_is_filesystem_safe() {
-        let t = Trace::from_net(fc_net(3, 0));
-        let label = t.key().label();
-        assert!(label.starts_with("trace-"));
-        assert!(label.ends_with("-b3"));
-        assert!(label.chars().all(|c| c.is_ascii_alphanumeric() || c == '-'));
     }
 }

@@ -3,8 +3,8 @@
 //! The Latte standard library: layer constructors (fully-connected,
 //! convolution — dense and grouped —, pooling, activations, LRN,
 //! batch-norm, scale/shift, dropout, losses, element-wise blocks, channel
-//! concatenation for Inception-style branches), recurrent units (LSTM,
-//! GRU), and the model zoo the paper evaluates (AlexNet, VGG-A, OverFeat)
+//! concatenation for Inception-style branches), the recurrent LSTM unit,
+//! and the model zoo the paper evaluates (AlexNet, VGG-A, OverFeat)
 //! plus MLP and LeNet.
 //!
 //! Everything here is ordinary user code over the `latte-core` DSL — no

@@ -1,4 +1,4 @@
-//! Recurrent blocks: LSTM and GRU units built from the same ensembles and
+//! Recurrent blocks: the LSTM unit, built from the same ensembles and
 //! connections as everything else (the paper's Figure 6), realized by
 //! time-unrolling with [`Net::unroll`].
 
@@ -73,50 +73,6 @@ pub fn lstm(
     LstmUnit { cell, output }
 }
 
-/// The ensembles of one GRU unit.
-#[derive(Debug, Clone, Copy)]
-pub struct GruUnit {
-    /// The unit output `h`.
-    pub output: EnsembleId,
-}
-
-/// Builds a GRU unit: update gate `z = σ(Wz x + Uz h)`, reset gate
-/// `r = σ(Wr x + Ur h)`, candidate `h~ = tanh(W x + U (r ⊙ h))`, output
-/// `h' = (1-z) ⊙ h + z ⊙ h~`, using recurrent connections for `h`.
-pub fn gru(net: &mut Net, name: &str, input: EnsembleId, n_outputs: usize, seed: u64) -> GruUnit {
-    let n = |suffix: &str| format!("{name}_{suffix}");
-    let zx = fully_connected(net, &n("zx"), input, n_outputs, seed);
-    let rx = fully_connected(net, &n("rx"), input, n_outputs, seed + 1);
-    let hx = fully_connected(net, &n("hx"), input, n_outputs, seed + 2);
-
-    let zh = fully_connected_placeholder(net, &n("zh"), n_outputs, seed + 3);
-    let rh = fully_connected_placeholder(net, &n("rh"), n_outputs, seed + 4);
-
-    let z_sum = eltwise_add(net, &n("z_sum"), &[zx, zh]);
-    let z = sigmoid(net, &n("z"), z_sum);
-    let r_sum = eltwise_add(net, &n("r_sum"), &[rx, rh]);
-    let r = sigmoid(net, &n("r"), r_sum);
-
-    let h_prev = recurrent_identity(net, &n("h_prev"), n_outputs);
-    let rh_prod = eltwise_mul(net, &n("rh_prod"), r, h_prev);
-    let uh = fully_connected(net, &n("uh"), rh_prod, n_outputs, seed + 5);
-    let h_sum = eltwise_add(net, &n("h_sum"), &[hx, uh]);
-    let h_cand = tanh(net, &n("h_cand"), h_sum);
-
-    // h' = h + z ⊙ (h~ - h)  ==  (1-z)h + z h~, built from add/mul
-    // ensembles: delta = h~ - h via neg... keep it simple with two muls:
-    let zh_cand = eltwise_mul(net, &n("zh_cand"), z, h_cand);
-    let one_minus_z = one_minus(net, &n("one_minus_z"), z);
-    let zh_prev = eltwise_mul(net, &n("zh_prev"), one_minus_z, h_prev);
-    let output = eltwise_add(net, &n("h"), &[zh_cand, zh_prev]);
-
-    net.connect_recurrent(output, h_prev, Mapping::one_to_one());
-    for &gate in &[zh, rh] {
-        net.connect_recurrent(output, gate, Mapping::all_to_all(vec![n_outputs]));
-    }
-    GruUnit { output }
-}
-
 /// A fully-connected ensemble whose input arrives later through a
 /// recurrent connection.
 fn fully_connected_placeholder(
@@ -150,26 +106,6 @@ fn recurrent_identity(net: &mut Net, name: &str, n: usize) -> EnsembleId {
     net.add(Ensemble::new(name, vec![n], identity_neuron()))
 }
 
-/// `1 - x` element-wise, built as a custom neuron on the spot — the DSL
-/// escape hatch for one-off operations.
-fn one_minus(net: &mut Net, name: &str, input: EnsembleId) -> EnsembleId {
-    use latte_core::dsl::{Ensemble, NeuronType};
-    let dims = net.ensemble(input).dims().to_vec();
-    let neuron = NeuronType::builder("OneMinus")
-        .forward(|b| {
-            let x = b.input(0, 0);
-            b.assign(b.value(), b.lit(1.0).sub(x));
-        })
-        .backward(|b| {
-            let g = b.grad_expr();
-            b.accumulate(b.grad_input(0, 0), b.lit(0.0).sub(g));
-        })
-        .build();
-    let out = net.add(Ensemble::new(name, dims, neuron));
-    net.connect(input, out, Mapping::one_to_one());
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,16 +128,6 @@ mod tests {
         assert_eq!(w1.alias_of.as_deref(), Some("lstm_ix@t0.weights"));
         // Step-0 recurrent inputs read the zero init ensemble.
         assert!(unrolled.find("lstm_h@init").is_some());
-    }
-
-    #[test]
-    fn gru_unrolls_and_compiles() {
-        let mut net = Net::new(1);
-        let d = data(&mut net, "x", vec![5]);
-        let unit = gru(&mut net, "gru", d, 3, 0);
-        assert_eq!(net.ensemble(unit.output).dims(), &[3]);
-        let unrolled = net.unroll(2);
-        compile(&unrolled, &OptLevel::full()).unwrap();
     }
 
     #[test]

@@ -2,11 +2,10 @@
 //! interpreter, one op-group at a time, with no optimization passes.
 //!
 //! This is the "define-by-run" counterpart of the JIT path. A
-//! [`Trace`] recorded by a
-//! [`TraceSession`](latte_core::TraceSession) can either be handed to a
-//! [`TraceCache`](latte_runtime::TraceCache) — which compiles it through
-//! the full pass pipeline and executes it on the optimized runtime — or
-//! to an [`EagerSession`] here, which synthesizes it at
+//! [`Trace`] can either be compiled through the full pass pipeline and
+//! executed on the optimized runtime — cached under its key in a
+//! [`ProgramCache`](latte_runtime::ProgramCache) — or handed to an
+//! [`EagerSession`] here, which synthesizes it at
 //! [`OptLevel::none`] and *interprets* the groups directly, advancing
 //! one group per [`EagerSession::step`] the way an eager framework runs
 //! one kernel per op.

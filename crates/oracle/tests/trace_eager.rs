@@ -1,7 +1,8 @@
 //! Eager-vs-JIT differential: a recorded trace executed eagerly (stepped
 //! through the reference interpreter with no optimization) must be
-//! **bit-identical** to the same trace JIT-compiled through the
-//! `TraceCache` at every `standard_configs()` opt level — on the loss and
+//! **bit-identical** to the same trace JIT-compiled through a
+//! `(TraceKey, OptLevel)`-keyed `ProgramCache` at every
+//! `standard_configs()` opt level — on the loss and
 //! on every activation buffer that is a primary declaration in both
 //! compilations.
 //!
@@ -21,7 +22,7 @@ use latte_core::Trace;
 use latte_ir::BufferKind;
 use latte_oracle::{standard_configs, EagerSession};
 use latte_runtime::pool::WorkerPool;
-use latte_runtime::{ExecConfig, Executor, TraceCache};
+use latte_runtime::{ExecConfig, Executor};
 
 use common::TestNet;
 
@@ -86,7 +87,7 @@ fn assert_bit_identical(tag: &str, eager: &EagerSession, exec: &Executor) {
 fn run_differential(label: &str, build: fn() -> TestNet) {
     let TestNet { net, inputs } = build();
     let pool = Arc::new(WorkerPool::new(ExecConfig::default().threads));
-    let mut cache = TraceCache::new(32);
+    let cache = common::JitCache::new(32);
 
     // Eager side: record the trace, step it through the interpreter.
     let trace = Trace::from_net(net);
@@ -97,31 +98,25 @@ fn run_differential(label: &str, build: fn() -> TestNet) {
     for (tag, opt) in standard_configs() {
         let tag = format!("{label}/{tag}");
         // JIT cold path: first sighting compiles through the cache.
-        let passes_before = cache.stats().passes_run;
-        let program = cache.get(&trace, &opt).unwrap();
-        assert!(cache.stats().passes_run > passes_before, "[{tag}] no compile");
+        let (program, hit) = common::jit(&cache, &trace, &opt);
+        assert!(!hit, "[{tag}] no compile");
         let mut exec = program.instantiate(Arc::clone(&pool)).unwrap();
         feed_exec(&mut exec, &inputs);
         exec.forward();
         assert_bit_identical(&format!("{tag}/cold"), &eager, &exec);
 
-        // JIT warm path: second sighting must compile zero passes and
-        // still produce identical bits from a fresh instantiation.
-        let passes_cold = cache.stats().passes_run;
-        let cached = cache.get(&trace, &opt).unwrap();
-        assert_eq!(
-            cache.stats().passes_run,
-            passes_cold,
-            "[{tag}] warm lookup ran compiler passes"
-        );
+        // JIT warm path: second sighting must not compile (a hit never
+        // runs the build closure) and still produce identical bits from
+        // a fresh instantiation.
+        let (cached, hit) = common::jit(&cache, &trace, &opt);
+        assert!(hit, "[{tag}] warm lookup compiled");
         let mut warm = cached.instantiate(Arc::clone(&pool)).unwrap();
         feed_exec(&mut warm, &inputs);
         warm.forward();
         assert_bit_identical(&format!("{tag}/warm"), &eager, &warm);
     }
-    let stats = cache.stats();
-    assert_eq!(stats.misses, standard_configs().len());
-    assert_eq!(stats.hits, standard_configs().len());
+    assert_eq!(cache.misses(), standard_configs().len() as u64);
+    assert_eq!(cache.hits(), standard_configs().len() as u64);
 }
 
 #[test]

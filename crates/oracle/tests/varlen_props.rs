@@ -19,7 +19,7 @@ use latte_nn::layers::{data, fully_connected, softmax_loss};
 use latte_nn::rnn::lstm;
 use latte_nn::varlen::{bucket_len, last_step_mask, lstm_seq};
 use latte_runtime::pool::WorkerPool;
-use latte_runtime::{ExecConfig, Executor, TraceCache};
+use latte_runtime::{ExecConfig, Executor};
 use proptest::prelude::*;
 
 const BATCH: usize = 2;
@@ -148,13 +148,10 @@ proptest! {
 
         let (net, bucket) = bucketed_net(len);
         let trace = Trace::from_net_bucketed(net, bucket);
-        let mut cache = TraceCache::new(8);
+        let cache = common::JitCache::new(8);
         for path in ["cold", "warm"] {
-            let passes = cache.stats().passes_run;
-            let program = cache.get(&trace, &opt).unwrap();
-            if path == "warm" {
-                prop_assert_eq!(cache.stats().passes_run, passes, "warm path compiled");
-            }
+            let (program, hit) = common::jit(&cache, &trace, &opt);
+            prop_assert_eq!(hit, path == "warm", "{} path", path);
             let mut exec = program.instantiate(Arc::clone(&pool)).unwrap();
             feed_bucketed(&mut exec, &xs, &y, len, bucket);
             exec.forward();
@@ -183,7 +180,7 @@ proptest! {
 
     /// Across the five oracle nets: a warm cache instantiation is
     /// bit-identical to the cold one on every primary activation buffer
-    /// and the loss, with zero compiler passes on the warm path.
+    /// and the loss, with no compile on the warm path.
     #[test]
     fn cache_paths_agree_on_oracle_nets(which in 0usize..5, scale in 0.25f32..2.0) {
         let common::TestNet { net, inputs } = match which {
@@ -208,10 +205,10 @@ proptest! {
         let opt = OptLevel::full();
         let pool = Arc::new(WorkerPool::new(ExecConfig::default().threads));
         let trace = Trace::from_net(net);
-        let mut cache = TraceCache::new(8);
+        let cache = common::JitCache::new(8);
 
-        let run = |cache: &mut TraceCache| {
-            let program = cache.get(&trace, &opt).unwrap();
+        let run = || {
+            let (program, _) = common::jit(&cache, &trace, &opt);
             let mut exec = program.instantiate(Arc::clone(&pool)).unwrap();
             for (name, v) in &inputs {
                 exec.set_input(name, v).unwrap();
@@ -220,11 +217,9 @@ proptest! {
             exec.backward();
             exec
         };
-        let cold = run(&mut cache);
-        let passes = cache.stats().passes_run;
-        let warm = run(&mut cache);
-        prop_assert_eq!(cache.stats().passes_run, passes, "warm path compiled");
-        prop_assert_eq!(cache.stats().hits, 1);
+        let cold = run();
+        let warm = run();
+        prop_assert_eq!((cache.misses(), cache.hits()), (1, 1), "warm path compiled");
 
         prop_assert_eq!(cold.loss().to_bits(), warm.loss().to_bits());
         for b in &cold.compiled().buffers {

@@ -11,8 +11,7 @@
 //! u64, u32 group count, per group a u32 name length + UTF-8 name, a
 //! u32 vector count, and per vector a u32 element count + raw
 //! little-endian f32 data); finally a CRC32 (IEEE) of everything after
-//! the magic. The solver section trails the weight entries, so readers
-//! that only want weights ([`load_checkpoint`]) skip it for free.
+//! the magic. The solver section trails the weight entries.
 //!
 //! Writes are **atomic**: the payload is serialized to a sibling
 //! temporary file, synced, and `rename`d into place, so a crash
@@ -51,46 +50,22 @@ pub struct CheckpointMeta {
     pub loss: f32,
 }
 
-/// Serializes every learnable parameter of the executor (no training
-/// metadata). See [`save_checkpoint`].
+/// Serializes every learnable parameter, optional training metadata, and
+/// optional solver state (momentum/accumulator buffers from
+/// [`crate::solver::Solver::export_state`]) in one atomic checkpoint: the
+/// bytes land in a sibling `*.tmp` file that is synced and renamed over
+/// `path`, and a CRC32 trailer lets [`load_checkpoint`] verify integrity.
 ///
-/// # Errors
-///
-/// Propagates I/O failures as [`RuntimeError::Io`].
-pub fn save_params(exec: &Executor, path: impl AsRef<Path>) -> Result<(), RuntimeError> {
-    save_checkpoint(exec, None, path)
-}
-
-/// Serializes every learnable parameter, plus optional training
-/// metadata, atomically: the bytes land in a sibling `*.tmp` file that
-/// is synced and renamed over `path`, and a CRC32 trailer lets
-/// [`load_checkpoint`] verify integrity.
-///
-/// # Errors
-///
-/// Propagates I/O failures as [`RuntimeError::Io`] and unreadable
-/// parameter buffers as their underlying error.
-pub fn save_checkpoint(
-    exec: &Executor,
-    meta: Option<&CheckpointMeta>,
-    path: impl AsRef<Path>,
-) -> Result<(), RuntimeError> {
-    save_checkpoint_full(exec, meta, None, path)
-}
-
-/// Serializes parameters, optional training metadata, and optional
-/// solver state (momentum/accumulator buffers from
-/// [`crate::solver::Solver::export_state`]) in one atomic checkpoint.
-///
-/// With the solver state restored via [`load_checkpoint_full`] +
+/// With the solver state restored via [`load_checkpoint`] +
 /// [`crate::solver::Solver::import_state`], a stateful solver resumes on
 /// the *bit-exact* update trajectory it would have followed without the
 /// interruption.
 ///
 /// # Errors
 ///
-/// See [`save_checkpoint`].
-pub fn save_checkpoint_full(
+/// Propagates I/O failures as [`RuntimeError::Io`] and unreadable
+/// parameter buffers as their underlying error.
+pub fn save_checkpoint(
     exec: &Executor,
     meta: Option<&CheckpointMeta>,
     solver: Option<&SolverState>,
@@ -134,20 +109,13 @@ pub fn save_checkpoint_full(
         .map_err(|e| RuntimeError::io(format!("writing checkpoint `{}`", path.display()), e))
 }
 
-/// Restores parameters saved by [`save_params`]/[`save_checkpoint`] into
-/// a (structurally compatible) executor. See [`load_checkpoint`].
-///
-/// # Errors
-///
-/// Fails on I/O errors, bad magic, checksum mismatches, or mismatched
-/// buffer sizes.
-pub fn load_params(exec: &mut Executor, path: impl AsRef<Path>) -> Result<(), RuntimeError> {
-    load_checkpoint(exec, path).map(|_| ())
-}
-
-/// Restores parameters and returns the training metadata, when present.
-/// The CRC32 trailer is verified before any byte of the payload is
-/// interpreted, so truncated or corrupted files are rejected whole.
+/// Restores parameters into a (structurally compatible) executor and
+/// returns both the training metadata and the solver state, when
+/// present. Pass the state to [`crate::solver::Solver::import_state`] to
+/// resume a stateful solver bit-exactly. The CRC32 trailer is verified
+/// before any byte of the payload is interpreted and the whole file is
+/// parsed before the first buffer is written, so a truncated, corrupted
+/// or otherwise rejected checkpoint leaves the executor untouched.
 /// Buffers present in the file but absent from the executor are an
 /// error; executor parameters missing from the file are left untouched.
 ///
@@ -156,22 +124,6 @@ pub fn load_params(exec: &mut Executor, path: impl AsRef<Path>) -> Result<(), Ru
 /// Fails on I/O errors, bad magic, checksum mismatches, or mismatched
 /// buffer sizes.
 pub fn load_checkpoint(
-    exec: &mut Executor,
-    path: impl AsRef<Path>,
-) -> Result<Option<CheckpointMeta>, RuntimeError> {
-    load_checkpoint_full(exec, path).map(|(meta, _)| meta)
-}
-
-/// Restores parameters and returns both the training metadata and the
-/// solver state, when present. Pass the state to
-/// [`crate::solver::Solver::import_state`] to resume a stateful solver
-/// bit-exactly. The whole file is parsed before the first buffer is
-/// written, so a rejected checkpoint leaves the executor untouched.
-///
-/// # Errors
-///
-/// See [`load_checkpoint`].
-pub fn load_checkpoint_full(
     exec: &mut Executor,
     path: impl AsRef<Path>,
 ) -> Result<(Option<CheckpointMeta>, Option<SolverState>), RuntimeError> {
@@ -275,10 +227,10 @@ mod tests {
         let w0 = a.read_buffer("ip1.weights").unwrap();
         let perturbed: Vec<f32> = w0.iter().map(|x| x + 1.5).collect();
         a.write_buffer("ip1.weights", &perturbed).unwrap();
-        save_params(&a, &path).unwrap();
+        save_checkpoint(&a, None, None, &path).unwrap();
         let mut b = build();
         assert_ne!(b.read_buffer("ip1.weights").unwrap(), perturbed);
-        load_params(&mut b, &path).unwrap();
+        load_checkpoint(&mut b, &path).unwrap();
         assert_eq!(b.read_buffer("ip1.weights").unwrap(), perturbed);
         let _ = std::fs::remove_file(&path);
     }
@@ -293,13 +245,13 @@ mod tests {
             epoch_iter: 7,
             loss: 0.625,
         };
-        save_checkpoint(&exec, Some(&meta), &path).unwrap();
+        save_checkpoint(&exec, Some(&meta), None, &path).unwrap();
         let mut b = build();
-        let restored = load_checkpoint(&mut b, &path).unwrap();
+        let (restored, _) = load_checkpoint(&mut b, &path).unwrap();
         assert_eq!(restored, Some(meta));
         // Plain param saves restore no metadata.
-        save_params(&exec, &path).unwrap();
-        assert_eq!(load_checkpoint(&mut b, &path).unwrap(), None);
+        save_checkpoint(&exec, None, None, &path).unwrap();
+        assert_eq!(load_checkpoint(&mut b, &path).unwrap(), (None, None));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -308,7 +260,7 @@ mod tests {
         let path = temp_dir("magic").join("junk.bin");
         std::fs::write(&path, b"not a checkpoint at all").unwrap();
         let mut e = build();
-        let err = load_params(&mut e, &path).unwrap_err();
+        let err = load_checkpoint(&mut e, &path).unwrap_err();
         assert!(err.to_string().contains("bad magic"), "{err}");
         let _ = std::fs::remove_file(&path);
     }
@@ -321,7 +273,7 @@ mod tests {
         bytes.extend_from_slice(&[0u8; 8]);
         std::fs::write(&path, &bytes).unwrap();
         let mut e = build();
-        let err = load_params(&mut e, &path).unwrap_err();
+        let err = load_checkpoint(&mut e, &path).unwrap_err();
         assert!(err.to_string().contains("legacy"), "{err}");
         let _ = std::fs::remove_file(&path);
     }
@@ -330,12 +282,12 @@ mod tests {
     fn truncated_file_rejected() {
         let path = temp_dir("trunc").join("w.bin");
         let exec = build();
-        save_params(&exec, &path).unwrap();
+        save_checkpoint(&exec, None, None, &path).unwrap();
         let full = std::fs::read(&path).unwrap();
         for cut in [5usize, 13, full.len() / 2, full.len() - 1] {
             std::fs::write(&path, &full[..cut]).unwrap();
             let mut e = build();
-            let err = load_params(&mut e, &path).unwrap_err();
+            let err = load_checkpoint(&mut e, &path).unwrap_err();
             let msg = err.to_string();
             assert!(
                 msg.contains("truncated") || msg.contains("integrity"),
@@ -349,7 +301,7 @@ mod tests {
     fn flipped_byte_fails_integrity_check() {
         let path = temp_dir("flip").join("w.bin");
         let exec = build();
-        save_params(&exec, &path).unwrap();
+        save_checkpoint(&exec, None, None, &path).unwrap();
         let good = std::fs::read(&path).unwrap();
         // Flip one payload byte and separately one CRC byte.
         for idx in [good.len() / 2, good.len() - 2] {
@@ -357,7 +309,7 @@ mod tests {
             bad[idx] ^= 0x40;
             std::fs::write(&path, &bad).unwrap();
             let mut e = build();
-            let err = load_params(&mut e, &path).unwrap_err();
+            let err = load_checkpoint(&mut e, &path).unwrap_err();
             assert!(err.to_string().contains("integrity"), "byte {idx}: {err}");
         }
         let _ = std::fs::remove_file(&path);
@@ -369,7 +321,7 @@ mod tests {
         let path = dir.join("w.bin");
         let mut exec = build();
         let w0 = exec.read_buffer("ip1.weights").unwrap();
-        save_params(&exec, &path).unwrap();
+        save_checkpoint(&exec, None, None, &path).unwrap();
 
         // Simulate dying mid-write of the *next* checkpoint: a partial
         // temp file appears next to the good checkpoint and is never
@@ -380,15 +332,15 @@ mod tests {
 
         // The good checkpoint still loads the original weights.
         let mut fresh = build();
-        load_params(&mut fresh, &path).unwrap();
+        load_checkpoint(&mut fresh, &path).unwrap();
         assert_eq!(fresh.read_buffer("ip1.weights").unwrap(), w0);
 
         // A subsequent successful save replaces the temp file and the
         // checkpoint atomically.
-        save_params(&exec, &path).unwrap();
+        save_checkpoint(&exec, None, None, &path).unwrap();
         assert!(!tmp_path(&path).exists(), "temp file must be renamed away");
         let mut newer = build();
-        load_params(&mut newer, &path).unwrap();
+        load_checkpoint(&mut newer, &path).unwrap();
         assert_eq!(newer.read_buffer("ip1.weights").unwrap(), perturbed);
         let _ = std::fs::remove_file(&path);
     }
@@ -397,7 +349,7 @@ mod tests {
     fn missing_file_is_io_error_with_source() {
         use std::error::Error;
         let mut e = build();
-        let err = load_params(&mut e, temp_dir("missing").join("nope.bin")).unwrap_err();
+        let err = load_checkpoint(&mut e, temp_dir("missing").join("nope.bin")).unwrap_err();
         match &err {
             RuntimeError::Io { source, .. } => {
                 assert!(source.is_some());
@@ -422,20 +374,16 @@ mod tests {
             epoch_iter: 2,
             loss: 0.125,
         };
-        save_checkpoint_full(&exec, Some(&meta), Some(&state), &path).unwrap();
+        save_checkpoint(&exec, Some(&meta), Some(&state), &path).unwrap();
 
         let mut b = build();
-        let (restored_meta, restored_state) = load_checkpoint_full(&mut b, &path).unwrap();
+        let (restored_meta, restored_state) = load_checkpoint(&mut b, &path).unwrap();
         assert_eq!(restored_meta, Some(meta));
         assert_eq!(restored_state, Some(state));
 
-        // Weight-only readers skip the trailing solver section.
-        let mut c = build();
-        assert_eq!(load_checkpoint(&mut c, &path).unwrap(), Some(meta));
-
         // A checkpoint without solver state restores None.
-        save_checkpoint(&exec, Some(&meta), &path).unwrap();
-        let (_, none_state) = load_checkpoint_full(&mut b, &path).unwrap();
+        save_checkpoint(&exec, Some(&meta), None, &path).unwrap();
+        let (_, none_state) = load_checkpoint(&mut b, &path).unwrap();
         assert_eq!(none_state, None);
         let _ = std::fs::remove_file(&path);
     }

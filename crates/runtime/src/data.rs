@@ -70,11 +70,6 @@ impl MemoryDataSource {
         })
     }
 
-    /// Number of full batches per epoch.
-    pub fn batches_per_epoch(&self) -> usize {
-        self.items.len() / self.batch
-    }
-
     /// The items (for accuracy evaluation).
     pub fn items(&self) -> &[(Vec<f32>, f32)] {
         &self.items
@@ -258,26 +253,6 @@ impl<S: BatchSource + Send + 'static> Drop for DoubleBufferedSource<S> {
     }
 }
 
-/// Synthetic image batches of a given `(y, x, c)` shape — pixel content
-/// does not affect throughput benchmarks, so uniform noise stands in for
-/// ImageNet.
-pub fn synthetic_images(
-    shape: (usize, usize, usize),
-    n_items: usize,
-    classes: usize,
-    seed: u64,
-) -> Vec<(Vec<f32>, f32)> {
-    let (h, w, c) = shape;
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n_items)
-        .map(|_| {
-            let img: Vec<f32> = (0..h * w * c).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let label = rng.gen_range(0..classes) as f32;
-            (img, label)
-        })
-        .collect()
-}
-
 /// A deterministic MNIST-like dataset: 10 class-conditional 28x28 digit
 /// prototypes (coarse stroke patterns) plus per-item Gaussian-ish noise.
 /// Fig. 20 compares lossy vs. sequential gradient accumulation *on the
@@ -363,7 +338,6 @@ mod tests {
     #[test]
     fn memory_source_batches_and_resets() {
         let mut s = MemoryDataSource::try_new("data", "label", items(7), 3).unwrap();
-        assert_eq!(s.batches_per_epoch(), 2);
         let b1 = s.next_batch().unwrap().unwrap();
         assert_eq!(b1[0].1.len(), 6);
         assert_eq!(b1[1].1, vec![0.0, 1.0, 2.0]);
@@ -405,7 +379,7 @@ mod tests {
         );
         let _ = db.next_batch().unwrap();
         let inner = db.into_inner().expect("healthy prefetcher");
-        assert_eq!(inner.batches_per_epoch(), 2);
+        assert_eq!(inner.items().len(), 6);
     }
 
     /// A source whose `call`-th `next_batch` panics — stands in for a

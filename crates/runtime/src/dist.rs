@@ -105,8 +105,9 @@ pub struct StepReport {
     pub evicted: Vec<usize>,
 }
 
-/// Accumulated timing over a trainer's lifetime, for the overlap
-///-efficiency figure in `BENCH_cluster.json`.
+/// Accumulated timing over a trainer's lifetime: `1 − exposed/comm` is
+/// the share of communication hidden behind backward (the repo
+/// benchmark's `overlap_efficiency` on `cluster.ring2`).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DistStats {
     /// Steps taken.
@@ -119,18 +120,6 @@ pub struct DistStats {
     pub exposed_ms: f64,
     /// Total backward ms.
     pub backward_ms: f64,
-}
-
-impl DistStats {
-    /// Fraction of communication hidden behind backward: `1 −
-    /// exposed/comm` (1 when there was nothing to communicate).
-    pub fn overlap_efficiency(&self) -> f64 {
-        if self.comm_ms > 0.0 {
-            (1.0 - self.exposed_ms / self.comm_ms).max(0.0)
-        } else {
-            1.0
-        }
-    }
 }
 
 /// A distributed data-parallel trainer: one replica of the network, a

@@ -85,9 +85,8 @@ pub enum RuntimeError {
         /// Why the contents are unavailable.
         detail: String,
     },
-    /// Compiling a traced network on a [`TraceCache`](crate::TraceCache)
-    /// miss failed — the recorded net does not pass the compiler (cycle,
-    /// verification failure, …).
+    /// Compiling a traced network failed — the recorded net does not
+    /// pass the compiler (cycle, verification failure, …).
     Compile {
         /// The compiler's error, rendered.
         detail: String,

@@ -317,10 +317,21 @@ impl CompiledProgram {
     /// Propagates buffer-store allocation failures.
     pub fn instantiate(&self, pool: Arc<WorkerPool>) -> Result<Executor, RuntimeError> {
         let store = BufferStore::with_layout(&self.net.buffers, self.net.batch, self.layout.as_ref())?;
+        let param_slots = self
+            .net
+            .params
+            .iter()
+            .map(|p| {
+                let slot = (store.require(&p.value)?.storage, store.require(&p.grad)?.storage);
+                assert_ne!(slot.0, slot.1, "parameter `{}` aliases its own gradient", p.value);
+                Ok(slot)
+            })
+            .collect::<Result<_, RuntimeError>>()?;
         let mut exec = Executor {
             net: self.net.clone(),
             plan: Arc::clone(&self.plan),
             store,
+            param_slots,
             cfg: ExecConfig { threads: pool.threads(), ..self.cfg },
             pool,
         };
@@ -341,6 +352,10 @@ pub struct Executor {
     /// from (plan-cache replicas) or exclusive when built directly.
     plan: Arc<ExecutionPlan>,
     store: BufferStore,
+    /// Per parameter of `net.params`: the storage indices of its value
+    /// and its gradient (distinct), resolved once so the solver's walk
+    /// looks nothing up by name.
+    param_slots: Vec<(usize, usize)>,
     cfg: ExecConfig,
     /// The persistent worker team (and its per-worker GEMM engines and
     /// lane scratch), shared across the warm executors of one serving
@@ -441,16 +456,15 @@ impl Executor {
     ///
     /// Fails for unknown ensembles or wrong lengths.
     pub fn set_input(&mut self, ensemble: &str, data: &[f32]) -> Result<(), RuntimeError> {
-        let buffer = self
+        let input = self
             .net
             .inputs
             .iter()
             .find(|i| i.ensemble == ensemble)
-            .map(|i| i.buffer.clone())
             .ok_or_else(|| RuntimeError::UnknownBuffer {
                 name: format!("{ensemble} (data ensemble)"),
             })?;
-        self.store.write(&buffer, data)
+        self.store.write(&input.buffer, data)
     }
 
     /// Writes one batch item's slice of a data ensemble: `data` holds
@@ -468,16 +482,15 @@ impl Executor {
         item: usize,
         data: &[f32],
     ) -> Result<(), RuntimeError> {
-        let buffer = self
+        let input = self
             .net
             .inputs
             .iter()
             .find(|i| i.ensemble == ensemble)
-            .map(|i| i.buffer.clone())
             .ok_or_else(|| RuntimeError::UnknownBuffer {
                 name: format!("{ensemble} (data ensemble)"),
             })?;
-        self.store.write_item(&buffer, item, data)
+        self.store.write_item(&input.buffer, item, data)
     }
 
     /// Reads a buffer's full storage.
@@ -673,7 +686,7 @@ impl Executor {
         let mut total = 0.0;
         let mut count = 0;
         for name in &self.net.losses {
-            if let Ok(values) = self.store.read(name) {
+            if let Ok(values) = self.store.view(name) {
                 total += values.iter().sum::<f32>();
                 count += self.net.batch;
             }
@@ -690,16 +703,17 @@ impl Executor {
     /// This is the solvers' access path; gradients are those accumulated
     /// by the last backward pass (summed over the batch).
     pub fn for_each_param_mut(&mut self, mut f: impl FnMut(&mut [f32], &[f32], f32)) {
-        for i in 0..self.net.params.len() {
-            let p = self.net.params[i].clone();
-            let vi = self.store.info(&p.value).expect("param buffer").storage;
-            let gi = self.store.info(&p.grad).expect("param grad buffer").storage;
-            assert_ne!(vi, gi, "parameter aliases its own gradient");
-            let base = self.store.storages.as_mut_ptr();
-            // SAFETY: vi != gi index distinct vector elements of a live,
-            // exclusively borrowed Vec.
-            let (vs, gs) = unsafe { ((*base.add(vi)).as_mut_slice(), (*base.add(gi)).as_slice()) };
-            f(vs, gs, p.lr_mult);
+        let storages = &mut self.store.storages;
+        for (p, &(vi, gi)) in self.net.params.iter().zip(&self.param_slots) {
+            // vi != gi (checked at instantiation): split between them.
+            let (value, grad) = if vi < gi {
+                let (lo, hi) = storages.split_at_mut(gi);
+                (&mut lo[vi], &hi[0])
+            } else {
+                let (lo, hi) = storages.split_at_mut(vi);
+                (&mut hi[0], &lo[gi])
+            };
+            f(value, grad, p.lr_mult);
         }
     }
 
@@ -707,10 +721,8 @@ impl Executor {
     /// pair, mutably — the gradient-hygiene (clipping / finite-check)
     /// access path, run between `backward` and `Solver::step`.
     pub fn for_each_param_grad_mut(&mut self, mut f: impl FnMut(&str, &mut [f32])) {
-        for i in 0..self.net.params.len() {
-            let grad = self.net.params[i].grad.clone();
-            let gi = self.store.info(&grad).expect("param grad buffer").storage;
-            f(&grad, self.store.storages[gi].as_mut_slice());
+        for (p, &(_, gi)) in self.net.params.iter().zip(&self.param_slots) {
+            f(&p.grad, &mut self.store.storages[gi]);
         }
     }
 

@@ -98,16 +98,6 @@ impl SentinelConfig {
         }
     }
 
-    /// Exhaustive debug default: every element, every iteration, at
-    /// every layer boundary.
-    pub fn debug() -> Self {
-        SentinelConfig {
-            mode: SentinelMode::Exhaustive,
-            every: 1,
-            layer_boundary: true,
-        }
-    }
-
     /// `self`, with the mode overridden by `LATTE_SENTINEL_MODE` when
     /// that variable is set (see [`SentinelMode::from_env`]).
     pub fn env_override(mut self) -> Self {

@@ -80,5 +80,5 @@ pub mod tune;
 pub use error::RuntimeError;
 pub use exec::{CompiledProgram, ExecConfig, Executor, GradBucket};
 pub use plan::ExecutionPlan;
-pub use trace::{ProgramCache, TraceCache, TraceCacheStats};
+pub use trace::ProgramCache;
 pub use tune::{TuneError, Tuner, TunerStats};

@@ -296,9 +296,8 @@ fn softmax_loss_forward(inv: &mut ExternInvocation<'_>) -> Result<(), RuntimeErr
 fn softmax_loss_backward(inv: &mut ExternInvocation<'_>) -> Result<(), RuntimeError> {
     let label = inv.buf(1)[0] as usize;
     let scale = 1.0 / inv.batch as f32;
-    let prob = inv.buf(6).to_vec();
-    let gpred = inv.buf_mut(4);
-    for (i, (g, &p)) in gpred.iter_mut().zip(&prob).enumerate() {
+    let (prob, gpred) = inv.buf_pair_mut(6, 4);
+    for (i, (g, &p)) in gpred.iter_mut().zip(prob).enumerate() {
         let onehot = if i == label { 1.0 } else { 0.0 };
         *g += (p - onehot) * scale;
     }

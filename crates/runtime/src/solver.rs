@@ -124,7 +124,7 @@ impl Default for SolverParams {
 /// solver kind is rejected when restored into another.
 ///
 /// Produced by [`Solver::export_state`], persisted by
-/// [`crate::checkpoint::save_checkpoint_full`], and replayed by
+/// [`crate::checkpoint::save_checkpoint`], and replayed by
 /// [`Solver::import_state`] — the round trip is bit-exact, so a stateful
 /// solver (momentum, RMS accumulators) resumes on the identical update
 /// trajectory after a restart.
@@ -521,17 +521,6 @@ impl Default for GradHygiene {
     fn default() -> Self {
         GradHygiene {
             max_global_norm: Some(100.0),
-            max_abs: None,
-            skip_nonfinite: true,
-        }
-    }
-}
-
-impl GradHygiene {
-    /// A policy that only vetoes non-finite updates, without clipping.
-    pub fn finite_check_only() -> Self {
-        GradHygiene {
-            max_global_norm: None,
             max_abs: None,
             skip_nonfinite: true,
         }

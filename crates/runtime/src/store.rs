@@ -263,15 +263,15 @@ impl BufferStore {
     /// Fails when `data` length differs from the buffer's logical length,
     /// and for buffers retired by the arena.
     pub fn write(&mut self, name: &str, data: &[f32]) -> Result<(), RuntimeError> {
-        let info = self.visible(name, self.require(name)?)?.clone();
-        let len = info.logical_len(self.batch);
+        let info = self.visible(name, self.require(name)?)?;
+        let (storage, len) = (info.storage, info.logical_len(self.batch));
         if len != data.len() {
             return Err(RuntimeError::InputShape {
                 buffer: name.to_string(),
                 detail: format!("expected {} elements, got {}", len, data.len()),
             });
         }
-        self.storages[info.storage][..len].copy_from_slice(data);
+        self.storages[storage][..len].copy_from_slice(data);
         Ok(())
     }
 
@@ -284,22 +284,23 @@ impl BufferStore {
     /// length, when `item` is outside the batch, and for unknown or
     /// arena-retired buffers.
     pub fn write_item(&mut self, name: &str, item: usize, data: &[f32]) -> Result<(), RuntimeError> {
-        let info = self.visible(name, self.require(name)?)?.clone();
-        if data.len() != info.per_item {
+        let info = self.visible(name, self.require(name)?)?;
+        let (storage, per_item, batched) = (info.storage, info.per_item, info.batched);
+        if data.len() != per_item {
             return Err(RuntimeError::InputShape {
                 buffer: name.to_string(),
-                detail: format!("expected {} elements per item, got {}", info.per_item, data.len()),
+                detail: format!("expected {per_item} elements per item, got {}", data.len()),
             });
         }
-        let items = if info.batched { self.batch } else { 1 };
+        let items = if batched { self.batch } else { 1 };
         if item >= items {
             return Err(RuntimeError::InputShape {
                 buffer: name.to_string(),
                 detail: format!("item {item} outside batch of {items}"),
             });
         }
-        let off = if info.batched { item * info.per_item } else { 0 };
-        self.storages[info.storage][off..off + info.per_item].copy_from_slice(data);
+        let off = if batched { item * per_item } else { 0 };
+        self.storages[storage][off..off + per_item].copy_from_slice(data);
         Ok(())
     }
 

@@ -37,7 +37,7 @@
 
 use std::path::PathBuf;
 
-use crate::checkpoint::{load_checkpoint_full, save_checkpoint_full, CheckpointMeta};
+use crate::checkpoint::{load_checkpoint, save_checkpoint, CheckpointMeta};
 use crate::data::BatchSource;
 use crate::error::RuntimeError;
 use crate::exec::Executor;
@@ -194,7 +194,7 @@ pub fn supervise(
         epoch_iter: 0,
         loss: 0.0,
     };
-    save_checkpoint_full(
+    save_checkpoint(
         exec,
         Some(&initial_meta),
         Some(&solver.export_state()),
@@ -458,7 +458,7 @@ fn run_attempt(
                         epoch_iter: st.epoch_iter,
                         loss: reference,
                     };
-                    match save_checkpoint_full(
+                    match save_checkpoint(
                         exec,
                         Some(&meta),
                         Some(&solver.export_state()),
@@ -495,7 +495,7 @@ fn restore(
     cfg: &SupervisorConfig,
     st: &mut TrainState,
 ) -> Result<(), RuntimeError> {
-    let (meta, solver_state) = load_checkpoint_full(exec, &cfg.checkpoint_path)?;
+    let (meta, solver_state) = load_checkpoint(exec, &cfg.checkpoint_path)?;
     let meta = meta.ok_or_else(|| {
         RuntimeError::Malformed {
             detail: format!(
@@ -805,7 +805,7 @@ mod tests {
             epoch_iter: 4,
             loss: 1e6,
         };
-        save_checkpoint_full(&exec, Some(&meta), None, &cfg.checkpoint_path).unwrap();
+        save_checkpoint(&exec, Some(&meta), None, &cfg.checkpoint_path).unwrap();
         let mut st = TrainState {
             epoch: 0,
             epoch_iter: 0,

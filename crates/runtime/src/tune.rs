@@ -12,8 +12,7 @@
 //! median-of-N timing on one long-lived [`WorkerPool`], and persists the
 //! winner so every later compile of the same network replays the schedule
 //! with **zero re-measurements** (counter-asserted via
-//! [`TunerStats::measurements`], mirroring the `TraceCache` `passes_run`
-//! proof).
+//! [`TunerStats::measurements`]).
 //!
 //! # Search space
 //!

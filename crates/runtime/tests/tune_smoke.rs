@@ -1,5 +1,5 @@
 //! Autotuner smoke tests: cold tune → warm reuse with **zero**
-//! re-measurements (the `TraceCache`-style counter proof), cache
+//! re-measurements (counter-asserted), cache
 //! round-trip through a fresh tuner, and corrupt-cache rejection.
 
 use latte_core::OptLevel;

@@ -22,17 +22,6 @@ pub enum FlushReason {
     Drain,
 }
 
-impl FlushReason {
-    /// Stable lower-case label (used in bench JSON and logs).
-    pub fn label(&self) -> &'static str {
-        match self {
-            FlushReason::Size => "size",
-            FlushReason::Deadline => "deadline",
-            FlushReason::Drain => "drain",
-        }
-    }
-}
-
 /// The coalescer: accumulates items and decides when a micro-batch is
 /// ready.
 #[derive(Debug)]

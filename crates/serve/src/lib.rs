@@ -27,11 +27,10 @@
 //!   handshake, CRC-sealed frames, wire deadlines, slow-loris timeouts,
 //!   bounded reply backpressure, and graceful drain (the `latte-served`
 //!   binary wraps it).
-//! * [`loadgen`] — seeded open-loop arrival schedules (steady, bursty,
-//!   slow-client) plus the adversarial-client vocabulary
+//! * [`loadgen`] — the seeded adversarial-client vocabulary
 //!   ([`loadgen::Misbehavior`]) for reproducible chaos runs.
-//! * [`zoo`] — batch-parametric demo models the binary, bench, and
-//!   tests serve out of the box.
+//! * [`zoo`] — batch-parametric demo models the binary and the tests
+//!   serve out of the box.
 //!
 //! The serving guarantee the test suite pins down: a sample served in
 //! *any* micro-batch is **bit-identical** to the same sample run alone
@@ -54,7 +53,7 @@ pub mod zoo;
 pub use batcher::{Batcher, FlushReason};
 pub use cache::PlanCache;
 pub use error::ServeError;
-pub use loadgen::{schedule, Arrival, Misbehavior};
+pub use loadgen::Misbehavior;
 pub use model::{Model, NetFactory};
 pub use net::{Client, HealthReport, NetConfig, NetError, NetFrontend, NetReply, WireError};
 pub use replica::{BatchAction, BatchEngine, FaultHooks, NoHooks, ReplicaHooks};

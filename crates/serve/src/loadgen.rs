@@ -1,113 +1,20 @@
-//! Deterministic open-loop load generation.
+//! The adversarial-client vocabulary for reproducible chaos runs.
 //!
-//! An open-loop generator decides arrival times *before* observing any
-//! response — the schedule is a pure function of `(pattern, n, seed)`,
-//! so a benchmark run is exactly reproducible. The bench harness walks
-//! the schedule with real sleeps; tests can consume it as data.
-
-use std::time::Duration;
+//! Which clients misbehave, and how, is decided *before* observing any
+//! response — a pure function of a seed or of a training-side fault
+//! plan — so an adversarial run against the network front-end is exactly
+//! reproducible.
 
 use latte_runtime::fault::{FaultPlan, TransferFault};
 
-/// An arrival pattern for the open-loop generator.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Arrival {
-    /// Poisson arrivals at a steady mean rate (exponential
-    /// inter-arrival gaps).
-    Steady {
-        /// Mean requests per second.
-        rps: f64,
-    },
-    /// Closely spaced bursts separated by idle gaps: each burst packs
-    /// `burst` arrivals uniformly into `within`, then the line goes
-    /// silent for `gap`.
-    Bursty {
-        /// Arrivals per burst.
-        burst: usize,
-        /// Window a burst's arrivals are spread across.
-        within: Duration,
-        /// Idle time between bursts.
-        gap: Duration,
-    },
-    /// Steady Poisson arrivals, but every `stall_every`-th request is
-    /// preceded by an extra `stall` of silence — the client that stops
-    /// sending (and draining) for a while, then dumps its backlog.
-    SlowClient {
-        /// Mean requests per second while active.
-        rps: f64,
-        /// A stall is inserted before every `stall_every`-th arrival
-        /// (clamped to at least 1).
-        stall_every: usize,
-        /// Length of each stall.
-        stall: Duration,
-    },
-}
-
-/// splitmix64: tiny, seedable, and good enough for arrival jitter.
+/// splitmix64: tiny, seedable, and good enough for picking misbehaviors
+/// and demo inputs.
 pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-/// A uniform draw in the open interval (0, 1).
-fn unit(state: &mut u64) -> f64 {
-    let u = (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64;
-    u.max(f64::EPSILON)
-}
-
-/// An exponential inter-arrival gap for mean rate `rps` (clamped to a
-/// sane minimum rate so a zero/negative rps cannot hang the schedule).
-fn exp_gap(state: &mut u64, rps: f64) -> Duration {
-    let rate = rps.max(1e-3);
-    Duration::from_secs_f64(-unit(state).ln() / rate)
-}
-
-/// Builds the arrival schedule: `n` non-decreasing offsets from the
-/// start of the run. Fully determined by `(arrival, n, seed)`.
-pub fn schedule(arrival: &Arrival, n: usize, seed: u64) -> Vec<Duration> {
-    let mut state = seed ^ 0xa076_1d64_78bd_642f;
-    let mut out = Vec::with_capacity(n);
-    match *arrival {
-        Arrival::Steady { rps } => {
-            let mut t = Duration::ZERO;
-            for _ in 0..n {
-                t += exp_gap(&mut state, rps);
-                out.push(t);
-            }
-        }
-        Arrival::Bursty { burst, within, gap } => {
-            let burst = burst.max(1);
-            let mut start = Duration::ZERO;
-            while out.len() < n {
-                let take = burst.min(n - out.len());
-                let mut offsets: Vec<Duration> = (0..take)
-                    .map(|_| within.mul_f64(unit(&mut state)))
-                    .collect();
-                offsets.sort();
-                out.extend(offsets.into_iter().map(|o| start + o));
-                start += within + gap;
-            }
-        }
-        Arrival::SlowClient {
-            rps,
-            stall_every,
-            stall,
-        } => {
-            let stall_every = stall_every.max(1);
-            let mut t = Duration::ZERO;
-            for i in 0..n {
-                if i > 0 && i % stall_every == 0 {
-                    t += stall;
-                }
-                t += exp_gap(&mut state, rps);
-                out.push(t);
-            }
-        }
-    }
-    out
 }
 
 /// One misbehaving client for the adversarial load mode: each variant
@@ -188,76 +95,6 @@ pub fn misbehaviors_from_plan(
 mod tests {
     use super::*;
     use latte_runtime::fault::FaultRates;
-
-    #[test]
-    fn schedules_are_deterministic_in_the_seed() {
-        for arrival in [
-            Arrival::Steady { rps: 500.0 },
-            Arrival::Bursty {
-                burst: 8,
-                within: Duration::from_millis(2),
-                gap: Duration::from_millis(20),
-            },
-            Arrival::SlowClient {
-                rps: 500.0,
-                stall_every: 10,
-                stall: Duration::from_millis(50),
-            },
-        ] {
-            let a = schedule(&arrival, 100, 42);
-            let b = schedule(&arrival, 100, 42);
-            let c = schedule(&arrival, 100, 43);
-            assert_eq!(a, b, "{arrival:?} not reproducible");
-            assert_ne!(a, c, "{arrival:?} ignores the seed");
-        }
-    }
-
-    #[test]
-    fn schedules_are_non_decreasing_and_sized() {
-        for arrival in [
-            Arrival::Steady { rps: 1000.0 },
-            Arrival::Bursty {
-                burst: 7,
-                within: Duration::from_millis(1),
-                gap: Duration::from_millis(10),
-            },
-            Arrival::SlowClient {
-                rps: 1000.0,
-                stall_every: 5,
-                stall: Duration::from_millis(25),
-            },
-        ] {
-            let s = schedule(&arrival, 64, 7);
-            assert_eq!(s.len(), 64);
-            assert!(s.windows(2).all(|w| w[0] <= w[1]), "{arrival:?} goes backwards");
-        }
-    }
-
-    #[test]
-    fn steady_mean_gap_tracks_the_rate() {
-        let s = schedule(&Arrival::Steady { rps: 1000.0 }, 4000, 11);
-        let mean = s.last().unwrap().as_secs_f64() / s.len() as f64;
-        // 1/rps = 1ms; the sample mean of 4000 exponentials is close.
-        assert!((0.0008..0.0012).contains(&mean), "mean gap {mean}");
-    }
-
-    #[test]
-    fn slow_client_inserts_stalls() {
-        let stall = Duration::from_millis(100);
-        let s = schedule(
-            &Arrival::SlowClient {
-                rps: 10_000.0,
-                stall_every: 10,
-                stall,
-            },
-            30,
-            3,
-        );
-        // The gap across each stall boundary dwarfs the in-run gaps.
-        assert!(s[10] - s[9] >= stall);
-        assert!(s[20] - s[19] >= stall);
-        assert!(s[9] - s[8] < stall);
-    }
 
     #[test]
     fn misbehavior_mixes_are_seeded_and_cover_every_variant() {

@@ -28,7 +28,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use latte_core::dsl::Net;
 use latte_core::OptLevel;
@@ -38,8 +37,8 @@ use latte_runtime::ExecConfig;
 use crate::cache::PlanCache;
 use crate::error::ServeError;
 use crate::model::Model;
-use crate::replica::{NoHooks, ReplicaHooks};
-use crate::server::{Request, ServeConfig, Server, StatsSnapshot, Ticket};
+use crate::replica::NoHooks;
+use crate::server::{Request, ServeConfig, Server, Ticket};
 
 /// A sequence-model factory: builds the net for a given `(batch,
 /// bucket)` pair. Like [`crate::NetFactory`] it must be batch-invariant
@@ -332,15 +331,6 @@ impl SeqTicket {
         self.route
     }
 
-    /// Blocks until the response arrives (see [`Ticket::wait`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Ticket::wait`].
-    pub fn wait(self) -> Result<crate::server::Response, ServeError> {
-        self.ticket.wait()
-    }
-
     /// Blocks up to `timeout` (see [`Ticket::wait_timeout`]).
     ///
     /// # Errors
@@ -357,7 +347,7 @@ impl SeqTicket {
 /// A dynamic-shape server: one dynamic-batching [`Server`] per bucket
 /// over one shared [`PlanCache`], with spill accounting.
 pub struct SeqServer {
-    model: Arc<SeqModel>,
+    model: SeqModel,
     servers: Vec<Server>,
     cache: Arc<PlanCache>,
     spills: AtomicU64,
@@ -375,35 +365,19 @@ impl std::fmt::Debug for SeqServer {
 }
 
 impl SeqServer {
-    /// Starts one server per bucket with a private shared plan cache and
-    /// no fault hooks.
+    /// Starts one server per bucket, all lowering through one private
+    /// plan cache — which is what makes the cache effectively
+    /// `(bucket, batch)`-keyed.
     pub fn start(model: SeqModel, cfg: ServeConfig) -> SeqServer {
         let cache = Arc::new(PlanCache::new(ExecConfig {
             threads: cfg.threads,
             arena: false,
             gemm_blocking: None,
         }));
-        Self::start_with(Arc::new(model), cfg, cache, Arc::new(NoHooks))
-    }
-
-    /// Starts with an explicit (possibly shared) plan cache and replica
-    /// hooks; every bucket's server lowers through the same cache, which
-    /// is what makes the cache effectively `(bucket, batch)`-keyed.
-    pub fn start_with(
-        model: Arc<SeqModel>,
-        cfg: ServeConfig,
-        cache: Arc<PlanCache>,
-        hooks: Arc<dyn ReplicaHooks>,
-    ) -> SeqServer {
-        let servers = (0..model.buckets().len())
-            .map(|i| {
-                Server::start_with(
-                    Arc::clone(model.model(i)),
-                    cfg,
-                    Arc::clone(&cache),
-                    Arc::clone(&hooks),
-                )
-            })
+        let servers = model
+            .models
+            .iter()
+            .map(|m| Server::start_with(Arc::clone(m), cfg, Arc::clone(&cache), Arc::new(NoHooks)))
             .collect::<Vec<_>>();
         let routed = (0..servers.len()).map(|_| AtomicU64::new(0)).collect();
         SeqServer {
@@ -423,22 +397,8 @@ impl SeqServer {
     /// Admission errors ([`ServeError::BadRequest`]) plus everything
     /// [`Server::submit`] can return for the routed bucket.
     pub fn submit(&self, req: &SeqRequest) -> Result<SeqTicket, ServeError> {
-        self.submit_with_deadline(req, None)
-    }
-
-    /// Submits with a client completion deadline (see
-    /// [`Server::submit_with_deadline`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`SeqServer::submit`], plus [`ServeError::DeadlineExceeded`].
-    pub fn submit_with_deadline(
-        &self,
-        req: &SeqRequest,
-        deadline: Option<Instant>,
-    ) -> Result<SeqTicket, ServeError> {
         let (route, fixed) = self.model.admit(req)?;
-        let ticket = self.servers[route.bucket_index].submit_with_deadline(fixed, deadline)?;
+        let ticket = self.servers[route.bucket_index].submit(fixed)?;
         // Counters move only after a successful admission, so spills
         // count executed work, not rejected requests.
         self.routed[route.bucket_index].fetch_add(1, Ordering::Relaxed);
@@ -468,40 +428,6 @@ impl SeqServer {
         self.spills.load(Ordering::Relaxed)
     }
 
-    /// A field-wise sum of every bucket server's counters.
-    pub fn stats(&self) -> StatsSnapshot {
-        let mut total = StatsSnapshot::default();
-        for s in &self.servers {
-            let st = s.stats();
-            total.submitted += st.submitted;
-            total.completed += st.completed;
-            total.rejected += st.rejected;
-            total.failed += st.failed;
-            total.batches += st.batches;
-            total.flush_size += st.flush_size;
-            total.flush_deadline += st.flush_deadline;
-            total.flush_drain += st.flush_drain;
-            total.retries += st.retries;
-            total.crashes += st.crashes;
-            total.restarts += st.restarts;
-            total.max_depth = total.max_depth.max(st.max_depth);
-            total.deadline_rejected += st.deadline_rejected;
-            total.deadline_shed += st.deadline_shed;
-            total.replies_dropped += st.replies_dropped;
-            total.conn_accepted += st.conn_accepted;
-            total.conn_rejected += st.conn_rejected;
-            total.conn_timeouts += st.conn_timeouts;
-            total.frames_corrupt += st.frames_corrupt;
-        }
-        total
-    }
-
-    /// One bucket's underlying server (parallel to
-    /// [`SeqModel::buckets`]).
-    pub fn server(&self, bucket_index: usize) -> &Server {
-        &self.servers[bucket_index]
-    }
-
     /// The shared plan cache every bucket lowers through.
     pub fn cache(&self) -> &Arc<PlanCache> {
         &self.cache
@@ -510,19 +436,6 @@ impl SeqServer {
     /// The routed sequence model.
     pub fn model(&self) -> &SeqModel {
         &self.model
-    }
-
-    /// Gracefully drains and stops every bucket server.
-    pub fn shutdown(&self) {
-        for s in &self.servers {
-            s.shutdown();
-        }
-    }
-}
-
-impl Drop for SeqServer {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 

@@ -4,8 +4,8 @@
 //! the batch size (identical layer seeds at every batch, so parameters
 //! are batch-invariant and every micro-batch size shares one plan-cache
 //! fingerprint). They exist so the network front-end has something real
-//! to serve out of the box: the `latte-served` binary, the serving
-//! bench, and the integration tests all register models from here, and
+//! to serve out of the box: the `latte-served` binary and the
+//! integration tests both register models from here, and
 //! the in-process test suite compares served samples bit-for-bit
 //! against a plain batch-1 executor of the same factory.
 
@@ -221,7 +221,7 @@ pub fn seq_sample(len: usize, seed: u64) -> SeqRequest {
 
 /// One deterministic single-sample request for the named demo net,
 /// fully determined by `(name, seed)` — no external RNG, so binaries
-/// and benches produce identical request streams run to run.
+/// and tests produce identical request streams run to run.
 ///
 /// # Panics
 ///

@@ -1,48 +1,26 @@
 //! Shared helpers for the serving test suite.
 //!
 //! The five batch-parametric test nets now live in [`latte_serve::zoo`]
-//! (the binary and bench serve them too); this module re-exports them
-//! and adds the test-only pieces: a seeded request generator and the
-//! plain batch-1 executor oracle every served sample is compared
-//! bit-for-bit against.
+//! (the binary serves them too) with their seeded request generator;
+//! this module re-exports them and adds the test-only piece: the plain
+//! batch-1 executor oracle every served sample is compared bit-for-bit
+//! against.
 
 #![allow(dead_code)]
 
 use latte_core::{compile, OptLevel};
 use latte_runtime::Executor;
 use latte_serve::Request;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
-// Each test binary uses its own subset of these.
+// Each test binary uses its own subset of these. `sample(name, seed)` is
+// the zoo's deterministic single-sample request for the named net.
 #[allow(unused_imports)]
-pub use latte_serve::zoo::{classes, factory, input_signature, LSTM_STEPS, NETS};
+pub use latte_serve::zoo::{classes, factory, input_signature, sample, LSTM_STEPS, NETS};
 
 /// Registers the named test net as a served [`latte_serve::Model`]
 /// (full optimization, `head.value` output).
 pub fn model(name: &str) -> latte_serve::Model {
     latte_serve::zoo::model(name).expect("model registration")
-}
-
-/// One deterministic single-sample request for the named net.
-pub fn sample(name: &str, seed: u64) -> Request {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let inputs = input_signature(name)
-        .into_iter()
-        .map(|(ensemble, len)| {
-            let values: Vec<f32> = if ensemble == "label" {
-                vec![rng.gen_range(0..classes(name)) as f32]
-            } else if ensemble.ends_with("@init") {
-                // Zero initial recurrent state, matching the paper's
-                // unrolling semantics.
-                vec![0.0; len]
-            } else {
-                (0..len).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
-            };
-            (ensemble, values)
-        })
-        .collect();
-    Request { inputs }
 }
 
 /// The oracle for a served sample: the same request run alone through a

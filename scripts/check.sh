@@ -11,21 +11,13 @@ cargo build --release
 echo "==> cargo test -q (tier-1, includes fault-injection end-to-end)"
 cargo test -q
 
-echo "==> cargo test -p latte-serve -q (serving: batching identity, flush, crash supervision)"
-cargo test -p latte-serve -q
-
-echo "==> cargo test -p latte-oracle -q (compiler-correctness oracle, fast subset)"
-cargo test -p latte-oracle -q
-
-echo "==> golden-IR snapshots (regenerate with UPDATE_GOLDEN=1 cargo test --test golden_ir)"
-cargo test --test golden_ir -q
+echo "==> cargo test --workspace -q (serving suite, oracle fast subset and golden-IR snapshots included)"
+cargo test --workspace -q
+# Regenerate deliberately with UPDATE_GOLDEN=1 cargo test --test golden_ir.
 git diff --exit-code -- tests/golden/ || {
   echo "tests/golden/ has uncommitted changes" >&2
   exit 1
 }
-
-echo "==> cargo test --workspace -q"
-cargo test --workspace -q
 
 echo "==> cargo test --workspace -q with LATTE_THREADS=4 (persistent worker pool)"
 LATTE_THREADS=4 cargo test --workspace -q
@@ -45,20 +37,6 @@ cargo test --release -p latte-runtime --lib elem::tests::strip_programs_beat_the
 echo "==> autotuner smoke (cold tune -> warm replay with zero re-measurements, corrupt-cache rejection)"
 cargo test --release -p latte-runtime --test tune_smoke -q
 cargo test --release -p latte-oracle --test tuned -q
-
-echo "==> throughput bench smoke + artifact schema validation (incl. checked-in artifact)"
-cargo run --release --quiet -p latte-bench --bin throughput -- --smoke --out target/BENCH_smoke.json
-cargo run --release --quiet -p latte-bench --bin throughput -- --validate target/BENCH_smoke.json
-cargo run --release --quiet -p latte-bench --bin throughput -- --validate BENCH_throughput.json
-
-echo "==> cluster bench smoke + artifact schema validation"
-cargo run --release --quiet -p latte-bench --bin cluster -- --smoke --out target/BENCH_cluster_smoke.json
-cargo run --release --quiet -p latte-bench --bin cluster -- --validate target/BENCH_cluster_smoke.json
-
-echo "==> serving bench smoke + artifact schema validation (incl. checked-in artifact)"
-cargo run --release --quiet -p latte-bench --bin serving -- --smoke --out target/BENCH_serving_smoke.json
-cargo run --release --quiet -p latte-bench --bin serving -- --validate target/BENCH_serving_smoke.json
-cargo run --release --quiet -p latte-bench --bin serving -- --validate BENCH_serving.json
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
