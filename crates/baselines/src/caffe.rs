@@ -8,7 +8,7 @@
 //! the Latte runtime, mirroring the paper's setup where both systems call
 //! MKL.
 
-use latte_tensor::conv::{col2im, conv2d_reference, im2col, maxpool2d, Conv2dParams};
+use latte_tensor::conv::{col2im, im2col, maxpool2d, Conv2dParams};
 use latte_tensor::gemm::{Gemm, Transpose};
 use latte_tensor::init;
 
@@ -494,21 +494,11 @@ impl Layer for SoftmaxLossLayer {
     }
 }
 
-/// Direct-loop convolution check helper used by tests (not a layer).
-pub fn conv_forward_reference(
-    p: &Conv2dParams,
-    input: &[f32],
-    weights: &[f32],
-    bias: &[f32],
-    output: &mut [f32],
-) {
-    conv2d_reference(p, input, weights, bias, output);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec::LayerSpec;
+    use latte_tensor::conv::conv2d_reference;
 
     fn seeded(len: usize, seed: u32) -> Vec<f32> {
         (0..len)
@@ -552,7 +542,7 @@ mod tests {
         };
         for item in 0..2 {
             let mut expect = vec![0.0; 4 * 36];
-            conv_forward_reference(&p, &input[item * 108..(item + 1) * 108], &w, &b, &mut expect);
+            conv2d_reference(&p, &input[item * 108..(item + 1) * 108], &w, &b, &mut expect);
             let got = &net.output().data[item * 144..(item + 1) * 144];
             for (g, e) in got.iter().zip(&expect) {
                 assert!((g - e).abs() < 1e-3, "{g} vs {e}");

@@ -190,12 +190,4 @@ impl SequentialNet {
     pub fn layer_mut(&mut self, i: usize) -> &mut dyn Layer {
         self.layers[i].as_mut()
     }
-
-    /// Total parameter elements.
-    pub fn param_count(&mut self) -> usize {
-        self.layers
-            .iter_mut()
-            .map(|l| l.params_mut().iter().map(|(v, _)| v.len()).sum::<usize>())
-            .sum()
-    }
 }

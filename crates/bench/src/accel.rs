@@ -106,18 +106,6 @@ impl HeterogeneousScheduler {
         t
     }
 
-    /// The cold-start time of the first iteration, which additionally
-    /// pays the un-hidden input transfer.
-    pub fn first_iteration_time(&self, batch: usize) -> f64 {
-        let extra: f64 = self
-            .accels
-            .iter()
-            .zip(&self.chunks)
-            .map(|(a, &c)| a.transfer_time(c as f64 * self.workload.input_bytes_per_item))
-            .sum();
-        self.iteration_time(batch) + extra
-    }
-
     /// The paper's one-time linear search: grow each accelerator's chunk
     /// until its processing time matches the host's share.
     pub fn tune(&mut self, batch: usize) {
@@ -194,13 +182,6 @@ mod tests {
         let accel_t = s.accel_time(&AcceleratorSpec::phi_like(), chunk);
         let imbalance = (host_t - accel_t).abs() / host_t;
         assert!(imbalance < 0.1, "imbalance {imbalance}");
-    }
-
-    #[test]
-    fn first_iteration_pays_input_transfer() {
-        let mut s = HeterogeneousScheduler::new(workload(), vec![AcceleratorSpec::phi_like()]);
-        s.tune(128);
-        assert!(s.first_iteration_time(128) > s.iteration_time(128));
     }
 
     #[test]

@@ -108,12 +108,6 @@ impl OptLevel {
         self
     }
 
-    /// Toggles parallel annotation.
-    pub fn with_parallel(mut self, on: bool) -> Self {
-        self.parallel = on;
-        self
-    }
-
     /// Toggles native inner-loop lowering.
     pub fn with_vectorize(mut self, on: bool) -> Self {
         self.vectorize = on;

@@ -10,7 +10,6 @@
 //! ensemble, rewriting the array-of-structs field references to
 //! struct-of-arrays buffers (Section 5.3 of the paper).
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -219,17 +218,12 @@ impl NeuronTypeBuilder {
 pub struct BodyCtx {
     /// Number of staged inputs per connection.
     pub input_lens: Vec<usize>,
-    /// Resolved vector length per field name.
-    pub field_lens: HashMap<String, usize>,
 }
 
 impl BodyCtx {
-    /// Creates a context from connection input lengths and field lengths.
-    pub fn new(input_lens: Vec<usize>, field_lens: HashMap<String, usize>) -> Self {
-        BodyCtx {
-            input_lens,
-            field_lens,
-        }
+    /// Creates a context from connection input lengths.
+    pub fn new(input_lens: Vec<usize>) -> Self {
+        BodyCtx { input_lens }
     }
 }
 
@@ -264,19 +258,6 @@ impl BodyBuilder {
             .input_lens
             .get(c)
             .unwrap_or_else(|| panic!("neuron body references missing connection {c}"))
-    }
-
-    /// The resolved vector length of field `name`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the neuron type has no such field.
-    pub fn field_len(&self, name: &str) -> usize {
-        *self
-            .ctx
-            .field_lens
-            .get(name)
-            .unwrap_or_else(|| panic!("neuron body references missing field `{name}`"))
     }
 
     /// A literal constant expression.
@@ -373,12 +354,7 @@ mod tests {
     #[test]
     fn weighted_neuron_forward_structure() {
         let nt = weighted_neuron();
-        let ctx = BodyCtx::new(
-            vec![5],
-            [("weights".to_string(), 5), ("bias".to_string(), 1)]
-                .into_iter()
-                .collect(),
-        );
+        let ctx = BodyCtx::new(vec![5]);
         let stmts = nt.build_forward(&ctx);
         // Statement 0: value = bias[0]; statement 1: loop accumulating the
         // dot product.
@@ -394,12 +370,7 @@ mod tests {
     #[test]
     fn weighted_neuron_backward_structure() {
         let nt = weighted_neuron();
-        let ctx = BodyCtx::new(
-            vec![3],
-            [("weights".to_string(), 3), ("bias".to_string(), 1)]
-                .into_iter()
-                .collect(),
-        );
+        let ctx = BodyCtx::new(vec![3]);
         let stmts = nt.build_backward(&ctx);
         let printed = latte_ir::print_stmts(&stmts);
         assert!(printed.contains("$gin0[i0] += ($f_weights[i0] * $grad)"), "{printed}");
@@ -419,7 +390,7 @@ mod tests {
                 });
             })
             .build();
-        let ctx = BodyCtx::new(vec![4], HashMap::new());
+        let ctx = BodyCtx::new(vec![4]);
         let stmts = nt.build_forward(&ctx);
         let printed = latte_ir::print_stmts(&stmts);
         assert!(printed.contains("for i0"), "{printed}");

@@ -191,10 +191,9 @@ pub fn identity_neuron() -> NeuronType {
 mod tests {
     use super::*;
     use crate::dsl::neuron::BodyCtx;
-    use std::collections::HashMap;
 
     fn ctx(lens: Vec<usize>) -> BodyCtx {
-        BodyCtx::new(lens, HashMap::new())
+        BodyCtx::new(lens)
     }
 
     #[test]

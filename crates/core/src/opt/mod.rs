@@ -8,5 +8,5 @@ mod schedule;
 mod stepshare;
 
 pub use pattern::pattern_match;
-pub use schedule::{fuse_chains, parallelize, tile_and_fuse, tile_untiled, ScheduleStats};
-pub use stepshare::{share_steps, ShareStats};
+pub use schedule::{fuse_chains, parallelize, tile_untiled};
+pub use stepshare::share_steps;

@@ -18,62 +18,23 @@
 
 use latte_ir::{GemmDim, IndexExpr, Loop, LoopAnnot, Stmt, TileInfo};
 
-use crate::program::Group;
+use crate::program::{CompileStats, Group};
 use crate::tuned::TunedSchedule;
 
 /// Preferred standalone tile sizes, first divisor wins.
 const PREFERRED_TILES: [usize; 4] = [8, 4, 2, 1];
 
-/// Result of the scheduling passes.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ScheduleStats {
-    /// Groups whose outer loop was tiled.
-    pub groups_tiled: usize,
-    /// Number of group merges performed.
-    pub fusions: usize,
-}
-
-/// Applies tiling and (optionally) fusion to a phase's groups.
-/// `tile_size` overrides the preferred tile when it divides the extent;
-/// a [`TunedSchedule`]'s tile override wins over both.
-///
-/// Kept as a convenience wrapper over the two pass entry points the pass
-/// manager drives separately: [`fuse_chains`] (merge producer→consumer
-/// chains into one tile loop) followed by [`tile_untiled`] (tile every
-/// group the fusion pass left alone).
-pub fn tile_and_fuse(
-    groups: Vec<Group>,
-    tiling: bool,
-    fusion: bool,
-    tile_size: Option<usize>,
-    tuned: Option<&TunedSchedule>,
-) -> (Vec<Group>, ScheduleStats) {
-    if !tiling {
-        return (groups, ScheduleStats::default());
-    }
-    let tile_size = tuned.map_or(tile_size, |t| t.effective_tile(tile_size));
-    let (groups, fstats) = if fusion {
-        fuse_chains(groups, tile_size)
-    } else {
-        (groups, ScheduleStats::default())
-    };
-    let (groups, tstats) = tile_untiled(groups, tile_size);
-    (
-        groups,
-        ScheduleStats {
-            groups_tiled: fstats.groups_tiled + tstats.groups_tiled,
-            fusions: fstats.fusions,
-        },
-    )
-}
-
 /// The fusion pass: partitions a phase's groups into maximal fusable
 /// chains (runs of consecutive groups linked producer→consumer with zero
 /// halo) and merges each multi-group chain into a single tiled loop.
 /// Chains that cannot be fused — and all singleton chains — are passed
-/// through unchanged for [`tile_untiled`] to pick up.
-pub fn fuse_chains(groups: Vec<Group>, tile_size: Option<usize>) -> (Vec<Group>, ScheduleStats) {
-    let mut stats = ScheduleStats::default();
+/// through unchanged for [`tile_untiled`] to pick up. Counts what it
+/// tiled and fused into `stats`.
+pub fn fuse_chains(
+    groups: Vec<Group>,
+    tile_size: Option<usize>,
+    stats: &mut CompileStats,
+) -> Vec<Group> {
     let mut out: Vec<Group> = Vec::new();
     let mut i = 0;
     while i < groups.len() {
@@ -95,7 +56,7 @@ pub fn fuse_chains(groups: Vec<Group>, tile_size: Option<usize>) -> (Vec<Group>,
         if chain.len() == 1 {
             out.append(&mut chain);
         } else {
-            match fuse_chain(chain, &strides, &mut stats, tile_size) {
+            match fuse_chain(chain, &strides, stats, tile_size) {
                 Ok(g) => out.push(g),
                 // Leave the originals untiled; the tiling pass tiles each
                 // independently.
@@ -103,15 +64,19 @@ pub fn fuse_chains(groups: Vec<Group>, tile_size: Option<usize>) -> (Vec<Group>,
             }
         }
     }
-    (out, stats)
+    out
 }
 
 /// The tiling pass: tiles the outermost spatial loop of every group that
 /// does not already carry one (fused groups emerge from [`fuse_chains`]
 /// pre-tiled). Groups with no tileable statement pass through unchanged.
-pub fn tile_untiled(groups: Vec<Group>, tile_size: Option<usize>) -> (Vec<Group>, ScheduleStats) {
-    let mut stats = ScheduleStats::default();
-    let out = groups
+/// Counts what it tiled into `stats`.
+pub fn tile_untiled(
+    groups: Vec<Group>,
+    tile_size: Option<usize>,
+    stats: &mut CompileStats,
+) -> Vec<Group> {
+    groups
         .into_iter()
         .map(|g| {
             let already = g
@@ -121,13 +86,12 @@ pub fn tile_untiled(groups: Vec<Group>, tile_size: Option<usize>) -> (Vec<Group>
             if already {
                 return g;
             }
-            match tile_single(g, &mut stats, tile_size) {
+            match tile_single(g, stats, tile_size) {
                 Ok(t) => t,
                 Err(g) => g,
             }
         })
-        .collect();
-    (out, stats)
+        .collect()
 }
 
 /// Marks the outer (tile) loop of each group parallel.
@@ -198,7 +162,7 @@ fn link_stride(prev: &Group, next: &Group) -> Option<usize> {
 #[allow(clippy::result_large_err)] // Err returns the group unchanged, by design
 fn tile_single(
     group: Group,
-    stats: &mut ScheduleStats,
+    stats: &mut CompileStats,
     tile_size: Option<usize>,
 ) -> Result<Group, Group> {
     let extent = match group.meta.dim0_extent {
@@ -243,7 +207,7 @@ fn tile_single(
 fn fuse_chain(
     chain: Vec<Group>,
     strides: &[usize],
-    stats: &mut ScheduleStats,
+    stats: &mut CompileStats,
     tile_size: Option<usize>,
 ) -> Result<Group, Vec<Group>> {
     // Tile counts must be identical; choose from the smallest extent.
@@ -384,6 +348,13 @@ mod tests {
     use crate::program::{GroupMeta, Phase, Upstream};
     use latte_ir::{BufRef, Expr, GemmStmt, GemmTiling};
 
+    /// Fusion (when asked for) then tiling, as the pass manager runs them.
+    fn schedule(groups: Vec<Group>, fusion: bool) -> (Vec<Group>, CompileStats) {
+        let mut stats = CompileStats::default();
+        let groups = if fusion { fuse_chains(groups, None, &mut stats) } else { groups };
+        (tile_untiled(groups, None, &mut stats), stats)
+    }
+
     fn elementwise_group(name: &str, extent: usize, upstream: Option<Upstream>) -> Group {
         // for n0 { for n1 { v[n0, n1] = max(v[n0, n1], 0) } }
         let dest = BufRef::new(
@@ -409,7 +380,7 @@ mod tests {
     #[test]
     fn standalone_group_gets_tiled() {
         let g = elementwise_group("relu1", 16, None);
-        let (out, stats) = tile_and_fuse(vec![g], true, false, None, None);
+        let (out, stats) = schedule(vec![g], false);
         assert_eq!(stats.groups_tiled, 1);
         assert_eq!(out.len(), 1);
         match &out[0].stmts[0] {
@@ -420,14 +391,6 @@ mod tests {
             }
             other => panic!("expected tile loop, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn tiling_disabled_is_identity() {
-        let g = elementwise_group("relu1", 16, None);
-        let (out, stats) = tile_and_fuse(vec![g.clone()], false, false, None, None);
-        assert_eq!(stats.groups_tiled, 0);
-        assert_eq!(out[0].stmts.len(), g.stmts.len());
     }
 
     #[test]
@@ -443,7 +406,7 @@ mod tests {
                 sole_consumer: true,
             }),
         );
-        let (out, stats) = tile_and_fuse(vec![conv, relu], true, true, None, None);
+        let (out, stats) = schedule(vec![conv, relu], true);
         assert_eq!(stats.fusions, 1);
         assert_eq!(out.len(), 1);
         assert!(out[0].name.contains("conv1+relu1"), "{}", out[0].name);
@@ -464,7 +427,7 @@ mod tests {
                 sole_consumer: true,
             }),
         );
-        let (out, stats) = tile_and_fuse(vec![conv, pool], true, true, None, None);
+        let (out, stats) = schedule(vec![conv, pool], true);
         assert_eq!(stats.fusions, 1);
         let tile_loop = match &out[0].stmts[0] {
             Stmt::For(l) => l,
@@ -500,7 +463,7 @@ mod tests {
                 sole_consumer: true,
             }),
         );
-        let (out, stats) = tile_and_fuse(vec![conv1, conv2], true, true, None, None);
+        let (out, stats) = schedule(vec![conv1, conv2], true);
         assert_eq!(stats.fusions, 0);
         assert_eq!(out.len(), 2);
     }
@@ -519,7 +482,7 @@ mod tests {
             }),
         );
         b.barrier = true;
-        let (out, stats) = tile_and_fuse(vec![a, b], true, true, None, None);
+        let (out, stats) = schedule(vec![a, b], true);
         assert_eq!(stats.fusions, 0);
         assert_eq!(out.len(), 2);
     }
@@ -541,7 +504,7 @@ mod tests {
         pool.phase = Phase::Backward;
         let mut conv = elementwise_group("conv1", 16, None);
         conv.phase = Phase::Backward;
-        let (out, stats) = tile_and_fuse(vec![pool, conv], true, true, None, None);
+        let (out, stats) = schedule(vec![pool, conv], true);
         assert_eq!(stats.fusions, 1, "{:?}", out.iter().map(|g| &g.name).collect::<Vec<_>>());
     }
 
@@ -579,7 +542,7 @@ mod tests {
                 ..GroupMeta::default()
             },
         };
-        let (out, stats) = tile_and_fuse(vec![g], true, false, None, None);
+        let (out, stats) = schedule(vec![g], false);
         assert_eq!(stats.groups_tiled, 1);
         let tile_loop = match &out[0].stmts[0] {
             Stmt::For(l) => l,
@@ -599,7 +562,7 @@ mod tests {
     #[test]
     fn parallelize_marks_tile_loops() {
         let g = elementwise_group("relu1", 16, None);
-        let (mut out, _) = tile_and_fuse(vec![g], true, false, None, None);
+        let (mut out, _) = schedule(vec![g], false);
         parallelize(&mut out, None);
         match &out[0].stmts[0] {
             Stmt::For(l) => assert!(l.annot.parallel),
@@ -611,7 +574,7 @@ mod tests {
     fn tuned_schedule_gates_parallel_marking_per_group() {
         let fast = elementwise_group("fast", 16, None);
         let slow = elementwise_group("slow", 16, None);
-        let (mut out, _) = tile_and_fuse(vec![fast, slow], true, false, None, None);
+        let (mut out, _) = schedule(vec![fast, slow], false);
         let mut tuned = TunedSchedule::default();
         tuned.group_parallel.insert("fast.fwd".into(), false);
         parallelize(&mut out, Some(&tuned));
@@ -631,7 +594,8 @@ mod tests {
     fn tuned_tile_override_wins_over_opt_tile() {
         let g = elementwise_group("relu1", 16, None);
         let tuned = TunedSchedule { tile_size: Some(4), ..TunedSchedule::default() };
-        let (out, _) = tile_and_fuse(vec![g], true, false, Some(8), Some(&tuned));
+        let tile = tuned.effective_tile(Some(8));
+        let out = tile_untiled(vec![g], tile, &mut CompileStats::default());
         match &out[0].stmts[0] {
             Stmt::For(l) => assert_eq!(l.annot.tiled.unwrap().tile_size, 4),
             other => panic!("{other:?}"),
@@ -641,7 +605,7 @@ mod tests {
     #[test]
     fn all_serial_schedule_marks_nothing() {
         let g = elementwise_group("relu1", 16, None);
-        let (mut out, _) = tile_and_fuse(vec![g], true, false, None, None);
+        let (mut out, _) = schedule(vec![g], false);
         let tuned = TunedSchedule::all_serial();
         parallelize(&mut out, Some(&tuned));
         match &out[0].stmts[0] {

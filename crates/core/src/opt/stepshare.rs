@@ -26,17 +26,7 @@ use std::collections::HashMap;
 
 use latte_ir::print_stmts;
 
-use crate::program::{Group, StepShare};
-
-/// Counters produced by [`share_steps`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ShareStats {
-    /// Groups annotated to reuse a representative's body.
-    pub shared: usize,
-    /// IR statements (nested included) inside those groups — the
-    /// duplicate IR the lowering no longer compiles.
-    pub stmts_deduped: usize,
-}
+use crate::program::{CompileStats, Group, StepShare};
 
 /// Extracts the uniform `@t{k}` step index of a group, if every
 /// ensemble the group computes carries the same one.
@@ -99,23 +89,11 @@ fn shift_steps(text: &str, delta: i64) -> Option<String> {
     Some(out)
 }
 
-/// Counts statements, nested included (matches the pass manager's
-/// IR-size metric).
-fn count_stmts(stmts: &[latte_ir::Stmt]) -> usize {
-    stmts
-        .iter()
-        .map(|s| match s {
-            latte_ir::Stmt::For(l) => 1 + count_stmts(&l.body),
-            _ => 1,
-        })
-        .sum()
-}
-
 /// Annotates α-equivalent unrolled step groups within one phase's
 /// groups (must be in execution order). See the module docs for the
-/// sharing rule.
-pub fn share_steps(groups: &mut [Group]) -> ShareStats {
-    let mut stats = ShareStats::default();
+/// sharing rule. Counts the groups it annotated, and the statements
+/// inside them, into `stats`.
+pub fn share_steps(groups: &mut [Group], stats: &mut CompileStats) {
     // Family key → (rep index, rep step). The representative is the
     // earliest group in execution order that later members match.
     let mut families: HashMap<String, (usize, usize)> = HashMap::new();
@@ -145,15 +123,14 @@ pub fn share_steps(groups: &mut [Group]) -> ShareStats {
                 group: groups[rep_idx].name.clone(),
                 delta,
             });
-            stats.shared += 1;
-            stats.stmts_deduped += count_stmts(&groups[gi].stmts);
+            stats.step_groups_shared += 1;
+            stats.step_stmts_deduped += groups[gi].stmt_count();
         } else {
             // Boundary step (e.g. `@init` reads) — it becomes the
             // representative later steps are compared against.
             families.insert(key, (gi, step));
         }
     }
-    stats
 }
 
 #[cfg(test)]

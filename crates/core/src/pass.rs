@@ -50,20 +50,7 @@ impl PipelineState {
     }
 
     fn stmts(&self) -> usize {
-        fn count(stmts: &[Stmt]) -> usize {
-            stmts
-                .iter()
-                .map(|s| match s {
-                    Stmt::For(l) => 1 + count(&l.body),
-                    _ => 1,
-                })
-                .sum()
-        }
-        self.forward
-            .iter()
-            .chain(&self.backward)
-            .map(|g| count(&g.stmts))
-            .sum()
+        self.forward.iter().chain(&self.backward).map(Group::stmt_count).sum()
     }
 
     /// `(group name, statements)` pairs across both phases, in execution
@@ -148,10 +135,7 @@ impl Pass for FusionPass {
 
     fn run(&self, state: &mut PipelineState, ctx: &PassContext<'_>, stats: &mut CompileStats) {
         for phase in [&mut state.forward, &mut state.backward] {
-            let (groups, s) = opt::fuse_chains(std::mem::take(phase), ctx.effective_tile());
-            *phase = groups;
-            stats.groups_tiled += s.groups_tiled;
-            stats.fusions += s.fusions;
+            *phase = opt::fuse_chains(std::mem::take(phase), ctx.effective_tile(), stats);
         }
     }
 }
@@ -171,9 +155,7 @@ impl Pass for TilingPass {
 
     fn run(&self, state: &mut PipelineState, ctx: &PassContext<'_>, stats: &mut CompileStats) {
         for phase in [&mut state.forward, &mut state.backward] {
-            let (groups, s) = opt::tile_untiled(std::mem::take(phase), ctx.effective_tile());
-            *phase = groups;
-            stats.groups_tiled += s.groups_tiled;
+            *phase = opt::tile_untiled(std::mem::take(phase), ctx.effective_tile(), stats);
         }
     }
 }
@@ -255,9 +237,7 @@ impl Pass for StepSharePass {
 
     fn run(&self, state: &mut PipelineState, _ctx: &PassContext<'_>, stats: &mut CompileStats) {
         for phase in [&mut state.forward, &mut state.backward] {
-            let s = opt::share_steps(phase);
-            stats.step_groups_shared += s.shared;
-            stats.step_stmts_deduped += s.stmts_deduped;
+            opt::share_steps(phase, stats);
         }
     }
 }

@@ -90,6 +90,12 @@ pub struct Group {
 }
 
 impl Group {
+    /// The group's statements, nested ones included: the IR-size metric
+    /// of the pass manager's rows and of the step-share counters.
+    pub(crate) fn stmt_count(&self) -> usize {
+        self.stmts.iter().map(|s| s.count_matching(&|_| true)).sum()
+    }
+
     /// Pretty-prints the group's statements.
     pub fn pretty(&self) -> String {
         format!("group {} {{\n{}}}\n", self.name, latte_ir::print_stmts(&self.stmts))
@@ -240,6 +246,14 @@ pub struct CompiledNet {
 }
 
 impl CompiledNet {
+    /// This program for a batch of `batch` items. Synthesis and every
+    /// pass work on the per-item program — the batch is only the
+    /// outermost loop the runtime drives — so the result equals compiling
+    /// the same network built at `batch`, without the compile.
+    pub fn at_batch(&self, batch: usize) -> CompiledNet {
+        CompiledNet { batch, ..self.clone() }
+    }
+
     /// Looks up a buffer declaration by name.
     pub fn buffer(&self, name: &str) -> Option<&BufferDecl> {
         self.buffers.iter().find(|b| b.name == name)
@@ -261,13 +275,13 @@ impl CompiledNet {
     /// bindings, loss buffers, initial parameter values, the vectorize
     /// flag, and the full pretty-printed program of both phases.
     ///
-    /// The batch size is deliberately **excluded**: per-item structure is
-    /// batch-invariant, so two compiles of the same network at different
-    /// batch sizes fingerprint identically. Plan caches key on
-    /// `(fingerprint(), batch)` — the LazyTensor-style split that lets an
-    /// odd-sized tail batch reuse a cached `ExecutionPlan` instead of
-    /// recompiling (see `latte-serve`). `CompileStats` is excluded too:
-    /// it carries wall-clock pass timings, not program identity.
+    /// The batch size is deliberately **excluded**: the program is
+    /// per-item, so [`CompiledNet::at_batch`] keeps the fingerprint. Plan
+    /// caches key on `(fingerprint(), batch)` — the net, and the one
+    /// number lowering still bakes into a plan — so `latte-serve`
+    /// fingerprints a model once, when it is registered, and never on
+    /// the serving path. `CompileStats` is excluded too: it carries
+    /// wall-clock pass timings, not program identity.
     pub fn fingerprint(&self) -> u64 {
         // FNV-1a, 64-bit: dependency-free and stable across platforms.
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

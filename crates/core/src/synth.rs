@@ -426,7 +426,6 @@ fn synth_neuron_ensemble(
 
     // --- buffers: fields ---
     let mut field_shared: HashMap<String, Vec<bool>> = HashMap::new();
-    let mut field_lens: HashMap<String, usize> = HashMap::new();
     for spec in neuron.fields() {
         let storage = ens.field(&spec.name).ok_or_else(|| CompileError::Invalid {
             ensemble: name.to_string(),
@@ -467,7 +466,6 @@ fn synth_neuron_ensemble(
             });
         }
         field_shared.insert(spec.name.clone(), storage.shared_dims.clone());
-        field_lens.insert(spec.name.clone(), vec_len);
         match &storage.share_global {
             Some(src_ens) => {
                 out.buffers.push(BufferDecl::alias(
@@ -534,7 +532,7 @@ fn synth_neuron_ensemble(
 
     // --- body instantiation context ---
     let input_lens: Vec<usize> = ctx.analyses.iter().map(|a| a.region_len).collect();
-    let body_ctx = BodyCtx::new(input_lens, field_lens);
+    let body_ctx = BodyCtx::new(input_lens);
 
     // --- forward group ---
     let mut fwd_stmts: Vec<Stmt> = Vec::new();

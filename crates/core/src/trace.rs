@@ -233,7 +233,6 @@ fn structure_hash(net: &Net) -> u64 {
             h.str("N");
             h.str(neuron.name());
             h.usize(neuron.fields().len());
-            let mut field_lens = std::collections::HashMap::new();
             for spec in neuron.fields() {
                 h.str(&spec.name);
                 let len = match spec.len {
@@ -245,10 +244,9 @@ fn structure_hash(net: &Net) -> u64 {
                 };
                 h.usize(len);
                 h.bool(spec.with_grad);
-                field_lens.insert(spec.name.clone(), len);
             }
             // Closures are opaque; the IR they emit is not.
-            let ctx = crate::dsl::BodyCtx::new(input_lens.clone(), field_lens);
+            let ctx = crate::dsl::BodyCtx::new(input_lens.clone());
             h.str(&format!("{:?}", neuron.build_forward(&ctx)));
             h.str(&format!("{:?}", neuron.build_backward(&ctx)));
         }

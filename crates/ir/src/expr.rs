@@ -91,11 +91,6 @@ impl IndexExpr {
         self.terms.is_empty()
     }
 
-    /// Whether the expression is exactly the named variable.
-    pub fn is_var(&self, var: &str) -> bool {
-        self.offset == 0 && self.terms.len() == 1 && self.coef(var) == 1
-    }
-
     /// Whether the expression mentions `var`.
     pub fn uses(&self, var: &str) -> bool {
         self.coef(var) != 0

@@ -37,8 +37,8 @@ pub fn train_replicated(
     solver: &mut dyn crate::solver::Solver,
     shards: &[Vec<crate::data::Batch>],
 ) -> Result<Vec<Vec<f32>>, RuntimeError> {
-    let buckets = exec.grad_buckets();
-    let grad_names: Vec<Vec<String>> = buckets
+    let grad_names: Vec<Vec<String>> = exec
+        .grad_buckets()
         .iter()
         .map(|b| {
             b.params
@@ -59,7 +59,7 @@ pub fn train_replicated(
                 detail: "train_replicated: a step needs at least one replica shard".into(),
             });
         }
-        let mut contribs: Vec<Vec<Vec<f32>>> = vec![Vec::new(); buckets.len()];
+        let mut contribs: Vec<Vec<Vec<f32>>> = vec![Vec::new(); grad_names.len()];
         let mut step_losses = Vec::with_capacity(replicas.len());
         for batch in replicas {
             for (name, value) in param_values.iter().zip(&master) {

@@ -126,7 +126,6 @@ pub struct DistStats {
 /// background comm thread, and layer-by-layer gradient streaming.
 pub struct DistTrainer {
     exec: Executor,
-    buckets: Vec<GradBucket>,
     /// Per bucket: each gradient buffer's name and length, in param
     /// order — the bucket's layout, fixed at construction.
     grads: Vec<Vec<(String, usize)>>,
@@ -165,8 +164,8 @@ impl DistTrainer {
         let rank = transport.rank();
         let world = transport.world();
         let metrics = Arc::clone(transport.metrics());
-        let buckets = exec.grad_buckets();
-        let grads = buckets
+        let grads = exec
+            .grad_buckets()
             .iter()
             .map(|b| {
                 b.params
@@ -179,7 +178,7 @@ impl DistTrainer {
                     .collect()
             })
             .collect::<Result<Vec<Vec<(String, usize)>>, RuntimeError>>()?;
-        let flat = vec![Vec::new(); buckets.len()];
+        let flat = vec![Vec::new(); exec.grad_buckets().len()];
         let mut ring = RingComm::new(transport, policy)?;
         let (jtx, jrx) = mpsc::channel::<CommJob>();
         let (rtx, rrx) = mpsc::channel::<CommResult>();
@@ -207,7 +206,6 @@ impl DistTrainer {
             })?;
         Ok(DistTrainer {
             exec,
-            buckets,
             grads,
             flat,
             jobs: Some(jtx),
@@ -267,7 +265,7 @@ impl DistTrainer {
     /// The communicator buckets (one per gradient-producing backward
     /// group).
     pub fn buckets(&self) -> &[GradBucket] {
-        &self.buckets
+        self.exec.grad_buckets()
     }
 
     /// Runs one training step on this replica's `batch` shard: forward,
@@ -298,12 +296,11 @@ impl DistTrainer {
         let step = self.step;
         let t_bwd = Instant::now();
         {
-            let buckets = &self.buckets;
             let grads = &self.grads;
             let flat = &mut self.flat;
             let jobs = &self.jobs;
             let mut hook = |gi: usize, exec: &Executor| {
-                for (bi, b) in buckets.iter().enumerate() {
+                for (bi, b) in exec.grad_buckets().iter().enumerate() {
                     if b.group != gi {
                         continue;
                     }
@@ -334,7 +331,7 @@ impl DistTrainer {
         let mut live = self.live;
         let mut mode = self.mode;
         let mut failure = None;
-        for _ in 0..self.buckets.len() {
+        for _ in 0..self.grads.len() {
             let Ok(res) = self.results.recv() else {
                 failure.get_or_insert(RuntimeError::Transport {
                     detail: "comm thread died mid-step".into(),

@@ -50,7 +50,7 @@ use crate::lower::{BatchedGemm, CExtern, CGemm, CGroup, Kernel, Segment};
 use crate::plan::ExecutionPlan;
 use crate::pool::{WorkerCtx, WorkerPool, GRAD_LANES};
 use crate::registry::{ExternInvocation, KernelRegistry};
-use crate::store::BufferStore;
+use crate::store::{BufInfo, BufferStore, BufferTable};
 use crate::transfer;
 
 /// Execution configuration.
@@ -242,121 +242,169 @@ struct ItemCx<'a> {
 /// finished gradient buckets to the distributed comm thread.
 pub type GroupHook<'a> = &'a mut dyn FnMut(usize, &Executor);
 
-/// A lowered, executor-independent program: the compiled net, its
-/// [`ExecutionPlan`], and the arena layout the plan was built against.
-///
-/// This is the unit a plan cache stores (keyed by
-/// `(CompiledNet::fingerprint(), batch)` in `latte-serve`): lowering —
-/// kernel selection, bounds verification, liveness planning — happens
-/// once in [`CompiledProgram::lower`], and every
-/// [`CompiledProgram::instantiate`] afterwards only allocates a fresh
-/// [`BufferStore`] and initializes parameters. Buffer storage indices
-/// are assigned deterministically from the declaration list, so a store
-/// built at instantiation time matches the one the plan was lowered
-/// against.
-pub struct CompiledProgram {
+/// A lowered, executor-independent program: the one immutable owner of
+/// everything decided at lowering. This is the unit a plan cache stores
+/// (keyed by `(CompiledNet::fingerprint(), batch)` in `latte-serve`):
+/// kernel selection, bounds verification, the memory layout and every
+/// name lookup happen once in [`CompiledProgram::lower`], and each
+/// [`CompiledProgram::instantiate`] afterwards only allocates the
+/// layout's storages and writes the initial parameter values. The handle
+/// is one `Arc`; executors hold a clone of it.
+#[derive(Clone)]
+pub struct CompiledProgram(Arc<Program>);
+
+/// What a [`CompiledProgram`] owns and its executors share.
+struct Program {
     net: CompiledNet,
-    plan: Arc<ExecutionPlan>,
-    layout: Option<crate::plan::MemoryLayout>,
-    cfg: ExecConfig,
+    /// The lowered groups and the memory layout they address.
+    plan: ExecutionPlan,
+    /// Where every named buffer lives under that layout.
+    table: BufferTable,
+    /// Per parameter of `net.params`: the storage indices of its value
+    /// and its gradient (distinct), so the solver's walk looks nothing
+    /// up by name.
+    param_slots: Vec<(usize, usize)>,
+    /// Per entry of `net.inputs`: where `set_input` writes.
+    inputs: Vec<BufInfo>,
+    /// Per entry of `net.losses`: what `loss` reads.
+    losses: Vec<BufInfo>,
+    grad_buckets: Vec<GradBucket>,
+}
+
+impl Program {
+    /// The named data ensemble's buffer name and placement.
+    fn input(&self, ensemble: &str) -> Result<(&str, &BufInfo), RuntimeError> {
+        let at = self.net.inputs.iter().position(|i| i.ensemble == ensemble).ok_or_else(|| {
+            RuntimeError::UnknownBuffer { name: format!("{ensemble} (data ensemble)") }
+        })?;
+        Ok((&self.net.inputs[at].buffer, &self.inputs[at]))
+    }
 }
 
 impl std::fmt::Debug for CompiledProgram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompiledProgram")
-            .field("batch", &self.net.batch)
-            .field("forward_groups", &self.plan.forward_groups())
-            .field("backward_groups", &self.plan.backward_groups())
+            .field("batch", &self.0.net.batch)
+            .field("forward_groups", &self.0.plan.forward_groups())
+            .field("backward_groups", &self.0.plan.backward_groups())
+            .field("arena", &self.0.plan.arena())
             .finish_non_exhaustive()
     }
 }
 
 impl CompiledProgram {
-    /// Lowers a compiled network into a shareable execution plan without
-    /// allocating runtime buffers.
+    /// Lowers a compiled network into a shareable program without
+    /// allocating runtime buffers. `cfg.arena` chooses the memory layout
+    /// (liveness-packed, or the identity); the thread count and GEMM
+    /// blocking belong to the pool an executor is instantiated on.
     ///
     /// # Errors
     ///
-    /// See [`Executor::with_registry`] — the same lowering runs here.
+    /// Fails when the plan references unknown buffers or kernels, when an
+    /// input or loss buffer is not observable, or when static bounds
+    /// verification rejects a statement.
     pub fn lower(
         net: CompiledNet,
         registry: &KernelRegistry,
         cfg: ExecConfig,
     ) -> Result<Self, RuntimeError> {
-        let layout = cfg.arena.then(|| crate::plan::liveness_layout(&net));
-        // A scratch store resolves buffer names to storage indices for
-        // lowering; `instantiate` rebuilds an identical one per executor.
-        let store = BufferStore::with_layout(&net.buffers, net.batch, layout.as_ref())?;
-        let lowered = crate::lower::lower(&net, &store, registry, net.vectorize)?;
-        let plan = Arc::new(ExecutionPlan::new(lowered, layout.as_ref()));
-        Ok(CompiledProgram { net, plan, layout, cfg })
+        let layout = crate::plan::memory_layout(&net, cfg.arena);
+        let table = BufferTable::resolve(&net.buffers, &layout)?;
+        let lowered = crate::lower::lower(&net, &table, registry)?;
+        let param_slots = net
+            .params
+            .iter()
+            .map(|p| {
+                let slot = (table.require(&p.value)?.storage, table.require(&p.grad)?.storage);
+                assert_ne!(slot.0, slot.1, "parameter `{}` aliases its own gradient", p.value);
+                Ok(slot)
+            })
+            .collect::<Result<Vec<_>, RuntimeError>>()?;
+        let visible = |name: &String| table.visible(name).cloned();
+        let inputs = net.inputs.iter().map(|i| visible(&i.buffer)).collect::<Result<_, _>>()?;
+        let losses = net.losses.iter().map(visible).collect::<Result<_, _>>()?;
+        let grad_buckets = grad_buckets(&lowered.backward, &param_slots);
+        let plan = ExecutionPlan::new(lowered, layout);
+        Ok(CompiledProgram(Arc::new(Program {
+            net,
+            plan,
+            table,
+            param_slots,
+            inputs,
+            losses,
+            grad_buckets,
+        })))
     }
 
     /// The batch size the program was compiled for.
     pub fn batch(&self) -> usize {
-        self.net.batch
+        self.0.net.batch
     }
 
     /// The compiled network this program was lowered from.
     pub fn compiled(&self) -> &CompiledNet {
-        &self.net
+        &self.0.net
     }
 
     /// The lowered plan every executor of this program shares.
     pub fn plan(&self) -> &ExecutionPlan {
-        &self.plan
+        &self.0.plan
     }
 
-    /// Builds a warm executor on `pool`, sharing this program's plan:
-    /// allocates a fresh buffer store and writes initial parameter
-    /// values, but performs no compilation or lowering. The executor's
-    /// thread count is the pool's.
+    /// Builds a warm executor on `pool`, sharing this program: allocates
+    /// the layout's storages and writes initial parameter values, but
+    /// compiles, lowers and resolves nothing. The executor's thread
+    /// count is the pool's.
     ///
     /// # Errors
     ///
-    /// Propagates buffer-store allocation failures.
+    /// Fails when an initial parameter value does not fit its buffer.
     pub fn instantiate(&self, pool: Arc<WorkerPool>) -> Result<Executor, RuntimeError> {
-        let store = BufferStore::with_layout(&self.net.buffers, self.net.batch, self.layout.as_ref())?;
-        let param_slots = self
-            .net
-            .params
-            .iter()
-            .map(|p| {
-                let slot = (store.require(&p.value)?.storage, store.require(&p.grad)?.storage);
-                assert_ne!(slot.0, slot.1, "parameter `{}` aliases its own gradient", p.value);
-                Ok(slot)
-            })
-            .collect::<Result<_, RuntimeError>>()?;
-        let mut exec = Executor {
-            net: self.net.clone(),
-            plan: Arc::clone(&self.plan),
-            store,
-            param_slots,
-            cfg: ExecConfig { threads: pool.threads(), ..self.cfg },
-            pool,
-        };
+        let store = BufferStore::build(&self.0.plan.layout, self.0.net.batch);
+        let mut exec = Executor { program: self.clone(), store, pool };
         exec.reset_params()?;
         Ok(exec)
     }
 }
 
-/// The executor: a compiled network, its buffers, and the lowered plan.
+/// Groups the parameters into communicator buckets, one per backward
+/// group: each parameter goes to the **last** backward group whose
+/// bindings write its gradient storage (last, so weight-shared
+/// parameters — e.g. an unrolled recurrent cell — are shipped only once
+/// their final accumulation has run). Buckets are ordered by group
+/// index; parameters whose gradient no group writes (it stays zero)
+/// ride in the last bucket.
+fn grad_buckets(groups: &[CGroup], param_slots: &[(usize, usize)]) -> Vec<GradBucket> {
+    let Some(tail) = groups.len().checked_sub(1) else {
+        return Vec::new();
+    };
+    let mut by_group: std::collections::BTreeMap<usize, Vec<usize>> =
+        std::collections::BTreeMap::new();
+    for (pi, &(_, gs)) in param_slots.iter().enumerate() {
+        let writes = |g: &CGroup| g.bufs.iter().any(|b| b.param_grad && b.storage == gs);
+        let last = groups.iter().rposition(writes).unwrap_or(tail);
+        by_group.entry(last).or_default().push(pi);
+    }
+    by_group
+        .into_iter()
+        .map(|(gi, params)| GradBucket {
+            group: gi,
+            name: groups[gi].name.clone(),
+            params,
+        })
+        .collect()
+}
+
+/// The executor: a shared [`CompiledProgram`], this instance's buffer
+/// storages, and the worker pool it runs on.
 ///
 /// This is the runtime counterpart of the paper's `init(net)`: buffers
 /// are allocated according to the compiler's plan (aliases shared), the
 /// program is lowered to native kernels, and [`Executor::forward`] /
 /// [`Executor::backward`] execute it for one batch.
 pub struct Executor {
-    net: CompiledNet,
-    /// Shared with the [`CompiledProgram`] this executor was instantiated
-    /// from (plan-cache replicas) or exclusive when built directly.
-    plan: Arc<ExecutionPlan>,
+    program: CompiledProgram,
     store: BufferStore,
-    /// Per parameter of `net.params`: the storage indices of its value
-    /// and its gradient (distinct), resolved once so the solver's walk
-    /// looks nothing up by name.
-    param_slots: Vec<(usize, usize)>,
-    cfg: ExecConfig,
     /// The persistent worker team (and its per-worker GEMM engines and
     /// lane scratch), shared across the warm executors of one serving
     /// replica; runs are exclusive — one executor drives it at a time.
@@ -365,12 +413,7 @@ pub struct Executor {
 
 impl std::fmt::Debug for Executor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Executor")
-            .field("batch", &self.net.batch)
-            .field("forward_groups", &self.plan.forward_groups())
-            .field("backward_groups", &self.plan.backward_groups())
-            .field("arena", &self.plan.arena())
-            .finish_non_exhaustive()
+        f.debug_struct("Executor").field("program", &self.program).finish_non_exhaustive()
     }
 }
 
@@ -380,8 +423,7 @@ impl Executor {
     ///
     /// # Errors
     ///
-    /// Fails when the plan references unknown buffers or kernels, or when
-    /// static bounds verification rejects a statement.
+    /// See [`CompiledProgram::lower`].
     pub fn new(net: CompiledNet) -> Result<Self, RuntimeError> {
         Self::with_registry(net, &KernelRegistry::with_builtins(), ExecConfig::default())
     }
@@ -390,7 +432,7 @@ impl Executor {
     ///
     /// # Errors
     ///
-    /// See [`Executor::new`].
+    /// See [`CompiledProgram::lower`].
     pub fn with_registry(
         net: CompiledNet,
         registry: &KernelRegistry,
@@ -404,12 +446,12 @@ impl Executor {
 
     /// The worker-thread count this executor runs with.
     pub fn threads(&self) -> usize {
-        self.cfg.threads.max(1)
+        self.pool.threads()
     }
 
     /// The execution plan driving this executor.
     pub fn plan(&self) -> &ExecutionPlan {
-        &self.plan
+        self.program.plan()
     }
 
     /// Re-initializes every parameter buffer from its declared initial
@@ -419,27 +461,26 @@ impl Executor {
     ///
     /// Propagates buffer-lookup failures.
     pub fn reset_params(&mut self) -> Result<(), RuntimeError> {
-        let inits = std::mem::take(&mut self.net.param_inits);
-        for (name, init) in &inits {
-            self.store.write(name, init)?;
+        let p = &*self.program.0;
+        for (name, init) in &p.net.param_inits {
+            self.store.write(name, p.table.visible(name)?, init)?;
         }
-        self.net.param_inits = inits;
         Ok(())
     }
 
     /// The batch size.
     pub fn batch(&self) -> usize {
-        self.net.batch
+        self.program.batch()
     }
 
-    /// The compiled network.
+    /// The compiled network, shared with every executor of the program.
     pub fn compiled(&self) -> &CompiledNet {
-        &self.net
+        self.program.compiled()
     }
 
     /// The learnable parameters.
     pub fn params(&self) -> &[ParamBinding] {
-        &self.net.params
+        &self.program.0.net.params
     }
 
     /// Total floats actually allocated (memory metric for ablations).
@@ -456,15 +497,8 @@ impl Executor {
     ///
     /// Fails for unknown ensembles or wrong lengths.
     pub fn set_input(&mut self, ensemble: &str, data: &[f32]) -> Result<(), RuntimeError> {
-        let input = self
-            .net
-            .inputs
-            .iter()
-            .find(|i| i.ensemble == ensemble)
-            .ok_or_else(|| RuntimeError::UnknownBuffer {
-                name: format!("{ensemble} (data ensemble)"),
-            })?;
-        self.store.write(&input.buffer, data)
+        let (buffer, info) = self.program.0.input(ensemble)?;
+        self.store.write(buffer, info, data)
     }
 
     /// Writes one batch item's slice of a data ensemble: `data` holds
@@ -482,24 +516,18 @@ impl Executor {
         item: usize,
         data: &[f32],
     ) -> Result<(), RuntimeError> {
-        let input = self
-            .net
-            .inputs
-            .iter()
-            .find(|i| i.ensemble == ensemble)
-            .ok_or_else(|| RuntimeError::UnknownBuffer {
-                name: format!("{ensemble} (data ensemble)"),
-            })?;
-        self.store.write_item(&input.buffer, item, data)
+        let (buffer, info) = self.program.0.input(ensemble)?;
+        self.store.write_item(buffer, info, item, data)
     }
 
     /// Reads a buffer's full storage.
     ///
     /// # Errors
     ///
-    /// Fails for unknown buffers.
+    /// Fails for unknown buffers, and for buffers retired by the arena
+    /// (never returns another buffer's bytes).
     pub fn read_buffer(&self, name: &str) -> Result<Vec<f32>, RuntimeError> {
-        self.store.read(name)
+        self.buffer(name).map(<[f32]>::to_vec)
     }
 
     /// Borrows a buffer's full storage: [`Executor::read_buffer`]
@@ -508,27 +536,27 @@ impl Executor {
     ///
     /// # Errors
     ///
-    /// Fails for unknown buffers.
+    /// As [`Executor::read_buffer`].
     pub fn buffer(&self, name: &str) -> Result<&[f32], RuntimeError> {
-        self.store.view(name)
+        Ok(self.store.view(self.program.0.table.visible(name)?))
     }
 
     /// Reads one batch item of a buffer.
     ///
     /// # Errors
     ///
-    /// Fails for unknown buffers.
+    /// As [`Executor::read_buffer`].
     pub fn read_item(&self, name: &str, item: usize) -> Result<Vec<f32>, RuntimeError> {
-        self.store.read_item(name, item)
+        Ok(self.store.read_item(self.program.0.table.visible(name)?, item))
     }
 
     /// Overwrites a buffer's full storage (test/diagnostic hook).
     ///
     /// # Errors
     ///
-    /// Fails for unknown buffers or wrong lengths.
+    /// Fails for unknown or arena-retired buffers and wrong lengths.
     pub fn write_buffer(&mut self, name: &str, data: &[f32]) -> Result<(), RuntimeError> {
-        self.store.write(name, data)
+        self.store.write(name, self.program.0.table.visible(name)?, data)
     }
 
     /// The single plan-execution path behind every public entry point:
@@ -547,15 +575,17 @@ impl Executor {
         sentinel: Option<usize>,
         mut after_group: Option<GroupHook<'_>>,
     ) -> Result<(), BufferAnomaly> {
+        // The program is behind an `Arc` (shared with sibling executors),
+        // so cloning the handle detaches the group iteration from
+        // `&mut self`.
+        let program = self.program.clone();
+        let plan = program.plan();
+        let batch = program.batch();
         if backward {
-            self.store.zero_grads();
-            self.store.zero_param_grads();
+            for &storage in &plan.layout.zero_backward {
+                self.store.storages[storage].fill(0.0);
+            }
         }
-        // The plan is behind an `Arc` (shared with sibling executors of
-        // the same `CompiledProgram`), so cloning the handle detaches the
-        // group iteration from `&mut self`.
-        let plan = Arc::clone(&self.plan);
-        let batch = self.net.batch;
         let mut trip = None;
         'groups: for (gi, g) in plan.groups(backward).iter().enumerate() {
             // A buffer entering its live range reuses whatever bytes its
@@ -565,7 +595,7 @@ impl Executor {
                 self.store.storages[backing][..len].fill(0.0);
             }
             let t0 = timing.is_some().then(std::time::Instant::now);
-            self.run_group(g, plan.n_slots());
+            self.run_group(g, batch, plan.n_slots());
             if let (Some(out), Some(t0)) = (timing.as_deref_mut(), t0) {
                 out.push((g.name.clone(), t0.elapsed().as_secs_f64() * 1e3));
             }
@@ -641,61 +671,27 @@ impl Executor {
         out
     }
 
-    /// Groups the learnable parameters into communicator buckets, one
-    /// per backward group: each parameter is assigned to the **last**
-    /// backward group whose bindings write its gradient storage (last,
-    /// so weight-shared parameters — e.g. an unrolled recurrent cell —
-    /// are shipped only once their final accumulation has run). Buckets
-    /// come back ordered by group index, i.e. in the order
-    /// [`Executor::backward_hooked`] fires; parameters whose gradient no
-    /// group writes (their gradient stays zero) ride in the last bucket.
-    pub fn grad_buckets(&self) -> Vec<GradBucket> {
-        let groups = self.plan.groups(true);
-        if groups.is_empty() {
-            return Vec::new();
-        }
-        let mut by_group: std::collections::BTreeMap<usize, Vec<usize>> =
-            std::collections::BTreeMap::new();
-        for (pi, p) in self.net.params.iter().enumerate() {
-            let gs = self
-                .store
-                .info(&p.grad)
-                .expect("param grad buffer exists")
-                .storage;
-            let mut last = groups.len() - 1;
-            for (gi, g) in groups.iter().enumerate() {
-                if g.bufs.iter().any(|b| b.param_grad && b.storage == gs) {
-                    last = gi;
-                }
-            }
-            by_group.entry(last).or_default().push(pi);
-        }
-        by_group
-            .into_iter()
-            .map(|(gi, params)| GradBucket {
-                group: gi,
-                name: groups[gi].name.clone(),
-                params,
-            })
-            .collect()
+    /// The learnable parameters grouped into communicator buckets, one
+    /// per backward group that is the **last** to write some parameter's
+    /// gradient, in the order [`Executor::backward_hooked`] fires;
+    /// parameters whose gradient no group writes ride in the last
+    /// bucket. Fixed at lowering.
+    pub fn grad_buckets(&self) -> &[GradBucket] {
+        &self.program.0.grad_buckets
     }
 
     /// The mean loss across batch items and loss ensembles after a
     /// forward pass.
     pub fn loss(&self) -> f32 {
+        let losses = &self.program.0.losses;
+        if losses.is_empty() {
+            return 0.0;
+        }
         let mut total = 0.0;
-        let mut count = 0;
-        for name in &self.net.losses {
-            if let Ok(values) = self.store.view(name) {
-                total += values.iter().sum::<f32>();
-                count += self.net.batch;
-            }
+        for loss in losses {
+            total += self.store.view(loss).iter().sum::<f32>();
         }
-        if count == 0 {
-            0.0
-        } else {
-            total / count as f32
-        }
+        total / (losses.len() * self.batch()) as f32
     }
 
     /// Applies `f` to each `(value, grad, lr_mult)` parameter pair.
@@ -704,7 +700,8 @@ impl Executor {
     /// by the last backward pass (summed over the batch).
     pub fn for_each_param_mut(&mut self, mut f: impl FnMut(&mut [f32], &[f32], f32)) {
         let storages = &mut self.store.storages;
-        for (p, &(vi, gi)) in self.net.params.iter().zip(&self.param_slots) {
+        let program = &*self.program.0;
+        for (p, &(vi, gi)) in program.net.params.iter().zip(&program.param_slots) {
             // vi != gi (checked at instantiation): split between them.
             let (value, grad) = if vi < gi {
                 let (lo, hi) = storages.split_at_mut(gi);
@@ -721,7 +718,8 @@ impl Executor {
     /// pair, mutably — the gradient-hygiene (clipping / finite-check)
     /// access path, run between `backward` and `Solver::step`.
     pub fn for_each_param_grad_mut(&mut self, mut f: impl FnMut(&str, &mut [f32])) {
-        for (p, &(_, gi)) in self.net.params.iter().zip(&self.param_slots) {
+        let program = &*self.program.0;
+        for (p, &(_, gi)) in program.net.params.iter().zip(&program.param_slots) {
             f(&p.grad, &mut self.store.storages[gi]);
         }
     }
@@ -741,21 +739,20 @@ impl Executor {
         };
         let mut seen = std::collections::HashSet::new();
         let mut out = Vec::new();
-        for (name, kind) in self.net.sentinel_buffers() {
+        for (name, kind) in self.compiled().sentinel_buffers() {
             if !kinds(kind) {
                 continue;
             }
             // Arena-retired buffers have no contents of their own to
-            // scan; `scan_view` yields each visible buffer's logical
-            // span, never a slot co-resident's bytes.
-            let Some(view) = self.store.scan_view(name) else {
+            // scan; a visible buffer's view is its logical span, never a
+            // slot co-resident's bytes.
+            let Ok(info) = self.program.0.table.visible(name) else {
                 continue;
             };
-            let storage = self.store.info(name).expect("visible buffer").storage;
-            if !seen.insert(storage) {
+            if !seen.insert(info.storage) {
                 continue;
             }
-            if let Some((index, class)) = scan_slice(view, stride) {
+            if let Some((index, class)) = scan_slice(self.store.view(info), stride) {
                 out.push(BufferAnomaly { buffer: name.to_string(), index, class });
             }
         }
@@ -777,8 +774,7 @@ impl Executor {
         self.run_phase(false, None, mode.stride(), None)
     }
 
-    fn run_group(&mut self, g: &CGroup, n_slots: usize) {
-        let batch = self.net.batch;
+    fn run_group(&mut self, g: &CGroup, batch: usize, n_slots: usize) {
         for seg in &g.segments {
             match seg {
                 Segment::Batched(b) => self.run_batched_gemm(b),
@@ -903,7 +899,7 @@ impl Executor {
     }
 
     fn run_extern_whole(&mut self, g: &CGroup, e: &CExtern) {
-        let batch = self.net.batch;
+        let batch = self.batch();
         let base = self.store.storages.as_mut_ptr();
         let mut views: Vec<&mut [f32]> =
             self.pool.with_caller_ctx(|ctx| std::mem::take(&mut ctx.scratch.views));

@@ -70,7 +70,7 @@ pub mod pool;
 pub mod registry;
 pub mod ring;
 pub mod solver;
-pub mod store;
+mod store;
 pub mod supervisor;
 pub mod trace;
 mod transfer;

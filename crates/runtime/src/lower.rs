@@ -32,7 +32,7 @@ use latte_ir::{Assign, BufRef, Expr, ExternOp, GemmStmt, IndexExpr, Stmt};
 use crate::elem::{self, ElemProgram, Reg};
 use crate::error::RuntimeError;
 use crate::registry::{ExternFn, KernelRegistry};
-use crate::store::BufferStore;
+use crate::store::BufferTable;
 use crate::transfer::Transfer;
 
 /// A compiled affine index: `base + Σ terms[i].1 * env[terms[i].0]`.
@@ -341,20 +341,19 @@ impl Kernel {
     }
 }
 
-/// Lowers a compiled network against an allocated store.
+/// Lowers a compiled network against its resolved buffer table.
 ///
 /// Groups the step-share pass marked α-equivalent to an earlier unrolled
 /// time step reuse that step's compiled body: the buffer table is rebound
 /// through the `@t{j}` → `@t{j+delta}` rename and verified against the
-/// store, so the kernels themselves — including their bounds proofs,
+/// table, so the kernels themselves — including their bounds proofs,
 /// which depend only on per-item extents — carry over unchanged. Any
 /// mismatch (different layout, missing buffer) falls back to a fresh
 /// lowering of the group.
 pub(crate) fn lower(
     net: &CompiledNet,
-    store: &BufferStore,
+    table: &BufferTable,
     registry: &KernelRegistry,
-    vectorize: bool,
 ) -> Result<Plan, RuntimeError> {
     let mut max_slots = 1;
     let mut reused = 0usize;
@@ -367,14 +366,14 @@ pub(crate) fn lower(
         for g in groups {
             let shared = g.meta.share_body_with.as_ref().and_then(|ss| {
                 let rep = done.get(&ss.group).map(|&i| &out[i])?;
-                reuse_group(rep, g, ss.delta, store)
+                reuse_group(rep, g, ss.delta, table)
             });
             let cg = match shared {
                 Some(cg) => {
                     *reused += 1;
                     cg
                 }
-                None => lower_group(g, store, registry, vectorize, max_slots)?,
+                None => lower_group(g, net, table, registry, max_slots)?,
             };
             done.insert(g.name.clone(), out.len());
             out.push(cg);
@@ -425,16 +424,16 @@ fn shift_name(name: &str, delta: i64) -> Option<String> {
 
 /// Clones a representative step's compiled body for an α-equivalent later
 /// step: every buffer in the table is renamed by `delta`, re-resolved
-/// against the store, and verified to have the same per-item layout as
+/// against the table, and verified to have the same per-item layout as
 /// the representative's binding. Returns `None` (caller falls back to a
 /// fresh lowering) when any buffer is missing or laid out differently.
-fn reuse_group(rep: &CGroup, group: &Group, delta: i64, store: &BufferStore) -> Option<CGroup> {
+fn reuse_group(rep: &CGroup, group: &Group, delta: i64, table: &BufferTable) -> Option<CGroup> {
     let mut bufs = Vec::with_capacity(rep.bufs.len());
     let mut buf_names = Vec::with_capacity(rep.buf_names.len());
     for (binding, name) in rep.bufs.iter().zip(&rep.buf_names) {
         let new_name = shift_name(name, delta)?;
-        let old = store.info(name)?;
-        let new = store.info(&new_name)?;
+        let old = table.info(name)?;
+        let new = table.info(&new_name)?;
         if new.per_item != old.per_item
             || new.batched != old.batched
             || new.kind != old.kind
@@ -469,17 +468,17 @@ fn reuse_group(rep: &CGroup, group: &Group, delta: i64, store: &BufferStore) -> 
             let mut renamed = Vec::with_capacity(3);
             for name in names {
                 let new_name = shift_name(name, delta)?;
-                let old = store.info(name)?;
-                let new = store.info(&new_name)?;
+                let old = table.info(name)?;
+                let new = table.info(&new_name)?;
                 if new.per_item != old.per_item || new.batched != old.batched {
                     return None;
                 }
                 renamed.push(new_name);
             }
             let shifted: [String; 3] = renamed.try_into().ok()?;
-            b.a = store.info(&shifted[0])?.storage;
-            b.b = store.info(&shifted[1])?.storage;
-            b.c = store.info(&shifted[2])?.storage;
+            b.a = table.info(&shifted[0])?.storage;
+            b.b = table.info(&shifted[1])?.storage;
+            b.c = table.info(&shifted[2])?.storage;
             gemm_names.push(shifted);
             next_gemm += 1;
         }
@@ -488,7 +487,7 @@ fn reuse_group(rep: &CGroup, group: &Group, delta: i64, store: &BufferStore) -> 
         name: group.name.clone(),
         parallel: rep.parallel,
         serial_hint: group.meta.serial_hint,
-        grad_spans: grad_spans(&bufs, store),
+        grad_spans: grad_spans(&bufs),
         bufs,
         buf_names,
         segments,
@@ -497,8 +496,9 @@ fn reuse_group(rep: &CGroup, group: &Group, delta: i64, store: &BufferStore) -> 
 }
 
 struct GroupLowerer<'a> {
-    store: &'a BufferStore,
+    table: &'a BufferTable,
     registry: &'a KernelRegistry,
+    batch: usize,
     vectorize: bool,
     slots: HashMap<String, usize>,
     /// Extent per slot (for bounds verification).
@@ -510,15 +510,16 @@ struct GroupLowerer<'a> {
 
 fn lower_group(
     group: &Group,
-    store: &BufferStore,
+    net: &CompiledNet,
+    table: &BufferTable,
     registry: &KernelRegistry,
-    vectorize: bool,
     max_slots: &mut usize,
 ) -> Result<CGroup, RuntimeError> {
     let mut lw = GroupLowerer {
-        store,
+        table,
         registry,
-        vectorize,
+        batch: net.batch,
+        vectorize: net.vectorize,
         slots: HashMap::new(),
         slot_extents: Vec::new(),
         bufs: Vec::new(),
@@ -563,7 +564,7 @@ fn lower_group(
         name: group.name.clone(),
         parallel,
         serial_hint: group.meta.serial_hint,
-        grad_spans: grad_spans(&lw.bufs, store),
+        grad_spans: grad_spans(&lw.bufs),
         bufs: lw.bufs,
         buf_names: lw.buf_names,
         segments,
@@ -572,16 +573,17 @@ fn lower_group(
 }
 
 /// Lays a group's parameter-gradient storages out back to back in a
-/// gradient lane's scratch.
-fn grad_spans(bufs: &[BufBinding], store: &BufferStore) -> Vec<(usize, usize, usize)> {
-    let mut storages: Vec<usize> = bufs.iter().filter(|b| b.param_grad).map(|b| b.storage).collect();
+/// gradient lane's scratch. A parameter gradient is unbatched and never
+/// shares an arena slot, so a binding's per-item length is its storage's.
+fn grad_spans(bufs: &[BufBinding]) -> Vec<(usize, usize, usize)> {
+    let mut storages: Vec<(usize, usize)> =
+        bufs.iter().filter(|b| b.param_grad).map(|b| (b.storage, b.per_item)).collect();
     storages.sort_unstable();
     storages.dedup();
     let mut offset = 0;
     storages
         .into_iter()
-        .map(|s| {
-            let len = store.storages[s].len();
+        .map(|(s, len)| {
             offset += len;
             (s, offset - len, len)
         })
@@ -617,7 +619,7 @@ impl GroupLowerer<'_> {
         if let Some(&i) = self.buf_index.get(name) {
             return Ok(i);
         }
-        let info = self.store.require(name)?;
+        let info = self.table.require(name)?;
         let binding = BufBinding {
             storage: info.storage,
             per_item: info.per_item,
@@ -651,7 +653,7 @@ impl GroupLowerer<'_> {
     /// the buffer's strides and statically checking bounds.
     fn cref(&mut self, r: &BufRef) -> Result<CRef, RuntimeError> {
         let buf = self.buf(&r.buffer)?;
-        let info = self.store.require(&r.buffer)?;
+        let info = self.table.require(&r.buffer)?;
         if r.indices.len() != info.shape.rank() {
             return Err(RuntimeError::Malformed {
                 detail: format!(
@@ -810,7 +812,7 @@ impl GroupLowerer<'_> {
             (&c, g.m * g.n, &g.c),
         ] {
             let (lo, hi) = r.idx.range(&self.slot_extents);
-            let len = self.store.require(name)?.per_item as i64;
+            let len = self.table.require(name)?.per_item as i64;
             if lo < 0 || hi + need as i64 > len {
                 return Err(RuntimeError::Malformed {
                     detail: format!(
@@ -849,11 +851,11 @@ impl GroupLowerer<'_> {
         if a_base < 0 || b_base < 0 || c_base < 0 {
             return Ok(None);
         }
-        let ai = self.store.require(&g.a)?.clone();
-        let bi = self.store.require(&g.b)?.clone();
-        let ci = self.store.require(&g.c)?.clone();
+        let ai = self.table.require(&g.a)?.clone();
+        let bi = self.table.require(&g.b)?.clone();
+        let ci = self.table.require(&g.c)?.clone();
         let (a, b, c) = (ai.storage, bi.storage, ci.storage);
-        let batch = self.store.batch();
+        let batch = self.batch;
 
         // FC forward: per-item C(1xN) += A(1xK)·op(B). Batched:
         // C(batch x N) += A(batch x K)·op(B).

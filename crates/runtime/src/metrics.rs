@@ -2,97 +2,140 @@
 //! fault-tolerance counter registry shared by the transport, the ring
 //! and the training supervisor.
 
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::error::RuntimeError;
 use crate::exec::Executor;
 
-/// Monotonic counters recording fault-tolerance events. Thread-safe;
-/// share one instance (e.g. behind an `Arc`) between the supervisor,
-/// the transport, and whoever reports the run.
-#[derive(Debug, Default)]
-pub struct FaultMetrics {
+/// Declares a counter registry — a struct of `AtomicU64`s, bumped with
+/// relaxed ordering since counters publish nothing but themselves — and
+/// its plain-number snapshot from **one** list, so adding a counter is
+/// one line and the registry, the snapshot, `snapshot()`, the printed
+/// form and any wire codec cannot drift apart. Each entry is
+/// `name: type`, optionally `= "label"` when the printed name differs
+/// from the field's; the order of the list is the order of
+/// `Snapshot::values` / `Snapshot::from_values` (a wire format built on
+/// them grows only at its end) and of `Display` (`label=value`, space
+/// separated).
+#[macro_export]
+macro_rules! counter_registry {
+    (@label $field:ident) => { stringify!($field) };
+    (@label $field:ident $label:literal) => { $label };
+    (
+        $(#[$reg_meta:meta])* $reg_vis:vis struct $Reg:ident;
+        $(#[$snap_meta:meta])* $snap_vis:vis struct $Snap:ident;
+        $( $(#[$doc:meta])* $field:ident : $ty:ty $(= $label:literal)?, )+
+    ) => {
+        $(#[$reg_meta])*
+        #[derive(Debug, Default)]
+        $reg_vis struct $Reg {
+            $( $(#[$doc])* pub $field: ::std::sync::atomic::AtomicU64, )+
+        }
+
+        $(#[$snap_meta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        $snap_vis struct $Snap {
+            $( $(#[$doc])* pub $field: $ty, )+
+        }
+
+        impl $Reg {
+            /// Copies every counter.
+            #[allow(clippy::unnecessary_cast)]
+            $reg_vis fn snapshot(&self) -> $Snap {
+                $Snap {
+                    $( $field: self.$field.load(::std::sync::atomic::Ordering::Relaxed) as $ty, )+
+                }
+            }
+        }
+
+        #[allow(clippy::unnecessary_cast)]
+        impl $Snap {
+            /// The counters' printed names, in declaration order.
+            pub const LABELS: &'static [&'static str] =
+                &[$( $crate::counter_registry!(@label $field $($label)?) ),+];
+
+            /// Every counter, in declaration order.
+            pub fn values(&self) -> [u64; Self::LABELS.len()] {
+                [$( self.$field as u64 ),+]
+            }
+
+            /// The inverse of [`Self::values`].
+            pub fn from_values(values: [u64; Self::LABELS.len()]) -> Self {
+                let [$( $field ),+] = values;
+                $Snap { $( $field: $field as $ty, )+ }
+            }
+        }
+
+        impl ::std::fmt::Display for $Snap {
+            fn fmt(&self, f: &mut ::std::fmt::Formatter<'_>) -> ::std::fmt::Result {
+                for (i, (label, value)) in Self::LABELS.iter().zip(self.values()).enumerate() {
+                    write!(f, "{}{label}={value}", if i == 0 { "" } else { " " })?;
+                }
+                Ok(())
+            }
+        }
+    };
+}
+
+counter_registry! {
+    /// Monotonic counters recording fault-tolerance events. Thread-safe;
+    /// share one instance (e.g. behind an `Arc`) between the supervisor,
+    /// the transport, and whoever reports the run.
+    pub struct FaultMetrics;
+    /// A point-in-time copy of [`FaultMetrics`], comparable in tests.
+    pub struct FaultMetricsSnapshot;
     /// Transfer retries after a timeout, drop, or corruption.
-    pub retries: AtomicU64,
+    retries: u64,
     /// Transfers whose payload failed its checksum (injected corruption).
-    pub transfers_corrupted: AtomicU64,
+    transfers_corrupted: u64 = "corrupted",
     /// Nodes declared dead (crash or retry budget exhausted).
-    pub nodes_failed: AtomicU64,
+    nodes_failed: u64,
     /// Straggler detections (a node exceeding the rolling time estimate).
-    pub stragglers_detected: AtomicU64,
+    stragglers_detected: u64 = "stragglers",
     /// Iterations executed in the degraded (lossy, shrunken-ring) mode.
-    pub degraded_iterations: AtomicU64,
+    degraded_iterations: u64 = "degraded_iters",
     /// Checkpoints successfully written.
-    pub checkpoints_saved: AtomicU64,
+    checkpoints_saved: u64 = "checkpoints",
     /// Successful restores from a checkpoint.
-    pub restores: AtomicU64,
+    restores: u64,
     /// I/O errors observed (and survived) while checkpointing.
-    pub io_errors: AtomicU64,
+    io_errors: u64,
     /// Tensor-sentinel trips (a NaN/Inf found in a scanned buffer).
-    pub sentinel_trips: AtomicU64,
+    sentinel_trips: u64,
     /// Iterations whose gradients were clipped (per-element or
     /// global-norm).
-    pub grad_clips: AtomicU64,
+    grad_clips: u64,
     /// Iterations whose update was skipped because a parameter gradient
     /// was non-finite.
-    pub grad_nonfinite_trips: AtomicU64,
+    grad_nonfinite_trips: u64 = "grad_nonfinite",
     /// Loss anomalies classified by the health monitor (non-finite,
     /// spike, plateau).
-    pub loss_anomalies: AtomicU64,
+    loss_anomalies: u64,
     /// Batches quarantined after producing a non-finite loss.
-    pub batches_quarantined: AtomicU64,
+    batches_quarantined: u64 = "quarantined",
     /// Rollbacks to the last good checkpoint triggered by a numerical
     /// anomaly (distinct from `restores` after process faults, though
     /// each rollback also performs a restore).
-    pub rollbacks: AtomicU64,
+    rollbacks: u64,
     /// Learning-rate reductions applied by an anomaly policy.
-    pub lr_reductions: AtomicU64,
+    lr_reductions: u64,
     /// Per-node gradient contributions rejected by the all-reduce merge
     /// for being non-finite.
-    pub gradients_rejected: AtomicU64,
+    gradients_rejected: u64 = "grads_rejected",
     /// Transport frames re-sent (resend requests serviced after a drop,
     /// timeout, or CRC failure on the receiving side).
-    pub send_retries: AtomicU64,
+    send_retries: u64,
     /// Transport receives that exhausted their per-op deadline.
-    pub timeouts: AtomicU64,
+    timeouts: u64,
     /// Socket reconnect attempts after a broken connection.
-    pub reconnects: AtomicU64,
+    reconnects: u64,
     /// Peers evicted from the ring (retry budget exhausted, connection
     /// reset, or announced dead by another survivor).
-    pub peers_evicted: AtomicU64,
+    peers_evicted: u64,
     /// Training steps whose all-reduce ran in the lossy degraded mode.
-    pub lossy_steps: AtomicU64,
+    lossy_steps: u64,
     /// Gradient payload bytes folded by the ring reduce-scatter.
-    pub bytes_reduced: AtomicU64,
-}
-
-/// A point-in-time copy of [`FaultMetrics`], comparable in tests.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub struct FaultMetricsSnapshot {
-    pub retries: u64,
-    pub transfers_corrupted: u64,
-    pub nodes_failed: u64,
-    pub stragglers_detected: u64,
-    pub degraded_iterations: u64,
-    pub checkpoints_saved: u64,
-    pub restores: u64,
-    pub io_errors: u64,
-    pub sentinel_trips: u64,
-    pub grad_clips: u64,
-    pub grad_nonfinite_trips: u64,
-    pub loss_anomalies: u64,
-    pub batches_quarantined: u64,
-    pub rollbacks: u64,
-    pub lr_reductions: u64,
-    pub gradients_rejected: u64,
-    pub send_retries: u64,
-    pub timeouts: u64,
-    pub reconnects: u64,
-    pub peers_evicted: u64,
-    pub lossy_steps: u64,
-    pub bytes_reduced: u64,
+    bytes_reduced: u64,
 }
 
 impl FaultMetrics {
@@ -109,70 +152,6 @@ impl FaultMetrics {
     /// Adds `n` to a counter (for byte/amount counters).
     pub fn add(counter: &AtomicU64, n: u64) {
         counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Copies every counter.
-    pub fn snapshot(&self) -> FaultMetricsSnapshot {
-        FaultMetricsSnapshot {
-            retries: self.retries.load(Ordering::Relaxed),
-            transfers_corrupted: self.transfers_corrupted.load(Ordering::Relaxed),
-            nodes_failed: self.nodes_failed.load(Ordering::Relaxed),
-            stragglers_detected: self.stragglers_detected.load(Ordering::Relaxed),
-            degraded_iterations: self.degraded_iterations.load(Ordering::Relaxed),
-            checkpoints_saved: self.checkpoints_saved.load(Ordering::Relaxed),
-            restores: self.restores.load(Ordering::Relaxed),
-            io_errors: self.io_errors.load(Ordering::Relaxed),
-            sentinel_trips: self.sentinel_trips.load(Ordering::Relaxed),
-            grad_clips: self.grad_clips.load(Ordering::Relaxed),
-            grad_nonfinite_trips: self.grad_nonfinite_trips.load(Ordering::Relaxed),
-            loss_anomalies: self.loss_anomalies.load(Ordering::Relaxed),
-            batches_quarantined: self.batches_quarantined.load(Ordering::Relaxed),
-            rollbacks: self.rollbacks.load(Ordering::Relaxed),
-            lr_reductions: self.lr_reductions.load(Ordering::Relaxed),
-            gradients_rejected: self.gradients_rejected.load(Ordering::Relaxed),
-            send_retries: self.send_retries.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            reconnects: self.reconnects.load(Ordering::Relaxed),
-            peers_evicted: self.peers_evicted.load(Ordering::Relaxed),
-            lossy_steps: self.lossy_steps.load(Ordering::Relaxed),
-            bytes_reduced: self.bytes_reduced.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl fmt::Display for FaultMetricsSnapshot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "retries={} corrupted={} nodes_failed={} stragglers={} \
-             degraded_iters={} checkpoints={} restores={} io_errors={} \
-             sentinel_trips={} grad_clips={} grad_nonfinite={} loss_anomalies={} \
-             quarantined={} rollbacks={} lr_reductions={} grads_rejected={} \
-             send_retries={} timeouts={} reconnects={} peers_evicted={} \
-             lossy_steps={} bytes_reduced={}",
-            self.retries,
-            self.transfers_corrupted,
-            self.nodes_failed,
-            self.stragglers_detected,
-            self.degraded_iterations,
-            self.checkpoints_saved,
-            self.restores,
-            self.io_errors,
-            self.sentinel_trips,
-            self.grad_clips,
-            self.grad_nonfinite_trips,
-            self.loss_anomalies,
-            self.batches_quarantined,
-            self.rollbacks,
-            self.lr_reductions,
-            self.gradients_rejected,
-            self.send_retries,
-            self.timeouts,
-            self.reconnects,
-            self.peers_evicted,
-            self.lossy_steps,
-            self.bytes_reduced,
-        )
     }
 }
 

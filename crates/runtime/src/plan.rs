@@ -21,10 +21,10 @@
 //! * classes whose first touch is a pure read, stateful kinds
 //!   (`State`/`SharedState`), parameters, input bindings, and loss
 //!   buffers are *retained* — they keep private storage and the exact
-//!   semantics of the non-arena store;
+//!   semantics of the identity layout;
 //! * classes no statement touches get no storage at all (*dead*), and a
 //!   class evicted by a later slot occupant is *expired*; reading either
-//!   through the store yields a structured
+//!   by name yields a structured
 //!   [`RuntimeError::BufferRetired`](crate::error::RuntimeError) rather
 //!   than stale data.
 
@@ -36,26 +36,35 @@ use latte_ir::BufferKind;
 use crate::lower::{CGroup, Plan};
 use crate::store::Visibility;
 
-/// The arena memory layout for one compiled net: where every alias class
-/// lives and what must be zeroed when.
-#[derive(Debug, Clone)]
+/// The memory layout of one compiled net: where every alias class lives
+/// and what must be zeroed when. Without the arena it is the identity —
+/// a private, retained backing per class and nothing to zero on entry —
+/// so the store and the executor have one path for both.
+#[derive(Debug)]
 pub(crate) struct MemoryLayout {
     /// Per alias class (primary declarations in order): backing index.
     pub backing_of_class: Vec<usize>,
     /// Element count of each backing vector.
     pub backing_len: Vec<usize>,
     /// Whether each backing is a shared arena slot (skipped by the
-    /// store's global gradient zeroing; zeroed per-group instead).
+    /// whole-storage gradient zeroing; zeroed per-group instead).
     pub backing_arena: Vec<bool>,
     /// Post-run visibility of each class.
     pub class_vis: Vec<Visibility>,
     /// `(global group position, backing, elements)` fills to run before
     /// the group at that position executes.
     pub zero_on_entry: Vec<(usize, usize, usize)>,
+    /// Private backings filled whole before every backward pass: the
+    /// activation and parameter gradients outside the arena (an arena
+    /// slot is zeroed per occupant, at its first-access group, since a
+    /// whole-slot fill would clobber whoever lives there).
+    pub zero_backward: Vec<usize>,
 }
 
 struct ClassInfo {
     total_len: usize,
+    /// The primary declaration holds gradients (`BufferKind::is_grad`).
+    grad: bool,
     retained: bool,
     first: Option<usize>,
     last: usize,
@@ -64,8 +73,9 @@ struct ClassInfo {
     read_first: bool,
 }
 
-/// Computes the liveness-based arena layout for a compiled net.
-pub(crate) fn liveness_layout(net: &CompiledNet) -> MemoryLayout {
+/// Computes a compiled net's layout: liveness-packed when `arena`, the
+/// identity otherwise.
+pub(crate) fn memory_layout(net: &CompiledNet, arena: bool) -> MemoryLayout {
     let batch = net.batch;
 
     // Alias classes: one per primary declaration; aliases resolve to
@@ -74,8 +84,8 @@ pub(crate) fn liveness_layout(net: &CompiledNet) -> MemoryLayout {
     let mut classes: Vec<ClassInfo> = Vec::new();
     for decl in &net.buffers {
         // An alias joins its (transitive) root's class. A missing target
-        // gets a private class here; the store rejects it with a proper
-        // `BadAlias` during allocation.
+        // gets a private class here; `BufferTable::resolve` rejects it
+        // with a proper `BadAlias`.
         let root = decl
             .alias_of
             .as_ref()
@@ -86,6 +96,7 @@ pub(crate) fn liveness_layout(net: &CompiledNet) -> MemoryLayout {
                 let total = decl.len() * if decl.kind.is_batched() { batch } else { 1 };
                 classes.push(ClassInfo {
                     total_len: total,
+                    grad: decl.kind.is_grad(),
                     retained: false,
                     first: None,
                     last: 0,
@@ -118,8 +129,10 @@ pub(crate) fn liveness_layout(net: &CompiledNet) -> MemoryLayout {
     }
 
     // Access positions: forward groups first, then backward, matching
-    // execution order of one training step.
-    for (pos, group) in net.forward.iter().chain(&net.backward).enumerate() {
+    // execution order of one training step. The identity layout packs
+    // nothing, so it reads none of them.
+    let scanned = if arena { usize::MAX } else { 0 };
+    for (pos, group) in net.forward.iter().chain(&net.backward).enumerate().take(scanned) {
         for stmt in &group.stmts {
             let writes = stmt.written_buffers();
             for name in stmt.read_buffers() {
@@ -157,7 +170,7 @@ pub(crate) fn liveness_layout(net: &CompiledNet) -> MemoryLayout {
     // classes collected for packing.
     let mut arena_classes: Vec<usize> = Vec::new();
     for (c, info) in classes.iter().enumerate() {
-        if info.retained || (info.read_first && info.first.is_some()) {
+        if !arena || info.retained || (info.read_first && info.first.is_some()) {
             backing_of_class[c] = backing_len.len();
             backing_len.push(info.total_len);
             backing_arena.push(false);
@@ -204,27 +217,33 @@ pub(crate) fn liveness_layout(net: &CompiledNet) -> MemoryLayout {
         zero_on_entry.push((first, backing, classes[c].total_len));
     }
 
+    let zero_backward = (0..classes.len())
+        .filter(|&c| classes[c].grad && !backing_arena[backing_of_class[c]])
+        .map(|c| backing_of_class[c])
+        .collect();
     MemoryLayout {
         backing_of_class,
         backing_len,
         backing_arena,
         class_vis,
         zero_on_entry,
+        zero_backward,
     }
 }
 
-/// The executor's whole program: the lowered kernel groups of both phases
-/// plus the arena bookkeeping that must run between them. Built once per
-/// [`Executor`](crate::Executor); the executor itself is a thin driver
-/// over this plan.
+/// The executors' whole program: the lowered kernel groups of both phases
+/// plus the memory layout they were lowered against and the zero-fills
+/// that must run between them. Built once per
+/// [`CompiledProgram`](crate::CompiledProgram); an executor is a thin
+/// driver over this plan.
 #[derive(Debug)]
 pub struct ExecutionPlan {
     pub(crate) lowered: Plan,
+    pub(crate) layout: MemoryLayout,
     /// Per forward group: `(backing, elements)` fills before the group.
-    pub(crate) zero_fwd: Vec<Vec<(usize, usize)>>,
+    zero_fwd: Vec<Vec<(usize, usize)>>,
     /// Per backward group: `(backing, elements)` fills before the group.
-    pub(crate) zero_bwd: Vec<Vec<(usize, usize)>>,
-    arena: bool,
+    zero_bwd: Vec<Vec<(usize, usize)>>,
 }
 
 /// The lowered program as text: per group its schedule, buffer table
@@ -238,26 +257,18 @@ impl std::fmt::Display for ExecutionPlan {
 }
 
 impl ExecutionPlan {
-    pub(crate) fn new(lowered: Plan, layout: Option<&MemoryLayout>) -> Self {
+    pub(crate) fn new(lowered: Plan, layout: MemoryLayout) -> Self {
         let n_fwd = lowered.forward.len();
-        let n_bwd = lowered.backward.len();
         let mut zero_fwd = vec![Vec::new(); n_fwd];
-        let mut zero_bwd = vec![Vec::new(); n_bwd];
-        if let Some(layout) = layout {
-            for &(pos, backing, len) in &layout.zero_on_entry {
-                if pos < n_fwd {
-                    zero_fwd[pos].push((backing, len));
-                } else {
-                    zero_bwd[pos - n_fwd].push((backing, len));
-                }
+        let mut zero_bwd = vec![Vec::new(); lowered.backward.len()];
+        for &(pos, backing, len) in &layout.zero_on_entry {
+            if pos < n_fwd {
+                zero_fwd[pos].push((backing, len));
+            } else {
+                zero_bwd[pos - n_fwd].push((backing, len));
             }
         }
-        ExecutionPlan {
-            lowered,
-            zero_fwd,
-            zero_bwd,
-            arena: layout.is_some(),
-        }
+        ExecutionPlan { lowered, layout, zero_fwd, zero_bwd }
     }
 
     pub(crate) fn groups(&self, backward: bool) -> &[CGroup] {
@@ -282,7 +293,7 @@ impl ExecutionPlan {
 
     /// Whether this plan packs buffers into a liveness arena.
     pub fn arena(&self) -> bool {
-        self.arena
+        self.layout.backing_arena.contains(&true)
     }
 
     /// Number of lowered forward groups.

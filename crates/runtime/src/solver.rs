@@ -261,7 +261,14 @@ impl Solver for Sgd {
             let rate = lr * lr_mult;
             for ((w, &grad), vel) in v.iter_mut().zip(g).zip(vel.iter_mut()) {
                 let d = grad + decay * *w;
-                *vel = mom * *vel - rate * d;
+                let next = mom * *vel - rate * d;
+                // Under a zero gradient `mom * vel` decays into the
+                // subnormals and sticks there (0.9 · 4·2⁻¹⁴⁹ rounds back
+                // to 4·2⁻¹⁴⁹), and every later multiply takes a
+                // microcode assist. Such a velocity moves only a weight
+                // below 2⁻¹⁰², so flushing it changes no other bit
+                // (DESIGN.md §9.2).
+                *vel = if next.abs() < f32::MIN_POSITIVE { 0.0 } else { next };
                 *w += *vel;
             }
         });
@@ -796,6 +803,50 @@ mod tests {
     fn momentum_policy_values() {
         assert_eq!(MomPolicy::None.at(5), 0.0);
         assert_eq!(MomPolicy::Fixed { mom: 0.9 }.at(5), 0.9);
+    }
+
+    /// A weight whose gradient has gone exactly zero (a dead unit) must
+    /// not leave its velocity circling in the subnormals.
+    #[test]
+    fn idle_velocity_reaches_zero_and_steps_stay_cheap() {
+        let cfg = ModelConfig {
+            batch: 1,
+            input_size: 64,
+            channel_div: 1,
+            classes: 8,
+            with_loss: true,
+            seed: 5,
+        };
+        let compiled = compile(&mlp(&cfg, &[256]).net, &OptLevel::full()).unwrap();
+        let mut exec = Executor::new(compiled).unwrap();
+        let mut sgd = Sgd::new(SolverParams::default());
+        let fill = |exec: &mut Executor, g: f32| exec.for_each_param_grad_mut(|_, grad| grad.fill(g));
+        fill(&mut exec, 1.0);
+        sgd.step(&mut exec);
+        assert!(sgd.velocity.iter().flatten().all(|&v| v <= -0.01));
+        fill(&mut exec, 0.0);
+        // The cheapest of ten steps, so a preempted one does not count.
+        let mut ten_steps = |sgd: &mut Sgd| {
+            (0..10)
+                .map(|_| {
+                    let t0 = std::time::Instant::now();
+                    sgd.step(&mut exec);
+                    t0.elapsed()
+                })
+                .min()
+                .unwrap()
+        };
+        let early = ten_steps(&mut sgd);
+        for _ in 0..198 {
+            ten_steps(&mut sgd);
+        }
+        let late = ten_steps(&mut sgd);
+        assert_eq!(sgd.iter, 2001);
+        assert!(sgd.velocity.iter().flatten().all(|v| v.to_bits() == 0), "velocity stuck above zero");
+        assert!(
+            late.as_secs_f64() <= 1.5 * early.as_secs_f64(),
+            "step 2000 took {late:?}, step 10 took {early:?}"
+        );
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Buffer allocation: realizes the compiler's buffer plan, honoring
-//! aliases (shared storage) and batching.
+//! aliases (shared storage) and batching. The plan is resolved to a
+//! [`BufferTable`] once per program; a [`BufferStore`] is the floats of
+//! one executor.
 //!
 //! Batched buffers are allocated as one contiguous region of
 //! `batch * per_item` floats, item-major. Contiguity is what allows the
@@ -12,12 +14,13 @@ use latte_ir::{BufferDecl, BufferKind};
 use latte_tensor::Shape;
 
 use crate::error::RuntimeError;
+use crate::plan::MemoryLayout;
 
 /// Whether (and how) a buffer's contents can be observed through the
 /// store after a run. Everything is [`Visibility::Retained`] in the
-/// default layout; the liveness arena introduces the other states.
+/// identity layout; the liveness arena introduces the other states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Visibility {
+pub(crate) enum Visibility {
     /// Private storage, exactly the non-arena semantics.
     Retained,
     /// Lives in a shared arena slot as its *last* occupant: contents are
@@ -33,172 +36,100 @@ pub enum Visibility {
 
 /// Resolved placement of one named buffer.
 #[derive(Debug, Clone)]
-pub struct BufInfo {
+pub(crate) struct BufInfo {
     /// Index into the store's storage vector.
-    pub storage: usize,
+    pub(crate) storage: usize,
     /// Elements per batch item.
-    pub per_item: usize,
+    pub(crate) per_item: usize,
     /// Whether the buffer has one copy per batch item.
-    pub batched: bool,
+    pub(crate) batched: bool,
     /// The declared role.
-    pub kind: BufferKind,
+    pub(crate) kind: BufferKind,
     /// The declared per-item shape.
-    pub shape: Shape,
+    pub(crate) shape: Shape,
     /// Arena visibility (always [`Visibility::Retained`] without the
     /// arena).
-    pub vis: Visibility,
+    pub(crate) vis: Visibility,
 }
 
 impl BufInfo {
     /// The buffer's logical element count: `per_item` times the batch for
     /// batched buffers. Equals the storage length for retained buffers;
     /// arena slots may be larger (sized for their largest occupant).
-    pub fn logical_len(&self, batch: usize) -> usize {
+    pub(crate) fn logical_len(&self, batch: usize) -> usize {
         self.per_item * if self.batched { batch } else { 1 }
     }
 }
 
-/// All allocated storage for one compiled network instance.
+/// Where every named buffer of one compiled net lives: resolved once at
+/// lowering against the net's [`MemoryLayout`] and shared, read-only, by
+/// every executor of the program.
 #[derive(Debug)]
-pub struct BufferStore {
-    batch: usize,
+pub(crate) struct BufferTable {
     infos: HashMap<String, BufInfo>,
-    /// Primary declaration kind per storage (for phase zeroing).
-    storage_kinds: Vec<BufferKind>,
-    /// Per storage: shared arena slot (excluded from global zeroing; the
-    /// execution plan zeroes occupants at their first-access group).
-    arena_storages: Vec<bool>,
-    pub(crate) storages: Vec<Vec<f32>>,
 }
 
-impl BufferStore {
-    /// Allocates storage for a buffer plan, one private storage per
-    /// primary declaration (aliases share their target's).
+impl BufferTable {
+    /// Resolves a buffer plan against a layout: a primary declaration
+    /// takes its class's backing and visibility, an alias its target's.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::BadAlias`] when an alias target is missing
     /// or incompatible.
-    pub fn new(decls: &[BufferDecl], batch: usize) -> Result<Self, RuntimeError> {
-        Self::build(decls, batch, None)
-    }
-
-    /// Allocates storage following an explicit arena layout: classes
-    /// mapped to shared backings sized by the layout, with per-class
-    /// visibility. `None` behaves exactly like [`BufferStore::new`].
-    pub(crate) fn with_layout(
-        decls: &[BufferDecl],
-        batch: usize,
-        layout: Option<&crate::plan::MemoryLayout>,
-    ) -> Result<Self, RuntimeError> {
-        Self::build(decls, batch, layout)
-    }
-
-    fn build(
-        decls: &[BufferDecl],
-        batch: usize,
-        layout: Option<&crate::plan::MemoryLayout>,
-    ) -> Result<Self, RuntimeError> {
+    pub(crate) fn resolve(decls: &[BufferDecl], layout: &MemoryLayout) -> Result<Self, RuntimeError> {
         let mut infos: HashMap<String, BufInfo> = HashMap::new();
-        let mut storages: Vec<Vec<f32>> = layout
-            .map(|l| l.backing_len.iter().map(|&n| vec![0.0; n]).collect())
-            .unwrap_or_default();
-        let mut storage_kinds: Vec<BufferKind> = vec![BufferKind::Value; storages.len()];
-        let mut arena_storages: Vec<bool> =
-            layout.map(|l| l.backing_arena.clone()).unwrap_or_default();
         // Classes are numbered over primary declarations in order — the
-        // same numbering the layout was computed with.
+        // numbering the layout was computed with.
         let mut next_class = 0usize;
         for decl in decls {
             let per_item = decl.shape.len();
             let batched = decl.kind.is_batched();
-            match &decl.alias_of {
+            let (storage, vis) = match &decl.alias_of {
                 None => {
-                    let class = next_class;
                     next_class += 1;
-                    let (storage, vis) = match layout {
-                        Some(l) => (l.backing_of_class[class], l.class_vis[class]),
-                        None => {
-                            let len = if batched { per_item * batch } else { per_item };
-                            storages.push(vec![0.0; len]);
-                            storage_kinds.push(decl.kind);
-                            arena_storages.push(false);
-                            (storages.len() - 1, Visibility::Retained)
-                        }
-                    };
-                    if layout.is_some() {
-                        // Record the kind for global zeroing (arena
-                        // storages are excluded from it anyway).
-                        storage_kinds[storage] = decl.kind;
-                    }
-                    infos.insert(
-                        decl.name.clone(),
-                        BufInfo {
-                            storage,
-                            per_item,
-                            batched,
-                            kind: decl.kind,
-                            shape: decl.shape.clone(),
-                            vis,
-                        },
-                    );
+                    (layout.backing_of_class[next_class - 1], layout.class_vis[next_class - 1])
                 }
-                Some(target) => {
-                    let t = infos.get(target).ok_or_else(|| RuntimeError::BadAlias {
-                        name: decl.name.clone(),
-                        target: target.clone(),
-                    })?;
-                    if t.per_item != per_item || t.batched != batched {
+                Some(target) => match infos.get(target) {
+                    Some(t) if t.per_item == per_item && t.batched == batched => (t.storage, t.vis),
+                    _ => {
                         return Err(RuntimeError::BadAlias {
                             name: decl.name.clone(),
                             target: target.clone(),
-                        });
+                        })
                     }
-                    let storage = t.storage;
-                    let vis = t.vis;
-                    infos.insert(
-                        decl.name.clone(),
-                        BufInfo {
-                            storage,
-                            per_item,
-                            batched,
-                            kind: decl.kind,
-                            shape: decl.shape.clone(),
-                            vis,
-                        },
-                    );
-                }
-            }
+                },
+            };
+            let info = BufInfo {
+                storage,
+                per_item,
+                batched,
+                kind: decl.kind,
+                shape: decl.shape.clone(),
+                vis,
+            };
+            infos.insert(decl.name.clone(), info);
         }
-        Ok(BufferStore {
-            batch,
-            infos,
-            storage_kinds,
-            arena_storages,
-            storages,
-        })
-    }
-
-    /// The batch size the store was allocated for.
-    pub fn batch(&self) -> usize {
-        self.batch
+        Ok(BufferTable { infos })
     }
 
     /// Placement of a named buffer.
-    pub fn info(&self, name: &str) -> Option<&BufInfo> {
+    pub(crate) fn info(&self, name: &str) -> Option<&BufInfo> {
         self.infos.get(name)
     }
 
     /// Placement of a named buffer, as an error-carrying lookup.
-    pub fn require(&self, name: &str) -> Result<&BufInfo, RuntimeError> {
+    pub(crate) fn require(&self, name: &str) -> Result<&BufInfo, RuntimeError> {
         self.infos.get(name).ok_or_else(|| RuntimeError::UnknownBuffer {
             name: name.to_string(),
         })
     }
 
-    /// Rejects access to buffers whose storage the arena reclaimed (or
-    /// never materialized); passes visible buffers through.
-    fn visible<'a>(&self, name: &str, info: &'a BufInfo) -> Result<&'a BufInfo, RuntimeError> {
+    /// Placement of a named buffer whose contents can be observed:
+    /// rejects buffers whose storage the arena reclaimed (or never
+    /// materialized), so no caller ever reads a slot co-resident's bytes.
+    pub(crate) fn visible(&self, name: &str) -> Result<&BufInfo, RuntimeError> {
+        let info = self.require(name)?;
         match info.vis {
             Visibility::Retained | Visibility::Final => Ok(info),
             Visibility::Expired => Err(RuntimeError::BufferRetired {
@@ -211,67 +142,51 @@ impl BufferStore {
             }),
         }
     }
+}
 
-    /// The visible contents of a buffer: its logical prefix of the
-    /// backing storage, or `None` when the arena retired it. Used by the
-    /// numerical sentinels, which must never scan a co-resident's bytes.
-    pub fn scan_view(&self, name: &str) -> Option<&[f32]> {
-        self.view(name).ok()
+/// All allocated storage for one compiled network instance: the
+/// layout's backings and nothing else. Callers address it through a
+/// [`BufInfo`] of the program's [`BufferTable`].
+#[derive(Debug)]
+pub(crate) struct BufferStore {
+    batch: usize,
+    pub(crate) storages: Vec<Vec<f32>>,
+}
+
+impl BufferStore {
+    /// Allocates a layout's backings, zeroed.
+    pub(crate) fn build(layout: &MemoryLayout, batch: usize) -> Self {
+        let storages = layout.backing_len.iter().map(|&n| vec![0.0; n]).collect();
+        BufferStore { batch, storages }
     }
 
-    /// Borrows a buffer's entire logical contents (all batch items).
-    ///
-    /// # Errors
-    ///
-    /// Fails for unknown buffers, and for buffers retired by the arena
-    /// (never returns another buffer's bytes).
-    pub fn view(&self, name: &str) -> Result<&[f32], RuntimeError> {
-        let info = self.visible(name, self.require(name)?)?;
-        Ok(&self.storages[info.storage][..info.logical_len(self.batch)])
-    }
-
-    /// Copies a buffer's entire logical contents out (all batch items).
-    ///
-    /// # Errors
-    ///
-    /// As [`BufferStore::view`].
-    pub fn read(&self, name: &str) -> Result<Vec<f32>, RuntimeError> {
-        self.view(name).map(<[f32]>::to_vec)
+    /// Borrows a buffer's entire logical contents (all batch items): its
+    /// logical prefix of the backing storage.
+    pub(crate) fn view(&self, info: &BufInfo) -> &[f32] {
+        &self.storages[info.storage][..info.logical_len(self.batch)]
     }
 
     /// Copies one item's slice of a batched buffer (or the whole buffer
     /// when unbatched).
-    ///
-    /// # Errors
-    ///
-    /// As [`BufferStore::read`].
-    pub fn read_item(&self, name: &str, item: usize) -> Result<Vec<f32>, RuntimeError> {
-        let info = self.visible(name, self.require(name)?)?;
-        let s = &self.storages[info.storage];
-        if info.batched {
-            let off = item * info.per_item;
-            Ok(s[off..off + info.per_item].to_vec())
-        } else {
-            Ok(s[..info.per_item].to_vec())
-        }
+    pub(crate) fn read_item(&self, info: &BufInfo, item: usize) -> Vec<f32> {
+        let off = if info.batched { item * info.per_item } else { 0 };
+        self.storages[info.storage][off..off + info.per_item].to_vec()
     }
 
     /// Overwrites a buffer's entire logical contents.
     ///
     /// # Errors
     ///
-    /// Fails when `data` length differs from the buffer's logical length,
-    /// and for buffers retired by the arena.
-    pub fn write(&mut self, name: &str, data: &[f32]) -> Result<(), RuntimeError> {
-        let info = self.visible(name, self.require(name)?)?;
-        let (storage, len) = (info.storage, info.logical_len(self.batch));
+    /// Fails when `data` length differs from the buffer's logical length.
+    pub(crate) fn write(&mut self, name: &str, info: &BufInfo, data: &[f32]) -> Result<(), RuntimeError> {
+        let len = info.logical_len(self.batch);
         if len != data.len() {
             return Err(RuntimeError::InputShape {
                 buffer: name.to_string(),
                 detail: format!("expected {} elements, got {}", len, data.len()),
             });
         }
-        self.storages[storage][..len].copy_from_slice(data);
+        self.storages[info.storage][..len].copy_from_slice(data);
         Ok(())
     }
 
@@ -281,58 +196,36 @@ impl BufferStore {
     /// # Errors
     ///
     /// Fails when `data` length differs from the buffer's per-item
-    /// length, when `item` is outside the batch, and for unknown or
-    /// arena-retired buffers.
-    pub fn write_item(&mut self, name: &str, item: usize, data: &[f32]) -> Result<(), RuntimeError> {
-        let info = self.visible(name, self.require(name)?)?;
-        let (storage, per_item, batched) = (info.storage, info.per_item, info.batched);
+    /// length, and when `item` is outside the batch.
+    pub(crate) fn write_item(
+        &mut self,
+        name: &str,
+        info: &BufInfo,
+        item: usize,
+        data: &[f32],
+    ) -> Result<(), RuntimeError> {
+        let per_item = info.per_item;
         if data.len() != per_item {
             return Err(RuntimeError::InputShape {
                 buffer: name.to_string(),
                 detail: format!("expected {per_item} elements per item, got {}", data.len()),
             });
         }
-        let items = if batched { self.batch } else { 1 };
+        let items = if info.batched { self.batch } else { 1 };
         if item >= items {
             return Err(RuntimeError::InputShape {
                 buffer: name.to_string(),
                 detail: format!("item {item} outside batch of {items}"),
             });
         }
-        let off = if batched { item * per_item } else { 0 };
-        self.storages[storage][off..off + per_item].copy_from_slice(data);
+        let off = item * per_item;
+        self.storages[info.storage][off..off + per_item].copy_from_slice(data);
         Ok(())
-    }
-
-    /// Zeroes every activation-gradient storage (`Grad` and
-    /// `InputGradStage`), run before each backward pass. Shared arena
-    /// slots are skipped — the execution plan zeroes each occupant at its
-    /// first-access group instead, since a global fill would clobber
-    /// whatever buffer currently lives there.
-    pub fn zero_grads(&mut self) {
-        for (i, kind) in self.storage_kinds.iter().enumerate() {
-            if self.arena_storages.get(i).copied().unwrap_or(false) {
-                continue;
-            }
-            if matches!(kind, BufferKind::Grad | BufferKind::InputGradStage) {
-                self.storages[i].fill(0.0);
-            }
-        }
-    }
-
-    /// Zeroes every parameter-gradient storage, run before each
-    /// accumulation window (usually every iteration).
-    pub fn zero_param_grads(&mut self) {
-        for (i, kind) in self.storage_kinds.iter().enumerate() {
-            if matches!(kind, BufferKind::ParamGrad) {
-                self.storages[i].fill(0.0);
-            }
-        }
     }
 
     /// Total allocated floats (the memory-consumption metric used by the
     /// shared-buffer ablation).
-    pub fn total_elements(&self) -> usize {
+    pub(crate) fn total_elements(&self) -> usize {
         self.storages.iter().map(Vec::len).sum()
     }
 }
@@ -340,6 +233,8 @@ impl BufferStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::memory_layout;
+    use latte_core::CompiledNet;
 
     fn decls() -> Vec<BufferDecl> {
         vec![
@@ -351,85 +246,77 @@ mod tests {
         ]
     }
 
+    /// The identity layout of a bare buffer plan, resolved and allocated.
+    fn build(decls: Vec<BufferDecl>, batch: usize) -> Result<(BufferTable, BufferStore), RuntimeError> {
+        let net = CompiledNet {
+            batch,
+            buffers: decls,
+            forward: Vec::new(),
+            backward: Vec::new(),
+            params: Vec::new(),
+            inputs: Vec::new(),
+            losses: Vec::new(),
+            param_inits: Vec::new(),
+            vectorize: false,
+            stats: Default::default(),
+        };
+        let layout = memory_layout(&net, false);
+        let table = BufferTable::resolve(&net.buffers, &layout)?;
+        Ok((table, BufferStore::build(&layout, batch)))
+    }
+
     #[test]
     fn batched_buffers_scale_with_batch() {
-        let store = BufferStore::new(&decls(), 3).unwrap();
-        assert_eq!(store.read("a.value").unwrap().len(), 12);
+        let (table, store) = build(decls(), 3).unwrap();
+        assert_eq!(store.view(table.visible("a.value").unwrap()).len(), 12);
         // Params are not batched.
-        assert_eq!(store.read("a.weights").unwrap().len(), 8);
+        assert_eq!(store.view(table.visible("a.weights").unwrap()).len(), 8);
     }
 
     #[test]
     fn aliases_share_storage() {
-        let mut store = BufferStore::new(&decls(), 2).unwrap();
-        store.write("a.value", &[1.0; 8]).unwrap();
-        assert_eq!(store.read("b.value").unwrap(), vec![1.0; 8]);
+        let (table, mut store) = build(decls(), 2).unwrap();
+        store.write("a.value", table.visible("a.value").unwrap(), &[1.0; 8]).unwrap();
+        assert_eq!(store.view(table.visible("b.value").unwrap()), [1.0; 8]);
         assert_eq!(
-            store.info("a.value").unwrap().storage,
-            store.info("b.value").unwrap().storage
+            table.info("a.value").unwrap().storage,
+            table.info("b.value").unwrap().storage
         );
     }
 
     #[test]
-    fn read_item_slices_batched_buffers() {
-        let mut store = BufferStore::new(&decls(), 2).unwrap();
-        store
-            .write("a.value", &[0.0, 0.0, 0.0, 0.0, 5.0, 5.0, 5.0, 5.0])
-            .unwrap();
-        assert_eq!(store.read_item("a.value", 1).unwrap(), vec![5.0; 4]);
-    }
-
-    #[test]
     fn write_item_targets_one_slot() {
-        let mut store = BufferStore::new(&decls(), 3).unwrap();
-        store.write_item("a.value", 1, &[7.0; 4]).unwrap();
-        assert_eq!(store.read_item("a.value", 0).unwrap(), vec![0.0; 4]);
-        assert_eq!(store.read_item("a.value", 1).unwrap(), vec![7.0; 4]);
-        assert_eq!(store.read_item("a.value", 2).unwrap(), vec![0.0; 4]);
+        let (table, mut store) = build(decls(), 3).unwrap();
+        let value = table.visible("a.value").unwrap();
+        store.write_item("a.value", value, 1, &[7.0; 4]).unwrap();
+        assert_eq!(store.read_item(value, 0), vec![0.0; 4]);
+        assert_eq!(store.read_item(value, 1), vec![7.0; 4]);
+        assert_eq!(store.read_item(value, 2), vec![0.0; 4]);
         // Wrong per-item length and out-of-batch items are structured errors.
         assert!(matches!(
-            store.write_item("a.value", 0, &[0.0; 5]),
+            store.write_item("a.value", value, 0, &[0.0; 5]),
             Err(RuntimeError::InputShape { .. })
         ));
         assert!(matches!(
-            store.write_item("a.value", 3, &[0.0; 4]),
+            store.write_item("a.value", value, 3, &[0.0; 4]),
             Err(RuntimeError::InputShape { .. })
         ));
         // Unbatched buffers accept only item 0.
-        store.write_item("a.weights", 0, &[1.0; 8]).unwrap();
-        assert!(store.write_item("a.weights", 1, &[1.0; 8]).is_err());
-    }
-
-    #[test]
-    fn zeroing_is_kind_selective() {
-        let mut store = BufferStore::new(&decls(), 1).unwrap();
-        store.write("a.grad", &[1.0; 4]).unwrap();
-        store.write("a.g_weights", &[1.0; 8]).unwrap();
-        store.zero_grads();
-        assert_eq!(store.read("a.grad").unwrap(), vec![0.0; 4]);
-        assert_eq!(store.read("a.g_weights").unwrap(), vec![1.0; 8]);
-        store.zero_param_grads();
-        assert_eq!(store.read("a.g_weights").unwrap(), vec![0.0; 8]);
+        let weights = table.visible("a.weights").unwrap();
+        store.write_item("a.weights", weights, 0, &[1.0; 8]).unwrap();
+        assert!(store.write_item("a.weights", weights, 1, &[1.0; 8]).is_err());
     }
 
     #[test]
     fn missing_alias_target_rejected() {
-        let bad = vec![BufferDecl::alias(
-            "x",
-            vec![4],
-            BufferKind::Value,
-            "missing",
-        )];
-        assert!(matches!(
-            BufferStore::new(&bad, 1),
-            Err(RuntimeError::BadAlias { .. })
-        ));
+        let bad = vec![BufferDecl::alias("x", vec![4], BufferKind::Value, "missing")];
+        assert!(matches!(build(bad, 1), Err(RuntimeError::BadAlias { .. })));
     }
 
     #[test]
     fn write_validates_length() {
-        let mut store = BufferStore::new(&decls(), 1).unwrap();
-        assert!(store.write("a.value", &[0.0; 3]).is_err());
+        let (table, mut store) = build(decls(), 1).unwrap();
+        assert!(store.write("a.value", table.visible("a.value").unwrap(), &[0.0; 3]).is_err());
     }
 
     #[test]
@@ -438,14 +325,14 @@ mod tests {
             BufferDecl::new("bn.state_prob", vec![4], BufferKind::State),
             BufferDecl::new("bn.state_mean", vec![4], BufferKind::SharedState),
         ];
-        let store = BufferStore::new(&decls, 3).unwrap();
-        assert_eq!(store.read("bn.state_prob").unwrap().len(), 12);
-        assert_eq!(store.read("bn.state_mean").unwrap().len(), 4);
+        let (table, store) = build(decls, 3).unwrap();
+        assert_eq!(store.view(table.visible("bn.state_prob").unwrap()).len(), 12);
+        assert_eq!(store.view(table.visible("bn.state_mean").unwrap()).len(), 4);
     }
 
     #[test]
     fn total_elements_counts_unique_storage() {
-        let store = BufferStore::new(&decls(), 1).unwrap();
+        let (_, store) = build(decls(), 1).unwrap();
         // a.value(4) + weights(8) + grad(4) + g_weights(8); alias adds 0.
         assert_eq!(store.total_elements(), 24);
     }

@@ -157,22 +157,6 @@ fn main() -> ExitCode {
     // sockets and join every connection thread.
     server.shutdown();
     frontend.close();
-    let s = server.stats();
-    println!(
-        "latte-served: drained cleanly submitted={} completed={} failed={} rejected={} \
-         deadline_rejected={} deadline_shed={} replies_dropped={} conn_accepted={} \
-         conn_rejected={} conn_timeouts={} frames_corrupt={}",
-        s.submitted,
-        s.completed,
-        s.failed,
-        s.rejected,
-        s.deadline_rejected,
-        s.deadline_shed,
-        s.replies_dropped,
-        s.conn_accepted,
-        s.conn_rejected,
-        s.conn_timeouts,
-        s.frames_corrupt
-    );
+    println!("latte-served: drained cleanly {}", server.stats());
     ExitCode::SUCCESS
 }

@@ -1,18 +1,20 @@
 //! The execution-plan cache, keyed by `(net fingerprint, batch)`.
 //!
-//! Lowering a net — kernel selection, bounds verification, liveness
-//! planning — is the expensive part of bringing up an executor. The
-//! cache stores one [`CompiledProgram`] per `(fingerprint, micro-batch
-//! size)` pair, so after the first batch of each size the serving path
-//! never compiles again: a tail batch of size 3 hits the size-3 entry
-//! and only instantiates (fresh buffers + parameter init, no lowering).
-//! Hit/miss counters make "zero recompiles after warmup" testable.
+//! A model is compiled once, when it is registered; what a micro-batch
+//! size still costs is lowering — kernel selection, bounds verification,
+//! the memory layout — because a lowered plan bakes the batch into its
+//! whole-batch GEMM shapes and storage sizes. The cache stores one
+//! [`CompiledProgram`] per `(fingerprint, micro-batch size)` pair, so
+//! after the first batch of each size the serving path never lowers
+//! again: a tail batch of size 3 hits the size-3 entry and only
+//! instantiates (fresh buffers + parameter init). Hit/miss counters make
+//! "nothing built after warmup" testable.
 //!
 //! The cache is **bounded**: it holds at most `capacity` entries and
 //! evicts the least-recently-used plan when a miss would exceed the
 //! bound, so a server fed adversarial shape diversity (every request a
 //! new `(fingerprint, batch)` pair — e.g. many sequence buckets × many
-//! tail-batch sizes) degrades to recompilation instead of growing
+//! tail-batch sizes) degrades to re-lowering instead of growing
 //! without limit. Evictions are counted; a nonzero
 //! [`PlanCache::evictions`] under a steady workload means the capacity
 //! is too small for the working set.
@@ -64,37 +66,21 @@ impl PlanCache {
     }
 
     /// Returns the lowered program for `(model, batch)` and whether it
-    /// was already cached. On a miss this compiles and lowers the
-    /// factory's net (evicting the least-recently-used entry if the
-    /// cache is full); on a hit it is a map lookup — no compilation.
-    ///
-    /// The miss path also cross-checks the freshly compiled net's
-    /// fingerprint against the model's probed fingerprint, catching
-    /// factories that are not batch-invariant (e.g. a seed derived from
-    /// the batch size) before they can serve inconsistent results.
+    /// was already cached. On a miss this lowers the model's one
+    /// compiled program at `batch` (evicting the least-recently-used
+    /// entry if the cache is full) — no net is built, nothing is
+    /// compiled or fingerprinted; on a hit it is a map lookup.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Compile`] for compile/lowering failures or a
-    /// non-batch-invariant factory.
+    /// [`ServeError::Compile`] when lowering fails.
     pub fn get(
         &self,
         model: &Model,
         batch: usize,
     ) -> Result<(Arc<CompiledProgram>, bool), ServeError> {
         self.programs.get_or_build(&(model.fingerprint(), batch), || {
-            let compiled = model.compile_batch(batch)?;
-            if compiled.fingerprint() != model.fingerprint() {
-                return Err(ServeError::Compile {
-                    detail: format!(
-                        "{}: factory is not batch-invariant (fingerprint {:#x} at batch {batch}, \
-                         {:#x} at batch 1)",
-                        model.name(),
-                        compiled.fingerprint(),
-                        model.fingerprint()
-                    ),
-                });
-            }
+            let compiled = model.compiled().at_batch(batch);
             CompiledProgram::lower(compiled, &self.registry, self.cfg).map_err(|e| {
                 ServeError::Compile {
                     detail: format!("{} @ batch {batch}: {e}", model.name()),
@@ -108,7 +94,7 @@ impl PlanCache {
         self.programs.hits()
     }
 
-    /// Cache misses so far (lookups that compiled).
+    /// Cache misses so far (lookups that lowered).
     pub fn misses(&self) -> u64 {
         self.programs.misses()
     }

@@ -6,12 +6,12 @@
 //! inference service receives *single samples*. This crate bridges the
 //! two: requests are coalesced into micro-batches (flushed on size or
 //! deadline, whichever comes first), executed on a supervised pool of
-//! warm [`Executor`](latte_runtime::Executor) replicas, and every
-//! micro-batch size's lowered plan is cached by
-//! `(net fingerprint, batch)` so tail batches never recompile.
+//! warm [`Executor`](latte_runtime::Executor) replicas. A model is
+//! compiled once; every micro-batch size's lowered plan is cached by
+//! `(net fingerprint, batch)` so tail batches build nothing.
 //!
-//! * [`Model`] — a batch-parametric net factory plus the request
-//!   signature probed from a batch-1 compile.
+//! * [`Model`] — one compiled program (the factory's batch-1 net) plus
+//!   the request signature read off it.
 //! * [`Batcher`] — the pure, clock-parametric size-or-deadline
 //!   coalescer.
 //! * [`PlanCache`] — lowered [`CompiledProgram`](latte_runtime::CompiledProgram)s
@@ -21,15 +21,15 @@
 //! * [`SeqModel`] / [`SeqServer`] — dynamic shapes: variable-length
 //!   requests padded into a power-of-two bucket ladder (one server per
 //!   bucket over one shared, bounded plan cache), with bucket-spill
-//!   accounting — odd lengths and tail batches never recompile after
-//!   the ladder is warm.
+//!   accounting — odd lengths and tail batches build nothing after the
+//!   ladder is warm.
 //! * [`net`] — the fault-hardened framed-TCP front-end: versioned
 //!   handshake, CRC-sealed frames, wire deadlines, slow-loris timeouts,
 //!   bounded reply backpressure, and graceful drain (the `latte-served`
 //!   binary wraps it).
 //! * [`loadgen`] — the seeded adversarial-client vocabulary
 //!   ([`loadgen::Misbehavior`]) for reproducible chaos runs.
-//! * [`zoo`] — batch-parametric demo models the binary and the tests
+//! * [`zoo`] — demo models the binary and the tests
 //!   serve out of the box.
 //!
 //! The serving guarantee the test suite pins down: a sample served in

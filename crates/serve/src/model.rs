@@ -1,13 +1,14 @@
-//! A served model: a batch-parametric network factory plus the input /
-//! output signature the server validates requests against.
+//! A served model: one compiled program plus the input / output
+//! signature the server validates requests against.
 //!
 //! Dynamic batching means the batch size is not known until flush time,
-//! so a served model is not one `Net` but a *factory* `Fn(batch) -> Net`.
-//! The factory must be **batch-invariant**: nets it builds for different
-//! batch sizes must differ only in batch (same layers, same seeds, same
-//! parameters), so that every micro-batch size computes bit-identical
-//! per-sample results and shares one plan-cache fingerprint. The cache
-//! ([`crate::PlanCache`]) verifies this at compile time.
+//! and the compiler does not need it: synthesis and every pass work on
+//! the per-item program, and the batch is the outermost loop the runtime
+//! drives. So a model's [`NetFactory`] is called **once**, at batch 1,
+//! and compiled once; [`crate::PlanCache`] lowers that same program at
+//! whatever micro-batch size a flush produces
+//! ([`CompiledNet::at_batch`]). Every size therefore computes
+//! bit-identical per-sample results by construction.
 
 use latte_core::dsl::Net;
 use latte_core::{compile, CompiledNet, OptLevel};
@@ -17,13 +18,12 @@ use crate::error::ServeError;
 /// The network factory: builds the model's `Net` for a given batch size.
 pub type NetFactory = Box<dyn Fn(usize) -> Net + Send + Sync>;
 
-/// A model registered with the server: name, batch-parametric factory,
-/// optimization level, and the request signature probed from a batch-1
-/// compile.
+/// A model registered with the server: name, the program compiled from
+/// the factory's batch-1 net, its fingerprint, and the request signature
+/// read off it.
 pub struct Model {
     name: String,
-    factory: NetFactory,
-    opt: OptLevel,
+    compiled: CompiledNet,
     fingerprint: u64,
     inputs: Vec<(String, usize)>,
     outputs: Vec<String>,
@@ -41,15 +41,16 @@ impl std::fmt::Debug for Model {
 }
 
 impl Model {
-    /// Registers a model. Probes the factory at batch 1 to record the
+    /// Registers a model: builds the factory's net at batch 1, compiles
+    /// it — the only compile the model ever costs — records the
     /// plan-cache fingerprint and the per-item input signature, and
     /// checks that every requested output names a buffer of the compiled
     /// net.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Compile`] when the probe compile fails or an output
-    /// buffer does not exist.
+    /// [`ServeError::Compile`] when the compile fails or an output buffer
+    /// does not exist.
     pub fn new(
         name: impl Into<String>,
         factory: NetFactory,
@@ -57,35 +58,19 @@ impl Model {
         outputs: Vec<String>,
     ) -> Result<Self, ServeError> {
         let name = name.into();
-        let probe = factory(1);
-        let compiled = compile(&probe, &opt).map_err(|e| ServeError::Compile {
+        let compiled = compile(&factory(1), &opt).map_err(|e| ServeError::Compile {
             detail: format!("{name}: {e}"),
         })?;
-        let inputs = compiled
-            .inputs
-            .iter()
-            .map(|i| {
-                let per_item = compiled
-                    .buffers
-                    .iter()
-                    .find(|b| b.name == i.buffer)
-                    .map(|b| b.shape.len())
-                    .unwrap_or(0);
-                (i.ensemble.clone(), per_item)
-            })
-            .collect::<Vec<_>>();
-        for out in &outputs {
-            if !compiled.buffers.iter().any(|b| &b.name == out) {
-                return Err(ServeError::Compile {
-                    detail: format!("{name}: output buffer `{out}` does not exist"),
-                });
-            }
+        let inputs = compiled.inputs.iter().map(|i| (i.ensemble.clone(), i.len)).collect();
+        if let Some(out) = outputs.iter().find(|out| compiled.buffer(out).is_none()) {
+            return Err(ServeError::Compile {
+                detail: format!("{name}: output buffer `{out}` does not exist"),
+            });
         }
         Ok(Model {
             name,
-            factory,
-            opt,
             fingerprint: compiled.fingerprint(),
+            compiled,
             inputs,
             outputs,
         })
@@ -96,9 +81,16 @@ impl Model {
         &self.name
     }
 
-    /// The batch-independent plan-cache fingerprint (probed at batch 1).
+    /// The batch-independent plan-cache fingerprint, computed once at
+    /// registration.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
+    }
+
+    /// The model's program, compiled once at registration (at batch 1;
+    /// the plan cache lowers it at each micro-batch size).
+    pub(crate) fn compiled(&self) -> &CompiledNet {
+        &self.compiled
     }
 
     /// The request signature: every `(ensemble, per_item_len)` a request
@@ -110,19 +102,6 @@ impl Model {
     /// The buffers read back per batch item into each response.
     pub fn outputs(&self) -> &[String] {
         &self.outputs
-    }
-
-    /// Compiles the model for a concrete micro-batch size.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Compile`] when the compiler rejects the factory's
-    /// net at this batch size.
-    pub fn compile_batch(&self, batch: usize) -> Result<CompiledNet, ServeError> {
-        let net = (self.factory)(batch);
-        compile(&net, &self.opt).map_err(|e| ServeError::Compile {
-            detail: format!("{} @ batch {batch}: {e}", self.name),
-        })
     }
 
     /// Validates a request's inputs against the signature: every declared

@@ -441,56 +441,6 @@ fn flush_from_wire(v: u8) -> Result<FlushReason, NetError> {
     }
 }
 
-/// The [`StatsSnapshot`] fields in wire order; both codec directions
-/// iterate this one list so they cannot drift apart.
-fn stats_fields(s: &StatsSnapshot) -> [u64; 19] {
-    [
-        s.submitted,
-        s.completed,
-        s.rejected,
-        s.failed,
-        s.batches,
-        s.flush_size,
-        s.flush_deadline,
-        s.flush_drain,
-        s.retries,
-        s.crashes,
-        s.restarts,
-        s.max_depth as u64,
-        s.deadline_rejected,
-        s.deadline_shed,
-        s.replies_dropped,
-        s.conn_accepted,
-        s.conn_rejected,
-        s.conn_timeouts,
-        s.frames_corrupt,
-    ]
-}
-
-fn stats_from_fields(f: [u64; 19]) -> StatsSnapshot {
-    StatsSnapshot {
-        submitted: f[0],
-        completed: f[1],
-        rejected: f[2],
-        failed: f[3],
-        batches: f[4],
-        flush_size: f[5],
-        flush_deadline: f[6],
-        flush_drain: f[7],
-        retries: f[8],
-        crashes: f[9],
-        restarts: f[10],
-        max_depth: f[11] as usize,
-        deadline_rejected: f[12],
-        deadline_shed: f[13],
-        replies_dropped: f[14],
-        conn_accepted: f[15],
-        conn_rejected: f[16],
-        conn_timeouts: f[17],
-        frames_corrupt: f[18],
-    }
-}
-
 /// Encodes a server message body (unsealed).
 pub fn encode_server(msg: &ServerMsg) -> Vec<u8> {
     let mut b = Vec::new();
@@ -537,8 +487,9 @@ pub fn encode_server(msg: &ServerMsg) -> Vec<u8> {
             b.push(h.draining as u8);
             put_u64(&mut b, h.depth as u64);
             put_u64(&mut b, h.capacity as u64);
-            for field in stats_fields(&h.stats) {
-                put_u64(&mut b, field);
+            // The counters in `StatsSnapshot`'s declaration order.
+            for value in h.stats.values() {
+                put_u64(&mut b, value);
             }
         }
     }
@@ -614,15 +565,15 @@ pub fn decode_server(body: &[u8]) -> Result<ServerMsg, NetError> {
             let draining = d.u8()? != 0;
             let depth = d.u64()? as usize;
             let capacity = d.u64()? as usize;
-            let mut fields = [0u64; 19];
-            for f in fields.iter_mut() {
-                *f = d.u64()?;
+            let mut values = [0u64; StatsSnapshot::LABELS.len()];
+            for v in values.iter_mut() {
+                *v = d.u64()?;
             }
             ServerMsg::Health(HealthReport {
                 draining,
                 depth,
                 capacity,
-                stats: stats_from_fields(fields),
+                stats: StatsSnapshot::from_values(values),
             })
         }
         k => return Err(NetError::Protocol(format!("unknown server kind {k}"))),
@@ -1493,6 +1444,53 @@ mod tests {
             capacity: 64,
             stats,
         }));
+    }
+
+    /// The `Health` frame's bytes, pinned: kind 104, the draining flag,
+    /// depth, capacity, then the nineteen counters as little-endian
+    /// `u64`s in exactly this order. A counter inserted anywhere but the
+    /// end of `StatsSnapshot`'s declaration shifts every value after it
+    /// and fails here (and one appended must be added here, last).
+    #[test]
+    fn health_frame_bytes_are_pinned() {
+        let stats = StatsSnapshot {
+            submitted: 1,
+            completed: 2,
+            rejected: 3,
+            failed: 4,
+            batches: 5,
+            flush_size: 6,
+            flush_deadline: 7,
+            flush_drain: 8,
+            retries: 9,
+            crashes: 10,
+            restarts: 11,
+            max_depth: 12,
+            deadline_rejected: 13,
+            deadline_shed: 14,
+            replies_dropped: 15,
+            conn_accepted: 16,
+            conn_rejected: 17,
+            conn_timeouts: 18,
+            frames_corrupt: 19,
+        };
+        let msg = ServerMsg::Health(HealthReport { draining: true, depth: 0x0102, capacity: 64, stats });
+        let mut want = vec![104u8, 1];
+        want.extend([0x02, 0x01, 0, 0, 0, 0, 0, 0]);
+        want.extend([64, 0, 0, 0, 0, 0, 0, 0]);
+        for counter in 1..=19u8 {
+            want.extend([counter, 0, 0, 0, 0, 0, 0, 0]);
+        }
+        let body = encode_server(&msg);
+        assert_eq!(body, want);
+        assert_eq!(decode_server(&body).expect("decodes"), msg);
+        assert_eq!(
+            stats.to_string(),
+            "submitted=1 completed=2 rejected=3 failed=4 batches=5 flush_size=6 flush_deadline=7 \
+             flush_drain=8 retries=9 crashes=10 restarts=11 max_depth=12 deadline_rejected=13 \
+             deadline_shed=14 replies_dropped=15 conn_accepted=16 conn_rejected=17 \
+             conn_timeouts=18 frames_corrupt=19"
+        );
     }
 
     #[test]

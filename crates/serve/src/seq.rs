@@ -1,18 +1,18 @@
 //! Dynamic-shape serving: route variable-length sequence requests
 //! through a power-of-two bucket ladder of compiled models.
 //!
-//! A fixed-shape [`Model`] compiles one program per
+//! A fixed-shape [`Model`] is one compiled program, lowered once per
 //! micro-batch size. Sequences add a second dynamic axis — the length —
-//! and compiling one program per *exact* length would blow the plan
-//! cache open (and recompile on every odd length the warmup never saw).
-//! A [`SeqModel`] instead instantiates the factory once per bucket of
-//! the [`bucket_ladder`], and admission rounds each request's length up
+//! and the unroll depth *is* program structure: one program per *exact*
+//! length would blow the plan cache open (and compile on every odd
+//! length the warmup never saw). A [`SeqModel`] instead calls the
+//! factory, and compiles, once per bucket of the [`bucket_ladder`], and admission rounds each request's length up
 //! to its [`bucket_len`], zero-padding the step inputs and selecting the
 //! true last step with a one-hot mask ([`last_step_mask`]). Each bucket
 //! is a structurally distinct net with its own fingerprint, so the
 //! shared [`PlanCache`] is effectively keyed by `(bucket, batch)`: after
 //! warming the ladder, a request of *any* length `1..=max_len` in a tail
-//! batch of *any* size never recompiles.
+//! batch of *any* size builds nothing.
 //!
 //! Padding is a routing decision, never a numerics decision: the
 //! mask-select readout reproduces the unpadded computation bit for bit
@@ -41,9 +41,9 @@ use crate::replica::NoHooks;
 use crate::server::{Request, ServeConfig, Server, Ticket};
 
 /// A sequence-model factory: builds the net for a given `(batch,
-/// bucket)` pair. Like [`crate::NetFactory`] it must be batch-invariant
-/// at every bucket; across buckets the nets differ only in unroll depth
-/// (same seeds, shared parameters).
+/// bucket)` pair. Like a [`crate::NetFactory`] it is called once per
+/// bucket, at batch 1; across buckets the nets differ only in unroll
+/// depth (same seeds, shared parameters).
 pub type SeqNetFactory = Arc<dyn Fn(usize, usize) -> Net + Send + Sync>;
 
 /// One variable-length inference request: the per-step inputs (the
@@ -99,14 +99,15 @@ impl SeqModel {
     /// `mask_ensemble` names the readout mask admission fills with a
     /// [`last_step_mask`].
     ///
-    /// Each bucket's model is probed like any fixed model; the probe
-    /// additionally checks that every bucket yields a *distinct*
+    /// Each bucket's model is registered (compiled once) like any fixed
+    /// model; registration additionally checks that every bucket yields a
+    /// *distinct*
     /// fingerprint (buckets must not collide in the shared plan cache)
     /// and that the step/mask ensembles exist with consistent widths.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Compile`] when any bucket's probe fails or the
+    /// [`ServeError::Compile`] when any bucket's compile fails or the
     /// factory's structure does not match the declared ensembles.
     pub fn new(
         name: impl Into<String>,
@@ -538,8 +539,8 @@ mod tests {
                 spills += 1;
             }
 
-            // Reference: the routed bucket net, compiled solo at batch 1.
-            let compiled = model.model(route.bucket_index).compile_batch(1).unwrap();
+            // Reference: the routed bucket's program, lowered solo at batch 1.
+            let compiled = model.model(route.bucket_index).compiled().clone();
             let program = latte_runtime::CompiledProgram::lower(
                 compiled,
                 &latte_runtime::registry::KernelRegistry::with_builtins(),

@@ -154,104 +154,59 @@ impl Ticket {
     }
 }
 
-/// A monotonic snapshot of the server's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StatsSnapshot {
+latte_runtime::counter_registry! {
+    /// The server's counters, bumped along the request path.
+    pub(crate) struct ServeStats;
+    /// A monotonic snapshot of the server's counters. The order of the
+    /// fields is the order of the `Health` frame's counter block
+    /// (`serve::net`): a new counter goes at the end.
+    pub struct StatsSnapshot;
     /// Requests admitted past admission control.
-    pub submitted: u64,
+    submitted: u64,
     /// Requests answered successfully.
-    pub completed: u64,
+    completed: u64,
     /// Submits refused with [`ServeError::Overloaded`].
-    pub rejected: u64,
+    rejected: u64,
     /// Requests failed (execution errors or exhausted crash retries).
-    pub failed: u64,
+    failed: u64,
     /// Micro-batches executed to completion.
-    pub batches: u64,
+    batches: u64,
     /// Batches flushed for reaching `max_batch`.
-    pub flush_size: u64,
+    flush_size: u64,
     /// Batches flushed by the coalescing deadline.
-    pub flush_deadline: u64,
+    flush_deadline: u64,
     /// Batches flushed by an explicit drain.
-    pub flush_drain: u64,
+    flush_drain: u64,
     /// Micro-batch re-dispatches after replica crashes.
-    pub retries: u64,
+    retries: u64,
     /// Replica deaths observed (injected or genuine panics).
-    pub crashes: u64,
+    crashes: u64,
     /// Replacement replicas spawned by the supervisor.
-    pub restarts: u64,
+    restarts: u64,
     /// High-water mark of admitted-but-unfinished requests.
-    pub max_depth: usize,
+    max_depth: usize,
     /// Requests refused at admission because their client deadline had
     /// already passed — they never occupied a queue slot.
-    pub deadline_rejected: u64,
+    deadline_rejected: u64,
     /// Admitted requests shed at batch-flush time because their client
     /// deadline passed while they coalesced — counted, answered with
     /// [`ServeError::DeadlineExceeded`], and never executed.
-    pub deadline_shed: u64,
+    deadline_shed: u64,
     /// Replies that found their receiver gone (an abandoned
     /// [`Ticket`], a disconnected network client) or refusing to drain
     /// (a full per-connection response queue) and were dropped instead
     /// of leaked.
-    pub replies_dropped: u64,
+    replies_dropped: u64,
     /// Network connections accepted by the front-end.
-    pub conn_accepted: u64,
+    conn_accepted: u64,
     /// Network connections refused at the max-connection cap or during
     /// handshake (version mismatch, bad first frame).
-    pub conn_rejected: u64,
+    conn_rejected: u64,
     /// Network connections closed by a read/write timeout — the
     /// slow-loris defense.
-    pub conn_timeouts: u64,
+    conn_timeouts: u64,
     /// Frames that arrived with a bad CRC or an undecodable body.
-    pub frames_corrupt: u64,
-}
-
-#[derive(Default)]
-pub(crate) struct ServeStats {
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    rejected: AtomicU64,
-    failed: AtomicU64,
-    batches: AtomicU64,
-    flush_size: AtomicU64,
-    flush_deadline: AtomicU64,
-    flush_drain: AtomicU64,
-    retries: AtomicU64,
-    crashes: AtomicU64,
-    restarts: AtomicU64,
-    max_depth: AtomicUsize,
-    deadline_rejected: AtomicU64,
-    deadline_shed: AtomicU64,
-    pub(crate) replies_dropped: AtomicU64,
-    pub(crate) conn_accepted: AtomicU64,
-    pub(crate) conn_rejected: AtomicU64,
-    pub(crate) conn_timeouts: AtomicU64,
-    pub(crate) frames_corrupt: AtomicU64,
-}
-
-impl ServeStats {
-    pub(crate) fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            flush_size: self.flush_size.load(Ordering::Relaxed),
-            flush_deadline: self.flush_deadline.load(Ordering::Relaxed),
-            flush_drain: self.flush_drain.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            crashes: self.crashes.load(Ordering::Relaxed),
-            restarts: self.restarts.load(Ordering::Relaxed),
-            max_depth: self.max_depth.load(Ordering::Relaxed),
-            deadline_rejected: self.deadline_rejected.load(Ordering::Relaxed),
-            deadline_shed: self.deadline_shed.load(Ordering::Relaxed),
-            replies_dropped: self.replies_dropped.load(Ordering::Relaxed),
-            conn_accepted: self.conn_accepted.load(Ordering::Relaxed),
-            conn_rejected: self.conn_rejected.load(Ordering::Relaxed),
-            conn_timeouts: self.conn_timeouts.load(Ordering::Relaxed),
-            frames_corrupt: self.frames_corrupt.load(Ordering::Relaxed),
-        }
-    }
+    frames_corrupt: u64,
 }
 
 /// Where an admitted request's reply goes. In-process callers get a
@@ -517,7 +472,7 @@ impl Server {
                 Err(current) => d = current,
             }
         }
-        self.stats.max_depth.fetch_max(d + 1, Ordering::Relaxed);
+        self.stats.max_depth.fetch_max(d as u64 + 1, Ordering::Relaxed);
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         let pending = Pending {
             seq,

@@ -1,13 +1,13 @@
-//! A small zoo of batch-parametric demo models.
+//! A small zoo of demo models.
 //!
 //! These mirror the oracle harness's five-net suite as *factories* over
-//! the batch size (identical layer seeds at every batch, so parameters
-//! are batch-invariant and every micro-batch size shares one plan-cache
-//! fingerprint). They exist so the network front-end has something real
+//! the batch size. A served [`Model`] calls its factory once, at batch 1;
+//! the tests below call it at every size to prove that one compile is
+//! all of them. They exist so the network front-end has something real
 //! to serve out of the box: the `latte-served` binary and the
-//! integration tests both register models from here, and
-//! the in-process test suite compares served samples bit-for-bit
-//! against a plain batch-1 executor of the same factory.
+//! integration tests both register models from here, and the in-process
+//! test suite compares served samples bit-for-bit against a plain
+//! batch-1 executor of the same factory.
 
 use latte_core::dsl::Net;
 use latte_core::OptLevel;
@@ -152,7 +152,7 @@ pub fn classes(name: &str) -> usize {
 ///
 /// # Errors
 ///
-/// [`crate::ServeError::Compile`] if the probe compile fails — it never
+/// [`crate::ServeError::Compile`] if the compile fails — it never
 /// does for the nets in [`NETS`].
 pub fn model(name: &str) -> Result<Model, crate::ServeError> {
     Model::new(
@@ -166,6 +166,14 @@ pub fn model(name: &str) -> Result<Model, crate::ServeError> {
 /// Per-step input width of the demo sequence LSTM.
 pub const SEQ_WIDTH: usize = 3;
 
+fn seq_factory(batch: usize, bucket: usize) -> Net {
+    let (mut net, seq) = lstm_seq(batch, "lstm", SEQ_WIDTH, 4, bucket, 19);
+    let head = fully_connected(&mut net, "head", seq.readout, 3, 20);
+    let label = data(&mut net, "label", vec![1]);
+    softmax_loss(&mut net, "loss", head, label);
+    net
+}
+
 /// The demo variable-length LSTM as a bucket-ladder [`SeqModel`]
 /// covering lengths `1..=max_len`: the same LSTM unit and head seeds as
 /// the fixed `"lstm"` demo net, unrolled per bucket with the mask-select
@@ -173,18 +181,12 @@ pub const SEQ_WIDTH: usize = 3;
 ///
 /// # Errors
 ///
-/// [`crate::ServeError::Compile`] if any bucket's probe compile fails —
+/// [`crate::ServeError::Compile`] if any bucket's compile fails —
 /// it never does for this factory.
 pub fn seq_model(max_len: usize) -> Result<SeqModel, crate::ServeError> {
     SeqModel::new(
         "lstm-seq",
-        Arc::new(|batch, bucket| {
-            let (mut net, seq) = lstm_seq(batch, "lstm", SEQ_WIDTH, 4, bucket, 19);
-            let head = fully_connected(&mut net, "head", seq.readout, 3, 20);
-            let label = data(&mut net, "label", vec![1]);
-            softmax_loss(&mut net, "loss", head, label);
-            net
-        }),
+        Arc::new(seq_factory),
         OptLevel::full(),
         max_len,
         "x",
@@ -255,6 +257,84 @@ pub fn sample(name: &str, seed: u64) -> Request {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use latte_core::{compile, CompiledNet};
+    use latte_nn::models::{lenet, vgg_prefix, ModelConfig};
+    use latte_nn::varlen::bucket_ladder;
+
+    /// Two compiles are one program: everything but the wall-clock pass
+    /// timings in `stats`, field by field and bit by bit.
+    fn assert_same_program(a: &CompiledNet, b: &CompiledNet, what: &str) {
+        assert_eq!(a.batch, b.batch, "{what}: batch");
+        assert_eq!(a.buffers, b.buffers, "{what}: buffers");
+        assert_eq!(a.params, b.params, "{what}: params");
+        assert_eq!(a.inputs, b.inputs, "{what}: inputs");
+        assert_eq!(a.losses, b.losses, "{what}: losses");
+        assert_eq!(a.vectorize, b.vectorize, "{what}: vectorize");
+        let bits = |c: &CompiledNet| -> Vec<(String, Vec<u32>)> {
+            let of = |(name, init): &(String, Vec<f32>)| {
+                (name.clone(), init.iter().map(|v| v.to_bits()).collect())
+            };
+            c.param_inits.iter().map(of).collect()
+        };
+        assert_eq!(bits(a), bits(b), "{what}: param_inits");
+        assert_eq!(a.pretty(), b.pretty(), "{what}: program");
+    }
+
+    /// The build-time proof behind "a model is compiled once": for every
+    /// net this crate or the repo benchmark serves, compiling the net
+    /// built at batch `n` is compiling it at batch 1 and replacing the
+    /// batch — so `PlanCache` need never call a factory again.
+    #[test]
+    fn one_compile_is_every_batch_size() {
+        fn check(what: &str, opt: &OptLevel, factory: &dyn Fn(usize) -> Net) {
+            let once = compile(&factory(1), opt).expect("batch-1 compile");
+            for n in 1..=8 {
+                let fresh = compile(&factory(n), opt).expect("batch-n compile");
+                assert_same_program(&fresh, &once.at_batch(n), &format!("{what} @ batch {n}"));
+            }
+        }
+        for opt in [OptLevel::full(), OptLevel::none()] {
+            for name in NETS {
+                check(name, &opt, &*factory(name));
+            }
+            for bucket in bucket_ladder(8) {
+                check(&format!("lstm-seq@l{bucket}"), &opt, &|n| seq_factory(n, bucket));
+            }
+            let cfg = |batch| ModelConfig { batch, ..ModelConfig::default() };
+            check("lenet", &opt, &|n| lenet(&cfg(n)).net);
+            check("vgg_prefix", &opt, &|n| vgg_prefix(&cfg(n), 2).net);
+        }
+    }
+
+    /// The `dynshape` ladder (buckets 1, 2, 4, 8 × micro-batches 1..=4):
+    /// sixteen plans lowered from four compiles.
+    #[test]
+    fn a_ladder_calls_its_factory_once_per_bucket() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let calls = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&calls);
+        let ladder = SeqModel::new(
+            "counted",
+            Arc::new(move |batch, bucket| {
+                seen.fetch_add(1, Ordering::SeqCst);
+                seq_factory(batch, bucket)
+            }),
+            OptLevel::full(),
+            8,
+            "x",
+            "lstm_last_mask",
+            vec!["head.value".to_string()],
+        )
+        .expect("ladder registers");
+        let cache = crate::PlanCache::new(latte_runtime::ExecConfig::default());
+        for index in 0..ladder.buckets().len() {
+            for batch in 1..=4 {
+                assert!(!cache.get(ladder.model(index), batch).expect("plan lowers").1);
+            }
+        }
+        assert_eq!(calls.load(Ordering::SeqCst), 4);
+        assert_eq!(cache.misses(), 16);
+    }
 
     #[test]
     fn every_zoo_model_registers_and_matches_its_signature() {

@@ -1,17 +1,18 @@
 //! Plan-cache behavior: fingerprints are batch-invariant, tail batches
-//! reuse cached plans (zero recompiles after warmup — the hit counter
-//! is asserted, not assumed), and non-batch-invariant factories are
-//! rejected at lowering time.
+//! reuse cached plans (nothing built after warmup — the hit counter is
+//! asserted, not assumed), and a model's factory is called exactly once
+//! however many micro-batch sizes are lowered from it.
 
 mod common;
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use latte_core::OptLevel;
 use latte_nn::layers::{data, fully_connected, softmax_loss};
 use latte_runtime::ExecConfig;
-use latte_serve::{Model, NoHooks, PlanCache, ServeConfig, ServeError, Server};
+use latte_serve::{Model, NoHooks, PlanCache, ServeConfig, Server};
 
 const NEVER: Duration = Duration::from_secs(3600);
 
@@ -99,16 +100,16 @@ fn tail_batches_never_recompile_after_warmup() {
 }
 
 #[test]
-fn non_batch_invariant_factories_are_rejected() {
-    // A factory that derives a layer seed from the batch size builds
-    // *different* nets per batch — the cache's fingerprint cross-check
-    // must refuse it rather than serve inconsistent results.
+fn a_model_calls_its_factory_once_for_all_eight_sizes() {
+    let calls = Arc::new(AtomicUsize::new(0));
+    let seen = Arc::clone(&calls);
     let model = Model::new(
-        "shapeshifter",
-        Box::new(|batch| {
+        "counted",
+        Box::new(move |batch| {
+            seen.fetch_add(1, Ordering::SeqCst);
             let mut net = latte_core::dsl::Net::new(batch);
             let x = data(&mut net, "data", vec![4]);
-            let head = fully_connected(&mut net, "head", x, 3, batch as u64);
+            let head = fully_connected(&mut net, "head", x, 3, 5);
             let label = data(&mut net, "label", vec![1]);
             softmax_loss(&mut net, "loss", head, label);
             net
@@ -116,19 +117,24 @@ fn non_batch_invariant_factories_are_rejected() {
         OptLevel::full(),
         vec!["head.value".to_string()],
     )
-    .expect("probe compile succeeds");
+    .expect("registration compiles");
     let cache = PlanCache::new(ExecConfig {
         threads: 1,
         arena: false,
         gemm_blocking: None,
     });
-    // Batch 1 matches the probe; any other batch changes the seed and
-    // must be caught.
-    assert!(cache.get(&model, 1).is_ok());
-    match cache.get(&model, 2) {
-        Err(ServeError::Compile { detail }) => {
-            assert!(detail.contains("not batch-invariant"), "detail: {detail}")
-        }
-        other => panic!("expected Compile error, got {other:?}"),
+    for batch in 1..=8 {
+        let (program, hit) = cache.get(&model, batch).expect("warm-up lowers");
+        assert!(!hit, "batch {batch} was not cached yet");
+        assert_eq!(program.batch(), batch);
     }
+    for batch in 1..=8 {
+        assert!(cache.get(&model, batch).expect("warm lookup").1, "batch {batch} is cached");
+    }
+    // One net built and one compile (inside `Model::new`) for eight
+    // plans; the cache's own books are what they were.
+    assert_eq!(calls.load(Ordering::SeqCst), 1);
+    assert_eq!(cache.misses(), 8);
+    assert_eq!(cache.hits(), 8);
+    assert_eq!(cache.len(), 8);
 }

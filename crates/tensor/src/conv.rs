@@ -267,40 +267,6 @@ pub fn maxpool2d(
     }
 }
 
-/// Mean pooling over one `C x H x W` image (padding taps count as zero and
-/// the divisor is the full window size, matching Caffe's default).
-///
-/// # Panics
-///
-/// Panics if the slice lengths do not match `p`.
-pub fn meanpool2d(p: &Conv2dParams, input: &[f32], output: &mut [f32]) {
-    let (oh, ow) = (p.out_height(), p.out_width());
-    assert_eq!(input.len(), p.in_channels * p.height * p.width);
-    assert_eq!(output.len(), p.in_channels * oh * ow);
-    let denom = (p.kernel * p.kernel) as f32;
-    for c in 0..p.in_channels {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut acc = 0.0;
-                for ky in 0..p.kernel {
-                    let iy = (oy * p.stride + ky) as isize - p.pad as isize;
-                    if iy < 0 || iy >= p.height as isize {
-                        continue;
-                    }
-                    for kx in 0..p.kernel {
-                        let ix = (ox * p.stride + kx) as isize - p.pad as isize;
-                        if ix < 0 || ix >= p.width as isize {
-                            continue;
-                        }
-                        acc += input[c * p.height * p.width + iy as usize * p.width + ix as usize];
-                    }
-                }
-                output[c * oh * ow + oy * ow + ox] = acc / denom;
-            }
-        }
-    }
-}
-
 /// Convenience wrapper running [`conv2d_reference`] over a batch [`Tensor`].
 ///
 /// `input` is `N x C x H x W`; returns `N x out_c x out_h x out_w`.
@@ -421,23 +387,6 @@ mod tests {
         maxpool2d(&p, &input, &mut out, &mut arg);
         assert_eq!(out, vec![5.0, 7.0, 13.0, 15.0]);
         assert_eq!(arg, vec![5, 7, 13, 15]);
-    }
-
-    #[test]
-    fn meanpool_averages_window() {
-        let p = Conv2dParams {
-            in_channels: 1,
-            out_channels: 1,
-            height: 2,
-            width: 2,
-            kernel: 2,
-            stride: 2,
-            pad: 0,
-        };
-        let input = vec![1.0, 2.0, 3.0, 6.0];
-        let mut out = vec![0.0; 1];
-        meanpool2d(&p, &input, &mut out);
-        assert_eq!(out, vec![3.0]);
     }
 
     #[test]

@@ -107,21 +107,6 @@ pub enum Transpose {
     Yes,
 }
 
-impl Transpose {
-    /// Parses the BLAS-style character code: `'N'`/`'n'` or `'T'`/`'t'`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any other character.
-    pub fn from_char(c: char) -> Transpose {
-        match c {
-            'N' | 'n' => Transpose::No,
-            'T' | 't' => Transpose::Yes,
-            other => panic!("invalid transpose code {other:?}, expected 'N' or 'T'"),
-        }
-    }
-}
-
 /// Reference GEMM: `C += op(A) * op(B)` via the textbook triple loop.
 ///
 /// `a` is `m x k` when `ta` is [`Transpose::No`], else `k x m` (stored
@@ -828,18 +813,6 @@ mod tests {
         let mut c = vec![1.0; 4];
         Gemm::new().compute(Transpose::No, Transpose::No, 2, 2, 2, &a, &b, &mut c);
         assert_eq!(c, vec![3.0, 1.0, 1.0, 3.0]);
-    }
-
-    #[test]
-    fn transpose_from_char() {
-        assert_eq!(Transpose::from_char('N'), Transpose::No);
-        assert_eq!(Transpose::from_char('t'), Transpose::Yes);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid transpose code")]
-    fn transpose_from_char_rejects_garbage() {
-        Transpose::from_char('Q');
     }
 
     #[test]

@@ -46,37 +46,6 @@ pub fn uniform(shape: impl Into<Shape>, lo: f32, hi: f32, seed: u64) -> Tensor {
     Tensor::from_vec(shape, data)
 }
 
-/// MSRA / He initialization (He et al., the PReLU paper the paper's
-/// introduction cites): zero-mean Gaussian with `std = sqrt(2 / fan_in)`,
-/// the right variance for ReLU networks.
-///
-/// # Panics
-///
-/// Panics if `fan_in` is zero.
-pub fn msra(shape: impl Into<Shape>, fan_in: usize, seed: u64) -> Tensor {
-    assert!(fan_in > 0, "fan_in must be non-zero");
-    gaussian(shape, 0.0, (2.0f32 / fan_in as f32).sqrt(), seed)
-}
-
-/// Gaussian initialization with the given mean and standard deviation,
-/// using a Box–Muller transform over the seeded generator.
-pub fn gaussian(shape: impl Into<Shape>, mean: f32, std: f32, seed: u64) -> Tensor {
-    let shape = shape.into();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut data = Vec::with_capacity(shape.len());
-    while data.len() < shape.len() {
-        let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-        let u2: f32 = rng.gen_range(0.0..1.0);
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = 2.0 * std::f32::consts::PI * u2;
-        data.push(mean + std * r * theta.cos());
-        if data.len() < shape.len() {
-            data.push(mean + std * r * theta.sin());
-        }
-    }
-    Tensor::from_vec(shape, data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,36 +67,8 @@ mod tests {
     }
 
     #[test]
-    fn gaussian_moments_are_plausible() {
-        let t = gaussian(vec![10_000], 1.0, 2.0, 3);
-        let mean = t.sum() / t.len() as f32;
-        let var = t
-            .as_slice()
-            .iter()
-            .map(|&x| (x - mean) * (x - mean))
-            .sum::<f32>()
-            / t.len() as f32;
-        assert!((mean - 1.0).abs() < 0.1, "mean {mean}");
-        assert!((var - 4.0).abs() < 0.4, "var {var}");
-    }
-
-    #[test]
     #[should_panic(expected = "fan_in")]
     fn xavier_rejects_zero_fan_in() {
         xavier(vec![2], 0, 0);
-    }
-
-    #[test]
-    fn msra_std_matches_fan_in() {
-        let t = msra(vec![20_000], 50, 5);
-        let mean = t.sum() / t.len() as f32;
-        let var = t
-            .as_slice()
-            .iter()
-            .map(|&x| (x - mean) * (x - mean))
-            .sum::<f32>()
-            / t.len() as f32;
-        assert!(mean.abs() < 0.01, "mean {mean}");
-        assert!((var - 2.0 / 50.0).abs() < 0.005, "var {var}");
     }
 }

@@ -118,22 +118,6 @@ impl Shape {
         index
     }
 
-    /// Returns a shape with dimension `axis` removed.
-    ///
-    /// This is the shape-level counterpart of Latte's *dimension dropping*:
-    /// when shared-variable analysis proves that all neurons along an axis
-    /// consume identical values, the buffer for that axis collapses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `axis >= self.rank()`.
-    pub fn drop_axis(&self, axis: usize) -> Shape {
-        assert!(axis < self.rank(), "axis {axis} out of range");
-        let mut dims = self.dims.clone();
-        dims.remove(axis);
-        Shape::new(dims)
-    }
-
     /// Iterates over every multi-dimensional index in row-major order.
     pub fn indices(&self) -> Indices<'_> {
         Indices {
@@ -253,12 +237,6 @@ mod tests {
                 vec![1, 2]
             ]
         );
-    }
-
-    #[test]
-    fn drop_axis_collapses_dimension() {
-        let s = Shape::new(vec![4, 5, 6]);
-        assert_eq!(s.drop_axis(1).dims(), &[4, 6]);
     }
 
     #[test]

@@ -122,11 +122,6 @@ impl Tensor {
         }
     }
 
-    /// Sets every element to zero, keeping the allocation.
-    pub fn fill_zero(&mut self) {
-        self.data.fill(0.0);
-    }
-
     /// Sets every element to `value`.
     pub fn fill(&mut self, value: f32) {
         self.data.fill(value);
@@ -171,13 +166,6 @@ impl Tensor {
     pub fn scale(&mut self, scale: f32) {
         for a in &mut self.data {
             *a *= scale;
-        }
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for a in &mut self.data {
-            *a = f(*a);
         }
     }
 

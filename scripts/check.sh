@@ -41,6 +41,9 @@ cargo test --release -p latte-oracle --test tuned -q
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> reachability census (every pub item under crates/*/src has a caller outside its own file's tests)"
+python3 scripts/census.py
+
 echo "==> cargo doc --workspace --no-deps with RUSTDOCFLAGS=-D warnings (dangling intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
