@@ -248,6 +248,13 @@ fn compile_impl(
     stats.groups_parallel = stats.group_parallel.iter().filter(|(_, p)| *p).count();
     stats.groups_serial = stats.group_parallel.len() - stats.groups_parallel;
 
+    // Synthesis grew each group's statement list by pushing, and a `Stmt`
+    // is a few hundred bytes; the program outlives the compile, so drop
+    // that slack.
+    for g in state.forward.iter_mut().chain(&mut state.backward) {
+        g.stmts.shrink_to_fit();
+    }
+
     Ok(CompiledNet {
         batch: net.batch(),
         buffers: s.buffers,

@@ -46,7 +46,6 @@ pub mod opt;
 pub mod pass;
 mod program;
 pub mod synth;
-pub mod trace;
 pub mod tuned;
 
 pub use compile::{compile, compile_tuned, compile_with, OptLevel};
@@ -54,7 +53,6 @@ pub use error::CompileError;
 pub use pass::{Pass, PassContext, PassManager, PipelineState};
 pub use program::{
     CompileStats, CompiledNet, Group, GroupMeta, InputBinding, ParamBinding, PassStat, Phase,
-    StepShare, Upstream,
+    Upstream,
 };
-pub use trace::{Trace, TraceKey};
 pub use tuned::TunedSchedule;

@@ -5,8 +5,6 @@ mod pattern;
 #[cfg(any(test, feature = "sabotage"))]
 pub mod sabotage;
 mod schedule;
-mod stepshare;
 
 pub use pattern::pattern_match;
 pub use schedule::{fuse_chains, parallelize, tile_untiled};
-pub use stepshare::share_steps;

@@ -36,22 +36,14 @@ pub fn fuse_chains(
     stats: &mut CompileStats,
 ) -> Vec<Group> {
     let mut out: Vec<Group> = Vec::new();
-    let mut i = 0;
-    while i < groups.len() {
-        let mut chain = vec![groups[i].clone()];
+    let mut groups = groups.into_iter().peekable();
+    while let Some(first) = groups.next() {
+        let mut chain = vec![first];
         let mut strides: Vec<usize> = Vec::new(); // link i -> i+1
-        while i + 1 < groups.len() {
-            let next = &groups[i + 1];
-            match link_stride(chain.last().unwrap(), next) {
-                Some(s) => {
-                    strides.push(s);
-                    chain.push(next.clone());
-                    i += 1;
-                }
-                None => break,
-            }
+        while let Some(s) = groups.peek().and_then(|next| link_stride(chain.last()?, next)) {
+            strides.push(s);
+            chain.extend(groups.next());
         }
-        i += 1;
 
         if chain.len() == 1 {
             out.append(&mut chain);
@@ -247,7 +239,6 @@ fn fuse_chain(
     let meta = crate::program::GroupMeta {
         dim0_extent: chain.last().unwrap().meta.dim0_extent,
         upstream: chain[0].meta.upstream.clone(),
-        share_body_with: None,
         serial_hint: false,
     };
     Ok(Group {

@@ -216,32 +216,6 @@ impl Pass for VectorizeMarkPass {
     }
 }
 
-/// Marks unrolled recurrent step groups that are α-equivalent to an
-/// earlier step (identical statements modulo the `@t{k}` buffer
-/// rename), so the runtime lowering compiles one step body per family
-/// and rebinds it per step. Runs last: tiling and fusion have already
-/// shaped the groups, so a step the schedule treated differently simply
-/// fails the equivalence check and is lowered on its own.
-struct StepSharePass;
-
-impl Pass for StepSharePass {
-    fn name(&self) -> &'static str {
-        "step-share"
-    }
-
-    fn enabled(&self, _opt: &OptLevel) -> bool {
-        // Purely an annotation (no IR change) and always profitable —
-        // on, uniformly, at every level.
-        true
-    }
-
-    fn run(&self, state: &mut PipelineState, _ctx: &PassContext<'_>, stats: &mut CompileStats) {
-        for phase in [&mut state.forward, &mut state.backward] {
-            opt::share_steps(phase, stats);
-        }
-    }
-}
-
 /// A synthesis-time optimization surfaced as a pipeline row. Buffer
 /// sharing, in-place activations, and data-gradient skipping happen
 /// *during* synthesis (in the paper they are part of shared-variable
@@ -299,7 +273,6 @@ impl PassManager {
             Box::new(TilingPass),
             Box::new(ParallelizePass),
             Box::new(VectorizeMarkPass),
-            Box::new(StepSharePass),
         ];
         PassManager {
             passes,
@@ -456,7 +429,6 @@ mod tests {
                 "tiling",
                 "parallelize",
                 "vectorize-mark",
-                "step-share",
             ]
         );
         // `none` disables every rewrite but keeps synthesis-embedded
@@ -469,9 +441,9 @@ mod tests {
         };
         assert_eq!(
             on(&none),
-            [true, true, true, false, false, false, false, false, true]
+            [true, true, true, false, false, false, false, false]
         );
-        assert_eq!(on(&full), vec![true; 9]);
+        assert_eq!(on(&full), vec![true; 8]);
     }
 
     #[test]

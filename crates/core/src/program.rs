@@ -13,21 +13,6 @@ pub enum Phase {
     Backward,
 }
 
-/// A step-sharing annotation: this group's statements are identical to
-/// the named group's under the buffer rename `@t{j}` → `@t{j + delta}`
-/// (unrolled recurrent time steps are clones of one another). Lowering
-/// may compile the named group once and rebind its buffers through the
-/// rename instead of re-lowering each step.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StepShare {
-    /// Name of the group whose compiled body can be reused.
-    pub group: String,
-    /// Time-step offset applied to every `@t{j}` buffer name when
-    /// rebinding (may be negative: backward groups run latest-step
-    /// first).
-    pub delta: i64,
-}
-
 /// Fusion/tiling metadata of a group, derived from the connection
 /// structure during synthesis.
 #[derive(Debug, Clone, Default)]
@@ -41,9 +26,6 @@ pub struct GroupMeta {
     /// group's ensemble has exactly one non-recurrent connection with
     /// affine dim-0 structure. `halo == 0` is the fusion precondition.
     pub upstream: Option<Upstream>,
-    /// Set by the step-share pass when this group is an α-equivalent
-    /// clone of an earlier unrolled time step.
-    pub share_body_with: Option<StepShare>,
     /// Set by the parallelize pass when a tuned schedule decided this
     /// group runs faster serially. The loops stay `parallel`-annotated —
     /// the annotation fixes the gradient-lane accumulation structure,
@@ -91,7 +73,7 @@ pub struct Group {
 
 impl Group {
     /// The group's statements, nested ones included: the IR-size metric
-    /// of the pass manager's rows and of the step-share counters.
+    /// of the pass manager's rows.
     pub(crate) fn stmt_count(&self) -> usize {
         self.stmts.iter().map(|s| s.count_matching(&|_| true)).sum()
     }
@@ -206,13 +188,11 @@ pub struct CompileStats {
     /// Groups left serial — no loop marked parallel, executed on the
     /// calling thread.
     pub groups_serial: usize,
-    /// Unrolled time-step groups marked α-equivalent to an earlier step
-    /// by the step-share pass (lowering reuses one compiled body for
-    /// each).
+    /// A remnant, always 0: the step-share pass that counted here is
+    /// gone and every group lowers on its own. The field stays only
+    /// because `benchmark/src/layers.rs` reports it; it goes when a
+    /// benchmark change drops that row (ROADMAP "One ledger").
     pub step_groups_shared: usize,
-    /// IR statements in shared step groups — the duplicate-IR delta the
-    /// lowering no longer has to re-compile.
-    pub step_stmts_deduped: usize,
 }
 
 /// A compiled network: the runtime's entire input.

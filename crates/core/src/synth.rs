@@ -725,7 +725,6 @@ fn group_meta(ctx: &EnsCtx<'_>) -> GroupMeta {
     GroupMeta {
         dim0_extent: if tileable { Some(dims[0]) } else { None },
         upstream,
-        share_body_with: None,
         serial_hint: false,
     }
 }
@@ -1025,7 +1024,6 @@ fn synth_concat(
     let meta = GroupMeta {
         dim0_extent: if rank >= 2 { Some(dims[0]) } else { None },
         upstream: None,
-        share_body_with: None,
         serial_hint: false,
     };
     out.forward.push(Group {

@@ -4,9 +4,9 @@
 //! Fixed unrolling compiles one program per exact sequence length — a
 //! serving workload with lengths 1..=12 would need twelve programs. With
 //! bucketing, lengths round up to the next power of two (1, 2, 4, 8, 16,
-//! …), so the whole range shares four programs, and a trace cache keyed
-//! by bucket (see [`latte_core::TraceKey::seq_bucket`]) never recompiles
-//! for an odd length.
+//! …), so the whole range shares four programs: `latte-serve`'s
+//! `SeqServer` registers one model per bucket and never compiles for an
+//! odd length.
 //!
 //! Correctness under padding relies on two properties:
 //!

@@ -226,7 +226,7 @@ impl Interpreter {
     }
 
     /// Runs a single forward group by index — the stepping primitive of
-    /// eager trace execution (each group is one recorded op's compute).
+    /// eager execution (each group is one ensemble's forward compute).
     ///
     /// # Errors
     ///

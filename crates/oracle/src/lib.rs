@@ -16,9 +16,6 @@
 //!   activation, activation-gradient, and parameter-gradient buffer (plus
 //!   the loss) against the interpreter within a tolerance budget,
 //!   producing structured [`diff::Mismatch`] reports on divergence;
-//! * [`eager`] — eager trace execution: recorded traces stepped
-//!   group-by-group through the interpreter with no optimization, the
-//!   define-by-run half of the eager-vs-JIT differential;
 //! * [`gradcheck`] — a central finite-difference gradient checker
 //!   validating the *synthesized backward pass itself* against numeric
 //!   derivatives of the forward pass;
@@ -26,7 +23,6 @@
 //!   differential harness as property tests.
 
 pub mod diff;
-pub mod eager;
 pub mod gradcheck;
 pub mod interp;
 pub mod randnet;
@@ -35,7 +31,6 @@ pub use diff::{
     diff_against_oracle, diff_compiled, standard_configs, DiffError, DiffReport, Mismatch,
     Tolerance,
 };
-pub use eager::EagerSession;
 pub use gradcheck::{check_gradients, GradCheckConfig, GradCheckReport, GradMismatch};
 pub use interp::Interpreter;
 pub use randnet::{random_net, RandomNet};

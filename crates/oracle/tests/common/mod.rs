@@ -4,35 +4,25 @@
 //! inputs to drive it — deterministic (seeded), so every test failure
 //! reproduces byte-for-byte.
 
-use std::sync::Arc;
-
 use latte_core::dsl::Net;
-use latte_core::{compile, OptLevel, Trace, TraceKey};
+use latte_core::{compile, OptLevel};
 use latte_nn::layers::{
     convolution, data, fully_connected, max_pool, relu, sigmoid, softmax_loss, tanh, ConvSpec,
 };
 use latte_nn::rnn::lstm;
 use latte_runtime::registry::KernelRegistry;
-use latte_runtime::{CompiledProgram, ExecConfig, ProgramCache};
+use latte_runtime::{CompiledProgram, ExecConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The JIT seam under test in `trace_eager` and `varlen_props` (the only
-/// two binaries that use it, hence the `allow`s): lowered programs keyed
-/// by trace identity × opt level.
+/// A network compiled at `opt` and lowered with the built-in kernels and
+/// the default execution configuration (only `trace_eager` and
+/// `varlen_props` use it, hence the `allow`).
 #[allow(dead_code)]
-pub type JitCache = ProgramCache<(TraceKey, OptLevel)>;
-
-/// The lowered program for a trace, and whether it was already cached. A
-/// hit never runs the build closure, so `true` proves nothing compiled.
-#[allow(dead_code)]
-pub fn jit(cache: &JitCache, trace: &Trace, opt: &OptLevel) -> (Arc<CompiledProgram>, bool) {
-    cache
-        .get_or_build(&(trace.key(), *opt), || {
-            let compiled = compile(trace.net(), opt).expect("trace compiles");
-            CompiledProgram::lower(compiled, &KernelRegistry::with_builtins(), ExecConfig::default())
-        })
-        .expect("trace lowers")
+pub fn lower(net: &Net, opt: &OptLevel) -> CompiledProgram {
+    let compiled = compile(net, opt).expect("net compiles");
+    CompiledProgram::lower(compiled, &KernelRegistry::with_builtins(), ExecConfig::default())
+        .expect("net lowers")
 }
 
 /// A test network plus its input feed.

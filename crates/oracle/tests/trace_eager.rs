@@ -1,10 +1,9 @@
-//! Eager-vs-JIT differential: a recorded trace executed eagerly (stepped
-//! through the reference interpreter with no optimization) must be
-//! **bit-identical** to the same trace JIT-compiled through a
-//! `(TraceKey, OptLevel)`-keyed `ProgramCache` at every
-//! `standard_configs()` opt level — on the loss and
-//! on every activation buffer that is a primary declaration in both
-//! compilations.
+//! Interpreter-vs-executor differential, bit for bit: a network
+//! synthesized with no optimization and stepped group by group through
+//! the reference interpreter must be **bit-identical** to the same
+//! network compiled, lowered and executed at every `standard_configs()`
+//! opt level — on the loss and on every activation buffer that is a
+//! primary declaration in both compilations.
 //!
 //! Bitwise equality holds because the executor's narrow-GEMM fast path
 //! accumulates in the same order as the interpreter's naive GEMM for
@@ -18,18 +17,22 @@ mod common;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use latte_core::Trace;
+use latte_core::dsl::Net;
+use latte_core::{compile, OptLevel};
 use latte_ir::BufferKind;
-use latte_oracle::{standard_configs, EagerSession};
+use latte_oracle::{standard_configs, Interpreter};
 use latte_runtime::pool::WorkerPool;
 use latte_runtime::{ExecConfig, Executor};
 
 use common::TestNet;
 
-fn feed_eager(eager: &mut EagerSession, inputs: &[(String, Vec<f32>)]) {
+/// The reference: `net` synthesized at [`OptLevel::none`], fed `inputs`.
+fn reference(net: &Net, inputs: &[(String, Vec<f32>)]) -> Interpreter {
+    let mut eager = Interpreter::new(compile(net, &OptLevel::none()).unwrap()).unwrap();
     for (name, values) in inputs {
         eager.set_input(name, values).unwrap();
     }
+    eager
 }
 
 fn feed_exec(exec: &mut Executor, inputs: &[(String, Vec<f32>)]) {
@@ -40,7 +43,7 @@ fn feed_exec(exec: &mut Executor, inputs: &[(String, Vec<f32>)]) {
 
 /// Activation buffers primary in both compilations: the comparable
 /// surface (aliasing differs between opt levels).
-fn shared_primaries(eager: &EagerSession, exec: &Executor) -> Vec<String> {
+fn shared_primaries(eager: &Interpreter, exec: &Executor) -> Vec<String> {
     let subject: HashSet<&str> = exec
         .compiled()
         .buffers
@@ -49,7 +52,6 @@ fn shared_primaries(eager: &EagerSession, exec: &Executor) -> Vec<String> {
         .map(|b| b.name.as_str())
         .collect();
     eager
-        .interp()
         .compiled()
         .buffers
         .iter()
@@ -60,7 +62,7 @@ fn shared_primaries(eager: &EagerSession, exec: &Executor) -> Vec<String> {
         .collect()
 }
 
-fn assert_bit_identical(tag: &str, eager: &EagerSession, exec: &Executor) {
+fn assert_bit_identical(tag: &str, eager: &Interpreter, exec: &Executor) {
     let names = shared_primaries(eager, exec);
     assert!(!names.is_empty(), "[{tag}] no comparable buffers");
     for name in names {
@@ -71,14 +73,14 @@ fn assert_bit_identical(tag: &str, eager: &EagerSession, exec: &Executor) {
             assert_eq!(
                 x.to_bits(),
                 y.to_bits(),
-                "[{tag}] {name}[{i}]: eager {x} vs jit {y}"
+                "[{tag}] {name}[{i}]: interpreter {x} vs executor {y}"
             );
         }
     }
     assert_eq!(
         eager.loss().to_bits(),
         exec.loss().to_bits(),
-        "[{tag}] loss: eager {} vs jit {}",
+        "[{tag}] loss: interpreter {} vs executor {}",
         eager.loss(),
         exec.loss()
     );
@@ -87,77 +89,63 @@ fn assert_bit_identical(tag: &str, eager: &EagerSession, exec: &Executor) {
 fn run_differential(label: &str, build: fn() -> TestNet) {
     let TestNet { net, inputs } = build();
     let pool = Arc::new(WorkerPool::new(ExecConfig::default().threads));
-    let cache = common::JitCache::new(32);
 
-    // Eager side: record the trace, step it through the interpreter.
-    let trace = Trace::from_net(net);
-    let mut eager = EagerSession::new(&trace).unwrap();
-    feed_eager(&mut eager, &inputs);
-    eager.forward().unwrap();
+    // Reference side: one forward group at a time, the way an eager
+    // framework runs one kernel per op.
+    let mut eager = reference(&net, &inputs);
+    for group in 0..eager.forward_groups() {
+        eager.run_forward_group(group).unwrap();
+    }
 
     for (tag, opt) in standard_configs() {
         let tag = format!("{label}/{tag}");
-        // JIT cold path: first sighting compiles through the cache.
-        let (program, hit) = common::jit(&cache, &trace, &opt);
-        assert!(!hit, "[{tag}] no compile");
-        let mut exec = program.instantiate(Arc::clone(&pool)).unwrap();
+        let mut exec = common::lower(&net, &opt).instantiate(Arc::clone(&pool)).unwrap();
         feed_exec(&mut exec, &inputs);
         exec.forward();
-        assert_bit_identical(&format!("{tag}/cold"), &eager, &exec);
-
-        // JIT warm path: second sighting must not compile (a hit never
-        // runs the build closure) and still produce identical bits from
-        // a fresh instantiation.
-        let (cached, hit) = common::jit(&cache, &trace, &opt);
-        assert!(hit, "[{tag}] warm lookup compiled");
-        let mut warm = cached.instantiate(Arc::clone(&pool)).unwrap();
-        feed_exec(&mut warm, &inputs);
-        warm.forward();
-        assert_bit_identical(&format!("{tag}/warm"), &eager, &warm);
+        assert_bit_identical(&tag, &eager, &exec);
     }
-    assert_eq!(cache.misses(), standard_configs().len() as u64);
-    assert_eq!(cache.hits(), standard_configs().len() as u64);
 }
 
 #[test]
-fn eager_matches_jit_fc() {
+fn interpreter_matches_executor_fc() {
     run_differential("fc", common::fc_net);
 }
 
 #[test]
-fn eager_matches_jit_conv() {
+fn interpreter_matches_executor_conv() {
     run_differential("conv", common::conv_net);
 }
 
 #[test]
-fn eager_matches_jit_fusion() {
+fn interpreter_matches_executor_fusion() {
     run_differential("fusion", common::fusion_chain);
 }
 
 #[test]
-fn eager_matches_jit_classifier() {
+fn interpreter_matches_executor_classifier() {
     run_differential("classifier", common::classifier_net);
 }
 
 #[test]
-fn eager_matches_jit_lstm() {
+fn interpreter_matches_executor_lstm() {
     run_differential("lstm", || common::lstm_net(2));
 }
 
-/// Stepping the eager session is observable: each step completes one
-/// more op-group, and the final step reports completion.
+/// Stepping is observable: the groups run one at a time add up to a
+/// whole forward pass (the loss agrees with `Interpreter::forward` bit
+/// for bit), and a step past the last group is refused.
 #[test]
-fn eager_session_steps_incrementally() {
+fn interpreter_steps_group_by_group() {
     let TestNet { net, inputs } = common::fc_net();
-    let trace = Trace::from_net(net);
-    let mut eager = EagerSession::new(&trace).unwrap();
-    feed_eager(&mut eager, &inputs);
-    let mut steps = 0;
-    while eager.step().unwrap() {
-        steps += 1;
+    let mut stepped = reference(&net, &inputs);
+    let groups = stepped.forward_groups();
+    assert!(groups > 3, "expected several op-groups, got {groups}");
+    for group in 0..groups {
+        stepped.run_forward_group(group).unwrap();
     }
-    assert!(steps > 2, "expected several op-groups, got {steps}");
-    // A finished session reports no more work.
-    assert!(!eager.step().unwrap());
-    assert!(eager.loss().is_finite());
+    assert!(stepped.run_forward_group(groups).is_err());
+    let mut whole = reference(&net, &inputs);
+    whole.forward().unwrap();
+    assert!(stepped.loss().is_finite());
+    assert_eq!(stepped.loss().to_bits(), whole.loss().to_bits());
 }

@@ -1,7 +1,7 @@
 //! Property tests for dynamic shapes: a bucketed variable-length batch
 //! must be bit-identical (`to_bits()`) to a solo fixed-length unroll for
-//! every length 1..=12, and the trace cache's warm path must reproduce
-//! its cold path exactly — across the five oracle nets.
+//! every length 1..=12, and two executors of one lowered program must
+//! agree exactly — across the five oracle nets.
 //!
 //! Correctness of bucketing rests on the mask-select readout: padding a
 //! length-`len` sequence to its power-of-two bucket adds only zero-input
@@ -13,7 +13,7 @@ mod common;
 use std::sync::Arc;
 
 use latte_core::dsl::Net;
-use latte_core::{compile, OptLevel, Trace};
+use latte_core::{compile, OptLevel};
 use latte_ir::BufferKind;
 use latte_nn::layers::{data, fully_connected, softmax_loss};
 use latte_nn::rnn::lstm;
@@ -127,8 +127,8 @@ proptest! {
 
     /// Any length 1..=12, any input stream: the bucketed batch equals the
     /// solo fixed unroll bit for bit — loss, readout vs true last hidden
-    /// state, and every shared parameter gradient — on both the cold
-    /// (compile) and warm (cache-hit) plan paths.
+    /// state, and every shared parameter gradient — on two executors of
+    /// the one lowered program.
     #[test]
     fn bucketed_varlen_is_bit_identical_to_solo_unroll(
         len in 1usize..13,
@@ -147,11 +147,8 @@ proptest! {
         let solo_grads = param_grads(&mut solo);
 
         let (net, bucket) = bucketed_net(len);
-        let trace = Trace::from_net_bucketed(net, bucket);
-        let cache = common::JitCache::new(8);
-        for path in ["cold", "warm"] {
-            let (program, hit) = common::jit(&cache, &trace, &opt);
-            prop_assert_eq!(hit, path == "warm", "{} path", path);
+        let program = common::lower(&net, &opt);
+        for path in ["first", "second"] {
             let mut exec = program.instantiate(Arc::clone(&pool)).unwrap();
             feed_bucketed(&mut exec, &xs, &y, len, bucket);
             exec.forward();
@@ -178,11 +175,13 @@ proptest! {
         }
     }
 
-    /// Across the five oracle nets: a warm cache instantiation is
-    /// bit-identical to the cold one on every primary activation buffer
-    /// and the loss, with no compile on the warm path.
+    /// Across the five oracle nets: two `instantiate()`s of one program
+    /// are bit-identical on every primary activation buffer and the loss.
     #[test]
-    fn cache_paths_agree_on_oracle_nets(which in 0usize..5, scale in 0.25f32..2.0) {
+    fn two_instantiations_of_one_program_agree_bitwise(
+        which in 0usize..5,
+        scale in 0.25f32..2.0,
+    ) {
         let common::TestNet { net, inputs } = match which {
             0 => common::fc_net(),
             1 => common::conv_net(),
@@ -204,11 +203,9 @@ proptest! {
             .collect();
         let opt = OptLevel::full();
         let pool = Arc::new(WorkerPool::new(ExecConfig::default().threads));
-        let trace = Trace::from_net(net);
-        let cache = common::JitCache::new(8);
+        let program = common::lower(&net, &opt);
 
         let run = || {
-            let (program, _) = common::jit(&cache, &trace, &opt);
             let mut exec = program.instantiate(Arc::clone(&pool)).unwrap();
             for (name, v) in &inputs {
                 exec.set_input(name, v).unwrap();
@@ -217,17 +214,16 @@ proptest! {
             exec.backward();
             exec
         };
-        let cold = run();
-        let warm = run();
-        prop_assert_eq!((cache.misses(), cache.hits()), (1, 1), "warm path compiled");
+        let first = run();
+        let second = run();
 
-        prop_assert_eq!(cold.loss().to_bits(), warm.loss().to_bits());
-        for b in &cold.compiled().buffers {
+        prop_assert_eq!(first.loss().to_bits(), second.loss().to_bits());
+        for b in &first.compiled().buffers {
             if b.kind == BufferKind::Value && b.alias_of.is_none() {
                 assert_bits(
                     &format!("net {which} {}", b.name),
-                    &cold.read_buffer(&b.name).unwrap(),
-                    &warm.read_buffer(&b.name).unwrap(),
+                    &first.read_buffer(&b.name).unwrap(),
+                    &second.read_buffer(&b.name).unwrap(),
                 );
             }
         }

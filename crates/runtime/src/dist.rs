@@ -32,21 +32,17 @@ use crate::ring::{BucketReport, CommPolicy, RingComm, SyncMode};
 use crate::transport::Transport;
 
 /// Fingerprints the compiled program a rank is about to train, for the
-/// transport handshake: two processes whose batch size, parameters
-/// (names and sizes), or backward bucketing differ must not average
-/// gradients, whatever their binaries think. CRC32 over a canonical
-/// description, via the same [`crate::frame::crc32`] as everything
-/// else.
+/// transport handshake: two processes whose programs
+/// ([`latte_core::CompiledNet::fingerprint`]: buffers, parameters and
+/// their initial values, every statement of both phases) or batch sizes
+/// differ must not average gradients, whatever their binaries think.
+/// Folded to the `u32` the handshake carries with the same
+/// [`crate::frame::crc32`] as everything else.
 pub fn net_fingerprint(exec: &Executor) -> u32 {
-    let mut desc = format!("batch={};", exec.batch());
-    for p in exec.params() {
-        let len = exec.buffer(&p.value).map_or(0, <[f32]>::len);
-        desc.push_str(&format!("param={}:{len};", p.value));
-    }
-    for b in exec.grad_buckets() {
-        desc.push_str(&format!("bucket={}:{};", b.group, b.name));
-    }
-    crc32(desc.as_bytes())
+    let mut desc = [0u8; 16];
+    desc[..8].copy_from_slice(&exec.compiled().fingerprint().to_le_bytes());
+    desc[8..].copy_from_slice(&(exec.batch() as u64).to_le_bytes());
+    crc32(&desc)
 }
 
 /// Runs one thread per endpoint — rank `i` gets `endpoints[i]` — and

@@ -72,7 +72,6 @@ pub mod ring;
 pub mod solver;
 mod store;
 pub mod supervisor;
-pub mod trace;
 mod transfer;
 pub mod transport;
 pub mod tune;
@@ -80,5 +79,4 @@ pub mod tune;
 pub use error::RuntimeError;
 pub use exec::{CompiledProgram, ExecConfig, Executor, GradBucket};
 pub use plan::ExecutionPlan;
-pub use trace::ProgramCache;
 pub use tune::{TuneError, Tuner, TunerStats};

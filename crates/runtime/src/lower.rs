@@ -219,14 +219,13 @@ pub(crate) struct CGroup {
     /// with its span `(storage, offset, len)` in a gradient lane's
     /// scratch: what a parallel group redirects and folds.
     pub grad_spans: Vec<(usize, usize, usize)>,
-    /// Buffer name behind each `bufs` entry, kept so a step-shared clone
-    /// can rebind the table under the `@t{j}` → `@t{j+delta}` rename.
+    /// Buffer name behind each `bufs` entry, for the printed plan.
     pub buf_names: Vec<String>,
     pub segments: Vec<Segment>,
     /// Operand names of each `Segment::Batched`, in segment order, laid
     /// out as the batched kernel's `[a, b, c]` (the hoist may swap the
     /// statement's operands). Batched GEMMs address raw storage rather
-    /// than the buffer table, so rebinding needs the names directly.
+    /// than the buffer table, so the printed plan needs the names directly.
     pub gemm_names: Vec<[String; 3]>,
 }
 
@@ -236,9 +235,6 @@ pub(crate) struct Plan {
     pub forward: Vec<CGroup>,
     pub backward: Vec<CGroup>,
     pub n_slots: usize,
-    /// Groups whose compiled body was reused from an earlier unrolled
-    /// step (see [`latte_core::StepShare`]) instead of being re-lowered.
-    pub step_groups_reused: usize,
 }
 
 impl fmt::Display for Plan {
@@ -342,156 +338,25 @@ impl Kernel {
 }
 
 /// Lowers a compiled network against its resolved buffer table.
-///
-/// Groups the step-share pass marked α-equivalent to an earlier unrolled
-/// time step reuse that step's compiled body: the buffer table is rebound
-/// through the `@t{j}` → `@t{j+delta}` rename and verified against the
-/// table, so the kernels themselves — including their bounds proofs,
-/// which depend only on per-item extents — carry over unchanged. Any
-/// mismatch (different layout, missing buffer) falls back to a fresh
-/// lowering of the group.
 pub(crate) fn lower(
     net: &CompiledNet,
     table: &BufferTable,
     registry: &KernelRegistry,
 ) -> Result<Plan, RuntimeError> {
     let mut max_slots = 1;
-    let mut reused = 0usize;
-    let lower_phase = |groups: &[Group],
-                           max_slots: &mut usize,
-                           reused: &mut usize|
-     -> Result<Vec<CGroup>, RuntimeError> {
-        let mut out: Vec<CGroup> = Vec::with_capacity(groups.len());
-        let mut done: HashMap<String, usize> = HashMap::new();
+    let mut lower_phase = |groups: &[Group]| -> Result<Vec<CGroup>, RuntimeError> {
+        let mut out = Vec::with_capacity(groups.len());
         for g in groups {
-            let shared = g.meta.share_body_with.as_ref().and_then(|ss| {
-                let rep = done.get(&ss.group).map(|&i| &out[i])?;
-                reuse_group(rep, g, ss.delta, table)
-            });
-            let cg = match shared {
-                Some(cg) => {
-                    *reused += 1;
-                    cg
-                }
-                None => lower_group(g, net, table, registry, max_slots)?,
-            };
-            done.insert(g.name.clone(), out.len());
-            out.push(cg);
+            out.push(lower_group(g, net, table, registry, &mut max_slots)?);
         }
         Ok(out)
     };
-    let forward = lower_phase(&net.forward, &mut max_slots, &mut reused)?;
-    let backward = lower_phase(&net.backward, &mut max_slots, &mut reused)?;
+    let forward = lower_phase(&net.forward)?;
+    let backward = lower_phase(&net.backward)?;
     Ok(Plan {
         forward,
         backward,
         n_slots: max_slots,
-        step_groups_reused: reused,
-    })
-}
-
-/// Rewrites every `@t<digits>` step index in a buffer name by `delta`.
-/// Returns `None` when any index would go negative; substrings like
-/// `@tile` (no digits after `@t`) pass through untouched.
-fn shift_name(name: &str, delta: i64) -> Option<String> {
-    let bytes = name.as_bytes();
-    let mut out = String::with_capacity(name.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'@' && i + 1 < bytes.len() && bytes[i + 1] == b't' {
-            let start = i + 2;
-            let mut end = start;
-            while end < bytes.len() && bytes[end].is_ascii_digit() {
-                end += 1;
-            }
-            if end > start {
-                let step: i64 = name[start..end].parse().ok()?;
-                let shifted = step + delta;
-                if shifted < 0 {
-                    return None;
-                }
-                out.push_str("@t");
-                out.push_str(&shifted.to_string());
-                i = end;
-                continue;
-            }
-        }
-        out.push(bytes[i] as char);
-        i += 1;
-    }
-    Some(out)
-}
-
-/// Clones a representative step's compiled body for an α-equivalent later
-/// step: every buffer in the table is renamed by `delta`, re-resolved
-/// against the table, and verified to have the same per-item layout as
-/// the representative's binding. Returns `None` (caller falls back to a
-/// fresh lowering) when any buffer is missing or laid out differently.
-fn reuse_group(rep: &CGroup, group: &Group, delta: i64, table: &BufferTable) -> Option<CGroup> {
-    let mut bufs = Vec::with_capacity(rep.bufs.len());
-    let mut buf_names = Vec::with_capacity(rep.buf_names.len());
-    for (binding, name) in rep.bufs.iter().zip(&rep.buf_names) {
-        let new_name = shift_name(name, delta)?;
-        let old = table.info(name)?;
-        let new = table.info(&new_name)?;
-        if new.per_item != old.per_item
-            || new.batched != old.batched
-            || new.kind != old.kind
-            || new.shape.dims() != old.shape.dims()
-        {
-            return None;
-        }
-        bufs.push(BufBinding {
-            storage: new.storage,
-            per_item: binding.per_item,
-            batched: binding.batched,
-            param_grad: binding.param_grad,
-        });
-        buf_names.push(new_name);
-    }
-    // The representative's element programs were scheduled around which
-    // of its bindings overlap; the clone must overlap in the same places.
-    for i in 0..bufs.len() {
-        for j in 0..i {
-            let shared = |b: &[BufBinding]| b[i].storage == b[j].storage;
-            if shared(&bufs) != shared(&rep.bufs) {
-                return None;
-            }
-        }
-    }
-    let mut gemm_names = Vec::with_capacity(rep.gemm_names.len());
-    let mut segments = rep.segments.clone();
-    let mut next_gemm = 0usize;
-    for seg in &mut segments {
-        if let Segment::Batched(b) = seg {
-            let names = rep.gemm_names.get(next_gemm)?;
-            let mut renamed = Vec::with_capacity(3);
-            for name in names {
-                let new_name = shift_name(name, delta)?;
-                let old = table.info(name)?;
-                let new = table.info(&new_name)?;
-                if new.per_item != old.per_item || new.batched != old.batched {
-                    return None;
-                }
-                renamed.push(new_name);
-            }
-            let shifted: [String; 3] = renamed.try_into().ok()?;
-            b.a = table.info(&shifted[0])?.storage;
-            b.b = table.info(&shifted[1])?.storage;
-            b.c = table.info(&shifted[2])?.storage;
-            gemm_names.push(shifted);
-            next_gemm += 1;
-        }
-    }
-    Some(CGroup {
-        name: group.name.clone(),
-        parallel: rep.parallel,
-        serial_hint: group.meta.serial_hint,
-        grad_spans: grad_spans(&bufs),
-        bufs,
-        buf_names,
-        segments,
-        gemm_names,
     })
 }
 
@@ -560,7 +425,7 @@ fn lower_group(
         segments.push(Segment::PerItem(current));
     }
     *max_slots = (*max_slots).max(lw.slot_extents.len());
-    Ok(CGroup {
+    let lowered = CGroup {
         name: group.name.clone(),
         parallel,
         serial_hint: group.meta.serial_hint,
@@ -569,7 +434,12 @@ fn lower_group(
         buf_names: lw.buf_names,
         segments,
         gemm_names,
-    })
+    };
+    // The vectors above grew by pushing and keep that slack; a plan lives
+    // as long as its program, so hand back a copy whose every vector —
+    // buffer table, names, segments, kernel bodies, element-program
+    // instruction lists — is allocated at its exact length.
+    Ok(lowered.clone())
 }
 
 /// Lays a group's parameter-gradient storages out back to back in a
@@ -839,7 +709,7 @@ impl GroupLowerer<'_> {
     /// the per-item loop.
     /// On success also returns the operand buffer names in the batched
     /// kernel's `[a, b, c]` order (the hoist may swap the statement's
-    /// operands), for the step-share rebinding in [`reuse_group`].
+    /// operands), for the printed plan.
     fn try_batch_gemm(
         &mut self,
         g: &GemmStmt,

@@ -305,11 +305,4 @@ impl ExecutionPlan {
     pub fn backward_groups(&self) -> usize {
         self.lowered.backward.len()
     }
-
-    /// Groups (both phases) whose compiled body was reused from an
-    /// earlier unrolled time step instead of being re-lowered — the
-    /// lowering-side effect of the compiler's step-share pass.
-    pub fn step_groups_reused(&self) -> usize {
-        self.lowered.step_groups_reused
-    }
 }

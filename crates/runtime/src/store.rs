@@ -113,11 +113,6 @@ impl BufferTable {
         Ok(BufferTable { infos })
     }
 
-    /// Placement of a named buffer.
-    pub(crate) fn info(&self, name: &str) -> Option<&BufInfo> {
-        self.infos.get(name)
-    }
-
     /// Placement of a named buffer, as an error-carrying lookup.
     pub(crate) fn require(&self, name: &str) -> Result<&BufInfo, RuntimeError> {
         self.infos.get(name).ok_or_else(|| RuntimeError::UnknownBuffer {
@@ -279,8 +274,8 @@ mod tests {
         store.write("a.value", table.visible("a.value").unwrap(), &[1.0; 8]).unwrap();
         assert_eq!(store.view(table.visible("b.value").unwrap()), [1.0; 8]);
         assert_eq!(
-            table.info("a.value").unwrap().storage,
-            table.info("b.value").unwrap().storage
+            table.require("a.value").unwrap().storage,
+            table.require("b.value").unwrap().storage
         );
     }
 

@@ -6,7 +6,9 @@
 
 use std::sync::Arc;
 
+use latte_core::dsl::{EnsembleId, Net};
 use latte_core::{compile, OptLevel};
+use latte_nn::layers::{data, fully_connected, relu, softmax_loss, tanh};
 use latte_nn::models::{mlp, ModelConfig};
 use latte_runtime::cluster::{train_replicated, SyncMode};
 use latte_runtime::data::Batch;
@@ -165,6 +167,21 @@ fn fingerprint_spots_a_mismatched_net() {
     let wider =
         Executor::new(compile(&mlp(&cfg, &[16]).net, &OptLevel::full()).unwrap()).unwrap();
     assert_ne!(a, net_fingerprint(&wider), "a wider net must not match");
+
+    // Same parameters (names, sizes, initial values) and the same
+    // buckets: only the activation between the two layers differs.
+    let activated = |act: fn(&mut Net, &str, EnsembleId) -> EnsembleId| {
+        let mut net = Net::new(BATCH);
+        let x = data(&mut net, "data", vec![INPUT]);
+        let hidden = fully_connected(&mut net, "ip1", x, 8, 7);
+        let hidden = act(&mut net, "act1", hidden);
+        let out = fully_connected(&mut net, "ip_out", hidden, CLASSES, 8);
+        let label = data(&mut net, "label", vec![1]);
+        softmax_loss(&mut net, "loss", out, label);
+        net_fingerprint(&Executor::new(compile(&net, &OptLevel::full()).unwrap()).unwrap())
+    };
+    assert_eq!(activated(relu), activated(relu));
+    assert_ne!(activated(relu), activated(tanh), "a different activation must not match");
 }
 
 #[test]

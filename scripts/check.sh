@@ -43,6 +43,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> reachability census (every pub item under crates/*/src has a caller outside its own file's tests)"
 python3 scripts/census.py
+echo "==> informational: pub items only test code reaches (never fails the gate)"
+python3 scripts/census.py --tests-only || true
 
 echo "==> cargo doc --workspace --no-deps with RUSTDOCFLAGS=-D warnings (dangling intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
