@@ -74,23 +74,6 @@ pub enum RuntimeError {
         /// What failed and why.
         detail: String,
     },
-    /// The buffer exists in the program but its contents are not
-    /// materialized under the liveness arena: either its storage slot was
-    /// reclaimed by a later-live buffer (expired) or it is never touched
-    /// by any statement and was given no storage (dead). Raised instead
-    /// of ever returning another buffer's stale bytes.
-    BufferRetired {
-        /// The buffer name.
-        name: String,
-        /// Why the contents are unavailable.
-        detail: String,
-    },
-    /// Compiling a traced network failed — the recorded net does not
-    /// pass the compiler (cycle, verification failure, …).
-    Compile {
-        /// The compiler's error, rendered.
-        detail: String,
-    },
 }
 
 impl RuntimeError {
@@ -145,11 +128,6 @@ impl PartialEq for RuntimeError {
             (Interrupted { detail: a }, Interrupted { detail: b }) => a == b,
             (Numerical { detail: a }, Numerical { detail: b }) => a == b,
             (Transport { detail: a }, Transport { detail: b }) => a == b,
-            (
-                BufferRetired { name: a, detail: da },
-                BufferRetired { name: b, detail: db },
-            ) => a == b && da == db,
-            (Compile { detail: a }, Compile { detail: b }) => a == b,
             _ => false,
         }
     }
@@ -186,12 +164,6 @@ impl fmt::Display for RuntimeError {
             }
             RuntimeError::Transport { detail } => {
                 write!(f, "transport failure: {detail}")
-            }
-            RuntimeError::BufferRetired { name, detail } => {
-                write!(f, "buffer `{name}` is not materialized: {detail}")
-            }
-            RuntimeError::Compile { detail } => {
-                write!(f, "trace compilation failed: {detail}")
             }
         }
     }

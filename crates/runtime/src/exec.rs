@@ -46,8 +46,7 @@ use latte_tensor::gemm::{Gemm, Transpose};
 use crate::elem::{self, Columns};
 use crate::error::RuntimeError;
 use crate::health::{scan_slice, BufferAnomaly, SentinelMode};
-use crate::lower::{BatchedGemm, CExtern, CGemm, CGroup, Kernel, Segment};
-use crate::plan::ExecutionPlan;
+use crate::lower::{BatchedGemm, CExtern, CGemm, CGroup, ExecutionPlan, Kernel, Segment};
 use crate::pool::{WorkerCtx, WorkerPool, GRAD_LANES};
 use crate::registry::{ExternInvocation, KernelRegistry};
 use crate::store::{BufInfo, BufferStore, BufferTable};
@@ -60,11 +59,12 @@ pub struct ExecConfig {
     /// GEMMs. `1` disables threading. The default comes from the
     /// `LATTE_THREADS` environment variable ([`ExecConfig::env_threads`]).
     pub threads: usize,
-    /// Pack transient buffers into a liveness-planned arena: buffers
-    /// whose live ranges never overlap share storage, shrinking
-    /// [`Executor::allocated_elements`]. Off by default; results are
-    /// bit-identical either way, but reading a buffer the arena retired
-    /// returns [`RuntimeError::BufferRetired`] instead of data.
+    /// A remnant, always `false`: the liveness arena it selected is
+    /// retired (DESIGN.md §10) and [`CompiledProgram::lower`] refuses
+    /// `true` with [`RuntimeError::InvalidConfig`]. The field stays only
+    /// because `benchmark/src/{train,serve,cluster}.rs` spell the literal
+    /// `ExecConfig { threads, arena: false, gemm_blocking: None }`; the
+    /// `benchmark` PR that drops those three literals drops it with them.
     pub arena: bool,
     /// `(kc, nc, mc)` blocking for the worker pool's GEMM engines; `None`
     /// uses the engine default. Typically installed by the autotuner (see
@@ -245,21 +245,24 @@ pub type GroupHook<'a> = &'a mut dyn FnMut(usize, &Executor);
 /// A lowered, executor-independent program: the one immutable owner of
 /// everything decided at lowering. This is the unit a plan cache stores
 /// (keyed by `(CompiledNet::fingerprint(), batch)` in `latte-serve`):
-/// kernel selection, bounds verification, the memory layout and every
+/// kernel selection, bounds verification, buffer placement and every
 /// name lookup happen once in [`CompiledProgram::lower`], and each
 /// [`CompiledProgram::instantiate`] afterwards only allocates the
-/// layout's storages and writes the initial parameter values. The handle
-/// is one `Arc`; executors hold a clone of it.
+/// storages and writes the initial parameter values. The handle is one
+/// `Arc`; executors hold a clone of it.
 #[derive(Clone)]
 pub struct CompiledProgram(Arc<Program>);
 
 /// What a [`CompiledProgram`] owns and its executors share.
 struct Program {
     net: CompiledNet,
-    /// The lowered groups and the memory layout they address.
+    /// The lowered groups.
     plan: ExecutionPlan,
-    /// Where every named buffer lives under that layout.
+    /// Where every named buffer lives: one storage per alias class.
     table: BufferTable,
+    /// The gradient storages (activation and parameter), filled with
+    /// zeros before every backward pass.
+    zero_backward: Vec<usize>,
     /// Per parameter of `net.params`: the storage indices of its value
     /// and its gradient (distinct), so the solver's walk looks nothing
     /// up by name.
@@ -287,30 +290,37 @@ impl std::fmt::Debug for CompiledProgram {
             .field("batch", &self.0.net.batch)
             .field("forward_groups", &self.0.plan.forward_groups())
             .field("backward_groups", &self.0.plan.backward_groups())
-            .field("arena", &self.0.plan.arena())
             .finish_non_exhaustive()
     }
 }
 
 impl CompiledProgram {
     /// Lowers a compiled network into a shareable program without
-    /// allocating runtime buffers. `cfg.arena` chooses the memory layout
-    /// (liveness-packed, or the identity); the thread count and GEMM
-    /// blocking belong to the pool an executor is instantiated on.
+    /// allocating runtime buffers. Every alias class of the compiler's
+    /// buffer plan gets one storage, in declaration order. Nothing of
+    /// `cfg` shapes the program — the thread count and GEMM blocking
+    /// belong to the pool an executor is instantiated on — and the
+    /// parameter stays only for the remnant [`ExecConfig::arena`].
     ///
     /// # Errors
     ///
-    /// Fails when the plan references unknown buffers or kernels, when an
-    /// input or loss buffer is not observable, or when static bounds
-    /// verification rejects a statement.
+    /// Fails when the plan references unknown buffers or kernels, when
+    /// static bounds verification rejects a statement, or with
+    /// [`RuntimeError::InvalidConfig`] when `cfg.arena` is set.
     pub fn lower(
         net: CompiledNet,
         registry: &KernelRegistry,
         cfg: ExecConfig,
     ) -> Result<Self, RuntimeError> {
-        let layout = crate::plan::memory_layout(&net, cfg.arena);
-        let table = BufferTable::resolve(&net.buffers, &layout)?;
-        let lowered = crate::lower::lower(&net, &table, registry)?;
+        if cfg.arena {
+            return Err(RuntimeError::InvalidConfig {
+                detail: "ExecConfig::arena: the liveness arena is retired; buffers that may \
+                         share storage are aliased by the compiler"
+                    .to_string(),
+            });
+        }
+        let table = BufferTable::resolve(&net.buffers)?;
+        let plan = crate::lower::lower(&net, &table, registry)?;
         let param_slots = net
             .params
             .iter()
@@ -320,15 +330,21 @@ impl CompiledProgram {
                 Ok(slot)
             })
             .collect::<Result<Vec<_>, RuntimeError>>()?;
-        let visible = |name: &String| table.visible(name).cloned();
-        let inputs = net.inputs.iter().map(|i| visible(&i.buffer)).collect::<Result<_, _>>()?;
-        let losses = net.losses.iter().map(visible).collect::<Result<_, _>>()?;
-        let grad_buckets = grad_buckets(&lowered.backward, &param_slots);
-        let plan = ExecutionPlan::new(lowered, layout);
+        let info = |name: &String| table.require(name).cloned();
+        let inputs = net.inputs.iter().map(|i| info(&i.buffer)).collect::<Result<_, _>>()?;
+        let losses = net.losses.iter().map(info).collect::<Result<_, _>>()?;
+        let zero_backward = net
+            .buffers
+            .iter()
+            .filter(|d| d.alias_of.is_none() && d.kind.is_grad())
+            .map(|d| Ok(table.require(&d.name)?.storage))
+            .collect::<Result<_, RuntimeError>>()?;
+        let grad_buckets = grad_buckets(&plan.backward, &param_slots);
         Ok(CompiledProgram(Arc::new(Program {
             net,
             plan,
             table,
+            zero_backward,
             param_slots,
             inputs,
             losses,
@@ -352,7 +368,7 @@ impl CompiledProgram {
     }
 
     /// Builds a warm executor on `pool`, sharing this program: allocates
-    /// the layout's storages and writes initial parameter values, but
+    /// the storages and writes initial parameter values, but
     /// compiles, lowers and resolves nothing. The executor's thread
     /// count is the pool's.
     ///
@@ -360,7 +376,7 @@ impl CompiledProgram {
     ///
     /// Fails when an initial parameter value does not fit its buffer.
     pub fn instantiate(&self, pool: Arc<WorkerPool>) -> Result<Executor, RuntimeError> {
-        let store = BufferStore::build(&self.0.plan.layout, self.0.net.batch);
+        let store = BufferStore::build(&self.0.table, self.0.net.batch);
         let mut exec = Executor { program: self.clone(), store, pool };
         exec.reset_params()?;
         Ok(exec)
@@ -463,7 +479,7 @@ impl Executor {
     pub fn reset_params(&mut self) -> Result<(), RuntimeError> {
         let p = &*self.program.0;
         for (name, init) in &p.net.param_inits {
-            self.store.write(name, p.table.visible(name)?, init)?;
+            self.store.write(name, p.table.require(name)?, init)?;
         }
         Ok(())
     }
@@ -483,9 +499,9 @@ impl Executor {
         &self.program.0.net.params
     }
 
-    /// Total floats actually allocated (memory metric for ablations).
-    /// Under [`ExecConfig::arena`] this reports the packed arena
-    /// footprint, which is smaller than the sum of buffer sizes.
+    /// Total floats actually allocated: one storage per alias class of
+    /// the compiler's buffer plan (the memory metric of the
+    /// shared-buffer ablation).
     pub fn allocated_elements(&self) -> usize {
         self.store.total_elements()
     }
@@ -524,8 +540,7 @@ impl Executor {
     ///
     /// # Errors
     ///
-    /// Fails for unknown buffers, and for buffers retired by the arena
-    /// (never returns another buffer's bytes).
+    /// Fails for unknown buffers.
     pub fn read_buffer(&self, name: &str) -> Result<Vec<f32>, RuntimeError> {
         self.buffer(name).map(<[f32]>::to_vec)
     }
@@ -538,7 +553,7 @@ impl Executor {
     ///
     /// As [`Executor::read_buffer`].
     pub fn buffer(&self, name: &str) -> Result<&[f32], RuntimeError> {
-        Ok(self.store.view(self.program.0.table.visible(name)?))
+        Ok(self.store.view(self.program.0.table.require(name)?))
     }
 
     /// Reads one batch item of a buffer.
@@ -547,22 +562,22 @@ impl Executor {
     ///
     /// As [`Executor::read_buffer`].
     pub fn read_item(&self, name: &str, item: usize) -> Result<Vec<f32>, RuntimeError> {
-        Ok(self.store.read_item(self.program.0.table.visible(name)?, item))
+        Ok(self.store.read_item(self.program.0.table.require(name)?, item))
     }
 
     /// Overwrites a buffer's full storage (test/diagnostic hook).
     ///
     /// # Errors
     ///
-    /// Fails for unknown or arena-retired buffers and wrong lengths.
+    /// Fails for unknown buffers and wrong lengths.
     pub fn write_buffer(&mut self, name: &str, data: &[f32]) -> Result<(), RuntimeError> {
-        self.store.write(name, self.program.0.table.visible(name)?, data)
+        self.store.write(name, self.program.0.table.require(name)?, data)
     }
 
     /// The single plan-execution path behind every public entry point:
-    /// runs one phase's groups in order, performing the plan's per-group
-    /// arena zero-fills, with optional per-group timing and optional
-    /// per-group sentinel scanning layered on as instrumentation.
+    /// runs one phase's groups in order, with optional per-group timing
+    /// and optional per-group sentinel scanning layered on as
+    /// instrumentation.
     ///
     /// # Errors
     ///
@@ -581,21 +596,18 @@ impl Executor {
         let program = self.program.clone();
         let plan = program.plan();
         let batch = program.batch();
-        if backward {
-            for &storage in &plan.layout.zero_backward {
+        let groups = if backward {
+            for &storage in &program.0.zero_backward {
                 self.store.storages[storage].fill(0.0);
             }
-        }
+            &plan.backward
+        } else {
+            &plan.forward
+        };
         let mut trip = None;
-        'groups: for (gi, g) in plan.groups(backward).iter().enumerate() {
-            // A buffer entering its live range reuses whatever bytes its
-            // slot's previous occupant left; zeroing here restores the
-            // freshly-allocated semantics every kernel was written for.
-            for &(backing, len) in &plan.zeroes(backward)[gi] {
-                self.store.storages[backing][..len].fill(0.0);
-            }
+        'groups: for (gi, g) in groups.iter().enumerate() {
             let t0 = timing.is_some().then(std::time::Instant::now);
-            self.run_group(g, batch, plan.n_slots());
+            self.run_group(g, batch, plan.n_slots);
             if let (Some(out), Some(t0)) = (timing.as_deref_mut(), t0) {
                 out.push((g.name.clone(), t0.elapsed().as_secs_f64() * 1e3));
             }
@@ -611,11 +623,7 @@ impl Executor {
                     if !seen.insert(b.storage) {
                         continue;
                     }
-                    // Scan only the binding's own span: an arena slot may
-                    // be larger than its current occupant.
-                    let len = b.per_item * if b.batched { batch } else { 1 };
-                    let view = &self.store.storages[b.storage][..len];
-                    if let Some((index, class)) = scan_slice(view, stride) {
+                    if let Some((index, class)) = scan_slice(&self.store.storages[b.storage], stride) {
                         trip = Some(BufferAnomaly {
                             buffer: format!("{}#{bi}", g.name),
                             index,
@@ -743,10 +751,7 @@ impl Executor {
             if !kinds(kind) {
                 continue;
             }
-            // Arena-retired buffers have no contents of their own to
-            // scan; a visible buffer's view is its logical span, never a
-            // slot co-resident's bytes.
-            let Ok(info) = self.program.0.table.visible(name) else {
+            let Ok(info) = self.program.0.table.require(name) else {
                 continue;
             };
             if !seen.insert(info.storage) {
@@ -904,13 +909,9 @@ impl Executor {
         let mut views: Vec<&mut [f32]> =
             self.pool.with_caller_ctx(|ctx| std::mem::take(&mut ctx.scratch.views));
         for &i in &e.bufs {
-            let b = &g.bufs[i];
-            // Clamp each view to the binding's logical span — an arena
-            // slot may be larger than its current occupant.
-            let len = b.per_item * if b.batched { batch } else { 1 };
             // SAFETY: lowering rejects duplicate storages per extern, so
             // these views are disjoint.
-            views.push(unsafe { &mut (*base.add(b.storage)).as_mut_slice()[..len] });
+            views.push(unsafe { (*base.add(g.bufs[i].storage)).as_mut_slice() });
         }
         let mut inv = ExternInvocation {
             attrs: &e.attrs,

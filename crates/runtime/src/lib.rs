@@ -9,9 +9,8 @@
 //!
 //! * [`Executor`] — lowers a `latte_core::CompiledNet` to native kernels
 //!   and runs forward/backward passes over an allocated buffer store.
-//! * [`ExecutionPlan`] — the lowered groups plus the liveness-planned
-//!   buffer arena (`ExecConfig::arena`) that lets non-overlapping
-//!   intermediates share storage.
+//! * [`ExecutionPlan`] — the lowered kernel groups of both phases; every
+//!   alias class of the compiler's buffer plan is one storage.
 //! * [`solver`] — SGD (+momentum, LR policies), RMSProp, AdaGrad, and the
 //!   `solve` training loop.
 //! * [`data`] — synthetic datasets and the double-buffered input loader.
@@ -65,7 +64,6 @@ pub mod health;
 pub mod metrics;
 mod exec;
 mod lower;
-mod plan;
 pub mod pool;
 pub mod registry;
 pub mod ring;
@@ -78,5 +76,5 @@ pub mod tune;
 
 pub use error::RuntimeError;
 pub use exec::{CompiledProgram, ExecConfig, Executor, GradBucket};
-pub use plan::ExecutionPlan;
+pub use lower::ExecutionPlan;
 pub use tune::{TuneError, Tuner, TunerStats};

@@ -229,15 +229,34 @@ pub(crate) struct CGroup {
     pub gemm_names: Vec<[String; 3]>,
 }
 
-/// The fully lowered program.
-#[derive(Debug, Clone)]
-pub(crate) struct Plan {
-    pub forward: Vec<CGroup>,
-    pub backward: Vec<CGroup>,
-    pub n_slots: usize,
+/// The fully lowered program: the kernel groups of both phases, built
+/// once per [`CompiledProgram`](crate::CompiledProgram) and shared by its
+/// executors, each a thin driver over this plan.
+#[derive(Debug)]
+pub struct ExecutionPlan {
+    pub(crate) forward: Vec<CGroup>,
+    pub(crate) backward: Vec<CGroup>,
+    /// Loop-variable slots the widest group needs.
+    pub(crate) n_slots: usize,
 }
 
-impl fmt::Display for Plan {
+impl ExecutionPlan {
+    /// Number of lowered forward groups.
+    pub fn forward_groups(&self) -> usize {
+        self.forward.len()
+    }
+
+    /// Number of lowered backward groups.
+    pub fn backward_groups(&self) -> usize {
+        self.backward.len()
+    }
+}
+
+/// The lowered program as text: per group its schedule, buffer table
+/// and segments — whole-batch GEMM shapes, and per-item kernels down to
+/// each element program's instruction list and strip width. What
+/// `latte-explain --kernels` prints and `tests/golden_ir.rs` pins.
+impl fmt::Display for ExecutionPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (title, groups) in [("forward", &self.forward), ("backward", &self.backward)] {
             writeln!(f, "== {title} kernels ==")?;
@@ -342,7 +361,7 @@ pub(crate) fn lower(
     net: &CompiledNet,
     table: &BufferTable,
     registry: &KernelRegistry,
-) -> Result<Plan, RuntimeError> {
+) -> Result<ExecutionPlan, RuntimeError> {
     let mut max_slots = 1;
     let mut lower_phase = |groups: &[Group]| -> Result<Vec<CGroup>, RuntimeError> {
         let mut out = Vec::with_capacity(groups.len());
@@ -353,7 +372,7 @@ pub(crate) fn lower(
     };
     let forward = lower_phase(&net.forward)?;
     let backward = lower_phase(&net.backward)?;
-    Ok(Plan {
+    Ok(ExecutionPlan {
         forward,
         backward,
         n_slots: max_slots,
@@ -443,8 +462,8 @@ fn lower_group(
 }
 
 /// Lays a group's parameter-gradient storages out back to back in a
-/// gradient lane's scratch. A parameter gradient is unbatched and never
-/// shares an arena slot, so a binding's per-item length is its storage's.
+/// gradient lane's scratch. A parameter gradient is unbatched, so a
+/// binding's per-item length is its storage's.
 fn grad_spans(bufs: &[BufBinding]) -> Vec<(usize, usize, usize)> {
     let mut storages: Vec<(usize, usize)> =
         bufs.iter().filter(|b| b.param_grad).map(|b| (b.storage, b.per_item)).collect();

@@ -140,31 +140,6 @@ pub struct SolverState {
     pub groups: Vec<(String, Vec<Vec<f32>>)>,
 }
 
-impl SolverState {
-    fn group(&self, name: &str, kind: &str) -> Result<Vec<Vec<f32>>, RuntimeError> {
-        self.groups
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.clone())
-            .ok_or_else(|| RuntimeError::InvalidConfig {
-                detail: format!("solver state for `{kind}` lacks the `{name}` group"),
-            })
-    }
-
-    fn expect_kind(&self, kind: &str) -> Result<(), RuntimeError> {
-        if self.kind == kind {
-            Ok(())
-        } else {
-            Err(RuntimeError::InvalidConfig {
-                detail: format!(
-                    "checkpoint holds `{}` solver state, cannot restore into `{kind}`",
-                    self.kind
-                ),
-            })
-        }
-    }
-}
-
 /// A parameter-update rule.
 ///
 /// Implementations hold per-parameter state (momentum, squared-gradient
@@ -221,22 +196,88 @@ fn ensure_state(state: &mut Vec<Vec<f32>>, idx: usize, len: usize) -> &mut Vec<f
     &mut state[idx]
 }
 
+/// What each solver below keeps between steps: its iteration counter and
+/// `N` named accumulator groups (one vector per parameter, in executor
+/// parameter order, sized on first use). The kind tag and the group names
+/// are the checkpoint format, so they are fixed per solver.
+#[derive(Debug)]
+struct Accumulators<const N: usize> {
+    kind: &'static str,
+    iter: usize,
+    names: [&'static str; N],
+    groups: [Vec<Vec<f32>>; N],
+}
+
+impl<const N: usize> Accumulators<N> {
+    fn new(kind: &'static str, names: [&'static str; N]) -> Self {
+        Accumulators { kind, iter: 0, names, groups: std::array::from_fn(|_| Vec::new()) }
+    }
+
+    /// One update step: calls `update(weights, gradients, rate,
+    /// accumulators)` for every parameter of the executor, `rate` being
+    /// this iteration's learning rate times the parameter's multiplier,
+    /// then advances the iteration counter.
+    fn step(
+        &mut self,
+        params: &SolverParams,
+        exec: &mut Executor,
+        mut update: impl FnMut(&mut [f32], &[f32], f32, [&mut [f32]; N]),
+    ) {
+        let lr = params.lr_policy.at(self.iter);
+        let groups = &mut self.groups;
+        let mut idx = 0;
+        exec.for_each_param_mut(|v, g, lr_mult| {
+            let acc = groups.each_mut().map(|group| ensure_state(group, idx, v.len()).as_mut_slice());
+            idx += 1;
+            update(v, g, lr * lr_mult, acc);
+        });
+        self.iter += 1;
+    }
+
+    fn export(&self) -> SolverState {
+        SolverState {
+            kind: self.kind.into(),
+            iter: self.iter as u64,
+            groups: self.names.iter().map(|n| n.to_string()).zip(self.groups.iter().cloned()).collect(),
+        }
+    }
+
+    fn import(&mut self, state: &SolverState) -> Result<(), RuntimeError> {
+        let kind = self.kind;
+        if state.kind != kind {
+            return Err(RuntimeError::InvalidConfig {
+                detail: format!(
+                    "checkpoint holds `{}` solver state, cannot restore into `{kind}`",
+                    state.kind
+                ),
+            });
+        }
+        // Every group is found before anything is replaced.
+        let mut groups = std::array::from_fn(|_| Vec::new());
+        for (group, name) in groups.iter_mut().zip(self.names) {
+            let found = state.groups.iter().find(|(n, _)| n == name);
+            let (_, saved) = found.ok_or_else(|| RuntimeError::InvalidConfig {
+                detail: format!("solver state for `{kind}` lacks the `{name}` group"),
+            })?;
+            group.clone_from(saved);
+        }
+        self.iter = state.iter as usize;
+        self.groups = groups;
+        Ok(())
+    }
+}
+
 /// Stochastic gradient descent with momentum and weight decay.
 #[derive(Debug)]
 pub struct Sgd {
     params: SolverParams,
-    iter: usize,
-    velocity: Vec<Vec<f32>>,
+    state: Accumulators<1>,
 }
 
 impl Sgd {
     /// Creates an SGD solver.
     pub fn new(params: SolverParams) -> Self {
-        Sgd {
-            params,
-            iter: 0,
-            velocity: Vec::new(),
-        }
+        Sgd { params, state: Accumulators::new("sgd", ["velocity"]) }
     }
 }
 
@@ -250,15 +291,9 @@ impl Solver for Sgd {
     }
 
     fn step(&mut self, exec: &mut Executor) {
-        let lr = self.params.lr_policy.at(self.iter);
-        let mom = self.params.mom_policy.at(self.iter);
+        let mom = self.params.mom_policy.at(self.state.iter);
         let decay = self.params.regu_coef;
-        let velocity = &mut self.velocity;
-        let mut idx = 0;
-        exec.for_each_param_mut(|v, g, lr_mult| {
-            let vel = ensure_state(velocity, idx, v.len());
-            idx += 1;
-            let rate = lr * lr_mult;
+        self.state.step(&self.params, exec, |v, g, rate, [vel]| {
             for ((w, &grad), vel) in v.iter_mut().zip(g).zip(vel.iter_mut()) {
                 let d = grad + decay * *w;
                 let next = mom * *vel - rate * d;
@@ -272,22 +307,14 @@ impl Solver for Sgd {
                 *w += *vel;
             }
         });
-        self.iter += 1;
     }
 
     fn export_state(&self) -> SolverState {
-        SolverState {
-            kind: "sgd".into(),
-            iter: self.iter as u64,
-            groups: vec![("velocity".into(), self.velocity.clone())],
-        }
+        self.state.export()
     }
 
     fn import_state(&mut self, state: &SolverState) -> Result<(), RuntimeError> {
-        state.expect_kind("sgd")?;
-        self.iter = state.iter as usize;
-        self.velocity = state.group("velocity", "sgd")?;
-        Ok(())
+        self.state.import(state)
     }
 }
 
@@ -298,20 +325,13 @@ pub struct RmsProp {
     params: SolverParams,
     decay: f32,
     eps: f32,
-    iter: usize,
-    ms: Vec<Vec<f32>>,
+    state: Accumulators<1>,
 }
 
 impl RmsProp {
     /// Creates an RMSProp solver with the given squared-gradient decay.
     pub fn new(params: SolverParams, decay: f32, eps: f32) -> Self {
-        RmsProp {
-            params,
-            decay,
-            eps,
-            iter: 0,
-            ms: Vec::new(),
-        }
+        RmsProp { params, decay, eps, state: Accumulators::new("rmsprop", ["ms"]) }
     }
 }
 
@@ -325,37 +345,23 @@ impl Solver for RmsProp {
     }
 
     fn step(&mut self, exec: &mut Executor) {
-        let lr = self.params.lr_policy.at(self.iter);
         let regu = self.params.regu_coef;
         let (decay, eps) = (self.decay, self.eps);
-        let ms = &mut self.ms;
-        let mut idx = 0;
-        exec.for_each_param_mut(|v, g, lr_mult| {
-            let m = ensure_state(ms, idx, v.len());
-            idx += 1;
-            let rate = lr * lr_mult;
+        self.state.step(&self.params, exec, |v, g, rate, [m]| {
             for ((w, &grad), m) in v.iter_mut().zip(g).zip(m.iter_mut()) {
                 let d = grad + regu * *w;
                 *m = decay * *m + (1.0 - decay) * d * d;
                 *w -= rate * d / (m.sqrt() + eps);
             }
         });
-        self.iter += 1;
     }
 
     fn export_state(&self) -> SolverState {
-        SolverState {
-            kind: "rmsprop".into(),
-            iter: self.iter as u64,
-            groups: vec![("ms".into(), self.ms.clone())],
-        }
+        self.state.export()
     }
 
     fn import_state(&mut self, state: &SolverState) -> Result<(), RuntimeError> {
-        state.expect_kind("rmsprop")?;
-        self.iter = state.iter as usize;
-        self.ms = state.group("ms", "rmsprop")?;
-        Ok(())
+        self.state.import(state)
     }
 }
 
@@ -365,19 +371,13 @@ impl Solver for RmsProp {
 pub struct AdaGrad {
     params: SolverParams,
     eps: f32,
-    iter: usize,
-    acc: Vec<Vec<f32>>,
+    state: Accumulators<1>,
 }
 
 impl AdaGrad {
     /// Creates an AdaGrad solver.
     pub fn new(params: SolverParams, eps: f32) -> Self {
-        AdaGrad {
-            params,
-            eps,
-            iter: 0,
-            acc: Vec::new(),
-        }
+        AdaGrad { params, eps, state: Accumulators::new("adagrad", ["acc"]) }
     }
 }
 
@@ -391,37 +391,23 @@ impl Solver for AdaGrad {
     }
 
     fn step(&mut self, exec: &mut Executor) {
-        let lr = self.params.lr_policy.at(self.iter);
         let regu = self.params.regu_coef;
         let eps = self.eps;
-        let acc = &mut self.acc;
-        let mut idx = 0;
-        exec.for_each_param_mut(|v, g, lr_mult| {
-            let a = ensure_state(acc, idx, v.len());
-            idx += 1;
-            let rate = lr * lr_mult;
+        self.state.step(&self.params, exec, |v, g, rate, [a]| {
             for ((w, &grad), a) in v.iter_mut().zip(g).zip(a.iter_mut()) {
                 let d = grad + regu * *w;
                 *a += d * d;
                 *w -= rate * d / (a.sqrt() + eps);
             }
         });
-        self.iter += 1;
     }
 
     fn export_state(&self) -> SolverState {
-        SolverState {
-            kind: "adagrad".into(),
-            iter: self.iter as u64,
-            groups: vec![("acc".into(), self.acc.clone())],
-        }
+        self.state.export()
     }
 
     fn import_state(&mut self, state: &SolverState) -> Result<(), RuntimeError> {
-        state.expect_kind("adagrad")?;
-        self.iter = state.iter as usize;
-        self.acc = state.group("acc", "adagrad")?;
-        Ok(())
+        self.state.import(state)
     }
 }
 
@@ -434,22 +420,13 @@ pub struct AdaDelta {
     params: SolverParams,
     rho: f32,
     eps: f32,
-    iter: usize,
-    acc_grad: Vec<Vec<f32>>,
-    acc_update: Vec<Vec<f32>>,
+    state: Accumulators<2>,
 }
 
 impl AdaDelta {
     /// Creates an AdaDelta solver with decay `rho`.
     pub fn new(params: SolverParams, rho: f32, eps: f32) -> Self {
-        AdaDelta {
-            params,
-            rho,
-            eps,
-            iter: 0,
-            acc_grad: Vec::new(),
-            acc_update: Vec::new(),
-        }
+        AdaDelta { params, rho, eps, state: Accumulators::new("adadelta", ["acc_grad", "acc_update"]) }
     }
 }
 
@@ -463,20 +440,9 @@ impl Solver for AdaDelta {
     }
 
     fn step(&mut self, exec: &mut Executor) {
-        let lr = self.params.lr_policy.at(self.iter);
         let regu = self.params.regu_coef;
         let (rho, eps) = (self.rho, self.eps);
-        let acc_grad = &mut self.acc_grad;
-        let acc_update = &mut self.acc_update;
-        let mut idx = 0;
-        exec.for_each_param_mut(|v, g, lr_mult| {
-            let len = v.len();
-            ensure_state(acc_grad, idx, len);
-            ensure_state(acc_update, idx, len);
-            let ag = &mut acc_grad[idx];
-            let au = &mut acc_update[idx];
-            idx += 1;
-            let rate = lr * lr_mult;
+        self.state.step(&self.params, exec, |v, g, rate, [ag, au]| {
             for (((w, &grad), ag), au) in
                 v.iter_mut().zip(g).zip(ag.iter_mut()).zip(au.iter_mut())
             {
@@ -487,26 +453,14 @@ impl Solver for AdaDelta {
                 *w += rate * update;
             }
         });
-        self.iter += 1;
     }
 
     fn export_state(&self) -> SolverState {
-        SolverState {
-            kind: "adadelta".into(),
-            iter: self.iter as u64,
-            groups: vec![
-                ("acc_grad".into(), self.acc_grad.clone()),
-                ("acc_update".into(), self.acc_update.clone()),
-            ],
-        }
+        self.state.export()
     }
 
     fn import_state(&mut self, state: &SolverState) -> Result<(), RuntimeError> {
-        state.expect_kind("adadelta")?;
-        self.iter = state.iter as usize;
-        self.acc_grad = state.group("acc_grad", "adadelta")?;
-        self.acc_update = state.group("acc_update", "adadelta")?;
-        Ok(())
+        self.state.import(state)
     }
 }
 
@@ -823,7 +777,7 @@ mod tests {
         let fill = |exec: &mut Executor, g: f32| exec.for_each_param_grad_mut(|_, grad| grad.fill(g));
         fill(&mut exec, 1.0);
         sgd.step(&mut exec);
-        assert!(sgd.velocity.iter().flatten().all(|&v| v <= -0.01));
+        assert!(sgd.state.groups[0].iter().flatten().all(|&v| v <= -0.01));
         fill(&mut exec, 0.0);
         // The cheapest of ten steps, so a preempted one does not count.
         let mut ten_steps = |sgd: &mut Sgd| {
@@ -841,8 +795,8 @@ mod tests {
             ten_steps(&mut sgd);
         }
         let late = ten_steps(&mut sgd);
-        assert_eq!(sgd.iter, 2001);
-        assert!(sgd.velocity.iter().flatten().all(|v| v.to_bits() == 0), "velocity stuck above zero");
+        assert_eq!(sgd.state.iter, 2001);
+        assert!(sgd.state.groups[0].iter().flatten().all(|v| v.to_bits() == 0), "velocity stuck above zero");
         assert!(
             late.as_secs_f64() <= 1.5 * early.as_secs_f64(),
             "step 2000 took {late:?}, step 10 took {early:?}"
@@ -860,21 +814,20 @@ mod tests {
     #[test]
     fn solver_state_round_trips_bit_exactly() {
         let mut sgd = Sgd::new(SolverParams::default());
-        sgd.iter = 7;
-        sgd.velocity = vec![vec![0.25, -0.5], vec![1.0]];
+        sgd.state.iter = 7;
+        sgd.state.groups[0] = vec![vec![0.25, -0.5], vec![1.0]];
         let state = sgd.export_state();
         assert_eq!(state.kind, "sgd");
         assert_eq!(state.iter, 7);
         let mut fresh = Sgd::new(SolverParams::default());
         fresh.import_state(&state).unwrap();
-        assert_eq!(fresh.iter, 7);
-        assert_eq!(fresh.velocity, sgd.velocity);
+        assert_eq!(fresh.state.iter, 7);
+        assert_eq!(fresh.state.groups, sgd.state.groups);
         assert_eq!(fresh.export_state(), state);
 
         let mut ad = AdaDelta::new(SolverParams::default(), 0.95, 1e-6);
-        ad.iter = 3;
-        ad.acc_grad = vec![vec![0.125]];
-        ad.acc_update = vec![vec![0.5]];
+        ad.state.iter = 3;
+        ad.state.groups = [vec![vec![0.125]], vec![vec![0.5]]];
         let state = ad.export_state();
         let mut fresh = AdaDelta::new(SolverParams::default(), 0.95, 1e-6);
         fresh.import_state(&state).unwrap();

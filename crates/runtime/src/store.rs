@@ -14,25 +14,6 @@ use latte_ir::{BufferDecl, BufferKind};
 use latte_tensor::Shape;
 
 use crate::error::RuntimeError;
-use crate::plan::MemoryLayout;
-
-/// Whether (and how) a buffer's contents can be observed through the
-/// store after a run. Everything is [`Visibility::Retained`] in the
-/// identity layout; the liveness arena introduces the other states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Visibility {
-    /// Private storage, exactly the non-arena semantics.
-    Retained,
-    /// Lives in a shared arena slot as its *last* occupant: contents are
-    /// valid after a run, reads see the buffer's logical length.
-    Final,
-    /// Lived in a shared arena slot but a later buffer reclaimed it;
-    /// reads and writes fail with a structured error instead of exposing
-    /// the current occupant's bytes.
-    Expired,
-    /// No statement touches the buffer, so the arena gave it no storage.
-    Dead,
-}
 
 /// Resolved placement of one named buffer.
 #[derive(Debug, Clone)]
@@ -47,51 +28,42 @@ pub(crate) struct BufInfo {
     pub(crate) kind: BufferKind,
     /// The declared per-item shape.
     pub(crate) shape: Shape,
-    /// Arena visibility (always [`Visibility::Retained`] without the
-    /// arena).
-    pub(crate) vis: Visibility,
-}
-
-impl BufInfo {
-    /// The buffer's logical element count: `per_item` times the batch for
-    /// batched buffers. Equals the storage length for retained buffers;
-    /// arena slots may be larger (sized for their largest occupant).
-    pub(crate) fn logical_len(&self, batch: usize) -> usize {
-        self.per_item * if self.batched { batch } else { 1 }
-    }
 }
 
 /// Where every named buffer of one compiled net lives: resolved once at
-/// lowering against the net's [`MemoryLayout`] and shared, read-only, by
-/// every executor of the program.
+/// lowering and shared, read-only, by every executor of the program.
+/// Storage is declaration: a primary declaration owns the next storage
+/// (its alias class, numbered in declaration order) and an alias takes
+/// its target's, so the compiler's shared-variable analysis is the whole
+/// answer to where a buffer lives.
 #[derive(Debug)]
 pub(crate) struct BufferTable {
     infos: HashMap<String, BufInfo>,
+    /// Element count per storage at batch 1 and whether it scales with
+    /// the batch, in storage order.
+    storages: Vec<(usize, bool)>,
 }
 
 impl BufferTable {
-    /// Resolves a buffer plan against a layout: a primary declaration
-    /// takes its class's backing and visibility, an alias its target's.
+    /// Resolves a buffer plan.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::BadAlias`] when an alias target is missing
     /// or incompatible.
-    pub(crate) fn resolve(decls: &[BufferDecl], layout: &MemoryLayout) -> Result<Self, RuntimeError> {
+    pub(crate) fn resolve(decls: &[BufferDecl]) -> Result<Self, RuntimeError> {
         let mut infos: HashMap<String, BufInfo> = HashMap::new();
-        // Classes are numbered over primary declarations in order — the
-        // numbering the layout was computed with.
-        let mut next_class = 0usize;
+        let mut storages = Vec::new();
         for decl in decls {
             let per_item = decl.shape.len();
             let batched = decl.kind.is_batched();
-            let (storage, vis) = match &decl.alias_of {
+            let storage = match &decl.alias_of {
                 None => {
-                    next_class += 1;
-                    (layout.backing_of_class[next_class - 1], layout.class_vis[next_class - 1])
+                    storages.push((per_item, batched));
+                    storages.len() - 1
                 }
                 Some(target) => match infos.get(target) {
-                    Some(t) if t.per_item == per_item && t.batched == batched => (t.storage, t.vis),
+                    Some(t) if t.per_item == per_item && t.batched == batched => t.storage,
                     _ => {
                         return Err(RuntimeError::BadAlias {
                             name: decl.name.clone(),
@@ -106,11 +78,10 @@ impl BufferTable {
                 batched,
                 kind: decl.kind,
                 shape: decl.shape.clone(),
-                vis,
             };
             infos.insert(decl.name.clone(), info);
         }
-        Ok(BufferTable { infos })
+        Ok(BufferTable { infos, storages })
     }
 
     /// Placement of a named buffer, as an error-carrying lookup.
@@ -119,29 +90,11 @@ impl BufferTable {
             name: name.to_string(),
         })
     }
-
-    /// Placement of a named buffer whose contents can be observed:
-    /// rejects buffers whose storage the arena reclaimed (or never
-    /// materialized), so no caller ever reads a slot co-resident's bytes.
-    pub(crate) fn visible(&self, name: &str) -> Result<&BufInfo, RuntimeError> {
-        let info = self.require(name)?;
-        match info.vis {
-            Visibility::Retained | Visibility::Final => Ok(info),
-            Visibility::Expired => Err(RuntimeError::BufferRetired {
-                name: name.to_string(),
-                detail: "its arena slot was reclaimed by a later-live buffer".to_string(),
-            }),
-            Visibility::Dead => Err(RuntimeError::BufferRetired {
-                name: name.to_string(),
-                detail: "no statement touches it, so the arena gave it no storage".to_string(),
-            }),
-        }
-    }
 }
 
-/// All allocated storage for one compiled network instance: the
-/// layout's backings and nothing else. Callers address it through a
-/// [`BufInfo`] of the program's [`BufferTable`].
+/// All allocated storage for one compiled network instance: one vector
+/// per storage of the program's [`BufferTable`] and nothing else. Callers
+/// address it through a [`BufInfo`] of that table.
 #[derive(Debug)]
 pub(crate) struct BufferStore {
     batch: usize,
@@ -149,16 +102,19 @@ pub(crate) struct BufferStore {
 }
 
 impl BufferStore {
-    /// Allocates a layout's backings, zeroed.
-    pub(crate) fn build(layout: &MemoryLayout, batch: usize) -> Self {
-        let storages = layout.backing_len.iter().map(|&n| vec![0.0; n]).collect();
+    /// Allocates a table's storages at `batch`, zeroed.
+    pub(crate) fn build(table: &BufferTable, batch: usize) -> Self {
+        let storages = table
+            .storages
+            .iter()
+            .map(|&(per_item, batched)| vec![0.0; per_item * if batched { batch } else { 1 }])
+            .collect();
         BufferStore { batch, storages }
     }
 
-    /// Borrows a buffer's entire logical contents (all batch items): its
-    /// logical prefix of the backing storage.
+    /// Borrows a buffer's entire contents (all batch items).
     pub(crate) fn view(&self, info: &BufInfo) -> &[f32] {
-        &self.storages[info.storage][..info.logical_len(self.batch)]
+        &self.storages[info.storage]
     }
 
     /// Copies one item's slice of a batched buffer (or the whole buffer
@@ -168,20 +124,20 @@ impl BufferStore {
         self.storages[info.storage][off..off + info.per_item].to_vec()
     }
 
-    /// Overwrites a buffer's entire logical contents.
+    /// Overwrites a buffer's entire contents.
     ///
     /// # Errors
     ///
-    /// Fails when `data` length differs from the buffer's logical length.
+    /// Fails when `data` length differs from the buffer's length.
     pub(crate) fn write(&mut self, name: &str, info: &BufInfo, data: &[f32]) -> Result<(), RuntimeError> {
-        let len = info.logical_len(self.batch);
-        if len != data.len() {
+        let storage = &mut self.storages[info.storage];
+        if storage.len() != data.len() {
             return Err(RuntimeError::InputShape {
                 buffer: name.to_string(),
-                detail: format!("expected {} elements, got {}", len, data.len()),
+                detail: format!("expected {} elements, got {}", storage.len(), data.len()),
             });
         }
-        self.storages[info.storage][..len].copy_from_slice(data);
+        storage.copy_from_slice(data);
         Ok(())
     }
 
@@ -228,8 +184,6 @@ impl BufferStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::memory_layout;
-    use latte_core::CompiledNet;
 
     fn decls() -> Vec<BufferDecl> {
         vec![
@@ -241,38 +195,26 @@ mod tests {
         ]
     }
 
-    /// The identity layout of a bare buffer plan, resolved and allocated.
+    /// A bare buffer plan, resolved and allocated.
     fn build(decls: Vec<BufferDecl>, batch: usize) -> Result<(BufferTable, BufferStore), RuntimeError> {
-        let net = CompiledNet {
-            batch,
-            buffers: decls,
-            forward: Vec::new(),
-            backward: Vec::new(),
-            params: Vec::new(),
-            inputs: Vec::new(),
-            losses: Vec::new(),
-            param_inits: Vec::new(),
-            vectorize: false,
-            stats: Default::default(),
-        };
-        let layout = memory_layout(&net, false);
-        let table = BufferTable::resolve(&net.buffers, &layout)?;
-        Ok((table, BufferStore::build(&layout, batch)))
+        let table = BufferTable::resolve(&decls)?;
+        let store = BufferStore::build(&table, batch);
+        Ok((table, store))
     }
 
     #[test]
     fn batched_buffers_scale_with_batch() {
         let (table, store) = build(decls(), 3).unwrap();
-        assert_eq!(store.view(table.visible("a.value").unwrap()).len(), 12);
+        assert_eq!(store.view(table.require("a.value").unwrap()).len(), 12);
         // Params are not batched.
-        assert_eq!(store.view(table.visible("a.weights").unwrap()).len(), 8);
+        assert_eq!(store.view(table.require("a.weights").unwrap()).len(), 8);
     }
 
     #[test]
     fn aliases_share_storage() {
         let (table, mut store) = build(decls(), 2).unwrap();
-        store.write("a.value", table.visible("a.value").unwrap(), &[1.0; 8]).unwrap();
-        assert_eq!(store.view(table.visible("b.value").unwrap()), [1.0; 8]);
+        store.write("a.value", table.require("a.value").unwrap(), &[1.0; 8]).unwrap();
+        assert_eq!(store.view(table.require("b.value").unwrap()), [1.0; 8]);
         assert_eq!(
             table.require("a.value").unwrap().storage,
             table.require("b.value").unwrap().storage
@@ -282,7 +224,7 @@ mod tests {
     #[test]
     fn write_item_targets_one_slot() {
         let (table, mut store) = build(decls(), 3).unwrap();
-        let value = table.visible("a.value").unwrap();
+        let value = table.require("a.value").unwrap();
         store.write_item("a.value", value, 1, &[7.0; 4]).unwrap();
         assert_eq!(store.read_item(value, 0), vec![0.0; 4]);
         assert_eq!(store.read_item(value, 1), vec![7.0; 4]);
@@ -297,7 +239,7 @@ mod tests {
             Err(RuntimeError::InputShape { .. })
         ));
         // Unbatched buffers accept only item 0.
-        let weights = table.visible("a.weights").unwrap();
+        let weights = table.require("a.weights").unwrap();
         store.write_item("a.weights", weights, 0, &[1.0; 8]).unwrap();
         assert!(store.write_item("a.weights", weights, 1, &[1.0; 8]).is_err());
     }
@@ -311,7 +253,7 @@ mod tests {
     #[test]
     fn write_validates_length() {
         let (table, mut store) = build(decls(), 1).unwrap();
-        assert!(store.write("a.value", table.visible("a.value").unwrap(), &[0.0; 3]).is_err());
+        assert!(store.write("a.value", table.require("a.value").unwrap(), &[0.0; 3]).is_err());
     }
 
     #[test]
@@ -321,8 +263,8 @@ mod tests {
             BufferDecl::new("bn.state_mean", vec![4], BufferKind::SharedState),
         ];
         let (table, store) = build(decls, 3).unwrap();
-        assert_eq!(store.view(table.visible("bn.state_prob").unwrap()).len(), 12);
-        assert_eq!(store.view(table.visible("bn.state_mean").unwrap()).len(), 4);
+        assert_eq!(store.view(table.require("bn.state_prob").unwrap()).len(), 12);
+        assert_eq!(store.view(table.require("bn.state_mean").unwrap()).len(), 4);
     }
 
     #[test]

@@ -49,16 +49,16 @@ fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, usize) {
 }
 
 /// The benchmark's served net at its largest micro-batch.
-fn lenet_program(arena: bool) -> CompiledProgram {
+fn lenet_program() -> CompiledProgram {
     let cfg = ModelConfig { batch: 8, input_size: 28, ..ModelConfig::default() };
     let compiled = compile(&lenet(&cfg).net, &OptLevel::full()).expect("lenet compiles");
-    let exec = ExecConfig { threads: 1, arena, gemm_blocking: None };
+    let exec = ExecConfig { threads: 1, arena: false, gemm_blocking: None };
     CompiledProgram::lower(compiled, &KernelRegistry::with_builtins(), exec).expect("lenet lowers")
 }
 
 #[test]
 fn executors_of_one_program_share_its_compiled_net() {
-    let program = lenet_program(false);
+    let program = lenet_program();
     let pool = Arc::new(WorkerPool::new(1));
     let a = program.instantiate(Arc::clone(&pool)).expect("first executor");
     let b = program.instantiate(pool).expect("second executor");
@@ -70,18 +70,11 @@ fn executors_of_one_program_share_its_compiled_net() {
 
 #[test]
 fn an_instantiate_allocates_the_storages_plus_a_constant() {
-    for arena in [false, true] {
-        let program = lenet_program(arena);
-        let pool = Arc::new(WorkerPool::new(1));
-        let (exec, allocations) = allocations_in(|| program.instantiate(pool).expect("executor"));
-        // One allocation per storage that holds anything, bounded by one
-        // per primary declaration (the arena packs several into one), and
-        // one for the vector of storages.
-        let primaries = exec.compiled().buffers.iter().filter(|b| b.alias_of.is_none()).count();
-        assert!(
-            allocations <= primaries + 1,
-            "arena {arena}: {allocations} allocations for {primaries} primary buffers"
-        );
-        assert!(allocations > 1, "arena {arena}: the counter saw nothing");
-    }
+    let program = lenet_program();
+    let pool = Arc::new(WorkerPool::new(1));
+    let (exec, allocations) = allocations_in(|| program.instantiate(pool).expect("executor"));
+    // One allocation per storage — one storage per primary declaration —
+    // and one for the vector of storages.
+    let primaries = exec.compiled().buffers.iter().filter(|b| b.alias_of.is_none()).count();
+    assert_eq!(allocations, primaries + 1, "{primaries} primary buffers");
 }

@@ -337,11 +337,12 @@ pub enum ServerMsg {
 // Codec
 // ---------------------------------------------------------------------------
 
-/// A `u16`-length-prefixed string, truncated to what the prefix can say.
+/// A `u16`-length-prefixed string, truncated to what the prefix can say
+/// — at a character boundary, or the peer's UTF-8 check rejects the body.
 fn put_str(buf: &mut Vec<u8>, s: &str) {
-    let bytes = &s.as_bytes()[..s.len().min(u16::MAX as usize)];
-    put_u16(buf, bytes.len() as u16);
-    buf.extend_from_slice(bytes);
+    let end = s.floor_char_boundary(u16::MAX as usize);
+    put_u16(buf, end as u16);
+    buf.extend_from_slice(&s.as_bytes()[..end]);
 }
 
 impl From<ReadError> for NetError {
@@ -1444,6 +1445,23 @@ mod tests {
             capacity: 64,
             stats,
         }));
+    }
+
+    /// An error detail that echoes an over-long client-supplied name is
+    /// cut to what a `u16` prefix can say without splitting a character:
+    /// 65 534 ASCII bytes and then `é` would end mid-character at byte
+    /// 65 535, and the peer would refuse the whole body.
+    #[test]
+    fn an_overlong_detail_is_cut_at_a_character_boundary() {
+        let ascii = "x".repeat(u16::MAX as usize - 1);
+        let sent = ServerMsg::Error {
+            id: 9,
+            code: WireError::BadRequest,
+            detail: format!("{ascii}\u{e9} and then some"),
+        };
+        let received = decode_server(&encode_server(&sent)).expect("the body is valid UTF-8");
+        let cut = ServerMsg::Error { id: 9, code: WireError::BadRequest, detail: ascii };
+        assert_eq!(received, cut);
     }
 
     /// The `Health` frame's bytes, pinned: kind 104, the draining flag,

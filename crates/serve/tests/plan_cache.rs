@@ -138,3 +138,16 @@ fn a_model_calls_its_factory_once_for_all_eight_sizes() {
     assert_eq!(cache.hits(), 8);
     assert_eq!(cache.len(), 8);
 }
+
+/// The serve half of `executor_correctness.rs::lowering_refuses_the_retired_arena_flag`:
+/// a cache configured with the retired flag lowers nothing and says why.
+#[test]
+fn a_cache_surfaces_the_refused_arena_flag_as_a_compile_error() {
+    let arena = true;
+    let cache = PlanCache::new(ExecConfig { threads: 1, arena, gemm_blocking: None });
+    match cache.get(&common::model("classifier"), 1) {
+        Err(latte_serve::ServeError::Compile { detail }) => assert!(detail.contains("arena"), "{detail}"),
+        other => panic!("expected a compile error, got {other:?}"),
+    }
+    assert_eq!((cache.misses(), cache.len()), (0, 0));
+}

@@ -8,6 +8,9 @@ export CARGO_NET_OFFLINE=true
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> benchmark/ builds against the crates' public API (its own workspace: a change to ExecConfig, CompiledProgram::lower or Solver breaks it, and only the last step below runs it)"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo test -q (tier-1, includes fault-injection end-to-end)"
 cargo test -q
 
@@ -56,7 +59,7 @@ for ex in examples/*.rs; do
   cargo run --release --quiet --example "$name" >/dev/null
 done
 
-echo "==> repo benchmark smoke (benchmark/ is its own workspace with path deps on eight crates; nothing above builds it)"
+echo "==> repo benchmark smoke (all six workloads, tiny windows, every gate on)"
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --smoke
 
 echo "All checks passed."
