@@ -46,9 +46,6 @@ impl AcceleratorSpec {
 pub struct WorkloadModel {
     /// Host seconds to process one input item (forward + backward).
     pub host_seconds_per_item: f64,
-    /// Bytes of input data per item (hidden by double buffering after
-    /// the first iteration).
-    pub input_bytes_per_item: f64,
     /// Bytes of gradients returned per chunk (model-sized; *not*
     /// overlapped — the paper names this the throughput limiter).
     pub gradient_bytes: f64,
@@ -148,7 +145,6 @@ mod tests {
     fn workload() -> WorkloadModel {
         WorkloadModel {
             host_seconds_per_item: 1e-3,
-            input_bytes_per_item: 224.0 * 224.0 * 3.0 * 4.0,
             gradient_bytes: 60e6 * 4.0 / 100.0, // scaled model
         }
     }

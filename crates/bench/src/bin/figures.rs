@@ -392,7 +392,6 @@ fn host_workload(scale: Scale) -> WorkloadModel {
     let t = time_latte(&mut exec, Pass::Both, 3);
     WorkloadModel {
         host_seconds_per_item: t / scale.batch as f64,
-        input_bytes_per_item: n as f64 * 4.0,
         gradient_bytes: grad_bytes,
     }
 }

@@ -54,8 +54,6 @@ pub enum FieldLen {
     /// One element per staged input of connection `c` — e.g. the weight
     /// vector of a [`weighted_neuron`](crate::dsl::stdlib::weighted_neuron).
     InputLen(usize),
-    /// A fixed length.
-    Fixed(usize),
 }
 
 /// Declaration of a user field on a neuron type.

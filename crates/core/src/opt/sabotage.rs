@@ -13,9 +13,7 @@
 
 use latte_ir::Stmt;
 
-use crate::compile::OptLevel;
-use crate::pass::{Pass, PassContext, PipelineState};
-use crate::program::{CompileStats, Group};
+use crate::program::Group;
 
 /// Shrinks the extent of the first tiled loop with extent > 1 by one,
 /// simulating an off-by-one in tile-count computation. Returns whether a
@@ -86,99 +84,6 @@ pub fn shrink_first_loop(groups: &mut [Group]) -> bool {
     groups.iter_mut().any(|g| walk(&mut g.stmts))
 }
 
-/// Inflates the extent of the first innermost loop (one with no nested
-/// loop in its body) far past any plausible buffer size, simulating a
-/// bound miscomputed *upward* — the failure the differential harness
-/// cannot see (the program would fault or read garbage before producing
-/// comparable numbers) but the IR verifier rejects statically: buffer
-/// references indexed by that loop now range outside their declarations.
-/// Returns whether a loop was mutated.
-pub fn inflate_innermost_loop(groups: &mut [Group]) -> bool {
-    fn walk(stmts: &mut [Stmt]) -> bool {
-        for s in stmts {
-            if let Stmt::For(l) = s {
-                if walk(&mut l.body) {
-                    return true;
-                }
-                if !l.body.is_empty() {
-                    l.extent += 1 << 20;
-                    return true;
-                }
-            }
-        }
-        false
-    }
-    groups.iter_mut().any(|g| walk(&mut g.stmts))
-}
-
-/// Redirects the destination of the first scalar assignment to a buffer
-/// no declaration provides — a dangling reference, as left behind by a
-/// rewrite that renamed a buffer but missed a use. Returns whether a
-/// store was mutated.
-pub fn dangle_first_store(groups: &mut [Group]) -> bool {
-    fn walk(stmts: &mut [Stmt]) -> bool {
-        for s in stmts {
-            match s {
-                Stmt::Assign(a) => {
-                    a.dest.buffer = "__sabotaged_dangling".into();
-                    return true;
-                }
-                // Not a guard: guards cannot borrow the binding mutably.
-                #[allow(clippy::collapsible_match)]
-                Stmt::For(l) => {
-                    if walk(&mut l.body) {
-                        return true;
-                    }
-                }
-                _ => {}
-            }
-        }
-        false
-    }
-    groups.iter_mut().any(|g| walk(&mut g.stmts))
-}
-
-/// Which corruption [`CorruptIrPass`] applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Corruption {
-    /// Inflate an innermost loop bound past its buffers
-    /// ([`inflate_innermost_loop`]).
-    BadLoopBound,
-    /// Point a store at an undeclared buffer ([`dangle_first_store`]).
-    DanglingBufRef,
-}
-
-/// A deliberately broken compiler pass, appended to a
-/// [`crate::PassManager`] by the verifier's negative tests: it corrupts
-/// the IR in place, and compilation must fail with
-/// [`crate::CompileError::Verify`] naming this pass — proof the
-/// inter-pass checker actually stands between a buggy rewrite and the
-/// runtime.
-pub struct CorruptIrPass(pub Corruption);
-
-impl Pass for CorruptIrPass {
-    fn name(&self) -> &'static str {
-        "corrupt-ir"
-    }
-
-    fn enabled(&self, _opt: &OptLevel) -> bool {
-        true
-    }
-
-    fn run(&self, state: &mut PipelineState, _ctx: &PassContext<'_>, _stats: &mut CompileStats) {
-        let hit = match self.0 {
-            Corruption::BadLoopBound => {
-                inflate_innermost_loop(&mut state.forward)
-                    || inflate_innermost_loop(&mut state.backward)
-            }
-            Corruption::DanglingBufRef => {
-                dangle_first_store(&mut state.forward) || dangle_first_store(&mut state.backward)
-            }
-        };
-        assert!(hit, "program had nothing to corrupt");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,6 +139,8 @@ mod tests {
 
     use crate::dsl::stdlib::{relu_neuron, weighted_neuron};
     use crate::dsl::{Ensemble, Mapping, Net};
+    use crate::pass::{Pass, PassContext, PipelineState};
+    use crate::program::CompileStats;
     use crate::{compile_with, CompileError, OptLevel, PassManager};
     use latte_tensor::{init, Tensor};
 
@@ -253,6 +160,99 @@ mod tests {
         let relu = net.add(Ensemble::activation("relu1", vec![4], relu_neuron()));
         net.connect(fc1, relu, Mapping::one_to_one());
         net
+    }
+
+    /// Inflates the extent of the first innermost loop (one with no nested
+    /// loop in its body) far past any plausible buffer size, simulating a
+    /// bound miscomputed *upward* — the failure the differential harness
+    /// cannot see (the program would fault or read garbage before producing
+    /// comparable numbers) but the IR verifier rejects statically: buffer
+    /// references indexed by that loop now range outside their declarations.
+    /// Returns whether a loop was mutated.
+    fn inflate_innermost_loop(groups: &mut [Group]) -> bool {
+        fn walk(stmts: &mut [Stmt]) -> bool {
+            for s in stmts {
+                if let Stmt::For(l) = s {
+                    if walk(&mut l.body) {
+                        return true;
+                    }
+                    if !l.body.is_empty() {
+                        l.extent += 1 << 20;
+                        return true;
+                    }
+                }
+            }
+            false
+        }
+        groups.iter_mut().any(|g| walk(&mut g.stmts))
+    }
+
+    /// Redirects the destination of the first scalar assignment to a buffer
+    /// no declaration provides — a dangling reference, as left behind by a
+    /// rewrite that renamed a buffer but missed a use. Returns whether a
+    /// store was mutated.
+    fn dangle_first_store(groups: &mut [Group]) -> bool {
+        fn walk(stmts: &mut [Stmt]) -> bool {
+            for s in stmts {
+                match s {
+                    Stmt::Assign(a) => {
+                        a.dest.buffer = "__sabotaged_dangling".into();
+                        return true;
+                    }
+                    // Not a guard: guards cannot borrow the binding mutably.
+                    #[allow(clippy::collapsible_match)]
+                    Stmt::For(l) => {
+                        if walk(&mut l.body) {
+                            return true;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            false
+        }
+        groups.iter_mut().any(|g| walk(&mut g.stmts))
+    }
+
+    /// Which corruption [`CorruptIrPass`] applies.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Corruption {
+        /// Inflate an innermost loop bound past its buffers
+        /// ([`inflate_innermost_loop`]).
+        BadLoopBound,
+        /// Point a store at an undeclared buffer ([`dangle_first_store`]).
+        DanglingBufRef,
+    }
+
+    /// A deliberately broken compiler pass, appended to a
+    /// [`crate::PassManager`] by the verifier's negative tests: it corrupts
+    /// the IR in place, and compilation must fail with
+    /// [`crate::CompileError::Verify`] naming this pass — proof the
+    /// inter-pass checker actually stands between a buggy rewrite and the
+    /// runtime.
+    struct CorruptIrPass(Corruption);
+
+    impl Pass for CorruptIrPass {
+        fn name(&self) -> &'static str {
+            "corrupt-ir"
+        }
+
+        fn enabled(&self, _opt: &OptLevel) -> bool {
+            true
+        }
+
+        fn run(&self, state: &mut PipelineState, _ctx: &PassContext<'_>, _stats: &mut CompileStats) {
+            let hit = match self.0 {
+                Corruption::BadLoopBound => {
+                    inflate_innermost_loop(&mut state.forward)
+                        || inflate_innermost_loop(&mut state.backward)
+                }
+                Corruption::DanglingBufRef => {
+                    dangle_first_store(&mut state.forward) || dangle_first_store(&mut state.backward)
+                }
+            };
+            assert!(hit, "program had nothing to corrupt");
+        }
     }
 
     fn corrupted_compile(opt: OptLevel, corruption: Corruption) -> CompileError {

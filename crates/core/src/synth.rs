@@ -433,7 +433,6 @@ fn synth_neuron_ensemble(
         })?;
         let vec_len = match spec.len {
             FieldLen::Scalar => 1,
-            FieldLen::Fixed(n) => n,
             FieldLen::InputLen(c) => {
                 ctx.analyses
                     .get(c)

@@ -265,8 +265,6 @@ pub enum Stmt {
     Gather(GatherStmt),
     /// An opaque array kernel.
     Extern(ExternOp),
-    /// A fusion-preventing barrier (emitted around unfusable ensembles).
-    Barrier,
 }
 
 impl Stmt {
@@ -515,7 +513,6 @@ fn fmt_stmt(stmt: &Stmt, f: &mut fmt::Formatter<'_>, indent: usize) -> fmt::Resu
                 }
             )
         }
-        Stmt::Barrier => writeln!(f, "{pad}barrier"),
     }
 }
 

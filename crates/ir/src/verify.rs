@@ -286,7 +286,6 @@ impl Verifier {
                 }
                 Ok(())
             }
-            Stmt::Barrier => Ok(()),
         }
     }
 

@@ -56,24 +56,18 @@ pub struct Model {
     pub net: Net,
     /// The image data ensemble.
     pub data: EnsembleId,
-    /// The label ensemble, when a loss was requested.
-    pub label: Option<EnsembleId>,
     /// The final prediction ensemble (pre-loss).
     pub output: EnsembleId,
 }
 
 fn finish(mut net: Net, data_id: EnsembleId, output: EnsembleId, cfg: &ModelConfig) -> Model {
-    let label = if cfg.with_loss {
+    if cfg.with_loss {
         let label = data(&mut net, "label", vec![1]);
         softmax_loss(&mut net, "loss", output, label);
-        Some(label)
-    } else {
-        None
-    };
+    }
     Model {
         net,
         data: data_id,
-        label,
         output,
     }
 }
@@ -267,7 +261,6 @@ pub fn vgg_prefix(cfg: &ModelConfig, groups: usize) -> Model {
     Model {
         net,
         data: d,
-        label: Some(target),
         output: prev,
     }
 }

@@ -6,21 +6,13 @@ use latte_core::dsl::{EnsembleId, Mapping, Net};
 
 use crate::layers::{eltwise_add, eltwise_mul, fully_connected, sigmoid, tanh};
 
-/// The ensembles of one LSTM unit.
-#[derive(Debug, Clone, Copy)]
-pub struct LstmUnit {
-    /// The memory-cell state `C`.
-    pub cell: EnsembleId,
-    /// The unit output `h`.
-    pub output: EnsembleId,
-}
-
 /// Builds an LSTM unit over `input`, following the paper's Figure 6:
 /// the input and the previous output are each split into four gate
 /// signals through fully-connected layers; the gates modulate the
 /// memory cell via element-wise ensembles; `h` feeds back recurrently.
+/// Returns the unit output `h`.
 ///
-/// The returned network still contains recurrent edges — call
+/// `net` then contains recurrent edges — call
 /// [`Net::unroll`] before compiling.
 pub fn lstm(
     net: &mut Net,
@@ -28,7 +20,7 @@ pub fn lstm(
     input: EnsembleId,
     n_outputs: usize,
     seed: u64,
-) -> LstmUnit {
+) -> EnsembleId {
     let n = |suffix: &str| format!("{name}_{suffix}");
     // Split the input into the four gate signals.
     let ix = fully_connected(net, &n("ix"), input, n_outputs, seed);
@@ -70,7 +62,7 @@ pub fn lstm(
     for &gate in &[ih, ch, fh, oh] {
         net.connect_recurrent(output, gate, Mapping::all_to_all(vec![n_outputs]));
     }
-    LstmUnit { cell, output }
+    output
 }
 
 /// A fully-connected ensemble whose input arrives later through a
@@ -116,8 +108,8 @@ mod tests {
     fn lstm_unrolls_and_compiles() {
         let mut net = Net::new(2);
         let d = data(&mut net, "x", vec![6]);
-        let unit = lstm(&mut net, "lstm", d, 4, 0);
-        assert_eq!(net.ensemble(unit.output).dims(), &[4]);
+        let output = lstm(&mut net, "lstm", d, 4, 0);
+        assert_eq!(net.ensemble(output).dims(), &[4]);
         // Recurrent edges prevent direct compilation...
         assert!(compile(&net, &OptLevel::full()).is_err());
         // ...but the unrolled network compiles.

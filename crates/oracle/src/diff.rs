@@ -27,7 +27,7 @@
 //! computation. Parameter gradients and losses are never shared, so the
 //! quantities that actually drive training are always compared.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use latte_core::dsl::Net;
 use latte_core::{compile, CompileError, CompiledNet, OptLevel};
@@ -111,9 +111,6 @@ pub struct DiffReport {
     pub buffers_compared: usize,
     /// Total elements compared across all configurations.
     pub elements_compared: usize,
-    /// Buffer names skipped because their storage-sharing class differed
-    /// between oracle and subject (deduplicated).
-    pub skipped: Vec<String>,
     /// Every diverging element found.
     pub mismatches: Vec<Mismatch>,
 }
@@ -220,13 +217,11 @@ pub fn diff_against_oracle(
 ) -> Result<DiffReport, DiffError> {
     let oracle = run_oracle(net, inputs)?;
     let mut report = DiffReport::default();
-    let mut skipped = BTreeSet::new();
     for (label, opt) in configs {
         let compiled = compile(net, opt)?;
         let threads = if opt.parallel { 4 } else { 1 };
-        compare_subject(&oracle, label, compiled, threads, inputs, tol, &mut report, &mut skipped)?;
+        compare_subject(&oracle, label, compiled, threads, inputs, tol, &mut report)?;
     }
-    report.skipped = skipped.into_iter().collect();
     Ok(report)
 }
 
@@ -247,9 +242,7 @@ pub fn diff_compiled(
 ) -> Result<DiffReport, DiffError> {
     let oracle = run_oracle(net, inputs)?;
     let mut report = DiffReport::default();
-    let mut skipped = BTreeSet::new();
-    compare_subject(&oracle, label, subject, 1, inputs, tol, &mut report, &mut skipped)?;
-    report.skipped = skipped.into_iter().collect();
+    compare_subject(&oracle, label, subject, 1, inputs, tol, &mut report)?;
     Ok(report)
 }
 
@@ -291,7 +284,6 @@ fn alias_classes(net: &CompiledNet) -> BTreeMap<String, Vec<String>> {
     by_name
 }
 
-#[allow(clippy::too_many_arguments)]
 fn compare_subject(
     oracle: &Interpreter,
     label: &str,
@@ -300,7 +292,6 @@ fn compare_subject(
     inputs: &[(String, Vec<f32>)],
     tol: &Tolerance,
     report: &mut DiffReport,
-    skipped: &mut BTreeSet<String>,
 ) -> Result<(), DiffError> {
     let subject_classes = alias_classes(&subject);
     let oracle_classes = alias_classes(oracle.compiled());
@@ -330,14 +321,11 @@ fn compare_subject(
 
     report.configs.push(label.to_string());
     for name in compared {
-        let (Some(oc), Some(sc)) = (oracle_classes.get(&name), subject_classes.get(&name))
-        else {
-            skipped.insert(name);
-            continue;
-        };
-        if oc != sc {
-            skipped.insert(name);
-            continue;
+        // A buffer whose storage-sharing class differs between oracle and
+        // subject holds different values by design: it is not compared.
+        match (oracle_classes.get(&name), subject_classes.get(&name)) {
+            (Some(oc), Some(sc)) if oc == sc => {}
+            _ => continue,
         }
         let a = oracle.read_buffer(&name)?;
         let b = exec.read_buffer(&name)?;
@@ -396,7 +384,7 @@ mod tests {
     fn standard_matrix_has_at_least_six_configs() {
         let configs = standard_configs();
         assert!(configs.len() >= 6, "matrix shrank to {}", configs.len());
-        let labels: BTreeSet<_> = configs.iter().map(|(l, _)| l.clone()).collect();
+        let labels: std::collections::BTreeSet<_> = configs.iter().map(|(l, _)| l.clone()).collect();
         assert_eq!(labels.len(), configs.len(), "duplicate config labels");
     }
 }

@@ -367,7 +367,6 @@ impl Interpreter {
             Stmt::Copy(c) => self.exec_copy(c, env, item),
             Stmt::Gather(g) => self.exec_gather(g, item),
             Stmt::Extern(e) => self.run_extern(e, Some(item)),
-            Stmt::Barrier => Ok(()),
         }
     }
 

@@ -576,20 +576,13 @@ impl Executor {
 
     /// The single plan-execution path behind every public entry point:
     /// runs one phase's groups in order, with optional per-group timing
-    /// and optional per-group sentinel scanning layered on as
-    /// instrumentation.
-    ///
-    /// # Errors
-    ///
-    /// Only with `sentinel`: the first [`BufferAnomaly`] found after a
-    /// group; remaining groups are skipped.
+    /// and an optional per-group hook layered on as instrumentation.
     fn run_phase(
         &mut self,
         backward: bool,
         mut timing: Option<&mut Vec<(String, f64)>>,
-        sentinel: Option<usize>,
         mut after_group: Option<GroupHook<'_>>,
-    ) -> Result<(), BufferAnomaly> {
+    ) {
         // The program is behind an `Arc` (shared with sibling executors),
         // so cloning the handle detaches the group iteration from
         // `&mut self`.
@@ -604,8 +597,7 @@ impl Executor {
         } else {
             &plan.forward
         };
-        let mut trip = None;
-        'groups: for (gi, g) in groups.iter().enumerate() {
+        for (gi, g) in groups.iter().enumerate() {
             let t0 = timing.is_some().then(std::time::Instant::now);
             self.run_group(g, batch, plan.n_slots);
             if let (Some(out), Some(t0)) = (timing.as_deref_mut(), t0) {
@@ -617,38 +609,18 @@ impl Executor {
                 // final here even while later groups are still pending.
                 hook(gi, self);
             }
-            if let Some(stride) = sentinel {
-                let mut seen = std::collections::HashSet::new();
-                for (bi, b) in g.bufs.iter().enumerate() {
-                    if !seen.insert(b.storage) {
-                        continue;
-                    }
-                    if let Some((index, class)) = scan_slice(&self.store.storages[b.storage], stride) {
-                        trip = Some(BufferAnomaly {
-                            buffer: format!("{}#{bi}", g.name),
-                            index,
-                            class,
-                        });
-                        break 'groups;
-                    }
-                }
-            }
-        }
-        match trip {
-            Some(a) => Err(a),
-            None => Ok(()),
         }
     }
 
     /// Runs forward propagation for the current batch.
     pub fn forward(&mut self) {
-        let _ = self.run_phase(false, None, None, None);
+        self.run_phase(false, None, None);
     }
 
     /// Runs backward propagation (zeroing activation and parameter
     /// gradients first).
     pub fn backward(&mut self) {
-        let _ = self.run_phase(true, None, None, None);
+        self.run_phase(true, None, None);
     }
 
     /// Runs backward propagation like [`Executor::backward`], invoking
@@ -659,7 +631,7 @@ impl Executor {
     /// is the seam that lets a communicator overlap ring all-reduce with
     /// the remaining backward passes.
     pub fn backward_hooked(&mut self, hook: GroupHook<'_>) {
-        let _ = self.run_phase(true, None, None, Some(hook));
+        self.run_phase(true, None, Some(hook));
     }
 
     /// Runs forward propagation, returning per-group wall-clock
@@ -667,7 +639,7 @@ impl Executor {
     /// breakdown and the Figure 18–19 cluster model.
     pub fn forward_timed(&mut self) -> Vec<(String, f64)> {
         let mut out = Vec::new();
-        let _ = self.run_phase(false, Some(&mut out), None, None);
+        self.run_phase(false, Some(&mut out), None);
         out
     }
 
@@ -675,7 +647,7 @@ impl Executor {
     /// milliseconds.
     pub fn backward_timed(&mut self) -> Vec<(String, f64)> {
         let mut out = Vec::new();
-        let _ = self.run_phase(true, Some(&mut out), None, None);
+        self.run_phase(true, Some(&mut out), None);
         out
     }
 
@@ -733,10 +705,11 @@ impl Executor {
     }
 
     /// Scans the buffers selected by `kinds` for non-finite values and
-    /// returns the first hit per buffer. Buffer names and kinds come
-    /// from the compiled net's sentinel hook
+    /// returns the first hit per buffer, named as declared. Buffer names
+    /// and kinds come from the compiled net's sentinel hook
     /// (`CompiledNet::sentinel_buffers`); aliased storages are scanned
-    /// once. `SentinelMode::Off` scans nothing.
+    /// once. `SentinelMode::Off` scans nothing; `Exhaustive` reads every
+    /// element.
     pub fn scan_numerics(
         &self,
         mode: SentinelMode,
@@ -762,21 +735,6 @@ impl Executor {
             }
         }
         out
-    }
-
-    /// Runs forward propagation with a sentinel scan after every group,
-    /// stopping at the first group that produces a non-finite value —
-    /// the layer-boundary debug mode, pinning a trip to the layer that
-    /// caused it. Lowered groups bind storages, not names, so the
-    /// anomaly is reported as `<group>#<binding>`.
-    ///
-    /// # Errors
-    ///
-    /// [`BufferAnomaly`] naming the tripping group; downstream groups
-    /// have not run, so buffer contents are mixed-iteration and the
-    /// caller should treat the pass (and its loss) as poisoned.
-    pub fn forward_guarded(&mut self, mode: SentinelMode) -> Result<(), BufferAnomaly> {
-        self.run_phase(false, None, mode.stride(), None)
     }
 
     fn run_group(&mut self, g: &CGroup, batch: usize, n_slots: usize) {

@@ -250,11 +250,13 @@ impl FaultPlan {
     /// `iter` is not killed again.
     pub fn take_process_death(&mut self, iter: u64) -> bool {
         self.take_once(|f| matches!(f, Fault::ProcessDeath { iter: i } if *i as u64 == iter))
+            .is_some()
     }
 
     /// Consumes a pending [`Fault::IoError`] for `iter` (one-shot).
     pub fn take_io_error(&mut self, iter: u64) -> bool {
         self.take_once(|f| matches!(f, Fault::IoError { iter: i } if *i as u64 == iter))
+            .is_some()
     }
 
     /// Whether the batch read at global iteration `iter` is scheduled to
@@ -270,35 +272,24 @@ impl FaultPlan {
     /// a rolled-back replay of the iteration computes clean gradients).
     pub fn take_grad_corrupt(&mut self, iter: u64) -> bool {
         self.take_once(|f| matches!(f, Fault::GradCorrupt { iter: i } if *i as u64 == iter))
+            .is_some()
     }
 
     /// Consumes a pending [`Fault::LrSpike`] for `iter` and returns its
     /// factor (one-shot — the spiked schedule itself persists in the
     /// solver until something corrects it).
     pub fn take_lr_spike(&mut self, iter: u64) -> Option<f32> {
-        for (i, f) in self.faults.iter().enumerate() {
-            if self.fired[i] {
-                continue;
-            }
-            if let Fault::LrSpike { iter: fi, factor } = f {
-                if *fi as u64 == iter {
-                    let factor = *factor;
-                    self.fired[i] = true;
-                    return Some(factor);
-                }
-            }
+        match self.take_once(|f| matches!(f, Fault::LrSpike { iter: i, .. } if *i as u64 == iter)) {
+            Some(&Fault::LrSpike { factor, .. }) => Some(factor),
+            _ => None,
         }
-        None
     }
 
-    fn take_once(&mut self, matches: impl Fn(&Fault) -> bool) -> bool {
-        for (i, f) in self.faults.iter().enumerate() {
-            if !self.fired[i] && matches(f) {
-                self.fired[i] = true;
-                return true;
-            }
-        }
-        false
+    /// Fires the first pending fault `matches` accepts and returns it.
+    fn take_once(&mut self, matches: impl Fn(&Fault) -> bool) -> Option<&Fault> {
+        let i = (0..self.faults.len()).find(|&i| !self.fired[i] && matches(&self.faults[i]))?;
+        self.fired[i] = true;
+        Some(&self.faults[i])
     }
 }
 

@@ -9,40 +9,57 @@
 //! one iteration. This module provides the detection half of the
 //! defense:
 //!
-//! * [`SentinelMode`] / [`SentinelConfig`] — how aggressively to scan
-//!   tensor buffers for non-finite values (see
-//!   `Executor::scan_numerics` / `Executor::forward_guarded`);
+//! * [`SentinelMode`] — how thoroughly the value buffers are scanned
+//!   for non-finite values after every forward pass (see
+//!   `Executor::scan_numerics`);
 //! * [`HealthMonitor`] — a loss EWMA that classifies each iteration's
-//!   loss as healthy, non-finite, a divergence spike, or a plateau, and
-//!   remembers which batch positions have been quarantined;
+//!   loss as healthy, non-finite, or a divergence spike, and remembers
+//!   which batch positions have been quarantined;
 //! * [`HealthConfig`] / [`AnomalyReaction`] — what the supervisor does
 //!   about each anomaly class: quarantine the batch, reduce the
 //!   learning rate, and/or roll back to the last good checkpoint
 //!   (bounded by a rollback budget).
 //!
-//! The reaction machinery lives in [`crate::supervisor`]; gradient
-//! clipping and the pre-`step` finite check live in [`crate::solver`].
+//! The EWMA's smoothing factor and floor are constants, not policy: no
+//! run has needed other values (DESIGN.md §9.3). The reaction machinery
+//! lives in [`crate::supervisor`]; gradient clipping and the pre-`step`
+//! finite check live in [`crate::solver`].
 
 use std::collections::HashSet;
 use std::fmt;
 
 use crate::error::RuntimeError;
-use crate::solver::GradHygiene;
 
-/// How thoroughly tensor buffers are scanned for NaN/Inf.
+/// Smoothing factor of the loss EWMA (higher = faster baseline).
+const EWMA_ALPHA: f32 = 0.25;
+
+/// Baseline floor: near-zero converged losses would otherwise flag any
+/// tiny wobble as a spike.
+const SPIKE_FLOOR: f32 = 1e-3;
+
+/// How thoroughly the value buffers are scanned for NaN/Inf after every
+/// forward pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SentinelMode {
     /// No scanning (non-finite losses are still caught by the monitor).
     Off,
     /// Check every `stride`-th element — cheap enough for production.
     /// NaNs spread fast through reductions and GEMMs, so a sparse probe
-    /// catches a poisoned buffer within an iteration or two.
+    /// catches a poisoned buffer within an iteration or two. The default
+    /// is stride 61: a prime does not resonate with power-of-two shapes.
     Sampled {
         /// Element step between probes (≥ 1).
         stride: usize,
     },
-    /// Check every element — the debug mode; finds the first bad index.
+    /// Check every element — the debug mode; finds the first bad index
+    /// of every poisoned buffer, named as declared.
     Exhaustive,
+}
+
+impl Default for SentinelMode {
+    fn default() -> Self {
+        SentinelMode::Sampled { stride: 61 }
+    }
 }
 
 impl SentinelMode {
@@ -55,64 +72,20 @@ impl SentinelMode {
         }
     }
 
-    /// Reads an override from the `LATTE_SENTINEL_MODE` environment
-    /// variable: `off`, `sampled`, `sampled:<stride>`, or `exhaustive`.
-    /// Returns `None` when unset or unparseable (CI sets `exhaustive`
+    /// The mode named by the `LATTE_SENTINEL_MODE` environment variable
+    /// — `off`, `sampled`, `sampled:<stride>` or `exhaustive` — or the
+    /// default when it is unset or unparseable (CI sets `exhaustive`
     /// nightly to run every test under the most paranoid scanning).
-    pub fn from_env() -> Option<Self> {
-        let raw = std::env::var("LATTE_SENTINEL_MODE").ok()?;
+    pub fn from_env() -> Self {
+        let raw = std::env::var("LATTE_SENTINEL_MODE").unwrap_or_default();
         match raw.trim().to_ascii_lowercase().as_str() {
-            "off" => Some(SentinelMode::Off),
-            "exhaustive" => Some(SentinelMode::Exhaustive),
-            "sampled" => Some(SentinelMode::Sampled { stride: 61 }),
-            s => {
-                let stride = s.strip_prefix("sampled:")?.parse().ok()?;
-                Some(SentinelMode::Sampled { stride })
-            }
+            "off" => SentinelMode::Off,
+            "exhaustive" => SentinelMode::Exhaustive,
+            s => s
+                .strip_prefix("sampled:")
+                .and_then(|stride| stride.parse().ok())
+                .map_or_else(SentinelMode::default, |stride| SentinelMode::Sampled { stride }),
         }
-    }
-}
-
-/// When and how the supervisor scans buffers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SentinelConfig {
-    /// Scan thoroughness.
-    pub mode: SentinelMode,
-    /// Scan value buffers every `every` iterations (0 = never; the loss
-    /// check still runs every iteration).
-    pub every: u64,
-    /// Also scan after every forward group (`Executor::forward_guarded`),
-    /// pinning a trip to the layer that produced it.
-    pub layer_boundary: bool,
-}
-
-impl SentinelConfig {
-    /// Cheap production default: sparse sampling at every iteration
-    /// boundary, no per-layer scans. The prime stride avoids resonating
-    /// with power-of-two tensor shapes.
-    pub fn cheap() -> Self {
-        SentinelConfig {
-            mode: SentinelMode::Sampled { stride: 61 },
-            every: 1,
-            layer_boundary: false,
-        }
-    }
-
-    /// `self`, with the mode overridden by `LATTE_SENTINEL_MODE` when
-    /// that variable is set (see [`SentinelMode::from_env`]).
-    pub fn env_override(mut self) -> Self {
-        if let Some(mode) = SentinelMode::from_env() {
-            self.mode = mode;
-            if mode == SentinelMode::Exhaustive {
-                self.layer_boundary = true;
-            }
-        }
-        self
-    }
-
-    /// Whether the iteration-boundary scan runs at `iter`.
-    pub fn should_scan(&self, iter: u64) -> bool {
-        self.mode != SentinelMode::Off && self.every > 0 && iter.is_multiple_of(self.every)
     }
 }
 
@@ -140,9 +113,7 @@ impl fmt::Display for ValueClass {
 /// A sentinel trip: the first non-finite element found in one buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BufferAnomaly {
-    /// The buffer's declared name, or `<group>#<binding>` when the trip
-    /// was found at a layer boundary (lowered groups carry storage
-    /// bindings, not names).
+    /// The buffer's declared name.
     pub buffer: String,
     /// Flat index of the offending element within the buffer.
     pub index: usize,
@@ -186,31 +157,24 @@ pub enum LossAnomaly {
         /// Loss over baseline.
         ratio: f32,
     },
-    /// The EWMA has not improved for the configured window.
-    Plateau,
 }
 
 /// What the supervisor does when an anomaly class fires. Fields
 /// compose: quarantine marks the batch so replays skip it, a
-/// learning-rate cut multiplies the schedule by `HealthConfig::lr_cut`,
-/// and a rollback restores the last good checkpoint (spending one unit
-/// of the rollback budget).
+/// learning-rate cut multiplies the schedule by 0.1 (re-seeding the loss
+/// baseline), and a rollback restores the last good checkpoint (spending
+/// one unit of the rollback budget).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AnomalyReaction {
     /// Permanently skip this batch position (this run).
     pub quarantine: bool,
-    /// Multiply the learning-rate schedule by `lr_cut`.
+    /// Multiply the learning-rate schedule by 0.1.
     pub reduce_lr: bool,
     /// Restore the last good checkpoint and replay.
     pub rollback: bool,
 }
 
 impl AnomalyReaction {
-    /// Do nothing (count the anomaly and keep going).
-    pub fn report_only() -> Self {
-        AnomalyReaction::default()
-    }
-
     /// Skip and quarantine the offending batch — the right answer for
     /// corrupt data, which reproduces on every replay.
     pub fn quarantine() -> Self {
@@ -235,57 +199,35 @@ impl AnomalyReaction {
     }
 }
 
-/// Numerical-health policy for a supervised training run.
+/// Numerical-health policy for a supervised training run. Gradient
+/// hygiene ([`crate::solver::apply_grad_hygiene`]) is part of every
+/// guarded run and has no knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthConfig {
-    /// Buffer-scan configuration.
-    pub sentinel: SentinelConfig,
-    /// Gradient clipping and the pre-step finite check.
-    pub hygiene: GradHygiene,
-    /// EWMA smoothing factor in `(0, 1]` (higher = faster baseline).
-    pub ewma_alpha: f32,
+    /// How the value buffers are scanned after every forward pass.
+    pub sentinel: SentinelMode,
     /// A loss above `spike_threshold ×` baseline is a divergence spike.
     pub spike_threshold: f32,
-    /// Baseline floor: near-zero converged losses would otherwise flag
-    /// any tiny wobble as a spike.
-    pub spike_floor: f32,
     /// Finite losses folded into the EWMA before spike detection arms.
     pub warmup: u64,
-    /// Iterations without EWMA improvement before a plateau fires
-    /// (0 disables plateau detection).
-    pub plateau_window: u64,
-    /// Minimum relative EWMA improvement that resets the plateau clock.
-    pub plateau_rel: f32,
     /// Reaction to a non-finite loss or sentinel trip.
     pub on_bad_batch: AnomalyReaction,
     /// Reaction to a divergence spike.
     pub on_spike: AnomalyReaction,
-    /// Reaction to a plateau (quarantine/rollback make no sense here;
-    /// only `reduce_lr` is honored — classic LR-on-plateau decay).
-    pub on_plateau: AnomalyReaction,
     /// Maximum checkpoint rollbacks a run may spend on numerical
     /// anomalies before the fault propagates to the caller.
     pub rollback_budget: u32,
-    /// Learning-rate multiplier applied by `reduce_lr` reactions.
-    pub lr_cut: f32,
 }
 
 impl Default for HealthConfig {
     fn default() -> Self {
         HealthConfig {
-            sentinel: SentinelConfig::cheap(),
-            hygiene: GradHygiene::default(),
-            ewma_alpha: 0.25,
+            sentinel: SentinelMode::default(),
             spike_threshold: 10.0,
-            spike_floor: 1e-3,
             warmup: 3,
-            plateau_window: 0,
-            plateau_rel: 0.01,
             on_bad_batch: AnomalyReaction::quarantine(),
             on_spike: AnomalyReaction::reduce_lr(),
-            on_plateau: AnomalyReaction::report_only(),
             rollback_budget: 2,
-            lr_cut: 0.1,
         }
     }
 }
@@ -298,22 +240,13 @@ impl HealthConfig {
     /// [`RuntimeError::InvalidConfig`] when a field is out of range.
     pub fn validate(&self) -> Result<(), RuntimeError> {
         let bad = |detail: String| Err(RuntimeError::InvalidConfig { detail });
-        if !(self.ewma_alpha > 0.0 && self.ewma_alpha <= 1.0) {
-            return bad(format!("ewma_alpha must be in (0, 1], got {}", self.ewma_alpha));
-        }
         if self.spike_threshold.is_nan() || self.spike_threshold <= 1.0 {
             return bad(format!(
                 "spike_threshold must exceed 1, got {}",
                 self.spike_threshold
             ));
         }
-        if self.spike_floor.is_nan() || self.spike_floor <= 0.0 {
-            return bad(format!("spike_floor must be positive, got {}", self.spike_floor));
-        }
-        if !(self.lr_cut > 0.0 && self.lr_cut < 1.0) {
-            return bad(format!("lr_cut must be in (0, 1), got {}", self.lr_cut));
-        }
-        if let SentinelMode::Sampled { stride } = self.sentinel.mode {
+        if let SentinelMode::Sampled { stride } = self.sentinel {
             if stride == 0 {
                 return bad("sentinel stride must be at least 1".into());
             }
@@ -326,13 +259,6 @@ impl HealthConfig {
         match anomaly {
             LossAnomaly::NonFinite => self.on_bad_batch,
             LossAnomaly::Spike { .. } => self.on_spike,
-            // Plateaus are a tuning signal, not damage; never skip data
-            // or rewind weights for one.
-            LossAnomaly::Plateau => AnomalyReaction {
-                quarantine: false,
-                rollback: false,
-                ..self.on_plateau
-            },
         }
     }
 }
@@ -343,16 +269,10 @@ impl HealthConfig {
 /// survive rollbacks.
 #[derive(Debug, Clone)]
 pub struct HealthMonitor {
-    alpha: f32,
     spike_threshold: f32,
-    spike_floor: f32,
     warmup: u64,
-    plateau_window: u64,
-    plateau_rel: f32,
     ewma: Option<f32>,
     observed: u64,
-    best_ewma: f32,
-    since_improve: u64,
     quarantined: HashSet<u64>,
 }
 
@@ -361,51 +281,31 @@ impl HealthMonitor {
     /// baseline and no quarantined batches.
     pub fn new(cfg: &HealthConfig) -> Self {
         HealthMonitor {
-            alpha: cfg.ewma_alpha,
             spike_threshold: cfg.spike_threshold,
-            spike_floor: cfg.spike_floor,
             warmup: cfg.warmup,
-            plateau_window: cfg.plateau_window,
-            plateau_rel: cfg.plateau_rel,
             ewma: None,
             observed: 0,
-            best_ewma: f32::INFINITY,
-            since_improve: 0,
             quarantined: HashSet::new(),
         }
     }
 
-    /// Classifies one iteration's loss. Healthy (and plateaued) losses
-    /// fold into the EWMA baseline; non-finite losses and spikes do
+    /// Classifies one iteration's loss. Healthy losses fold into the EWMA baseline; non-finite losses and spikes do
     /// not — an outlier must never drag the baseline toward itself.
     pub fn observe(&mut self, loss: f32) -> Option<LossAnomaly> {
         if !loss.is_finite() {
             return Some(LossAnomaly::NonFinite);
         }
         if let Some(e) = self.ewma {
-            let baseline = e.max(self.spike_floor);
+            let baseline = e.max(SPIKE_FLOOR);
             if self.observed >= self.warmup && loss > self.spike_threshold * baseline {
                 return Some(LossAnomaly::Spike { ratio: loss / baseline });
             }
         }
-        let e = match self.ewma {
-            Some(e) => self.alpha * loss + (1.0 - self.alpha) * e,
+        self.ewma = Some(match self.ewma {
+            Some(e) => EWMA_ALPHA * loss + (1.0 - EWMA_ALPHA) * e,
             None => loss,
-        };
-        self.ewma = Some(e);
+        });
         self.observed += 1;
-        if self.plateau_window > 0 {
-            if e < self.best_ewma * (1.0 - self.plateau_rel) {
-                self.best_ewma = e;
-                self.since_improve = 0;
-            } else {
-                self.since_improve += 1;
-                if self.since_improve >= self.plateau_window {
-                    self.since_improve = 0;
-                    return Some(LossAnomaly::Plateau);
-                }
-            }
-        }
         None
     }
 
@@ -422,8 +322,6 @@ impl HealthMonitor {
     pub fn rebaseline(&mut self) {
         self.ewma = None;
         self.observed = 0;
-        self.best_ewma = f32::INFINITY;
-        self.since_improve = 0;
     }
 
     /// Quarantines the batch position `iter`; returns `true` when newly
@@ -511,11 +409,10 @@ mod tests {
     }
 
     #[test]
-    fn spike_floor_protects_converged_runs() {
+    fn a_floor_under_the_baseline_protects_converged_runs() {
         let cfg = HealthConfig {
             warmup: 1,
             spike_threshold: 10.0,
-            spike_floor: 1e-3,
             ..Default::default()
         };
         let mut m = HealthMonitor::new(&cfg);
@@ -525,23 +422,6 @@ mod tests {
         assert_eq!(m.observe(5e-3), None);
         // 2e-2 is 20× the floor: spike.
         assert!(matches!(m.observe(2e-2), Some(LossAnomaly::Spike { .. })));
-    }
-
-    #[test]
-    fn plateau_fires_after_window_without_improvement() {
-        let cfg = HealthConfig {
-            plateau_window: 3,
-            plateau_rel: 0.05,
-            warmup: 0,
-            ..Default::default()
-        };
-        let mut m = HealthMonitor::new(&cfg);
-        assert_eq!(m.observe(1.0), None);
-        assert_eq!(m.observe(1.0), None);
-        assert_eq!(m.observe(1.0), None);
-        assert_eq!(m.observe(1.0), Some(LossAnomaly::Plateau));
-        // The window restarts after firing.
-        assert_eq!(m.observe(1.0), None);
     }
 
     #[test]
@@ -560,34 +440,12 @@ mod tests {
     fn config_validation_rejects_nonsense() {
         let ok = HealthConfig::default();
         assert!(ok.validate().is_ok());
-        let bad_alpha = HealthConfig { ewma_alpha: 0.0, ..Default::default() };
-        assert!(bad_alpha.validate().is_err());
         let bad_threshold = HealthConfig { spike_threshold: 1.0, ..Default::default() };
         assert!(bad_threshold.validate().is_err());
-        let bad_cut = HealthConfig { lr_cut: 1.0, ..Default::default() };
-        assert!(bad_cut.validate().is_err());
         let bad_stride = HealthConfig {
-            sentinel: SentinelConfig {
-                mode: SentinelMode::Sampled { stride: 0 },
-                ..SentinelConfig::cheap()
-            },
+            sentinel: SentinelMode::Sampled { stride: 0 },
             ..Default::default()
         };
         assert!(bad_stride.validate().is_err());
-    }
-
-    #[test]
-    fn plateau_reaction_never_quarantines_or_rolls_back() {
-        let cfg = HealthConfig {
-            on_plateau: AnomalyReaction {
-                quarantine: true,
-                reduce_lr: true,
-                rollback: true,
-            },
-            ..Default::default()
-        };
-        let r = cfg.reaction_for(LossAnomaly::Plateau);
-        assert!(r.reduce_lr);
-        assert!(!r.quarantine && !r.rollback);
     }
 }

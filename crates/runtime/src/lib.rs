@@ -11,8 +11,8 @@
 //!   and runs forward/backward passes over an allocated buffer store.
 //! * [`ExecutionPlan`] — the lowered kernel groups of both phases; every
 //!   alias class of the compiler's buffer plan is one storage.
-//! * [`solver`] — SGD (+momentum, LR policies), RMSProp, AdaGrad, and the
-//!   `solve` training loop.
+//! * [`solver`] — SGD (+momentum, LR policies), RMSProp, AdaGrad,
+//!   AdaDelta, the `solve` training loop, and gradient hygiene.
 //! * [`data`] — synthetic datasets and the double-buffered input loader.
 //! * [`pool`] — the persistent worker pool (the paper's
 //!   `schedule(static, 1)` OpenMP team): per-worker GEMM engines,
@@ -35,18 +35,20 @@
 //!   serial oracle in synchronized mode; in-process over
 //!   `transport::channel_group`, multi-process over TCP.
 //! * [`fault`] — deterministic, seedable fault injection (crashes,
-//!   stragglers, transfer drops/corruption, I/O errors, process death),
-//!   including `FaultyTransport` to replay fault plans against the real
-//!   transport.
+//!   stragglers, transfer drops/corruption, I/O errors, process death,
+//!   and the numerical NaN batch / gradient glitch / learning-rate
+//!   spike), including `FaultyTransport` to replay fault plans against
+//!   the real transport.
 //! * [`supervisor`] — the fault-tolerant training loop: periodic atomic
 //!   checkpoints, crash detection, and resume-from-checkpoint with a
-//!   loss-continuity check.
-//! * [`health`] — numerical-health guardrails: NaN/Inf tensor
-//!   sentinels, loss-anomaly classification (non-finite / spike /
-//!   plateau), and the quarantine / LR-cut / rollback reaction policies
-//!   the supervisor applies.
-//! * [`checkpoint`] — crash-safe (atomic, CRC-verified) weight
-//!   serialization.
+//!   loss-continuity check; with a `HealthConfig`, also the numerical
+//!   guardrails below.
+//! * [`health`] — numerical-health guardrails: a NaN/Inf sentinel over
+//!   the value buffers after every forward pass, loss-anomaly
+//!   classification (non-finite / spike), and the quarantine / LR-cut /
+//!   rollback reaction policies the supervisor applies.
+//! * [`checkpoint`] — crash-safe (atomic, CRC-verified) checkpoints of
+//!   weights, training position and solver state.
 //! * [`metrics`] — evaluation helpers and the fault-event counters.
 //! * [`registry`] — extern kernels for normalization ensembles.
 

@@ -673,11 +673,6 @@ impl GroupLowerer<'_> {
                 let f = f.clone();
                 Ok(Kernel::Extern(self.lower_extern(e, f)?))
             }
-            Stmt::Barrier => Ok(Kernel::Loop {
-                slot: 0,
-                extent: 0,
-                body: Vec::new(),
-            }),
         }
     }
 

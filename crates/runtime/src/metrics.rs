@@ -102,14 +102,14 @@ counter_registry! {
     io_errors: u64,
     /// Tensor-sentinel trips (a NaN/Inf found in a scanned buffer).
     sentinel_trips: u64,
-    /// Iterations whose gradients were clipped (per-element or
-    /// global-norm).
+    /// Iterations whose gradients were scaled down to the global-norm
+    /// cap.
     grad_clips: u64,
     /// Iterations whose update was skipped because a parameter gradient
     /// was non-finite.
     grad_nonfinite_trips: u64 = "grad_nonfinite",
-    /// Loss anomalies classified by the health monitor (non-finite,
-    /// spike, plateau).
+    /// Loss anomalies classified by the health monitor (non-finite or
+    /// spike).
     loss_anomalies: u64,
     /// Batches quarantined after producing a non-finite loss.
     batches_quarantined: u64 = "quarantined",

@@ -207,9 +207,6 @@ pub struct BucketReport {
     pub elapsed_ms: f64,
     /// Payload bytes folded locally during reduce-scatter.
     pub bytes: u64,
-    /// Smallest contributor count over the bucket's chunks (equals
-    /// `live` in synchronized mode; may be less in lossy mode).
-    pub min_contributors: u32,
     /// Ring-healing restarts the bucket went through.
     pub restarts: u32,
     /// Peers this rank evicted while reducing the bucket.
@@ -364,7 +361,6 @@ impl RingComm {
                     live: 1,
                     elapsed_ms: t0.elapsed().as_secs_f64() * 1e3,
                     bytes: 0,
-                    min_contributors: 1,
                     restarts,
                     evicted,
                 });
@@ -513,10 +509,8 @@ impl RingComm {
 
             // Average: per-chunk divisor from the contributor mask (all
             // k in synchronized mode).
-            let mut min_contrib = u32::MAX;
             for (c, span) in spans.iter().enumerate() {
                 let n = contrib[c].count_ones().max(1);
-                min_contrib = min_contrib.min(n);
                 let scale = 1.0f32 / n as f32;
                 for (g, &v) in grad[span.clone()].iter_mut().zip(&scratch[span.clone()]) {
                     *g = v * scale;
@@ -527,7 +521,6 @@ impl RingComm {
                 live: k,
                 elapsed_ms: t0.elapsed().as_secs_f64() * 1e3,
                 bytes,
-                min_contributors: if min_contrib == u32::MAX { 1 } else { min_contrib },
                 restarts,
                 evicted,
             });

@@ -29,15 +29,6 @@ pub enum LrPolicy {
         /// Decay exponent.
         power: f32,
     },
-    /// `lr = base * gamma^(iter / step)`.
-    Step {
-        /// Base rate.
-        base: f32,
-        /// Multiplier applied every `step` iterations.
-        gamma: f32,
-        /// Iterations per step.
-        step: usize,
-    },
 }
 
 impl LrPolicy {
@@ -48,7 +39,6 @@ impl LrPolicy {
             LrPolicy::Inv { base, gamma, power } => {
                 base * (1.0 + gamma * iter as f32).powf(-power)
             }
-            LrPolicy::Step { base, gamma, step } => base * gamma.powi((iter / step) as i32),
         }
     }
 
@@ -62,11 +52,6 @@ impl LrPolicy {
                 base: base * factor,
                 gamma,
                 power,
-            },
-            LrPolicy::Step { base, gamma, step } => LrPolicy::Step {
-                base: base * factor,
-                gamma,
-                step,
             },
         }
     }
@@ -464,53 +449,17 @@ impl Solver for AdaDelta {
     }
 }
 
-/// Gradient-hygiene policy applied between `backward` and
-/// [`Solver::step`]: per-element clipping, global-norm clipping, and a
-/// finite check that can veto the update entirely.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GradHygiene {
-    /// Scale all gradients down when their global L2 norm exceeds this.
-    pub max_global_norm: Option<f32>,
-    /// Clamp each gradient element to `[-max_abs, max_abs]`.
-    pub max_abs: Option<f32>,
-    /// Veto the update when any gradient element is NaN/Inf (the caller
-    /// skips [`Solver::step`]); clipping cannot repair a NaN.
-    pub skip_nonfinite: bool,
-}
+/// The global L2 norm [`apply_grad_hygiene`] clips parameter gradients
+/// to. No run has needed another cap (DESIGN.md §9.2).
+const MAX_GRAD_NORM: f32 = 100.0;
 
-impl Default for GradHygiene {
-    fn default() -> Self {
-        GradHygiene {
-            max_global_norm: Some(100.0),
-            max_abs: None,
-            skip_nonfinite: true,
-        }
-    }
-}
-
-/// What [`apply_grad_hygiene`] did to the current gradients.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct GradHygieneReport {
-    /// Global L2 norm before clipping.
-    pub global_norm: f32,
-    /// Whether a non-finite element vetoed the update (when set, the
-    /// gradients were left untouched and the step must be skipped).
-    pub nonfinite: bool,
-    /// Elements clamped by `max_abs`.
-    pub clipped_values: u64,
-    /// Whether the global-norm rescale was applied.
-    pub scaled_global: bool,
-}
-
-/// Inspects and conditions the executor's parameter gradients per
-/// `cfg`, bumping `metrics` trip counters when given. Call after
-/// `backward` and before [`Solver::step`]; when the report says
-/// `nonfinite`, skip the step.
-pub fn apply_grad_hygiene(
-    exec: &mut Executor,
-    cfg: &GradHygiene,
-    metrics: Option<&FaultMetrics>,
-) -> GradHygieneReport {
+/// Gradient hygiene, run between `backward` and [`Solver::step`]: when
+/// any parameter-gradient element is NaN/Inf it vetoes the update
+/// (clipping cannot repair a NaN), leaving the gradients untouched and
+/// returning `true` — skip the step; otherwise it scales the gradients
+/// down to a global L2 norm of 100 when they exceed it and returns
+/// `false`. Each veto and each clip bumps its `metrics` counter.
+pub fn apply_grad_hygiene(exec: &mut Executor, metrics: &FaultMetrics) -> bool {
     let mut sumsq = 0.0f64;
     let mut nonfinite = false;
     exec.for_each_param_grad_mut(|_, g| {
@@ -522,53 +471,21 @@ pub fn apply_grad_hygiene(
             }
         }
     });
-    let mut report = GradHygieneReport {
-        global_norm: sumsq.sqrt() as f32,
-        nonfinite,
-        ..Default::default()
-    };
-    if nonfinite && cfg.skip_nonfinite {
-        if let Some(m) = metrics {
-            FaultMetrics::bump(&m.grad_nonfinite_trips);
-        }
-        return report;
+    if nonfinite {
+        FaultMetrics::bump(&metrics.grad_nonfinite_trips);
+        return true;
     }
-    if let Some(cap) = cfg.max_abs {
-        let mut clipped = 0u64;
-        let mut sumsq = 0.0f64;
+    let norm = sumsq.sqrt() as f32;
+    if norm > MAX_GRAD_NORM && norm.is_finite() {
+        let scale = MAX_GRAD_NORM / norm;
         exec.for_each_param_grad_mut(|_, g| {
             for v in g.iter_mut() {
-                if v.abs() > cap {
-                    *v = v.clamp(-cap, cap);
-                    clipped += 1;
-                }
-                sumsq += f64::from(*v) * f64::from(*v);
+                *v *= scale;
             }
         });
-        report.clipped_values = clipped;
-        if clipped > 0 {
-            // The per-element clamp changed the norm the global clip
-            // must judge.
-            report.global_norm = sumsq.sqrt() as f32;
-        }
+        FaultMetrics::bump(&metrics.grad_clips);
     }
-    if let Some(max_norm) = cfg.max_global_norm {
-        if report.global_norm > max_norm && report.global_norm.is_finite() {
-            let scale = max_norm / report.global_norm;
-            exec.for_each_param_grad_mut(|_, g| {
-                for v in g.iter_mut() {
-                    *v *= scale;
-                }
-            });
-            report.scaled_global = true;
-        }
-    }
-    if report.clipped_values > 0 || report.scaled_global {
-        if let Some(m) = metrics {
-            FaultMetrics::bump(&m.grad_clips);
-        }
-    }
-    report
+    false
 }
 
 /// Result of a [`solve`] run.
@@ -658,8 +575,6 @@ mod tests {
         for iter in [0, 100, 10_000] {
             assert!((cut.at(iter) - 0.1 * inv.at(iter)).abs() < 1e-9);
         }
-        let step = LrPolicy::Step { base: 0.1, gamma: 0.5, step: 10 }.scaled(2.0);
-        assert_eq!(step.at(10), 0.1);
     }
 
     #[test]
@@ -675,10 +590,9 @@ mod tests {
         exec.write_buffer(&grad_names[0], &poisoned).unwrap();
 
         let metrics = FaultMetrics::new();
-        let report = apply_grad_hygiene(&mut exec, &GradHygiene::default(), Some(&metrics));
-        assert!(report.nonfinite);
-        assert!(!report.scaled_global && report.clipped_values == 0);
+        assert!(apply_grad_hygiene(&mut exec, &metrics), "a NaN vetoes the step");
         assert_eq!(metrics.snapshot().grad_nonfinite_trips, 1);
+        assert_eq!(metrics.snapshot().grad_clips, 0);
         // The veto leaves the gradients as they were.
         let after = exec.read_buffer(&grad_names[0]).unwrap();
         assert!(after[len / 2].is_nan());
@@ -686,24 +600,17 @@ mod tests {
     }
 
     #[test]
-    fn hygiene_clips_elements_then_global_norm() {
+    fn hygiene_clips_the_global_norm_to_its_cap() {
         let mut exec = build();
         populate_grads(&mut exec);
         let mut grad_names = Vec::new();
         exec.for_each_param_grad_mut(|name, _| grad_names.push(name.to_string()));
         let len = exec.read_buffer(&grad_names[0]).unwrap().len();
         exec.write_buffer(&grad_names[0], &vec![50.0; len]).unwrap();
+        assert!(50.0 * (len as f32).sqrt() > MAX_GRAD_NORM, "the fixture must exceed the cap");
 
         let metrics = FaultMetrics::new();
-        let cfg = GradHygiene {
-            max_abs: Some(10.0),
-            max_global_norm: Some(1.0),
-            skip_nonfinite: true,
-        };
-        let report = apply_grad_hygiene(&mut exec, &cfg, Some(&metrics));
-        assert!(!report.nonfinite);
-        assert_eq!(report.clipped_values, len as u64);
-        assert!(report.scaled_global);
+        assert!(!apply_grad_hygiene(&mut exec, &metrics));
         assert_eq!(metrics.snapshot().grad_clips, 1);
         // After conditioning, the global norm obeys the cap.
         let mut sumsq = 0.0f64;
@@ -712,7 +619,8 @@ mod tests {
                 sumsq += f64::from(v) * f64::from(v);
             }
         });
-        assert!(sumsq.sqrt() <= 1.0 + 1e-4, "norm {} exceeds cap", sumsq.sqrt());
+        let norm = sumsq.sqrt() as f32;
+        assert!(norm <= MAX_GRAD_NORM * (1.0 + 1e-4), "norm {norm} exceeds cap");
     }
 
     #[test]
@@ -725,9 +633,7 @@ mod tests {
             v
         };
         let metrics = FaultMetrics::new();
-        let report = apply_grad_hygiene(&mut exec, &GradHygiene::default(), Some(&metrics));
-        assert!(!report.nonfinite && !report.scaled_global);
-        assert_eq!(report.clipped_values, 0);
+        assert!(!apply_grad_hygiene(&mut exec, &metrics));
         let mut after = Vec::new();
         exec.for_each_param_grad_mut(|_, g| after.push(g.to_vec()));
         assert_eq!(before, after);
@@ -743,14 +649,6 @@ mod tests {
         };
         assert!((inv.at(0) - 0.01).abs() < 1e-9);
         assert!(inv.at(10_000) < 0.01);
-        let step = LrPolicy::Step {
-            base: 0.1,
-            gamma: 0.5,
-            step: 10,
-        };
-        assert_eq!(step.at(9), 0.1);
-        assert_eq!(step.at(10), 0.05);
-        assert_eq!(step.at(25), 0.025);
     }
 
     #[test]

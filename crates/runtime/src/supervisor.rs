@@ -26,14 +26,15 @@
 //! `MomPolicy::Fixed`.
 //!
 //! With [`SupervisorConfig::health`] set, the same loop also defends
-//! against *numerical* faults (DESIGN.md §9): tensor sentinels scan for
-//! NaN/Inf, a [`HealthMonitor`] classifies each iteration's loss, and
-//! the configured [`crate::health::AnomalyReaction`] quarantines the
-//! offending batch, cuts the learning rate, and/or rolls back to the
-//! last good checkpoint — spending the separate
-//! [`HealthConfig::rollback_budget`], not `max_restarts`. Gradient
-//! hygiene ([`crate::solver::apply_grad_hygiene`]) clips gradients and
-//! vetoes the solver step outright when they are non-finite.
+//! against *numerical* faults (DESIGN.md §9): a sentinel scans the value
+//! buffers for NaN/Inf after every forward pass, a [`HealthMonitor`]
+//! classifies each iteration's loss, and the configured
+//! [`crate::health::AnomalyReaction`] quarantines the offending batch,
+//! cuts the learning rate tenfold, and/or rolls back to the last good
+//! checkpoint — spending the separate [`HealthConfig::rollback_budget`],
+//! not `max_restarts`. Gradient hygiene
+//! ([`crate::solver::apply_grad_hygiene`]) clips gradients and vetoes the
+//! solver step outright when they are non-finite.
 
 use std::path::PathBuf;
 
@@ -47,6 +48,15 @@ use crate::metrics::FaultMetrics;
 use crate::solver::{apply_grad_hygiene, Solver};
 use latte_ir::BufferKind;
 
+/// Relative tolerance of the post-restore loss continuity check. The
+/// executor is deterministic, so a faithful restore replays the recorded
+/// loss bit for bit; only dropout's fresh masks would need more slack,
+/// and no supervised run uses dropout.
+const CONTINUITY_REL_TOL: f32 = 1e-5;
+
+/// Learning-rate multiplier of a `reduce_lr` reaction.
+const LR_CUT: f32 = 0.1;
+
 /// Supervisor policy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SupervisorConfig {
@@ -59,11 +69,6 @@ pub struct SupervisorConfig {
     pub checkpoint_every: u64,
     /// Restores attempted before giving up and propagating the error.
     pub max_restarts: u32,
-    /// Relative tolerance for the post-restore loss continuity check.
-    /// With a deterministic executor the replayed loss is bit-identical,
-    /// so the default is tight; models with stochastic layers need a
-    /// looser bound.
-    pub continuity_rel_tol: f32,
     /// Numerical-health policy: tensor sentinels, gradient hygiene, and
     /// loss-anomaly reactions (quarantine / LR cut / rollback). `None`
     /// (the default) trains unguarded, exactly as before this policy
@@ -79,7 +84,6 @@ impl SupervisorConfig {
             checkpoint_path: path.into(),
             checkpoint_every: 10,
             max_restarts: 3,
-            continuity_rel_tol: 1e-5,
             health: None,
         }
     }
@@ -88,11 +92,6 @@ impl SupervisorConfig {
         if self.checkpoint_every == 0 {
             return Err(RuntimeError::InvalidConfig {
                 detail: "supervisor: checkpoint interval must be at least 1 iteration".into(),
-            });
-        }
-        if self.continuity_rel_tol.is_nan() || self.continuity_rel_tol < 0.0 {
-            return Err(RuntimeError::InvalidConfig {
-                detail: "supervisor: continuity tolerance must be non-negative".into(),
             });
         }
         if let Some(health) = &self.health {
@@ -123,11 +122,6 @@ pub struct SupervisorReport {
     pub lr_reductions: u32,
     /// Batch positions quarantined for the remainder of the run.
     pub quarantined: u64,
-    /// End-of-run copy of every fault counter, including the transport
-    /// counters (`send_retries`, `timeouts`, `reconnects`,
-    /// `peers_evicted`, `lossy_steps`, `bytes_reduced`) when the run
-    /// trained over a real [`crate::transport::Transport`].
-    pub metrics: crate::metrics::FaultMetricsSnapshot,
 }
 
 /// Mutable training position threaded through attempts.
@@ -154,7 +148,7 @@ struct HealthState {
 /// atomic checkpoints, crash detection, and resume-from-checkpoint (see
 /// the module docs for the full protocol). Faults are injected from
 /// `plan`; pass `&mut FaultPlan::none()` for a fault-free supervised
-/// run. Event counts land in `metrics`.
+/// run. Event counts land in `metrics`, which the caller reads.
 ///
 /// # Errors
 ///
@@ -194,12 +188,7 @@ pub fn supervise(
         epoch_iter: 0,
         loss: 0.0,
     };
-    save_checkpoint(
-        exec,
-        Some(&initial_meta),
-        Some(&solver.export_state()),
-        &cfg.checkpoint_path,
-    )?;
+    save_checkpoint(exec, &initial_meta, &solver.export_state(), &cfg.checkpoint_path)?;
     FaultMetrics::bump(&metrics.checkpoints_saved);
 
     loop {
@@ -241,7 +230,6 @@ pub fn supervise(
         rollbacks: health.as_ref().map_or(0, |h| h.rollbacks),
         lr_reductions: health.as_ref().map_or(0, |h| h.lr_cuts),
         quarantined: health.as_ref().map_or(0, |h| h.monitor.quarantined_count()),
-        metrics: metrics.snapshot(),
     })
 }
 
@@ -329,35 +317,16 @@ fn run_attempt(
 
             feed(exec, &batch)?;
 
-            // Forward pass, optionally guarded by per-layer sentinels;
-            // then the iteration-boundary scan over value-carrying
+            // Forward pass, then the sentinel scan over value-carrying
             // buffers (gradients are stale before backward, so they are
             // judged by gradient hygiene instead).
-            let mut trip: Option<String> = None;
-            match health.as_deref() {
-                Some(h) if h.cfg.sentinel.layer_boundary => {
-                    if let Err(anomaly) = exec.forward_guarded(h.cfg.sentinel.mode) {
-                        trip = Some(anomaly.to_string());
-                    }
-                }
-                _ => exec.forward(),
-            }
-            if let Some(h) = health.as_deref() {
-                if trip.is_none()
-                    && !h.cfg.sentinel.layer_boundary
-                    && h.cfg.sentinel.should_scan(iter)
-                {
-                    let hits = exec.scan_numerics(h.cfg.sentinel.mode, |k| {
-                        matches!(
-                            k,
-                            BufferKind::Value | BufferKind::InputStage | BufferKind::State
-                        )
-                    });
-                    if let Some(first) = hits.first() {
-                        trip = Some(first.to_string());
-                    }
-                }
-            }
+            exec.forward();
+            let trip = health.as_deref().and_then(|h| {
+                let hits = exec.scan_numerics(h.cfg.sentinel, |k| {
+                    matches!(k, BufferKind::Value | BufferKind::InputStage | BufferKind::State)
+                });
+                hits.first().map(ToString::to_string)
+            });
             if trip.is_some() {
                 FaultMetrics::bump(&metrics.sentinel_trips);
             }
@@ -377,7 +346,7 @@ fn run_attempt(
                 let reaction = h.cfg.reaction_for(kind);
                 if reaction.reduce_lr {
                     let p = solver.params_mut();
-                    p.lr_policy = p.lr_policy.scaled(h.cfg.lr_cut);
+                    p.lr_policy = p.lr_policy.scaled(LR_CUT);
                     h.lr_cuts += 1;
                     FaultMetrics::bump(&metrics.lr_reductions);
                     // The old loss baseline is meaningless at the new
@@ -414,9 +383,6 @@ fn run_attempt(
                         // Otherwise the batch is finite — train on it
                         // (under the freshly cut rate, if any).
                     }
-                    // Plateaus are a trend, not a bad batch: count them,
-                    // apply any LR cut, and keep training.
-                    LossAnomaly::Plateau => {}
                 }
             }
 
@@ -428,12 +394,8 @@ fn run_attempt(
             if plan.take_grad_corrupt(iter) {
                 corrupt_param_grads(exec);
             }
-            let mut skip_step = false;
-            if let Some(h) = health.as_deref_mut() {
-                let report = apply_grad_hygiene(exec, &h.cfg.hygiene, Some(metrics));
-                skip_step = report.nonfinite && h.cfg.hygiene.skip_nonfinite;
-            }
-            if !skip_step {
+            let vetoed = health.is_some() && apply_grad_hygiene(exec, metrics);
+            if !vetoed {
                 solver.step(exec);
             }
             st.global_iter += 1;
@@ -458,12 +420,7 @@ fn run_attempt(
                         epoch_iter: st.epoch_iter,
                         loss: reference,
                     };
-                    match save_checkpoint(
-                        exec,
-                        Some(&meta),
-                        Some(&solver.export_state()),
-                        &cfg.checkpoint_path,
-                    ) {
+                    match save_checkpoint(exec, &meta, &solver.export_state(), &cfg.checkpoint_path) {
                         Ok(()) => FaultMetrics::bump(&metrics.checkpoints_saved),
                         Err(RuntimeError::Io { .. }) => {
                             FaultMetrics::bump(&metrics.io_errors);
@@ -496,17 +453,7 @@ fn restore(
     st: &mut TrainState,
 ) -> Result<(), RuntimeError> {
     let (meta, solver_state) = load_checkpoint(exec, &cfg.checkpoint_path)?;
-    let meta = meta.ok_or_else(|| {
-        RuntimeError::Malformed {
-            detail: format!(
-                "checkpoint `{}` has no training metadata; cannot resume from it",
-                cfg.checkpoint_path.display()
-            ),
-        }
-    })?;
-    if let Some(state) = &solver_state {
-        solver.import_state(state)?;
-    }
+    solver.import_state(&solver_state)?;
 
     if meta.epoch_iter > 0 {
         // Replay forward on the exact batch the checkpoint was taken on;
@@ -526,7 +473,7 @@ fn restore(
         feed(exec, &batch)?;
         exec.forward();
         let replayed = exec.loss();
-        let tolerance = cfg.continuity_rel_tol * meta.loss.abs().max(1e-6);
+        let tolerance = CONTINUITY_REL_TOL * meta.loss.abs().max(1e-6);
         let divergence = (replayed - meta.loss).abs();
         if divergence.is_nan() || divergence > tolerance {
             return Err(RuntimeError::Malformed {
@@ -805,7 +752,7 @@ mod tests {
             epoch_iter: 4,
             loss: 1e6,
         };
-        save_checkpoint(&exec, Some(&meta), None, &cfg.checkpoint_path).unwrap();
+        save_checkpoint(&exec, &meta, &solver.export_state(), &cfg.checkpoint_path).unwrap();
         let mut st = TrainState {
             epoch: 0,
             epoch_iter: 0,
@@ -824,7 +771,7 @@ mod tests {
 
     fn health() -> crate::health::HealthConfig {
         crate::health::HealthConfig {
-            sentinel: crate::health::SentinelConfig::cheap().env_override(),
+            sentinel: crate::health::SentinelMode::from_env(),
             ..Default::default()
         }
     }

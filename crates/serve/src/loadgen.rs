@@ -1,11 +1,8 @@
 //! The adversarial-client vocabulary for reproducible chaos runs.
 //!
 //! Which clients misbehave, and how, is decided *before* observing any
-//! response — a pure function of a seed or of a training-side fault
-//! plan — so an adversarial run against the network front-end is exactly
-//! reproducible.
-
-use latte_runtime::fault::{FaultPlan, TransferFault};
+//! response — a pure function of a seed — so an adversarial run against
+//! the network front-end is exactly reproducible.
 
 /// splitmix64: tiny, seedable, and good enough for picking misbehaviors
 /// and demo inputs.
@@ -59,42 +56,9 @@ pub fn misbehaviors(n: usize, seed: u64, flood: usize) -> Vec<Misbehavior> {
         .collect()
 }
 
-/// Derives an adversarial client schedule from a training-side
-/// [`FaultPlan`], reusing the repo's one seeded fault vocabulary for
-/// the serving chaos mode: a dropped transfer becomes a mid-frame
-/// disconnect, a corrupted transfer a bad-CRC frame, a straggler phase
-/// a hold-open slow-loris, and a node crash a past-deadline flood of
-/// `flood` requests (the client that died holding a full send queue).
-/// Iterations where the plan schedules nothing contribute nothing.
-pub fn misbehaviors_from_plan(
-    plan: &FaultPlan,
-    node: usize,
-    iters: usize,
-    flood: usize,
-) -> Vec<Misbehavior> {
-    let mut out = Vec::new();
-    for iter in 0..iters {
-        for fault in plan.transfer_faults(node, iter, 0) {
-            out.push(match fault {
-                TransferFault::Dropped => Misbehavior::MidFrameDisconnect,
-                TransferFault::Corrupted => Misbehavior::CorruptCrc,
-            });
-        }
-        if plan.straggle_factor(node, iter) > 1.0 {
-            out.push(Misbehavior::HoldOpen);
-        }
-        if plan.crashed_by(node, iter) {
-            out.push(Misbehavior::PastDeadlineFlood { requests: flood });
-            break; // a crashed node sends nothing further
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use latte_runtime::fault::FaultRates;
 
     #[test]
     fn misbehavior_mixes_are_seeded_and_cover_every_variant() {
@@ -108,28 +72,6 @@ mod tests {
             Misbehavior::PastDeadlineFlood { requests: 5 },
         ] {
             assert!(a.contains(&want), "64 draws never produced {want:?}");
-        }
-    }
-
-    #[test]
-    fn plan_derived_misbehaviors_are_deterministic_and_stop_at_the_crash() {
-        let rates = FaultRates {
-            crash: 0.2,
-            straggle: 0.3,
-            transfer_drop: 0.3,
-            transfer_corrupt: 0.3,
-            ..FaultRates::default()
-        };
-        let plan = FaultPlan::random(11, 2, 40, 1, &rates);
-        let a = misbehaviors_from_plan(&plan, 0, 40, 8);
-        assert_eq!(a, misbehaviors_from_plan(&plan, 0, 40, 8));
-        assert!(!a.is_empty(), "a 40-iteration plan at these rates misbehaves");
-        // Nothing follows a flood: the crashed client is gone.
-        if let Some(pos) = a
-            .iter()
-            .position(|m| matches!(m, Misbehavior::PastDeadlineFlood { .. }))
-        {
-            assert_eq!(pos, a.len() - 1);
         }
     }
 }

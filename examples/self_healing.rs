@@ -15,7 +15,7 @@ use latte::ir::BufferKind;
 use latte::nn::models::{mlp, ModelConfig};
 use latte::runtime::data::MemoryDataSource;
 use latte::runtime::fault::{Fault, FaultPlan};
-use latte::runtime::health::{AnomalyReaction, HealthConfig, SentinelConfig, SentinelMode};
+use latte::runtime::health::{AnomalyReaction, HealthConfig, SentinelMode};
 use latte::runtime::metrics::FaultMetrics;
 use latte::runtime::solver::{LrPolicy, MomPolicy, Sgd, SolverParams};
 use latte::runtime::supervisor::{supervise, SupervisorConfig};
@@ -115,7 +115,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // hygiene, quarantine-on-NaN. `LATTE_SENTINEL_MODE` overrides the
     // scan mode from the environment.
     let guarded = HealthConfig {
-        sentinel: SentinelConfig::cheap().env_override(),
+        sentinel: SentinelMode::from_env(),
         ..HealthConfig::default()
     };
 

@@ -46,8 +46,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> reachability census (every pub item under crates/*/src has a caller outside its own file's tests)"
 python3 scripts/census.py
-echo "==> informational: pub items only test code reaches (never fails the gate)"
+echo "==> field census (every pub field of a pub struct is read outside its own file's tests)"
+python3 scripts/census.py --fields
+echo "==> variant census (every variant of a pub enum is constructed outside its own file's tests)"
+python3 scripts/census.py --variants
+echo "==> informational: pub items only test code reaches, variants only tests or a From impl construct (never fails the gate)"
 python3 scripts/census.py --tests-only || true
+python3 scripts/census.py --variants --tests-only || true
 
 echo "==> cargo doc --workspace --no-deps with RUSTDOCFLAGS=-D warnings (dangling intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

@@ -19,7 +19,7 @@ use latte::ir::BufferKind;
 use latte::nn::models::{mlp, ModelConfig};
 use latte::runtime::data::MemoryDataSource;
 use latte::runtime::fault::{Fault, FaultPlan};
-use latte::runtime::health::{AnomalyReaction, HealthConfig, SentinelConfig, SentinelMode};
+use latte::runtime::health::{AnomalyReaction, HealthConfig, SentinelMode};
 use latte::runtime::metrics::FaultMetrics;
 use latte::runtime::solver::{solve, LrPolicy, MomPolicy, Sgd, SolverParams};
 use latte::runtime::supervisor::{supervise, SupervisorConfig, SupervisorReport};
@@ -67,7 +67,7 @@ fn training_params() -> SolverParams {
 /// `exhaustive` in the nightly CI matrix) overrides the scan mode.
 fn health() -> HealthConfig {
     HealthConfig {
-        sentinel: SentinelConfig::cheap().env_override(),
+        sentinel: SentinelMode::from_env(),
         ..HealthConfig::default()
     }
 }
