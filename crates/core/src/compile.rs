@@ -9,7 +9,6 @@ use crate::error::CompileError;
 use crate::pass::{PassContext, PassManager, PipelineState};
 use crate::program::{CompileStats, CompiledNet};
 use crate::synth::{synthesize, SynthOptions};
-use crate::tuned::TunedSchedule;
 
 /// Which optimizations the compiler applies.
 ///
@@ -153,23 +152,7 @@ impl Default for OptLevel {
 /// malformed mappings, or [`CompileError::Verify`] when a pass emits
 /// malformed IR (a compiler bug, not a user error).
 pub fn compile(net: &Net, opt: &OptLevel) -> Result<CompiledNet, CompileError> {
-    compile_impl(net, opt, &PassManager::standard(), None)
-}
-
-/// [`compile`] under a measured [`TunedSchedule`]: the schedule's tile
-/// override and per-group serial/parallel decisions replace the pipeline's
-/// fixed heuristics, through the same passes. Compiling with the identity
-/// schedule ([`TunedSchedule::default`]) is equivalent to [`compile`].
-///
-/// # Errors
-///
-/// As [`compile`].
-pub fn compile_tuned(
-    net: &Net,
-    opt: &OptLevel,
-    tuned: &TunedSchedule,
-) -> Result<CompiledNet, CompileError> {
-    compile_impl(net, opt, &PassManager::standard(), Some(tuned))
+    compile_with(net, opt, &PassManager::standard())
 }
 
 /// [`compile`] with an explicit pass manager — the hook tests use to
@@ -183,15 +166,6 @@ pub fn compile_with(
     net: &Net,
     opt: &OptLevel,
     passes: &PassManager,
-) -> Result<CompiledNet, CompileError> {
-    compile_impl(net, opt, passes, None)
-}
-
-fn compile_impl(
-    net: &Net,
-    opt: &OptLevel,
-    passes: &PassManager,
-    tuned: Option<&TunedSchedule>,
 ) -> Result<CompiledNet, CompileError> {
     let synth_opts = SynthOptions {
         shared_buffers: opt.shared_buffers,
@@ -220,7 +194,6 @@ fn compile_impl(
         shapes: &shapes,
         buffers: &s.buffers,
         opt,
-        tuned,
     };
     passes.run(&mut state, &ctx, &mut stats)?;
 
@@ -240,9 +213,7 @@ fn compile_impl(
                     }
                 });
             }
-            // A tuned serial hint overrides the annotation: the group
-            // keeps its parallel lane structure but runs on the caller.
-            (g.name.clone(), parallel && !g.meta.serial_hint)
+            (g.name.clone(), parallel)
         })
         .collect();
     stats.groups_parallel = stats.group_parallel.iter().filter(|(_, p)| *p).count();

@@ -46,13 +46,11 @@ pub mod opt;
 pub mod pass;
 mod program;
 pub mod synth;
-pub mod tuned;
 
-pub use compile::{compile, compile_tuned, compile_with, OptLevel};
+pub use compile::{compile, compile_with, OptLevel};
 pub use error::CompileError;
 pub use pass::{Pass, PassContext, PassManager, PipelineState};
 pub use program::{
     CompileStats, CompiledNet, Group, GroupMeta, InputBinding, ParamBinding, PassStat, Phase,
     Upstream,
 };
-pub use tuned::TunedSchedule;

@@ -19,7 +19,6 @@
 use latte_ir::{GemmDim, IndexExpr, Loop, LoopAnnot, Stmt, TileInfo};
 
 use crate::program::{CompileStats, Group};
-use crate::tuned::TunedSchedule;
 
 /// Preferred standalone tile sizes, first divisor wins.
 const PREFERRED_TILES: [usize; 4] = [8, 4, 2, 1];
@@ -88,24 +87,15 @@ pub fn tile_untiled(
 
 /// Marks the outer (tile) loop of each group parallel.
 ///
-/// Every tiled, non-barrier group is marked, with or without a
-/// [`TunedSchedule`] — the `parallel` annotation fixes the group's
-/// gradient-lane accumulation structure, which must be identical whether
-/// the group ultimately fans out or not (bit-identity). A tuned
-/// schedule's measured serial decisions
-/// ([`TunedSchedule::decide_parallel`]) land in
-/// [`GroupMeta::serial_hint`](crate::GroupMeta) instead: the runtime
-/// keeps the lane structure but drives every lane from the calling
-/// thread, skipping the pool broadcast — which is what repairs
-/// multi-thread end-to-end throughput on hosts where fan-out overhead
-/// beats the parallel win.
-pub fn parallelize(groups: &mut [Group], tuned: Option<&TunedSchedule>) {
+/// Every tiled, non-barrier group is marked. The `parallel` annotation
+/// fixes the group's gradient-lane accumulation structure, which is the
+/// same at every thread count: a one-thread pool runs the lanes in order
+/// on the caller, so the annotation never changes bits, only whether
+/// more than one worker shares the lanes.
+pub fn parallelize(groups: &mut [Group]) {
     for g in groups.iter_mut() {
         if g.barrier {
             continue;
-        }
-        if let Some(t) = tuned {
-            g.meta.serial_hint = !t.decide_parallel(&g.name);
         }
         for stmt in g.stmts.iter_mut() {
             if let Stmt::For(l) = stmt {
@@ -239,7 +229,6 @@ fn fuse_chain(
     let meta = crate::program::GroupMeta {
         dim0_extent: chain.last().unwrap().meta.dim0_extent,
         upstream: chain[0].meta.upstream.clone(),
-        serial_hint: false,
     };
     Ok(Group {
         name: format!("{name}.{}", phase_suffix(phase)),
@@ -363,7 +352,6 @@ mod tests {
             meta: GroupMeta {
                 dim0_extent: Some(extent),
                 upstream,
-                ..GroupMeta::default()
             },
         }
     }
@@ -554,55 +542,10 @@ mod tests {
     fn parallelize_marks_tile_loops() {
         let g = elementwise_group("relu1", 16, None);
         let (mut out, _) = schedule(vec![g], false);
-        parallelize(&mut out, None);
+        parallelize(&mut out);
         match &out[0].stmts[0] {
             Stmt::For(l) => assert!(l.annot.parallel),
             other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn tuned_schedule_gates_parallel_marking_per_group() {
-        let fast = elementwise_group("fast", 16, None);
-        let slow = elementwise_group("slow", 16, None);
-        let (mut out, _) = schedule(vec![fast, slow], false);
-        let mut tuned = TunedSchedule::default();
-        tuned.group_parallel.insert("fast.fwd".into(), false);
-        parallelize(&mut out, Some(&tuned));
-        // Loops stay parallel-annotated either way (the annotation fixes
-        // the accumulation structure); the decision lands in the hint.
-        for g in &out {
-            match &g.stmts[0] {
-                Stmt::For(l) => assert!(l.annot.parallel),
-                other => panic!("{other:?}"),
-            }
-        }
-        let hints: Vec<bool> = out.iter().map(|g| g.meta.serial_hint).collect();
-        assert_eq!(hints, [true, false], "explicit serial entry wins, default stays parallel");
-    }
-
-    #[test]
-    fn tuned_tile_override_wins_over_opt_tile() {
-        let g = elementwise_group("relu1", 16, None);
-        let tuned = TunedSchedule { tile_size: Some(4), ..TunedSchedule::default() };
-        let tile = tuned.effective_tile(Some(8));
-        let out = tile_untiled(vec![g], tile, &mut CompileStats::default());
-        match &out[0].stmts[0] {
-            Stmt::For(l) => assert_eq!(l.annot.tiled.unwrap().tile_size, 4),
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn all_serial_schedule_marks_nothing() {
-        let g = elementwise_group("relu1", 16, None);
-        let (mut out, _) = schedule(vec![g], false);
-        let tuned = TunedSchedule::all_serial();
-        parallelize(&mut out, Some(&tuned));
-        match &out[0].stmts[0] {
-            Stmt::For(l) => assert!(l.annot.parallel, "annotation structure is decision-invariant"),
-            other => panic!("{other:?}"),
-        }
-        assert!(out[0].meta.serial_hint);
     }
 }

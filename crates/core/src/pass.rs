@@ -33,7 +33,6 @@ use crate::compile::OptLevel;
 use crate::error::CompileError;
 use crate::opt;
 use crate::program::{CompileStats, Group, PassStat};
-use crate::tuned::TunedSchedule;
 
 /// The IR flowing through the pipeline: both phases' groups.
 #[derive(Debug, Clone)]
@@ -71,19 +70,6 @@ pub struct PassContext<'a> {
     pub buffers: &'a [BufferDecl],
     /// The optimization level the net is being compiled at.
     pub opt: &'a OptLevel,
-    /// Measured schedule overrides, when compiling under an autotuned
-    /// schedule ([`compile_tuned`](crate::compile_tuned)). `None` means
-    /// the identity schedule: every pass uses its built-in heuristics.
-    pub tuned: Option<&'a TunedSchedule>,
-}
-
-impl PassContext<'_> {
-    /// The tile size the tiling/fusion passes should request: the tuned
-    /// override when present, else the opt level's.
-    fn effective_tile(&self) -> Option<usize> {
-        self.tuned
-            .map_or(self.opt.tile_size, |t| t.effective_tile(self.opt.tile_size))
-    }
 }
 
 /// One named compiler stage.
@@ -135,7 +121,7 @@ impl Pass for FusionPass {
 
     fn run(&self, state: &mut PipelineState, ctx: &PassContext<'_>, stats: &mut CompileStats) {
         for phase in [&mut state.forward, &mut state.backward] {
-            *phase = opt::fuse_chains(std::mem::take(phase), ctx.effective_tile(), stats);
+            *phase = opt::fuse_chains(std::mem::take(phase), ctx.opt.tile_size, stats);
         }
     }
 }
@@ -155,7 +141,7 @@ impl Pass for TilingPass {
 
     fn run(&self, state: &mut PipelineState, ctx: &PassContext<'_>, stats: &mut CompileStats) {
         for phase in [&mut state.forward, &mut state.backward] {
-            *phase = opt::tile_untiled(std::mem::take(phase), ctx.effective_tile(), stats);
+            *phase = opt::tile_untiled(std::mem::take(phase), ctx.opt.tile_size, stats);
         }
     }
 }
@@ -173,9 +159,9 @@ impl Pass for ParallelizePass {
         opt.parallel
     }
 
-    fn run(&self, state: &mut PipelineState, ctx: &PassContext<'_>, _stats: &mut CompileStats) {
-        opt::parallelize(&mut state.forward, ctx.tuned);
-        opt::parallelize(&mut state.backward, ctx.tuned);
+    fn run(&self, state: &mut PipelineState, _ctx: &PassContext<'_>, _stats: &mut CompileStats) {
+        opt::parallelize(&mut state.forward);
+        opt::parallelize(&mut state.backward);
     }
 }
 

@@ -26,13 +26,6 @@ pub struct GroupMeta {
     /// group's ensemble has exactly one non-recurrent connection with
     /// affine dim-0 structure. `halo == 0` is the fusion precondition.
     pub upstream: Option<Upstream>,
-    /// Set by the parallelize pass when a tuned schedule decided this
-    /// group runs faster serially. The loops stay `parallel`-annotated —
-    /// the annotation fixes the gradient-lane accumulation structure,
-    /// which must not change with the decision — and the runtime drives
-    /// all lanes from the calling thread instead of broadcasting to the
-    /// pool.
-    pub serial_hint: bool,
 }
 
 /// Producer relation used by the fusion pass.
@@ -181,9 +174,7 @@ pub struct CompileStats {
     /// interleaved schedule. Makes bench output self-describing.
     pub group_parallel: Vec<(String, bool)>,
     /// Groups whose schedule runs batch-parallel (the `true` entries of
-    /// [`CompileStats::group_parallel`]). Together with
-    /// [`CompileStats::groups_serial`] this summarizes the per-group
-    /// serial/parallel decisions a tuned schedule made.
+    /// [`CompileStats::group_parallel`]).
     pub groups_parallel: usize,
     /// Groups left serial — no loop marked parallel, executed on the
     /// calling thread.

@@ -724,7 +724,6 @@ fn group_meta(ctx: &EnsCtx<'_>) -> GroupMeta {
     GroupMeta {
         dim0_extent: if tileable { Some(dims[0]) } else { None },
         upstream,
-        serial_hint: false,
     }
 }
 
@@ -1023,7 +1022,6 @@ fn synth_concat(
     let meta = GroupMeta {
         dim0_extent: if rank >= 2 { Some(dims[0]) } else { None },
         upstream: None,
-        serial_hint: false,
     };
     out.forward.push(Group {
         name: format!("{name}.fwd"),

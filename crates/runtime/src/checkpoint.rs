@@ -148,7 +148,7 @@ fn parse_checkpoint(bytes: &[u8]) -> Result<Parsed, String> {
             "uses the legacy un-checksummed v1 format; re-save it with this version".into(),
         );
     }
-    let payload = read_sealed_file(bytes, MAGIC, false)?;
+    let payload = read_sealed_file(bytes, MAGIC)?;
     let mut r = Reader::new(payload);
     match r.u32() {
         Ok(FLAGS) => parse_payload(&mut r).map_err(|e| format!("payload {e}")),

@@ -66,11 +66,11 @@ pub struct ExecConfig {
     /// `ExecConfig { threads, arena: false, gemm_blocking: None }`; the
     /// `benchmark` PR that drops those three literals drops it with them.
     pub arena: bool,
-    /// `(kc, nc, mc)` blocking for the worker pool's GEMM engines; `None`
-    /// uses the engine default. Typically installed by the autotuner (see
-    /// `latte_runtime::tune`); blocking changes tile partitioning only —
-    /// `kc` association is what determines bits, and tuned schedules pin
-    /// it — so results stay bit-identical across valid blockings.
+    /// A remnant, always `None`: every worker's GEMM engine uses the
+    /// default blocking, and [`Executor::with_registry`] refuses `Some`
+    /// with [`RuntimeError::InvalidConfig`]. The field stays only for the
+    /// same three `benchmark/` literals as [`ExecConfig::arena`], and
+    /// goes with them.
     pub gemm_blocking: Option<(usize, usize, usize)>,
 }
 
@@ -298,9 +298,9 @@ impl CompiledProgram {
     /// Lowers a compiled network into a shareable program without
     /// allocating runtime buffers. Every alias class of the compiler's
     /// buffer plan gets one storage, in declaration order. Nothing of
-    /// `cfg` shapes the program — the thread count and GEMM blocking
-    /// belong to the pool an executor is instantiated on — and the
-    /// parameter stays only for the remnant [`ExecConfig::arena`].
+    /// `cfg` shapes the program — the thread count belongs to the pool an
+    /// executor is instantiated on — and the parameter stays only for
+    /// the remnant [`ExecConfig::arena`].
     ///
     /// # Errors
     ///
@@ -448,16 +448,22 @@ impl Executor {
     ///
     /// # Errors
     ///
-    /// See [`CompiledProgram::lower`].
+    /// See [`CompiledProgram::lower`]; also
+    /// [`RuntimeError::InvalidConfig`] when `cfg.gemm_blocking` is set.
     pub fn with_registry(
         net: CompiledNet,
         registry: &KernelRegistry,
         cfg: ExecConfig,
     ) -> Result<Self, RuntimeError> {
+        if cfg.gemm_blocking.is_some() {
+            return Err(RuntimeError::InvalidConfig {
+                detail: "ExecConfig::gemm_blocking: the schedule autotuner is retired; every \
+                         GEMM engine uses the default blocking"
+                    .to_string(),
+            });
+        }
         let program = CompiledProgram::lower(net, registry, cfg)?;
-        let pool = WorkerPool::with_blocking(cfg.threads, cfg.gemm_blocking)
-            .map_err(|e| RuntimeError::InvalidConfig { detail: e.to_string() })?;
-        program.instantiate(Arc::new(pool))
+        program.instantiate(Arc::new(WorkerPool::new(cfg.threads)))
     }
 
     /// The worker-thread count this executor runs with.
@@ -820,13 +826,7 @@ impl Executor {
                 lane += step;
             }
         }
-        if g.serial_hint {
-            // Tuned serial: same lane structure, all lanes on the
-            // caller, no pool broadcast (no worker wake-ups).
-            self.pool.with_caller_ctx(|ctx| run_lanes(&job, ctx, 0, 1));
-        } else {
-            self.pool.run(&|tid, ctx| run_lanes(&job, ctx, tid, job.nt));
-        }
+        self.pool.run(&|tid, ctx| run_lanes(&job, ctx, tid, job.nt));
 
         // Synchronized reduction, folding lanes in lane order — the same
         // association for every thread count.

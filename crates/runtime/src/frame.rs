@@ -11,7 +11,7 @@
 //!    rejected *before* any allocation ([`read_frame`]'s `max_len`).
 //! 2. **CRC32 seal**: the message body carries a CRC32 trailer computed
 //!    by [`crc32`] — the workspace's one CRC, which also guards
-//!    checkpoints and tuning caches — so a flipped bit anywhere in the
+//!    checkpoints — so a flipped bit anywhere in the
 //!    body is caught at the receiver ([`verify`]) instead of silently
 //!    corrupting gradients or inference results.
 //!
@@ -26,14 +26,14 @@
 //! [`f32s_le`] are the one bulk conversion pair both codecs use.
 //!
 //! What is *inside* a verified body is each format's own business, but
-//! all of them — serving messages, checkpoints, the tuning cache — are
-//! little-endian fields read front to back, so they share one
-//! bounds-checked [`Reader`] (and the `put_*` writers beside it) and map
-//! its [`ReadError`] into their own error types.
+//! all of them — serving messages, checkpoints — are little-endian
+//! fields read front to back, so they share one bounds-checked
+//! [`Reader`] (and the `put_*` writers beside it) and map its
+//! [`ReadError`] into their own error types.
 //!
-//! The two formats that live in files — checkpoints and the tuning
-//! cache — are a magic, a body and the CRC trailer, replaced atomically:
-//! `write_sealed_file` and `read_sealed_file` are that half.
+//! The format that lives in a file — the checkpoint — is a magic, a body
+//! and the CRC trailer, replaced atomically: `write_sealed_file` and
+//! `read_sealed_file` are that half.
 
 use std::fmt;
 use std::io::{IoSlice, Read, Write};
@@ -75,7 +75,7 @@ const fn crc_tables() -> [[u32; 256]; 16] {
 
 /// CRC32 (IEEE 802.3, reflected; the zlib/PNG checksum) — the integrity
 /// check behind every sealed format in the workspace: wire frames,
-/// checkpoints, tuning caches, and the net fingerprint.
+/// checkpoints, and the net fingerprint.
 ///
 /// Table-driven, sixteen bytes per step (slicing-by-16): the sixteen
 /// lookups of a step are independent of each other, so the only serial
@@ -158,8 +158,7 @@ pub fn put_f32_vec(out: &mut Vec<u8>, values: &[f32]) {
 
 /// Why a [`Reader`] could not produce the value asked of it. Every
 /// decoder of sealed or wire bytes maps this one error into its own
-/// (`RuntimeError::Malformed`, `TuneError::Corrupt`, serve's
-/// `NetError::Protocol`).
+/// (`RuntimeError::Malformed`, serve's `NetError::Protocol`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadError {
     /// Fewer bytes remain than the field needs.
@@ -192,7 +191,7 @@ impl fmt::Display for ReadError {
 impl std::error::Error for ReadError {}
 
 /// The workspace's one bounds-checked little-endian byte reader, behind
-/// the checkpoint, tuning-cache and serving-protocol decoders. Every
+/// the checkpoint and serving-protocol decoders. Every
 /// read checks the remaining length first and borrows from the input,
 /// so a decoder that collects what it reads (instead of pre-sizing from a
 /// count field) allocates no more than the input is long.
@@ -259,11 +258,6 @@ impl<'a> Reader<'a> {
     /// A little-endian `f32`, bit pattern preserved.
     pub fn f32(&mut self) -> Result<f32, ReadError> {
         self.array().map(f32::from_le_bytes)
-    }
-
-    /// A little-endian `f64`, bit pattern preserved.
-    pub fn f64(&mut self) -> Result<f64, ReadError> {
-        self.array().map(f64::from_le_bytes)
     }
 
     /// `count` little-endian `f32`s.
@@ -359,7 +353,7 @@ pub fn verify(bytes: &[u8]) -> Result<&[u8], FrameIntegrity> {
 }
 
 /// Sibling temporary path (`<file name>.tmp`) of the atomic write of a
-/// checkpoint or tuning cache, for tests that simulate a crash mid-write.
+/// checkpoint, for tests that simulate a crash mid-write.
 pub fn tmp_path(path: &Path) -> PathBuf {
     let mut name = path.file_name().map_or_else(|| "sealed".into(), |n| n.to_os_string());
     name.push(".tmp");
@@ -371,8 +365,7 @@ pub fn tmp_path(path: &Path) -> PathBuf {
 /// the bytes go to the [`tmp_path`] sibling, are synced, and the sibling
 /// is renamed over `path`; the directory is synced last so the rename
 /// itself survives. The parts are a sealed file's magic, body and CRC
-/// trailer — the checkpoint and the tuning cache, whose trailers cover
-/// different spans, each render their own.
+/// trailer, as the checkpoint renders them.
 ///
 /// # Errors
 ///
@@ -390,31 +383,22 @@ pub(crate) fn write_sealed_file(path: &Path, parts: &[&[u8]]) -> std::io::Result
     std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
 }
 
-/// Opens the bytes of a sealed file — `magic`, a body, a CRC32 trailer —
-/// and returns the body: length floor, then magic, then [`verify`],
-/// before any body byte is interpreted. The trailer covers the body, and
-/// the magic too when `crc_covers_magic` (the tuning cache seals its
-/// magic, the checkpoint does not; both formats predate this function
-/// and stay as they are on disk).
+/// Opens the bytes of a sealed file — `magic`, a body, a CRC32 trailer
+/// over the body alone — and returns the body: length floor, then magic,
+/// then [`verify`], before any body byte is interpreted.
 ///
 /// # Errors
 ///
 /// Which check failed, phrased to follow the file's name.
-pub(crate) fn read_sealed_file<'a>(
-    bytes: &'a [u8],
-    magic: &[u8],
-    crc_covers_magic: bool,
-) -> Result<&'a [u8], String> {
+pub(crate) fn read_sealed_file<'a>(bytes: &'a [u8], magic: &[u8]) -> Result<&'a [u8], String> {
     if bytes.len() < magic.len() + CRC_LEN {
         return Err(format!("is truncated ({} bytes — too short for header and checksum)", bytes.len()));
     }
     if !bytes.starts_with(magic) {
         return Err("is another kind of file (bad magic)".into());
     }
-    let unsealed = if crc_covers_magic { 0 } else { magic.len() };
-    let body = verify(&bytes[unsealed..])
-        .map_err(|e| format!("failed its integrity check ({e}); the file is truncated or corrupted"))?;
-    Ok(&body[magic.len() - unsealed..])
+    verify(&bytes[magic.len()..])
+        .map_err(|e| format!("failed its integrity check ({e}); the file is truncated or corrupted"))
 }
 
 /// Writes one length-prefixed frame (`u32` LE length, then the bytes)

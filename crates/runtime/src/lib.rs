@@ -74,9 +74,7 @@ mod store;
 pub mod supervisor;
 mod transfer;
 pub mod transport;
-pub mod tune;
 
 pub use error::RuntimeError;
 pub use exec::{CompiledProgram, ExecConfig, Executor, GradBucket};
 pub use lower::ExecutionPlan;
-pub use tune::{TuneError, Tuner, TunerStats};

@@ -211,9 +211,6 @@ pub(crate) enum Segment {
 pub(crate) struct CGroup {
     pub name: String,
     pub parallel: bool,
-    /// Tuned-serial decision: keep the parallel lane structure (bits are
-    /// decision-invariant) but drive every lane from the calling thread.
-    pub serial_hint: bool,
     pub bufs: Vec<BufBinding>,
     /// The parameter-gradient storages among `bufs`, ascending, each
     /// with its span `(storage, offset, len)` in a gradient lane's
@@ -279,11 +276,7 @@ fn t(transposed: bool) -> char {
 
 impl fmt::Display for CGroup {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let schedule = match (self.parallel, self.serial_hint) {
-            (false, _) => "serial",
-            (true, false) => "parallel",
-            (true, true) => "parallel lanes, caller only",
-        };
+        let schedule = if self.parallel { "parallel" } else { "serial" };
         writeln!(f, "group {} [{schedule}]", self.name)?;
         for (i, (b, name)) in self.bufs.iter().zip(&self.buf_names).enumerate() {
             let kind = if b.batched { "per item" } else { "shared" };
@@ -447,7 +440,6 @@ fn lower_group(
     let lowered = CGroup {
         name: group.name.clone(),
         parallel,
-        serial_hint: group.meta.serial_hint,
         grad_spans: grad_spans(&lw.bufs),
         bufs: lw.bufs,
         buf_names: lw.buf_names,

@@ -45,7 +45,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use latte_tensor::gemm::{BlockingError, Gemm, GemmPool};
+use latte_tensor::gemm::{Gemm, GemmPool};
 
 /// Number of parameter-gradient accumulation lanes.
 ///
@@ -146,54 +146,6 @@ impl WorkerPool {
     /// ever happens. A single-threaded pool spawns nothing and
     /// [`WorkerPool::run`] degenerates to a plain call.
     pub fn new(threads: usize) -> Self {
-        Self::with_engine(threads, Gemm::new())
-    }
-
-    /// [`WorkerPool::new`] with every worker's GEMM engine configured to
-    /// the given `(kc, nc, mc)` blocking (`None` = the default). The
-    /// [`GemmPool`] contract requires all engines to share one blocking,
-    /// so the pool clones a single prototype into every slot.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`BlockingError`] for zero or panel-unaligned blocks.
-    pub fn with_blocking(
-        threads: usize,
-        blocking: Option<(usize, usize, usize)>,
-    ) -> Result<Self, BlockingError> {
-        Ok(Self::with_engine(threads, proto_engine(blocking)?))
-    }
-
-    /// Replaces every worker's GEMM engine with one of the given blocking
-    /// (`None` = the default), broadcast through the normal job protocol
-    /// so each slot is rewritten by its owning worker. The autotuner uses
-    /// this to sweep blocking candidates on **one** long-lived pool
-    /// instead of spawning a fresh team per candidate.
-    ///
-    /// Packing buffers restart empty and re-grow on first use; steady
-    /// state is unaffected once a final blocking is installed.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`BlockingError`] for zero or panel-unaligned blocks;
-    /// the pool's engines are untouched on error.
-    pub fn reconfigure_gemm(
-        &self,
-        blocking: Option<(usize, usize, usize)>,
-    ) -> Result<(), BlockingError> {
-        let proto = proto_engine(blocking)?;
-        self.run(&move |_tid, ctx| {
-            ctx.gemm = proto.clone();
-        });
-        Ok(())
-    }
-
-    /// The `(kc, nc, mc)` blocking the pool's engines currently share.
-    pub fn gemm_blocking(&self) -> (usize, usize, usize) {
-        self.with_caller_ctx(|ctx| ctx.gemm.blocking())
-    }
-
-    fn with_engine(threads: usize, proto: Gemm) -> Self {
         let threads = threads.max(1);
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
@@ -210,7 +162,7 @@ impl WorkerPool {
             (0..threads)
                 .map(|_| {
                     CtxCell(UnsafeCell::new(WorkerCtx {
-                        gemm: proto.clone(),
+                        gemm: Gemm::new(),
                         scratch: Default::default(),
                     }))
                 })
@@ -367,14 +319,6 @@ impl Drop for WorkerPool {
     }
 }
 
-/// Builds the prototype engine a pool clones into every worker slot.
-fn proto_engine(blocking: Option<(usize, usize, usize)>) -> Result<Gemm, BlockingError> {
-    match blocking {
-        Some((kc, nc, mc)) => Gemm::with_blocking(kc, nc, mc),
-        None => Ok(Gemm::new()),
-    }
-}
-
 fn worker_loop(tid: usize, shared: &Shared, ctxs: &[CtxCell]) {
     let mut last_seq = 0u64;
     loop {
@@ -485,22 +429,6 @@ mod tests {
         // Same backing storage (no reallocation), content re-zeroed.
         assert_eq!(again[0], lanes[0]);
         assert_eq!(unsafe { *again[0] }, 0.0);
-    }
-
-    #[test]
-    fn reconfigure_gemm_replaces_every_engine_without_spawning() {
-        let before = total_threads_spawned();
-        let pool = WorkerPool::with_blocking(3, Some((128, 256, 32))).expect("valid blocking");
-        assert_eq!(pool.gemm_blocking(), (128, 256, 32));
-        pool.run(&|_tid, ctx| assert_eq!(ctx.gemm.blocking(), (128, 256, 32)));
-        pool.reconfigure_gemm(Some((256, 512, 64))).expect("valid blocking");
-        pool.run(&|_tid, ctx| assert_eq!(ctx.gemm.blocking(), (256, 512, 64)));
-        // Invalid blocking is rejected and leaves the engines untouched.
-        assert!(pool.reconfigure_gemm(Some((256, 511, 64))).is_err());
-        assert_eq!(pool.gemm_blocking(), (256, 512, 64));
-        pool.reconfigure_gemm(None).expect("default blocking");
-        assert_eq!(pool.gemm_blocking(), Gemm::new().blocking());
-        assert_eq!(total_threads_spawned(), before + 2, "reconfigure must not spawn");
     }
 
     #[test]

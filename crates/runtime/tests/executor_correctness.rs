@@ -586,6 +586,30 @@ fn lowering_refuses_the_retired_arena_flag() {
     ));
 }
 
+/// The schedule autotuner that set a GEMM blocking is retired; the field
+/// survives for the benchmark's literals and is refused, not ignored,
+/// where an executor builds its pool.
+#[test]
+fn a_gemm_blocking_is_refused() {
+    use latte_runtime::RuntimeError;
+    let cfg = ModelConfig {
+        batch: 2,
+        input_size: 28,
+        ..ModelConfig::default()
+    };
+    let compiled = compile(&lenet(&cfg).net, &OptLevel::full()).unwrap();
+    let blocking = Some((256, 256, 32));
+    let cfg = ExecConfig {
+        threads: 1,
+        arena: false,
+        gemm_blocking: blocking,
+    };
+    assert!(matches!(
+        Executor::with_registry(compiled, &KernelRegistry::with_builtins(), cfg),
+        Err(RuntimeError::InvalidConfig { .. })
+    ));
+}
+
 /// Every data-copy of every zoo model lowers to precompiled run lists:
 /// the bound past which a copy generates its list on every call
 /// (DESIGN.md §10.2) sits above all of them, untiled, tiled, and at the

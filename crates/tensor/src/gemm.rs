@@ -43,11 +43,11 @@ const NARROW: usize = 32;
 /// A rejected `(kc, nc, mc)` blocking: why [`Gemm::with_blocking`]
 /// refused to build an engine.
 ///
-/// The autotuner enumerates blockings from a pre-validated space, but the
-/// constructor is public API — a hand-written blocking that is zero or
-/// breaks the micro-panel alignment would silently waste most of each
-/// packed panel on zero padding (`mc % MR`, `nc % NR`), so it is rejected
-/// with a structured error instead.
+/// The block-size ablation bench and the property tests sweep blockings
+/// through the public constructor; a blocking that is zero or breaks the
+/// micro-panel alignment would silently waste most of each packed panel
+/// on zero padding (`mc % MR`, `nc % NR`), so it is rejected with a
+/// structured error instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockingError {
     /// A block size was zero.
@@ -82,18 +82,6 @@ impl std::fmt::Display for BlockingError {
 }
 
 impl std::error::Error for BlockingError {}
-
-/// A short, stable description of the instruction-set features the GEMM
-/// micro-kernel dispatches on for this host — part of the autotuner's
-/// cache key, so schedules tuned on one micro-architecture class are
-/// never replayed on another.
-pub fn cpu_features() -> &'static str {
-    if detect_fma() {
-        "avx2+fma"
-    } else {
-        "generic"
-    }
-}
 
 /// Whether an operand of [`Gemm::compute`] is transposed.
 ///
@@ -158,7 +146,7 @@ pub fn gemm_naive(
 /// * `run_gemm(job)` must invoke `job(tid, engine)` exactly once for every
 ///   `tid` in `0..threads()`, each invocation with exclusive access to its
 ///   own engine, and return only after all invocations complete.
-/// * All engines must share identical [`Gemm::blocking`] — the static
+/// * All engines must share identical `(kc, nc, mc)` block sizes — the static
 ///   tile partition is computed independently by every worker and is only
 ///   consistent when the tile grids agree.
 pub trait GemmPool {
@@ -223,7 +211,7 @@ impl Gemm {
     /// `nc` a multiple of [`NR`] — the packed panels are micro-panel
     /// grids, and an unaligned block would spend the tail panel of every
     /// macro-tile on zero padding. Exposed so the block-size ablation
-    /// bench and the schedule autotuner can sweep the design space.
+    /// bench and the property tests can sweep the design space.
     ///
     /// # Errors
     ///
@@ -249,11 +237,6 @@ impl Gemm {
             pack_a: Vec::new(),
             pack_b: Vec::new(),
         })
-    }
-
-    /// The `(kc, nc, mc)` block sizes.
-    pub fn blocking(&self) -> (usize, usize, usize) {
-        (self.kc, self.nc, self.mc)
     }
 
     /// Computes `C += op(A) * op(B)`.
@@ -773,7 +756,8 @@ mod tests {
             BlockingError::UnalignedCols { nc: 500 }
         );
         // kc has no panel constraint: any non-zero value is accepted.
-        assert_eq!(Gemm::with_blocking(7, 512, 64).unwrap().blocking(), (7, 512, 64));
+        let g = Gemm::with_blocking(7, 512, 64).unwrap();
+        assert_eq!((g.kc, g.nc, g.mc), (7, 512, 64));
     }
 
     #[test]

@@ -5,20 +5,19 @@
 //!
 //! ```text
 //! cargo run --release --example convnet
-//! LATTE_TUNE=1 cargo run --release --example convnet   # autotuned schedule
+//! LATTE_THREADS=2 cargo run --release --example convnet   # same output
 //! ```
 //!
-//! With `LATTE_TUNE=1` the schedule comes from the autotuner (DESIGN.md
-//! §16): the first run measures candidates and persists the winner in
-//! `latte_tune.cache` (`LATTE_TUNE_CACHE` overrides the path); later
-//! runs replay it with zero re-measurements. Results are bit-identical
-//! either way.
+//! The schedule is the compiler's: the tile loops the parallelize pass
+//! marks are shared across `LATTE_THREADS` workers, and a one-thread
+//! pool runs the same lanes in order on the caller, so every thread
+//! count prints the same numbers.
 
 use latte::core::{compile, OptLevel};
 use latte::nn::models::{lenet, ModelConfig};
 use latte::runtime::data::{synthetic_mnist, DoubleBufferedSource, MemoryDataSource};
 use latte::runtime::solver::{solve, LrPolicy, MomPolicy, Sgd, SolverParams};
-use latte::runtime::{Executor, Tuner};
+use latte::runtime::Executor;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = ModelConfig {
@@ -30,23 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         seed: 11,
     };
     let model = lenet(&cfg);
-    // LATTE_TUNE=1 routes compilation through the autotuner; otherwise
-    // the default schedule is used. Both paths are bit-identical.
-    let (compiled, tuner) = match Tuner::from_env() {
-        Some(tuner) => {
-            let mut tuner = tuner?;
-            let (schedule, compiled) = tuner.tune_net(&model.net, &OptLevel::full())?;
-            println!(
-                "autotuned schedule: tile={:?}, blocking={:?} ({} cache hit(s), {} measurement(s))",
-                schedule.tile_size,
-                schedule.gemm_blocking,
-                tuner.stats().cache_hits,
-                tuner.stats().measurements,
-            );
-            (compiled, Some((tuner, schedule)))
-        }
-        None => (compile(&model.net, &OptLevel::full())?, None),
-    };
+    let compiled = compile(&model.net, &OptLevel::full())?;
     println!(
         "LeNet compiled: {} fwd groups ({} fusions, {} GEMMs)",
         compiled.forward.len(),
@@ -57,10 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  group {}", g.name);
     }
 
-    let mut exec = match &tuner {
-        Some((tuner, schedule)) => tuner.executor_for(compiled, schedule)?,
-        None => Executor::new(compiled)?,
-    };
+    let mut exec = Executor::new(compiled)?;
     let train = synthetic_mnist(512, 3);
     let mut source = DoubleBufferedSource::new(MemoryDataSource::try_new(
         "data",

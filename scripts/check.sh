@@ -37,10 +37,6 @@ cargo test --release -p latte-runtime --lib frame::tests::crc32_beats_the_bitwis
 echo "==> element-program gate (strip program >= 5x the per-element tree walk on g*(1-v*v) at n=64; dest += x*y within 1.25x of a plain slice loop at 4096 and 64x64; paired in one process)"
 cargo test --release -p latte-runtime --lib elem::tests::strip_programs_beat_the_tree_walk_and_keep_up_with_a_slice_loop -- --exact --nocapture
 
-echo "==> autotuner smoke (cold tune -> warm replay with zero re-measurements, corrupt-cache rejection)"
-cargo test --release -p latte-runtime --test tune_smoke -q
-cargo test --release -p latte-oracle --test tuned -q
-
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
