@@ -11,12 +11,19 @@ fn bench_gemm_shapes(c: &mut Criterion) {
     group.sample_size(10);
     // The shapes the compiler actually emits: Latte conv forward
     // (m=spatial, n=channels), Caffe conv forward (m=channels,
-    // n=spatial), weight gradients (k=spatial), and an FC-style square.
-    let shapes: [(&str, usize, usize, usize, Transpose, Transpose); 4] = [
+    // n=spatial), weight gradients (k=spatial), and an FC-style square;
+    // then the narrow-output shapes (n <= 32) the benchmark's workloads
+    // run most, through the register-row kernel.
+    let shapes: [(&str, usize, usize, usize, Transpose, Transpose); 9] = [
         ("latte_conv_fwd", 1024, 64, 27, Transpose::No, Transpose::Yes),
         ("caffe_conv_fwd", 64, 1024, 27, Transpose::No, Transpose::No),
         ("conv_bwd_weights", 64, 27, 1024, Transpose::Yes, Transpose::No),
         ("fc", 256, 256, 256, Transpose::No, Transpose::Yes),
+        ("narrow_vgg_conv2_1_fwd", 128, 32, 144, Transpose::No, Transpose::Yes),
+        ("narrow_vgg_conv1_1_fwd", 512, 16, 27, Transpose::No, Transpose::Yes),
+        ("narrow_lenet_conv2_fwd", 28, 12, 125, Transpose::No, Transpose::Yes),
+        ("narrow_lenet_conv1_fwd", 112, 5, 25, Transpose::No, Transpose::Yes),
+        ("narrow_lenet_ip2", 8, 10, 125, Transpose::No, Transpose::Yes),
     ];
     for (name, m, n, k, ta, tb) in shapes {
         let a = vec![1.0f32; m.max(k) * k.max(m)];

@@ -234,7 +234,7 @@ pub fn compile_with(
         params: s.params,
         inputs: s.inputs,
         losses: s.losses,
-        param_inits: s.param_inits,
+        param_inits: s.param_inits.into(),
         vectorize: opt.vectorize,
         stats,
     })

@@ -3,6 +3,7 @@
 
 use latte_ir::{BufferDecl, BufferKind, Stmt};
 use std::fmt;
+use std::sync::Arc;
 
 /// Which pass of network execution a group belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -206,8 +207,9 @@ pub struct CompiledNet {
     pub losses: Vec<String>,
     /// Initial contents of every field buffer, `(buffer name, values)`.
     /// The runtime writes these once at executor construction and on
-    /// `reset_params`.
-    pub param_inits: Vec<(String, Vec<f32>)>,
+    /// `reset_params`. Shared, so that [`CompiledNet::at_batch`] copies
+    /// no weights.
+    pub param_inits: Arc<[(String, Vec<f32>)]>,
     /// Whether the runtime may run element loops a strip of lanes at a
     /// time instead of an element at a time (the compiler's `vectorize`
     /// flag).
@@ -279,7 +281,7 @@ impl CompiledNet {
         for l in &self.losses {
             eat(l.as_bytes());
         }
-        for (name, init) in &self.param_inits {
+        for (name, init) in self.param_inits.iter() {
             eat(name.as_bytes());
             for v in init {
                 eat(&v.to_bits().to_le_bytes());

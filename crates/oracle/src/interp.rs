@@ -34,6 +34,7 @@
 //! `unsafe`.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use latte_core::{CompiledNet, Group};
 use latte_ir::{BufRef, BufferKind, CopyStmt, Expr, ExternOp, GatherStmt, GemmStmt, Stmt};
@@ -155,11 +156,10 @@ impl Interpreter {
     ///
     /// Propagates buffer-lookup failures.
     pub fn reset_params(&mut self) -> Result<(), RuntimeError> {
-        let inits = std::mem::take(&mut self.net.param_inits);
-        for (name, init) in &inits {
+        let inits = Arc::clone(&self.net.param_inits);
+        for (name, init) in inits.iter() {
             self.write_buffer(name, init)?;
         }
-        self.net.param_inits = inits;
         Ok(())
     }
 

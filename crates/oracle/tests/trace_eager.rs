@@ -5,9 +5,14 @@
 //! opt level — on the loss and on every activation buffer that is a
 //! primary declaration in both compilations.
 //!
-//! Bitwise equality holds because the executor's narrow-GEMM fast path
-//! accumulates in the same order as the interpreter's naive GEMM for
-//! every forward GEMM these nets produce. Gradients are excluded: the
+//! Bitwise equality holds because the executor's narrow-GEMM path
+//! accumulates in the same order as the interpreter's loop nests for
+//! every forward GEMM these nets produce: start from `C`, then add each
+//! product in ascending `k`. On a host with AVX2+FMA that path is a
+//! vector kernel, bit-equal by construction: each row's accumulators are
+//! loaded from `C` first, `k` ascends, and every step is a multiply and
+//! then an add, each rounded, as in the scalar loop — no FMA, whose one
+//! rounding would change the last bit. Gradients are excluded: the
 //! backward weight-update GEMMs take the tiled FMA path, which is
 //! tolerance-close but not bit-equal (the ordinary differential tests
 //! cover them).

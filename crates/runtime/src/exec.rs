@@ -50,7 +50,7 @@ use crate::lower::{BatchedGemm, CExtern, CGemm, CGroup, ExecutionPlan, Kernel, S
 use crate::pool::{WorkerCtx, WorkerPool, GRAD_LANES};
 use crate::registry::{ExternInvocation, KernelRegistry};
 use crate::store::{BufInfo, BufferStore, BufferTable};
-use crate::transfer;
+use crate::transfer::{self, Tables};
 
 /// Execution configuration.
 #[derive(Debug, Clone, Copy)]
@@ -319,8 +319,28 @@ impl CompiledProgram {
                     .to_string(),
             });
         }
+        Self::lower_sharing(net, registry, &mut Tables::default())
+    }
+
+    /// This program's net lowered at `batch`, storing none of the
+    /// transfer tables twice: a run list is one item's, so every table of
+    /// the new plan is one of this plan's. What a plan cache lowers with
+    /// when it already holds the net at another batch size.
+    ///
+    /// # Errors
+    ///
+    /// As [`CompiledProgram::lower`].
+    pub fn at_batch(&self, batch: usize, registry: &KernelRegistry) -> Result<Self, RuntimeError> {
+        Self::lower_sharing(self.0.net.at_batch(batch), registry, &mut self.0.plan.tables())
+    }
+
+    fn lower_sharing(
+        net: CompiledNet,
+        registry: &KernelRegistry,
+        tables: &mut Tables,
+    ) -> Result<Self, RuntimeError> {
         let table = BufferTable::resolve(&net.buffers)?;
-        let plan = crate::lower::lower(&net, &table, registry)?;
+        let plan = crate::lower::lower(&net, &table, registry, tables)?;
         let param_slots = net
             .params
             .iter()
@@ -484,7 +504,7 @@ impl Executor {
     /// Propagates buffer-lookup failures.
     pub fn reset_params(&mut self) -> Result<(), RuntimeError> {
         let p = &*self.program.0;
-        for (name, init) in &p.net.param_inits {
+        for (name, init) in p.net.param_inits.iter() {
             self.store.write(name, p.table.require(name)?, init)?;
         }
         Ok(())

@@ -33,7 +33,7 @@ use crate::elem::{self, ElemProgram, Reg};
 use crate::error::RuntimeError;
 use crate::registry::{ExternFn, KernelRegistry};
 use crate::store::BufferTable;
-use crate::transfer::Transfer;
+use crate::transfer::{Tables, Transfer};
 
 /// A compiled affine index: `base + Σ terms[i].1 * env[terms[i].0]`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -349,17 +349,44 @@ impl Kernel {
     }
 }
 
-/// Lowers a compiled network against its resolved buffer table.
+impl ExecutionPlan {
+    /// Every precompiled transfer table of the plan, for lowering the same
+    /// net again without building them twice.
+    pub(crate) fn tables(&self) -> Tables {
+        fn walk(kernels: &[Kernel], tables: &mut Tables) {
+            for k in kernels {
+                match k {
+                    Kernel::Loop { body, .. } => walk(body, tables),
+                    Kernel::Transfer(t) => t.clone().share_table(tables),
+                    Kernel::Elem(_) | Kernel::Gemm(_) | Kernel::Extern(_) => {}
+                }
+            }
+        }
+        let mut tables = Tables::default();
+        for g in self.forward.iter().chain(&self.backward) {
+            for seg in &g.segments {
+                if let Segment::PerItem(kernels) = seg {
+                    walk(kernels, &mut tables);
+                }
+            }
+        }
+        tables
+    }
+}
+
+/// Lowers a compiled network against its resolved buffer table, storing
+/// each transfer table once across the plan and `tables`.
 pub(crate) fn lower(
     net: &CompiledNet,
     table: &BufferTable,
     registry: &KernelRegistry,
+    tables: &mut Tables,
 ) -> Result<ExecutionPlan, RuntimeError> {
     let mut max_slots = 1;
     let mut lower_phase = |groups: &[Group]| -> Result<Vec<CGroup>, RuntimeError> {
         let mut out = Vec::with_capacity(groups.len());
         for g in groups {
-            out.push(lower_group(g, net, table, registry, &mut max_slots)?);
+            out.push(lower_group(g, net, table, registry, tables, &mut max_slots)?);
         }
         Ok(out)
     };
@@ -375,6 +402,7 @@ pub(crate) fn lower(
 struct GroupLowerer<'a> {
     table: &'a BufferTable,
     registry: &'a KernelRegistry,
+    tables: &'a mut Tables,
     batch: usize,
     vectorize: bool,
     slots: HashMap<String, usize>,
@@ -390,11 +418,13 @@ fn lower_group(
     net: &CompiledNet,
     table: &BufferTable,
     registry: &KernelRegistry,
+    tables: &mut Tables,
     max_slots: &mut usize,
 ) -> Result<CGroup, RuntimeError> {
     let mut lw = GroupLowerer {
         table,
         registry,
+        tables,
         batch: net.batch,
         vectorize: net.vectorize,
         slots: HashMap::new(),
@@ -648,12 +678,15 @@ impl GroupLowerer<'_> {
                     .iter()
                     .map(|o| self.cidx(o))
                     .collect::<Result<Vec<_>, _>>()?;
-                let t = Transfer::copy(c, dest, src, &self.bufs, offsets, &self.slot_extents)?;
+                let mut t = Transfer::copy(c, dest, src, &self.bufs, offsets, &self.slot_extents)?;
+                t.share_table(self.tables);
                 Ok(Kernel::Transfer(t))
             }
             Stmt::Gather(g) => {
                 let (dest, src) = (self.buf(&g.dest)?, self.buf(&g.src)?);
-                Ok(Kernel::Transfer(Transfer::table(g, dest, src, &self.bufs)?))
+                let mut t = Transfer::table(g, dest, src, &self.bufs)?;
+                t.share_table(self.tables);
+                Ok(Kernel::Transfer(t))
             }
             Stmt::Extern(e) => {
                 let (f, whole) = self.registry.get(&e.op)?;

@@ -46,23 +46,26 @@ use crate::exec::RawBuf;
 use crate::lower::{BufBinding, CIdx};
 
 /// The most runs — rows of the nest, over every combination of the
-/// enclosing loops it moves with — a copy may precompile: 128 MiB of
-/// table at 32 bytes a run. The zoo's largest at published size, in VGG
+/// enclosing loops it moves with — a copy may precompile: 80 MiB of
+/// table at 20 bytes a run. The zoo's largest at published size, in VGG
 /// at 224 px, has 1 605 632 (EXPERIMENTS.md has the census).
 const MAX_TABLE_RUNS: usize = 1 << 22;
 
 /// `pre` padding, `len` moved, `post` padding elements, consecutive in
-/// the destination.
+/// the destination. Every field is an element count or an offset into
+/// one item's view of a buffer, which [`Transfer::ends`] bounds by `u32`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Run {
     /// First destination element of the run (padding included).
-    d_off: i64,
-    /// First *moved* source element; meaningless when `len` is 0.
-    s_off: i64,
+    d_off: u32,
+    /// First *moved* source element; 0 when `len` is 0.
+    s_off: u32,
     pre: u32,
     len: u32,
     post: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<Run>() == 20);
 
 impl Run {
     fn elements(&self) -> i64 {
@@ -72,7 +75,7 @@ impl Run {
 
 /// A complete transfer for fixed values of the enclosing loops: the runs
 /// in the order the nest visits them, and the element strides within one.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct RunList {
     s_step: i64,
     d_step: i64,
@@ -86,7 +89,7 @@ impl RunList {
     /// the source as well. Element order is unchanged either way.
     fn push(&mut self, run: Run) {
         if let Some(prev) = self.runs.last_mut() {
-            if prev.d_off + prev.elements() * self.d_step == run.d_off {
+            if i64::from(prev.d_off) + prev.elements() * self.d_step == i64::from(run.d_off) {
                 if run.len == 0 {
                     prev.post += run.pre + run.post;
                     return;
@@ -101,7 +104,8 @@ impl RunList {
                 }
                 if prev.post == 0
                     && run.pre == 0
-                    && prev.s_off + i64::from(prev.len) * self.s_step == run.s_off
+                    && i64::from(prev.s_off) + i64::from(prev.len) * self.s_step
+                        == i64::from(run.s_off)
                 {
                     prev.len += run.len;
                     prev.post = run.post;
@@ -198,9 +202,16 @@ impl Geometry {
             }
             let lo = lo.clamp(0, inner);
             let hi = hi.clamp(lo, inner);
+            // Both offsets lie in their views (module doc), whose lengths
+            // `Transfer::ends` bounded by `u32`.
+            let s_off = if hi > lo {
+                flat(&self.src_dims, |s| sidx[s]) + lo * list.s_step
+            } else {
+                0
+            };
             list.push(Run {
-                d_off,
-                s_off: flat(&self.src_dims, |s| sidx[s]) + lo * list.s_step,
+                d_off: d_off as u32,
+                s_off: s_off as u32,
                 pre: lo as u32,
                 len: (hi - lo) as u32,
                 post: (inner - hi) as u32,
@@ -242,6 +253,13 @@ enum Lists {
     PerCall(Box<Geometry>),
 }
 
+/// The precompiled tables lowering has built so far, kept so that an
+/// equal one is stored once: a gather and the scatter of its gradient
+/// walk the same runs, and a copy lowered at two batch sizes is the same
+/// copy (a run list is one item's).
+#[derive(Debug, Default)]
+pub(crate) struct Tables(Vec<Arc<[RunList]>>);
+
 /// A compiled data-copy nest or gather table.
 #[derive(Debug, Clone)]
 pub(crate) struct Transfer {
@@ -258,14 +276,15 @@ fn malformed(detail: String) -> RuntimeError {
 
 impl Transfer {
     /// The per-item lengths of a transfer's two buffers: different
-    /// storages, since [`walk`] forms a slice of each, and a destination
-    /// whose element counts fit a run's `u32` fields.
+    /// storages, since [`walk`] forms a slice of each, and each with
+    /// element counts that fit a run's `u32` fields.
     fn ends(dest: usize, src: usize, bufs: &[BufBinding]) -> Result<(usize, usize), RuntimeError> {
         let (d, s) = (&bufs[dest], &bufs[src]);
-        if d.storage == s.storage || u32::try_from(d.per_item).is_err() {
+        let too_long = |len: usize| u32::try_from(len).is_err();
+        if d.storage == s.storage || too_long(d.per_item) || too_long(s.per_item) {
             return Err(malformed(format!(
-                "transfer b{dest} <- b{src}: one storage on both ends, or {} elements overflow a run",
-                d.per_item
+                "transfer b{dest} <- b{src}: one storage on both ends, or {} / {} elements overflow a run",
+                d.per_item, s.per_item
             )));
         }
         Ok((d.per_item, s.per_item))
@@ -407,9 +426,10 @@ impl Transfer {
                 )));
             }
             let moved = u32::from(t >= 0);
+            // `i < dest_len` and `t < src_len`, both bounded by `ends`.
             list.push(Run {
-                d_off: i as i64,
-                s_off: t,
+                d_off: i as u32,
+                s_off: t.max(0) as u32,
                 pre: 1 - moved,
                 len: moved,
                 post: 0,
@@ -424,6 +444,18 @@ impl Transfer {
                 lists: Arc::new([list]),
             },
         })
+    }
+
+    /// Points this transfer's table at an equal one already in `tables`,
+    /// or adds it there.
+    pub(crate) fn share_table(&mut self, tables: &mut Tables) {
+        let Lists::Table { lists, .. } = &mut self.lists else {
+            return;
+        };
+        match tables.0.iter().find(|seen| seen[..] == lists[..]) {
+            Some(seen) => *lists = Arc::clone(seen),
+            None => tables.0.push(Arc::clone(lists)),
+        }
     }
 
     /// Runs the transfer for one batch item under the enclosing loops'
@@ -469,25 +501,26 @@ unsafe fn walk(list: &RunList, scatter: bool, dest: &RawBuf, src: &RawBuf) {
     };
     for r in &list.runs {
         let (pre, len, post) = (r.pre as usize, r.len as usize, r.post as usize);
+        let (d_off, s_off) = (i64::from(r.d_off), i64::from(r.s_off));
         // The first moved destination element.
-        let d0 = r.d_off + i64::from(r.pre) * d_step;
+        let d0 = d_off + i64::from(r.pre) * d_step;
         if scatter && s_step == 1 && d_step == 1 && len > 0 {
             let moved = dest.slice(d0, len);
-            for (sv, dv) in src.slice_mut(r.s_off, len).iter_mut().zip(moved) {
+            for (sv, dv) in src.slice_mut(s_off, len).iter_mut().zip(moved) {
                 *sv += dv;
             }
         } else if scatter {
             for i in 0..i64::from(r.len) {
-                *at(src, r.s_off + i * s_step) += *at(dest, d0 + i * d_step);
+                *at(src, s_off + i * s_step) += *at(dest, d0 + i * d_step);
             }
         } else if d_step == 1 {
-            dest.slice_mut(r.d_off, pre).fill(0.0);
+            dest.slice_mut(d_off, pre).fill(0.0);
             if s_step == 1 && len > 0 {
                 dest.slice_mut(d0, len)
-                    .copy_from_slice(src.slice(r.s_off, len));
+                    .copy_from_slice(src.slice(s_off, len));
             } else {
                 for (i, dv) in dest.slice_mut(d0, len).iter_mut().enumerate() {
-                    *dv = *at(src, r.s_off + i as i64 * s_step);
+                    *dv = *at(src, s_off + i as i64 * s_step);
                 }
             }
             dest.slice_mut(d0 + i64::from(r.len), post).fill(0.0);
@@ -495,10 +528,10 @@ unsafe fn walk(list: &RunList, scatter: bool, dest: &RawBuf, src: &RawBuf) {
             // A destination stride: an inner dimension is tiled. Rare, so
             // plainly: zero the run, then move what is moved.
             for i in 0..r.elements() {
-                *at(dest, r.d_off + i * d_step) = 0.0;
+                *at(dest, d_off + i * d_step) = 0.0;
             }
             for i in 0..i64::from(r.len) {
-                *at(dest, d0 + i * d_step) = *at(src, r.s_off + i * s_step);
+                *at(dest, d0 + i * d_step) = *at(src, s_off + i * s_step);
             }
         }
     }

@@ -8,7 +8,10 @@
 //! after the first batch of each size the serving path never lowers
 //! again: a tail batch of size 3 hits the size-3 entry and only
 //! instantiates (fresh buffers + parameter init). Hit/miss counters make
-//! "nothing built after warmup" testable.
+//! "nothing built after warmup" testable. A miss whose net is resident
+//! at another batch size lowers from that plan
+//! ([`CompiledProgram::at_batch`]) and shares its transfer tables, so a
+//! model's plans hold each table once.
 //!
 //! The cache is **bounded**: it holds at most `capacity` entries and
 //! evicts the least-recently-used plan when a miss would exceed the
@@ -118,11 +121,19 @@ impl PlanCache {
     }
 
     fn lower(&self, model: &Model, batch: usize) -> Result<CompiledProgram, ServeError> {
-        let compiled = model.compiled().at_batch(batch);
-        CompiledProgram::lower(compiled, &self.registry, self.cfg).map_err(|e| {
-            ServeError::Compile {
-                detail: format!("{} @ batch {batch}: {e}", model.name()),
-            }
+        // The net at another batch size, if resident, lends its tables.
+        let sibling = self
+            .lock()
+            .entries
+            .iter()
+            .find(|(key, _)| key.0 == model.fingerprint())
+            .map(|(_, e)| Arc::clone(&e.program));
+        match sibling {
+            Some(sibling) => sibling.at_batch(batch, &self.registry),
+            None => CompiledProgram::lower(model.compiled().at_batch(batch), &self.registry, self.cfg),
+        }
+        .map_err(|e| ServeError::Compile {
+            detail: format!("{} @ batch {batch}: {e}", model.name()),
         })
     }
 

@@ -306,6 +306,30 @@ mod tests {
         }
     }
 
+    /// A net's identity is its program and its initial weights, not how
+    /// `CompiledNet` holds them: the fingerprints of every served net,
+    /// pinned as literals. A change here re-keys every plan cache and
+    /// every ring rendezvous, so it must be deliberate.
+    #[test]
+    fn fingerprints_are_pinned() {
+        let lenet_net = lenet(&ModelConfig { batch: 1, ..ModelConfig::default() }).net;
+        let mut nets: Vec<(&str, Net)> = NETS.iter().map(|&name| (name, factory(name)(1))).collect();
+        nets.push(("lenet", lenet_net));
+        let got: Vec<(&str, u64)> = nets
+            .iter()
+            .map(|(name, net)| (*name, compile(net, &OptLevel::full()).expect("compiles").fingerprint()))
+            .collect();
+        let pinned = [
+            ("fc", 0xff0d_9715_7a42_0de4),
+            ("conv", 0xa6c0_076c_6b43_0973),
+            ("fusion", 0x9dcc_2dd7_5642_0ae3),
+            ("classifier", 0x1b1a_1abd_7cd7_3049),
+            ("lstm", 0x1de4_262e_4d19_d3f7),
+            ("lenet", 0x3c48_14d0_3fee_eb25),
+        ];
+        assert_eq!(got, pinned);
+    }
+
     /// The `dynshape` ladder (buckets 1, 2, 4, 8 × micro-batches 1..=4):
     /// sixteen plans lowered from four compiles.
     #[test]

@@ -448,7 +448,15 @@ fn randomized_chaos_client_soak() {
     for seed in 0..4u64 {
         let (server, frontend) = frontend_with(
             "fc",
-            ServeConfig::default(),
+            ServeConfig {
+                // Larger than the three nodes' floods together, as in the
+                // flood tests above. At the default 8 a flood of 8 fills a
+                // batch, and a dispatcher that is already awake can flush
+                // it by size within the 1 µs budget of the last request:
+                // that request is then live at flush and rightly answered.
+                max_batch: 64,
+                ..ServeConfig::default()
+            },
             NetConfig {
                 read_timeout: Duration::from_millis(200),
                 ..NetConfig::default()

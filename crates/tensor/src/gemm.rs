@@ -8,16 +8,26 @@
 //! the paper evaluates ("Because both Latte and Caffe use MKL, ... they have
 //! the same performance for computing these fully-connected layers").
 //!
-//! Three implementations are provided:
+//! Three entry points are provided:
 //!
 //! * [`gemm_naive`] — textbook triple loop, the correctness oracle.
-//! * [`Gemm::compute`] — the library kernel, structured after the
-//!   Goto/BLIS decomposition: operands are packed into zero-padded
-//!   micro-panels (`MR`-row A panels, `NR`-column B panels), then an
-//!   explicit register-blocked `MR x NR` micro-kernel accumulates each
-//!   output tile in registers over the whole `kc` block. On x86-64 with
-//!   AVX2+FMA available the micro-kernel runs a `target_feature` copy
-//!   emitting vector FMAs; elsewhere an auto-vectorized fallback runs.
+//! * [`Gemm::compute`] — the library kernel, with two paths:
+//!   - outputs at most 32 wide with `A` untransposed — every forward
+//!     convolution of the `(y, x, c)` layout, whose `n` is its channel
+//!     count — run row by row, each row's `C` held in registers over the
+//!     whole `k` against a small `k x n` panel of B. On x86-64 with
+//!     AVX2+FMA detected the rows run at vector width, a block of rows at
+//!     a time, with a separate multiply and add; elsewhere a portable
+//!     loop runs. Both round each product and each sum in `k` order
+//!     from `C`, so they agree bit for bit (NaN payloads aside: which of
+//!     two NaN operands an addition keeps is the compiler's choice);
+//!   - everything else follows the Goto/BLIS decomposition: operands are
+//!     packed into zero-padded micro-panels (`MR`-row A panels,
+//!     `NR`-column B panels), then an explicit register-blocked
+//!     `MR x NR` micro-kernel accumulates each output tile in registers
+//!     over the whole `kc` block. With AVX2+FMA the micro-kernel runs a
+//!     `target_feature` copy emitting vector FMAs; elsewhere an
+//!     auto-vectorized fallback runs.
 //! * [`Gemm::compute_parallel`] — the same tile decomposition with the
 //!   `(ic, jc)` macro-tile grid statically partitioned across a worker
 //!   pool ([`GemmPool`]). Every output element is produced by exactly one
@@ -36,8 +46,9 @@ pub const NR: usize = 16;
 /// parallel entry runs it on one worker instead.
 const MIN_PARALLEL_FLOPS: usize = 2 * 64 * 64 * 64;
 
-/// Outputs at most this narrow take the register-resident row fast path
-/// instead of the tiled kernel.
+/// Outputs at most this narrow (with `A` untransposed) take the
+/// register-row path instead of the tiled kernel: at vector width a row
+/// of `C` is at most four YMM accumulators.
 const NARROW: usize = 32;
 
 /// A rejected `(kc, nc, mc)` blocking: why [`Gemm::with_blocking`]
@@ -307,7 +318,7 @@ impl Gemm {
         // Serial cases: narrow outputs (register-row path), problems too
         // small to amortize a fan-out, or a single-worker pool.
         let serial = pool.threads() <= 1
-            || is_narrow(ta, tb, n)
+            || is_narrow(ta, n)
             || 2 * m * n * k < MIN_PARALLEL_FLOPS;
         if serial {
             pool.run_gemm(&|tid, eng| {
@@ -339,9 +350,17 @@ impl Gemm {
     }
 
     /// Narrow-output fast path: with `n` small the tiled kernel is mostly
-    /// pack/pad overhead, so accumulate each output row in a
-    /// register-resident array over the full `k` instead (the B panel
-    /// fits in L1). Returns `false` when the shape does not qualify.
+    /// pack/pad overhead, so accumulate each output row in registers over
+    /// the full `k` instead (the B panel fits in L1). Returns `false` when
+    /// the shape does not qualify.
+    ///
+    /// Every output element is computed the same way on every host:
+    /// start from `C`, then for `p` ascending add `A[i, p] * B[p, j]`,
+    /// rounding the product and then the sum. With AVX2+FMA detected the
+    /// rows run at vector width ([`narrow_rows_avx`]); otherwise a
+    /// portable loop ([`narrow_rows`]) does the same arithmetic, so the
+    /// two agree bit for bit — except for the payload of a NaN made from
+    /// two NaNs, which is whichever operand the compiler put first.
     #[allow(clippy::too_many_arguments)]
     fn narrow_fast_path(
         &mut self,
@@ -354,38 +373,46 @@ impl Gemm {
         b: &[f32],
         c: &mut [f32],
     ) -> bool {
-        if !is_narrow(ta, tb, n) {
+        if !is_narrow(ta, n) {
             return false;
         }
-        let pb: &[f32] = if tb == Transpose::Yes {
-            // B stored (n x k): per-element dot products would be scalar
-            // reductions, which LLVM will not vectorize under strict FP.
-            // Transposing B into a tiny (k x n) panel turns the inner
-            // loop into independent lanes instead.
-            self.pack_b.clear();
-            self.pack_b.reserve(k * n);
-            for p in 0..k {
-                for j in 0..n {
-                    self.pack_b.push(b[j * k + p]);
-                }
-            }
-            &self.pack_b
-        } else {
+        // The vector kernel reads whole 8-lane rows of B.
+        let width = if self.fma { n.next_multiple_of(8) } else { n };
+        let pb: &[f32] = if tb == Transpose::No && width == n {
             &b[..k * n]
-        };
-        let mut acc = [0.0f32; NARROW];
-        for i in 0..m {
-            let arow = &a[i * k..i * k + k];
-            let crow = &mut c[i * n..i * n + n];
-            acc[..n].copy_from_slice(crow);
-            for (p, &av) in arow.iter().enumerate() {
-                let brow = &pb[p * n..p * n + n];
-                for (ac, bv) in acc[..n].iter_mut().zip(brow) {
-                    *ac += av * bv;
-                }
+        } else {
+            // B stored (n x k) — per-element dot products would be scalar
+            // reductions, which LLVM will not vectorize under strict FP —
+            // or rows to pad: either way a small (k x width) panel whose
+            // inner loop is independent lanes. Rows overwrite (and re-pad)
+            // fully, so the buffer never shrinks and the tiled path that
+            // shares it never re-zeroes it.
+            if self.pack_b.len() < k * width {
+                self.pack_b.resize(k * width, 0.0);
             }
-            crow.copy_from_slice(&acc[..n]);
+            for (p, row) in self.pack_b.chunks_exact_mut(width).take(k).enumerate() {
+                match tb {
+                    Transpose::No => row[..n].copy_from_slice(&b[p * n..p * n + n]),
+                    Transpose::Yes => {
+                        for (j, v) in row[..n].iter_mut().enumerate() {
+                            *v = b[j * k + p];
+                        }
+                    }
+                }
+                row[n..].fill(0.0);
+            }
+            &self.pack_b[..k * width]
+        };
+        #[cfg(target_arch = "x86_64")]
+        if self.fma {
+            // SAFETY: `fma` is set only when AVX2+FMA (so AVX) were
+            // detected at engine construction; `check_lens` proved `a` and
+            // `c` cover `m x k` and `m x n`, and `pb` is `k` rows of
+            // `n.next_multiple_of(8)`.
+            unsafe { narrow_rows_avx(m, n, k, a, pb, c) };
+            return true;
         }
+        narrow_rows(m, n, k, a, pb, width, c);
         true
     }
 
@@ -512,9 +539,152 @@ fn detect_fma() -> bool {
     }
 }
 
-fn is_narrow(ta: Transpose, _tb: Transpose, n: usize) -> bool {
+fn is_narrow(ta: Transpose, n: usize) -> bool {
     // The narrow path reads A row-wise, so it requires untransposed A.
     ta == Transpose::No && n <= NARROW
+}
+
+/// Portable narrow kernel: each row of `C` accumulates in a stack array
+/// over the full `k`, `p` ascending. `pb` is `k` rows of `width >= n`
+/// columns, of which the first `n` are `op(B)`'s.
+fn narrow_rows(m: usize, n: usize, k: usize, a: &[f32], pb: &[f32], width: usize, c: &mut [f32]) {
+    let mut acc = [0.0f32; NARROW];
+    for i in 0..m {
+        let arow = &a[i * k..i * k + k];
+        let crow = &mut c[i * n..i * n + n];
+        acc[..n].copy_from_slice(crow);
+        for (p, &av) in arow.iter().enumerate() {
+            let brow = &pb[p * width..p * width + n];
+            for (ac, bv) in acc[..n].iter_mut().zip(brow) {
+                *ac += av * bv;
+            }
+        }
+        crow.copy_from_slice(&acc[..n]);
+    }
+}
+
+/// AVX copy of [`narrow_rows`]: blocks of `R` rows, each row's `n`
+/// columns held in `⌈n/8⌉` YMM accumulators loaded from `C`, and every
+/// `k` step a broadcast of `A[i, p]`, a `vmulps` by the row of B and a
+/// `vaddps` into the accumulator — the portable loop's two roundings in
+/// its order. No FMA: fusing the pair would round once and change bits.
+/// `R` keeps about twelve accumulators live (8 rows for `n <= 8`, then
+/// 6, 4, 3); the last `m mod R` rows run one at a time.
+///
+/// # Safety
+///
+/// AVX must be available; `a` must cover `m x k` and `c` `m x n`, with
+/// `1 <= n <= NARROW`; `pb` must be `k` rows of `n.next_multiple_of(8)`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn narrow_rows_avx(m: usize, n: usize, k: usize, a: &[f32], pb: &[f32], c: &mut [f32]) {
+    debug_assert!((1..=NARROW).contains(&n));
+    debug_assert!(a.len() >= m * k && c.len() >= m * n && pb.len() >= k * n.next_multiple_of(8));
+    let (a, pb, c) = (a.as_ptr(), pb.as_ptr(), c.as_mut_ptr());
+    // SAFETY (all four arms): the caller's contract, with `V = ⌈n/8⌉`.
+    unsafe {
+        match n.div_ceil(8) {
+            1 => narrow_blocks_avx::<8, 1>(m, n, k, a, pb, c),
+            2 => narrow_blocks_avx::<6, 2>(m, n, k, a, pb, c),
+            3 => narrow_blocks_avx::<4, 3>(m, n, k, a, pb, c),
+            _ => narrow_blocks_avx::<3, 4>(m, n, k, a, pb, c),
+        }
+    }
+}
+
+/// [`narrow_rows_avx`] for `V = ⌈n/8⌉` vectors a row, `R` rows a block.
+///
+/// # Safety
+///
+/// As [`narrow_rows_avx`], through raw pointers.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn narrow_blocks_avx<const R: usize, const V: usize>(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: *const f32,
+    pb: *const f32,
+    c: *mut f32,
+) {
+    use std::arch::x86_64::*;
+    // The last vector of a row holds `n - 8(V-1)` columns of C; its other
+    // lanes are neither loaded nor stored (their B lanes are padding).
+    let tail = n - 8 * (V - 1);
+    let lanes: [i32; 8] = std::array::from_fn(|j| if j < tail { -1 } else { 0 });
+    // SAFETY: `lanes` is 32 readable bytes.
+    let mask = unsafe { _mm256_loadu_si256(lanes.as_ptr().cast()) };
+    let mut i = 0;
+    while i < m {
+        // SAFETY: rows `i..i + R` (or `i`) are below `m`; the rest is the
+        // caller's contract.
+        unsafe {
+            if i + R <= m {
+                narrow_block_avx::<R, V>(i, n, k, a, pb, c, mask);
+                i += R;
+            } else {
+                narrow_block_avx::<1, V>(i, n, k, a, pb, c, mask);
+                i += 1;
+            }
+        }
+    }
+}
+
+/// Rows `i0..i0 + R` of [`narrow_rows_avx`].
+///
+/// # Safety
+///
+/// As [`narrow_rows_avx`], with `i0 + R <= m` and `mask` selecting the
+/// first `n - 8(V-1)` lanes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[inline]
+unsafe fn narrow_block_avx<const R: usize, const V: usize>(
+    i0: usize,
+    n: usize,
+    k: usize,
+    a: *const f32,
+    pb: *const f32,
+    c: *mut f32,
+    mask: std::arch::x86_64::__m256i,
+) {
+    use std::arch::x86_64::*;
+    let mut acc = [[_mm256_setzero_ps(); V]; R];
+    // SAFETY (every access below): row `i0 + r < m` of C spans
+    // `[(i0 + r)n, (i0 + r)n + n)`, its last vector masked to the lanes
+    // inside it; row `i0 + r` of A has `k` elements; B's row `p < k` has
+    // `8V` padded elements.
+    unsafe {
+        for (r, row) in acc.iter_mut().enumerate() {
+            let crow = c.add((i0 + r) * n);
+            for (v, cv) in row.iter_mut().enumerate() {
+                *cv = if v + 1 < V {
+                    _mm256_loadu_ps(crow.add(8 * v))
+                } else {
+                    _mm256_maskload_ps(crow.add(8 * v), mask)
+                };
+            }
+        }
+        for p in 0..k {
+            let brow = pb.add(p * 8 * V);
+            for (r, row) in acc.iter_mut().enumerate() {
+                let av = _mm256_set1_ps(*a.add((i0 + r) * k + p));
+                for (v, cv) in row.iter_mut().enumerate() {
+                    *cv = _mm256_add_ps(*cv, _mm256_mul_ps(av, _mm256_loadu_ps(brow.add(8 * v))));
+                }
+            }
+        }
+        for (r, row) in acc.iter().enumerate() {
+            let crow = c.add((i0 + r) * n);
+            for (v, &cv) in row.iter().enumerate() {
+                if v + 1 < V {
+                    _mm256_storeu_ps(crow.add(8 * v), cv);
+                } else {
+                    _mm256_maskstore_ps(crow.add(8 * v), mask, cv);
+                }
+            }
+        }
+    }
 }
 
 /// Packs `op(A)`'s `mb x kb` block (rows `ic..`, k `pc..`) into
@@ -806,6 +976,58 @@ mod tests {
         let b = vec![0.0; 4];
         let mut c = vec![0.0; 4];
         Gemm::new().compute(Transpose::No, Transpose::No, 2, 2, 2, &a, &b, &mut c);
+    }
+
+    /// The release-mode gate `scripts/check.sh` and CI run: the narrow
+    /// path at vector width against the portable loop it replaces, on a
+    /// VGG conv2_1 and a LeNet conv1 forward shape. Both engines are timed
+    /// in this process in alternating rounds and keep their best, so a
+    /// burst of noise on the host costs both sides or neither; both
+    /// accumulate into their own `C` call after call, which must end
+    /// bit-identical.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "timing ratios: run with --release")]
+    fn narrow_kernel_beats_the_portable_loop() {
+        let mut vector = Gemm::new();
+        if !vector.fma {
+            println!("narrow GEMM gate skipped: no AVX2+FMA on this host, the portable loop is the only path");
+            return;
+        }
+        let mut portable = Gemm { fma: false, ..Gemm::new() };
+        for (m, n, k, floor) in [(128, 32, 144, 1.8), (112, 5, 25, 3.0)] {
+            let (a, b) = (dense(m, k, 1), dense(n, k, 2));
+            let mut cs = [dense(m, n, 3), dense(m, n, 3)];
+            let calls = (4_000_000 / (m * n * k)).max(1);
+            let per_call = |eng: &mut Gemm, c: &mut [f32]| {
+                let t0 = std::time::Instant::now();
+                for _ in 0..calls {
+                    eng.compute(Transpose::No, Transpose::Yes, m, n, k, &a, &b, std::hint::black_box(&mut *c));
+                }
+                t0.elapsed().as_secs_f64() / calls as f64
+            };
+            let (mut fast, mut slow) = (f64::INFINITY, f64::INFINITY);
+            for _ in 0..25 {
+                let [cv, cp] = &mut cs;
+                fast = fast.min(per_call(&mut vector, cv));
+                slow = slow.min(per_call(&mut portable, cp));
+            }
+            let [cv, cp] = &cs;
+            assert!(
+                cv.iter().zip(cp).all(|(x, y)| x.to_bits() == y.to_bits()),
+                "NT {m}x{n}x{k}: the vector kernel's C differs from the portable loop's"
+            );
+            println!(
+                "narrow NT {m}x{n}x{k}: vector {:.1} us, portable {:.1} us, ratio {:.2}x (>= {floor} required)",
+                fast * 1e6,
+                slow * 1e6,
+                slow / fast
+            );
+            assert!(
+                slow / fast >= floor,
+                "NT {m}x{n}x{k}: the vector kernel is only {:.2}x the portable loop",
+                slow / fast
+            );
+        }
     }
 
     /// Sequential [`GemmPool`]: runs every part one after another on the
