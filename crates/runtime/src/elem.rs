@@ -3,19 +3,26 @@
 //! The paper compiles every neuron body into a vectorised loop. Here
 //! lowering flattens the body's expression tree, once, into a register
 //! program — `Const`, `Load`, `Un`, `Bin` in SSA order, then one store —
-//! and [`run`] executes it *strip-mined*: the innermost loop is cut into
-//! strips of [`STRIP`] lanes, every register is a `[f32; STRIP]` column,
-//! and each instruction runs over a whole column before the next one
-//! starts. The `match` on the opcode therefore happens once per strip,
-//! not once per element, and the lane loops underneath it are plain slice
-//! loops the compiler vectorises.
+//! and [`run`] executes it *strip-mined*: one loop of the nest, the
+//! *lanes*, is cut into strips of [`STRIP`] lanes, every register is a
+//! `[f32; STRIP]` column, and each instruction runs over a whole column
+//! before the next one starts. The `match` on the opcode therefore
+//! happens once per strip, not once per element, and the lane loops
+//! underneath it are plain slice loops the compiler vectorises.
 //!
-//! A program covers a whole perfect nest, not just its innermost loop:
-//! the loops around the lanes are *rows*, which [`run`] walks itself,
+//! A program covers a whole perfect nest, not just its lane loop: the
+//! loops around the lanes are *rows*, which [`run`] walks itself,
 //! bumping one address per reference, instead of being re-entered — and
 //! every index re-evaluated — once per row. Adjacent loops that every
 //! reference walks contiguously merge into one (an in-place ReLU over
 //! `h × w × c` is a single loop of `h·w·c` lanes).
+//!
+//! The lanes are the nest's innermost loop unless that loop is shorter
+//! than one vector: then lowering moves the longest loop the store can be
+//! reordered over innermost instead, so a 2×2 max-pool runs its 4-element
+//! window as 4 rows over thousands of output lanes, not thousands of
+//! rows of 4 ([`Builder::finish`] states the three conditions and why
+//! they keep every bit).
 //!
 //! Three things keep the cheap shapes (copy, ReLU, `x * y`) at the cost
 //! of a hand-written slice loop:
@@ -37,7 +44,9 @@
 //! association. A stride-0 destination (a dot product, a max, a bias
 //! gradient) folds its lanes into the destination *in lane order*, one
 //! [`AssignOp::apply`] at a time, which is exactly the order of the
-//! sequential loop.
+//! sequential loop. A lane loop moved innermost changes the order of the
+//! iterations but not the sequence of updates any one destination
+//! element receives.
 //!
 //! A strip reads all its lanes before it stores any of them, so it is
 //! only legal when no store can feed a later lane's load. [`Builder::finish`]
@@ -57,6 +66,11 @@ use crate::lower::{BufBinding, CRef};
 
 /// Lanes per strip: the width of a register column.
 pub(crate) const STRIP: usize = 64;
+
+/// `f32` lanes in one vector register (AVX): a lane loop shorter than
+/// this leaves the vector unit partly idle, so [`Builder::finish`] looks
+/// for a longer one.
+const VECTOR: usize = 8;
 
 /// A register: the index of the instruction that defines it.
 pub(crate) type Reg = usize;
@@ -141,9 +155,33 @@ impl Builder {
     /// Closes the program with its store, `dest op= <last register>`,
     /// inside the perfect loop nest `nest` — `(slot, extent)` pairs,
     /// outermost first; empty for a bare assignment — and decides the
-    /// strip width and each instruction's schedule. The innermost loop
-    /// becomes the lanes, the loops around it the rows; two adjacent
-    /// loops that every reference walks contiguously are one loop.
+    /// lane loop, the strip width and each instruction's schedule. Two
+    /// adjacent loops that every reference walks contiguously are one
+    /// loop; the innermost loop becomes the lanes, the loops around it
+    /// the rows, in the nest's order.
+    ///
+    /// When vectorising is on and that innermost loop is too short to
+    /// fill one vector ([`VECTOR`] lanes), the longest loop that is longer
+    /// and that the store may be reordered over moves innermost and
+    /// becomes the lanes instead (a 2×2 max-pool's window of 4 becomes
+    /// four rows, its thousands of outputs the lanes). A loop qualifies
+    /// when
+    ///
+    /// 1. the destination walks it (a non-zero stride),
+    /// 2. the destination is injective over all the loops it walks — no
+    ///    two iterations that differ in a walked loop store to one
+    ///    element, and
+    /// 3. no load shares the destination's storage.
+    ///
+    /// The results stay bit-identical. By (3) the program writes nothing
+    /// it reads, so every load sees the same value in any order, and each
+    /// instruction computes the same value per iteration. By (2) the
+    /// iterations that update one destination element are exactly those
+    /// that agree on every walked loop, the moved one included: they
+    /// differ only in the loops of stride 0, which keep their relative
+    /// order, so each element receives the same `op=` updates in the
+    /// same sequence — `=`, `+=` and `max=` alike, at either strip width.
+    /// By (1) and (2) the lanes of one strip write distinct elements.
     ///
     /// `bufs` is the owning group's buffer table: two references can
     /// overlap exactly when their bindings share a storage.
@@ -194,6 +232,19 @@ impl Builder {
                 });
             }
         }
+        let dbind = &bufs[dest.buf];
+        let writes_what_it_reads = self.insts.iter().any(
+            |inst| matches!(inst, Inst::Load { src } if bufs[src.buf].storage == dbind.storage),
+        );
+        if vectorize && !writes_what_it_reads {
+            if let Some(d) = lane_loop(&loops, &strides[root + 1]) {
+                loops[d..].rotate_left(1);
+                strides
+                    .iter_mut()
+                    .filter(|s| !s.is_empty())
+                    .for_each(|s| s[d..].rotate_left(1));
+            }
+        }
         let lanes = loops.pop();
         let rows = loops;
         // Split each reference's strides into (lane, rows).
@@ -208,7 +259,6 @@ impl Builder {
         let by: Vec<Strides> = strides.by_ref().take(root + 1).collect();
         let dby = strides.next().expect("the store's strides go last");
 
-        let dbind = &bufs[dest.buf];
         let mut width = if vectorize { STRIP } else { 1 };
         let mut sched: Vec<Sched> = Vec::with_capacity(root + 1);
         for (i, inst) in self.insts.iter().enumerate() {
@@ -292,6 +342,43 @@ impl Builder {
             op,
         }
     }
+}
+
+/// The loop a destination with strides `dest` (one per loop of `loops`)
+/// should run as the lanes in place of the innermost one, if the
+/// innermost is shorter than [`VECTOR`]: the longest loop longer than it
+/// that the destination walks, ties going to the inner one, provided
+/// the destination is injective. Conditions (1) and (2) of
+/// [`Builder::finish`]; the caller checks (3).
+fn lane_loop(loops: &[LoopDim], dest: &[i64]) -> Option<usize> {
+    let inner = loops.last()?.extent;
+    if inner >= VECTOR || !injective(loops, dest) {
+        return None;
+    }
+    (0..loops.len())
+        .filter(|&d| dest[d] != 0 && loops[d].extent > inner)
+        .max_by_key(|&d| loops[d].extent)
+}
+
+/// Whether `Σ strides[d] · i_d` is a different address for every
+/// combination of the walked loops' counters. Sorted by stride, each
+/// walked loop must step over everything the finer ones reach together
+/// (a mixed-radix number): then the coarsest loop in which two
+/// combinations differ decides their order.
+fn injective(loops: &[LoopDim], strides: &[i64]) -> bool {
+    let mut walked: Vec<(i64, i64)> = loops
+        .iter()
+        .zip(strides)
+        .filter(|&(_, &s)| s != 0)
+        .map(|(l, &s)| (s.abs(), l.extent.saturating_sub(1) as i64))
+        .collect();
+    walked.sort_unstable();
+    let mut reach = 0;
+    walked.iter().all(|&(stride, last)| {
+        let steps_over = stride > reach;
+        reach += stride * last;
+        steps_over
+    })
 }
 
 /// An operation varies no faster than its fastest-varying operand.
@@ -681,14 +768,15 @@ pub(crate) unsafe fn run(p: &ElemProgram, env: &[i64], frame: &[RawBuf], sc: &mu
                     Opd::Scalar(s) => fold(*dest, std::iter::repeat_n(s, len), p.op),
                 };
             } else {
-                let v = regs.opd(root, start, len);
-                for l in 0..len {
-                    let x = match v {
-                        Opd::Lanes(v) => v[l],
-                        Opd::Scalar(s) => s,
-                    };
-                    let q = dest.offset((start + l) as isize * p.dby.lane as isize);
-                    *q = p.op.apply(*q, x);
+                // SAFETY (of the `&mut`s): a non-zero lane stride gives
+                // every lane its own element, and every operand is a
+                // column or a borrow of another storage.
+                let lane = p.dby.lane as isize;
+                let base = dest.offset(start as isize * lane);
+                let out = (0..len as isize).map(|l| &mut *base.offset(l * lane));
+                match regs.opd(root, start, len) {
+                    Opd::Lanes(v) => store(out.zip(v.iter().copied()), p.op),
+                    Opd::Scalar(s) => store(out.zip(std::iter::repeat(s)), p.op),
                 }
             }
             start += len;
@@ -813,6 +901,16 @@ mod tests {
                 Tree::Load(k) => load(*k),
                 Tree::Un(op, x) => op.apply(x.eval(load)),
                 Tree::Bin(op, a, b) => op.apply(a.eval(load), b.eval(load)),
+            }
+        }
+
+        /// The first load the tree reads, left to right.
+        fn first_load(&self) -> Option<usize> {
+            match self {
+                Tree::Const(_) => None,
+                Tree::Load(k) => Some(*k),
+                Tree::Un(_, x) => x.first_load(),
+                Tree::Bin(_, a, b) => a.first_load().or_else(|| b.first_load()),
             }
         }
 
@@ -951,13 +1049,13 @@ mod tests {
         BinOp::EqIndicator,
     ];
     const ASSIGN: [AssignOp; 3] = [AssignOp::Set, AssignOp::Add, AssignOp::Max];
-    const EXTENTS: [usize; 6] = [1, 7, 63, 64, 65, 200];
+    /// Lane extents; the first four are shorter than one vector.
+    const EXTENTS: [usize; 8] = [1, 2, 4, 7, 63, 64, 65, 200];
     const LOADS: usize = 6;
-    /// Rows of the two-level cases.
-    const ROWS: usize = 3;
     /// Longest buffer any reference needs: base < 4, lane stride <= 2
-    /// over 200 lanes, `ROWS` such rows back to back.
-    const LEN: usize = 4 + 2 * 200 * ROWS;
+    /// over 200 lanes, 3 such rows back to back and one row further on
+    /// (64 rows come only with lanes shorter than 8).
+    const LEN: usize = 4 + 2 * 200 * 4;
 
     /// A random tree over `LOADS` loads, drawing from `codes`.
     fn tree(codes: &mut impl Iterator<Item = u32>, depth: usize) -> Tree {
@@ -1009,29 +1107,36 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+        #![proptest_config(ProptestConfig::with_cases(512))]
 
         /// Any element nest — every op, lane and row strides 0/1/2,
         /// reductions, in-place and shifted self-aliases, one strip or
-        /// several, one row or several — leaves every buffer
-        /// bit-identical to the sequential loops, at both widths.
+        /// several, one row or several, short lanes under many rows (which
+        /// lowering may turn around) — leaves every buffer bit-identical to
+        /// the sequential loops, at both widths.
         #[test]
         fn strip_programs_match_the_sequential_loop(
             codes in proptest::collection::vec(0u32..1000, 40),
             shapes in proptest::collection::vec((1usize..4, 0i64..4, 0i64..3, 0i64..4), LOADS),
             dest in (0i64..4, 0i64..3, 0i64..4),
-            alias in 0usize..4,
+            alias in 0usize..6,
             op in 0usize..3,
-            extent in 0usize..6,
-            rows in 0usize..2,
+            extent in 0usize..8,
+            rows in 0usize..3,
             seed in 0u32..1_000_000,
         ) {
-            // One loop, or `ROWS` rows around it (row stride 0, 1, 2, or
-            // 3 = rows back to back, which lets the two loops merge).
+            // One loop, or 3 rows around it, or 64 rows around a loop
+            // shorter than one vector (row stride 0, 1, 2, or 3 = rows
+            // back to back, which lets the two loops merge).
             // Buffer 0 is the destination; loads read buffers 1..=3,
-            // except load 0, which `alias` may point at the destination:
-            // 1 = the very element being written, 2 = a shifted one.
-            let n = EXTENTS[extent];
+            // except the tree's first, which `alias` may point at the
+            // destination: 1 = the very element being written, 2 = the
+            // one after it, 3 = the one a row (or a lane, in one loop)
+            // further on.
+            let n = match rows {
+                2 => EXTENTS[extent % 4],
+                _ => EXTENTS[extent],
+            };
             let strides = |row: i64, lane: i64| match (rows, row) {
                 (0, _) => vec![lane],
                 (_, 3) => vec![lane * n as i64, lane],
@@ -1042,17 +1147,24 @@ mod tests {
                 .iter()
                 .map(|&(buf, base, lane, row)| Ref { buf, base, strides: strides(row, lane) })
                 .collect();
+            let tree = tree(&mut codes.into_iter(), 4);
+            let first = tree.first_load().unwrap_or(0);
             match alias {
-                1 => loads[0] = dest.clone(),
-                2 => loads[0] = Ref { base: (dest.base + 1) % 4, ..dest.clone() },
+                1 => loads[first] = dest.clone(),
+                2 => loads[first] = Ref { base: (dest.base + 1) % 4, ..dest.clone() },
+                3 => loads[first] = Ref { base: dest.base + dest.strides[0], ..dest.clone() },
                 _ => {}
             }
             let lp = Loop {
-                tree: tree(&mut codes.into_iter(), 4),
+                tree,
                 loads,
                 dest,
                 op: ASSIGN[op],
-                extents: if rows == 1 { vec![ROWS, n] } else { vec![n] },
+                extents: match rows {
+                    0 => vec![n],
+                    1 => vec![3, n],
+                    _ => vec![64, n],
+                },
             };
             let start: Vec<Vec<f32>> = (0..4).map(|b| contents(seed, b)).collect();
             let mut want = start.clone();
@@ -1192,6 +1304,161 @@ mod tests {
         assert!(text.contains("fused"), "{text}");
     }
 
+    /// A 2×2 max-pool over `outputs` outputs: each the max of its window
+    /// of 4, staged back to back (as lowering stages a pool's input).
+    fn max_pool(outputs: usize) -> Loop {
+        Loop {
+            tree: Tree::Load(0),
+            loads: vec![Ref {
+                buf: 1,
+                base: 0,
+                strides: vec![4, 1],
+            }],
+            dest: Ref {
+                buf: 0,
+                base: 0,
+                strides: vec![1, 0],
+            },
+            op: AssignOp::Max,
+            extents: vec![outputs, 4],
+        }
+    }
+
+    fn max_pool_by_hand(bufs: &mut [Vec<f32>], outputs: usize) {
+        let [d, x] = bufs else { unreachable!() };
+        for (d, x) in d[..outputs].iter_mut().zip(x.chunks_exact(4)) {
+            *d = x.iter().fold(*d, |m, &v| m.max(v));
+        }
+    }
+
+    /// Its gradient: `gin[4o + j] += g[o] * (x[4o + j] == v[o])`.
+    fn pool_gradient(outputs: usize) -> Loop {
+        let r = |buf, strides: [i64; 2]| Ref {
+            buf,
+            base: 0,
+            strides: strides.to_vec(),
+        };
+        Loop {
+            tree: Tree::bin(
+                BinOp::Mul,
+                Tree::Load(0),
+                Tree::bin(BinOp::EqIndicator, Tree::Load(1), Tree::Load(2)),
+            ),
+            loads: vec![r(1, [1, 0]), r(2, [4, 1]), r(3, [1, 0])],
+            dest: r(0, [4, 1]),
+            op: AssignOp::Add,
+            extents: vec![outputs, 4],
+        }
+    }
+
+    fn pool_gradient_by_hand(bufs: &mut [Vec<f32>], outputs: usize) {
+        let [d, g, x, v] = bufs else { unreachable!() };
+        let windows = d.chunks_exact_mut(4).zip(x.chunks_exact(4));
+        for ((d, x), (g, v)) in windows.zip(g.iter().zip(v.iter())).take(outputs) {
+            for (d, x) in d.iter_mut().zip(x) {
+                if x == v {
+                    *d += g;
+                }
+            }
+        }
+    }
+
+    /// The loops `lp` lowers to, as the program's first line prints them
+    /// (rows, then the lanes), after checking its bits against the
+    /// sequential loop.
+    fn loops_of(lp: &Loop, vectorize: bool) -> String {
+        let n_bufs = 1 + lp.loads.iter().map(|r| r.buf).max().unwrap_or(0);
+        let p = lp.program(vectorize, n_bufs);
+        let start: Vec<Vec<f32>> = (0..n_bufs).map(|b| contents(7, b)).collect();
+        let mut want = start.clone();
+        lp.reference(&mut want);
+        let mut got = start;
+        execute(&p, &mut got, &mut Columns::default());
+        assert_same_bits(&got, &want, &p.to_string());
+        p.to_string().lines().next().unwrap_or_default().to_string()
+    }
+
+    #[test]
+    fn a_max_pool_runs_its_outputs_as_lanes() {
+        assert_eq!(
+            loops_of(&max_pool(128), true),
+            "elem s1 in 0..4, s0 in 0..128 width 64"
+        );
+    }
+
+    #[test]
+    fn a_pool_gradient_runs_its_outputs_as_lanes() {
+        assert_eq!(
+            loops_of(&pool_gradient(128), true),
+            "elem s1 in 0..4, s0 in 0..128 width 64"
+        );
+    }
+
+    /// `db[c] += g[4p + c]`: the long loop is the reduction, which the
+    /// destination does not walk.
+    #[test]
+    fn a_bias_gradient_keeps_its_lanes() {
+        let lp = Loop {
+            tree: Tree::Load(0),
+            loads: vec![Ref {
+                buf: 1,
+                base: 0,
+                strides: vec![4, 1],
+            }],
+            dest: Ref {
+                buf: 0,
+                base: 0,
+                strides: vec![0, 1],
+            },
+            op: AssignOp::Add,
+            extents: vec![128, 4],
+        };
+        assert_eq!(
+            loops_of(&lp, true),
+            "elem s0 in 0..128, s1 in 0..4 width 64"
+        );
+    }
+
+    /// `d[i + j] += x[4i + j]`: iterations of both loops meet in one
+    /// element, in an order turning the loops around would change.
+    #[test]
+    fn a_destination_that_is_not_injective_keeps_its_lanes() {
+        let lp = Loop {
+            dest: Ref {
+                buf: 0,
+                base: 0,
+                strides: vec![1, 1],
+            },
+            op: AssignOp::Add,
+            ..max_pool(64)
+        };
+        assert_eq!(loops_of(&lp, true), "elem s0 in 0..64, s1 in 0..4 width 64");
+    }
+
+    /// A max-pool reading its windows from the destination's own buffer,
+    /// past the outputs: no overlap, but no reordering over a store
+    /// that shares storage with a load either.
+    #[test]
+    fn a_load_of_the_destination_storage_keeps_the_lanes() {
+        let lp = Loop {
+            loads: vec![Ref {
+                buf: 0,
+                base: 128,
+                strides: vec![4, 1],
+            }],
+            ..max_pool(128)
+        };
+        assert_eq!(loops_of(&lp, true), "elem s0 in 0..128, s1 in 0..4 width 1");
+    }
+
+    #[test]
+    fn vectorize_off_keeps_the_lanes() {
+        assert_eq!(
+            loops_of(&max_pool(128), false),
+            "elem s0 in 0..128, s1 in 0..4 width 1"
+        );
+    }
+
     /// Seconds per run of `lp` as a program and as `hand`, the loop one
     /// would write by hand over the same buffers: the two are timed in
     /// alternating rounds and each keeps its best, so a burst of noise on
@@ -1315,6 +1582,46 @@ mod tests {
         );
     }
 
+    /// The release-mode gate for the lane loop [`Builder::finish`]
+    /// chooses, timed as the gate above: a 2×2 max-pool and its gradient
+    /// over VGG's first pool tile (8 × 16 × 16 outputs), against the loops
+    /// one would write by hand. With the 4-element window as the lanes
+    /// they ran at 7.5× and 12.4× the hand loops; with the outputs as the
+    /// lanes, at 2–3×.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "timing ratios: run with --release")]
+    fn pooling_runs_its_outputs_at_vector_width() {
+        let mut sc = Columns::default();
+        let outputs = 8 * 16 * 16;
+        let mut gate = |name: &str, lp: Loop, hand: &dyn Fn(&mut [Vec<f32>]), bound: f64| {
+            let (program, by_hand) = race(&lp, &mut sc, hand);
+            println!(
+                "{name} 8x16x16: program {:.1} ns, by hand {:.1} ns, ratio {:.2}x (<= {bound})",
+                program * 1e9,
+                by_hand * 1e9,
+                program / by_hand
+            );
+            assert!(
+                program <= by_hand * bound,
+                "{name}: the program takes {:.2}x the hand-written loop\n{}",
+                program / by_hand,
+                lp.program(true, 4)
+            );
+        };
+        gate(
+            "max-pool",
+            max_pool(outputs),
+            &|bufs| max_pool_by_hand(bufs, outputs),
+            3.5,
+        );
+        gate(
+            "max-pool gradient",
+            pool_gradient(outputs),
+            &|bufs| pool_gradient_by_hand(bufs, outputs),
+            5.0,
+        );
+    }
+
     /// A measurement, not a gate (EXPERIMENTS.md quotes it): the shapes
     /// conv nets are made of — what `exec.rs` used to hand-match, one row
     /// per call — as programs over whole nests, against the nests one
@@ -1332,7 +1639,7 @@ mod tests {
             base: 0,
             strides: strides.to_vec(),
         };
-        // VGG's first group: 16 x 32 pixels of 16 channels, 2x2 pooling.
+        // VGG's first group: 16 x 32 pixels of 16 channels.
         let (h, w, c) = (16usize, 32usize, 16usize);
         let px = [(w * c) as i64, c as i64, 1];
         let mut case = |name: &str, lp: Loop, hand: &dyn Fn(&mut [Vec<f32>])| {
@@ -1413,50 +1720,43 @@ mod tests {
                 }
             },
         );
-        // Pooling: 8 x 16 x 16 outputs, each over a window of 4.
-        let (oh, ow) = (8usize, 16usize);
-        let out = [(ow * c) as i64, c as i64, 1, 0];
-        let win = [(ow * c * 4) as i64, (c * 4) as i64, 4, 1];
+        // LeNet's first conv (28 px, `channel_div` 4): tiles of 112 pixels
+        // of 5 channels, the one bias broadcast short enough to turn.
         case(
-            "max-pool 8x16x16 windows of 4",
+            "bias broadcast 112 rows of 5",
             Loop {
                 tree: Tree::Load(0),
-                loads: vec![r(1, &win)],
-                dest: r(0, &out),
-                op: AssignOp::Max,
-                extents: vec![oh, ow, c, 4],
+                loads: vec![r(1, &[0, 1])],
+                dest: r(0, &[5, 1]),
+                op: AssignOp::Set,
+                extents: vec![112, 5],
             },
             &|bufs| {
-                let [d, x] = bufs else { unreachable!() };
-                for (d, x) in d[..oh * ow * c].iter_mut().zip(x.chunks_exact(4)) {
-                    *d = x.iter().fold(*d, |m, &v| m.max(v));
+                let [d, b] = bufs else { unreachable!() };
+                for row in d[..112 * 5].chunks_exact_mut(5) {
+                    row.copy_from_slice(&b[..5]);
                 }
             },
         );
-        case(
-            "max-pool gradient, windows of 4",
-            Loop {
-                tree: Tree::bin(
-                    BinOp::Mul,
-                    Tree::Load(0),
-                    Tree::bin(BinOp::EqIndicator, Tree::Load(1), Tree::Load(2)),
-                ),
-                loads: vec![r(1, &out), r(2, &win), r(3, &out)],
-                dest: r(0, &win),
-                op: AssignOp::Add,
-                extents: vec![oh, ow, c, 4],
-            },
-            &|bufs| {
-                let [d, g, x, v] = bufs else { unreachable!() };
-                let windows = d.chunks_exact_mut(4).zip(x.chunks_exact(4));
-                for ((d, x), (g, v)) in windows.zip(g.iter().zip(v.iter())).take(oh * ow * c) {
-                    for (d, x) in d.iter_mut().zip(x) {
-                        if x == v {
-                            *d += g;
-                        }
-                    }
-                }
-            },
-        );
+        // 2x2 pooling, each output over a window of 4, per tile of the
+        // ledger's nets: VGG's two pools (16 and 32 channels), LeNet's
+        // (5 and 12). The output loops merge into one.
+        for (shape, outputs) in [
+            ("8x16x16", 8 * 16 * 16),
+            ("4x8x32", 4 * 8 * 32),
+            ("2x14x5", 2 * 14 * 5),
+            ("1x7x12", 7 * 12),
+        ] {
+            case(
+                &format!("max-pool {shape} windows of 4"),
+                max_pool(outputs),
+                &|bufs| max_pool_by_hand(bufs, outputs),
+            );
+            case(
+                &format!("max-pool gradient {shape}"),
+                pool_gradient(outputs),
+                &|bufs| pool_gradient_by_hand(bufs, outputs),
+            );
+        }
     }
 }

@@ -37,6 +37,9 @@ cargo test --release -p latte-runtime --lib frame::tests::crc32_beats_the_bitwis
 echo "==> element-program gate (strip program >= 5x the per-element tree walk on g*(1-v*v) at n=64; dest += x*y within 1.25x of a plain slice loop at 4096 and 64x64; paired in one process)"
 cargo test --release -p latte-runtime --lib elem::tests::strip_programs_beat_the_tree_walk_and_keep_up_with_a_slice_loop -- --exact --nocapture
 
+echo "==> pooling gate (2x2 max-pool <= 3.5x and its gradient <= 5x a hand-written loop over 8x16x16 outputs, the outputs as the lanes; paired in one process)"
+cargo test --release -p latte-runtime --lib elem::tests::pooling_runs_its_outputs_at_vector_width -- --exact --nocapture
+
 echo "==> narrow GEMM gate (register-row AVX kernel >= 1.8x the portable loop on NT 128x32x144 and >= 3x on 112x5x25, bit-identical C; alternating rounds in one process; skipped without AVX2+FMA)"
 cargo test --release -p latte-tensor --lib gemm::tests::narrow_kernel_beats_the_portable_loop -- --exact --nocapture
 

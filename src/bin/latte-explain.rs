@@ -5,17 +5,18 @@
 //! the paper's Figures 9, 10, and 12.
 //!
 //! ```text
-//! cargo run --release --bin latte-explain -- [convblock|mlp|lenet|lstm] [--kernels]
+//! cargo run --release --bin latte-explain -- [convblock|mlp|lenet|lstm|vgg] [--kernels]
 //! ```
 //!
 //! `--kernels` prints instead what the runtime lowers the fully
 //! optimized program to: per group its segments, GEMM shapes, and every
-//! element program's instruction list, schedule and strip width.
+//! element program's instruction list, schedule and strip width. `vgg`
+//! is the repo benchmark's `train.vgg` net, at its batch and sizes.
 
 use latte::core::dsl::Net;
 use latte::core::{compile, OptLevel};
 use latte::nn::layers::{convolution, data, fully_connected, max_pool, relu, softmax_loss, ConvSpec};
-use latte::nn::models::{lenet, mlp, ModelConfig};
+use latte::nn::models::{lenet, mlp, vgg_prefix, ModelConfig};
 use latte::runtime::registry::KernelRegistry;
 use latte::runtime::{CompiledProgram, ExecConfig};
 
@@ -52,6 +53,20 @@ fn lenet_net() -> Net {
     lenet(&cfg).net
 }
 
+/// VGG-A's first two conv groups on 32x32x3, batch 8, `channel_div` 4:
+/// what the repo benchmark trains as `train.vgg`.
+fn vgg_net() -> Net {
+    let cfg = ModelConfig {
+        batch: 8,
+        input_size: 32,
+        channel_div: 4,
+        classes: 100,
+        with_loss: true,
+        seed: 5,
+    };
+    vgg_prefix(&cfg, 2).net
+}
+
 fn lstm_net() -> Net {
     let mut step = Net::new(2);
     let x = step.add(latte::core::dsl::Ensemble::data("x", vec![4]));
@@ -76,8 +91,9 @@ fn main() {
         "mlp" => mlp_net(),
         "lenet" => lenet_net(),
         "lstm" => lstm_net(),
+        "vgg" => vgg_net(),
         other => {
-            eprintln!("unknown model `{other}`; use convblock|mlp|lenet|lstm");
+            eprintln!("unknown model `{other}`; use convblock|mlp|lenet|lstm|vgg");
             std::process::exit(2);
         }
     };
