@@ -46,11 +46,11 @@ use latte_tensor::gemm::{Gemm, Transpose};
 use crate::elem::{self, Columns};
 use crate::error::RuntimeError;
 use crate::health::{scan_slice, BufferAnomaly, SentinelMode};
-use crate::lower::{BatchedGemm, CExtern, CGemm, CGroup, ExecutionPlan, Kernel, Segment};
+use crate::lower::{BatchDim, BatchedGemm, CExtern, CGemm, CGroup, ExecutionPlan, Kernel, Segment};
 use crate::pool::{WorkerCtx, WorkerPool, GRAD_LANES};
 use crate::registry::{ExternInvocation, KernelRegistry};
 use crate::store::{BufInfo, BufferStore, BufferTable};
-use crate::transfer::{self, Tables};
+use crate::transfer;
 
 /// Execution configuration.
 #[derive(Debug, Clone, Copy)]
@@ -242,16 +242,21 @@ struct ItemCx<'a> {
 /// finished gradient buckets to the distributed comm thread.
 pub type GroupHook<'a> = &'a mut dyn FnMut(usize, &Executor);
 
-/// A lowered, executor-independent program: the one immutable owner of
-/// everything decided at lowering. This is the unit a plan cache stores
-/// (keyed by `(CompiledNet::fingerprint(), batch)` in `latte-serve`):
-/// kernel selection, bounds verification, buffer placement and every
-/// name lookup happen once in [`CompiledProgram::lower`], and each
-/// [`CompiledProgram::instantiate`] afterwards only allocates the
-/// storages and writes the initial parameter values. The handle is one
-/// `Arc`; executors hold a clone of it.
+/// A lowered, executor-independent program at one batch size: the one
+/// immutable owner of everything decided at lowering, plus the batch its
+/// executors run. Kernel selection, bounds verification, buffer placement
+/// and every name lookup happen once in [`CompiledProgram::lower`], for
+/// one item: the batch enters no lowered kernel, so
+/// [`CompiledProgram::at_batch`] is the same program at another size and
+/// costs nothing. Each [`CompiledProgram::instantiate`] afterwards only
+/// allocates the storages at the handle's batch and writes the initial
+/// parameter values. The handle is one `Arc` and a number; executors hold
+/// a clone of it.
 #[derive(Clone)]
-pub struct CompiledProgram(Arc<Program>);
+pub struct CompiledProgram {
+    program: Arc<Program>,
+    batch: usize,
+}
 
 /// What a [`CompiledProgram`] owns and its executors share.
 struct Program {
@@ -287,9 +292,9 @@ impl Program {
 impl std::fmt::Debug for CompiledProgram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompiledProgram")
-            .field("batch", &self.0.net.batch)
-            .field("forward_groups", &self.0.plan.forward_groups())
-            .field("backward_groups", &self.0.plan.backward_groups())
+            .field("batch", &self.batch)
+            .field("forward_groups", &self.program.plan.forward_groups())
+            .field("backward_groups", &self.program.plan.backward_groups())
             .finish_non_exhaustive()
     }
 }
@@ -319,28 +324,8 @@ impl CompiledProgram {
                     .to_string(),
             });
         }
-        Self::lower_sharing(net, registry, &mut Tables::default())
-    }
-
-    /// This program's net lowered at `batch`, storing none of the
-    /// transfer tables twice: a run list is one item's, so every table of
-    /// the new plan is one of this plan's. What a plan cache lowers with
-    /// when it already holds the net at another batch size.
-    ///
-    /// # Errors
-    ///
-    /// As [`CompiledProgram::lower`].
-    pub fn at_batch(&self, batch: usize, registry: &KernelRegistry) -> Result<Self, RuntimeError> {
-        Self::lower_sharing(self.0.net.at_batch(batch), registry, &mut self.0.plan.tables())
-    }
-
-    fn lower_sharing(
-        net: CompiledNet,
-        registry: &KernelRegistry,
-        tables: &mut Tables,
-    ) -> Result<Self, RuntimeError> {
         let table = BufferTable::resolve(&net.buffers)?;
-        let plan = crate::lower::lower(&net, &table, registry, tables)?;
+        let plan = crate::lower::lower(&net, &table, registry)?;
         let param_slots = net
             .params
             .iter()
@@ -360,7 +345,8 @@ impl CompiledProgram {
             .map(|d| Ok(table.require(&d.name)?.storage))
             .collect::<Result<_, RuntimeError>>()?;
         let grad_buckets = grad_buckets(&plan.backward, &param_slots);
-        Ok(CompiledProgram(Arc::new(Program {
+        let batch = net.batch;
+        let program = Arc::new(Program {
             net,
             plan,
             table,
@@ -369,22 +355,42 @@ impl CompiledProgram {
             inputs,
             losses,
             grad_buckets,
-        })))
+        });
+        Ok(CompiledProgram { program, batch })
     }
 
-    /// The batch size the program was compiled for.
+    /// This program at `batch` items: a handle over the same lowered
+    /// program, so it lowers and allocates nothing. What a plan cache
+    /// hands out for a model's every micro-batch size.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::InvalidConfig`] when `batch` is 0.
+    pub fn at_batch(&self, batch: usize) -> Result<Self, RuntimeError> {
+        if batch == 0 {
+            return Err(RuntimeError::InvalidConfig {
+                detail: "a program runs at a batch of at least one item".to_string(),
+            });
+        }
+        Ok(CompiledProgram { program: Arc::clone(&self.program), batch })
+    }
+
+    /// The batch size this handle's executors run.
     pub fn batch(&self) -> usize {
-        self.0.net.batch
+        self.batch
     }
 
-    /// The compiled network this program was lowered from.
+    /// The compiled network this program was lowered from. Its `batch`
+    /// is the one it was lowered at; an executor's batch is
+    /// [`CompiledProgram::batch`].
     pub fn compiled(&self) -> &CompiledNet {
-        &self.0.net
+        &self.program.net
     }
 
-    /// The lowered plan every executor of this program shares.
+    /// The lowered plan every executor of this program, at every batch
+    /// size, shares.
     pub fn plan(&self) -> &ExecutionPlan {
-        &self.0.plan
+        &self.program.plan
     }
 
     /// Builds a warm executor on `pool`, sharing this program: allocates
@@ -396,7 +402,7 @@ impl CompiledProgram {
     ///
     /// Fails when an initial parameter value does not fit its buffer.
     pub fn instantiate(&self, pool: Arc<WorkerPool>) -> Result<Executor, RuntimeError> {
-        let store = BufferStore::build(&self.0.table, self.0.net.batch);
+        let store = BufferStore::build(&self.program.table, self.batch);
         let mut exec = Executor { program: self.clone(), store, pool };
         exec.reset_params()?;
         Ok(exec)
@@ -503,7 +509,7 @@ impl Executor {
     ///
     /// Propagates buffer-lookup failures.
     pub fn reset_params(&mut self) -> Result<(), RuntimeError> {
-        let p = &*self.program.0;
+        let p = &*self.program.program;
         for (name, init) in p.net.param_inits.iter() {
             self.store.write(name, p.table.require(name)?, init)?;
         }
@@ -522,7 +528,7 @@ impl Executor {
 
     /// The learnable parameters.
     pub fn params(&self) -> &[ParamBinding] {
-        &self.program.0.net.params
+        &self.program.program.net.params
     }
 
     /// Total floats actually allocated: one storage per alias class of
@@ -539,7 +545,7 @@ impl Executor {
     ///
     /// Fails for unknown ensembles or wrong lengths.
     pub fn set_input(&mut self, ensemble: &str, data: &[f32]) -> Result<(), RuntimeError> {
-        let (buffer, info) = self.program.0.input(ensemble)?;
+        let (buffer, info) = self.program.program.input(ensemble)?;
         self.store.write(buffer, info, data)
     }
 
@@ -558,7 +564,7 @@ impl Executor {
         item: usize,
         data: &[f32],
     ) -> Result<(), RuntimeError> {
-        let (buffer, info) = self.program.0.input(ensemble)?;
+        let (buffer, info) = self.program.program.input(ensemble)?;
         self.store.write_item(buffer, info, item, data)
     }
 
@@ -579,7 +585,7 @@ impl Executor {
     ///
     /// As [`Executor::read_buffer`].
     pub fn buffer(&self, name: &str) -> Result<&[f32], RuntimeError> {
-        Ok(self.store.view(self.program.0.table.require(name)?))
+        Ok(self.store.view(self.program.program.table.require(name)?))
     }
 
     /// Reads one batch item of a buffer.
@@ -588,7 +594,7 @@ impl Executor {
     ///
     /// As [`Executor::read_buffer`].
     pub fn read_item(&self, name: &str, item: usize) -> Result<Vec<f32>, RuntimeError> {
-        Ok(self.store.read_item(self.program.0.table.require(name)?, item))
+        Ok(self.store.read_item(self.program.program.table.require(name)?, item))
     }
 
     /// Overwrites a buffer's full storage (test/diagnostic hook).
@@ -597,7 +603,7 @@ impl Executor {
     ///
     /// Fails for unknown buffers and wrong lengths.
     pub fn write_buffer(&mut self, name: &str, data: &[f32]) -> Result<(), RuntimeError> {
-        self.store.write(name, self.program.0.table.require(name)?, data)
+        self.store.write(name, self.program.program.table.require(name)?, data)
     }
 
     /// The single plan-execution path behind every public entry point:
@@ -616,7 +622,7 @@ impl Executor {
         let plan = program.plan();
         let batch = program.batch();
         let groups = if backward {
-            for &storage in &program.0.zero_backward {
+            for &storage in &program.program.zero_backward {
                 self.store.storages[storage].fill(0.0);
             }
             &plan.backward
@@ -683,13 +689,13 @@ impl Executor {
     /// parameters whose gradient no group writes ride in the last
     /// bucket. Fixed at lowering.
     pub fn grad_buckets(&self) -> &[GradBucket] {
-        &self.program.0.grad_buckets
+        &self.program.program.grad_buckets
     }
 
     /// The mean loss across batch items and loss ensembles after a
     /// forward pass.
     pub fn loss(&self) -> f32 {
-        let losses = &self.program.0.losses;
+        let losses = &self.program.program.losses;
         if losses.is_empty() {
             return 0.0;
         }
@@ -706,7 +712,7 @@ impl Executor {
     /// by the last backward pass (summed over the batch).
     pub fn for_each_param_mut(&mut self, mut f: impl FnMut(&mut [f32], &[f32], f32)) {
         let storages = &mut self.store.storages;
-        let program = &*self.program.0;
+        let program = &*self.program.program;
         for (p, &(vi, gi)) in program.net.params.iter().zip(&program.param_slots) {
             // vi != gi (checked at instantiation): split between them.
             let (value, grad) = if vi < gi {
@@ -724,7 +730,7 @@ impl Executor {
     /// pair, mutably — the gradient-hygiene (clipping / finite-check)
     /// access path, run between `backward` and `Solver::step`.
     pub fn for_each_param_grad_mut(&mut self, mut f: impl FnMut(&str, &mut [f32])) {
-        let program = &*self.program.0;
+        let program = &*self.program.program;
         for (p, &(_, gi)) in program.net.params.iter().zip(&program.param_slots) {
             f(&p.grad, &mut self.store.storages[gi]);
         }
@@ -750,7 +756,7 @@ impl Executor {
             if !kinds(kind) {
                 continue;
             }
-            let Ok(info) = self.program.0.table.require(name) else {
+            let Ok(info) = self.program.program.table.require(name) else {
                 continue;
             };
             if !seen.insert(info.storage) {
@@ -876,9 +882,13 @@ impl Executor {
         };
         let ta = if b.ta { Transpose::Yes } else { Transpose::No };
         let tb = if b.tb { Transpose::Yes } else { Transpose::No };
+        let (m, k) = match b.batch_dim {
+            BatchDim::M { k } => (self.batch(), k),
+            BatchDim::K { m } => (m, self.batch()),
+        };
         // Whole-batch GEMMs are the FLOP majority for FC layers: partition
         // macro-tiles across the pool (bit-identical for any worker count).
-        Gemm::compute_parallel(self.pool.as_ref(), ta, tb, b.m, b.n, b.k, a, bb, c);
+        Gemm::compute_parallel(self.pool.as_ref(), ta, tb, m, b.n, k, a, bb, c);
     }
 
     fn run_extern_whole(&mut self, g: &CGroup, e: &CExtern) {

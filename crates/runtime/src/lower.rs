@@ -134,21 +134,32 @@ pub(crate) struct CGemm {
 
 /// A whole-batch GEMM hoisted out of the per-item loop. Operand fields
 /// are *storage* indices (not group buffer indices): the whole storage is
-/// the batched operand.
+/// the batched operand. The batch is not lowered in: it fills `m` or `k`
+/// (`batch_dim`), and the executor supplies it at every call.
 #[derive(Debug, Clone)]
 pub(crate) struct BatchedGemm {
     /// `true` transposes the (batch-major) left operand.
     pub ta: bool,
     pub tb: bool,
-    pub m: usize,
+    pub batch_dim: BatchDim,
     pub n: usize,
-    pub k: usize,
     pub a: usize,
     pub a_base: usize,
     pub b: usize,
     pub b_base: usize,
     pub c: usize,
     pub c_base: usize,
+}
+
+/// Which dimension of a [`BatchedGemm`] the batch fills, holding the
+/// other of `m` and `k`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum BatchDim {
+    /// `C(batch × n) += A(batch × k) · op(B)`: the FC forward and
+    /// backward-data hoists.
+    M { k: usize },
+    /// `C(m × n) += A(batch × m)ᵀ · B(batch × n)`: the weight gradient.
+    K { m: usize },
 }
 
 /// A compiled extern-kernel call.
@@ -293,14 +304,16 @@ impl fmt::Display for CGroup {
                 }
                 Segment::Batched(g) => {
                     let [a, b, c] = names.next().expect("a name triple per batched gemm");
+                    let (m, k) = match g.batch_dim {
+                        BatchDim::M { k } => ("B".to_string(), k.to_string()),
+                        BatchDim::K { m } => (m.to_string(), "B".to_string()),
+                    };
                     writeln!(
                         f,
-                        "  whole batch: gemm {}{} m={} n={} k={} A={a}+{} B={b}+{} C={c}+{}",
+                        "  whole batch: gemm {}{} m={m} n={} k={k} A={a}+{} B={b}+{} C={c}+{}",
                         t(g.ta),
                         t(g.tb),
-                        g.m,
                         g.n,
-                        g.k,
                         g.a_base,
                         g.b_base,
                         g.c_base
@@ -349,44 +362,20 @@ impl Kernel {
     }
 }
 
-impl ExecutionPlan {
-    /// Every precompiled transfer table of the plan, for lowering the same
-    /// net again without building them twice.
-    pub(crate) fn tables(&self) -> Tables {
-        fn walk(kernels: &[Kernel], tables: &mut Tables) {
-            for k in kernels {
-                match k {
-                    Kernel::Loop { body, .. } => walk(body, tables),
-                    Kernel::Transfer(t) => t.clone().share_table(tables),
-                    Kernel::Elem(_) | Kernel::Gemm(_) | Kernel::Extern(_) => {}
-                }
-            }
-        }
-        let mut tables = Tables::default();
-        for g in self.forward.iter().chain(&self.backward) {
-            for seg in &g.segments {
-                if let Segment::PerItem(kernels) = seg {
-                    walk(kernels, &mut tables);
-                }
-            }
-        }
-        tables
-    }
-}
-
 /// Lowers a compiled network against its resolved buffer table, storing
-/// each transfer table once across the plan and `tables`.
+/// each transfer table once across the plan. The plan is one item's: the
+/// batch enters only when an executor runs it.
 pub(crate) fn lower(
     net: &CompiledNet,
     table: &BufferTable,
     registry: &KernelRegistry,
-    tables: &mut Tables,
 ) -> Result<ExecutionPlan, RuntimeError> {
     let mut max_slots = 1;
+    let mut tables = Tables::default();
     let mut lower_phase = |groups: &[Group]| -> Result<Vec<CGroup>, RuntimeError> {
         let mut out = Vec::with_capacity(groups.len());
         for g in groups {
-            out.push(lower_group(g, net, table, registry, tables, &mut max_slots)?);
+            out.push(lower_group(g, net, table, registry, &mut tables, &mut max_slots)?);
         }
         Ok(out)
     };
@@ -403,7 +392,6 @@ struct GroupLowerer<'a> {
     table: &'a BufferTable,
     registry: &'a KernelRegistry,
     tables: &'a mut Tables,
-    batch: usize,
     vectorize: bool,
     slots: HashMap<String, usize>,
     /// Extent per slot (for bounds verification).
@@ -425,7 +413,6 @@ fn lower_group(
         table,
         registry,
         tables,
-        batch: net.batch,
         vectorize: net.vectorize,
         slots: HashMap::new(),
         slot_extents: Vec::new(),
@@ -749,6 +736,15 @@ impl GroupLowerer<'_> {
     /// On success also returns the operand buffer names in the batched
     /// kernel's `[a, b, c]` order (the hoist may swap the statement's
     /// operands), for the printed plan.
+    ///
+    /// Each hoist is in bounds at every batch, so it is lowered without
+    /// one. Every batched operand has base 0 and `per_item` equal to the
+    /// per-item dimension it is read with (`k` or `n` in the forward,
+    /// `k` or `m` in the backward-data, `m` or `n` in the weight
+    /// gradient), and its storage is `per_item × batch`: exactly the
+    /// `batch × per_item` matrix the hoist reads or writes. The shared
+    /// operand does not depend on the batch, and the GEMM checks its
+    /// slice length at every call.
     fn try_batch_gemm(
         &mut self,
         g: &GemmStmt,
@@ -764,7 +760,6 @@ impl GroupLowerer<'_> {
         let bi = self.table.require(&g.b)?.clone();
         let ci = self.table.require(&g.c)?.clone();
         let (a, b, c) = (ai.storage, bi.storage, ci.storage);
-        let batch = self.batch;
 
         // FC forward: per-item C(1xN) += A(1xK)·op(B). Batched:
         // C(batch x N) += A(batch x K)·op(B).
@@ -782,9 +777,8 @@ impl GroupLowerer<'_> {
                 BatchedGemm {
                     ta: false,
                     tb: g.tb,
-                    m: batch,
+                    batch_dim: BatchDim::M { k: g.k },
                     n: g.n,
-                    k: g.k,
                     a,
                     a_base: 0,
                     b,
@@ -812,9 +806,8 @@ impl GroupLowerer<'_> {
                     // stored A is (m x k) when !ta → logical Aᵀ needs transpose;
                     // stored A is (k x m) when ta → usable directly.
                     tb: !g.ta,
-                    m: batch,
+                    batch_dim: BatchDim::M { k: g.k },
                     n: g.m,
-                    k: g.k,
                     a: b,
                     a_base: 0,
                     b: a,
@@ -842,9 +835,8 @@ impl GroupLowerer<'_> {
                 BatchedGemm {
                     ta: true,
                     tb: false,
-                    m: g.m,
+                    batch_dim: BatchDim::K { m: g.m },
                     n: g.n,
-                    k: batch,
                     a,
                     a_base: 0,
                     b,

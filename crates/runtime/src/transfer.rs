@@ -255,8 +255,7 @@ enum Lists {
 
 /// The precompiled tables lowering has built so far, kept so that an
 /// equal one is stored once: a gather and the scatter of its gradient
-/// walk the same runs, and a copy lowered at two batch sizes is the same
-/// copy (a run list is one item's).
+/// walk the same runs.
 #[derive(Debug, Default)]
 pub(crate) struct Tables(Vec<Arc<[RunList]>>);
 

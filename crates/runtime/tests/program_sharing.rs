@@ -2,17 +2,20 @@
 //! [`CompiledProgram`] share it — the compiled net, the name table, the
 //! plan — and own nothing but their storages, so an `instantiate` costs
 //! the storages plus a constant; and the program at another batch size
-//! shares its transfer tables.
+//! is the same lowered program, computing what a lowering at that size
+//! computes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
+use latte_core::dsl::Net;
 use latte_core::{compile, OptLevel};
+use latte_nn::layers::{batch_norm, data, fully_connected, relu, scale_shift, softmax_loss};
 use latte_nn::models::{lenet, ModelConfig};
 use latte_runtime::pool::WorkerPool;
 use latte_runtime::registry::KernelRegistry;
-use latte_runtime::{CompiledProgram, ExecConfig};
+use latte_runtime::{CompiledProgram, ExecConfig, Executor};
 
 thread_local! {
     /// Heap allocations made by this thread while `Some`.
@@ -96,25 +99,110 @@ fn an_instantiate_allocates_the_storages_plus_a_constant() {
     assert_eq!(allocations, primaries + 1, "{primaries} primary buffers");
 }
 
-/// What a plan cache does for a model's second batch size: the plan is
-/// the one a fresh lowering builds, but its transfer tables — one item's
-/// run lists, most of a lowered conv net — are the first plan's.
+/// What a plan cache hands out for a model's every batch size: the same
+/// lowered program, at a cost of nothing kept.
 #[test]
-fn a_program_at_another_batch_shares_its_transfer_tables() {
+fn a_program_at_another_batch_is_the_same_plan_and_keeps_nothing() {
     let program = lenet_program();
+    let (at3, bytes) = retained_by(|| program.at_batch(3).expect("batch 3"));
+    assert_eq!(bytes, 0, "at_batch keeps {bytes} bytes");
+    assert_eq!(at3.batch(), 3);
+    assert!(std::ptr::eq(at3.plan(), program.plan()));
+    assert!(program.at_batch(0).is_err(), "a batch of no items is refused");
+}
+
+/// Deterministic values in [-1.25, 1.25).
+fn seeded(len: usize, seed: u32) -> Vec<f32> {
+    (0..len)
+        .map(|i| {
+            let h = (i as u32).wrapping_mul(2654435761).wrapping_add(seed);
+            ((h >> 8) % 1000) as f32 / 400.0 - 1.25
+        })
+        .collect()
+}
+
+/// Every primary buffer's bits and the loss's, in declaration order.
+fn state(exec: &Executor) -> Vec<u32> {
+    let mut bits = vec![exec.loss().to_bits()];
+    for b in exec.compiled().buffers.iter().filter(|b| b.alias_of.is_none()) {
+        bits.extend(exec.read_buffer(&b.name).expect("declared").iter().map(|v| v.to_bits()));
+    }
+    bits
+}
+
+/// Runs a forward and a backward pass on seeded inputs (labels are class
+/// indices below `classes`), returning the state after each.
+fn run(mut exec: Executor, classes: usize) -> [Vec<u32>; 2] {
+    let batch = exec.batch();
+    for (k, input) in exec.compiled().inputs.clone().iter().enumerate() {
+        let len = exec.read_buffer(&input.buffer).expect("input").len();
+        let data = if input.ensemble == "label" {
+            (0..len).map(|i| ((i * 7 + batch) % classes) as f32).collect()
+        } else {
+            seeded(len, 31 * k as u32 + batch as u32)
+        };
+        exec.set_input(&input.ensemble, &data).expect("input fits");
+    }
+    exec.forward();
+    let forward = state(&exec);
+    exec.backward();
+    [forward, state(&exec)]
+}
+
+/// One lowering run at every batch computes what a lowering at that
+/// batch computes, bit for bit: outputs, loss and every gradient, over
+/// the per-item kernels, all three whole-batch GEMM hoists and a
+/// whole-batch extern.
+#[test]
+fn one_lowering_at_every_batch_matches_a_lowering_at_that_batch() {
     let registry = KernelRegistry::with_builtins();
-    let exec = ExecConfig { threads: 1, arena: false, gemm_blocking: None };
-    let (fresh, fresh_bytes) = retained_by(|| {
-        CompiledProgram::lower(program.compiled().at_batch(3), &registry, exec).expect("lowers at 3")
-    });
-    let (shared, shared_bytes) =
-        retained_by(|| program.at_batch(3, &registry).expect("lowers at 3"));
-    assert_eq!(shared.batch(), 3);
-    assert_eq!(shared.plan().to_string(), fresh.plan().to_string());
-    // LeNet at 28 px: 294 533 bytes against 137 669, the difference its
-    // tables; the rest is the net's IR, cloned by both.
-    assert!(
-        3 * (fresh_bytes - shared_bytes) > fresh_bytes,
-        "at_batch keeps {shared_bytes} bytes, a fresh lowering {fresh_bytes}"
-    );
+    let exec_cfg = ExecConfig { threads: 1, arena: false, gemm_blocking: None };
+    let pool = Arc::new(WorkerPool::new(1));
+
+    let mut mlp = Net::new(1);
+    let x = data(&mut mlp, "data", vec![6]);
+    let h = fully_connected(&mut mlp, "fc1", x, 5, 1);
+    let h = relu(&mut mlp, "relu1", h);
+    let head = fully_connected(&mut mlp, "fc2", h, 4, 2);
+    let label = data(&mut mlp, "label", vec![1]);
+    softmax_loss(&mut mlp, "loss", head, label);
+
+    let mut bn = Net::new(1);
+    let x = data(&mut bn, "data", vec![2, 2, 3]);
+    let x = scale_shift(&mut bn, "ss", x, 3);
+    let x = batch_norm(&mut bn, "bn", x, 1e-3);
+    let head = fully_connected(&mut bn, "fc", x, 4, 4);
+    let label = data(&mut bn, "label", vec![1]);
+    softmax_loss(&mut bn, "loss", head, label);
+
+    let lenet = lenet_program();
+    let nets = [
+        ("lenet", lenet.compiled().clone(), 10),
+        ("mlp", compile(&mlp, &OptLevel::full()).expect("mlp compiles"), 4),
+        ("batch_norm", compile(&bn, &OptLevel::full()).expect("bn net compiles"), 4),
+    ];
+    for (name, net, classes) in nets {
+        let once = CompiledProgram::lower(net.clone(), &registry, exec_cfg).expect("lowers");
+        let plan = once.plan().to_string();
+        match name {
+            "mlp" => assert!(
+                plan.contains("m=B n=5") && plan.contains("k=B") && plan.matches("m=B").count() >= 3,
+                "the MLP must hit the forward, backward-data and weight hoists:\n{plan}"
+            ),
+            "batch_norm" => assert!(plan.contains("whole batch: extern"), "{plan}"),
+            _ => {}
+        }
+        for b in 1..=8 {
+            let shared = once.at_batch(b).expect("batch b").instantiate(Arc::clone(&pool));
+            let fresh = CompiledProgram::lower(net.at_batch(b), &registry, exec_cfg)
+                .expect("lowers at b")
+                .instantiate(Arc::clone(&pool));
+            let (shared, fresh) = (shared.expect("instantiates"), fresh.expect("instantiates"));
+            assert_eq!(shared.batch(), b);
+            assert!(
+                run(shared, classes) == run(fresh, classes),
+                "{name} at batch {b}: one lowering and a lowering at {b} differ"
+            );
+        }
+    }
 }

@@ -1,183 +1,121 @@
 //! The execution-plan cache, keyed by `(net fingerprint, batch)`.
 //!
-//! A model is compiled once, when it is registered; what a micro-batch
-//! size still costs is lowering — kernel selection, bounds verification,
-//! the memory layout — because a lowered plan bakes the batch into its
-//! whole-batch GEMM shapes and storage sizes. The cache stores one
-//! [`CompiledProgram`] per `(fingerprint, micro-batch size)` pair, so
-//! after the first batch of each size the serving path never lowers
-//! again: a tail batch of size 3 hits the size-3 entry and only
-//! instantiates (fresh buffers + parameter init). Hit/miss counters make
-//! "nothing built after warmup" testable. A miss whose net is resident
-//! at another batch size lowers from that plan
-//! ([`CompiledProgram::at_batch`]) and shares its transfer tables, so a
-//! model's plans hold each table once.
+//! A model is compiled once, when it is registered, and lowered once, on
+//! the first lookup of its fingerprint: a lowered plan is one item's, so
+//! every micro-batch size is that one program at another batch
+//! ([`CompiledProgram::at_batch`], a handle that lowers and allocates
+//! nothing). The cache keeps one entry per `(fingerprint, micro-batch
+//! size)` pair, so the serving path never lowers after warm-up and
+//! hit/miss counters make "nothing built after warmup" testable: a tail
+//! batch of size 3 hits the size-3 entry and only instantiates (fresh
+//! buffers + parameter init).
 //!
-//! The cache is **bounded**: it holds at most `capacity` entries and
-//! evicts the least-recently-used plan when a miss would exceed the
-//! bound, so a server fed adversarial shape diversity (every request a
-//! new `(fingerprint, batch)` pair — e.g. many sequence buckets × many
-//! tail-batch sizes) degrades to re-lowering instead of growing
-//! without limit. Evictions are counted; a nonzero
-//! [`PlanCache::evictions`] under a steady workload means the capacity
-//! is too small for the working set.
+//! Nothing is evicted. Entries are at most the registered models times
+//! their micro-batch sizes, every entry of one model shares its one
+//! plan, and each replica's warm executors hold their programs anyway.
 //!
 //! The cache is shareable (`&self` throughout): a hit is one lock, one
-//! hash lookup and one `Arc::clone`. A miss lowers **outside** the lock,
-//! so a slow lowering does not serialize unrelated lookups; when two
-//! threads miss the same key at once both lower, the first insert wins,
-//! and both get that one plan.
+//! hash lookup and one `Arc::clone`. The first lookup of a model lowers
+//! **outside** the lock, so a slow lowering does not serialize unrelated
+//! lookups; when two threads make it at once both lower, the first
+//! insert wins, and both get that one plan.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use latte_runtime::registry::KernelRegistry;
-use latte_runtime::{CompiledProgram, ExecConfig};
+use latte_runtime::{CompiledProgram, ExecConfig, RuntimeError};
 
 use crate::error::ServeError;
 use crate::model::Model;
 
-/// Default entry bound of [`PlanCache::new`]: generous for one model's
-/// micro-batch sizes, and still enough for a bucket ladder of sequence
-/// models times their tail batches.
-pub const DEFAULT_PLAN_CAPACITY: usize = 64;
-
-/// `(CompiledNet::fingerprint(), batch)`: the net, and the one number
-/// lowering bakes into a plan.
+/// `(CompiledNet::fingerprint(), batch)`: the net, and the size its
+/// executors run.
 type Key = (u64, usize);
 
-#[derive(Debug)]
-struct Entry {
-    program: Arc<CompiledProgram>,
-    last_used: u64,
-}
-
 #[derive(Debug, Default)]
-struct Lru {
-    entries: HashMap<Key, Entry>,
-    /// Advances on every lookup; an entry's recency is the tick of its
-    /// last use.
-    tick: u64,
+struct Books {
+    entries: HashMap<Key, Arc<CompiledProgram>>,
     hits: u64,
     misses: u64,
-    evictions: u64,
 }
 
-/// A shareable, bounded LRU cache of lowered programs, keyed by
+/// A shareable cache of lowered programs, keyed by
 /// `(CompiledNet::fingerprint(), batch)`.
 #[derive(Debug)]
 pub struct PlanCache {
     registry: KernelRegistry,
     cfg: ExecConfig,
-    capacity: usize,
-    lru: Mutex<Lru>,
+    books: Mutex<Books>,
 }
 
 impl PlanCache {
-    /// An empty cache lowering with the built-in kernel registry, the
-    /// given execution configuration, and the default entry bound
-    /// ([`DEFAULT_PLAN_CAPACITY`]).
+    /// An empty cache lowering with the built-in kernel registry and the
+    /// given execution configuration.
     pub fn new(cfg: ExecConfig) -> Self {
-        Self::with_capacity(cfg, DEFAULT_PLAN_CAPACITY)
-    }
-
-    /// An empty cache bounded to at most `capacity` entries.
-    ///
-    /// # Panics
-    ///
-    /// When `capacity` is zero (a cache that can hold nothing cannot
-    /// serve plans).
-    pub fn with_capacity(cfg: ExecConfig, capacity: usize) -> Self {
-        assert!(capacity > 0, "plan cache capacity must be nonzero");
         PlanCache {
             registry: KernelRegistry::with_builtins(),
             cfg,
-            capacity,
-            lru: Mutex::new(Lru::default()),
+            books: Mutex::new(Books::default()),
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, Lru> {
+    fn lock(&self) -> MutexGuard<'_, Books> {
         // Every update leaves the map and counters valid at every step,
         // so a panic elsewhere while holding the lock poisons nothing.
-        self.lru.lock().unwrap_or_else(PoisonError::into_inner)
+        self.books.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Returns the lowered program for `(model, batch)` and whether it
-    /// was already cached. On a miss this lowers the model's one
-    /// compiled program at `batch` (evicting the least-recently-used
-    /// entry if the cache is full) — no net is built, nothing is
-    /// compiled or fingerprinted; on a hit it is a map lookup.
+    /// Returns the program for `(model, batch)` and whether it was
+    /// already cached. On a miss this is the model's resident program at
+    /// `batch`, or, on the model's first lookup, its one compiled program
+    /// lowered — no net is built, nothing is compiled or fingerprinted;
+    /// on a hit it is a map lookup.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Compile`] when lowering fails.
+    /// [`ServeError::Compile`] when lowering fails or `batch` is 0.
     pub fn get(
         &self,
         model: &Model,
         batch: usize,
     ) -> Result<(Arc<CompiledProgram>, bool), ServeError> {
-        self.get_or_lower((model.fingerprint(), batch), || self.lower(model, batch))
-    }
-
-    fn lower(&self, model: &Model, batch: usize) -> Result<CompiledProgram, ServeError> {
-        // The net at another batch size, if resident, lends its tables.
-        let sibling = self
-            .lock()
-            .entries
-            .iter()
-            .find(|(key, _)| key.0 == model.fingerprint())
-            .map(|(_, e)| Arc::clone(&e.program));
-        match sibling {
-            Some(sibling) => sibling.at_batch(batch, &self.registry),
-            None => CompiledProgram::lower(model.compiled().at_batch(batch), &self.registry, self.cfg),
-        }
+        self.get_or_lower((model.fingerprint(), batch), || {
+            CompiledProgram::lower(model.compiled().clone(), &self.registry, self.cfg)
+        })
         .map_err(|e| ServeError::Compile {
             detail: format!("{} @ batch {batch}: {e}", model.name()),
         })
     }
 
     /// The program under `key`, and whether it was already resident. On a
-    /// miss `lower` runs unlocked and its result is inserted; a failed
-    /// `lower` inserts and counts nothing.
+    /// miss whose fingerprint is resident at another batch that program
+    /// is reused; otherwise `lower` runs unlocked. A failed miss inserts
+    /// and counts nothing.
     fn get_or_lower(
         &self,
         key: Key,
-        lower: impl FnOnce() -> Result<CompiledProgram, ServeError>,
-    ) -> Result<(Arc<CompiledProgram>, bool), ServeError> {
-        {
-            let mut lru = self.lock();
-            lru.tick += 1;
-            let tick = lru.tick;
-            if let Some(hit) = lru.entries.get_mut(&key) {
-                hit.last_used = tick;
-                let program = Arc::clone(&hit.program);
-                lru.hits += 1;
+        lower: impl FnOnce() -> Result<CompiledProgram, RuntimeError>,
+    ) -> Result<(Arc<CompiledProgram>, bool), RuntimeError> {
+        let resident = {
+            let mut books = self.lock();
+            if let Some(hit) = books.entries.get(&key) {
+                let program = Arc::clone(hit);
+                books.hits += 1;
                 return Ok((program, true));
             }
-        }
-        let lowered = Arc::new(lower()?);
-        let mut lru = self.lock();
-        lru.tick += 1;
-        let tick = lru.tick;
-        lru.misses += 1;
+            books.entries.iter().find(|(k, _)| k.0 == key.0).map(|(_, p)| Arc::clone(p))
+        };
+        let sized = match resident {
+            Some(program) => program.at_batch(key.1)?,
+            None => lower()?.at_batch(key.1)?,
+        };
+        let mut books = self.lock();
+        books.misses += 1;
         // A concurrent miss may have inserted first: keep its entry so
-        // every holder shares one plan.
-        if !lru.entries.contains_key(&key) {
-            while lru.entries.len() >= self.capacity {
-                let victim = lru
-                    .entries
-                    .iter()
-                    .min_by_key(|(_, e)| e.last_used)
-                    .map(|(k, _)| *k)
-                    .expect("a full cache has a least-recently-used entry");
-                lru.entries.remove(&victim);
-                lru.evictions += 1;
-            }
-        }
-        let entry = lru.entries.entry(key).or_insert(Entry { program: lowered, last_used: tick });
-        entry.last_used = tick;
-        Ok((Arc::clone(&entry.program), false))
+        // every holder shares one handle.
+        let entry = books.entries.entry(key).or_insert_with(|| Arc::new(sized));
+        Ok((Arc::clone(entry), false))
     }
 
     /// Cache hits served so far (lookups that found an entry).
@@ -185,20 +123,17 @@ impl PlanCache {
         self.lock().hits
     }
 
-    /// Cache misses so far (lookups that lowered and inserted; a failed
-    /// lowering is not counted).
+    /// Cache misses so far: lookups that found no entry and built one,
+    /// including a racing lookup whose entry lost to an earlier insert. A
+    /// failed miss is not counted.
     pub fn misses(&self) -> u64 {
         self.lock().misses
     }
 
-    /// Entries evicted to keep the cache within its capacity.
+    /// Always 0: the cache evicts nothing. Kept because the repo
+    /// benchmark (`benchmark/src/serve.rs`) still reports it.
     pub fn evictions(&self) -> u64 {
-        self.lock().evictions
-    }
-
-    /// The maximum number of entries the cache will hold.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+        0
     }
 
     /// Distinct `(fingerprint, batch)` entries currently cached.
@@ -243,9 +178,13 @@ mod tests {
         cache
             .get_or_lower((model.fingerprint(), batch), || {
                 *builds += 1;
-                cache.lower(model, batch)
+                lower(cache, model)
             })
             .unwrap();
+    }
+
+    fn lower(cache: &PlanCache, model: &Model) -> Result<CompiledProgram, RuntimeError> {
+        CompiledProgram::lower(model.compiled().clone(), &cache.registry, cache.cfg)
     }
 
     #[test]
@@ -269,23 +208,26 @@ mod tests {
         assert_ne!(two.fingerprint(), three.fingerprint());
         let mut builds = 0;
         lookup(&cache, &two, 4, &mut builds);
-        lookup(&cache, &two, 2, &mut builds); // new batch → miss
-        lookup(&cache, &three, 4, &mut builds); // new net → miss
+        lookup(&cache, &two, 2, &mut builds); // new batch → miss, nothing lowered
+        lookup(&cache, &three, 4, &mut builds); // new net → miss, lowered
         lookup(&cache, &two, 2, &mut builds); // hit
-        assert_eq!((builds, cache.misses(), cache.hits()), (3, 3, 1));
+        assert_eq!((builds, cache.misses(), cache.hits()), (2, 3, 1));
         assert_eq!(cache.len(), 3);
+        let (at4, at2) = (cache.get(&two, 4).unwrap().0, cache.get(&two, 2).unwrap().0);
+        assert_eq!((at4.batch(), at2.batch()), (4, 2));
+        assert!(std::ptr::eq(at4.plan(), at2.plan()), "one net, one plan");
     }
 
     #[test]
     fn racing_misses_of_one_key_share_the_first_inserted_plan() {
-        let cache = PlanCache::with_capacity(ExecConfig::default(), 4);
+        let cache = PlanCache::new(ExecConfig::default());
         let model = tiny_model(2);
         let key = (model.fingerprint(), 2);
         let both_missed = std::sync::Barrier::new(2);
         let lower = || {
             // Neither lowering returns until both lookups have missed.
             both_missed.wait();
-            cache.lower(&model, 2)
+            lower(&cache, &model)
         };
         let (a, b) = std::thread::scope(|s| {
             let a = s.spawn(|| cache.get_or_lower(key, lower).unwrap());
@@ -295,62 +237,12 @@ mod tests {
         assert!(Arc::ptr_eq(&a.0, &b.0), "both holders must share one plan");
         assert!(!a.1 && !b.1);
         assert_eq!((cache.len(), cache.misses(), cache.hits()), (1, 2, 0));
-        // A failed lowering inserts and counts nothing.
-        let failed = cache.get_or_lower((key.0, 9), || {
-            Err(ServeError::Compile { detail: "no".to_string() })
+        // A failed lowering, of a net not yet resident, inserts and
+        // counts nothing.
+        let failed = cache.get_or_lower((key.0 ^ 1, 9), || {
+            Err(RuntimeError::Malformed { detail: "no".to_string() })
         });
-        assert!(matches!(failed, Err(ServeError::Compile { .. })));
+        assert!(matches!(failed, Err(RuntimeError::Malformed { .. })));
         assert_eq!((cache.len(), cache.misses()), (1, 2));
-    }
-
-    #[test]
-    fn lru_bound_evicts_and_counts() {
-        let model = tiny_model(2);
-        let cache = PlanCache::with_capacity(ExecConfig::default(), 2);
-        cache.get(&model, 1).unwrap(); // miss
-        cache.get(&model, 2).unwrap(); // miss
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.evictions(), 0);
-
-        cache.get(&model, 3).unwrap(); // miss, evicts batch-1 (LRU)
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.evictions(), 1);
-
-        // Batch 1 was evicted: fetching it again is a miss and evicts
-        // batch 2, the now-least-recently-used survivor.
-        let (_, hit) = cache.get(&model, 1).unwrap();
-        assert!(!hit);
-        assert_eq!(cache.evictions(), 2);
-
-        // A hit refreshes recency: batch 3 survives the next eviction.
-        let (_, hit) = cache.get(&model, 3).unwrap();
-        assert!(hit);
-        cache.get(&model, 4).unwrap(); // evicts batch 1, not batch 3
-        let (_, hit) = cache.get(&model, 3).unwrap();
-        assert!(hit, "recently used entry was evicted");
-        assert_eq!(cache.evictions(), 3);
-        assert_eq!(cache.misses(), 5);
-        assert_eq!(cache.hits(), 2);
-    }
-
-    #[test]
-    fn within_capacity_nothing_evicts() {
-        let model = tiny_model(2);
-        let cache = PlanCache::new(ExecConfig::default());
-        for batch in 1..=4 {
-            cache.get(&model, batch).unwrap();
-        }
-        for batch in 1..=4 {
-            let (_, hit) = cache.get(&model, batch).unwrap();
-            assert!(hit, "batch {batch} should be cached");
-        }
-        assert_eq!(cache.evictions(), 0);
-        assert_eq!(cache.capacity(), DEFAULT_PLAN_CAPACITY);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be nonzero")]
-    fn zero_capacity_is_refused() {
-        let _ = PlanCache::with_capacity(ExecConfig::default(), 0);
     }
 }

@@ -7,8 +7,9 @@
 //! two: requests are coalesced into micro-batches (flushed on size or
 //! deadline, whichever comes first), executed on a supervised pool of
 //! warm [`Executor`](latte_runtime::Executor) replicas. A model is
-//! compiled once; every micro-batch size's lowered plan is cached by
-//! `(net fingerprint, batch)` so tail batches build nothing.
+//! compiled once and lowered once; every micro-batch size's handle on
+//! that plan is cached by `(net fingerprint, batch)` so tail batches
+//! build nothing.
 //!
 //! * [`Model`] — one compiled program (the factory's batch-1 net) plus
 //!   the request signature read off it.
@@ -20,7 +21,7 @@
 //!   crash supervision with bounded retries, per-request [`Ticket`]s.
 //! * [`SeqModel`] / [`SeqServer`] — dynamic shapes: variable-length
 //!   requests padded into a power-of-two bucket ladder (one server per
-//!   bucket over one shared, bounded plan cache), with bucket-spill
+//!   bucket over one shared plan cache), with bucket-spill
 //!   accounting — odd lengths and tail batches build nothing after the
 //!   ladder is warm.
 //! * [`net`] — the fault-hardened framed-TCP front-end: versioned

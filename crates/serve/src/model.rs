@@ -5,10 +5,10 @@
 //! and the compiler does not need it: synthesis and every pass work on
 //! the per-item program, and the batch is the outermost loop the runtime
 //! drives. So a model's [`NetFactory`] is called **once**, at batch 1,
-//! and compiled once; [`crate::PlanCache`] lowers that same program at
-//! whatever micro-batch size a flush produces
-//! ([`CompiledNet::at_batch`]). Every size therefore computes
-//! bit-identical per-sample results by construction.
+//! and compiled once; [`crate::PlanCache`] lowers that program once too,
+//! and runs it at whatever micro-batch size a flush produces
+//! ([`latte_runtime::CompiledProgram::at_batch`]). Every size therefore
+//! computes bit-identical per-sample results by construction.
 
 use latte_core::dsl::Net;
 use latte_core::{compile, CompiledNet, OptLevel};
@@ -88,7 +88,8 @@ impl Model {
     }
 
     /// The model's program, compiled once at registration (at batch 1;
-    /// the plan cache lowers it at each micro-batch size).
+    /// the plan cache lowers it once and runs it at every micro-batch
+    /// size).
     pub(crate) fn compiled(&self) -> &CompiledNet {
         &self.compiled
     }

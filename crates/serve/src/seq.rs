@@ -1,8 +1,8 @@
 //! Dynamic-shape serving: route variable-length sequence requests
 //! through a power-of-two bucket ladder of compiled models.
 //!
-//! A fixed-shape [`Model`] is one compiled program, lowered once per
-//! micro-batch size. Sequences add a second dynamic axis — the length —
+//! A fixed-shape [`Model`] is one compiled program, lowered once and
+//! run at every micro-batch size. Sequences add a second dynamic axis — the length —
 //! and the unroll depth *is* program structure: one program per *exact*
 //! length would blow the plan cache open (and compile on every odd
 //! length the warmup never saw). A [`SeqModel`] instead calls the
@@ -568,7 +568,7 @@ mod tests {
         let routed = server.routed();
         assert_eq!(routed.iter().sum::<u64>(), 6);
         // Six lengths, but only four buckets were ever compiled (each at
-        // batch 1): the cache holds one plan per (bucket, batch) pair.
+        // batch 1): the cache holds one entry per (bucket, batch) pair.
         assert_eq!(server.cache().len(), 4);
         assert_eq!(server.cache().misses(), 4);
     }

@@ -101,7 +101,7 @@ pub struct ReplyMeta {
     /// Times this request was re-run after a replica crash.
     pub retried: u32,
     /// Whether the batch's execution plan came from the cache (`false`
-    /// exactly when this batch size was lowered for the first time).
+    /// exactly when this batch size was looked up for the first time).
     pub cache_hit: bool,
     /// Submit-to-completion latency.
     pub latency: Duration,

@@ -1,7 +1,7 @@
 //! Plan-cache behavior: fingerprints are batch-invariant, tail batches
 //! reuse cached plans (nothing built after warmup — the hit counter is
-//! asserted, not assumed), and a model's factory is called exactly once
-//! however many micro-batch sizes are lowered from it.
+//! asserted, not assumed), and a model's factory is called, and its
+//! program lowered, exactly once however many micro-batch sizes it serves.
 
 mod common;
 
@@ -12,7 +12,7 @@ use std::time::Duration;
 use latte_core::OptLevel;
 use latte_nn::layers::{data, fully_connected, softmax_loss};
 use latte_runtime::ExecConfig;
-use latte_serve::{Model, NoHooks, PlanCache, ServeConfig, Server};
+use latte_serve::{BatchEngine, Model, NoHooks, PlanCache, ServeConfig, Server};
 
 const NEVER: Duration = Duration::from_secs(3600);
 
@@ -123,20 +123,38 @@ fn a_model_calls_its_factory_once_for_all_eight_sizes() {
         arena: false,
         gemm_blocking: None,
     });
+    let mut programs = Vec::new();
     for batch in 1..=8 {
         let (program, hit) = cache.get(&model, batch).expect("warm-up lowers");
         assert!(!hit, "batch {batch} was not cached yet");
         assert_eq!(program.batch(), batch);
+        programs.push(program);
     }
     for batch in 1..=8 {
         assert!(cache.get(&model, batch).expect("warm lookup").1, "batch {batch} is cached");
     }
-    // One net built and one compile (inside `Model::new`) for eight
-    // plans; the cache's own books are what they were.
+    // One net built, one compile (inside `Model::new`) and one lowering
+    // for eight sizes; the cache's own books are what they were.
     assert_eq!(calls.load(Ordering::SeqCst), 1);
+    for program in &programs {
+        assert!(std::ptr::eq(program.plan(), programs[0].plan()), "one plan for every size");
+    }
     assert_eq!(cache.misses(), 8);
     assert_eq!(cache.hits(), 8);
     assert_eq!(cache.len(), 8);
+}
+
+/// An empty micro-batch is refused, before and after its model is
+/// resident, and the cache neither inserts nor counts it.
+#[test]
+fn an_empty_batch_is_refused_and_cached_nowhere() {
+    let cache = Arc::new(PlanCache::new(ExecConfig { threads: 1, arena: false, gemm_blocking: None }));
+    let mut engine = BatchEngine::new(Arc::new(common::model("classifier")), Arc::clone(&cache), 1);
+    assert!(engine.run(&[]).is_err(), "a batch of no items must not run");
+    assert_eq!((cache.len(), cache.misses()), (0, 0));
+    engine.run(&[common::sample("classifier", 1).inputs]).expect("one item runs");
+    assert!(engine.run(&[]).is_err(), "nor once the model is resident");
+    assert_eq!((cache.len(), cache.misses()), (1, 1));
 }
 
 /// The serve half of `executor_correctness.rs::lowering_refuses_the_retired_arena_flag`:

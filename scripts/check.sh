@@ -65,6 +65,12 @@ for ex in examples/*.rs; do
   echo "   -> $name"
   cargo run --release --quiet --example "$name" >/dev/null
 done
+echo "==> latte-explain prints every net's lowered plan (plain and --kernels)"
+for net in convblock mlp lenet lstm vgg; do
+  echo "   -> $net"
+  cargo run --release --quiet --bin latte-explain -- "$net" >/dev/null
+  cargo run --release --quiet --bin latte-explain -- "$net" --kernels >/dev/null
+done
 
 echo "==> repo benchmark smoke (all six workloads, tiny windows, every gate on)"
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --smoke
