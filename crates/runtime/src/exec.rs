@@ -4,7 +4,9 @@
 //! every batch item (in parallel across a worker pool when the program was
 //! compiled with parallelization — the paper's collapsed batch×tile loop
 //! with a static interleaved schedule), while hoisted whole-batch GEMMs
-//! and whole-batch extern kernels run once.
+//! and whole-batch extern kernels run once. An executor built at a
+//! capacity runs any smaller batch on the first items of its storages
+//! ([`Executor::set_batch`]).
 //!
 //! Parameter gradients are shared across batch items; for parallel
 //! groups each of [`GRAD_LANES`] fixed *lanes* accumulates a private
@@ -375,7 +377,8 @@ impl CompiledProgram {
         Ok(CompiledProgram { program: Arc::clone(&self.program), batch })
     }
 
-    /// The batch size this handle's executors run.
+    /// The batch size this handle's executors are built at: their
+    /// capacity.
     pub fn batch(&self) -> usize {
         self.batch
     }
@@ -394,9 +397,11 @@ impl CompiledProgram {
     }
 
     /// Builds a warm executor on `pool`, sharing this program: allocates
-    /// the storages and writes initial parameter values, but
-    /// compiles, lowers and resolves nothing. The executor's thread
-    /// count is the pool's.
+    /// the storages at this handle's batch and writes initial parameter
+    /// values, but compiles, lowers and resolves nothing. The handle's
+    /// batch is the executor's capacity and its starting batch; it runs
+    /// any batch up to that ([`Executor::set_batch`]). The executor's
+    /// thread count is the pool's.
     ///
     /// # Errors
     ///
@@ -448,8 +453,9 @@ pub struct Executor {
     program: CompiledProgram,
     store: BufferStore,
     /// The persistent worker team (and its per-worker GEMM engines and
-    /// lane scratch), shared across the warm executors of one serving
-    /// replica; runs are exclusive — one executor drives it at a time.
+    /// lane scratch). A serving replica keeps it across the one executor
+    /// it holds, sized to the largest batch seen; runs are exclusive —
+    /// one executor drives it at a time.
     pool: Arc<WorkerPool>,
 }
 
@@ -516,9 +522,44 @@ impl Executor {
         Ok(())
     }
 
-    /// The batch size.
+    /// The batch a run covers: the capacity until
+    /// [`Executor::set_batch`] sets another.
     pub fn batch(&self) -> usize {
-        self.program.batch()
+        self.store.batch()
+    }
+
+    /// The most items a run can cover: the batch the executor was built
+    /// at, which its batched storages hold.
+    pub fn capacity(&self) -> usize {
+        self.store.capacity()
+    }
+
+    /// Runs every later pass on the first `batch` items of the storages.
+    ///
+    /// A batch below the capacity computes what an executor built at it
+    /// computes, bit for bit, whatever the other items hold: storage is
+    /// item-major, a per-item kernel's view of a batched buffer is
+    /// `item × per_item` with `item < batch ≤ capacity`, and each
+    /// whole-batch GEMM hoist's batched operand has base 0 and
+    /// `per_item` equal to the dimension it is read with, so it reads
+    /// and writes the first `batch × per_item` elements only (as
+    /// `try_batch_gemm` argues). Whole-batch externs are handed their
+    /// batched storages cut to `batch` items, and every reader and writer
+    /// here sees those items only.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::InvalidConfig`] when `batch` is 0 or above the
+    /// capacity.
+    pub fn set_batch(&mut self, batch: usize) -> Result<(), RuntimeError> {
+        let capacity = self.capacity();
+        if batch == 0 || batch > capacity {
+            return Err(RuntimeError::InvalidConfig {
+                detail: format!("batch {batch} outside 1..={capacity}, the executor's capacity"),
+            });
+        }
+        self.store.set_batch(batch);
+        Ok(())
     }
 
     /// The compiled network, shared with every executor of the program.
@@ -539,7 +580,7 @@ impl Executor {
     }
 
     /// Writes a data ensemble's batch: `data` holds `batch * per_item`
-    /// values, item-major.
+    /// values, item-major, for the current batch.
     ///
     /// # Errors
     ///
@@ -568,7 +609,7 @@ impl Executor {
         self.store.write_item(buffer, info, item, data)
     }
 
-    /// Reads a buffer's full storage.
+    /// Reads a buffer: the current batch's items of a batched one.
     ///
     /// # Errors
     ///
@@ -577,9 +618,8 @@ impl Executor {
         self.buffer(name).map(<[f32]>::to_vec)
     }
 
-    /// Borrows a buffer's full storage: [`Executor::read_buffer`]
-    /// without the copy, for per-step readers such as the gradient
-    /// all-reduce.
+    /// Borrows a buffer: [`Executor::read_buffer`] without the copy, for
+    /// per-step readers such as the gradient all-reduce.
     ///
     /// # Errors
     ///
@@ -588,16 +628,19 @@ impl Executor {
         Ok(self.store.view(self.program.program.table.require(name)?))
     }
 
-    /// Reads one batch item of a buffer.
+    /// Reads one batch item of a buffer (item 0 of an unbatched one is
+    /// the whole buffer).
     ///
     /// # Errors
     ///
-    /// As [`Executor::read_buffer`].
+    /// Fails for unknown buffers, and for an item outside the current
+    /// batch (any but 0 for an unbatched buffer).
     pub fn read_item(&self, name: &str, item: usize) -> Result<Vec<f32>, RuntimeError> {
-        Ok(self.store.read_item(self.program.program.table.require(name)?, item))
+        self.store.read_item(name, self.program.program.table.require(name)?, item)
     }
 
-    /// Overwrites a buffer's full storage (test/diagnostic hook).
+    /// Overwrites a buffer: the current batch's items of a batched one
+    /// (test/diagnostic hook).
     ///
     /// # Errors
     ///
@@ -620,7 +663,7 @@ impl Executor {
         // `&mut self`.
         let program = self.program.clone();
         let plan = program.plan();
-        let batch = program.batch();
+        let batch = self.batch();
         let groups = if backward {
             for &storage in &program.program.zero_backward {
                 self.store.storages[storage].fill(0.0);
@@ -871,21 +914,26 @@ impl Executor {
 
     fn run_batched_gemm(&mut self, b: &BatchedGemm) {
         assert!(b.c != b.a && b.c != b.b, "batched gemm aliasing");
-        let base = self.store.storages.as_mut_ptr();
-        // SAFETY: a, b, c are distinct storage indices (asserted); a and b
-        // are only read.
-        let (a, bb, c) = unsafe {
-            let av: &Vec<f32> = &*base.add(b.a);
-            let bv: &Vec<f32> = &*base.add(b.b);
-            let cv: &mut Vec<f32> = &mut *base.add(b.c);
-            (&av[b.a_base..], &bv[b.b_base..], &mut cv[b.c_base..])
-        };
-        let ta = if b.ta { Transpose::Yes } else { Transpose::No };
-        let tb = if b.tb { Transpose::Yes } else { Transpose::No };
         let (m, k) = match b.batch_dim {
             BatchDim::M { k } => (self.batch(), k),
             BatchDim::K { m } => (m, self.batch()),
         };
+        let base = self.store.storages.as_mut_ptr();
+        // SAFETY: a, b, c are distinct storage indices (asserted); a and b
+        // are only read. Each operand is cut to what the GEMM reads, so
+        // at a batch below the capacity no item past it is in reach.
+        let (a, bb, c) = unsafe {
+            let av: &Vec<f32> = &*base.add(b.a);
+            let bv: &Vec<f32> = &*base.add(b.b);
+            let cv: &mut Vec<f32> = &mut *base.add(b.c);
+            (
+                &av[b.a_base..b.a_base + m * k],
+                &bv[b.b_base..b.b_base + k * b.n],
+                &mut cv[b.c_base..b.c_base + m * b.n],
+            )
+        };
+        let ta = if b.ta { Transpose::Yes } else { Transpose::No };
+        let tb = if b.tb { Transpose::Yes } else { Transpose::No };
         // Whole-batch GEMMs are the FLOP majority for FC layers: partition
         // macro-tiles across the pool (bit-identical for any worker count).
         Gemm::compute_parallel(self.pool.as_ref(), ta, tb, m, b.n, k, a, bb, c);
@@ -897,9 +945,11 @@ impl Executor {
         let mut views: Vec<&mut [f32]> =
             self.pool.with_caller_ctx(|ctx| std::mem::take(&mut ctx.scratch.views));
         for &i in &e.bufs {
+            let b = &g.bufs[i];
+            let len = if b.batched { batch * b.per_item } else { b.per_item };
             // SAFETY: lowering rejects duplicate storages per extern, so
             // these views are disjoint.
-            views.push(unsafe { (*base.add(g.bufs[i].storage)).as_mut_slice() });
+            views.push(unsafe { &mut (&mut *base.add(b.storage))[..len] });
         }
         let mut inv = ExternInvocation {
             attrs: &e.attrs,

@@ -24,7 +24,8 @@ use crate::error::RuntimeError;
 pub struct ExternInvocation<'a> {
     /// Scalar attributes from the ensemble's normalization spec.
     pub attrs: &'a BTreeMap<String, f64>,
-    /// Total batch size.
+    /// The batch the run covers; a whole-batch call's batched buffers
+    /// hold exactly this many items.
     pub batch: usize,
     /// The current item for per-item calls; `None` for whole-batch calls.
     pub item: Option<usize>,

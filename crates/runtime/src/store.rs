@@ -95,49 +95,98 @@ impl BufferTable {
 /// All allocated storage for one compiled network instance: one vector
 /// per storage of the program's [`BufferTable`] and nothing else. Callers
 /// address it through a [`BufInfo`] of that table.
+///
+/// Batched storages hold `capacity` items; a run covers the first
+/// `batch` of them, and every accessor here sees only those.
 #[derive(Debug)]
 pub(crate) struct BufferStore {
+    capacity: usize,
     batch: usize,
     pub(crate) storages: Vec<Vec<f32>>,
 }
 
 impl BufferStore {
-    /// Allocates a table's storages at `batch`, zeroed.
-    pub(crate) fn build(table: &BufferTable, batch: usize) -> Self {
+    /// Allocates a table's storages at `capacity` items, zeroed, with the
+    /// batch at the capacity.
+    pub(crate) fn build(table: &BufferTable, capacity: usize) -> Self {
         let storages = table
             .storages
             .iter()
-            .map(|&(per_item, batched)| vec![0.0; per_item * if batched { batch } else { 1 }])
+            .map(|&(per_item, batched)| vec![0.0; per_item * if batched { capacity } else { 1 }])
             .collect();
-        BufferStore { batch, storages }
+        BufferStore { capacity, batch: capacity, storages }
     }
 
-    /// Borrows a buffer's entire contents (all batch items).
+    /// The items every batched storage holds.
+    pub(crate) fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// The items a run covers.
+    pub(crate) fn batch(&self) -> usize {
+        self.batch
+    }
+
+    /// Sets the items a run covers; the caller keeps `1..=capacity`.
+    pub(crate) fn set_batch(&mut self, batch: usize) {
+        debug_assert!((1..=self.capacity).contains(&batch));
+        self.batch = batch;
+    }
+
+    /// The elements of a buffer a run covers: `batch` items of a batched
+    /// buffer, all of an unbatched one.
+    pub(crate) fn len(&self, info: &BufInfo) -> usize {
+        info.per_item * if info.batched { self.batch } else { 1 }
+    }
+
+    /// Borrows a buffer's contents for the current batch.
     pub(crate) fn view(&self, info: &BufInfo) -> &[f32] {
-        &self.storages[info.storage]
+        &self.storages[info.storage][..self.len(info)]
+    }
+
+    /// Where one item's slice starts: `item` must be inside the batch for
+    /// a batched buffer and 0 for an unbatched one.
+    fn item_offset(&self, name: &str, info: &BufInfo, item: usize) -> Result<usize, RuntimeError> {
+        let items = if info.batched { self.batch } else { 1 };
+        if item >= items {
+            return Err(RuntimeError::InputShape {
+                buffer: name.to_string(),
+                detail: format!("item {item} outside batch of {items}"),
+            });
+        }
+        Ok(item * info.per_item)
     }
 
     /// Copies one item's slice of a batched buffer (or the whole buffer
-    /// when unbatched).
-    pub(crate) fn read_item(&self, info: &BufInfo, item: usize) -> Vec<f32> {
-        let off = if info.batched { item * info.per_item } else { 0 };
-        self.storages[info.storage][off..off + info.per_item].to_vec()
-    }
-
-    /// Overwrites a buffer's entire contents.
+    /// when unbatched — `item` must then be 0).
     ///
     /// # Errors
     ///
-    /// Fails when `data` length differs from the buffer's length.
+    /// Fails when `item` is outside the batch.
+    pub(crate) fn read_item(
+        &self,
+        name: &str,
+        info: &BufInfo,
+        item: usize,
+    ) -> Result<Vec<f32>, RuntimeError> {
+        let off = self.item_offset(name, info, item)?;
+        Ok(self.storages[info.storage][off..off + info.per_item].to_vec())
+    }
+
+    /// Overwrites a buffer's contents for the current batch.
+    ///
+    /// # Errors
+    ///
+    /// Fails when `data` length differs from that length.
     pub(crate) fn write(&mut self, name: &str, info: &BufInfo, data: &[f32]) -> Result<(), RuntimeError> {
-        let storage = &mut self.storages[info.storage];
-        if storage.len() != data.len() {
+        let len = self.len(info);
+        if len != data.len() {
             return Err(RuntimeError::InputShape {
                 buffer: name.to_string(),
-                detail: format!("expected {} elements, got {}", storage.len(), data.len()),
+                detail: format!("expected {len} elements, got {}", data.len()),
             });
         }
-        storage.copy_from_slice(data);
+        self.storages[info.storage][..len].copy_from_slice(data);
         Ok(())
     }
 
@@ -162,14 +211,7 @@ impl BufferStore {
                 detail: format!("expected {per_item} elements per item, got {}", data.len()),
             });
         }
-        let items = if info.batched { self.batch } else { 1 };
-        if item >= items {
-            return Err(RuntimeError::InputShape {
-                buffer: name.to_string(),
-                detail: format!("item {item} outside batch of {items}"),
-            });
-        }
-        let off = item * per_item;
+        let off = self.item_offset(name, info, item)?;
         self.storages[info.storage][off..off + per_item].copy_from_slice(data);
         Ok(())
     }
@@ -226,9 +268,9 @@ mod tests {
         let (table, mut store) = build(decls(), 3).unwrap();
         let value = table.require("a.value").unwrap();
         store.write_item("a.value", value, 1, &[7.0; 4]).unwrap();
-        assert_eq!(store.read_item(value, 0), vec![0.0; 4]);
-        assert_eq!(store.read_item(value, 1), vec![7.0; 4]);
-        assert_eq!(store.read_item(value, 2), vec![0.0; 4]);
+        assert_eq!(store.read_item("a.value", value, 0).unwrap(), vec![0.0; 4]);
+        assert_eq!(store.read_item("a.value", value, 1).unwrap(), vec![7.0; 4]);
+        assert_eq!(store.read_item("a.value", value, 2).unwrap(), vec![0.0; 4]);
         // Wrong per-item length and out-of-batch items are structured errors.
         assert!(matches!(
             store.write_item("a.value", value, 0, &[0.0; 5]),
@@ -242,6 +284,32 @@ mod tests {
         let weights = table.require("a.weights").unwrap();
         store.write_item("a.weights", weights, 0, &[1.0; 8]).unwrap();
         assert!(store.write_item("a.weights", weights, 1, &[1.0; 8]).is_err());
+    }
+
+    #[test]
+    fn read_item_refuses_what_write_item_refuses() {
+        let (table, mut store) = build(decls(), 3).unwrap();
+        let value = table.require("a.value").unwrap();
+        let weights = table.require("a.weights").unwrap();
+        // Outside the batch: an error, not a slice-index panic.
+        assert!(matches!(
+            store.read_item("a.value", value, 3),
+            Err(RuntimeError::InputShape { .. })
+        ));
+        // An unbatched buffer has item 0 only.
+        assert_eq!(store.read_item("a.weights", weights, 0).unwrap().len(), 8);
+        assert!(matches!(
+            store.read_item("a.weights", weights, 1),
+            Err(RuntimeError::InputShape { .. })
+        ));
+        // A smaller batch bounds reads and writes alike; capacity stays.
+        store.set_batch(2);
+        assert_eq!(store.capacity(), 3);
+        assert!(store.read_item("a.value", value, 1).is_ok());
+        assert!(store.read_item("a.value", value, 2).is_err());
+        assert!(store.write_item("a.value", value, 2, &[0.0; 4]).is_err());
+        assert_eq!(store.view(value).len(), 8);
+        assert_eq!(store.view(weights).len(), 8);
     }
 
     #[test]

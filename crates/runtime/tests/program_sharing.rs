@@ -3,14 +3,16 @@
 //! plan — and own nothing but their storages, so an `instantiate` costs
 //! the storages plus a constant; and the program at another batch size
 //! is the same lowered program, computing what a lowering at that size
-//! computes.
+//! computes; and an executor runs any batch up to the one it was built
+//! at, computing what an executor built at that batch computes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
 use latte_core::dsl::Net;
-use latte_core::{compile, OptLevel};
+use latte_core::{compile, CompiledNet, OptLevel};
+use latte_ir::BufferKind;
 use latte_nn::layers::{batch_norm, data, fully_connected, relu, scale_shift, softmax_loss};
 use latte_nn::models::{lenet, ModelConfig};
 use latte_runtime::pool::WorkerPool;
@@ -121,44 +123,50 @@ fn seeded(len: usize, seed: u32) -> Vec<f32> {
         .collect()
 }
 
-/// Every primary buffer's bits and the loss's, in declaration order.
-fn state(exec: &Executor) -> Vec<u32> {
+/// The loss's bits and those of every primary buffer of a kind `keep`
+/// selects, in declaration order, over the executor's current batch.
+fn state(exec: &Executor, keep: impl Fn(BufferKind) -> bool) -> Vec<u32> {
     let mut bits = vec![exec.loss().to_bits()];
-    for b in exec.compiled().buffers.iter().filter(|b| b.alias_of.is_none()) {
+    for b in exec.compiled().buffers.iter().filter(|b| b.alias_of.is_none() && keep(b.kind)) {
         bits.extend(exec.read_buffer(&b.name).expect("declared").iter().map(|v| v.to_bits()));
     }
     bits
 }
 
-/// Runs a forward and a backward pass on seeded inputs (labels are class
-/// indices below `classes`), returning the state after each.
-fn run(mut exec: Executor, classes: usize) -> [Vec<u32>; 2] {
-    let batch = exec.batch();
+/// Runs a forward and a backward pass on inputs seeded by `seed` (labels
+/// are class indices below `classes`), returning the state after each:
+/// the buffers of kinds `after_forward` selects, then every buffer.
+fn pass(
+    exec: &mut Executor,
+    classes: usize,
+    seed: usize,
+    after_forward: impl Fn(BufferKind) -> bool,
+) -> [Vec<u32>; 2] {
     for (k, input) in exec.compiled().inputs.clone().iter().enumerate() {
         let len = exec.read_buffer(&input.buffer).expect("input").len();
         let data = if input.ensemble == "label" {
-            (0..len).map(|i| ((i * 7 + batch) % classes) as f32).collect()
+            (0..len).map(|i| ((i * 7 + seed) % classes) as f32).collect()
         } else {
-            seeded(len, 31 * k as u32 + batch as u32)
+            seeded(len, 31 * k as u32 + seed as u32)
         };
         exec.set_input(&input.ensemble, &data).expect("input fits");
     }
     exec.forward();
-    let forward = state(&exec);
+    let forward = state(exec, after_forward);
     exec.backward();
-    [forward, state(&exec)]
+    [forward, state(exec, |_| true)]
 }
 
-/// One lowering run at every batch computes what a lowering at that
-/// batch computes, bit for bit: outputs, loss and every gradient, over
-/// the per-item kernels, all three whole-batch GEMM hoists and a
-/// whole-batch extern.
-#[test]
-fn one_lowering_at_every_batch_matches_a_lowering_at_that_batch() {
-    let registry = KernelRegistry::with_builtins();
-    let exec_cfg = ExecConfig { threads: 1, arena: false, gemm_blocking: None };
-    let pool = Arc::new(WorkerPool::new(1));
+/// [`pass`] on a fresh executor, seeded by its batch, every buffer kept.
+fn run(mut exec: Executor, classes: usize) -> [Vec<u32>; 2] {
+    let batch = exec.batch();
+    pass(&mut exec, classes, batch, |_| true)
+}
 
+/// LeNet, an MLP whose plan holds all three whole-batch GEMM hoists, and
+/// a `batch_norm` net (a whole-batch extern), compiled at batch 1, each
+/// with its class count.
+fn nets() -> [(&'static str, CompiledNet, usize); 3] {
     let mut mlp = Net::new(1);
     let x = data(&mut mlp, "data", vec![6]);
     let h = fully_connected(&mut mlp, "fc1", x, 5, 1);
@@ -175,13 +183,23 @@ fn one_lowering_at_every_batch_matches_a_lowering_at_that_batch() {
     let label = data(&mut bn, "label", vec![1]);
     softmax_loss(&mut bn, "loss", head, label);
 
-    let lenet = lenet_program();
-    let nets = [
-        ("lenet", lenet.compiled().clone(), 10),
+    [
+        ("lenet", lenet_program().compiled().clone(), 10),
         ("mlp", compile(&mlp, &OptLevel::full()).expect("mlp compiles"), 4),
         ("batch_norm", compile(&bn, &OptLevel::full()).expect("bn net compiles"), 4),
-    ];
-    for (name, net, classes) in nets {
+    ]
+}
+
+/// One lowering run at every batch computes what a lowering at that
+/// batch computes, bit for bit: outputs, loss and every gradient, over
+/// the per-item kernels, all three whole-batch GEMM hoists and a
+/// whole-batch extern.
+#[test]
+fn one_lowering_at_every_batch_matches_a_lowering_at_that_batch() {
+    let registry = KernelRegistry::with_builtins();
+    let exec_cfg = ExecConfig { threads: 1, arena: false, gemm_blocking: None };
+    let pool = Arc::new(WorkerPool::new(1));
+    for (name, net, classes) in nets() {
         let once = CompiledProgram::lower(net.clone(), &registry, exec_cfg).expect("lowers");
         let plan = once.plan().to_string();
         match name {
@@ -204,5 +222,63 @@ fn one_lowering_at_every_batch_matches_a_lowering_at_that_batch() {
                 "{name} at batch {b}: one lowering and a lowering at {b} differ"
             );
         }
+    }
+}
+
+/// Fills items `batch..` of every batched storage with NaN, so a kernel
+/// that reads past the batch poisons what it computes (even a product
+/// with a zero gradient), and leaves the executor at `batch`.
+fn poison_past(exec: &mut Executor, batch: usize) {
+    exec.set_batch(exec.capacity()).expect("the capacity is a batch");
+    let batched = exec.compiled().buffers.clone();
+    for b in batched.iter().filter(|b| b.alias_of.is_none() && b.kind.is_batched()) {
+        let mut values = exec.read_buffer(&b.name).expect("declared");
+        let per_item = values.len() / exec.capacity();
+        values[batch * per_item..].fill(f32::NAN);
+        exec.write_buffer(&b.name, &values).expect("same length");
+    }
+    exec.set_batch(batch).expect("within capacity");
+}
+
+/// An executor built at 8 and run at a smaller batch computes what an
+/// executor built at that batch computes, bit for bit, whatever its
+/// items past the batch hold: outputs, loss and every gradient, over the
+/// per-item kernels, the three whole-batch GEMM hoists and a whole-batch
+/// extern, at the pool width `LATTE_THREADS` asks for.
+#[test]
+fn an_executor_runs_every_batch_up_to_its_capacity_as_a_fresh_one_does() {
+    let registry = KernelRegistry::with_builtins();
+    let exec_cfg = ExecConfig { threads: 1, arena: false, gemm_blocking: None };
+    let pool = Arc::new(WorkerPool::new(ExecConfig::env_threads()));
+    // After a forward pass the gradients still hold the last backward's.
+    let no_grads = |kind: BufferKind| {
+        !matches!(kind, BufferKind::Grad | BufferKind::ParamGrad | BufferKind::InputGradStage)
+    };
+    for (name, net, classes) in nets() {
+        let once = CompiledProgram::lower(net, &registry, exec_cfg).expect("lowers");
+        let mut reused = once.at_batch(8).unwrap().instantiate(Arc::clone(&pool)).unwrap();
+        assert_eq!((reused.capacity(), reused.batch()), (8, 8));
+        // Every item, every gradient and the batch statistics dirtied on
+        // inputs no later run uses.
+        pass(&mut reused, classes, 1000, |_| true);
+        for b in [5, 2, 8, 1, 7, 3, 6, 4] {
+            poison_past(&mut reused, b);
+            assert_eq!((reused.capacity(), reused.batch()), (8, b));
+            let mut fresh = once.at_batch(b).unwrap().instantiate(Arc::clone(&pool)).unwrap();
+            assert!(
+                pass(&mut reused, classes, b, no_grads) == pass(&mut fresh, classes, b, no_grads),
+                "{name} at batch {b} of 8: the prefix run and a fresh executor differ"
+            );
+        }
+        for refused in [0, 9] {
+            assert!(
+                matches!(
+                    reused.set_batch(refused),
+                    Err(latte_runtime::RuntimeError::InvalidConfig { .. })
+                ),
+                "{name}: batch {refused} of 8 must be refused"
+            );
+        }
+        assert_eq!(reused.batch(), 4, "a refused batch leaves the last one");
     }
 }

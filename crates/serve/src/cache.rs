@@ -7,12 +7,14 @@
 //! nothing). The cache keeps one entry per `(fingerprint, micro-batch
 //! size)` pair, so the serving path never lowers after warm-up and
 //! hit/miss counters make "nothing built after warmup" testable: a tail
-//! batch of size 3 hits the size-3 entry and only instantiates (fresh
-//! buffers + parameter init).
+//! batch of size 3 hits the size-3 entry and runs on its replica's
+//! executor, which instantiates (fresh buffers + parameter init) only
+//! if it has not yet held 3 items.
 //!
 //! Nothing is evicted. Entries are at most the registered models times
 //! their micro-batch sizes, every entry of one model shares its one
-//! plan, and each replica's warm executors hold their programs anyway.
+//! plan, and each replica's one executor, sized to the largest batch
+//! seen, holds that plan anyway.
 //!
 //! The cache is shareable (`&self` throughout): a hit is one lock, one
 //! hash lookup and one `Arc::clone`. The first lookup of a model lowers

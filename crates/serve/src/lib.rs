@@ -6,10 +6,10 @@
 //! inference service receives *single samples*. This crate bridges the
 //! two: requests are coalesced into micro-batches (flushed on size or
 //! deadline, whichever comes first), executed on a supervised pool of
-//! warm [`Executor`](latte_runtime::Executor) replicas. A model is
-//! compiled once and lowered once; every micro-batch size's handle on
-//! that plan is cached by `(net fingerprint, batch)` so tail batches
-//! build nothing.
+//! replicas, each holding one [`Executor`](latte_runtime::Executor) sized
+//! to the largest batch it has seen. A model is compiled once and
+//! lowered once; every micro-batch size's handle on that plan is cached
+//! by `(net fingerprint, batch)` so tail batches build nothing.
 //!
 //! * [`Model`] — one compiled program (the factory's batch-1 net) plus
 //!   the request signature read off it.

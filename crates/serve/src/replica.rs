@@ -2,10 +2,13 @@
 //! let tests kill a replica mid-batch.
 //!
 //! A replica owns one [`BatchEngine`]: a persistent [`WorkerPool`] plus
-//! one warm [`Executor`] per micro-batch size already seen, all
-//! instantiated from plans in the shared [`PlanCache`]. The cache is
-//! consulted on *every* batch (so hit counters observe the steady
-//! state); warm executors make the steady state allocation-free too.
+//! one warm [`Executor`], sized to the largest micro-batch seen and
+//! instantiated from a plan in the shared [`PlanCache`]. A smaller batch
+//! runs on the first items of its storages
+//! ([`Executor::set_batch`]), so a replica's memory is one executor at
+//! its largest batch. The cache is consulted on *every* batch (so hit
+//! counters observe the steady state); once the executor has seen the
+//! largest batch the steady state is allocation-free too.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -86,24 +89,22 @@ impl ReplicaHooks for FaultHooks {
     }
 }
 
-/// One replica's execution state: warm executors per micro-batch size,
-/// sharing one worker pool and the server-wide plan cache.
+/// One replica's execution state: one executor, sized to the largest
+/// micro-batch seen, on one worker pool, with the server-wide plan
+/// cache.
 pub struct BatchEngine {
     model: Arc<Model>,
     cache: Arc<PlanCache>,
     pool: Arc<WorkerPool>,
-    warm: HashMap<usize, Executor>,
+    /// `None` until the first batch.
+    exec: Option<Executor>,
 }
 
 impl std::fmt::Debug for BatchEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BatchEngine")
             .field("model", &self.model.name())
-            .field("warm_sizes", &{
-                let mut s: Vec<usize> = self.warm.keys().copied().collect();
-                s.sort_unstable();
-                s
-            })
+            .field("capacity", &self.exec.as_ref().map(Executor::capacity))
             .finish_non_exhaustive()
     }
 }
@@ -116,7 +117,7 @@ impl BatchEngine {
             model,
             cache,
             pool: Arc::new(WorkerPool::new(threads)),
-            warm: HashMap::new(),
+            exec: None,
         }
     }
 
@@ -124,6 +125,10 @@ impl BatchEngine {
     /// `(ensemble, per_item values)` inputs, landing in that batch slot.
     /// Returns each item's `(output buffer, values)` rows plus whether
     /// the batch size's plan was already cached.
+    ///
+    /// A batch above the executor's capacity replaces it with one at the
+    /// new size, the old one dropped first, so a replica never holds
+    /// two; a batch within it runs on the executor as it is.
     ///
     /// # Errors
     ///
@@ -137,17 +142,19 @@ impl BatchEngine {
     ) -> Result<(Vec<Vec<(String, Vec<f32>)>>, bool), ServeError> {
         let n = items.len();
         let (program, cache_hit) = self.cache.get(&self.model, n)?;
-        let exec = match self.warm.entry(n) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(v) => {
-                let exec = program
-                    .instantiate(Arc::clone(&self.pool))
-                    .map_err(|e| ServeError::Execution {
-                        detail: format!("instantiate @ batch {n}: {e}"),
-                    })?;
-                v.insert(exec)
-            }
-        };
+        if self.exec.as_ref().is_none_or(|e| e.capacity() < n) {
+            self.exec = None;
+            let exec = program
+                .instantiate(Arc::clone(&self.pool))
+                .map_err(|e| ServeError::Execution {
+                    detail: format!("instantiate @ batch {n}: {e}"),
+                })?;
+            self.exec = Some(exec);
+        }
+        let exec = self.exec.as_mut().expect("an executor of at least `n` items");
+        exec.set_batch(n).map_err(|e| ServeError::Execution {
+            detail: format!("batch {n}: {e}"),
+        })?;
         for (slot, inputs) in items.iter().enumerate() {
             for (ensemble, data) in inputs {
                 exec.set_input_item(ensemble, slot, data)

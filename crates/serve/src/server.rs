@@ -6,7 +6,8 @@
 //!
 //! No async runtime: one *dispatcher* thread owns the batcher and the
 //! replica supervisor state, `replicas` worker threads each own a
-//! [`BatchEngine`] (warm executors + persistent worker pool) and pull
+//! [`BatchEngine`] (one executor, sized to the largest batch seen, and a
+//! persistent worker pool) and pull
 //! jobs from a shared queue. Clients talk to the dispatcher over an
 //! mpsc channel and receive responses through per-request [`Ticket`]
 //! channels, so a slow client only ever delays itself.

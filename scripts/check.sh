@@ -43,6 +43,9 @@ cargo test --release -p latte-runtime --lib elem::tests::pooling_runs_its_output
 echo "==> narrow GEMM gate (register-row AVX kernel >= 1.8x the portable loop on NT 128x32x144 and >= 3x on 112x5x25, bit-identical C; alternating rounds in one process; skipped without AVX2+FMA)"
 cargo test --release -p latte-tensor --lib gemm::tests::narrow_kernel_beats_the_portable_loop -- --exact --nocapture
 
+echo "==> replica memory gate (one BatchEngine through micro-batches 1..=8 of LeNet keeps <= 1.1x the bytes of one executor at 8; replies bit-identical to solo batch-1 runs over a stale tail)"
+cargo test --release -p latte-serve --test replica_memory -- --nocapture
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
