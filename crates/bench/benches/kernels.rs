@@ -1,5 +1,5 @@
-//! Criterion benchmarks for the numeric substrate: GEMM shapes and block
-//! sizes, im2col, and the synthesized-copy execution paths.
+//! Criterion benchmarks for the numeric substrate: GEMM shapes and the
+//! serial-vs-parallel entry, im2col, and the synthesized-copy execution paths.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use latte_runtime::pool::WorkerPool;
@@ -60,27 +60,6 @@ fn bench_gemm_shapes(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_gemm_blocking(c: &mut Criterion) {
-    let mut group = c.benchmark_group("gemm_blocking");
-    group.sample_size(10);
-    let (m, n, k) = (192, 192, 192);
-    let a = vec![1.0f32; m * k];
-    let b = vec![1.0f32; k * n];
-    let mut out = vec![0.0f32; m * n];
-    for (kc, nc, mc) in [(64, 128, 16), (256, 512, 64), (512, 1024, 128), (32, 64, 8)] {
-        let mut engine = Gemm::with_blocking(kc, nc, mc).expect("aligned blocking");
-        group.bench_function(
-            BenchmarkId::from_parameter(format!("kc{kc}_nc{nc}_mc{mc}")),
-            |bencher| {
-                bencher.iter(|| {
-                    engine.compute(Transpose::No, Transpose::No, m, n, k, &a, &b, &mut out);
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
 fn bench_im2col(c: &mut Criterion) {
     let mut group = c.benchmark_group("im2col");
     group.sample_size(10);
@@ -104,5 +83,5 @@ fn bench_im2col(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_gemm_shapes, bench_gemm_blocking, bench_im2col);
+criterion_group!(benches, bench_gemm_shapes, bench_im2col);
 criterion_main!(benches);

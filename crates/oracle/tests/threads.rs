@@ -2,7 +2,8 @@
 //!
 //! The thread count changes *who computes*, never *what is computed*:
 //! parallel kernel groups route items through fixed gradient lanes and
-//! `compute_parallel` partitions a fixed macro-tile grid, so for every
+//! `compute_parallel` either partitions the macro-tile grid of GEMM's
+//! constant block sizes or runs the GEMM whole on the caller, so for every
 //! harness net and every standard optimization configuration an executor
 //! run with 2 or 4 worker threads must produce bit-identical buffers to
 //! a single-threaded one — across a forward pass and two full training

@@ -68,8 +68,8 @@ pub struct ExecConfig {
     /// `ExecConfig { threads, arena: false, gemm_blocking: None }`; the
     /// `benchmark` PR that drops those three literals drops it with them.
     pub arena: bool,
-    /// A remnant, always `None`: every worker's GEMM engine uses the
-    /// default blocking, and [`Executor::with_registry`] refuses `Some`
+    /// A remnant, always `None`: every GEMM engine cuts the same fixed
+    /// blocks (`latte_tensor::gemm`), and [`Executor::with_registry`] refuses `Some`
     /// with [`RuntimeError::InvalidConfig`]. The field stays only for the
     /// same three `benchmark/` literals as [`ExecConfig::arena`], and
     /// goes with them.
@@ -490,7 +490,7 @@ impl Executor {
         if cfg.gemm_blocking.is_some() {
             return Err(RuntimeError::InvalidConfig {
                 detail: "ExecConfig::gemm_blocking: the schedule autotuner is retired; every \
-                         GEMM engine uses the default blocking"
+                         GEMM engine uses the fixed blocking"
                     .to_string(),
             });
         }

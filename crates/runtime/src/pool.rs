@@ -257,8 +257,9 @@ impl WorkerPool {
     }
 
     /// Runs `f` with worker 0's context on the calling thread, without
-    /// waking the team — the serial path for non-parallel groups, using
-    /// the same persistent GEMM engine.
+    /// waking the team — the serial path for non-parallel groups and for
+    /// GEMMs that do not split ([`GemmPool::run_serial`]), using the same
+    /// persistent GEMM engine.
     pub(crate) fn with_caller_ctx<R>(&self, f: impl FnOnce(&mut WorkerCtx) -> R) -> R {
         // SAFETY: no job is in flight (runs are exclusive), so slot 0 is
         // exclusively the caller's.
@@ -296,13 +297,20 @@ impl WorkerPool {
     }
 }
 
-impl GemmPool for WorkerPool {
+// SAFETY: `run` invokes the job once for every `tid` in `0..threads`,
+// each with worker `tid`'s own context (and so its own engine), and
+// returns only after every invocation finished.
+unsafe impl GemmPool for WorkerPool {
     fn threads(&self) -> usize {
         self.threads
     }
 
     fn run_gemm(&self, job: &(dyn Fn(usize, &mut Gemm) + Sync)) {
         self.run(&|tid, ctx| job(tid, &mut ctx.gemm));
+    }
+
+    fn run_serial(&self, job: &mut dyn FnMut(&mut Gemm)) {
+        self.with_caller_ctx(|ctx| job(&mut ctx.gemm));
     }
 }
 

@@ -10,89 +10,64 @@
 //!
 //! Three entry points are provided:
 //!
-//! * [`gemm_naive`] — textbook triple loop, the correctness oracle.
-//! * [`Gemm::compute`] — the library kernel, with two paths:
-//!   - outputs at most 32 wide with `A` untransposed — every forward
-//!     convolution of the `(y, x, c)` layout, whose `n` is its channel
-//!     count — run row by row, each row's `C` held in registers over the
-//!     whole `k` against a small `k x n` panel of B. On x86-64 with
-//!     AVX2+FMA detected the rows run at vector width, a block of rows at
-//!     a time, with a separate multiply and add; elsewhere a portable
-//!     loop runs. Both round each product and each sum in `k` order
-//!     from `C`, so they agree bit for bit (NaN payloads aside: which of
-//!     two NaN operands an addition keeps is the compiler's choice);
-//!   - everything else follows the Goto/BLIS decomposition: operands are
-//!     packed into zero-padded micro-panels (`MR`-row A panels,
-//!     `NR`-column B panels), then an explicit register-blocked
-//!     `MR x NR` micro-kernel accumulates each output tile in registers
-//!     over the whole `kc` block. With AVX2+FMA the micro-kernel runs a
-//!     `target_feature` copy emitting vector FMAs; elsewhere an
-//!     auto-vectorized fallback runs.
-//! * [`Gemm::compute_parallel`] — the same tile decomposition with the
+//! * [`gemm_naive`] — textbook triple loop, the tolerance oracle.
+//! * [`Gemm::compute`] — the library kernel. One `match` on the shape
+//!   class and the host's ISA picks one of four kernels, and each meets
+//!   one of two arithmetic contracts, written out as scalar reference
+//!   functions in this module's tests and held there bit for bit:
+//!   - **narrow** — outputs at most 32 wide with `A` untransposed (every
+//!     forward convolution of the `(y, x, c)` layout, whose `n` is its
+//!     channel count). Per output: start from `C`, then for `p`
+//!     ascending `c += A[i, p] * B[p, j]`, the product and the sum
+//!     each rounded. Each row of `C` is held in registers over the whole
+//!     `k` against a small `k x n` panel of B. *narrow-AVX* (AVX2+FMA
+//!     hosts) runs blocks of rows at vector width with a separate
+//!     multiply and add; *narrow-portable* is a scalar loop. The two
+//!     agree bit for bit (NaN payloads aside: which of two NaN operands
+//!     an addition keeps is the compiler's choice);
+//!   - **tiled** — everything else, the Goto/BLIS decomposition:
+//!     operands packed into zero-padded micro-panels (`MR`-row A panels,
+//!     `NR`-column B panels), an `MR x NR` register-blocked micro-kernel
+//!     per output tile. Per output and per `KC = 256` block of `k`: an
+//!     accumulator starts at 0 and takes `A[i, p] * B[p, j]` for `p`
+//!     ascending, then `C += acc`. *tiled-FMA* (AVX2+FMA hosts) fuses
+//!     each multiply-add into one rounding; *tiled-portable* rounds the
+//!     product and the sum, so the two ISAs differ in the last bits.
+//! * [`Gemm::compute_parallel`] — the tiled decomposition with the
 //!   `(ic, jc)` macro-tile grid statically partitioned across a worker
 //!   pool ([`GemmPool`]). Every output element is produced by exactly one
 //!   worker with a k-order independent of the partition, so results are
-//!   **bit-identical** for any worker count (including the serial
-//!   [`Gemm::compute`] with the same block sizes).
+//!   **bit-identical** to [`Gemm::compute`] for any worker count. A
+//!   GEMM that would not split (one worker, a narrow output, too few
+//!   flops, fewer than two macro-tiles) runs on the caller's engine
+//!   without waking the pool.
 //!
-//! Block sizes are configurable so the ablation benchmark can sweep them.
+//! The block sizes are fixed constants: `KC` is part of the tiled
+//! contract, and the parallel partition rests on every engine cutting
+//! the same `MC x NC` grid.
 
 /// Rows of the register-blocked micro-kernel (A micro-panel height).
-pub const MR: usize = 4;
+const MR: usize = 4;
 /// Columns of the register-blocked micro-kernel (B micro-panel width).
-pub const NR: usize = 16;
+const NR: usize = 16;
+/// The `k` block of the tiled kernels. Each block's sum starts from 0,
+/// so this constant is part of the tiled contract's bits.
+const KC: usize = 256;
+/// Columns of `C` in a macro-tile (the packed B block kept in cache).
+const NC: usize = 512;
+/// Rows of `C` in a macro-tile (the packed A block).
+const MC: usize = 64;
+// Packed panels are micro-panel grids with no padding between them.
+const _: () = assert!(MC.is_multiple_of(MR) && NC.is_multiple_of(NR));
 
 /// Below this many multiply-adds a GEMM is not worth fanning out; the
-/// parallel entry runs it on one worker instead.
+/// parallel entry runs it on the caller instead.
 const MIN_PARALLEL_FLOPS: usize = 2 * 64 * 64 * 64;
 
 /// Outputs at most this narrow (with `A` untransposed) take the
 /// register-row path instead of the tiled kernel: at vector width a row
 /// of `C` is at most four YMM accumulators.
 const NARROW: usize = 32;
-
-/// A rejected `(kc, nc, mc)` blocking: why [`Gemm::with_blocking`]
-/// refused to build an engine.
-///
-/// The block-size ablation bench and the property tests sweep blockings
-/// through the public constructor; a blocking that is zero or breaks the
-/// micro-panel alignment would silently waste most of each packed panel
-/// on zero padding (`mc % MR`, `nc % NR`), so it is rejected with a
-/// structured error instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlockingError {
-    /// A block size was zero.
-    ZeroBlock {
-        /// Which block (`"kc"`, `"nc"`, or `"mc"`).
-        dim: &'static str,
-    },
-    /// `mc` is not a multiple of the [`MR`]-row A micro-panel.
-    UnalignedRows {
-        /// The rejected row-block size.
-        mc: usize,
-    },
-    /// `nc` is not a multiple of the [`NR`]-column B micro-panel.
-    UnalignedCols {
-        /// The rejected column-block size.
-        nc: usize,
-    },
-}
-
-impl std::fmt::Display for BlockingError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BlockingError::ZeroBlock { dim } => write!(f, "block size {dim} must be non-zero"),
-            BlockingError::UnalignedRows { mc } => {
-                write!(f, "mc = {mc} is not a multiple of the MR = {MR} micro-panel rows")
-            }
-            BlockingError::UnalignedCols { nc } => {
-                write!(f, "nc = {nc} is not a multiple of the NR = {NR} micro-panel columns")
-            }
-        }
-    }
-}
-
-impl std::error::Error for BlockingError {}
 
 /// Whether an operand of [`Gemm::compute`] is transposed.
 ///
@@ -149,25 +124,26 @@ pub fn gemm_naive(
 /// A worker pool the parallel GEMM entry can fan tiles out over.
 ///
 /// `latte-runtime`'s persistent pool implements this; tests may implement
-/// it with scoped threads or even sequentially (the partitioning is
-/// correct for any execution order).
+/// it sequentially (the partitioning is correct for any execution order).
 ///
-/// # Contract
+/// # Safety
 ///
-/// * `run_gemm(job)` must invoke `job(tid, engine)` exactly once for every
-///   `tid` in `0..threads()`, each invocation with exclusive access to its
-///   own engine, and return only after all invocations complete.
-/// * All engines must share identical `(kc, nc, mc)` block sizes — the static
-///   tile partition is computed independently by every worker and is only
-///   consistent when the tile grids agree.
-pub trait GemmPool {
+/// [`Gemm::compute_parallel`] has every worker write its own macro-tiles
+/// of `C` through one raw pointer; the writes are disjoint only if
+/// `run_gemm(job)` invokes `job(tid, engine)` exactly once for every `tid`
+/// in `0..threads()`, each invocation with exclusive access to its own
+/// engine, and returns only after all invocations complete.
+pub unsafe trait GemmPool {
     /// Number of workers `run_gemm` drives.
     fn threads(&self) -> usize;
     /// Runs `job(tid, engine)` on every worker and waits for completion.
     fn run_gemm(&self, job: &(dyn Fn(usize, &mut Gemm) + Sync));
+    /// Runs `job(engine)` once on the calling thread without waking the
+    /// other workers: how a GEMM that does not split runs.
+    fn run_serial(&self, job: &mut dyn FnMut(&mut Gemm));
 }
 
-/// Cache-blocked GEMM engine with configurable block sizes.
+/// Cache-blocked GEMM engine.
 ///
 /// The engine owns packing buffers so repeated calls (the common case inside
 /// a training loop) do not reallocate.
@@ -185,10 +161,7 @@ pub trait GemmPool {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Gemm {
-    kc: usize,
-    nc: usize,
-    mc: usize,
-    /// Whether the AVX2+FMA micro-kernel is usable on this host.
+    /// Whether the AVX2+FMA kernels are usable on this host.
     fma: bool,
     pack_a: Vec<f32>,
     pack_b: Vec<f32>,
@@ -209,53 +182,33 @@ struct CPtr {
 unsafe impl Send for CPtr {}
 unsafe impl Sync for CPtr {}
 
-impl Gemm {
-    /// Creates an engine with block sizes tuned for typical L1/L2 caches.
-    pub fn new() -> Self {
-        Gemm::with_blocking(256, 512, 64).expect("default blocking is valid")
+impl CPtr {
+    /// All of `C` as a slice.
+    ///
+    /// # Safety
+    ///
+    /// Nothing else may access `C` while the slice lives.
+    unsafe fn whole<'a>(self) -> &'a mut [f32] {
+        // SAFETY: `ptr` covers `len` elements; exclusivity is the caller's.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr, self.len) }
     }
+}
 
-    /// Creates an engine with explicit `(kc, nc, mc)` block sizes.
-    ///
-    /// `kc` is the reduction-dimension block, `nc` the column block held in
-    /// cache, `mc` the row block. `mc` must be a multiple of [`MR`] and
-    /// `nc` a multiple of [`NR`] — the packed panels are micro-panel
-    /// grids, and an unaligned block would spend the tail panel of every
-    /// macro-tile on zero padding. Exposed so the block-size ablation
-    /// bench and the property tests can sweep the design space.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`BlockingError`] for zero block sizes or `mc`/`nc`
-    /// violating the `MR`/`NR` panel alignment.
-    pub fn with_blocking(kc: usize, nc: usize, mc: usize) -> Result<Self, BlockingError> {
-        for (dim, v) in [("kc", kc), ("nc", nc), ("mc", mc)] {
-            if v == 0 {
-                return Err(BlockingError::ZeroBlock { dim });
-            }
-        }
-        if !mc.is_multiple_of(MR) {
-            return Err(BlockingError::UnalignedRows { mc });
-        }
-        if !nc.is_multiple_of(NR) {
-            return Err(BlockingError::UnalignedCols { nc });
-        }
-        Ok(Gemm {
-            kc,
-            nc,
-            mc,
+impl Gemm {
+    /// Creates an engine for this host's ISA.
+    pub fn new() -> Self {
+        Gemm {
             fma: detect_fma(),
             pack_a: Vec::new(),
             pack_b: Vec::new(),
-        })
+        }
     }
 
     /// Computes `C += op(A) * op(B)`.
     ///
     /// Shapes follow [`gemm_naive`]. Results are identical to the reference
     /// up to floating-point reassociation of the `k` reduction, and
-    /// bit-identical to [`Gemm::compute_parallel`] with the same block
-    /// sizes on the same host.
+    /// bit-identical to [`Gemm::compute_parallel`] on the same host.
     ///
     /// # Panics
     ///
@@ -276,13 +229,10 @@ impl Gemm {
         if m == 0 || n == 0 || k == 0 {
             return;
         }
-        if self.narrow_fast_path(ta, tb, m, n, k, a, b, c) {
-            return;
-        }
         let cp = CPtr { ptr: c.as_mut_ptr(), len: c.len() };
-        // SAFETY: a single part owns every tile; `c` is exclusively
+        // SAFETY: a single part owns every output; `c` is exclusively
         // borrowed.
-        unsafe { self.compute_tiles(ta, tb, m, n, k, a, b, cp, 0, 1) };
+        unsafe { self.dispatch(ta, tb, m, n, k, a, b, cp, 0, 1) };
     }
 
     /// Computes `C += op(A) * op(B)` with the `(ic, jc)` macro-tile grid
@@ -290,9 +240,11 @@ impl Gemm {
     ///
     /// Every output element is produced by exactly one worker, with the
     /// reduction over `k` blocked identically regardless of the worker
-    /// count — so the result is bit-identical to [`Gemm::compute`] with
-    /// the same blocking, for *any* pool size. Small or narrow problems
-    /// run on worker 0 only (fan-out overhead would dominate).
+    /// count — so the result is bit-identical to [`Gemm::compute`] for
+    /// *any* pool size. A GEMM with a narrow output, under
+    /// `MIN_PARALLEL_FLOPS`, or of fewer than two macro-tiles runs on the
+    /// caller's engine ([`GemmPool::run_serial`]): waking the team would
+    /// cost more than it shares.
     ///
     /// # Panics
     ///
@@ -314,119 +266,40 @@ impl Gemm {
         if m == 0 || n == 0 || k == 0 {
             return;
         }
-        let cp = CPtr { ptr: c.as_mut_ptr(), len: c.len() };
-        // Serial cases: narrow outputs (register-row path), problems too
-        // small to amortize a fan-out, or a single-worker pool.
-        let serial = pool.threads() <= 1
-            || is_narrow(ta, n)
-            || 2 * m * n * k < MIN_PARALLEL_FLOPS;
-        if serial {
-            pool.run_gemm(&|tid, eng| {
-                // Bind the whole CPtr (not its fields) so the closure
-                // captures the Sync wrapper, not the raw pointer.
-                let out_c = cp;
-                if tid == 0 {
-                    // SAFETY: only worker 0 touches `c`, which the caller
-                    // exclusively borrows for the duration of run_gemm.
-                    let cs = unsafe { std::slice::from_raw_parts_mut(out_c.ptr, out_c.len) };
-                    eng.compute(ta, tb, m, n, k, a, b, cs);
-                }
-            });
+        let nparts = pool.threads().min(m.div_ceil(MC) * n.div_ceil(NC));
+        if nparts < 2 || is_narrow(ta, n) || 2 * m * n * k < MIN_PARALLEL_FLOPS {
+            pool.run_serial(&mut |eng| eng.compute(ta, tb, m, n, k, a, b, c));
             return;
         }
-        let nt = pool.threads();
+        let cp = CPtr { ptr: c.as_mut_ptr(), len: c.len() };
         pool.run_gemm(&|tid, eng| {
-            // As above: move the Sync wrapper into the closure whole.
+            // Bind the whole CPtr (not its fields) so the closure
+            // captures the Sync wrapper, not the raw pointer.
             let grid_c = cp;
-            let n_tiles = m.div_ceil(eng.mc) * n.div_ceil(eng.nc);
-            let nparts = nt.min(n_tiles);
             if tid < nparts {
-                // SAFETY: parts write disjoint macro-tiles of `c` (tile
-                // index mod nparts), and all engines share one blocking
-                // per the GemmPool contract.
-                unsafe { eng.compute_tiles(ta, tb, m, n, k, a, b, grid_c, tid, nparts) };
+                // SAFETY: `GemmPool`'s contract runs each `tid` once with
+                // its own engine, so parts `0..nparts` are distinct; every
+                // engine cuts the same `MC x NC` grid (constants), so
+                // their macro-tiles (tile index mod `nparts`) are
+                // disjoint. `c` stays borrowed until `run_gemm` returns.
+                unsafe { eng.dispatch(ta, tb, m, n, k, a, b, grid_c, tid, nparts) };
             }
         });
     }
 
-    /// Narrow-output fast path: with `n` small the tiled kernel is mostly
-    /// pack/pad overhead, so accumulate each output row in registers over
-    /// the full `k` instead (the B panel fits in L1). Returns `false` when
-    /// the shape does not qualify.
-    ///
-    /// Every output element is computed the same way on every host:
-    /// start from `C`, then for `p` ascending add `A[i, p] * B[p, j]`,
-    /// rounding the product and then the sum. With AVX2+FMA detected the
-    /// rows run at vector width ([`narrow_rows_avx`]); otherwise a
-    /// portable loop ([`narrow_rows`]) does the same arithmetic, so the
-    /// two agree bit for bit — except for the payload of a NaN made from
-    /// two NaNs, which is whichever operand the compiler put first.
-    #[allow(clippy::too_many_arguments)]
-    fn narrow_fast_path(
-        &mut self,
-        ta: Transpose,
-        tb: Transpose,
-        m: usize,
-        n: usize,
-        k: usize,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-    ) -> bool {
-        if !is_narrow(ta, n) {
-            return false;
-        }
-        // The vector kernel reads whole 8-lane rows of B.
-        let width = if self.fma { n.next_multiple_of(8) } else { n };
-        let pb: &[f32] = if tb == Transpose::No && width == n {
-            &b[..k * n]
-        } else {
-            // B stored (n x k) — per-element dot products would be scalar
-            // reductions, which LLVM will not vectorize under strict FP —
-            // or rows to pad: either way a small (k x width) panel whose
-            // inner loop is independent lanes. Rows overwrite (and re-pad)
-            // fully, so the buffer never shrinks and the tiled path that
-            // shares it never re-zeroes it.
-            if self.pack_b.len() < k * width {
-                self.pack_b.resize(k * width, 0.0);
-            }
-            for (p, row) in self.pack_b.chunks_exact_mut(width).take(k).enumerate() {
-                match tb {
-                    Transpose::No => row[..n].copy_from_slice(&b[p * n..p * n + n]),
-                    Transpose::Yes => {
-                        for (j, v) in row[..n].iter_mut().enumerate() {
-                            *v = b[j * k + p];
-                        }
-                    }
-                }
-                row[n..].fill(0.0);
-            }
-            &self.pack_b[..k * width]
-        };
-        #[cfg(target_arch = "x86_64")]
-        if self.fma {
-            // SAFETY: `fma` is set only when AVX2+FMA (so AVX) were
-            // detected at engine construction; `check_lens` proved `a` and
-            // `c` cover `m x k` and `m x n`, and `pb` is `k` rows of
-            // `n.next_multiple_of(8)`.
-            unsafe { narrow_rows_avx(m, n, k, a, pb, c) };
-            return true;
-        }
-        narrow_rows(m, n, k, a, pb, width, c);
-        true
-    }
-
-    /// Computes the macro-tiles whose flat index `t ≡ part (mod nparts)`
-    /// over the `(jc, ic)` grid, looping `pc` blocks innermost per column
-    /// so each tile's k-reduction order is partition-invariant.
+    /// The kernel choice, one `match` on shape class x ISA. Runs part
+    /// `part` of `nparts` of the tiled grid; a narrow kernel always runs
+    /// whole (`compute_parallel` never splits a narrow output).
     ///
     /// # Safety
     ///
-    /// Concurrent callers must use distinct `part` values under one
-    /// common `nparts` and identical blocking, so tile writes to `c` are
-    /// disjoint. `c` must cover `m * n` elements and outlive the call.
+    /// `a`, `b` and `c` must cover their shapes (`check_lens`), `c` must
+    /// outlive the call, and concurrent callers must use distinct `part`
+    /// values under one common `nparts > 1`, so their tile writes to `c`
+    /// are disjoint. A narrow output must come with `nparts == 1`, and
+    /// with `nparts == 1` nothing else may access `c`.
     #[allow(clippy::too_many_arguments)]
-    unsafe fn compute_tiles(
+    unsafe fn dispatch(
         &mut self,
         ta: Transpose,
         tb: Transpose,
@@ -439,51 +312,110 @@ impl Gemm {
         part: usize,
         nparts: usize,
     ) {
-        debug_assert!(c.len >= m * n);
-        let (kc, nc, mc) = (self.kc, self.nc, self.mc);
-        let n_ic = m.div_ceil(mc);
-        let n_jc = n.div_ceil(nc);
-        // Ensure pack capacity once; panels overwrite (and re-pad) fully.
-        let cap_a = mc.div_ceil(MR) * MR * kc;
-        let cap_b = nc.div_ceil(NR) * NR * kc;
-        if self.pack_a.len() < cap_a {
-            self.pack_a.resize(cap_a, 0.0);
+        debug_assert!(nparts == 1 || !is_narrow(ta, n), "a narrow output is never split");
+        match (is_narrow(ta, n), self.fma) {
+            // Narrow-AVX, the narrow contract: reads whole 8-lane rows of B.
+            #[cfg(target_arch = "x86_64")]
+            (true, true) => {
+                let pb = narrow_panel(&mut self.pack_b, tb, n, k, b, n.next_multiple_of(8));
+                // SAFETY: `fma` is set only when AVX2+FMA (so AVX) were
+                // detected; `a` and `c` cover `m x k` and `m x n`, `pb` is
+                // `k` rows of `n.next_multiple_of(8)`, and `c` is ours
+                // (a narrow output comes with `nparts == 1`).
+                unsafe { narrow_rows_avx(m, n, k, a, pb, c.whole()) };
+            }
+            // Narrow-portable, the narrow contract.
+            (true, _) => {
+                let pb = narrow_panel(&mut self.pack_b, tb, n, k, b, n);
+                // SAFETY: a narrow output comes with `nparts == 1`, so `c`
+                // is ours.
+                narrow_rows(m, n, k, a, pb, unsafe { c.whole() });
+            }
+            // Tiled-FMA, the tiled contract with fused multiply-adds.
+            #[cfg(target_arch = "x86_64")]
+            (false, true) => {
+                let micro = |kb, ap: &_, bp: &_, acc: &mut _| {
+                    // SAFETY: `fma` is set only when AVX2+FMA were detected.
+                    unsafe { kernel_mr_nr_fma(kb, ap, bp, acc) }
+                };
+                // SAFETY: the tile ownership is the caller's contract.
+                unsafe { self.compute_tiles(ta, tb, m, n, k, a, b, c, part, nparts, micro) };
+            }
+            // Tiled-portable, the tiled contract rounding twice.
+            // SAFETY: the tile ownership is the caller's contract.
+            (false, _) => unsafe {
+                self.compute_tiles(ta, tb, m, n, k, a, b, c, part, nparts, kernel_mr_nr)
+            },
         }
-        if self.pack_b.len() < cap_b {
-            self.pack_b.resize(cap_b, 0.0);
+    }
+
+    /// Computes the macro-tiles whose flat index `t ≡ part (mod nparts)`
+    /// over the `(jc, ic)` grid with `micro`, looping `pc` blocks innermost
+    /// per column so each tile's k-reduction order is partition-invariant.
+    ///
+    /// # Safety
+    ///
+    /// Concurrent callers must use distinct `part` values under one
+    /// common `nparts`, so tile writes to `c` are disjoint. `c` must cover
+    /// `m * n` elements and outlive the call.
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn compute_tiles<K: Fn(usize, &[f32], &[f32], &mut [f32; MR * NR])>(
+        &mut self,
+        ta: Transpose,
+        tb: Transpose,
+        m: usize,
+        n: usize,
+        k: usize,
+        a: &[f32],
+        b: &[f32],
+        c: CPtr,
+        part: usize,
+        nparts: usize,
+        micro: K,
+    ) {
+        debug_assert!(c.len >= m * n);
+        let n_ic = m.div_ceil(MC);
+        let n_jc = n.div_ceil(NC);
+        // Ensure pack capacity once; panels overwrite (and re-pad) fully.
+        if self.pack_a.len() < MC * KC {
+            self.pack_a.resize(MC * KC, 0.0);
+        }
+        if self.pack_b.len() < NC * KC {
+            self.pack_b.resize(NC * KC, 0.0);
         }
         for jci in 0..n_jc {
             let owns_any = (0..n_ic).any(|ici| (jci * n_ic + ici) % nparts == part);
             if !owns_any {
                 continue;
             }
-            let jc = jci * nc;
-            let nb = nc.min(n - jc);
-            for pc in (0..k).step_by(kc) {
-                let kb = kc.min(k - pc);
+            let jc = jci * NC;
+            let nb = NC.min(n - jc);
+            for pc in (0..k).step_by(KC) {
+                let kb = KC.min(k - pc);
                 pack_b_panels(tb, b, k, n, pc, kb, jc, nb, &mut self.pack_b);
                 for ici in 0..n_ic {
                     if (jci * n_ic + ici) % nparts != part {
                         continue;
                     }
-                    let ic = ici * mc;
-                    let mb = mc.min(m - ic);
+                    let ic = ici * MC;
+                    let mb = MC.min(m - ic);
                     pack_a_panels(ta, a, m, k, ic, mb, pc, kb, &mut self.pack_a);
-                    self.macro_kernel(ic, mb, jc, nb, kb, n, c);
+                    // SAFETY: this part owns the tile.
+                    unsafe { self.macro_kernel(ic, mb, jc, nb, kb, n, c, &micro) };
                 }
             }
         }
     }
 
-    /// Runs the register-blocked micro-kernel over one packed
-    /// `mb x nb x kb` macro-tile and accumulates into `C`.
+    /// Runs `micro` over one packed `mb x nb x kb` macro-tile and
+    /// accumulates into `C`.
     ///
     /// # Safety
     ///
     /// `c` must cover rows `[ic, ic+mb)` x cols `[jc, jc+nb)` of an
     /// `? x n` matrix with no concurrent writer for that region.
     #[allow(clippy::too_many_arguments)] // a macro-tile is six coordinates
-    unsafe fn macro_kernel(
+    unsafe fn macro_kernel<K: Fn(usize, &[f32], &[f32], &mut [f32; MR * NR])>(
         &self,
         ic: usize,
         mb: usize,
@@ -492,6 +424,7 @@ impl Gemm {
         kb: usize,
         n: usize,
         c: CPtr,
+        micro: &K,
     ) {
         for j0 in (0..nb).step_by(NR) {
             let nrb = NR.min(nb - j0);
@@ -500,16 +433,7 @@ impl Gemm {
                 let mrb = MR.min(mb - i0);
                 let ap = &self.pack_a[(i0 / MR) * kb * MR..][..kb * MR];
                 let mut acc = [0.0f32; MR * NR];
-                #[cfg(target_arch = "x86_64")]
-                if self.fma {
-                    // SAFETY: `fma` is set only when AVX2+FMA were
-                    // detected at engine construction.
-                    unsafe { kernel_mr_nr_fma(kb, ap, bp, &mut acc) };
-                } else {
-                    kernel_mr_nr(kb, ap, bp, &mut acc);
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                kernel_mr_nr(kb, ap, bp, &mut acc);
+                micro(kb, ap, bp, &mut acc);
                 // Write back the valid region of the tile.
                 for r in 0..mrb {
                     let row = ic + i0 + r;
@@ -525,6 +449,41 @@ impl Gemm {
             }
         }
     }
+}
+
+/// The `k x width` panel of `op(B)` a narrow kernel reads, its columns
+/// past `n` zero. `b` itself when it already is one; otherwise packed
+/// into `pack`: B stored `(n x k)` — per-element dot products would be
+/// scalar reductions, which LLVM will not vectorize under strict FP — or
+/// rows to pad, either way a small panel whose inner loop is independent
+/// lanes. Rows overwrite (and re-pad) fully, so the buffer never shrinks
+/// and the tiled path that shares it never re-zeroes it.
+fn narrow_panel<'p>(
+    pack: &'p mut Vec<f32>,
+    tb: Transpose,
+    n: usize,
+    k: usize,
+    b: &'p [f32],
+    width: usize,
+) -> &'p [f32] {
+    if tb == Transpose::No && width == n {
+        return &b[..k * n];
+    }
+    if pack.len() < k * width {
+        pack.resize(k * width, 0.0);
+    }
+    for (p, row) in pack.chunks_exact_mut(width).take(k).enumerate() {
+        match tb {
+            Transpose::No => row[..n].copy_from_slice(&b[p * n..p * n + n]),
+            Transpose::Yes => {
+                for (j, v) in row[..n].iter_mut().enumerate() {
+                    *v = b[j * k + p];
+                }
+            }
+        }
+        row[n..].fill(0.0);
+    }
+    &pack[..k * width]
 }
 
 /// `true` when AVX2 and FMA are available at runtime (x86-64 only).
@@ -544,17 +503,17 @@ fn is_narrow(ta: Transpose, n: usize) -> bool {
     ta == Transpose::No && n <= NARROW
 }
 
-/// Portable narrow kernel: each row of `C` accumulates in a stack array
-/// over the full `k`, `p` ascending. `pb` is `k` rows of `width >= n`
-/// columns, of which the first `n` are `op(B)`'s.
-fn narrow_rows(m: usize, n: usize, k: usize, a: &[f32], pb: &[f32], width: usize, c: &mut [f32]) {
+/// Narrow-portable, meeting the narrow contract: each row of `C`
+/// accumulates in a stack array over the full `k`, `p` ascending. `pb`
+/// is `op(B)`, `k` rows of `n`.
+fn narrow_rows(m: usize, n: usize, k: usize, a: &[f32], pb: &[f32], c: &mut [f32]) {
     let mut acc = [0.0f32; NARROW];
     for i in 0..m {
         let arow = &a[i * k..i * k + k];
         let crow = &mut c[i * n..i * n + n];
         acc[..n].copy_from_slice(crow);
         for (p, &av) in arow.iter().enumerate() {
-            let brow = &pb[p * width..p * width + n];
+            let brow = &pb[p * n..p * n + n];
             for (ac, bv) in acc[..n].iter_mut().zip(brow) {
                 *ac += av * bv;
             }
@@ -563,11 +522,11 @@ fn narrow_rows(m: usize, n: usize, k: usize, a: &[f32], pb: &[f32], width: usize
     }
 }
 
-/// AVX copy of [`narrow_rows`]: blocks of `R` rows, each row's `n`
-/// columns held in `⌈n/8⌉` YMM accumulators loaded from `C`, and every
-/// `k` step a broadcast of `A[i, p]`, a `vmulps` by the row of B and a
-/// `vaddps` into the accumulator — the portable loop's two roundings in
-/// its order. No FMA: fusing the pair would round once and change bits.
+/// Narrow-AVX, meeting the narrow contract as [`narrow_rows`] does:
+/// blocks of `R` rows, each row's `n` columns held in `⌈n/8⌉` YMM
+/// accumulators loaded from `C`, and every `k` step a broadcast of
+/// `A[i, p]`, a `vmulps` by the row of B and a `vaddps` into the
+/// accumulator — the portable loop's two roundings in its order. No FMA: fusing the pair would round once and change bits.
 /// `R` keeps about twelve accumulators live (8 rows for `n <= 8`, then
 /// 6, 4, 3); the last `m mod R` rows run one at a time.
 ///
@@ -764,9 +723,10 @@ fn pack_b_panels(
     }
 }
 
-/// Portable `MR x NR` micro-kernel: fixed-extent loops over packed panels
-/// so LLVM vectorizes the `NR` lane loop; `MR` independent accumulator
-/// rows break the k dependence chain.
+/// Tiled-portable's `MR x NR` micro-kernel, meeting the tiled contract
+/// with two roundings a step: fixed-extent loops over packed panels so
+/// LLVM vectorizes the `NR` lane loop; `MR` independent accumulator rows
+/// break the k dependence chain.
 #[inline(always)]
 fn kernel_mr_nr(kb: usize, ap: &[f32], bp: &[f32], acc: &mut [f32; MR * NR]) {
     debug_assert!(ap.len() >= kb * MR && bp.len() >= kb * NR);
@@ -783,9 +743,9 @@ fn kernel_mr_nr(kb: usize, ap: &[f32], bp: &[f32], acc: &mut [f32; MR * NR]) {
     }
 }
 
-/// AVX2+FMA copy of the micro-kernel: 8 YMM accumulators (4 rows x 16
-/// lanes), two B loads and four A broadcasts per k step, all arithmetic
-/// via `vfmadd`.
+/// Tiled-FMA's micro-kernel, meeting the tiled contract with one
+/// rounding a step: 8 YMM accumulators (4 rows x 16 lanes), two B loads
+/// and four A broadcasts per k step, all arithmetic via `vfmadd`.
 ///
 /// # Safety
 ///
@@ -894,40 +854,218 @@ mod tests {
         let mut c_ref = dense(m, n, 3);
         let mut c_blk = c_ref.clone();
         gemm_naive(ta, tb, m, n, k, &a, &b, &mut c_ref);
-        // Odd kc and minimal aligned nc/mc: edge blocks everywhere.
-        let mut engine = Gemm::with_blocking(7, 16, 4).expect("aligned blocking");
-        engine.compute(ta, tb, m, n, k, &a, &b, &mut c_blk);
+        Gemm::new().compute(ta, tb, m, n, k, &a, &b, &mut c_blk);
         for (r, o) in c_ref.iter().zip(&c_blk) {
             assert!((r - o).abs() <= 1e-3 * r.abs().max(1.0), "{r} vs {o}");
         }
     }
 
+    /// `op(X)[r][c]` of a row-major operand that is `rows x cols` once
+    /// `t` is applied.
+    fn at(t: Transpose, x: &[f32], rows: usize, cols: usize, r: usize, c: usize) -> f32 {
+        match t {
+            Transpose::No => x[r * cols + c],
+            Transpose::Yes => x[c * rows + r],
+        }
+    }
+
+    /// The narrow contract, written out (`A` untransposed): per output,
+    /// start from `C`, then for `p` ascending `c += A[i, p] * B[p, j]`,
+    /// the product and the sum each rounded.
+    #[allow(clippy::too_many_arguments)]
+    fn narrow_reference(
+        tb: Transpose,
+        m: usize,
+        n: usize,
+        k: usize,
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+    ) {
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = c[i * n + j];
+                for p in 0..k {
+                    acc += a[i * k + p] * at(tb, b, k, n, p, j);
+                }
+                c[i * n + j] = acc;
+            }
+        }
+    }
+
+    /// The tiled contract, written out: per output and per 256-wide block
+    /// of `k`, an accumulator starts at 0 and takes `A[i, p] * B[p, j]`
+    /// for `p` ascending, then `C += acc`. `fused` is the one place the
+    /// ISA split is written: one rounding per step (`mul_add`, the FMA
+    /// kernel) or two (`acc + a * b`, the portable one). The block is
+    /// `KC` spelled as a literal, so a change to `KC` fails the sweep.
+    #[allow(clippy::too_many_arguments)]
+    fn tiled_reference(
+        fused: bool,
+        ta: Transpose,
+        tb: Transpose,
+        m: usize,
+        n: usize,
+        k: usize,
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+    ) {
+        for i in 0..m {
+            for j in 0..n {
+                for block in (0..k).step_by(256) {
+                    let mut acc = 0.0f32;
+                    for p in block..k.min(block + 256) {
+                        let (x, y) = (at(ta, a, m, k, i, p), at(tb, b, k, n, p, j));
+                        acc = if fused { x.mul_add(y, acc) } else { acc + x * y };
+                    }
+                    c[i * n + j] += acc;
+                }
+            }
+        }
+    }
+
+    /// ±0, ±∞ and NaNs — quiet, negative, and carrying a payload — so
+    /// that non-finite propagation is compared as well as rounding.
+    const SPECIALS: [f32; 7] = [
+        0.0,
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        f32::from_bits(0xffc0_0000),
+        f32::from_bits(0x7fc0_1234),
+    ];
+
+    /// Finite values with fractional parts (so every addition rounds),
+    /// and one in 16, 128 or 1 024 (by seed) drawn from [`SPECIALS`]:
+    /// dense enough that NaNs of two payloads meet in one accumulator,
+    /// sparse enough that a sum of a few hundred products usually stays
+    /// finite.
+    fn fill(len: usize, seed: u32, salt: u32) -> Vec<f32> {
+        let every = 16 << (3 * (seed % 3));
+        (0..len)
+            .map(|i| {
+                let h = (i as u32 ^ seed.rotate_left(7))
+                    .wrapping_mul(2654435761)
+                    .wrapping_add(salt.wrapping_mul(40503));
+                if (h >> 4).is_multiple_of(every) {
+                    SPECIALS[(h >> 20) as usize % SPECIALS.len()]
+                } else {
+                    (((h >> 9) % 4001) as f32 - 2000.0) / 173.0
+                }
+            })
+            .collect()
+    }
+
+    /// `to_bits()` equality, except that any NaN matches any NaN: the
+    /// payload of a NaN made from two NaNs is whichever operand the
+    /// compiler put first (DESIGN.md §10.1).
+    fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{what}: element {i} is {g} ({:#010x}), want {w} ({:#010x})",
+                g.to_bits(),
+                w.to_bits()
+            );
+        }
+    }
+
+    /// `(ta, tb, m, n, k)` of the narrow class: every `n` against every
+    /// `m` up to 25 (every split of the rows into full blocks and a tail,
+    /// for every number of 8-lane vectors a row takes) at a short and an
+    /// odd `k`, then a grid of rows and widths at `k` around and past 256.
+    fn narrow_cases() -> Vec<(Transpose, Transpose, usize, usize, usize)> {
+        let mut cases = Vec::new();
+        for tb in [Transpose::No, Transpose::Yes] {
+            for n in 1..=NARROW {
+                for m in 0..=25 {
+                    for k in [1, 27] {
+                        cases.push((Transpose::No, tb, m, n, k));
+                    }
+                }
+            }
+            for n in [1, 5, 8, 9, 17, 24, 32] {
+                for m in [1, 7, 13, 25] {
+                    for k in [255, 256, 257, 300] {
+                        cases.push((Transpose::No, tb, m, n, k));
+                    }
+                }
+            }
+        }
+        cases
+    }
+
+    /// `(ta, tb, m, n, k)` of the tiled class, every transpose pair: row
+    /// and column tails of the `MR x NR` micro-tile, more than one `MC`
+    /// row block and `NC` column block, and `k` on both sides of one and
+    /// two `KC` blocks.
+    fn tiled_cases() -> Vec<(Transpose, Transpose, usize, usize, usize)> {
+        let t = [Transpose::No, Transpose::Yes];
+        let mut cases = Vec::new();
+        for ta in t {
+            for tb in t {
+                let mut shapes = vec![(1, 33), (5, 47), (4, 64), (13, 37), (67, 35), (3, 529)];
+                if ta == Transpose::Yes {
+                    shapes.extend([(1, 1), (13, 5), (9, 16)]);
+                }
+                for (m, n) in shapes {
+                    for k in [1, 2, 9, 255, 256, 257, 511, 512, 513, 600] {
+                        cases.push((ta, tb, m, n, k));
+                    }
+                }
+            }
+        }
+        cases
+    }
+
+    /// The bit oracle of every kernel: each of the dispatch's four arms
+    /// (shape class x ISA) against its contract's scalar reference,
+    /// `to_bits()`, over its class's shapes and transposes with ±0, ±∞
+    /// and NaN inputs. The narrow kernels are also held row by row: a
+    /// row's bits do not depend on which rows share its call. A kernel
+    /// this host cannot run is skipped by name.
     #[test]
-    fn with_blocking_rejects_zero_and_unaligned_blocks() {
-        assert_eq!(
-            Gemm::with_blocking(0, 512, 64).unwrap_err(),
-            BlockingError::ZeroBlock { dim: "kc" }
-        );
-        assert_eq!(
-            Gemm::with_blocking(256, 0, 64).unwrap_err(),
-            BlockingError::ZeroBlock { dim: "nc" }
-        );
-        assert_eq!(
-            Gemm::with_blocking(256, 512, 0).unwrap_err(),
-            BlockingError::ZeroBlock { dim: "mc" }
-        );
-        // mc must be a multiple of MR (4), nc a multiple of NR (16).
-        assert_eq!(
-            Gemm::with_blocking(256, 512, 63).unwrap_err(),
-            BlockingError::UnalignedRows { mc: 63 }
-        );
-        assert_eq!(
-            Gemm::with_blocking(256, 500, 64).unwrap_err(),
-            BlockingError::UnalignedCols { nc: 500 }
-        );
-        // kc has no panel constraint: any non-zero value is accepted.
-        let g = Gemm::with_blocking(7, 512, 64).unwrap();
-        assert_eq!((g.kc, g.nc, g.mc), (7, 512, 64));
+    fn every_kernel_meets_its_contract_bit_for_bit() {
+        // (name, narrow shape class, AVX2+FMA ISA)
+        let kernels = [
+            ("narrow-AVX", true, true),
+            ("narrow-portable", true, false),
+            ("tiled-FMA", false, true),
+            ("tiled-portable", false, false),
+        ];
+        for (name, narrow, fma) in kernels {
+            if fma && !detect_fma() {
+                println!("GEMM sweep: {name} skipped: this host has no AVX2+FMA");
+                continue;
+            }
+            let mut gemm = Gemm { fma, ..Gemm::new() };
+            let cases = if narrow { narrow_cases() } else { tiled_cases() };
+            for (seed, &(ta, tb, m, n, k)) in cases.iter().enumerate() {
+                let what = format!("{name} {ta:?}/{tb:?} {m}x{n}x{k} seed {seed}");
+                assert_eq!(is_narrow(ta, n), narrow, "{what} is in the other shape class");
+                let seed = seed as u32;
+                let (a, b) = (fill(m * k, seed, 1), fill(k * n, seed, 2));
+                let mut want = fill(m * n, seed, 3);
+                let mut got = want.clone();
+                if narrow {
+                    narrow_reference(tb, m, n, k, &a, &b, &mut want);
+                } else {
+                    tiled_reference(fma, ta, tb, m, n, k, &a, &b, &mut want);
+                }
+                gemm.compute(ta, tb, m, n, k, &a, &b, &mut got);
+                assert_same_bits(&got, &want, &what);
+                if narrow {
+                    let mut alone = fill(m * n, seed, 3);
+                    for i in 0..m {
+                        gemm.compute(ta, tb, 1, n, k, &a[i * k..], &b, &mut alone[i * n..]);
+                    }
+                    assert_same_bits(&alone, &got, &format!("{what}, a row at a time"));
+                }
+            }
+            println!("GEMM sweep: {name}: {} shapes bit-identical to its contract", cases.len());
+        }
     }
 
     #[test]
@@ -1047,7 +1185,9 @@ mod tests {
         }
     }
 
-    impl GemmPool for SeqPool {
+    // SAFETY: `run_gemm` calls the job once for each `tid` in
+    // `0..parts`, one after another, each with its own engine.
+    unsafe impl GemmPool for SeqPool {
         fn threads(&self) -> usize {
             self.parts
         }
@@ -1056,6 +1196,9 @@ mod tests {
             for (tid, eng) in engines.iter_mut().enumerate() {
                 job(tid, eng);
             }
+        }
+        fn run_serial(&self, job: &mut dyn FnMut(&mut Gemm)) {
+            job(&mut self.engines.borrow_mut()[0]);
         }
     }
 

@@ -1,8 +1,10 @@
 //! # latte-tensor
 //!
 //! Dense-tensor substrate for the Latte workspace: shapes, `f32` tensors,
-//! deterministic initializers, a blocked GEMM (the stand-in for MKL's
-//! `sgemm` that both Latte and the Caffe-style baseline call), and
+//! deterministic initializers, a GEMM at fixed block sizes (the stand-in
+//! for MKL's `sgemm` that both Latte and the Caffe-style baseline call:
+//! one dispatch over four kernels, each pinned bit for bit to its
+//! contract, see [`gemm`]), and
 //! convolution/pooling primitives used by the baselines and as test oracles.
 //!
 //! This crate deliberately knows nothing about neurons, ensembles, or the
