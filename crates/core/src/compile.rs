@@ -24,8 +24,8 @@ pub struct OptLevel {
     pub tiling: bool,
     /// Fuse adjacent tiled groups across layers (requires `tiling`).
     pub fusion: bool,
-    /// Mark tile loops parallel (collapsed with the batch loop by the
-    /// runtime).
+    /// Mark tile loops parallel (the runtime runs such a group's items in
+    /// parallel, each item's tile loop serially).
     pub parallel: bool,
     /// Let the runtime run element loops strip-mined over 64-lane
     /// columns instead of one element at a time (the stand-in for

@@ -12,9 +12,10 @@
 //! convolution+ReLU+pooling. A non-zero halo (overlapping windows) or a
 //! barrier (normalization ensembles) prevents fusion.
 //!
-//! Parallelization marks the tile loop parallel; the runtime collapses it
-//! with the batch loop under a static interleaved schedule
-//! (`schedule(static,1)` in the paper).
+//! Parallelization marks the tile loop parallel, as the paper does before
+//! collapsing it with the batch loop under `schedule(static,1)`. The
+//! runtime runs a marked group item-parallel, each item's tile loop
+//! serially; ROADMAP's batch×tile item would collapse the two.
 
 use latte_ir::{GemmDim, IndexExpr, Loop, LoopAnnot, Stmt, TileInfo};
 

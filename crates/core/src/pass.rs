@@ -146,8 +146,9 @@ impl Pass for TilingPass {
     }
 }
 
-/// Marks tile loops parallel for the runtime's collapsed batch × tile
-/// schedule (the paper's §5.4.3).
+/// Marks tile loops parallel (the paper's §5.4.3). The runtime runs a
+/// marked group item-parallel, each item's tile loop serially (ROADMAP's
+/// batch×tile item would collapse the two loops).
 struct ParallelizePass;
 
 impl Pass for ParallelizePass {

@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::expr::{BufRef, Expr, IndexExpr};
+use crate::expr::{BinOp, BufRef, Expr, IndexExpr};
 
 /// How an assignment combines with the destination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -33,9 +33,29 @@ impl AssignOp {
             AssignOp::Max => dest.max(value),
         }
     }
+
+    /// Combines the previous destination value with a value whose root
+    /// operation is `root` over `lhs` and `rhs`: the store of an
+    /// [`Assign`] whose value is an [`Expr::Binary`]. A product
+    /// accumulation `dest += lhs * rhs` is [`latte_tensor::mac`], one
+    /// rounding; anything else is [`AssignOp::apply`] of `root`'s result.
+    #[inline]
+    pub fn apply_bin(self, dest: f32, root: BinOp, lhs: f32, rhs: f32) -> f32 {
+        match (self, root) {
+            (AssignOp::Add, BinOp::Mul) => latte_tensor::mac(dest, lhs, rhs),
+            _ => self.apply(dest, root.apply(lhs, rhs)),
+        }
+    }
 }
 
 /// A scalar store `dest op= value`.
+///
+/// One rule fixes its rounding: when `op` is [`AssignOp::Add`] and the
+/// value has [`BinOp::Mul`] at its root, the store is
+/// `mac(dest, lhs, rhs)` ([`latte_tensor::mac`]), the product never
+/// rounded on its own; every other store is [`AssignOp::apply`]
+/// ([`AssignOp::apply_bin`] states both). A matched GEMM computes its
+/// accumulation nest by the same rule, in the same order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Assign {
     /// The destination element.
@@ -571,6 +591,17 @@ mod tests {
         assert_eq!(AssignOp::Add.apply(1.0, 5.0), 6.0);
         assert_eq!(AssignOp::Max.apply(1.0, 5.0), 5.0);
         assert_eq!(AssignOp::Max.apply(7.0, 5.0), 7.0);
+    }
+
+    /// `dest += x * y` rounds once: `(1 + 2^-12)^2 - (1 + 2^-11)` is
+    /// `2^-24` exactly, which the rounded product (a tie, to even) loses.
+    #[test]
+    fn a_product_accumulation_rounds_once() {
+        let (x, dest) = (1.0 + 2f32.powi(-12), -(1.0 + 2f32.powi(-11)));
+        assert_eq!(AssignOp::Add.apply(dest, x * x), 0.0);
+        assert_eq!(AssignOp::Add.apply_bin(dest, BinOp::Mul, x, x), 2f32.powi(-24));
+        assert_eq!(AssignOp::Set.apply_bin(dest, BinOp::Mul, x, x), x * x);
+        assert_eq!(AssignOp::Add.apply_bin(1.0, BinOp::Sub, 5.0, 3.0), 3.0);
     }
 
     #[test]

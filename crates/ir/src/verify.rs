@@ -21,8 +21,9 @@
 //!   before the alias, are not themselves aliases, and agree on per-item
 //!   size and batching;
 //! * **parallel-marker legality** — only tiled loops may carry the
-//!   `parallel` annotation (the runtime's collapsed batch x tile schedule
-//!   assumes the parallel loop is a tile loop).
+//!   `parallel` annotation (the paper's collapsed batch x tile schedule
+//!   assumes the parallel loop is a tile loop; the runtime runs a marked
+//!   group item-parallel, its tile loop serially).
 
 use std::collections::HashMap;
 use std::fmt;

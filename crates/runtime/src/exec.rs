@@ -1,10 +1,12 @@
 //! The execution engine: runs lowered kernel plans over the buffer store.
 //!
 //! Execution is batch-item-major: each group's per-item segments run for
-//! every batch item (in parallel across a worker pool when the program was
-//! compiled with parallelization — the paper's collapsed batch×tile loop
-//! with a static interleaved schedule), while hoisted whole-batch GEMMs
-//! and whole-batch extern kernels run once. An executor built at a
+//! every batch item, while hoisted whole-batch GEMMs and whole-batch
+//! extern kernels run once. A group the compiler marked parallel runs its
+//! items across a worker pool, dealt out by item to fixed gradient lanes
+//! (`Executor::run_items_parallel`); its tile loop runs serially inside
+//! each item. The paper collapses the batch and tile loops instead
+//! (ROADMAP's batch×tile item). An executor built at a
 //! capacity runs any smaller batch on the first items of its storages
 //! ([`Executor::set_batch`]).
 //!
