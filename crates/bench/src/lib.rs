@@ -88,8 +88,8 @@ pub fn executor_or_die(compiled: CompiledNet, what: &str) -> Executor {
     Executor::new(compiled).unwrap_or_else(|e| panic!("lowering {what}: {e}"))
 }
 
-/// Prints the compiler's per-pass instrumentation for one compile — one
-/// row per pipeline pass with wall time and IR-size deltas (see
+/// Prints the compiler's per-stage instrumentation for one compile — one
+/// row per stage with wall time and IR-size deltas (see
 /// `CompileStats::passes`), so figure runs show where compile time goes.
 /// Also prints the runtime thread count (`LATTE_THREADS`) and every
 /// group's parallel/serial schedule decision, so bench output is

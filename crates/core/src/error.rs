@@ -44,11 +44,11 @@ pub enum CompileError {
         /// Human-readable explanation.
         detail: String,
     },
-    /// The inter-pass IR verifier rejected the program a pass produced.
-    /// Always a compiler bug (or a deliberately sabotaged pass under
+    /// The IR verifier rejected the program a compiler stage produced.
+    /// Always a compiler bug (or a deliberately sabotaged stage under
     /// test), never a user error.
     Verify {
-        /// Name of the pass whose output failed verification
+        /// Name of the stage whose output failed verification
         /// (`"synthesize"` when the synthesized program itself is bad).
         pass: String,
         /// The verifier's diagnostic, including the statement path.

@@ -43,14 +43,12 @@ pub mod dsl;
 mod error;
 pub mod names;
 pub mod opt;
-pub mod pass;
 mod program;
 pub mod synth;
 
-pub use compile::{compile, compile_with, OptLevel};
+pub use compile::{compile, OptLevel};
 pub use error::CompileError;
-pub use pass::{Pass, PassContext, PassManager, PipelineState};
 pub use program::{
-    CompileStats, CompiledNet, Group, GroupMeta, InputBinding, ParamBinding, PassStat, Phase,
-    Upstream,
+    render_program, CompileStats, CompiledNet, Group, GroupMeta, InputBinding, ParamBinding,
+    PassStat, Phase, Upstream,
 };

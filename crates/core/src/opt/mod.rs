@@ -6,5 +6,5 @@ mod pattern;
 pub mod sabotage;
 mod schedule;
 
-pub use pattern::pattern_match;
-pub use schedule::{fuse_chains, parallelize, tile_untiled};
+pub(crate) use pattern::pattern_match;
+pub(crate) use schedule::{fuse_chains, parallelize, tile_untiled};

@@ -24,7 +24,7 @@ use crate::program::Group;
 
 /// Rewrites every matchable nest in every group; returns the number of
 /// GEMMs produced.
-pub fn pattern_match(groups: &mut [Group], shapes: &HashMap<String, Shape>) -> usize {
+pub(crate) fn pattern_match(groups: &mut [Group], shapes: &HashMap<String, Shape>) -> usize {
     let mut matched = 0;
     for group in groups.iter_mut() {
         for stmt in group.stmts.iter_mut() {

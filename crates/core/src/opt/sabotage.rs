@@ -137,11 +137,11 @@ mod tests {
         assert!(!shrink_gemm_reduction(&mut groups));
     }
 
+    use crate::compile::Stages;
     use crate::dsl::stdlib::{relu_neuron, weighted_neuron};
     use crate::dsl::{Ensemble, Mapping, Net};
-    use crate::pass::{Pass, PassContext, PipelineState};
-    use crate::program::CompileStats;
-    use crate::{compile_with, CompileError, OptLevel, PassManager};
+    use crate::synth::synthesize;
+    use crate::{CompileError, OptLevel};
     use latte_tensor::{init, Tensor};
 
     /// data[8] → fc1[4] → relu: enough structure for every pipeline
@@ -214,57 +214,34 @@ mod tests {
         groups.iter_mut().any(|g| walk(&mut g.stmts))
     }
 
-    /// Which corruption [`CorruptIrPass`] applies.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    enum Corruption {
-        /// Inflate an innermost loop bound past its buffers
-        /// ([`inflate_innermost_loop`]).
-        BadLoopBound,
-        /// Point a store at an undeclared buffer ([`dangle_first_store`]).
-        DanglingBufRef,
-    }
-
-    /// A deliberately broken compiler pass, appended to a
-    /// [`crate::PassManager`] by the verifier's negative tests: it corrupts
-    /// the IR in place, and compilation must fail with
-    /// [`crate::CompileError::Verify`] naming this pass — proof the
-    /// inter-pass checker actually stands between a buggy rewrite and the
-    /// runtime.
-    struct CorruptIrPass(Corruption);
-
-    impl Pass for CorruptIrPass {
-        fn name(&self) -> &'static str {
-            "corrupt-ir"
-        }
-
-        fn enabled(&self, _opt: &OptLevel) -> bool {
-            true
-        }
-
-        fn run(&self, state: &mut PipelineState, _ctx: &PassContext<'_>, _stats: &mut CompileStats) {
-            let hit = match self.0 {
-                Corruption::BadLoopBound => {
-                    inflate_innermost_loop(&mut state.forward)
-                        || inflate_innermost_loop(&mut state.backward)
-                }
-                Corruption::DanglingBufRef => {
-                    dangle_first_store(&mut state.forward) || dangle_first_store(&mut state.backward)
-                }
-            };
-            assert!(hit, "program had nothing to corrupt");
-        }
-    }
-
-    fn corrupted_compile(opt: OptLevel, corruption: Corruption) -> CompileError {
-        let mut mgr = PassManager::standard();
-        mgr.push(Box::new(CorruptIrPass(corruption)));
-        compile_with(&fc_net(), &opt, &mgr.with_verify(true))
-            .expect_err("corrupted IR must not compile")
+    /// Synthesizes `fc_net` at `opt`, then runs `corrupt` as one more
+    /// stage through the helper every stage of [`crate::compile`] goes
+    /// through, with the IR verifier on or off: with it on, compilation
+    /// must fail with [`CompileError::Verify`] naming that stage — proof
+    /// the checker stands between a buggy rewrite and the runtime.
+    fn corrupted_compile(
+        opt: OptLevel,
+        verify: bool,
+        corrupt: fn(&mut [Group]) -> bool,
+    ) -> Result<(), CompileError> {
+        let s = synthesize(&fc_net(), &opt)?;
+        let mut st = Stages::new(
+            &s.buffers,
+            s.forward,
+            s.backward,
+            Default::default(),
+            verify,
+        )?;
+        let mut hit = false;
+        st.stage("corrupt-ir", true, |groups, _| hit = hit || corrupt(groups))?;
+        assert!(hit, "program had nothing to corrupt");
+        Ok(())
     }
 
     #[test]
     fn verifier_rejects_inflated_loop_bound() {
-        let err = corrupted_compile(OptLevel::full(), Corruption::BadLoopBound);
+        let err = corrupted_compile(OptLevel::full(), true, inflate_innermost_loop)
+            .expect_err("corrupted IR must not compile");
         let CompileError::Verify { pass, detail } = &err else {
             panic!("expected Verify error, got {err:?}");
         };
@@ -277,7 +254,8 @@ mod tests {
 
     #[test]
     fn verifier_rejects_dangling_buffer_ref() {
-        let err = corrupted_compile(OptLevel::none(), Corruption::DanglingBufRef);
+        let err = corrupted_compile(OptLevel::none(), true, dangle_first_store)
+            .expect_err("corrupted IR must not compile");
         let CompileError::Verify { pass, detail } = &err else {
             panic!("expected Verify error, got {err:?}");
         };
@@ -290,12 +268,10 @@ mod tests {
 
     #[test]
     fn verifier_off_lets_corruption_through() {
-        // The same corrupted pipeline with verification forced off
-        // "compiles" — demonstrating the verifier, not some other stage,
-        // is what catches it.
-        let mut mgr = PassManager::standard();
-        mgr.push(Box::new(CorruptIrPass(Corruption::BadLoopBound)));
-        let compiled = compile_with(&fc_net(), &OptLevel::full(), &mgr.with_verify(false));
-        assert!(compiled.is_ok());
+        // The same corruptions with verification off "compile" —
+        // demonstrating the verifier, not some other stage, is what
+        // catches them.
+        assert!(corrupted_compile(OptLevel::full(), false, inflate_innermost_loop).is_ok());
+        assert!(corrupted_compile(OptLevel::none(), false, dangle_first_store).is_ok());
     }
 }

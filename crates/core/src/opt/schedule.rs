@@ -30,7 +30,7 @@ const PREFERRED_TILES: [usize; 4] = [8, 4, 2, 1];
 /// Chains that cannot be fused — and all singleton chains — are passed
 /// through unchanged for [`tile_untiled`] to pick up. Counts what it
 /// tiled and fused into `stats`.
-pub fn fuse_chains(
+pub(crate) fn fuse_chains(
     groups: Vec<Group>,
     tile_size: Option<usize>,
     stats: &mut CompileStats,
@@ -63,7 +63,7 @@ pub fn fuse_chains(
 /// does not already carry one (fused groups emerge from [`fuse_chains`]
 /// pre-tiled). Groups with no tileable statement pass through unchanged.
 /// Counts what it tiled into `stats`.
-pub fn tile_untiled(
+pub(crate) fn tile_untiled(
     groups: Vec<Group>,
     tile_size: Option<usize>,
     stats: &mut CompileStats,
@@ -93,7 +93,7 @@ pub fn tile_untiled(
 /// same at every thread count: a one-thread pool runs the lanes in order
 /// on the caller, so the annotation never changes bits, only whether
 /// more than one worker shares the lanes.
-pub fn parallelize(groups: &mut [Group]) {
+pub(crate) fn parallelize(groups: &mut [Group]) {
     for g in groups.iter_mut() {
         if g.barrier {
             continue;
@@ -176,7 +176,6 @@ fn tile_single(
                         dep_distance: dep,
                     }),
                     parallel: false,
-                    vectorize: false,
                 },
                 body,
             })];
@@ -244,7 +243,6 @@ fn fuse_chain(
                     dep_distance: dep,
                 }),
                 parallel: false,
-                vectorize: false,
             },
             body,
         })],
@@ -329,7 +327,7 @@ mod tests {
     use crate::program::{GroupMeta, Phase, Upstream};
     use latte_ir::{BufRef, Expr, GemmStmt, GemmTiling};
 
-    /// Fusion (when asked for) then tiling, as the pass manager runs them.
+    /// Fusion (when asked for) then tiling, as `compile` runs them.
     fn schedule(groups: Vec<Group>, fusion: bool) -> (Vec<Group>, CompileStats) {
         let mut stats = CompileStats::default();
         let groups = if fusion { fuse_chains(groups, None, &mut stats) } else { groups };

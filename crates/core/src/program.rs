@@ -67,7 +67,7 @@ pub struct Group {
 
 impl Group {
     /// The group's statements, nested ones included: the IR-size metric
-    /// of the pass manager's rows.
+    /// of [`CompileStats::passes`].
     pub(crate) fn stmt_count(&self) -> usize {
         self.stmts.iter().map(|s| s.count_matching(&|_| true)).sum()
     }
@@ -107,8 +107,8 @@ pub struct InputBinding {
     pub len: usize,
 }
 
-/// Per-pass record written by the pass manager: one entry for every pass
-/// in the pipeline, whether it ran or was disabled by the
+/// One row of [`CompileStats::passes`]: a stage of
+/// [`compile`](crate::compile), whether it ran or was disabled by the
 /// [`OptLevel`](crate::OptLevel), so `CompileStats` is populated
 /// uniformly across all configurations.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -165,13 +165,13 @@ pub struct CompileStats {
     /// Number of staging buffer dimensions dropped by shared-variable
     /// analysis.
     pub dims_dropped: usize,
-    /// Per-pass timing and IR-size deltas, in pipeline order. One entry
-    /// per pass regardless of `OptLevel`, so every compile populates the
-    /// same rows.
+    /// Per-stage timing and IR-size deltas, in [`compile`](crate::compile)'s
+    /// order. The same eight rows regardless of `OptLevel`, so every
+    /// compile populates the same rows.
     pub passes: Vec<PassStat>,
     /// Every group's batch-parallel decision, `(group name, parallel)`,
-    /// forward groups first then backward — whether the parallel-marking
-    /// pass annotated the group's loops for the worker pool's static
+    /// forward groups first then backward — whether `parallelize`
+    /// annotated the group's loops for the worker pool's static
     /// interleaved schedule. Makes bench output self-describing.
     pub group_parallel: Vec<(String, bool)>,
     /// Groups whose schedule runs batch-parallel (the `true` entries of
@@ -296,14 +296,30 @@ impl CompiledNet {
     /// and debugging.
     pub fn pretty(&self) -> String {
         let mut s = String::new();
-        s.push_str("== forward ==\n");
-        for g in &self.forward {
-            s.push_str(&g.pretty());
-        }
-        s.push_str("== backward ==\n");
-        for g in &self.backward {
-            s.push_str(&g.pretty());
-        }
+        push_phases(&mut s, &self.forward, &self.backward);
         s
+    }
+}
+
+/// The program as `LATTE_DUMP_IR` writes it after each compiler stage and
+/// `tests/golden/` pins it: the buffer table, then both phases as
+/// [`CompiledNet::pretty`] prints them.
+pub fn render_program(buffers: &[BufferDecl], forward: &[Group], backward: &[Group]) -> String {
+    let mut s = String::from("== buffers ==\n");
+    for b in buffers {
+        s.push_str(&format!("{b}\n"));
+    }
+    push_phases(&mut s, forward, backward);
+    s
+}
+
+fn push_phases(s: &mut String, forward: &[Group], backward: &[Group]) {
+    s.push_str("== forward ==\n");
+    for g in forward {
+        s.push_str(&g.pretty());
+    }
+    s.push_str("== backward ==\n");
+    for g in backward {
+        s.push_str(&g.pretty());
     }
 }

@@ -25,36 +25,13 @@ use latte_ir::{
 use latte_tensor::Shape;
 
 use crate::analysis::{analyze_connection, ConnAnalysis, MappingClass};
+use crate::compile::OptLevel;
 use crate::dsl::{
     body_buf, BodyCtx, Ensemble, EnsembleKind, FieldLen, Net,
 };
 use crate::error::CompileError;
 use crate::names;
 use crate::program::{Group, GroupMeta, InputBinding, ParamBinding, Phase, Upstream};
-
-/// Synthesis-time options, the subset of
-/// [`OptLevel`](crate::OptLevel) that changes what code is generated
-/// rather than how it is later transformed.
-#[derive(Debug, Clone, Copy)]
-pub struct SynthOptions {
-    /// Drop staging-buffer dimensions along which inputs are shared, and
-    /// alias all-to-all inputs to the source buffer (Section 5.2).
-    pub shared_buffers: bool,
-    /// Run activation ensembles in place over their sole source.
-    pub inplace_activation: bool,
-    /// Skip computing gradients that only flow into data ensembles.
-    pub skip_data_grad: bool,
-}
-
-impl Default for SynthOptions {
-    fn default() -> Self {
-        SynthOptions {
-            shared_buffers: true,
-            inplace_activation: true,
-            skip_data_grad: true,
-        }
-    }
-}
 
 /// The synthesized (pre-optimization) program.
 #[derive(Debug)]
@@ -113,13 +90,19 @@ struct EnsCtx<'a> {
     inplace: bool,
 }
 
-/// Synthesizes the full program for a network.
+/// Synthesizes the full program for a network. Of `opts`, synthesis
+/// reads the three flags that change what code is generated rather than
+/// how it is later rewritten: `shared_buffers` (drop staging dimensions
+/// along which inputs are shared, alias all-to-all inputs to the source
+/// buffer; Section 5.2), `inplace_activation` (run an activation ensemble
+/// in place over its sole source) and `skip_data_grad` (compute no
+/// gradient that only flows into a data ensemble).
 ///
 /// # Errors
 ///
 /// Propagates analysis errors and reports invalid ensemble configurations
 /// (missing fields, recurrent edges that were not unrolled, …).
-pub fn synthesize(net: &Net, opts: &SynthOptions) -> Result<Synthesized, CompileError> {
+pub fn synthesize(net: &Net, opts: &OptLevel) -> Result<Synthesized, CompileError> {
     let order = net.topo_order()?;
     let consumer_counts = net.consumer_counts();
 
@@ -342,7 +325,7 @@ fn build_gather_table(
 fn synth_neuron_ensemble(
     ctx: &EnsCtx<'_>,
     neuron: &crate::dsl::NeuronType,
-    opts: &SynthOptions,
+    opts: &OptLevel,
     out: &mut Synthesized,
     backward_rev: &mut Vec<Group>,
 ) -> Result<(), CompileError> {

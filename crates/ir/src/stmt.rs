@@ -91,9 +91,6 @@ pub struct LoopAnnot {
     /// (collapsed with any adjacent parallel loop, as with OpenMP
     /// `collapse`).
     pub parallel: bool,
-    /// Whether the loop body is a unit-stride streaming loop the code
-    /// generator should annotate for vectorization (`#pragma simd`).
-    pub vectorize: bool,
 }
 
 /// A counted loop `for var in 0..extent { body }`.
@@ -445,9 +442,6 @@ fn fmt_stmt(stmt: &Stmt, f: &mut fmt::Formatter<'_>, indent: usize) -> fmt::Resu
                     " @tiled(size={}, dep={})",
                     t.tile_size, t.dep_distance
                 ));
-            }
-            if l.annot.vectorize {
-                marks.push_str(" @simd");
             }
             writeln!(f, "{pad}for {} in 0..{}{} {{", l.var, l.extent, marks)?;
             for s in &l.body {

@@ -1,11 +1,11 @@
 //! Structural IR verification: the contract every compiler pass must
 //! preserve.
 //!
-//! The pass manager in `latte-core` runs [`verify_program`] between
-//! passes (always in debug builds and tests, opt-in in release via
-//! `LATTE_VERIFY_IR=1`), so a pass that emits a malformed nest is caught
-//! at the pass boundary with a precise diagnostic instead of surfacing
-//! later as a lowering failure — or worse, as silently wrong numbers.
+//! `latte_core::compile` runs [`verify_program`] in debug builds and
+//! tests, after synthesis and after each rewrite that ran, so a pass that
+//! emits a malformed nest is caught at the stage boundary with a precise
+//! diagnostic instead of surfacing later as a lowering failure — or
+//! worse, as silently wrong numbers.
 //!
 //! Checks performed:
 //!

@@ -328,7 +328,7 @@ impl Builder {
         let fma = matches!(
             (op, &self.insts[root]),
             (AssignOp::Add, Inst::Bin(BinOp::Mul, ..))
-        ) && host_fma();
+        ) && latte_tensor::detect_fma();
         ElemProgram {
             width,
             fma,
@@ -875,26 +875,13 @@ fn store<'a>(pairs: impl Iterator<Item = (&'a mut f32, f32)>, assign: AssignOp) 
     }
 }
 
-/// Whether the host has AVX2 and FMA: asked once per program, when
-/// [`Builder::finish`] builds it.
-fn host_fma() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
 /// `dest += x * y` on `len` lanes whose destinations lie `lane` elements
 /// apart (0: all at `dest`, a dot product folded in lane order), by the
 /// IR's rule ([`AssignOp::apply_bin`]): the product is never rounded on
-/// its own. With `fma` (the program's [`host_fma`]) it runs a copy
-/// compiled for AVX2 and FMA, so each [`mac`] is one `vfmadd` rather than
-/// a call to libm's `fmaf` (some 30x slower); the bits are the same
-/// either way.
+/// its own. With `fma` ([`latte_tensor::detect_fma`], asked once when
+/// the program is built) it runs a copy compiled for AVX2 and FMA, so
+/// each [`mac`] is one `vfmadd` rather than a call to libm's `fmaf` (some
+/// 30x slower); the bits are the same either way.
 ///
 /// # Safety
 ///

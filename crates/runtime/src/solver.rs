@@ -658,9 +658,12 @@ mod tests {
     }
 
     /// A weight whose gradient has gone exactly zero (a dead unit) must
-    /// not leave its velocity circling in the subnormals.
+    /// not leave its velocity circling in the subnormals, where every
+    /// multiply of a later step takes a microcode assist: no velocity is
+    /// subnormal after any of 2 000 idle steps, and every one ends at
+    /// exactly zero.
     #[test]
-    fn idle_velocity_reaches_zero_and_steps_stay_cheap() {
+    fn idle_velocity_reaches_zero_without_going_subnormal() {
         let cfg = ModelConfig {
             batch: 1,
             input_size: 64,
@@ -677,28 +680,19 @@ mod tests {
         sgd.step(&mut exec);
         assert!(sgd.state.groups[0].iter().flatten().all(|&v| v <= -0.01));
         fill(&mut exec, 0.0);
-        // The cheapest of ten steps, so a preempted one does not count.
-        let mut ten_steps = |sgd: &mut Sgd| {
-            (0..10)
-                .map(|_| {
-                    let t0 = std::time::Instant::now();
-                    sgd.step(&mut exec);
-                    t0.elapsed()
-                })
-                .min()
-                .unwrap()
-        };
-        let early = ten_steps(&mut sgd);
-        for _ in 0..198 {
-            ten_steps(&mut sgd);
+        for _ in 0..2000 {
+            sgd.step(&mut exec);
+            assert!(
+                !sgd.state.groups[0]
+                    .iter()
+                    .flatten()
+                    .any(|v| v.is_subnormal()),
+                "a velocity is subnormal after step {}",
+                sgd.state.iter
+            );
         }
-        let late = ten_steps(&mut sgd);
         assert_eq!(sgd.state.iter, 2001);
         assert!(sgd.state.groups[0].iter().flatten().all(|v| v.to_bits() == 0), "velocity stuck above zero");
-        assert!(
-            late.as_secs_f64() <= 1.5 * early.as_secs_f64(),
-            "step 2000 took {late:?}, step 10 took {early:?}"
-        );
     }
 
     #[test]

@@ -320,12 +320,12 @@ mod tests {
             .map(|(name, net)| (*name, compile(net, &OptLevel::full()).expect("compiles").fingerprint()))
             .collect();
         let pinned = [
-            ("fc", 0xff0d_9715_7a42_0de4),
-            ("conv", 0xa6c0_076c_6b43_0973),
-            ("fusion", 0x9dcc_2dd7_5642_0ae3),
-            ("classifier", 0x1b1a_1abd_7cd7_3049),
-            ("lstm", 0x1de4_262e_4d19_d3f7),
-            ("lenet", 0x3c48_14d0_3fee_eb25),
+            ("fc", 0x7ef6_e026_e8ec_a9ec),
+            ("conv", 0x36b8_5088_d41d_689d),
+            ("fusion", 0x71ed_f505_b565_1e96),
+            ("classifier", 0xa655_1508_d1d5_9385),
+            ("lstm", 0xffc1_0b9e_9fc1_be78),
+            ("lenet", 0xd55e_09dc_5f24_4145),
         ];
         assert_eq!(got, pinned);
     }

@@ -44,7 +44,7 @@
 //! depends on them. The parallel partition rests on every engine cutting
 //! the same `MC x NC` grid.
 
-use crate::mac;
+use crate::{detect_fma, mac};
 
 /// Rows of the register-blocked micro-kernel (A micro-panel height).
 const MR: usize = 4;
@@ -489,18 +489,6 @@ fn narrow_panel<'p>(
         row[n..].fill(0.0);
     }
     &pack[..k * width]
-}
-
-/// `true` when AVX2 and FMA are available at runtime (x86-64 only).
-fn detect_fma() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
 }
 
 fn is_narrow(ta: Transpose, n: usize) -> bool {

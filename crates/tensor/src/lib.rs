@@ -46,3 +46,17 @@ pub use tensor::Tensor;
 pub fn mac(dest: f32, x: f32, y: f32) -> f32 {
     x.mul_add(y, dest)
 }
+
+/// Whether the host has AVX2 and FMA (x86-64 only): the one test that
+/// picks the `vfmadd` copies of [`mac`]'s callers, asked by
+/// [`gemm::Gemm::new`] and once per element program when it is built.
+pub fn detect_fma() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}

@@ -15,7 +15,7 @@
 //! ```
 
 use latte::core::dsl::Net;
-use latte::core::{compile, CompiledNet, OptLevel};
+use latte::core::{compile, render_program, CompiledNet, OptLevel};
 use latte::nn::layers::{
     convolution, data, fully_connected, max_pool, relu, softmax_loss, ConvSpec,
 };
@@ -76,16 +76,9 @@ fn render_kernels(net: &CompiledNet) -> String {
         .to_string()
 }
 
-/// The same textual format `LATTE_DUMP_IR` writes: buffer table, then
-/// both phases.
+/// What `LATTE_DUMP_IR` writes: buffer table, then both phases.
 fn render(net: &CompiledNet) -> String {
-    let mut s = String::new();
-    s.push_str("== buffers ==\n");
-    for b in &net.buffers {
-        s.push_str(&format!("{b}\n"));
-    }
-    s.push_str(&net.pretty());
-    s
+    render_program(&net.buffers, &net.forward, &net.backward)
 }
 
 fn check(name: &str, net: &Net, opt: &OptLevel) {
