@@ -161,11 +161,6 @@ impl Default for OptLevel {
 /// malformed IR (a compiler bug, not a user error).
 pub fn compile(net: &Net, opt: &OptLevel) -> Result<CompiledNet, CompileError> {
     let s = synthesize(net, opt)?;
-    let shapes: HashMap<String, Shape> = s
-        .buffers
-        .iter()
-        .map(|b| (b.name.clone(), b.shape.clone()))
-        .collect();
     let stats = CompileStats {
         aliased_buffers: s.aliased_buffers,
         dims_dropped: s.dims_dropped,
@@ -181,16 +176,7 @@ pub fn compile(net: &Net, opt: &OptLevel) -> Result<CompiledNet, CompileError> {
     st.flag("shared-buffers", opt.shared_buffers);
     st.flag("inplace-activation", opt.inplace_activation);
     st.flag("skip-data-grad", opt.skip_data_grad);
-    st.stage("pattern-match", opt.pattern_match, |groups, stats| {
-        stats.gemms_matched += pattern_match(groups, &shapes);
-    })?;
-    st.stage("fusion", opt.tiling && opt.fusion, |groups, stats| {
-        *groups = fuse_chains(std::mem::take(groups), opt.tile_size, stats);
-    })?;
-    st.stage("tiling", opt.tiling, |groups, stats| {
-        *groups = tile_untiled(std::mem::take(groups), opt.tile_size, stats);
-    })?;
-    st.stage("parallelize", opt.parallel, |groups, _| parallelize(groups))?;
+    rewrite(&mut st, opt)?;
     st.flag("vectorize-mark", opt.vectorize);
     let Stages {
         mut forward,
@@ -239,6 +225,28 @@ pub fn compile(net: &Net, opt: &OptLevel) -> Result<CompiledNet, CompileError> {
         vectorize: opt.vectorize,
         stats,
     })
+}
+
+/// The paper's rewrites of the synthesized program, in order: GEMM
+/// pattern matching, cross-layer fusion (only with tiling), tiling and
+/// parallel marking, each as one stage of `st` that runs when `opt`
+/// enables it.
+pub(crate) fn rewrite(st: &mut Stages<'_>, opt: &OptLevel) -> Result<(), CompileError> {
+    let shapes: HashMap<String, Shape> = st
+        .buffers
+        .iter()
+        .map(|b| (b.name.clone(), b.shape.clone()))
+        .collect();
+    st.stage("pattern-match", opt.pattern_match, |groups, stats| {
+        stats.gemms_matched += pattern_match(groups, &shapes);
+    })?;
+    st.stage("fusion", opt.tiling && opt.fusion, |groups, stats| {
+        *groups = fuse_chains(std::mem::take(groups), opt.tile_size, stats);
+    })?;
+    st.stage("tiling", opt.tiling, |groups, stats| {
+        *groups = tile_untiled(std::mem::take(groups), opt.tile_size, stats);
+    })?;
+    st.stage("parallelize", opt.parallel, |groups, _| parallelize(groups))
 }
 
 /// Distinguishes successive compiles in `LATTE_DUMP_IR` file names.

@@ -137,28 +137,45 @@ mod tests {
         assert!(!shrink_gemm_reduction(&mut groups));
     }
 
-    use crate::compile::Stages;
+    use crate::compile::{rewrite, Stages};
     use crate::dsl::stdlib::{relu_neuron, weighted_neuron};
-    use crate::dsl::{Ensemble, Mapping, Net};
+    use crate::dsl::{Ensemble, Mapping, Net, SourceRange, SourceRegion};
     use crate::synth::synthesize;
     use crate::{CompileError, OptLevel};
     use latte_tensor::{init, Tensor};
 
-    /// data[8] → fc1[4] → relu: enough structure for every pipeline
-    /// stage to fire.
-    fn fc_net() -> Net {
+    /// A 3×3 convolution over data[8, 8, 2] into conv1[8, 8, 4], then an
+    /// in-place relu: at `OptLevel::full()` every rewrite fires (two GEMMs
+    /// matched, conv1 and relu1 fused, the fused groups tiled and marked
+    /// parallel), so a corruption lands in fully rewritten IR.
+    fn conv_net() -> Net {
         let mut net = Net::new(2);
-        let data = net.add(Ensemble::data("data", vec![8]));
-        let fc1 = net.add(
-            Ensemble::new("fc1", vec![4], weighted_neuron())
-                .with_field("weights", vec![false], init::xavier(vec![4, 8], 8, 1))
-                .with_field("bias", vec![false], Tensor::zeros(vec![4, 1]))
+        let data = net.add(Ensemble::data("data", vec![8, 8, 2]));
+        let conv1 = net.add(
+            Ensemble::new("conv1", vec![8, 8, 4], weighted_neuron())
+                .with_field(
+                    "weights",
+                    vec![true, true, false],
+                    init::xavier(vec![4, 18], 18, 1),
+                )
+                .with_field("bias", vec![true, true, false], Tensor::zeros(vec![4, 1]))
                 .with_param("weights", 1.0)
                 .with_param("bias", 2.0),
         );
-        net.connect(data, fc1, Mapping::all_to_all(vec![8]));
-        let relu = net.add(Ensemble::activation("relu1", vec![4], relu_neuron()));
-        net.connect(fc1, relu, Mapping::one_to_one());
+        net.connect(
+            data,
+            conv1,
+            Mapping::new(|idx| {
+                let (y, x) = (idx[0] as isize - 1, idx[1] as isize - 1);
+                SourceRegion::new(vec![
+                    SourceRange::new(y, y + 3),
+                    SourceRange::new(x, x + 3),
+                    SourceRange::new(0, 2),
+                ])
+            }),
+        );
+        let relu = net.add(Ensemble::activation("relu1", vec![8, 8, 4], relu_neuron()));
+        net.connect(conv1, relu, Mapping::one_to_one());
         net
     }
 
@@ -214,17 +231,18 @@ mod tests {
         groups.iter_mut().any(|g| walk(&mut g.stmts))
     }
 
-    /// Synthesizes `fc_net` at `opt`, then runs `corrupt` as one more
-    /// stage through the helper every stage of [`crate::compile`] goes
-    /// through, with the IR verifier on or off: with it on, compilation
-    /// must fail with [`CompileError::Verify`] naming that stage — proof
-    /// the checker stands between a buggy rewrite and the runtime.
+    /// Compiles `conv_net` at `opt` as [`crate::compile`] does (synthesis,
+    /// then every rewrite `opt` enables), then runs `corrupt` over the
+    /// rewritten program as one more stage through the same helper, with
+    /// the IR verifier on or off: with it on, compilation must fail with
+    /// [`CompileError::Verify`] naming that stage — proof the checker
+    /// stands between a buggy rewrite and the runtime.
     fn corrupted_compile(
         opt: OptLevel,
         verify: bool,
         corrupt: fn(&mut [Group]) -> bool,
     ) -> Result<(), CompileError> {
-        let s = synthesize(&fc_net(), &opt)?;
+        let s = synthesize(&conv_net(), &opt)?;
         let mut st = Stages::new(
             &s.buffers,
             s.forward,
@@ -232,6 +250,7 @@ mod tests {
             Default::default(),
             verify,
         )?;
+        rewrite(&mut st, &opt)?;
         let mut hit = false;
         st.stage("corrupt-ir", true, |groups, _| hit = hit || corrupt(groups))?;
         assert!(hit, "program had nothing to corrupt");
@@ -249,6 +268,12 @@ mod tests {
         assert!(
             detail.contains("outside"),
             "diagnostic should pin the out-of-range reference: {detail}"
+        );
+        // The corrupted loop sits inside the tile loop `t`, which only
+        // tiling introduces: the rewrites ran before the corruption.
+        assert!(
+            detail.contains("/ for t /"),
+            "corruption should hit tiled IR: {detail}"
         );
     }
 
