@@ -39,8 +39,6 @@ pub struct OptLevel {
     /// Shared-variable buffer optimizations: drop uniform staging
     /// dimensions, alias all-to-all inputs.
     pub shared_buffers: bool,
-    /// Run activation ensembles in place.
-    pub inplace_activation: bool,
     /// Skip gradients flowing only into data ensembles.
     pub skip_data_grad: bool,
     /// Explicit tile size for the spatial loop (used when it divides the
@@ -63,7 +61,6 @@ impl OptLevel {
             parallel: false,
             vectorize: false,
             shared_buffers: true,
-            inplace_activation: true,
             skip_data_grad: true,
             tile_size: None,
         }
@@ -78,7 +75,6 @@ impl OptLevel {
             parallel: true,
             vectorize: true,
             shared_buffers: true,
-            inplace_activation: true,
             skip_data_grad: true,
             tile_size: None,
         }
@@ -174,7 +170,9 @@ pub fn compile(net: &Net, opt: &OptLevel) -> Result<CompiledNet, CompileError> {
         cfg!(debug_assertions),
     )?;
     st.flag("shared-buffers", opt.shared_buffers);
-    st.flag("inplace-activation", opt.inplace_activation);
+    // Activations always run in place when they can; the row stays so
+    // the eight rows are the same at every level.
+    st.flag("inplace-activation", true);
     st.flag("skip-data-grad", opt.skip_data_grad);
     rewrite(&mut st, opt)?;
     st.flag("vectorize-mark", opt.vectorize);

@@ -91,12 +91,13 @@ struct EnsCtx<'a> {
 }
 
 /// Synthesizes the full program for a network. Of `opts`, synthesis
-/// reads the three flags that change what code is generated rather than
+/// reads the two flags that change what code is generated rather than
 /// how it is later rewritten: `shared_buffers` (drop staging dimensions
 /// along which inputs are shared, alias all-to-all inputs to the source
-/// buffer; Section 5.2), `inplace_activation` (run an activation ensemble
-/// in place over its sole source) and `skip_data_grad` (compute no
-/// gradient that only flows into a data ensemble).
+/// buffer; Section 5.2) and `skip_data_grad` (compute no gradient that
+/// only flows into a data ensemble). An activation ensemble always runs
+/// in place over its sole source when nothing else reads that source
+/// and it is not a data ensemble.
 ///
 /// # Errors
 ///
@@ -177,7 +178,7 @@ pub fn synthesize(net: &Net, opts: &OptLevel) -> Result<Synthesized, CompileErro
                         "activation ensembles require exactly one one-to-one connection",
                     ));
                 }
-                let inplace = is_activation && opts.inplace_activation && {
+                let inplace = is_activation && {
                     let src_id = conns[0].source;
                     let src = net.ensemble(src_id);
                     consumer_counts[src_id.index()] == 1

@@ -101,23 +101,6 @@ pub struct StepReport {
     pub evicted: Vec<usize>,
 }
 
-/// Accumulated timing over a trainer's lifetime: `1 − exposed/comm` is
-/// the share of communication hidden behind backward (the repo
-/// benchmark's `overlap_efficiency` on `cluster.ring2`).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct DistStats {
-    /// Steps taken.
-    pub steps: u64,
-    /// Steps whose all-reduce ran lossy.
-    pub lossy_steps: u64,
-    /// Total communication ms (sum over buckets).
-    pub comm_ms: f64,
-    /// Total exposed (non-overlapped) communication ms.
-    pub exposed_ms: f64,
-    /// Total backward ms.
-    pub backward_ms: f64,
-}
-
 /// A distributed data-parallel trainer: one replica of the network, a
 /// background comm thread, and layer-by-layer gradient streaming.
 pub struct DistTrainer {
@@ -139,7 +122,6 @@ pub struct DistTrainer {
     live: usize,
     mode: SyncMode,
     step: u32,
-    stats: DistStats,
     /// The terminal error of the step that broke the ring for this rank;
     /// every later [`DistTrainer::step`] returns it again.
     failed: Option<RuntimeError>,
@@ -213,7 +195,6 @@ impl DistTrainer {
             live: world,
             mode: SyncMode::Synchronized,
             step: 0,
-            stats: DistStats::default(),
             failed: None,
         })
     }
@@ -251,11 +232,6 @@ impl DistTrainer {
     /// The transport's fault counters.
     pub fn metrics(&self) -> &Arc<FaultMetrics> {
         &self.metrics
-    }
-
-    /// Lifetime timing totals.
-    pub fn stats(&self) -> DistStats {
-        self.stats
     }
 
     /// The communicator buckets (one per gradient-producing backward
@@ -367,14 +343,8 @@ impl DistTrainer {
         self.step += 1;
         self.live = live;
         self.mode = mode;
-        self.stats.steps += 1;
-        self.stats.comm_ms += comm_ms;
-        self.stats.exposed_ms += exposed_ms;
-        self.stats.backward_ms += backward_ms;
         if mode == SyncMode::LossyDegraded {
-            self.stats.lossy_steps += 1;
             FaultMetrics::bump(&self.metrics.lossy_steps);
-            FaultMetrics::bump(&self.metrics.degraded_iterations);
         }
         Ok(StepReport {
             loss,

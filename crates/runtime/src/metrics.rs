@@ -88,12 +88,8 @@ counter_registry! {
     retries: u64,
     /// Transfers whose payload failed its checksum (injected corruption).
     transfers_corrupted: u64 = "corrupted",
-    /// Nodes declared dead (crash or retry budget exhausted).
-    nodes_failed: u64,
     /// Straggler detections (a node exceeding the rolling time estimate).
     stragglers_detected: u64 = "stragglers",
-    /// Iterations executed in the degraded (lossy, shrunken-ring) mode.
-    degraded_iterations: u64 = "degraded_iters",
     /// Checkpoints successfully written.
     checkpoints_saved: u64 = "checkpoints",
     /// Successful restores from a checkpoint.
@@ -223,7 +219,6 @@ mod tests {
         let m = FaultMetrics::new();
         FaultMetrics::bump(&m.retries);
         FaultMetrics::bump(&m.retries);
-        FaultMetrics::bump(&m.nodes_failed);
         FaultMetrics::bump(&m.sentinel_trips);
         FaultMetrics::bump(&m.batches_quarantined);
         FaultMetrics::bump(&m.send_retries);
@@ -231,7 +226,6 @@ mod tests {
         FaultMetrics::add(&m.bytes_reduced, 4096);
         let snap = m.snapshot();
         assert_eq!(snap.retries, 2);
-        assert_eq!(snap.nodes_failed, 1);
         assert_eq!(snap.transfers_corrupted, 0);
         assert_eq!(snap.sentinel_trips, 1);
         assert_eq!(snap.batches_quarantined, 1);
@@ -241,7 +235,7 @@ mod tests {
         assert_eq!(snap.peers_evicted, 1);
         assert_eq!(snap.bytes_reduced, 4096);
         let text = snap.to_string();
-        assert!(text.contains("retries=2") && text.contains("nodes_failed=1"));
+        assert!(text.contains("retries=2"));
         assert!(text.contains("sentinel_trips=1") && text.contains("quarantined=1"));
         assert!(text.contains("peers_evicted=1") && text.contains("bytes_reduced=4096"));
     }

@@ -40,6 +40,9 @@ use crate::error::RuntimeError;
 use crate::metrics::FaultMetrics;
 use crate::transport::{Delivery, Frame, FrameKind, Header, Key, Transport, TransportError};
 
+/// Smoothing factor of each peer's receive-latency EWMA.
+const EWMA_ALPHA: f64 = 0.3;
+
 /// All-reduce synchronization mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncMode {
@@ -75,8 +78,6 @@ pub struct CommPolicy {
     /// A receive slower than `threshold ×` the peer's EWMA estimate
     /// flags a straggler.
     pub straggler_threshold: f64,
-    /// EWMA smoothing for per-peer receive latency.
-    pub ewma_alpha: f64,
     /// Receives observed per peer before straggler detection arms.
     pub straggler_grace: u32,
 }
@@ -91,7 +92,6 @@ impl Default for CommPolicy {
             jitter: 0.25,
             lossy_timeout_ms: 200,
             straggler_threshold: 4.0,
-            ewma_alpha: 0.3,
             straggler_grace: 3,
         }
     }
@@ -124,9 +124,6 @@ impl CommPolicy {
         }
         if self.straggler_threshold.is_nan() || self.straggler_threshold <= 1.0 {
             return bad("straggler threshold must exceed 1");
-        }
-        if !(0.0..=1.0).contains(&self.ewma_alpha) || self.ewma_alpha == 0.0 {
-            return bad("ewma alpha must be in (0, 1]");
         }
         Ok(())
     }
@@ -339,8 +336,11 @@ impl RingComm {
         self.flagged.iter_mut().for_each(|f| *f = false);
 
         'attempt: loop {
-            stash.clear();
             let mask0 = self.tp.alive_mask();
+            // Frames built on an earlier attempt's ring have the wrong
+            // chunk geometry; ones a healed peer sent ahead of us are
+            // this attempt's.
+            stash.retain(|_, f| f.head.alive == mask0);
             if mask0 & own_bit == 0 {
                 return Err(RuntimeError::Transport {
                     detail: format!("rank {me_rank} was evicted by its peers"),
@@ -391,6 +391,7 @@ impl RingComm {
                     .tp
                     .send_data(right, head, &scratch[spans[send_c].clone()])
                     .is_err()
+                    && self.tp.failed_mask() & (1 << right) == 0
                 {
                     self.evict_failed(right, &mut evicted);
                     restarts += 1;
@@ -451,6 +452,7 @@ impl RingComm {
                     .tp
                     .send_data(right, head, &scratch[spans[send_c].clone()])
                     .is_err()
+                    && self.tp.failed_mask() & (1 << right) == 0
                 {
                     self.evict_failed(right, &mut evicted);
                     restarts += 1;
@@ -572,11 +574,12 @@ impl RingComm {
         let mut busy_credit = (self.policy.max_retries + 2) * self.tp.world() as u32;
         let t_start = Instant::now();
         loop {
-            if self.tp.failed_mask() & mask0 != 0 {
-                // A member of the current ring has *failed* (a graceful
-                // departure never interrupts a bucket in flight).
-                return RecvOutcome::Restart;
-            }
+            // A member of this attempt's ring having *failed* (a graceful
+            // departure never interrupts a bucket in flight) ends the
+            // wait with `DeathNotice`, but only once nothing from `from`
+            // is queued: the frame we wait for may have been sent before
+            // the death, and a peer that finished the bucket on this
+            // ring has moved on and will not heal it with us.
             let lossy = self.mode == SyncMode::LossyDegraded;
             let per_op = Duration::from_millis(if lossy {
                 self.policy.lossy_timeout_ms
@@ -635,16 +638,19 @@ impl RingComm {
                     if f.head.kind != FrameKind::Data {
                         continue;
                     }
-                    if f.head.alive & self.tp.failed_mask() != 0 {
-                        // Sent before its sender learned of a death we
-                        // already know about: a stale duplicate from the
-                        // pre-healing ring (possibly queued before our
-                        // own mask shrank) — its chunk geometry is wrong.
+                    let failed = self.tp.failed_mask();
+                    if f.head.alive != mask0 && f.head.alive & failed != 0 {
+                        // Sent on a ring with a member we know failed
+                        // that is not this attempt's: a stale duplicate
+                        // from before the healing — its chunk geometry
+                        // is wrong.
                         continue;
                     }
-                    if self.tp.failed_mask() & mask0 != 0 {
-                        // The frame rode in with death news: heal first;
-                        // resends recover it after the restart.
+                    if f.head.alive != mask0 && failed & mask0 != 0 {
+                        // The sender has healed past a death this
+                        // attempt's ring still includes: heal too, and
+                        // keep the frame for the healed attempt.
+                        stash.insert(f.head.key, f);
                         return RecvOutcome::Restart;
                     }
                     if f.head.key == key {
@@ -766,7 +772,7 @@ impl RingComm {
         self.ewma[from] = if n == 0 {
             ms
         } else {
-            self.policy.ewma_alpha * ms + (1.0 - self.policy.ewma_alpha) * self.ewma[from]
+            EWMA_ALPHA * ms + (1.0 - EWMA_ALPHA) * self.ewma[from]
         };
         self.ewma_n[from] = n.saturating_add(1);
     }

@@ -12,12 +12,13 @@
 //!   built once and then only shared ([`WireBytes`]): wire, retransmit
 //!   window and the receiver's decoded frame all hold the same buffer.
 //! * [`Wire`] — "push these bytes toward peer `p`", unreliable by
-//!   design. Two real wires live here ([`ChannelWire`] over in-process
-//!   `mpsc` channels, [`TcpWire`] over sockets) and
-//!   [`crate::fault::FaultyTransport`] wraps any of them to inject the
-//!   deterministic fault plans.
+//!   design. Two real wires live here ([`ChannelWire`], which delivers
+//!   into the in-process peer's router on the sending thread, and
+//!   [`TcpWire`] over sockets) and [`crate::fault::FaultyTransport`]
+//!   wraps either to inject the deterministic fault plans.
 //! * [`Router`] — the shared receive side: per-peer frame queues fed by
-//!   reader threads, the membership masks, and the retransmit buffer
+//!   the peers' channel wires or by one reader thread per socket, the
+//!   membership masks, and the retransmit buffer
 //!   that services [`FrameKind::Resend`] requests — reliability is
 //!   receiver-driven: a receiver that times out or sees a corrupt frame
 //!   asks the sender to re-send, which keeps the ring deadlock-free
@@ -48,7 +49,6 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -69,6 +69,10 @@ pub(crate) const HEADER_LEN: usize = 36;
 const TRAILER_LEN: usize = CRC_LEN;
 /// Sanity cap on frame payloads (64 MiB of gradients per chunk).
 const MAX_PAYLOAD: usize = 1 << 26;
+/// Redials a TCP reader makes after a broken link before declaring the
+/// peer unreachable, and the pause before each.
+const RECONNECT_ATTEMPTS: u32 = 2;
+const RECONNECT_BACKOFF: Duration = Duration::from_millis(50);
 
 // ---------------------------------------------------------------------------
 // Frames
@@ -419,8 +423,9 @@ pub trait Wire: Send + Sync + 'static {
     /// [`TransportError::Disconnected`] when the link is known down.
     fn send(&self, to: usize, bytes: WireBytes) -> Result<(), TransportError>;
 
-    /// Tears down the wire's links so reader threads blocked on it can
-    /// exit. Called from [`Endpoint`]'s drop; wrappers must forward it.
+    /// Tears down the wire's links: later sends fail, reader threads
+    /// blocked on a socket exit, and a channel wire lets go of its peers.
+    /// Called from [`Endpoint`]'s drop; wrappers must forward it.
     fn close(&self) {}
 }
 
@@ -464,8 +469,9 @@ struct RouterInner {
 }
 
 /// The shared receive side of an endpoint: per-peer queues, the alive
-/// mask, and the retransmit buffer. Reader threads push into it via
-/// [`Router::deliver`]; the ring layer pulls via [`Router::recv`].
+/// mask, and the retransmit buffer. Peers' channel wires and socket
+/// reader threads push into it via [`Router::deliver`]; the ring layer
+/// pulls via [`Router::recv`].
 #[derive(Clone)]
 pub struct Router {
     inner: Arc<RouterInner>,
@@ -585,7 +591,6 @@ impl Router {
         drop(st);
         if counted {
             FaultMetrics::bump(&self.inner.metrics.peers_evicted);
-            FaultMetrics::bump(&self.inner.metrics.nodes_failed);
         }
         self.inner.cv.notify_all();
         true
@@ -621,7 +626,8 @@ impl Router {
 
     /// Ingests encoded bytes read off the wire from `from`, taking the
     /// buffer over: a verified frame is queued still backed by it.
-    /// Reader threads call this; `wire` is borrowed to service resend
+    /// A sender's channel wire or a socket reader thread calls this;
+    /// `wire` is this endpoint's own, borrowed to service resend
     /// requests.
     pub fn deliver(&self, from: usize, bytes: WireBytes, wire: &dyn Wire) {
         let frame = match Frame::decode(bytes) {
@@ -651,14 +657,13 @@ impl Router {
                     // mask). The alive mask alone can't carry this news —
                     // it also shrinks on graceful departures, which must
                     // never be mistaken for deaths.
-                    let removed = news.count_ones() as u64;
                     st.failed |= news;
                     st.alive &= !news;
                     drop(st);
-                    for _ in 0..removed {
-                        FaultMetrics::bump(&self.inner.metrics.peers_evicted);
-                        FaultMetrics::bump(&self.inner.metrics.nodes_failed);
-                    }
+                    FaultMetrics::add(
+                        &self.inner.metrics.peers_evicted,
+                        u64::from(news.count_ones()),
+                    );
                     st = self.inner.state.lock().unwrap();
                 }
                 if head.alive & st.failed != 0 {
@@ -724,9 +729,11 @@ impl Router {
 
     /// Pops the next delivery from `from`, waiting until `deadline`.
     /// `fail_watch` is a rank mask: if any of those ranks is declared
-    /// failed while the wait blocks, the call aborts immediately with
-    /// [`TransportError::DeathNotice`] instead of sitting out the
-    /// deadline — healing must not wait on a timeout.
+    /// failed while nothing from `from` is queued, the call returns
+    /// [`TransportError::DeathNotice`] at once instead of sitting out the
+    /// deadline — healing must not wait on a timeout. A delivery queued
+    /// before the news still comes first: the caller decides whether it
+    /// belongs to the ring that just lost a member.
     ///
     /// # Errors
     ///
@@ -746,11 +753,11 @@ impl Router {
             if st.closed {
                 return Err(TransportError::Closed);
             }
-            if st.failed & fail_watch != 0 {
-                return Err(TransportError::DeathNotice);
-            }
             if let Some(d) = st.queues[from].pop_front() {
                 return Ok(d);
+            }
+            if st.failed & fail_watch != 0 {
+                return Err(TransportError::DeathNotice);
             }
             if st.alive & (1 << from) == 0 {
                 return Err(TransportError::PeerDead { peer: from });
@@ -846,8 +853,9 @@ pub struct Endpoint<W: Wire> {
 }
 
 impl<W: Wire> Endpoint<W> {
-    /// Assembles an endpoint; reader threads feeding `router` are the
-    /// constructor's (e.g. [`channel_group_with`]'s) responsibility.
+    /// Assembles an endpoint. Whatever feeds `router` (the peers' wires
+    /// in [`channel_group_with`], socket reader threads in
+    /// [`tcp_rendezvous`]) is the constructor's responsibility.
     pub fn new(router: Router, wire: Arc<W>) -> Endpoint<W> {
         Endpoint { router, wire }
     }
@@ -979,39 +987,34 @@ impl<W: Wire> Transport for Endpoint<W> {
 // Channel wire: deterministic in-process transport
 // ---------------------------------------------------------------------------
 
-/// One take-able sender per peer: taken on eviction/goodbye so later
-/// sends fail fast instead of queueing into a dead endpoint.
-type PeerSenders = Vec<Mutex<Option<mpsc::Sender<(usize, WireBytes)>>>>;
+/// A peer as a [`ChannelWire`] reaches it: its router, and its own
+/// (possibly wrapped) wire, which services the resend requests it
+/// receives.
+type ChannelPeer = (Router, Arc<dyn Wire>);
 
-/// In-process wire: one `mpsc` channel per receiving endpoint, FIFO and
-/// lossless (until wrapped by [`crate::fault::FaultyTransport`]).
+/// In-process wire: a send delivers the frame into the receiving
+/// endpoint's [`Router`] on the sending thread, so frames from one
+/// sender to one receiver arrive in order and none is lost (until
+/// wrapped by [`crate::fault::FaultyTransport`]).
 pub struct ChannelWire {
     rank: usize,
-    peers: PeerSenders,
+    peers: Arc<Mutex<Vec<Option<ChannelPeer>>>>,
 }
 
 impl Wire for ChannelWire {
     fn send(&self, to: usize, bytes: WireBytes) -> Result<(), TransportError> {
-        let slot = self
-            .peers
-            .get(to)
-            .ok_or(TransportError::Disconnected { peer: to })?;
-        let guard = slot.lock().unwrap();
-        match guard.as_ref() {
-            Some(tx) => tx
-                .send((self.rank, bytes))
-                .map_err(|_| TransportError::Disconnected { peer: to }),
-            None => Err(TransportError::Disconnected { peer: to }),
-        }
+        // Deliver with the table unlocked: a resend request re-enters
+        // this wire on the same thread when the peer sends the frame back.
+        let peer = self.peers.lock().unwrap().get(to).cloned().flatten();
+        let (router, wire) = peer.ok_or(TransportError::Disconnected { peer: to })?;
+        router.deliver(self.rank, bytes, wire.as_ref());
+        Ok(())
     }
 
     fn close(&self) {
-        // Dropping the senders lets every peer's reader thread observe a
-        // channel disconnect and exit (threads hold `Arc<ChannelWire>`,
-        // so this cannot wait for `Drop`).
-        for slot in &self.peers {
-            slot.lock().unwrap().take();
-        }
+        // Later sends fail fast, and the peers' routers and wires, which
+        // hold ours in turn, are let go.
+        self.peers.lock().unwrap().clear();
     }
 }
 
@@ -1028,34 +1031,25 @@ pub fn channel_group_with<W: Wire>(
     world: usize,
     mut wrap: impl FnMut(usize, ChannelWire) -> W,
 ) -> Result<Vec<Endpoint<W>>, TransportError> {
-    let mut txs = Vec::with_capacity(world);
-    let mut rxs = Vec::with_capacity(world);
-    for _ in 0..world {
-        let (tx, rx) = mpsc::channel::<(usize, WireBytes)>();
-        txs.push(tx);
-        rxs.push(rx);
-    }
+    let mut tables = Vec::with_capacity(world);
     let mut out = Vec::with_capacity(world);
-    for (rank, rx) in rxs.into_iter().enumerate() {
-        let peers = txs
+    for rank in 0..world {
+        let router = Router::new(rank, world, Arc::new(FaultMetrics::new()))?;
+        let peers = Arc::new(Mutex::new(Vec::new()));
+        tables.push(Arc::clone(&peers));
+        out.push(Endpoint::new(
+            router,
+            Arc::new(wrap(rank, ChannelWire { rank, peers })),
+        ));
+    }
+    for (rank, table) in tables.iter().enumerate() {
+        *table.lock().unwrap() = out
             .iter()
             .enumerate()
-            .map(|(r, tx)| Mutex::new((r != rank).then(|| tx.clone())))
-            .collect();
-        let wire = Arc::new(wrap(rank, ChannelWire { rank, peers }));
-        let metrics = Arc::new(FaultMetrics::new());
-        let router = Router::new(rank, world, metrics)?;
-        let r2 = router.clone();
-        let w2 = Arc::clone(&wire);
-        std::thread::Builder::new()
-            .name(format!("latte-chan-rx-{rank}"))
-            .spawn(move || {
-                while let Ok((from, bytes)) = rx.recv() {
-                    r2.deliver(from, bytes, w2.as_ref());
-                }
+            .map(|(r, ep)| {
+                (r != rank).then(|| (ep.router.clone(), Arc::clone(&ep.wire) as Arc<dyn Wire>))
             })
-            .expect("spawn channel reader");
-        out.push(Endpoint::new(router, wire));
+            .collect();
     }
     Ok(out)
 }
@@ -1087,24 +1081,16 @@ pub struct TcpConfig {
     pub fingerprint: u32,
     /// How long rendezvous may take before giving up.
     pub rendezvous_timeout: Duration,
-    /// Reconnect attempts a reader makes after a broken link before
-    /// declaring the peer unreachable.
-    pub reconnect_attempts: u32,
-    /// Pause between reconnect attempts.
-    pub reconnect_backoff: Duration,
 }
 
 impl TcpConfig {
-    /// A config with default timeouts (10 s rendezvous, 2 reconnect
-    /// attempts 50 ms apart).
+    /// A config with the default 10 s rendezvous timeout.
     pub fn new(rank: usize, addrs: Vec<String>, fingerprint: u32) -> TcpConfig {
         TcpConfig {
             rank,
             addrs,
             fingerprint,
             rendezvous_timeout: Duration::from_secs(10),
-            reconnect_attempts: 2,
-            reconnect_backoff: Duration::from_millis(50),
         }
     }
 }
@@ -1222,9 +1208,9 @@ fn spawn_tcp_reader(router: Router, wire: Arc<TcpWire>, peer: usize, cfg: TcpCon
                         return;
                     }
                     let mut revived = None;
-                    for _ in 0..cfg.reconnect_attempts {
+                    for _ in 0..RECONNECT_ATTEMPTS {
                         FaultMetrics::bump(&router.metrics().reconnects);
-                        std::thread::sleep(cfg.reconnect_backoff);
+                        std::thread::sleep(RECONNECT_BACKOFF);
                         if let Ok(s) = dial_peer(&cfg, peer) {
                             revived = Some(s);
                             break;
@@ -1604,6 +1590,55 @@ mod tests {
             vec![1.0, 2.0]
         );
         assert_eq!(group[0].metrics().snapshot().send_retries, 1);
+    }
+
+    #[test]
+    fn a_channel_frame_is_delivered_before_send_returns() {
+        // No thread stands between the wire and the router: once
+        // `send_data` returns, a receive whose deadline has already
+        // passed finds the frame queued.
+        let group = channel_group(2).unwrap();
+        let past = Instant::now();
+        group[0].send_data(1, data_head(1, 0), &[3.0, 4.0]).unwrap();
+        assert_eq!(
+            expect_payload(group[1].recv(0, past, 0).unwrap()),
+            vec![3.0, 4.0]
+        );
+        assert_eq!(group[1].metrics().snapshot().timeouts, 0);
+    }
+
+    #[test]
+    fn dropping_a_group_drops_every_router() {
+        // Each channel wire holds its peers' routers and wires, so a
+        // group is a cycle of `Arc`s until the endpoints' drops close
+        // their wires. The wrapped wire must forward `close` too.
+        fn weak<W: Wire>(group: &[Endpoint<W>]) -> Vec<std::sync::Weak<RouterInner>> {
+            group
+                .iter()
+                .map(|ep| Arc::downgrade(&ep.router().inner))
+                .collect()
+        }
+        let group = channel_group(3).unwrap();
+        group[0].send_data(1, data_head(1, 0), &[1.0]).unwrap();
+        group[1].request_resend(0, key(1, 0)).unwrap();
+        let routers = weak(&group);
+        drop(group);
+        assert!(
+            routers.iter().all(|r| r.upgrade().is_none()),
+            "a clean group leaked"
+        );
+
+        let group = channel_group_with(3, |rank, wire| {
+            crate::fault::FaultyTransport::new(rank, crate::fault::FaultPlan::none(), wire)
+        })
+        .unwrap();
+        group[2].send_data(0, data_head(1, 0), &[1.0]).unwrap();
+        let routers = weak(&group);
+        drop(group);
+        assert!(
+            routers.iter().all(|r| r.upgrade().is_none()),
+            "a wrapped group leaked"
+        );
     }
 
     #[test]

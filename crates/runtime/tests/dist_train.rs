@@ -228,21 +228,18 @@ fn mid_run_crash_degrades_survivors_to_lossy() {
                         }
                     }
                 }
-                (rank, last_mode, last_live, metrics.snapshot(), trainer.stats())
+                (rank, last_mode, last_live, metrics.snapshot())
             })
         })
         .collect();
     let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    for (rank, mode, live, metrics, stats) in &results {
+    for (rank, mode, live, metrics) in &results {
         if *rank == 2 {
             continue;
         }
         assert_eq!(*mode, SyncMode::LossyDegraded, "survivor {rank} not degraded");
         assert_eq!(*live, 2, "survivor {rank} sees wrong ring size");
-        assert!(stats.lossy_steps >= 1, "survivor {rank} recorded no lossy step");
-        assert!(
-            metrics.peers_evicted >= 1 || metrics.nodes_failed >= 1,
-            "survivor {rank} has no eviction on the books"
-        );
+        assert!(metrics.lossy_steps >= 1, "survivor {rank} recorded no lossy step");
+        assert!(metrics.peers_evicted >= 1, "survivor {rank} has no eviction on the books");
     }
 }

@@ -48,14 +48,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let shard: Vec<_> = train.iter().skip(rank).step_by(world).cloned().collect();
         let mut source = MemoryDataSource::try_new("data", "label", shard, worker_batch)?;
         let mut last = 0.0;
+        let mut steps = 0;
         for _epoch in 0..solver.params().max_epoch {
             source.reset();
             while let Some(batch) = source.next_batch()? {
                 last = trainer.step(&batch, &mut |e| solver.step(e))?.loss;
+                steps += 1;
             }
         }
         let accuracy = top1_accuracy(trainer.exec_mut(), "data", "ip_out.value", &test)?;
-        Ok((last, accuracy, trainer.stats().steps, trainer.mode()))
+        Ok((last, accuracy, steps, trainer.mode()))
     });
 
     for (rank, outcome) in ranks.into_iter().enumerate() {

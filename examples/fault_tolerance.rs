@@ -162,8 +162,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let (last, books) = &runs[speaker][STEPS as usize - 1];
         println!("survivors: {}/{WORLD}, final mode {:?}", last.live, last.mode);
         println!(
-            "rank {speaker}'s books: nodes_failed={} peers_evicted={} degraded_iters={} lossy_steps={}",
-            books.nodes_failed, books.peers_evicted, books.degraded_iterations, books.lossy_steps
+            "rank {speaker}'s books: peers_evicted={} lossy_steps={}",
+            books.peers_evicted, books.lossy_steps
         );
     }
 
