@@ -32,7 +32,14 @@ impl Backend for CaffeBackend {
                 kernel,
                 stride,
                 pad,
-            } => Box::new(ConvLayer::new(input, out_channels, kernel, stride, pad, seed)),
+            } => Box::new(ConvLayer::new(
+                input,
+                out_channels,
+                kernel,
+                stride,
+                pad,
+                seed,
+            )),
             LayerSpec::ReLU => Box::new(ReluLayer),
             LayerSpec::MaxPool { kernel, stride } => {
                 Box::new(MaxPoolLayer::new(input, kernel, stride))
@@ -189,7 +196,10 @@ impl Layer for ConvLayer {
     }
 
     fn label(&self) -> String {
-        format!("conv{}x{}/{}", self.p.kernel, self.p.kernel, self.p.out_channels)
+        format!(
+            "conv{}x{}/{}",
+            self.p.kernel, self.p.kernel, self.p.out_channels
+        )
     }
 }
 
@@ -259,7 +269,10 @@ impl Layer for MaxPoolLayer {
         for item in 0..batch {
             let g = &top.grad[item * out_sz..(item + 1) * out_sz];
             let bg = &mut bottom.grad[item * in_sz..(item + 1) * in_sz];
-            for (o, &a) in g.iter().zip(&self.argmax[item * out_sz..(item + 1) * out_sz]) {
+            for (o, &a) in g
+                .iter()
+                .zip(&self.argmax[item * out_sz..(item + 1) * out_sz])
+            {
                 bg[a] += o;
             }
         }
@@ -542,7 +555,13 @@ mod tests {
         };
         for item in 0..2 {
             let mut expect = vec![0.0; 4 * 36];
-            conv2d_reference(&p, &input[item * 108..(item + 1) * 108], &w, &b, &mut expect);
+            conv2d_reference(
+                &p,
+                &input[item * 108..(item + 1) * 108],
+                &w,
+                &b,
+                &mut expect,
+            );
             let got = &net.output().data[item * 144..(item + 1) * 144];
             for (g, e) in got.iter().zip(&expect) {
                 assert!((g - e).abs() < 1e-3, "{g} vs {e}");
@@ -556,9 +575,17 @@ mod tests {
             (1, 6, 6),
             4,
             &[
-                LayerSpec::Conv { out_channels: 4, kernel: 3, stride: 1, pad: 1 },
+                LayerSpec::Conv {
+                    out_channels: 4,
+                    kernel: 3,
+                    stride: 1,
+                    pad: 1,
+                },
                 LayerSpec::ReLU,
-                LayerSpec::MaxPool { kernel: 2, stride: 2 },
+                LayerSpec::MaxPool {
+                    kernel: 2,
+                    stride: 2,
+                },
                 LayerSpec::Fc { out: 3 },
                 LayerSpec::SoftmaxLoss,
             ],
@@ -623,7 +650,11 @@ mod tests {
             (4, 3, 3),
             1,
             &[
-                LayerSpec::Lrn { size: 3, alpha: 0.3, beta: 0.75 },
+                LayerSpec::Lrn {
+                    size: 3,
+                    alpha: 0.3,
+                    beta: 0.75,
+                },
                 LayerSpec::Fc { out: 2 },
                 LayerSpec::SoftmaxLoss,
             ],

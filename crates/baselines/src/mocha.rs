@@ -103,8 +103,7 @@ impl Layer for NaiveConv {
         for item in 0..batch {
             // A fresh temporary every call, like an idiomatic high-level
             // implementation.
-            let x: Vec<f32> =
-                bottom.data[item * cin * h * w..(item + 1) * cin * h * w].to_vec();
+            let x: Vec<f32> = bottom.data[item * cin * h * w..(item + 1) * cin * h * w].to_vec();
             for oc in 0..self.out_channels {
                 for oy in 0..oh {
                     for ox in 0..ow {
@@ -116,18 +115,17 @@ impl Layer for NaiveConv {
                                         - self.pad as isize;
                                     let ix = ox as isize * self.stride as isize + kx as isize
                                         - self.pad as isize;
-                                    if iy < 0 || iy >= h as isize || ix < 0 || ix >= w as isize
-                                    {
+                                    if iy < 0 || iy >= h as isize || ix < 0 || ix >= w as isize {
                                         continue;
                                     }
                                     acc += x[ic * h * w + iy as usize * w + ix as usize]
-                                        * self.weights
-                                            [oc * cin * k * k + ic * k * k + ky * k + kx];
+                                        * self.weights[oc * cin * k * k + ic * k * k + ky * k + kx];
                                 }
                             }
                         }
-                        top.data[item * self.out_channels * oh * ow + oc * oh * ow + oy * ow
-                            + ox] = acc;
+                        top.data
+                            [item * self.out_channels * oh * ow + oc * oh * ow + oy * ow + ox] =
+                            acc;
                     }
                 }
             }
@@ -139,11 +137,10 @@ impl Layer for NaiveConv {
         let (oh, ow) = self.out_hw();
         let k = self.kernel;
         for item in 0..batch {
-            let g: Vec<f32> = top.grad[item * self.out_channels * oh * ow
-                ..(item + 1) * self.out_channels * oh * ow]
+            let g: Vec<f32> = top.grad
+                [item * self.out_channels * oh * ow..(item + 1) * self.out_channels * oh * ow]
                 .to_vec();
-            let x: Vec<f32> =
-                bottom.data[item * cin * h * w..(item + 1) * cin * h * w].to_vec();
+            let x: Vec<f32> = bottom.data[item * cin * h * w..(item + 1) * cin * h * w].to_vec();
             for oc in 0..self.out_channels {
                 for oy in 0..oh {
                     for ox in 0..ow {
@@ -156,15 +153,13 @@ impl Layer for NaiveConv {
                                         - self.pad as isize;
                                     let ix = ox as isize * self.stride as isize + kx as isize
                                         - self.pad as isize;
-                                    if iy < 0 || iy >= h as isize || ix < 0 || ix >= w as isize
-                                    {
+                                    if iy < 0 || iy >= h as isize || ix < 0 || ix >= w as isize {
                                         continue;
                                     }
                                     let xi = ic * h * w + iy as usize * w + ix as usize;
                                     let wi = oc * cin * k * k + ic * k * k + ky * k + kx;
                                     self.g_weights[wi] += go * x[xi];
-                                    bottom.grad[item * cin * h * w + xi] +=
-                                        go * self.weights[wi];
+                                    bottom.grad[item * cin * h * w + xi] += go * self.weights[wi];
                                 }
                             }
                         }
@@ -360,9 +355,7 @@ impl Layer for NaiveLrn {
                         let scale_i = 1.0 + self.alpha / self.size as f32 * acc_i;
                         cross += top.grad[i] * top.data[i] / scale_i;
                     }
-                    g -= 2.0 * self.alpha * self.beta / self.size as f32
-                        * bottom.data[j]
-                        * cross;
+                    g -= 2.0 * self.alpha * self.beta / self.size as f32 * bottom.data[j] * cross;
                     bottom.grad[j] += g;
                 }
             }
@@ -386,8 +379,7 @@ struct NaiveFc {
 impl Layer for NaiveFc {
     fn forward(&mut self, bottom: &Blob, top: &mut Blob, batch: usize) {
         for item in 0..batch {
-            let x: Vec<f32> =
-                bottom.data[item * self.n_in..(item + 1) * self.n_in].to_vec();
+            let x: Vec<f32> = bottom.data[item * self.n_in..(item + 1) * self.n_in].to_vec();
             for o in 0..self.n_out {
                 let mut acc = self.bias[o];
                 let row = &self.weights[o * self.n_in..(o + 1) * self.n_in];
@@ -405,8 +397,7 @@ impl Layer for NaiveFc {
                 let g = top.grad[item * self.n_out + o];
                 self.g_bias[o] += g;
                 for i in 0..self.n_in {
-                    self.g_weights[o * self.n_in + i] +=
-                        g * bottom.data[item * self.n_in + i];
+                    self.g_weights[o * self.n_in + i] += g * bottom.data[item * self.n_in + i];
                     bottom.grad[item * self.n_in + i] += g * self.weights[o * self.n_in + i];
                 }
             }
@@ -498,9 +489,17 @@ mod tests {
     #[test]
     fn mocha_matches_caffe_numerically() {
         let specs = [
-            LayerSpec::Conv { out_channels: 4, kernel: 3, stride: 1, pad: 1 },
+            LayerSpec::Conv {
+                out_channels: 4,
+                kernel: 3,
+                stride: 1,
+                pad: 1,
+            },
             LayerSpec::ReLU,
-            LayerSpec::MaxPool { kernel: 2, stride: 2 },
+            LayerSpec::MaxPool {
+                kernel: 2,
+                stride: 2,
+            },
             LayerSpec::Fc { out: 5 },
         ];
         let mut caffe = crate::caffe::build((2, 6, 6), 2, &specs, 9);
@@ -522,7 +521,12 @@ mod tests {
             (1, 6, 6),
             4,
             &[
-                LayerSpec::Conv { out_channels: 3, kernel: 3, stride: 1, pad: 1 },
+                LayerSpec::Conv {
+                    out_channels: 3,
+                    kernel: 3,
+                    stride: 1,
+                    pad: 1,
+                },
                 LayerSpec::ReLU,
                 LayerSpec::Fc { out: 3 },
                 LayerSpec::SoftmaxLoss,

@@ -1,6 +1,5 @@
 //! The sequential-network harness shared by both baseline stacks.
 
-
 use crate::spec::{out_shape, BlobShape, LayerSpec};
 
 /// An activation blob: batched values and gradients, item-major.
@@ -151,9 +150,7 @@ impl SequentialNet {
             layer.forward(&bottoms[i], &mut tops[0], self.batch);
         }
         match self.loss_layer {
-            Some(i) => {
-                self.blobs[i + 1].data.iter().sum::<f32>() / self.batch as f32
-            }
+            Some(i) => self.blobs[i + 1].data.iter().sum::<f32>() / self.batch as f32,
             None => 0.0,
         }
     }

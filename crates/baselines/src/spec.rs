@@ -79,21 +79,63 @@ pub fn out_shape(spec: &LayerSpec, input: BlobShape) -> BlobShape {
 pub fn alexnet_specs(div: usize, classes: usize) -> Vec<LayerSpec> {
     let ch = |c: usize| (c / div).max(1);
     vec![
-        LayerSpec::Conv { out_channels: ch(96), kernel: 11, stride: 4, pad: 0 },
+        LayerSpec::Conv {
+            out_channels: ch(96),
+            kernel: 11,
+            stride: 4,
+            pad: 0,
+        },
         LayerSpec::ReLU,
-        LayerSpec::Lrn { size: 5, alpha: 1e-4, beta: 0.75 },
-        LayerSpec::MaxPool { kernel: 3, stride: 2 },
-        LayerSpec::Conv { out_channels: ch(256), kernel: 5, stride: 1, pad: 2 },
+        LayerSpec::Lrn {
+            size: 5,
+            alpha: 1e-4,
+            beta: 0.75,
+        },
+        LayerSpec::MaxPool {
+            kernel: 3,
+            stride: 2,
+        },
+        LayerSpec::Conv {
+            out_channels: ch(256),
+            kernel: 5,
+            stride: 1,
+            pad: 2,
+        },
         LayerSpec::ReLU,
-        LayerSpec::Lrn { size: 5, alpha: 1e-4, beta: 0.75 },
-        LayerSpec::MaxPool { kernel: 3, stride: 2 },
-        LayerSpec::Conv { out_channels: ch(384), kernel: 3, stride: 1, pad: 1 },
+        LayerSpec::Lrn {
+            size: 5,
+            alpha: 1e-4,
+            beta: 0.75,
+        },
+        LayerSpec::MaxPool {
+            kernel: 3,
+            stride: 2,
+        },
+        LayerSpec::Conv {
+            out_channels: ch(384),
+            kernel: 3,
+            stride: 1,
+            pad: 1,
+        },
         LayerSpec::ReLU,
-        LayerSpec::Conv { out_channels: ch(384), kernel: 3, stride: 1, pad: 1 },
+        LayerSpec::Conv {
+            out_channels: ch(384),
+            kernel: 3,
+            stride: 1,
+            pad: 1,
+        },
         LayerSpec::ReLU,
-        LayerSpec::Conv { out_channels: ch(256), kernel: 3, stride: 1, pad: 1 },
+        LayerSpec::Conv {
+            out_channels: ch(256),
+            kernel: 3,
+            stride: 1,
+            pad: 1,
+        },
         LayerSpec::ReLU,
-        LayerSpec::MaxPool { kernel: 3, stride: 2 },
+        LayerSpec::MaxPool {
+            kernel: 3,
+            stride: 2,
+        },
         LayerSpec::Fc { out: ch(4096) },
         LayerSpec::ReLU,
         LayerSpec::Fc { out: ch(4096) },
@@ -117,7 +159,10 @@ pub fn vgg_a_specs(div: usize, classes: usize) -> Vec<LayerSpec> {
             });
             specs.push(LayerSpec::ReLU);
         }
-        specs.push(LayerSpec::MaxPool { kernel: 2, stride: 2 });
+        specs.push(LayerSpec::MaxPool {
+            kernel: 2,
+            stride: 2,
+        });
     }
     specs.push(LayerSpec::Fc { out: ch(4096) });
     specs.push(LayerSpec::ReLU);
@@ -146,7 +191,10 @@ pub fn vgg_prefix_specs(div: usize, groups: usize) -> Vec<LayerSpec> {
             });
             specs.push(LayerSpec::ReLU);
         }
-        specs.push(LayerSpec::MaxPool { kernel: 2, stride: 2 });
+        specs.push(LayerSpec::MaxPool {
+            kernel: 2,
+            stride: 2,
+        });
     }
     specs
 }
@@ -155,19 +203,53 @@ pub fn vgg_prefix_specs(div: usize, groups: usize) -> Vec<LayerSpec> {
 pub fn overfeat_specs(div: usize, classes: usize) -> Vec<LayerSpec> {
     let ch = |c: usize| (c / div).max(1);
     vec![
-        LayerSpec::Conv { out_channels: ch(96), kernel: 11, stride: 4, pad: 0 },
+        LayerSpec::Conv {
+            out_channels: ch(96),
+            kernel: 11,
+            stride: 4,
+            pad: 0,
+        },
         LayerSpec::ReLU,
-        LayerSpec::MaxPool { kernel: 2, stride: 2 },
-        LayerSpec::Conv { out_channels: ch(256), kernel: 5, stride: 1, pad: 0 },
+        LayerSpec::MaxPool {
+            kernel: 2,
+            stride: 2,
+        },
+        LayerSpec::Conv {
+            out_channels: ch(256),
+            kernel: 5,
+            stride: 1,
+            pad: 0,
+        },
         LayerSpec::ReLU,
-        LayerSpec::MaxPool { kernel: 2, stride: 2 },
-        LayerSpec::Conv { out_channels: ch(512), kernel: 3, stride: 1, pad: 1 },
+        LayerSpec::MaxPool {
+            kernel: 2,
+            stride: 2,
+        },
+        LayerSpec::Conv {
+            out_channels: ch(512),
+            kernel: 3,
+            stride: 1,
+            pad: 1,
+        },
         LayerSpec::ReLU,
-        LayerSpec::Conv { out_channels: ch(1024), kernel: 3, stride: 1, pad: 1 },
+        LayerSpec::Conv {
+            out_channels: ch(1024),
+            kernel: 3,
+            stride: 1,
+            pad: 1,
+        },
         LayerSpec::ReLU,
-        LayerSpec::Conv { out_channels: ch(1024), kernel: 3, stride: 1, pad: 1 },
+        LayerSpec::Conv {
+            out_channels: ch(1024),
+            kernel: 3,
+            stride: 1,
+            pad: 1,
+        },
         LayerSpec::ReLU,
-        LayerSpec::MaxPool { kernel: 2, stride: 2 },
+        LayerSpec::MaxPool {
+            kernel: 2,
+            stride: 2,
+        },
         LayerSpec::Fc { out: ch(3072) },
         LayerSpec::ReLU,
         LayerSpec::Fc { out: ch(4096) },

@@ -21,7 +21,8 @@ fn conv_block(batch: usize, h: usize, cin: usize, cout: usize) -> latte_core::ds
 fn exec_for(net: &latte_core::dsl::Net, opt: &OptLevel, input_len: usize) -> Executor {
     let compiled = compile(net, opt).expect("compiles");
     let mut exec = Executor::new(compiled).expect("lowers");
-    exec.set_input("data", &seeded(input_len, 3)).expect("input");
+    exec.set_input("data", &seeded(input_len, 3))
+        .expect("input");
     exec
 }
 
@@ -145,9 +146,17 @@ fn bench_stacks(c: &mut Criterion) {
     let mut latte_exec = exec_for(&net, &OptLevel::full(), batch * h * h * cin);
     group.bench_function("latte", |b| b.iter(|| latte_exec.forward()));
     let specs = [
-        LayerSpec::Conv { out_channels: cout, kernel: 3, stride: 1, pad: 1 },
+        LayerSpec::Conv {
+            out_channels: cout,
+            kernel: 3,
+            stride: 1,
+            pad: 1,
+        },
         LayerSpec::ReLU,
-        LayerSpec::MaxPool { kernel: 2, stride: 2 },
+        LayerSpec::MaxPool {
+            kernel: 2,
+            stride: 2,
+        },
     ];
     let mut caffe = latte_baselines::caffe::build((cin, h, h), batch, &specs, 1);
     caffe.set_input(&seeded(batch * h * h * cin, 3));

@@ -15,15 +15,64 @@ fn bench_gemm_shapes(c: &mut Criterion) {
     // then the narrow-output shapes (n <= 32) the benchmark's workloads
     // run most, through the register-row kernel.
     let shapes: [(&str, usize, usize, usize, Transpose, Transpose); 9] = [
-        ("latte_conv_fwd", 1024, 64, 27, Transpose::No, Transpose::Yes),
+        (
+            "latte_conv_fwd",
+            1024,
+            64,
+            27,
+            Transpose::No,
+            Transpose::Yes,
+        ),
         ("caffe_conv_fwd", 64, 1024, 27, Transpose::No, Transpose::No),
-        ("conv_bwd_weights", 64, 27, 1024, Transpose::Yes, Transpose::No),
+        (
+            "conv_bwd_weights",
+            64,
+            27,
+            1024,
+            Transpose::Yes,
+            Transpose::No,
+        ),
         ("fc", 256, 256, 256, Transpose::No, Transpose::Yes),
-        ("narrow_vgg_conv2_1_fwd", 128, 32, 144, Transpose::No, Transpose::Yes),
-        ("narrow_vgg_conv1_1_fwd", 512, 16, 27, Transpose::No, Transpose::Yes),
-        ("narrow_lenet_conv2_fwd", 28, 12, 125, Transpose::No, Transpose::Yes),
-        ("narrow_lenet_conv1_fwd", 112, 5, 25, Transpose::No, Transpose::Yes),
-        ("narrow_lenet_ip2", 8, 10, 125, Transpose::No, Transpose::Yes),
+        (
+            "narrow_vgg_conv2_1_fwd",
+            128,
+            32,
+            144,
+            Transpose::No,
+            Transpose::Yes,
+        ),
+        (
+            "narrow_vgg_conv1_1_fwd",
+            512,
+            16,
+            27,
+            Transpose::No,
+            Transpose::Yes,
+        ),
+        (
+            "narrow_lenet_conv2_fwd",
+            28,
+            12,
+            125,
+            Transpose::No,
+            Transpose::Yes,
+        ),
+        (
+            "narrow_lenet_conv1_fwd",
+            112,
+            5,
+            25,
+            Transpose::No,
+            Transpose::Yes,
+        ),
+        (
+            "narrow_lenet_ip2",
+            8,
+            10,
+            125,
+            Transpose::No,
+            Transpose::Yes,
+        ),
     ];
     for (name, m, n, k, ta, tb) in shapes {
         let a = vec![1.0f32; m.max(k) * k.max(m)];
@@ -46,13 +95,24 @@ fn bench_gemm_shapes(c: &mut Criterion) {
         let mut out = vec![0.0f32; n * n];
         let mut engine = Gemm::new();
         group.bench_function(BenchmarkId::new("square_t1", n), |bencher| {
-            bencher.iter(|| engine.compute(Transpose::No, Transpose::No, n, n, n, &a, &b, &mut out));
+            bencher
+                .iter(|| engine.compute(Transpose::No, Transpose::No, n, n, n, &a, &b, &mut out));
         });
         for pool in &pools {
             let id = BenchmarkId::new(format!("square_t{}", pool.threads()), n);
             group.bench_function(id, |bencher| {
                 bencher.iter(|| {
-                    Gemm::compute_parallel(pool, Transpose::No, Transpose::No, n, n, n, &a, &b, &mut out)
+                    Gemm::compute_parallel(
+                        pool,
+                        Transpose::No,
+                        Transpose::No,
+                        n,
+                        n,
+                        n,
+                        &a,
+                        &b,
+                        &mut out,
+                    )
                 });
             });
         }

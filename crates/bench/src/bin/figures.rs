@@ -107,12 +107,23 @@ fn main() {
 
 /// One standalone VGG convolution group `g` (1-based) as a Latte model
 /// and a baseline spec list, with matching shapes.
-fn vgg_group(scale: Scale, group: usize) -> (latte_core::dsl::Net, Vec<spec::LayerSpec>, (usize, usize, usize)) {
+fn vgg_group(
+    scale: Scale,
+    group: usize,
+) -> (
+    latte_core::dsl::Net,
+    Vec<spec::LayerSpec>,
+    (usize, usize, usize),
+) {
     use latte_nn::layers::{convolution, data, max_pool, relu, ConvSpec};
     let table = [(64usize, 1usize), (128, 1), (256, 2), (512, 2), (512, 2)];
     let ch = |c: usize| (c / scale.div).max(1);
     let input_edge = scale.vgg_input >> (group - 1);
-    let in_c = if group == 1 { 3 } else { ch(table[group - 2].0) };
+    let in_c = if group == 1 {
+        3
+    } else {
+        ch(table[group - 2].0)
+    };
     let (out_c, convs) = table[group - 1];
 
     let mut net = latte_core::dsl::Net::new(scale.batch);
@@ -140,7 +151,10 @@ fn vgg_group(scale: Scale, group: usize) -> (latte_core::dsl::Net, Vec<spec::Lay
         });
         specs.push(spec::LayerSpec::ReLU);
     }
-    specs.push(spec::LayerSpec::MaxPool { kernel: 2, stride: 2 });
+    specs.push(spec::LayerSpec::MaxPool {
+        kernel: 2,
+        stride: 2,
+    });
     (net, specs, (in_c, input_edge, input_edge))
 }
 
@@ -148,7 +162,10 @@ fn vgg_group(scale: Scale, group: usize) -> (latte_core::dsl::Net, Vec<spec::Lay
 /// microbenchmark, as speedup over the Caffe-style baseline.
 fn fig13(scale: Scale) {
     let (net, specs, input_shape) = vgg_group(scale, 1);
-    let input = seeded(scale.batch * input_shape.0 * input_shape.1 * input_shape.2, 3);
+    let input = seeded(
+        scale.batch * input_shape.0 * input_shape.1 * input_shape.2,
+        3,
+    );
 
     let mut caffe_net = caffe::build(input_shape, scale.batch, &specs, 1);
     caffe_net.set_input(&input);
@@ -265,7 +282,12 @@ fn fig14(scale: Scale) {
         (3, scale.alexnet_input, scale.alexnet_input),
         false,
     );
-    rows.push(vec!["AlexNet".into(), speedup(c, l), format!("{:.1} ms", l * 1e3), format!("{:.1} ms", c * 1e3)]);
+    rows.push(vec![
+        "AlexNet".into(),
+        speedup(c, l),
+        format!("{:.1} ms", l * 1e3),
+        format!("{:.1} ms", c * 1e3),
+    ]);
 
     let over = models::overfeat(&model_cfg(scale, scale.overfeat_input));
     let (l, c) = time_model_pair(
@@ -275,7 +297,12 @@ fn fig14(scale: Scale) {
         (3, scale.overfeat_input, scale.overfeat_input),
         false,
     );
-    rows.push(vec!["OverFeat".into(), speedup(c, l), format!("{:.1} ms", l * 1e3), format!("{:.1} ms", c * 1e3)]);
+    rows.push(vec![
+        "OverFeat".into(),
+        speedup(c, l),
+        format!("{:.1} ms", l * 1e3),
+        format!("{:.1} ms", c * 1e3),
+    ]);
 
     let vgg = models::vgg_a(&model_cfg(scale, scale.vgg_input));
     let (l, c) = time_model_pair(
@@ -285,7 +312,12 @@ fn fig14(scale: Scale) {
         (3, scale.vgg_input, scale.vgg_input),
         false,
     );
-    rows.push(vec!["VGG-A".into(), speedup(c, l), format!("{:.1} ms", l * 1e3), format!("{:.1} ms", c * 1e3)]);
+    rows.push(vec![
+        "VGG-A".into(),
+        speedup(c, l),
+        format!("{:.1} ms", l * 1e3),
+        format!("{:.1} ms", c * 1e3),
+    ]);
 
     print_table(
         "Figure 14: Latte speedup over Caffe (fwd+bwd per batch)",
@@ -387,8 +419,10 @@ fn host_workload(scale: Scale) -> WorkloadModel {
         .sum();
     let mut exec = executor_or_die(compiled, "alexnet");
     let n = 3 * scale.alexnet_input * scale.alexnet_input;
-    exec.set_input("data", &seeded(scale.batch * n, 7)).expect("input");
-    exec.set_input("label", &vec![0.0; scale.batch]).expect("labels");
+    exec.set_input("data", &seeded(scale.batch * n, 7))
+        .expect("input");
+    exec.set_input("label", &vec![0.0; scale.batch])
+        .expect("labels");
     let t = time_latte(&mut exec, Pass::Both, 3);
     WorkloadModel {
         host_seconds_per_item: t / scale.batch as f64,
@@ -446,7 +480,8 @@ fn measured_profiles(_scale: Scale, model: &models::Model) -> Vec<LayerProfile> 
     let mut exec = executor_or_die(compiled, "cluster model");
     let dims = model.net.ensemble(model.data).dims().to_vec();
     let n: usize = dims.iter().product();
-    exec.set_input("data", &seeded(batch * n, 13)).expect("input");
+    exec.set_input("data", &seeded(batch * n, 13))
+        .expect("input");
     let _ = exec.set_input("label", &vec![0.0; batch]);
     let _ = exec.set_input("target", &vec![0.0; batch]);
     exec.forward();
@@ -631,7 +666,10 @@ fn fig20() {
         let mut replicas: Vec<Executor> = (0..workers)
             .map(|_| {
                 let net = models::mlp(&cfg, &[128, 64]).net;
-                executor_or_die(compile_or_die(&net, &OptLevel::full(), "mnist mlp"), "mnist mlp")
+                executor_or_die(
+                    compile_or_die(&net, &OptLevel::full(), "mnist mlp"),
+                    "mnist mlp",
+                )
             })
             .collect();
         let params = replicas[0].params().to_vec();
@@ -652,8 +690,10 @@ fn fig20() {
                 s.reset();
             }
             loop {
-                let shards: Option<Vec<_>> =
-                    sources.iter_mut().map(|s| s.next_batch().expect("batch")).collect();
+                let shards: Option<Vec<_>> = sources
+                    .iter_mut()
+                    .map(|s| s.next_batch().expect("batch"))
+                    .collect();
                 let Some(shards) = shards else { break };
                 std::thread::scope(|scope| {
                     for (exec, shard) in replicas.iter_mut().zip(&shards) {
@@ -674,14 +714,18 @@ fn fig20() {
                     let mut mean = vec![0.0f32; grads[0].len()];
                     racy_fold(&mut mean, &grads);
                     mean.iter_mut().for_each(|g| *g /= workers as f32);
-                    replicas[0].write_buffer(&p.grad, &mean).expect("gradient writable");
+                    replicas[0]
+                        .write_buffer(&p.grad, &mean)
+                        .expect("gradient writable");
                 }
                 let (master, rest) = replicas.split_first_mut().expect("at least one replica");
                 solver.step(master);
                 for p in &params {
                     let weights = master.buffer(&p.value).expect("parameter readable");
                     for replica in rest.iter_mut() {
-                        replica.write_buffer(&p.value, weights).expect("parameter writable");
+                        replica
+                            .write_buffer(&p.value, weights)
+                            .expect("parameter writable");
                     }
                 }
             }
@@ -730,6 +774,10 @@ mod tests {
         let ones = vec![1.0f32; 4096];
         let mut acc = vec![0.0f32; ones.len()];
         racy_fold(&mut acc, &[&ones, &ones, &ones, &ones]);
-        assert!(acc.iter().all(|&v| (1.0..=4.0).contains(&v) && v.fract() == 0.0), "{acc:?}");
+        assert!(
+            acc.iter()
+                .all(|&v| (1.0..=4.0).contains(&v) && v.fract() == 0.0),
+            "{acc:?}"
+        );
     }
 }

@@ -119,10 +119,7 @@ pub fn simulate_iteration(
     let mut comm_ms = 0.0;
     for l in layers.iter().rev() {
         t += l.fixed_ms + l.bwd_ms_per_item * items;
-        let ar = spec
-            .network
-            .allreduce_time(l.grad_bytes, spec.nodes)
-            * 1e3;
+        let ar = spec.network.allreduce_time(l.grad_bytes, spec.nodes) * 1e3;
         comm_ms += ar;
         let start = t.max(nic_free);
         nic_free = start + ar;
@@ -143,12 +140,8 @@ pub fn strong_scaling(
     global_batch: usize,
     node_counts: &[usize],
 ) -> Vec<(usize, f64, f64)> {
-    let base = simulate_iteration(
-        &ClusterSpec { nodes: 1, network },
-        layers,
-        global_batch,
-    )
-    .throughput(global_batch);
+    let base = simulate_iteration(&ClusterSpec { nodes: 1, network }, layers, global_batch)
+        .throughput(global_batch);
     node_counts
         .iter()
         .map(|&n| {
@@ -168,12 +161,8 @@ pub fn weak_scaling(
     per_node_batch: usize,
     node_counts: &[usize],
 ) -> Vec<(usize, f64, f64)> {
-    let base = simulate_iteration(
-        &ClusterSpec { nodes: 1, network },
-        layers,
-        per_node_batch,
-    )
-    .throughput(per_node_batch);
+    let base = simulate_iteration(&ClusterSpec { nodes: 1, network }, layers, per_node_batch)
+        .throughput(per_node_batch);
     node_counts
         .iter()
         .map(|&n| {
@@ -239,12 +228,7 @@ pub fn profiles_from_measurements(
     fwd.iter()
         .enumerate()
         .map(|(i, (name, f_ms))| {
-            let b_ms = bwd
-                .iter()
-                .rev()
-                .nth(i)
-                .map(|(_, m)| *m)
-                .unwrap_or(0.0);
+            let b_ms = bwd.iter().rev().nth(i).map(|(_, m)| *m).unwrap_or(0.0);
             LayerProfile {
                 name: name.clone(),
                 fwd_ms_per_item: f_ms * (1.0 - fixed_fraction) / items,
@@ -343,14 +327,21 @@ mod tests {
     #[test]
     fn overlap_hides_most_communication() {
         let on = |nodes| {
-            let spec = ClusterSpec { nodes, network: NetworkModel::infiniband_like() };
+            let spec = ClusterSpec {
+                nodes,
+                network: NetworkModel::infiniband_like(),
+            };
             simulate_iteration(&spec, &vgg_like_layers(), 64)
         };
         // One node computes the same per-node batch and communicates
         // nothing, so what sixteen add to its iteration is exposed.
         let rep = on(16);
         let exposed = rep.total_ms - on(1).total_ms;
-        assert!(exposed < rep.comm_ms * 0.6, "exposed {exposed} of {}", rep.comm_ms);
+        assert!(
+            exposed < rep.comm_ms * 0.6,
+            "exposed {exposed} of {}",
+            rep.comm_ms
+        );
     }
 
     #[test]

@@ -248,16 +248,13 @@ pub fn analyze_connection(
             && extents.iter().all(|&e| e == 1)
             && model.offsets.iter().all(|&o| o == 0)
             && model.coefs.iter().enumerate().all(|(d, row)| {
-                row.iter().enumerate().all(|(j, &c)| {
-                    c == i64::from(d == j) || (sink_dims[j] <= 1 && c == 0)
-                })
+                row.iter()
+                    .enumerate()
+                    .all(|(j, &c)| c == i64::from(d == j) || (sink_dims[j] <= 1 && c == 0))
             });
         let is_all_to_all = shared_sink_dims.iter().all(|&s| s)
             && model.offsets.iter().all(|&o| o == 0)
-            && extents
-                .iter()
-                .zip(src_dims)
-                .all(|(&e, &s)| e == s);
+            && extents.iter().zip(src_dims).all(|(&e, &s)| e == s);
         class = if is_identity {
             MappingClass::OneToOne
         } else if is_all_to_all {
@@ -383,14 +380,8 @@ mod tests {
 
     #[test]
     fn all_to_all_detected_and_fully_shared() {
-        let a = analyze_connection(
-            &Mapping::all_to_all(vec![4, 5]),
-            &[10],
-            &[4, 5],
-            "fc1",
-            0,
-        )
-        .unwrap();
+        let a =
+            analyze_connection(&Mapping::all_to_all(vec![4, 5]), &[10], &[4, 5], "fc1", 0).unwrap();
         assert_eq!(a.class, MappingClass::AllToAll);
         assert_eq!(a.shared_sink_dims, vec![true]);
         assert_eq!(a.region_len, 20);
@@ -416,9 +407,8 @@ mod tests {
 
     #[test]
     fn non_rectangular_mapping_rejected() {
-        let m = Mapping::new(|idx| {
-            SourceRegion::new(vec![SourceRange::new(0, 1 + idx[0] as isize)])
-        });
+        let m =
+            Mapping::new(|idx| SourceRegion::new(vec![SourceRange::new(0, 1 + idx[0] as isize)]));
         let err = analyze_connection(&m, &[4], &[8], "tri", 0).unwrap_err();
         assert!(matches!(err, CompileError::NonRectangular { .. }));
     }

@@ -173,7 +173,10 @@ mod tests {
     fn one_to_one_is_identity() {
         let m = Mapping::one_to_one();
         let r = m.eval(&[3, 7]);
-        assert_eq!(r.ranges, vec![SourceRange::single(3), SourceRange::single(7)]);
+        assert_eq!(
+            r.ranges,
+            vec![SourceRange::single(3), SourceRange::single(7)]
+        );
         assert_eq!(r.len(), 1);
     }
 

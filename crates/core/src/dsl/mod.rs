@@ -15,4 +15,6 @@ pub mod stdlib;
 pub use ensemble::{Ensemble, EnsembleKind, FieldStorage, NormalizationSpec, ParamSpec};
 pub use mapping::{Mapping, SourceRange, SourceRegion};
 pub use net::{Connection, EnsembleId, Net};
-pub use neuron::{body_buf, BodyBuilder, BodyCtx, FieldLen, FieldSpec, NeuronType, NeuronTypeBuilder};
+pub use neuron::{
+    body_buf, BodyBuilder, BodyCtx, FieldLen, FieldSpec, NeuronType, NeuronTypeBuilder,
+};

@@ -371,8 +371,14 @@ mod tests {
         let ctx = BodyCtx::new(vec![3]);
         let stmts = nt.build_backward(&ctx);
         let printed = latte_ir::print_stmts(&stmts);
-        assert!(printed.contains("$gin0[i0] += ($f_weights[i0] * $grad)"), "{printed}");
-        assert!(printed.contains("$gf_weights[i1] += ($grad * $in0[i1])"), "{printed}");
+        assert!(
+            printed.contains("$gin0[i0] += ($f_weights[i0] * $grad)"),
+            "{printed}"
+        );
+        assert!(
+            printed.contains("$gf_weights[i1] += ($grad * $in0[i1])"),
+            "{printed}"
+        );
         assert!(printed.contains("$gf_bias[0] += $grad"), "{printed}");
     }
 

@@ -257,43 +257,40 @@ fn try_orientation(
     };
 
     // Tiling metadata over the group's dim-0 variable `n0`.
-    let tiling = vars
-        .iter()
-        .position(|v| v.name == "n0")
-        .and_then(|i| {
-            let dim = if m_set.contains(&i) {
-                GemmDim::M
-            } else if n_set.contains(&i) {
-                GemmDim::N
-            } else {
-                GemmDim::K
-            };
-            let per_step = match dim {
-                GemmDim::M => m_flat.expr.coef("n0"),
-                GemmDim::N => n_flat.expr.coef("n0"),
-                GemmDim::K => k_flat.expr.coef("n0"),
-            };
-            // Only outermost-radix variables tile cleanly: the rows (or
-            // cols/ks) of one n0 step must be contiguous in the index
-            // space, i.e. n0 must be the major variable of its set.
-            let is_major = |set: &Flattening| set.order.first() == Some(&i);
-            let major = match dim {
-                GemmDim::M => is_major(&m_flat),
-                GemmDim::N => is_major(&n_flat),
-                GemmDim::K => is_major(&k_flat),
-            };
-            if !major || per_step <= 0 {
-                return None;
-            }
-            Some(GemmTiling {
-                dim,
-                per_step: per_step as usize,
-                extent: vars[i].extent,
-                a_step: flat_a.coef("n0") as usize,
-                b_step: flat_b.coef("n0") as usize,
-                c_step: flat_c.coef("n0") as usize,
-            })
-        });
+    let tiling = vars.iter().position(|v| v.name == "n0").and_then(|i| {
+        let dim = if m_set.contains(&i) {
+            GemmDim::M
+        } else if n_set.contains(&i) {
+            GemmDim::N
+        } else {
+            GemmDim::K
+        };
+        let per_step = match dim {
+            GemmDim::M => m_flat.expr.coef("n0"),
+            GemmDim::N => n_flat.expr.coef("n0"),
+            GemmDim::K => k_flat.expr.coef("n0"),
+        };
+        // Only outermost-radix variables tile cleanly: the rows (or
+        // cols/ks) of one n0 step must be contiguous in the index
+        // space, i.e. n0 must be the major variable of its set.
+        let is_major = |set: &Flattening| set.order.first() == Some(&i);
+        let major = match dim {
+            GemmDim::M => is_major(&m_flat),
+            GemmDim::N => is_major(&n_flat),
+            GemmDim::K => is_major(&k_flat),
+        };
+        if !major || per_step <= 0 {
+            return None;
+        }
+        Some(GemmTiling {
+            dim,
+            per_step: per_step as usize,
+            extent: vars[i].extent,
+            a_step: flat_a.coef("n0") as usize,
+            b_step: flat_b.coef("n0") as usize,
+            c_step: flat_c.coef("n0") as usize,
+        })
+    });
 
     Some(GemmStmt {
         ta,
@@ -486,7 +483,7 @@ mod tests {
     }
 
     #[test]
-    fn unit_extent_loops_are_ignored(){
+    fn unit_extent_loops_are_ignored() {
         // Bias-style trailing unit dim: w[n0, i, 0] over shape [6,4,1].
         let shp = shapes(&[("v", vec![6]), ("in", vec![4]), ("w", vec![6, 4, 1])]);
         let nest = mac(

@@ -105,7 +105,10 @@ mod tests {
             var: "i".into(),
             extent,
             annot: LoopAnnot {
-                tiled: Some(TileInfo { tile_size: 2, dep_distance: 0 }),
+                tiled: Some(TileInfo {
+                    tile_size: 2,
+                    dep_distance: 0,
+                }),
                 ..Default::default()
             },
             body: Vec::new(),
@@ -114,19 +117,23 @@ mod tests {
 
     #[test]
     fn shrinks_only_the_first_tiled_loop() {
-        let mut groups = vec![group_with(vec![
-            Stmt::For(Loop {
-                var: "o".into(),
-                extent: 4,
-                annot: LoopAnnot::default(),
-                body: vec![tiled_loop(3), tiled_loop(5)],
-            }),
-        ])];
+        let mut groups = vec![group_with(vec![Stmt::For(Loop {
+            var: "o".into(),
+            extent: 4,
+            annot: LoopAnnot::default(),
+            body: vec![tiled_loop(3), tiled_loop(5)],
+        })])];
         assert!(shrink_first_tiled_loop(&mut groups));
-        let Stmt::For(outer) = &groups[0].stmts[0] else { unreachable!() };
+        let Stmt::For(outer) = &groups[0].stmts[0] else {
+            unreachable!()
+        };
         assert_eq!(outer.extent, 4, "untiled outer loop must stay intact");
-        let Stmt::For(first) = &outer.body[0] else { unreachable!() };
-        let Stmt::For(second) = &outer.body[1] else { unreachable!() };
+        let Stmt::For(first) = &outer.body[0] else {
+            unreachable!()
+        };
+        let Stmt::For(second) = &outer.body[1] else {
+            unreachable!()
+        };
         assert_eq!((first.extent, second.extent), (2, 5));
     }
 

@@ -40,7 +40,10 @@ pub(crate) fn fuse_chains(
     while let Some(first) = groups.next() {
         let mut chain = vec![first];
         let mut strides: Vec<usize> = Vec::new(); // link i -> i+1
-        while let Some(s) = groups.peek().and_then(|next| link_stride(chain.last()?, next)) {
+        while let Some(s) = groups
+            .peek()
+            .and_then(|next| link_stride(chain.last()?, next))
+        {
             strides.push(s);
             chain.extend(groups.next());
         }
@@ -156,12 +159,7 @@ fn tile_single(
         Some(t) => t,
         None => return Err(group),
     };
-    let dep = group
-        .meta
-        .upstream
-        .as_ref()
-        .map(|u| u.stride)
-        .unwrap_or(1);
+    let dep = group.meta.upstream.as_ref().map(|u| u.stride).unwrap_or(1);
     match tile_stmts(&group.stmts, extent, tile) {
         Some(body) => {
             stats.groups_tiled += 1;
@@ -330,7 +328,11 @@ mod tests {
     /// Fusion (when asked for) then tiling, as `compile` runs them.
     fn schedule(groups: Vec<Group>, fusion: bool) -> (Vec<Group>, CompileStats) {
         let mut stats = CompileStats::default();
-        let groups = if fusion { fuse_chains(groups, None, &mut stats) } else { groups };
+        let groups = if fusion {
+            fuse_chains(groups, None, &mut stats)
+        } else {
+            groups
+        };
         (tile_untiled(groups, None, &mut stats), stats)
     }
 
@@ -483,7 +485,12 @@ mod tests {
         let mut conv = elementwise_group("conv1", 16, None);
         conv.phase = Phase::Backward;
         let (out, stats) = schedule(vec![pool, conv], true);
-        assert_eq!(stats.fusions, 1, "{:?}", out.iter().map(|g| &g.name).collect::<Vec<_>>());
+        assert_eq!(
+            stats.fusions,
+            1,
+            "{:?}",
+            out.iter().map(|g| &g.name).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -74,7 +74,11 @@ impl Group {
 
     /// Pretty-prints the group's statements.
     pub fn pretty(&self) -> String {
-        format!("group {} {{\n{}}}\n", self.name, latte_ir::print_stmts(&self.stmts))
+        format!(
+            "group {} {{\n{}}}\n",
+            self.name,
+            latte_ir::print_stmts(&self.stmts)
+        )
     }
 }
 
@@ -224,7 +228,10 @@ impl CompiledNet {
     /// outermost loop the runtime drives — so the result equals compiling
     /// the same network built at `batch`, without the compile.
     pub fn at_batch(&self, batch: usize) -> CompiledNet {
-        CompiledNet { batch, ..self.clone() }
+        CompiledNet {
+            batch,
+            ..self.clone()
+        }
     }
 
     /// Looks up a buffer declaration by name.

@@ -26,9 +26,7 @@ use latte_tensor::Shape;
 
 use crate::analysis::{analyze_connection, ConnAnalysis, MappingClass};
 use crate::compile::OptLevel;
-use crate::dsl::{
-    body_buf, BodyCtx, Ensemble, EnsembleKind, FieldLen, Net,
-};
+use crate::dsl::{body_buf, BodyCtx, Ensemble, EnsembleKind, FieldLen, Net};
 use crate::error::CompileError;
 use crate::names;
 use crate::program::{Group, GroupMeta, InputBinding, ParamBinding, Phase, Upstream};
@@ -152,9 +150,7 @@ pub fn synthesize(net: &Net, opts: &OptLevel) -> Result<Synthesized, CompileErro
                 synth_concat(net, id, ens, &mut out, &mut backward_rev)?;
             }
             EnsembleKind::Standard | EnsembleKind::Activation => {
-                let neuron = ens
-                    .neuron()
-                    .ok_or_else(|| invalid("missing neuron type"))?;
+                let neuron = ens.neuron().ok_or_else(|| invalid("missing neuron type"))?;
                 // Analyze every connection.
                 let mut analyses = Vec::with_capacity(conns.len());
                 for (c, conn) in conns.iter().enumerate() {
@@ -171,8 +167,7 @@ pub fn synthesize(net: &Net, opts: &OptLevel) -> Result<Synthesized, CompileErro
                 // In-place activation decision.
                 let is_activation = matches!(ens.kind(), EnsembleKind::Activation);
                 if is_activation
-                    && (conns.len() != 1
-                        || !matches!(analyses[0].class, MappingClass::OneToOne))
+                    && (conns.len() != 1 || !matches!(analyses[0].class, MappingClass::OneToOne))
                 {
                     return Err(invalid(
                         "activation ensembles require exactly one one-to-one connection",
@@ -190,19 +185,16 @@ pub fn synthesize(net: &Net, opts: &OptLevel) -> Result<Synthesized, CompileErro
                 let mut grad_needed = Vec::with_capacity(conns.len());
                 for (c, conn) in conns.iter().enumerate() {
                     let src = net.ensemble(conn.source);
-                    grad_needed.push(
-                        !(matches!(src.kind(), EnsembleKind::Data) && opts.skip_data_grad),
-                    );
+                    grad_needed
+                        .push(!(matches!(src.kind(), EnsembleKind::Data) && opts.skip_data_grad));
                     let a = &analyses[c];
                     let staging = match &a.class {
                         MappingClass::OneToOne => Staging::AliasOneToOne {
                             src: src.name().to_string(),
                         },
-                        MappingClass::AllToAll if opts.shared_buffers => {
-                            Staging::AliasAllToAll {
-                                src: src.name().to_string(),
-                            }
-                        }
+                        MappingClass::AllToAll if opts.shared_buffers => Staging::AliasAllToAll {
+                            src: src.name().to_string(),
+                        },
                         MappingClass::Irregular(regions) => Staging::Gathered {
                             src: src.name().to_string(),
                             table: std::sync::Arc::new(build_gather_table(
@@ -213,9 +205,7 @@ pub fn synthesize(net: &Net, opts: &OptLevel) -> Result<Synthesized, CompileErro
                         },
                         _ => {
                             let kept: Vec<usize> = (0..ens.dims().len())
-                                .filter(|&j| {
-                                    !(opts.shared_buffers && a.shared_sink_dims[j])
-                                })
+                                .filter(|&j| !(opts.shared_buffers && a.shared_sink_dims[j]))
                                 .collect();
                             Staging::Staged {
                                 src: src.name().to_string(),
@@ -422,10 +412,7 @@ fn synth_neuron_ensemble(
                     .get(c)
                     .ok_or_else(|| CompileError::Invalid {
                         ensemble: name.to_string(),
-                        detail: format!(
-                            "field `{}` sized by missing connection {c}",
-                            spec.name
-                        ),
+                        detail: format!("field `{}` sized by missing connection {c}", spec.name),
                     })?
                     .region_len
             }
@@ -504,7 +491,11 @@ fn synth_neuron_ensemble(
             });
         }
         // Shared (aliased) parameters are updated through their owner.
-        if ens.field(&p.field).and_then(|f| f.share_global.as_ref()).is_none() {
+        if ens
+            .field(&p.field)
+            .and_then(|f| f.share_global.as_ref())
+            .is_none()
+        {
             out.params.push(ParamBinding {
                 value: names::field(name, &p.field),
                 grad: names::grad_field(name, &p.field),
@@ -573,7 +564,11 @@ fn copy_stmt_for(ctx: &EnsCtx<'_>, c: usize, staging: &Staging, backward: bool) 
     let name = ctx.ens.name();
     match staging {
         Staging::AliasOneToOne { .. } | Staging::AliasAllToAll { .. } => None,
-        Staging::Staged { src, kept, analysis } => {
+        Staging::Staged {
+            src,
+            kept,
+            analysis,
+        } => {
             let dims = ctx.ens.dims();
             let affine = match &analysis.class {
                 MappingClass::Affine(a) => a,
@@ -581,9 +576,7 @@ fn copy_stmt_for(ctx: &EnsCtx<'_>, c: usize, staging: &Staging, backward: bool) 
                 // sharing disabled, which is also affine with zero coefs).
                 MappingClass::AllToAll => {
                     // Treat as affine with zero coefficients.
-                    return Some(Stmt::Copy(full_copy(
-                        ctx, c, src, kept, analysis, backward,
-                    )));
+                    return Some(Stmt::Copy(full_copy(ctx, c, src, kept, analysis, backward)));
                 }
                 _ => unreachable!("staged staging implies affine class"),
             };
@@ -682,26 +675,25 @@ fn group_meta(ctx: &EnsCtx<'_>) -> GroupMeta {
     let dims = ctx.ens.dims();
     let rank = dims.len();
     let tileable = rank >= 2
-        && ctx
-            .stagings
-            .iter()
-            .all(|s| match s {
-                Staging::AliasOneToOne { .. } | Staging::AliasAllToAll { .. } => true,
-                Staging::Staged { kept, .. } => kept.first() == Some(&0),
-                Staging::Gathered { .. } => false,
-            });
+        && ctx.stagings.iter().all(|s| match s {
+            Staging::AliasOneToOne { .. } | Staging::AliasAllToAll { .. } => true,
+            Staging::Staged { kept, .. } => kept.first() == Some(&0),
+            Staging::Gathered { .. } => false,
+        });
     let upstream = if ctx.analyses.len() == 1 {
-        ctx.analyses[0].dim0_consumption().map(|(stride, halo)| Upstream {
-            ensemble: match &ctx.stagings[0] {
-                Staging::AliasOneToOne { src }
-                | Staging::AliasAllToAll { src }
-                | Staging::Staged { src, .. }
-                | Staging::Gathered { src, .. } => src.clone(),
-            },
-            stride,
-            halo,
-            sole_consumer: ctx.src_consumers[0] == 1,
-        })
+        ctx.analyses[0]
+            .dim0_consumption()
+            .map(|(stride, halo)| Upstream {
+                ensemble: match &ctx.stagings[0] {
+                    Staging::AliasOneToOne { src }
+                    | Staging::AliasAllToAll { src }
+                    | Staging::Staged { src, .. }
+                    | Staging::Gathered { src, .. } => src.clone(),
+                },
+                stride,
+                halo,
+                sole_consumer: ctx.src_consumers[0] == 1,
+            })
     } else {
         None
     };
@@ -741,9 +733,7 @@ fn instantiate(
 ) -> Stmt {
     let dims = ctx.ens.dims();
     let rank = dims.len();
-    let nvars: Vec<IndexExpr> = (0..rank)
-        .map(|d| IndexExpr::var(format!("n{d}")))
-        .collect();
+    let nvars: Vec<IndexExpr> = (0..rank).map(|d| IndexExpr::var(format!("n{d}"))).collect();
 
     let rewritten = rewrite_stmt(ctx, body_stmt, &nvars, field_shared);
 
@@ -775,9 +765,9 @@ fn rewrite_stmt(
         }),
         Stmt::Assign(a) => {
             let (dest, force_add) = rewrite_ref(ctx, &a.dest, nvars, field_shared, true);
-            let value = a.value.map_loads(&mut |r| {
-                rewrite_ref(ctx, r, nvars, field_shared, false).0
-            });
+            let value = a
+                .value
+                .map_loads(&mut |r| rewrite_ref(ctx, r, nvars, field_shared, false).0);
             let op = if force_add && a.op == AssignOp::Set {
                 AssignOp::Add
             } else {

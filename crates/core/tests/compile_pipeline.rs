@@ -2,9 +2,7 @@
 //! tiling → fusion on real network fragments.
 
 use latte_core::dsl::stdlib::{max_neuron, relu_neuron, weighted_neuron};
-use latte_core::dsl::{
-    Ensemble, Mapping, Net, NormalizationSpec, SourceRange, SourceRegion,
-};
+use latte_core::dsl::{Ensemble, Mapping, Net, NormalizationSpec, SourceRange, SourceRegion};
 use latte_core::{compile, OptLevel};
 use latte_tensor::{init, Tensor};
 
@@ -56,7 +54,11 @@ fn conv_block_net(h: usize, w: usize, cin: usize, cout: usize) -> Net {
                 vec![true, true, false],
                 init::xavier(vec![cout, patch], patch, 3),
             )
-            .with_field("bias", vec![true, true, false], Tensor::zeros(vec![cout, 1]))
+            .with_field(
+                "bias",
+                vec![true, true, false],
+                Tensor::zeros(vec![cout, 1]),
+            )
             .with_param("weights", 1.0)
             .with_param("bias", 2.0),
     );
@@ -140,11 +142,16 @@ fn conv_block_fuses_forward_and_backward() {
     let compiled = compile(&net, &OptLevel::full()).unwrap();
     // conv+relu+pool fuse into one forward group; backward likewise.
     assert_eq!(
-        compiled.stats.fusions, 4,
+        compiled.stats.fusions,
+        4,
         "stats: {:?}\nforward groups: {:?}\nbackward groups: {:?}",
         compiled.stats,
         compiled.forward.iter().map(|g| &g.name).collect::<Vec<_>>(),
-        compiled.backward.iter().map(|g| &g.name).collect::<Vec<_>>(),
+        compiled
+            .backward
+            .iter()
+            .map(|g| &g.name)
+            .collect::<Vec<_>>(),
     );
     assert_eq!(compiled.forward.len(), 1);
     assert!(compiled.forward[0].name.contains("conv1+relu1+pool1"));
@@ -198,11 +205,7 @@ fn optimization_levels_preserve_group_coverage() {
 fn backward_groups_run_in_reverse_topological_order() {
     let net = mlp_net();
     let compiled = compile(&net, &OptLevel::none()).unwrap();
-    let order: Vec<&str> = compiled
-        .backward
-        .iter()
-        .map(|g| g.name.as_str())
-        .collect();
+    let order: Vec<&str> = compiled.backward.iter().map(|g| g.name.as_str()).collect();
     assert_eq!(order, vec!["loss.bwd", "fc2.bwd", "relu1.bwd", "fc1.bwd"]);
 }
 

@@ -18,7 +18,11 @@ fn conv(net: &mut Net, name: &str, input: latte_core::dsl::EnsembleId, cout: usi
                 vec![true, true, false],
                 init::xavier(vec![cout, patch], patch, 1),
             )
-            .with_field("bias", vec![true, true, false], Tensor::zeros(vec![cout, 1]))
+            .with_field(
+                "bias",
+                vec![true, true, false],
+                Tensor::zeros(vec![cout, 1]),
+            )
             .with_param("weights", 1.0)
             .with_param("bias", 2.0),
     );

@@ -563,9 +563,7 @@ mod tests {
     fn expr_map_loads_rewrites() {
         let e = Expr::load("a", vec![IndexExpr::var("i"), IndexExpr::var("n")]);
         // Drop the `n` dimension, as shared-variable analysis would.
-        let out = e.map_loads(&mut |r| {
-            BufRef::new(r.buffer.clone(), vec![r.indices[0].clone()])
-        });
+        let out = e.map_loads(&mut |r| BufRef::new(r.buffer.clone(), vec![r.indices[0].clone()]));
         assert_eq!(out.to_string(), "a[i]");
     }
 }

@@ -37,9 +37,9 @@ mod stmt;
 pub mod verify;
 
 pub use buffer::{BufferDecl, BufferKind};
-pub use verify::{verify_buffers, verify_program, VerifyError};
 pub use expr::{BinOp, BufRef, Expr, IndexExpr, UnaryOp};
 pub use stmt::{
     print_stmts, Assign, AssignOp, CopyStmt, ExternOp, GatherStmt, GemmDim, GemmStmt, GemmTiling,
     Loop, LoopAnnot, Stmt, TileInfo,
 };
+pub use verify::{verify_buffers, verify_program, VerifyError};

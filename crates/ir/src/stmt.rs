@@ -508,9 +508,17 @@ fn fmt_stmt(stmt: &Stmt, f: &mut fmt::Formatter<'_>, indent: usize) -> fmt::Resu
         }
         Stmt::Gather(g) => {
             if g.scatter {
-                writeln!(f, "{pad}scatter {}[table] += {}[{}]", g.src, g.dest, g.dest_len)
+                writeln!(
+                    f,
+                    "{pad}scatter {}[table] += {}[{}]",
+                    g.src, g.dest, g.dest_len
+                )
             } else {
-                writeln!(f, "{pad}gather {}[{}] = {}[table]", g.dest, g.dest_len, g.src)
+                writeln!(
+                    f,
+                    "{pad}gather {}[{}] = {}[table]",
+                    g.dest, g.dest_len, g.src
+                )
             }
         }
         Stmt::Extern(e) => {
@@ -593,7 +601,10 @@ mod tests {
     fn a_product_accumulation_rounds_once() {
         let (x, dest) = (1.0 + 2f32.powi(-12), -(1.0 + 2f32.powi(-11)));
         assert_eq!(AssignOp::Add.apply(dest, x * x), 0.0);
-        assert_eq!(AssignOp::Add.apply_bin(dest, BinOp::Mul, x, x), 2f32.powi(-24));
+        assert_eq!(
+            AssignOp::Add.apply_bin(dest, BinOp::Mul, x, x),
+            2f32.powi(-24)
+        );
         assert_eq!(AssignOp::Set.apply_bin(dest, BinOp::Mul, x, x), x * x);
         assert_eq!(AssignOp::Add.apply_bin(1.0, BinOp::Sub, 5.0, 3.0), 3.0);
     }
@@ -633,6 +644,8 @@ mod tests {
             buffers: vec!["ip2value".into(), "probvalue".into()],
             attrs: [("classes".to_string(), 10.0)].into_iter().collect(),
         });
-        assert!(e.to_string().contains("extern softmax_forward(ip2value, probvalue) {classes=10}"));
+        assert!(e
+            .to_string()
+            .contains("extern softmax_forward(ip2value, probvalue) {classes=10}"));
     }
 }

@@ -419,7 +419,10 @@ pub fn scale_shift(net: &mut Net, name: &str, input: EnsembleId, seed: u64) -> E
         .field_with_grad("beta", FieldLen::Scalar)
         .forward(|b| {
             let x = b.input(0, 0);
-            b.assign(b.value(), x.mul(b.field("gamma", 0)).add(b.field("beta", 0)));
+            b.assign(
+                b.value(),
+                x.mul(b.field("gamma", 0)).add(b.field("beta", 0)),
+            );
         })
         .backward(|b| {
             b.accumulate(b.grad_input(0, 0), b.grad_expr().mul(b.field("gamma", 0)));
@@ -429,7 +432,11 @@ pub fn scale_shift(net: &mut Net, name: &str, input: EnsembleId, seed: u64) -> E
         .build();
     let out = net.add(
         Ensemble::new(name, dims, neuron)
-            .with_field("gamma", vec![true, true, false], Tensor::full(vec![c, 1], 1.0))
+            .with_field(
+                "gamma",
+                vec![true, true, false],
+                Tensor::full(vec![c, 1], 1.0),
+            )
             .with_field("beta", vec![true, true, false], Tensor::zeros(vec![c, 1]))
             .with_param("gamma", 1.0)
             .with_param("beta", 1.0),
@@ -453,7 +460,11 @@ pub fn concat(net: &mut Net, name: &str, inputs: &[EnsembleId]) -> EnsembleId {
     for &i in inputs {
         let d = net.ensemble(i).dims();
         assert_eq!(d.len(), rank, "rank mismatch in concat");
-        assert_eq!(&d[..rank - 1], &first[..rank - 1], "shape mismatch in concat");
+        assert_eq!(
+            &d[..rank - 1],
+            &first[..rank - 1],
+            "shape mismatch in concat"
+        );
         last += d[rank - 1];
     }
     let mut dims = first;

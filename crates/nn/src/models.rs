@@ -79,7 +79,13 @@ pub fn mlp(cfg: &ModelConfig, hidden: &[usize]) -> Model {
     let d = data(&mut net, "data", vec![cfg.input_size]);
     let mut prev = d;
     for (i, &h) in hidden.iter().enumerate() {
-        let fc = fully_connected(&mut net, &format!("ip{}", i + 1), prev, h, cfg.seed + i as u64);
+        let fc = fully_connected(
+            &mut net,
+            &format!("ip{}", i + 1),
+            prev,
+            h,
+            cfg.seed + i as u64,
+        );
         prev = relu(&mut net, &format!("relu{}", i + 1), fc);
     }
     let out = fully_connected(
@@ -170,11 +176,29 @@ pub fn alexnet(cfg: &ModelConfig) -> Model {
     let r2 = relu(&mut net, "relu2", c2);
     let n2 = lrn(&mut net, "norm2", r2, 5, 1e-4, 0.75);
     let p2 = max_pool(&mut net, "pool2", n2, 3, 2);
-    let c3 = convolution(&mut net, "conv3", p2, ConvSpec::same(cfg.ch(384), 3), cfg.seed + 2);
+    let c3 = convolution(
+        &mut net,
+        "conv3",
+        p2,
+        ConvSpec::same(cfg.ch(384), 3),
+        cfg.seed + 2,
+    );
     let r3 = relu(&mut net, "relu3", c3);
-    let c4 = convolution(&mut net, "conv4", r3, ConvSpec::same(cfg.ch(384), 3), cfg.seed + 3);
+    let c4 = convolution(
+        &mut net,
+        "conv4",
+        r3,
+        ConvSpec::same(cfg.ch(384), 3),
+        cfg.seed + 3,
+    );
     let r4 = relu(&mut net, "relu4", c4);
-    let c5 = convolution(&mut net, "conv5", r4, ConvSpec::same(cfg.ch(256), 3), cfg.seed + 4);
+    let c5 = convolution(
+        &mut net,
+        "conv5",
+        r4,
+        ConvSpec::same(cfg.ch(256), 3),
+        cfg.seed + 4,
+    );
     let r5 = relu(&mut net, "relu5", c5);
     let p5 = max_pool(&mut net, "pool5", r5, 3, 2);
     let f6 = fully_connected(&mut net, "fc6", p5, cfg.ch(4096), cfg.seed + 5);
@@ -302,11 +326,29 @@ pub fn overfeat(cfg: &ModelConfig) -> Model {
     );
     let r2 = relu(&mut net, "relu2", c2);
     let p2 = max_pool(&mut net, "pool2", r2, 2, 2);
-    let c3 = convolution(&mut net, "conv3", p2, ConvSpec::same(cfg.ch(512), 3), cfg.seed + 2);
+    let c3 = convolution(
+        &mut net,
+        "conv3",
+        p2,
+        ConvSpec::same(cfg.ch(512), 3),
+        cfg.seed + 2,
+    );
     let r3 = relu(&mut net, "relu3", c3);
-    let c4 = convolution(&mut net, "conv4", r3, ConvSpec::same(cfg.ch(1024), 3), cfg.seed + 3);
+    let c4 = convolution(
+        &mut net,
+        "conv4",
+        r3,
+        ConvSpec::same(cfg.ch(1024), 3),
+        cfg.seed + 3,
+    );
     let r4 = relu(&mut net, "relu4", c4);
-    let c5 = convolution(&mut net, "conv5", r4, ConvSpec::same(cfg.ch(1024), 3), cfg.seed + 4);
+    let c5 = convolution(
+        &mut net,
+        "conv5",
+        r4,
+        ConvSpec::same(cfg.ch(1024), 3),
+        cfg.seed + 4,
+    );
     let r5 = relu(&mut net, "relu5", c5);
     let p5 = max_pool(&mut net, "pool5", r5, 2, 2);
     let f6 = fully_connected(&mut net, "fc6", p5, cfg.ch(3072), cfg.seed + 5);

@@ -54,7 +54,10 @@ pub fn bucket_ladder(max_len: usize) -> Vec<usize> {
 ///
 /// Panics if `len` is zero or exceeds the bucket.
 pub fn last_step_mask(len: usize, bucket: usize) -> Vec<f32> {
-    assert!(len >= 1 && len <= bucket, "length {len} outside bucket {bucket}");
+    assert!(
+        len >= 1 && len <= bucket,
+        "length {len} outside bucket {bucket}"
+    );
     let mut m = vec![0.0; bucket];
     m[len - 1] = 1.0;
     m
@@ -141,7 +144,10 @@ pub fn lstm_seq(
     bucket: usize,
     seed: u64,
 ) -> (Net, SeqLstm) {
-    assert!(bucket >= 1 && bucket.is_power_of_two(), "bucket must be a power of two");
+    assert!(
+        bucket >= 1 && bucket.is_power_of_two(),
+        "bucket must be a power of two"
+    );
     let mut step_net = Net::new(batch);
     let x = data(&mut step_net, "x", vec![width]);
     lstm(&mut step_net, name, x, hidden, seed);

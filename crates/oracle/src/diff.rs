@@ -55,7 +55,10 @@ pub struct Tolerance {
 
 impl Default for Tolerance {
     fn default() -> Self {
-        Tolerance { rel: 1e-4, abs: 1e-5 }
+        Tolerance {
+            rel: 1e-4,
+            abs: 1e-5,
+        }
     }
 }
 
@@ -180,13 +183,19 @@ impl From<RuntimeError> for DiffError {
 pub fn standard_configs() -> Vec<(String, OptLevel)> {
     vec![
         ("none".into(), OptLevel::none()),
-        ("pattern-match".into(), OptLevel::none().with_pattern_match(true)),
+        (
+            "pattern-match".into(),
+            OptLevel::none().with_pattern_match(true),
+        ),
         ("tiling".into(), OptLevel::none().with_tiling(true)),
         (
             "tiling+fusion".into(),
             OptLevel::none().with_tiling(true).with_fusion(true),
         ),
-        ("parallel".into(), OptLevel::parallel_only().with_tiling(true)),
+        (
+            "parallel".into(),
+            OptLevel::parallel_only().with_tiling(true),
+        ),
         ("vectorize".into(), OptLevel::none().with_vectorize(true)),
         ("full".into(), OptLevel::full()),
         ("full+tile4".into(), OptLevel::full().with_tile_size(4)),
@@ -300,7 +309,10 @@ fn compare_subject(
         .buffers
         .iter()
         .filter(|d| {
-            matches!(d.kind, BufferKind::Value | BufferKind::Grad | BufferKind::ParamGrad)
+            matches!(
+                d.kind,
+                BufferKind::Value | BufferKind::Grad | BufferKind::ParamGrad
+            )
         })
         .map(|d| d.name.clone())
         .collect();
@@ -384,7 +396,8 @@ mod tests {
     fn standard_matrix_has_at_least_six_configs() {
         let configs = standard_configs();
         assert!(configs.len() >= 6, "matrix shrank to {}", configs.len());
-        let labels: std::collections::BTreeSet<_> = configs.iter().map(|(l, _)| l.clone()).collect();
+        let labels: std::collections::BTreeSet<_> =
+            configs.iter().map(|(l, _)| l.clone()).collect();
         assert_eq!(labels.len(), configs.len(), "duplicate config labels");
     }
 }

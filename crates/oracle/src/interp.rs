@@ -308,9 +308,11 @@ impl Interpreter {
     }
 
     fn slot(&self, name: &str) -> Result<&Slot, RuntimeError> {
-        self.slots.get(name).ok_or_else(|| RuntimeError::UnknownBuffer {
-            name: name.to_string(),
-        })
+        self.slots
+            .get(name)
+            .ok_or_else(|| RuntimeError::UnknownBuffer {
+                name: name.to_string(),
+            })
     }
 
     fn run_groups(&mut self, groups: &[Group]) -> Result<(), RuntimeError> {
@@ -395,10 +397,9 @@ impl Interpreter {
                 self.storages[storage][at]
             }
             Expr::Unary(op, x) => op.apply(self.eval_expr(x, env, item)?),
-            Expr::Binary(op, a, b) => op.apply(
-                self.eval_expr(a, env, item)?,
-                self.eval_expr(b, env, item)?,
-            ),
+            Expr::Binary(op, a, b) => {
+                op.apply(self.eval_expr(a, env, item)?, self.eval_expr(b, env, item)?)
+            }
         })
     }
 
@@ -443,7 +444,11 @@ impl Interpreter {
                 ),
             });
         }
-        let base = if slot.batched { item * slot.per_item } else { 0 };
+        let base = if slot.batched {
+            item * slot.per_item
+        } else {
+            0
+        };
         Ok((slot.storage, base + flat as usize))
     }
 
@@ -503,7 +508,11 @@ impl Interpreter {
         let dest_strides = row_major_strides(&c.dest_shape);
         let src_strides = row_major_strides(&c.src_shape);
         let offsets: Vec<i64> = c.offsets.iter().map(|o| o.eval(env)).collect();
-        let dest_base = if dest.batched { item * dest.per_item } else { 0 };
+        let dest_base = if dest.batched {
+            item * dest.per_item
+        } else {
+            0
+        };
         let src_base = if src.batched { item * src.per_item } else { 0 };
 
         let mut ctr = vec![0usize; c.extents.len()];
@@ -531,10 +540,7 @@ impl Interpreter {
             }
             if d_flat < 0 || d_flat as usize >= dest.per_item {
                 return Err(RuntimeError::Malformed {
-                    detail: format!(
-                        "copy destination index {d_flat} outside `{}`",
-                        c.dest
-                    ),
+                    detail: format!("copy destination index {d_flat} outside `{}`", c.dest),
                 });
             }
             let d_at = dest_base + d_flat as usize;
@@ -569,7 +575,11 @@ impl Interpreter {
     fn exec_gather(&mut self, g: &GatherStmt, item: usize) -> Result<(), RuntimeError> {
         let dest = self.slot(&g.dest)?.clone();
         let src = self.slot(&g.src)?.clone();
-        let dest_base = if dest.batched { item * dest.per_item } else { 0 };
+        let dest_base = if dest.batched {
+            item * dest.per_item
+        } else {
+            0
+        };
         let src_base = if src.batched { item * src.per_item } else { 0 };
         for (i, &t) in g.table.iter().enumerate() {
             if g.scatter {
@@ -598,10 +608,7 @@ impl Interpreter {
         };
         if whole != item.is_none() {
             return Err(RuntimeError::Malformed {
-                detail: format!(
-                    "extern `{}` invoked with the wrong batching mode",
-                    e.op
-                ),
+                detail: format!("extern `{}` invoked with the wrong batching mode", e.op),
             });
         }
         let mut per_item = Vec::with_capacity(e.buffers.len());
@@ -631,14 +638,8 @@ impl Interpreter {
             .collect();
         {
             let views: Vec<&mut [f32]> = temps.iter_mut().map(|t| t.as_mut_slice()).collect();
-            let mut inv = ExternInvocation::new(
-                &e.attrs,
-                self.net.batch,
-                item,
-                &per_item,
-                &batched,
-                views,
-            );
+            let mut inv =
+                ExternInvocation::new(&e.attrs, self.net.batch, item, &per_item, &batched, views);
             f(&mut inv)?;
         }
         for (&(st, start, len), temp) in ranges.iter().zip(&temps) {

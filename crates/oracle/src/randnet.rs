@@ -50,7 +50,12 @@ pub fn random_net(seed: u64) -> RandomNet {
     }
 }
 
-fn random_activation(rng: &mut StdRng, net: &mut Net, name: &str, x: EnsembleId) -> (EnsembleId, &'static str) {
+fn random_activation(
+    rng: &mut StdRng,
+    net: &mut Net,
+    name: &str,
+    x: EnsembleId,
+) -> (EnsembleId, &'static str) {
     match rng.gen_range(0u32..3) {
         0 => (relu(net, name, x), "relu"),
         1 => (sigmoid(net, name, x), "sigmoid"),
@@ -63,7 +68,9 @@ fn batch_values(rng: &mut StdRng, len: usize) -> Vec<f32> {
 }
 
 fn labels(rng: &mut StdRng, batch: usize, classes: usize) -> Vec<f32> {
-    (0..batch).map(|_| rng.gen_range(0..classes) as f32).collect()
+    (0..batch)
+        .map(|_| rng.gen_range(0..classes) as f32)
+        .collect()
 }
 
 fn vector_chain(seed: u64, rng: &mut StdRng) -> RandomNet {
@@ -123,7 +130,10 @@ fn image_chain(seed: u64, rng: &mut StdRng) -> RandomNet {
     let label = data(&mut net, "label", vec![1]);
     softmax_loss(&mut net, "loss", head, label);
     let inputs = vec![
-        ("data".to_string(), batch_values(rng, batch * side * side * in_c)),
+        (
+            "data".to_string(),
+            batch_values(rng, batch * side * side * in_c),
+        ),
         ("label".to_string(), labels(rng, batch, classes)),
     ];
     RandomNet {

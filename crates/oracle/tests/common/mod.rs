@@ -21,8 +21,12 @@ use rand::{Rng, SeedableRng};
 #[allow(dead_code)]
 pub fn lower(net: &Net, opt: &OptLevel) -> CompiledProgram {
     let compiled = compile(net, opt).expect("net compiles");
-    CompiledProgram::lower(compiled, &KernelRegistry::with_builtins(), ExecConfig::default())
-        .expect("net lowers")
+    CompiledProgram::lower(
+        compiled,
+        &KernelRegistry::with_builtins(),
+        ExecConfig::default(),
+    )
+    .expect("net lowers")
 }
 
 /// A test network plus its input feed.
@@ -36,7 +40,9 @@ fn values(rng: &mut StdRng, len: usize) -> Vec<f32> {
 }
 
 fn labels(rng: &mut StdRng, batch: usize, classes: usize) -> Vec<f32> {
-    (0..batch).map(|_| rng.gen_range(0..classes) as f32).collect()
+    (0..batch)
+        .map(|_| rng.gen_range(0..classes) as f32)
+        .collect()
 }
 
 /// Plain fully-connected MLP: data[5] → fc8+tanh → fc6+sigmoid → fc4 →
@@ -71,7 +77,10 @@ pub fn conv_net() -> TestNet {
     let label = data(&mut net, "label", vec![1]);
     softmax_loss(&mut net, "loss", head, label);
     let inputs = vec![
-        ("data".to_string(), values(&mut rng, batch * side * side * in_c)),
+        (
+            "data".to_string(),
+            values(&mut rng, batch * side * side * in_c),
+        ),
         ("label".to_string(), labels(&mut rng, batch, classes)),
     ];
     TestNet { net, inputs }

@@ -58,9 +58,14 @@ fn sabotaged_gemm_is_caught() {
         sabotage::shrink_gemm_reduction(&mut compiled.forward),
         "expected a matched GEMM to sabotage"
     );
-    let report =
-        diff_compiled(&t.net, "sabotaged-gemm", compiled, &t.inputs, &Tolerance::default())
-            .unwrap();
+    let report = diff_compiled(
+        &t.net,
+        "sabotaged-gemm",
+        compiled,
+        &t.inputs,
+        &Tolerance::default(),
+    )
+    .unwrap();
     assert!(
         !report.is_clean(),
         "harness failed to catch a corrupted GEMM reduction"
@@ -80,9 +85,14 @@ fn sabotaged_tiling_is_caught() {
     let mutated = sabotage::shrink_first_tiled_loop(&mut compiled.forward)
         || sabotage::shrink_first_loop(&mut compiled.forward);
     assert!(mutated, "expected a loop to sabotage");
-    let report =
-        diff_compiled(&t.net, "sabotaged-tiling", compiled, &t.inputs, &Tolerance::default())
-            .unwrap();
+    let report = diff_compiled(
+        &t.net,
+        "sabotaged-tiling",
+        compiled,
+        &t.inputs,
+        &Tolerance::default(),
+    )
+    .unwrap();
     assert!(
         !report.is_clean(),
         "harness failed to catch a corrupted loop extent"

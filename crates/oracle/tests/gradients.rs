@@ -25,7 +25,10 @@ fn fc_gradients_match_finite_differences() {
 
 #[test]
 fn fc_input_gradients_match_finite_differences() {
-    let cfg = GradCheckConfig { check_inputs: true, ..GradCheckConfig::default() };
+    let cfg = GradCheckConfig {
+        check_inputs: true,
+        ..GradCheckConfig::default()
+    };
     let t = fc_net();
     let report = check_gradients(&t.net, &t.inputs, &cfg).unwrap();
     assert!(report.is_clean(), "fc inputs:\n{report}");
@@ -45,13 +48,19 @@ fn conv_gradients_match_finite_differences() {
 fn fused_chain_gradients_match_finite_differences() {
     // ReLU kinks and max-pool argmax switches make large steps unsafe:
     // keep h small so no unit crosses its kink during perturbation.
-    let cfg = GradCheckConfig { step: 1e-3, ..GradCheckConfig::default() };
+    let cfg = GradCheckConfig {
+        step: 1e-3,
+        ..GradCheckConfig::default()
+    };
     assert_grads("fusion-chain", &fusion_chain(), &cfg);
 }
 
 #[test]
 fn softmax_classifier_gradients_match_finite_differences() {
-    let cfg = GradCheckConfig { step: 1e-3, ..GradCheckConfig::default() };
+    let cfg = GradCheckConfig {
+        step: 1e-3,
+        ..GradCheckConfig::default()
+    };
     assert_grads("classifier", &classifier_net(), &cfg);
 }
 

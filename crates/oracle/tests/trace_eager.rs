@@ -121,13 +121,19 @@ fn run_differential(label: &str, build: fn() -> TestNet) {
 
     for (tag, opt) in standard_configs() {
         let tag = format!("{label}/{tag}");
-        let mut exec = common::lower(&net, &opt).instantiate(Arc::clone(&pool)).unwrap();
+        let mut exec = common::lower(&net, &opt)
+            .instantiate(Arc::clone(&pool))
+            .unwrap();
         feed_exec(&mut exec, &inputs);
         exec.forward();
         assert_values_bit_identical(&tag, &forward_only, &exec);
         exec.backward();
         assert_values_bit_identical(&tag, &eager, &exec);
-        let grads = if opt.shared_buffers { &eager } else { &unshared };
+        let grads = if opt.shared_buffers {
+            &eager
+        } else {
+            &unshared
+        };
         assert_bit_identical(&tag, grads, &exec, BufferKind::Grad);
     }
 }

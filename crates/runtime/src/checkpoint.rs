@@ -178,19 +178,25 @@ fn parse_payload(r: &mut Reader<'_>) -> Result<Parsed, ReadError> {
     let groups = (0..r.u32()?)
         .map(|_| {
             let name = r.str()?.to_string();
-            let vecs = (0..r.u32()?).map(|_| r.f32_vec()).collect::<Result<_, _>>()?;
+            let vecs = (0..r.u32()?)
+                .map(|_| r.f32_vec())
+                .collect::<Result<_, _>>()?;
             Ok((name, vecs))
         })
         .collect::<Result<_, ReadError>>()?;
-    Ok(Parsed { meta, params, solver: SolverState { kind, iter, groups } })
+    Ok(Parsed {
+        meta,
+        params,
+        solver: SolverState { kind, iter, groups },
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
     use latte_core::{compile, OptLevel};
     use latte_nn::models::{mlp, ModelConfig};
+    use proptest::prelude::*;
 
     fn build() -> Executor {
         let cfg = ModelConfig {
@@ -378,25 +384,29 @@ mod tests {
             &[0x00, 0x00, 0x40, 0x3F],        // loss 0.75
         ];
         let params = [
-            &[0x02, 0, 0, 0][..],                             // 2 entries
-            &[0x0E, 0, 0, 0], b"ip_out.weights",              // name
-            &[0x04, 0, 0, 0],                                 // 4 floats
+            &[0x02, 0, 0, 0][..], // 2 entries
+            &[0x0E, 0, 0, 0],
+            b"ip_out.weights",                                 // name
+            &[0x04, 0, 0, 0],                                  // 4 floats
             &[0x00, 0x00, 0x00, 0x3F, 0x00, 0x00, 0x80, 0xBF], // 0.5, -1.0
             &[0x00, 0x00, 0x00, 0x40, 0x00, 0x00, 0x80, 0x3E], // 2.0, 0.25
-            &[0x0B, 0, 0, 0], b"ip_out.bias",                 // name
-            &[0x02, 0, 0, 0],                                 // 2 floats
+            &[0x0B, 0, 0, 0],
+            b"ip_out.bias",                                    // name
+            &[0x02, 0, 0, 0],                                  // 2 floats
             &[0x00, 0x00, 0xC0, 0x3F, 0x00, 0x00, 0x00, 0xBE], // 1.5, -0.125
         ];
         let solver = [
-            &[0x03, 0, 0, 0][..], b"sgd",                      // kind
-            &[0x2A, 0, 0, 0, 0, 0, 0, 0],                     // iter 42
-            &[0x01, 0, 0, 0],                                 // 1 group
-            &[0x08, 0, 0, 0], b"velocity",                    // name
-            &[0x02, 0, 0, 0],                                 // 2 vectors
-            &[0x04, 0, 0, 0],                                 // 4 floats
+            &[0x03, 0, 0, 0][..],
+            b"sgd",                       // kind
+            &[0x2A, 0, 0, 0, 0, 0, 0, 0], // iter 42
+            &[0x01, 0, 0, 0],             // 1 group
+            &[0x08, 0, 0, 0],
+            b"velocity",                                       // name
+            &[0x02, 0, 0, 0],                                  // 2 vectors
+            &[0x04, 0, 0, 0],                                  // 4 floats
             &[0x00, 0x00, 0x00, 0x3F, 0x00, 0x00, 0x80, 0xBE], // 0.5, -0.25
             &[0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x3F], // 0.0, 1.0
-            &[0x02, 0, 0, 0],                                 // 2 floats
+            &[0x02, 0, 0, 0],                                  // 2 floats
             &[0x00, 0x00, 0x80, 0xBF, 0x00, 0x00, 0x00, 0x3E], // -1.0, 0.125
         ];
         [meta.concat(), params.concat(), solver.concat()]
@@ -422,12 +432,16 @@ mod tests {
         // before it fails to resume a deployed run.
         let path = temp_dir("pinned").join("p.bin");
         let mut exec = tiny();
-        exec.write_buffer("ip_out.weights", &[0.5, -1.0, 2.0, 0.25]).unwrap();
+        exec.write_buffer("ip_out.weights", &[0.5, -1.0, 2.0, 0.25])
+            .unwrap();
         exec.write_buffer("ip_out.bias", &[1.5, -0.125]).unwrap();
         let state = SolverState {
             kind: "sgd".into(),
             iter: 42,
-            groups: vec![("velocity".into(), vec![vec![0.5, -0.25, 0.0, 1.0], vec![-1.0, 0.125]])],
+            groups: vec![(
+                "velocity".into(),
+                vec![vec![0.5, -0.25, 0.0, 1.0], vec![-1.0, 0.125]],
+            )],
         };
         save_checkpoint(&exec, &meta(), &state, &path).unwrap();
         let [meta_bytes, params, solver] = pinned_sections();
@@ -443,7 +457,10 @@ mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), want);
         let mut back = tiny();
         assert_eq!(load_checkpoint(&mut back, &path).unwrap(), (meta(), state));
-        assert_eq!(back.read_buffer("ip_out.weights").unwrap(), [0.5, -1.0, 2.0, 0.25]);
+        assert_eq!(
+            back.read_buffer("ip_out.weights").unwrap(),
+            [0.5, -1.0, 2.0, 0.25]
+        );
 
         // The files earlier versions wrote without metadata or solver
         // state — weights only (0), metadata only (1), solver state only
@@ -455,12 +472,21 @@ mod tests {
             (2, vec![&params, &solver]),
         ] {
             let mut payload = flags.to_le_bytes().to_vec();
-            sections.into_iter().for_each(|s| payload.extend_from_slice(s));
+            sections
+                .into_iter()
+                .for_each(|s| payload.extend_from_slice(s));
             std::fs::write(&path, file_of(payload)).unwrap();
             let mut e = tiny();
             let err = load_checkpoint(&mut e, &path).unwrap_err();
-            assert!(matches!(err, RuntimeError::Malformed { .. }), "flags {flags}: {err}");
-            assert_eq!(e.read_buffer("ip_out.weights").unwrap(), fresh, "flags {flags}");
+            assert!(
+                matches!(err, RuntimeError::Malformed { .. }),
+                "flags {flags}: {err}"
+            );
+            assert_eq!(
+                e.read_buffer("ip_out.weights").unwrap(),
+                fresh,
+                "flags {flags}"
+            );
         }
         let _ = std::fs::remove_file(&path);
     }

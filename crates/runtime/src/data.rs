@@ -3,7 +3,6 @@
 //! double-buffered prefetching loader matching the paper's Section 6.1
 //! input pipeline.
 
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -324,7 +323,9 @@ mod tests {
     use super::*;
 
     fn items(n: usize) -> Vec<(Vec<f32>, f32)> {
-        (0..n).map(|i| (vec![i as f32; 2], (i % 3) as f32)).collect()
+        (0..n)
+            .map(|i| (vec![i as f32; 2], (i % 3) as f32))
+            .collect()
     }
 
     #[test]
@@ -402,7 +403,10 @@ mod tests {
 
     #[test]
     fn prefetch_panic_surfaces_as_error_not_panic() {
-        let mut db = DoubleBufferedSource::new(PanickySource { calls: 0, panic_at: 3 });
+        let mut db = DoubleBufferedSource::new(PanickySource {
+            calls: 0,
+            panic_at: 3,
+        });
         // Two good batches arrive; the third call panics the thread.
         assert!(db.next_batch().unwrap().is_some());
         assert!(db.next_batch().unwrap().is_some());
@@ -420,7 +424,10 @@ mod tests {
 
     #[test]
     fn into_inner_reports_panic_directly() {
-        let mut db = DoubleBufferedSource::new(PanickySource { calls: 0, panic_at: 1 });
+        let mut db = DoubleBufferedSource::new(PanickySource {
+            calls: 0,
+            panic_at: 1,
+        });
         // Give the prefetch thread time to panic before asking for the
         // inner source back (recv blocks until the send or the hangup).
         let _ = db.next_batch();
@@ -436,7 +443,10 @@ mod tests {
         struct FailingSource;
         impl BatchSource for FailingSource {
             fn next_batch(&mut self) -> Result<Option<Batch>, RuntimeError> {
-                Err(RuntimeError::Io { detail: "disk gone".into(), source: None })
+                Err(RuntimeError::Io {
+                    detail: "disk gone".into(),
+                    source: None,
+                })
             }
             fn reset(&mut self) {}
         }
@@ -453,8 +463,7 @@ mod tests {
         let a = synthetic_mnist(50, 1);
         let b = synthetic_mnist(50, 1);
         assert_eq!(a, b);
-        let classes: std::collections::HashSet<u32> =
-            a.iter().map(|(_, y)| *y as u32).collect();
+        let classes: std::collections::HashSet<u32> = a.iter().map(|(_, y)| *y as u32).collect();
         assert!(classes.len() >= 5, "classes seen: {classes:?}");
         assert!(a[0].0.len() == 28 * 28);
     }
@@ -462,7 +471,9 @@ mod tests {
     #[test]
     fn synthetic_sequences_label_matches_hot_step() {
         for (xs, y) in synthetic_sequences(4, 3, 20, 9) {
-            let sums: Vec<f32> = (0..4).map(|t| xs[t * 3..(t + 1) * 3].iter().sum()).collect();
+            let sums: Vec<f32> = (0..4)
+                .map(|t| xs[t * 3..(t + 1) * 3].iter().sum())
+                .collect();
             let argmax = sums
                 .iter()
                 .enumerate()

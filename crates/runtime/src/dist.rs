@@ -65,7 +65,10 @@ pub fn run_ranks<E: Send, R: Send>(
             .enumerate()
             .map(|(rank, ep)| scope.spawn(move || rank_main(rank, ep)))
             .collect();
-        handles.into_iter().map(|h| h.join().expect("a rank's thread panicked")).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("a rank's thread panicked"))
+            .collect()
     })
 }
 
@@ -392,9 +395,16 @@ mod tests {
         let done = std::sync::Barrier::new(2);
         let outcomes = run_ranks(channel_group(2).unwrap(), |rank, ep| {
             if rank == 1 {
-                let key = Key { step: 0, bucket: 0, phase: 0, ring_step: 0 };
+                let key = Key {
+                    step: 0,
+                    bucket: 0,
+                    phase: 0,
+                    ring_step: 0,
+                };
                 let evict_rank_0 = Header::control(FrameKind::Evict, 1, key, 0);
-                ep.wire().send(0, Arc::new(Frame::encode(&evict_rank_0, &[]))).unwrap();
+                ep.wire()
+                    .send(0, Arc::new(Frame::encode(&evict_rank_0, &[])))
+                    .unwrap();
                 done.wait();
                 return None;
             }
@@ -406,10 +416,13 @@ mod tests {
                 with_loss: true,
                 seed: 7,
             };
-            let exec = Executor::new(compile(&mlp(&cfg, &[8]).net, &OptLevel::full()).unwrap())
-                .unwrap();
+            let exec =
+                Executor::new(compile(&mlp(&cfg, &[8]).net, &OptLevel::full()).unwrap()).unwrap();
             let mut trainer = DistTrainer::new(exec, Box::new(ep), CommPolicy::default()).unwrap();
-            assert!(trainer.buckets().len() > 1, "the scenario needs a multi-bucket step");
+            assert!(
+                trainer.buckets().len() > 1,
+                "the scenario needs a multi-bucket step"
+            );
             let mut solver = Sgd::new(SolverParams {
                 lr_policy: LrPolicy::Fixed { lr: 0.05 },
                 mom_policy: MomPolicy::None,
@@ -417,7 +430,10 @@ mod tests {
                 max_epoch: 1,
             });
             let batch: crate::data::Batch = vec![
-                ("data".into(), (0..4 * 6).map(|i| (i % 5) as f32 * 0.2).collect()),
+                (
+                    "data".into(),
+                    (0..4 * 6).map(|i| (i % 5) as f32 * 0.2).collect(),
+                ),
                 ("label".into(), vec![0.0, 1.0, 2.0, 1.0]),
             ];
             let mut applied = 0;
@@ -431,12 +447,20 @@ mod tests {
             }
             // Sticky means *before* any work: not even the inputs are looked at.
             let bogus = vec![("no-such-ensemble".to_string(), vec![0.0])];
-            errors.push(trainer.step(&bogus, &mut |_| applied += 1).expect_err("still failed"));
+            errors.push(
+                trainer
+                    .step(&bogus, &mut |_| applied += 1)
+                    .expect_err("still failed"),
+            );
             done.wait();
             Some((errors, applied))
         });
         let (errors, applied) = outcomes[0].as_ref().expect("rank 0 reports");
-        assert!(matches!(errors[0], RuntimeError::Transport { .. }), "{}", errors[0]);
+        assert!(
+            matches!(errors[0], RuntimeError::Transport { .. }),
+            "{}",
+            errors[0]
+        );
         assert!(errors.iter().all(|e| e == &errors[0]), "{errors:?}");
         assert_eq!(*applied, 0, "no update may be applied on a failed step");
     }

@@ -921,9 +921,9 @@ unsafe fn mac_lanes(dest: *mut f32, lane: isize, x: Opd<'_>, y: Opd<'_>, len: us
 #[inline(always)]
 fn mac_into<'a>(x: Opd<'_>, y: Opd<'_>, out: impl Iterator<Item = &'a mut f32>) {
     match (x, y) {
-        (Opd::Lanes(x), Opd::Lanes(y)) => {
-            out.zip(x.iter().zip(y)).for_each(|(o, (&x, &y))| *o = mac(*o, x, y))
-        }
+        (Opd::Lanes(x), Opd::Lanes(y)) => out
+            .zip(x.iter().zip(y))
+            .for_each(|(o, (&x, &y))| *o = mac(*o, x, y)),
         (Opd::Lanes(x), Opd::Scalar(y)) => out.zip(x).for_each(|(o, &x)| *o = mac(*o, x, y)),
         (Opd::Scalar(x), Opd::Lanes(y)) => out.zip(y).for_each(|(o, &y)| *o = mac(*o, x, y)),
         (Opd::Scalar(x), Opd::Scalar(y)) => out.for_each(|o| *o = mac(*o, x, y)),

@@ -109,21 +109,39 @@ impl PartialEq for RuntimeError {
         match (self, other) {
             (UnknownBuffer { name: a }, UnknownBuffer { name: b }) => a == b,
             (
-                BadAlias { name: a, target: ta },
-                BadAlias { name: b, target: tb },
+                BadAlias {
+                    name: a,
+                    target: ta,
+                },
+                BadAlias {
+                    name: b,
+                    target: tb,
+                },
             ) => a == b && ta == tb,
             (UnknownExtern { op: a }, UnknownExtern { op: b }) => a == b,
             (
-                InputShape { buffer: a, detail: da },
-                InputShape { buffer: b, detail: db },
+                InputShape {
+                    buffer: a,
+                    detail: da,
+                },
+                InputShape {
+                    buffer: b,
+                    detail: db,
+                },
             ) => a == b && da == db,
             (Malformed { detail: a }, Malformed { detail: b }) => a == b,
             (InvalidConfig { detail: a }, InvalidConfig { detail: b }) => a == b,
             // I/O errors compare by context and OS error kind; the
             // underlying error object itself is not comparable.
             (
-                Io { detail: a, source: sa },
-                Io { detail: b, source: sb },
+                Io {
+                    detail: a,
+                    source: sa,
+                },
+                Io {
+                    detail: b,
+                    source: sb,
+                },
             ) => a == b && sa.as_ref().map(|e| e.kind()) == sb.as_ref().map(|e| e.kind()),
             (Interrupted { detail: a }, Interrupted { detail: b }) => a == b,
             (Numerical { detail: a }, Numerical { detail: b }) => a == b,
@@ -206,14 +224,8 @@ mod tests {
 
     #[test]
     fn io_errors_compare_by_context_and_kind() {
-        let a = RuntimeError::io(
-            "x",
-            std::io::Error::new(std::io::ErrorKind::NotFound, "a"),
-        );
-        let b = RuntimeError::io(
-            "x",
-            std::io::Error::new(std::io::ErrorKind::NotFound, "b"),
-        );
+        let a = RuntimeError::io("x", std::io::Error::new(std::io::ErrorKind::NotFound, "a"));
+        let b = RuntimeError::io("x", std::io::Error::new(std::io::ErrorKind::NotFound, "b"));
         let c = RuntimeError::io(
             "x",
             std::io::Error::new(std::io::ErrorKind::PermissionDenied, "a"),

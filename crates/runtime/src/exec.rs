@@ -196,7 +196,13 @@ struct ItemSegment<'a> {
 /// the caller must guarantee the disjointness invariants described in
 /// the module docs.
 unsafe fn run_item(ctx: &mut WorkerCtx, seg: ItemSegment<'_>, item: usize, lane: Option<*mut f32>) {
-    let ItemSegment { base, g, kernels, batch, n_slots } = seg;
+    let ItemSegment {
+        base,
+        g,
+        kernels,
+        batch,
+        n_slots,
+    } = seg;
     let Scratch { env, frame, .. } = &mut ctx.scratch;
     if env.len() < n_slots {
         env.resize(n_slots, 0);
@@ -286,9 +292,14 @@ struct Program {
 impl Program {
     /// The named data ensemble's buffer name and placement.
     fn input(&self, ensemble: &str) -> Result<(&str, &BufInfo), RuntimeError> {
-        let at = self.net.inputs.iter().position(|i| i.ensemble == ensemble).ok_or_else(|| {
-            RuntimeError::UnknownBuffer { name: format!("{ensemble} (data ensemble)") }
-        })?;
+        let at = self
+            .net
+            .inputs
+            .iter()
+            .position(|i| i.ensemble == ensemble)
+            .ok_or_else(|| RuntimeError::UnknownBuffer {
+                name: format!("{ensemble} (data ensemble)"),
+            })?;
         Ok((&self.net.inputs[at].buffer, &self.inputs[at]))
     }
 }
@@ -334,13 +345,24 @@ impl CompiledProgram {
             .params
             .iter()
             .map(|p| {
-                let slot = (table.require(&p.value)?.storage, table.require(&p.grad)?.storage);
-                assert_ne!(slot.0, slot.1, "parameter `{}` aliases its own gradient", p.value);
+                let slot = (
+                    table.require(&p.value)?.storage,
+                    table.require(&p.grad)?.storage,
+                );
+                assert_ne!(
+                    slot.0, slot.1,
+                    "parameter `{}` aliases its own gradient",
+                    p.value
+                );
                 Ok(slot)
             })
             .collect::<Result<Vec<_>, RuntimeError>>()?;
         let info = |name: &String| table.require(name).cloned();
-        let inputs = net.inputs.iter().map(|i| info(&i.buffer)).collect::<Result<_, _>>()?;
+        let inputs = net
+            .inputs
+            .iter()
+            .map(|i| info(&i.buffer))
+            .collect::<Result<_, _>>()?;
         let losses = net.losses.iter().map(info).collect::<Result<_, _>>()?;
         let zero_backward = net
             .buffers
@@ -376,7 +398,10 @@ impl CompiledProgram {
                 detail: "a program runs at a batch of at least one item".to_string(),
             });
         }
-        Ok(CompiledProgram { program: Arc::clone(&self.program), batch })
+        Ok(CompiledProgram {
+            program: Arc::clone(&self.program),
+            batch,
+        })
     }
 
     /// The batch size this handle's executors are built at: their
@@ -410,7 +435,11 @@ impl CompiledProgram {
     /// Fails when an initial parameter value does not fit its buffer.
     pub fn instantiate(&self, pool: Arc<WorkerPool>) -> Result<Executor, RuntimeError> {
         let store = BufferStore::build(&self.program.table, self.batch);
-        let mut exec = Executor { program: self.clone(), store, pool };
+        let mut exec = Executor {
+            program: self.clone(),
+            store,
+            pool,
+        };
         exec.reset_params()?;
         Ok(exec)
     }
@@ -463,7 +492,9 @@ pub struct Executor {
 
 impl std::fmt::Debug for Executor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Executor").field("program", &self.program).finish_non_exhaustive()
+        f.debug_struct("Executor")
+            .field("program", &self.program)
+            .finish_non_exhaustive()
     }
 }
 
@@ -638,7 +669,8 @@ impl Executor {
     /// Fails for unknown buffers, and for an item outside the current
     /// batch (any but 0 for an unbatched buffer).
     pub fn read_item(&self, name: &str, item: usize) -> Result<Vec<f32>, RuntimeError> {
-        self.store.read_item(name, self.program.program.table.require(name)?, item)
+        self.store
+            .read_item(name, self.program.program.table.require(name)?, item)
     }
 
     /// Overwrites a buffer: the current batch's items of a batched one
@@ -648,7 +680,8 @@ impl Executor {
     ///
     /// Fails for unknown buffers and wrong lengths.
     pub fn write_buffer(&mut self, name: &str, data: &[f32]) -> Result<(), RuntimeError> {
-        self.store.write(name, self.program.program.table.require(name)?, data)
+        self.store
+            .write(name, self.program.program.table.require(name)?, data)
     }
 
     /// The single plan-execution path behind every public entry point:
@@ -808,7 +841,11 @@ impl Executor {
                 continue;
             }
             if let Some((index, class)) = scan_slice(self.store.view(info), stride) {
-                out.push(BufferAnomaly { buffer: name.to_string(), index, class });
+                out.push(BufferAnomaly {
+                    buffer: name.to_string(),
+                    index,
+                    class,
+                });
             }
         }
         out
@@ -857,7 +894,10 @@ impl Executor {
         // Lane count is capped by the batch (tail lanes would be empty)
         // but NEVER depends on the thread count.
         let n_lanes = GRAD_LANES.min(batch.max(1));
-        let lane_len = g.grad_spans.last().map_or(0, |&(_, offset, len)| offset + len);
+        let lane_len = g
+            .grad_spans
+            .last()
+            .map_or(0, |&(_, offset, len)| offset + len);
         let lanes = self.pool.lane_scratch(n_lanes, lane_len);
 
         /// Everything the item job needs, bundled so one `unsafe impl
@@ -944,11 +984,16 @@ impl Executor {
     fn run_extern_whole(&mut self, g: &CGroup, e: &CExtern) {
         let batch = self.batch();
         let base = self.store.storages.as_mut_ptr();
-        let mut views: Vec<&mut [f32]> =
-            self.pool.with_caller_ctx(|ctx| std::mem::take(&mut ctx.scratch.views));
+        let mut views: Vec<&mut [f32]> = self
+            .pool
+            .with_caller_ctx(|ctx| std::mem::take(&mut ctx.scratch.views));
         for &i in &e.bufs {
             let b = &g.bufs[i];
-            let len = if b.batched { batch * b.per_item } else { b.per_item };
+            let len = if b.batched {
+                batch * b.per_item
+            } else {
+                b.per_item
+            };
             // SAFETY: lowering rejects duplicate storages per extern, so
             // these views are disjoint.
             views.push(unsafe { &mut (&mut *base.add(b.storage))[..len] });
@@ -969,7 +1014,13 @@ impl Executor {
 
 /// Executes one kernel for one batch item.
 fn exec_kernel(k: &Kernel, cx: &mut ItemCx<'_>) {
-    let Scratch { env, frame, columns, transfer, views } = &mut cx.ctx.scratch;
+    let Scratch {
+        env,
+        frame,
+        columns,
+        transfer,
+        views,
+    } = &mut cx.ctx.scratch;
     match k {
         Kernel::Loop { slot, extent, body } => {
             for v in 0..*extent {

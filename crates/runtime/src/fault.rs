@@ -164,7 +164,13 @@ impl FaultPlan {
 
     /// Generates a plan over `nodes` nodes and `iters` iterations from a
     /// seed: identical seeds yield identical plans.
-    pub fn random(seed: u64, nodes: usize, iters: usize, layers: usize, rates: &FaultRates) -> Self {
+    pub fn random(
+        seed: u64,
+        nodes: usize,
+        iters: usize,
+        layers: usize,
+        rates: &FaultRates,
+    ) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut faults = Vec::new();
         for iter in 0..iters {
@@ -201,9 +207,9 @@ impl FaultPlan {
 
     /// Whether `node` is scheduled to have crashed at or before `iter`.
     pub fn crashed_by(&self, node: usize, iter: usize) -> bool {
-        self.faults.iter().any(|f| {
-            matches!(f, Fault::NodeCrash { node: n, iter: i } if *n == node && *i <= iter)
-        })
+        self.faults
+            .iter()
+            .any(|f| matches!(f, Fault::NodeCrash { node: n, iter: i } if *n == node && *i <= iter))
     }
 
     /// The compute-slowdown factor for `node` at `iter` (1.0 = healthy);
@@ -389,9 +395,9 @@ impl<W: Wire> Wire for FaultyTransport<W> {
                     let site = (p.key.step, p.key.bucket);
                     let attempt = *st.attempts.get(&site).unwrap_or(&0);
                     st.attempts.insert(site, attempt + 1);
-                    let faults =
-                        self.plan
-                            .transfer_faults(self.rank, step, p.key.bucket as usize);
+                    let faults = self
+                        .plan
+                        .transfer_faults(self.rank, step, p.key.bucket as usize);
                     if let Some(f) = faults.get(attempt) {
                         match f {
                             TransferFault::Dropped => return Ok(()),
@@ -470,9 +476,21 @@ mod tests {
     #[test]
     fn transfer_faults_accumulate_per_site() {
         let plan = FaultPlan::new(vec![
-            Fault::TransferDrop { node: 2, iter: 1, layer: 0 },
-            Fault::TransferDrop { node: 2, iter: 1, layer: 0 },
-            Fault::TransferCorrupt { node: 2, iter: 1, layer: 0 },
+            Fault::TransferDrop {
+                node: 2,
+                iter: 1,
+                layer: 0,
+            },
+            Fault::TransferDrop {
+                node: 2,
+                iter: 1,
+                layer: 0,
+            },
+            Fault::TransferCorrupt {
+                node: 2,
+                iter: 1,
+                layer: 0,
+            },
         ]);
         let faults = plan.transfer_faults(2, 1, 0);
         assert_eq!(
@@ -559,7 +577,10 @@ mod tests {
 
     #[test]
     fn lr_spike_returns_its_factor_once() {
-        let mut plan = FaultPlan::new(vec![Fault::LrSpike { iter: 2, factor: 100.0 }]);
+        let mut plan = FaultPlan::new(vec![Fault::LrSpike {
+            iter: 2,
+            factor: 100.0,
+        }]);
         assert_eq!(plan.take_lr_spike(1), None);
         assert_eq!(plan.take_lr_spike(2), Some(100.0));
         assert_eq!(plan.take_lr_spike(2), None);
@@ -567,10 +588,7 @@ mod tests {
 
     #[test]
     fn take_once_is_keyed_by_iteration_not_order() {
-        let mut plan = FaultPlan::new(vec![
-            Fault::IoError { iter: 7 },
-            Fault::IoError { iter: 2 },
-        ]);
+        let mut plan = FaultPlan::new(vec![Fault::IoError { iter: 7 }, Fault::IoError { iter: 2 }]);
         // Consuming the later iteration first leaves the earlier intact.
         assert!(plan.take_io_error(7));
         assert!(plan.take_io_error(2));

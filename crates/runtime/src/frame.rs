@@ -145,7 +145,10 @@ pub fn put_u64(out: &mut Vec<u8>, v: u64) {
 ///
 /// If `s` is longer than `u32::MAX` bytes.
 pub fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, u32::try_from(s.len()).expect("string fits its u32 length prefix"));
+    put_u32(
+        out,
+        u32::try_from(s.len()).expect("string fits its u32 length prefix"),
+    );
     out.extend_from_slice(s.as_bytes());
 }
 
@@ -181,7 +184,10 @@ impl fmt::Display for ReadError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ReadError::Truncated { wanted, at, have } => {
-                write!(f, "ends early (wanted {wanted} bytes at offset {at}, have {have})")
+                write!(
+                    f,
+                    "ends early (wanted {wanted} bytes at offset {at}, have {have})"
+                )
             }
             ReadError::Utf8 { at } => write!(f, "non-UTF-8 string at offset {at}"),
         }
@@ -266,7 +272,10 @@ impl<'a> Reader<'a> {
     ///
     /// [`ReadError::Truncated`] when `4 × count` bytes do not remain
     /// (including when that product overflows).
-    pub fn f32s(&mut self, count: usize) -> Result<impl ExactSizeIterator<Item = f32> + 'a, ReadError> {
+    pub fn f32s(
+        &mut self,
+        count: usize,
+    ) -> Result<impl ExactSizeIterator<Item = f32> + 'a, ReadError> {
         let bytes = self.take(count.saturating_mul(4))?;
         Ok(f32s_le(bytes))
     }
@@ -355,7 +364,9 @@ pub fn verify(bytes: &[u8]) -> Result<&[u8], FrameIntegrity> {
 /// Sibling temporary path (`<file name>.tmp`) of the atomic write of a
 /// checkpoint, for tests that simulate a crash mid-write.
 pub fn tmp_path(path: &Path) -> PathBuf {
-    let mut name = path.file_name().map_or_else(|| "sealed".into(), |n| n.to_os_string());
+    let mut name = path
+        .file_name()
+        .map_or_else(|| "sealed".into(), |n| n.to_os_string());
     name.push(".tmp");
     path.with_file_name(name)
 }
@@ -392,13 +403,17 @@ pub(crate) fn write_sealed_file(path: &Path, parts: &[&[u8]]) -> std::io::Result
 /// Which check failed, phrased to follow the file's name.
 pub(crate) fn read_sealed_file<'a>(bytes: &'a [u8], magic: &[u8]) -> Result<&'a [u8], String> {
     if bytes.len() < magic.len() + CRC_LEN {
-        return Err(format!("is truncated ({} bytes — too short for header and checksum)", bytes.len()));
+        return Err(format!(
+            "is truncated ({} bytes — too short for header and checksum)",
+            bytes.len()
+        ));
     }
     if !bytes.starts_with(magic) {
         return Err("is another kind of file (bad magic)".into());
     }
-    verify(&bytes[magic.len()..])
-        .map_err(|e| format!("failed its integrity check ({e}); the file is truncated or corrupted"))
+    verify(&bytes[magic.len()..]).map_err(|e| {
+        format!("failed its integrity check ({e}); the file is truncated or corrupted")
+    })
 }
 
 /// Writes one length-prefixed frame (`u32` LE length, then the bytes)
@@ -669,7 +684,14 @@ mod tests {
         let bits: Vec<u32> = r.f32s(2).unwrap().map(f32::to_bits).collect();
         assert_eq!(bits, [1.5f32.to_bits(), (-0.0f32).to_bits()]);
         assert_eq!(r.remaining(), 0);
-        assert_eq!(r.u8(), Err(ReadError::Truncated { wanted: 1, at: bytes.len(), have: 0 }));
+        assert_eq!(
+            r.u8(),
+            Err(ReadError::Truncated {
+                wanted: 1,
+                at: bytes.len(),
+                have: 0
+            })
+        );
         // A failed read consumes nothing.
         let mut r = Reader::new(&bytes[..4]);
         assert!(r.u64().is_err());
@@ -677,6 +699,9 @@ mod tests {
         // Length fields larger than the input, up to overflow, are errors.
         assert!(Reader::new(&[0xFF; 4]).str().is_err());
         assert!(Reader::new(&[0; 8]).f32s(usize::MAX).is_err());
-        assert_eq!(Reader::new(&[1, 0, 0, 0, 0xFF]).str(), Err(ReadError::Utf8 { at: 4 }));
+        assert_eq!(
+            Reader::new(&[1, 0, 0, 0, 0xFF]).str(),
+            Err(ReadError::Utf8 { at: 4 })
+        );
     }
 }

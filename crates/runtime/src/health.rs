@@ -84,7 +84,9 @@ impl SentinelMode {
             s => s
                 .strip_prefix("sampled:")
                 .and_then(|stride| stride.parse().ok())
-                .map_or_else(SentinelMode::default, |stride| SentinelMode::Sampled { stride }),
+                .map_or_else(SentinelMode::default, |stride| SentinelMode::Sampled {
+                    stride,
+                }),
         }
     }
 }
@@ -178,24 +180,38 @@ impl AnomalyReaction {
     /// Skip and quarantine the offending batch — the right answer for
     /// corrupt data, which reproduces on every replay.
     pub fn quarantine() -> Self {
-        AnomalyReaction { quarantine: true, ..Default::default() }
+        AnomalyReaction {
+            quarantine: true,
+            ..Default::default()
+        }
     }
 
     /// Reduce the learning rate — the right answer for divergence.
     pub fn reduce_lr() -> Self {
-        AnomalyReaction { reduce_lr: true, ..Default::default() }
+        AnomalyReaction {
+            reduce_lr: true,
+            ..Default::default()
+        }
     }
 
     /// Quarantine, then roll back to undo any damage already absorbed
     /// into the weights.
     pub fn rollback_and_quarantine() -> Self {
-        AnomalyReaction { quarantine: true, rollback: true, ..Default::default() }
+        AnomalyReaction {
+            quarantine: true,
+            rollback: true,
+            ..Default::default()
+        }
     }
 
     /// Cut the learning rate and roll back — the right answer for a
     /// spiked schedule, whose damage lives in the weights, not the data.
     pub fn rollback_and_reduce_lr() -> Self {
-        AnomalyReaction { reduce_lr: true, rollback: true, ..Default::default() }
+        AnomalyReaction {
+            reduce_lr: true,
+            rollback: true,
+            ..Default::default()
+        }
     }
 }
 
@@ -298,7 +314,9 @@ impl HealthMonitor {
         if let Some(e) = self.ewma {
             let baseline = e.max(SPIKE_FLOOR);
             if self.observed >= self.warmup && loss > self.spike_threshold * baseline {
-                return Some(LossAnomaly::Spike { ratio: loss / baseline });
+                return Some(LossAnomaly::Spike {
+                    ratio: loss / baseline,
+                });
             }
         }
         self.ewma = Some(match self.ewma {
@@ -392,7 +410,11 @@ mod tests {
 
     #[test]
     fn monitor_flags_spikes_only_after_warmup() {
-        let cfg = HealthConfig { warmup: 3, spike_threshold: 10.0, ..Default::default() };
+        let cfg = HealthConfig {
+            warmup: 3,
+            spike_threshold: 10.0,
+            ..Default::default()
+        };
         let mut m = HealthMonitor::new(&cfg);
         // During warmup even a wild loss folds into the baseline.
         assert_eq!(m.observe(1.0), None);
@@ -440,7 +462,10 @@ mod tests {
     fn config_validation_rejects_nonsense() {
         let ok = HealthConfig::default();
         assert!(ok.validate().is_ok());
-        let bad_threshold = HealthConfig { spike_threshold: 1.0, ..Default::default() };
+        let bad_threshold = HealthConfig {
+            spike_threshold: 1.0,
+            ..Default::default()
+        };
         assert!(bad_threshold.validate().is_err());
         let bad_stride = HealthConfig {
             sentinel: SentinelMode::Sampled { stride: 0 },

@@ -60,12 +60,12 @@ pub mod data;
 pub mod dist;
 mod elem;
 pub mod error;
+mod exec;
 pub mod fault;
 pub mod frame;
 pub mod health;
-pub mod metrics;
-mod exec;
 mod lower;
+pub mod metrics;
 pub mod pool;
 pub mod registry;
 pub mod ring;

@@ -375,7 +375,14 @@ pub(crate) fn lower(
     let mut lower_phase = |groups: &[Group]| -> Result<Vec<CGroup>, RuntimeError> {
         let mut out = Vec::with_capacity(groups.len());
         for g in groups {
-            out.push(lower_group(g, net, table, registry, &mut tables, &mut max_slots)?);
+            out.push(lower_group(
+                g,
+                net,
+                table,
+                registry,
+                &mut tables,
+                &mut max_slots,
+            )?);
         }
         Ok(out)
     };
@@ -474,8 +481,11 @@ fn lower_group(
 /// gradient lane's scratch. A parameter gradient is unbatched, so a
 /// binding's per-item length is its storage's.
 fn grad_spans(bufs: &[BufBinding]) -> Vec<(usize, usize, usize)> {
-    let mut storages: Vec<(usize, usize)> =
-        bufs.iter().filter(|b| b.param_grad).map(|b| (b.storage, b.per_item)).collect();
+    let mut storages: Vec<(usize, usize)> = bufs
+        .iter()
+        .filter(|b| b.param_grad)
+        .map(|b| (b.storage, b.per_item))
+        .collect();
     storages.sort_unstable();
     storages.dedup();
     let mut offset = 0;
@@ -534,11 +544,13 @@ impl GroupLowerer<'_> {
     fn cidx(&mut self, e: &IndexExpr) -> Result<CIdx, RuntimeError> {
         let mut terms = Vec::new();
         for (var, coef) in e.terms() {
-            let slot = self.slots.get(var).copied().ok_or_else(|| {
-                RuntimeError::Malformed {
+            let slot = self
+                .slots
+                .get(var)
+                .copied()
+                .ok_or_else(|| RuntimeError::Malformed {
                     detail: format!("index uses unbound variable `{var}`"),
-                }
-            })?;
+                })?;
             terms.push((slot, coef));
         }
         Ok(CIdx {
@@ -621,7 +633,13 @@ impl GroupLowerer<'_> {
         let mut b = elem::Builder::default();
         self.emit(&a.value, &mut b)?;
         let dest = self.cref(&a.dest)?;
-        Ok(Kernel::Elem(b.finish(dest, a.op, nest, self.vectorize, &self.bufs)))
+        Ok(Kernel::Elem(b.finish(
+            dest,
+            a.op,
+            nest,
+            self.vectorize,
+            &self.bufs,
+        )))
     }
 
     fn lower_stmt(&mut self, stmt: &Stmt) -> Result<Kernel, RuntimeError> {
@@ -850,11 +868,7 @@ impl GroupLowerer<'_> {
         Ok(None)
     }
 
-    fn lower_extern(
-        &mut self,
-        e: &ExternOp,
-        f: ExternFn,
-    ) -> Result<CExtern, RuntimeError> {
+    fn lower_extern(&mut self, e: &ExternOp, f: ExternFn) -> Result<CExtern, RuntimeError> {
         let mut bufs = Vec::with_capacity(e.buffers.len());
         let mut storages = Vec::new();
         for name in &e.buffers {

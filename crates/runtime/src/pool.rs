@@ -217,10 +217,9 @@ impl WorkerPool {
         // SAFETY: erasing the closure's lifetime; `run` blocks until all
         // workers finished the job, so the referent outlives every use.
         let erased: JobPtr = unsafe {
-            std::mem::transmute::<
-                *const (dyn Fn(usize, &mut WorkerCtx) + Sync),
-                JobPtr,
-            >(job as *const (dyn Fn(usize, &mut WorkerCtx) + Sync))
+            std::mem::transmute::<*const (dyn Fn(usize, &mut WorkerCtx) + Sync), JobPtr>(
+                job as *const (dyn Fn(usize, &mut WorkerCtx) + Sync),
+            )
         };
         {
             let mut st = self.shared.state.lock().expect("pool state");
@@ -353,7 +352,8 @@ fn worker_loop(tid: usize, shared: &Shared, ctxs: &[CtxCell]) {
         }));
         let mut st = shared.state.lock().expect("pool state");
         if let Err(payload) = result {
-            st.panics.push(crate::error::panic_message(payload.as_ref()).to_string());
+            st.panics
+                .push(crate::error::panic_message(payload.as_ref()).to_string());
         }
         st.remaining -= 1;
         if st.remaining == 0 {
@@ -447,7 +447,17 @@ mod tests {
         let a: Vec<f32> = (0..m * k).map(|i| (i % 13) as f32 - 6.0).collect();
         let b: Vec<f32> = (0..k * n).map(|i| (i % 7) as f32 - 3.0).collect();
         let mut c_par = vec![0.0f32; m * n];
-        Gemm::compute_parallel(&pool, Transpose::No, Transpose::No, m, n, k, &a, &b, &mut c_par);
+        Gemm::compute_parallel(
+            &pool,
+            Transpose::No,
+            Transpose::No,
+            m,
+            n,
+            k,
+            &a,
+            &b,
+            &mut c_par,
+        );
         let mut c_ser = vec![0.0f32; m * n];
         Gemm::new().compute(Transpose::No, Transpose::No, m, n, k, &a, &b, &mut c_ser);
         for (i, (x, y)) in c_ser.iter().zip(&c_par).enumerate() {

@@ -120,7 +120,9 @@ impl std::fmt::Debug for KernelRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut names: Vec<&str> = self.kernels.keys().map(String::as_str).collect();
         names.sort_unstable();
-        f.debug_struct("KernelRegistry").field("kernels", &names).finish()
+        f.debug_struct("KernelRegistry")
+            .field("kernels", &names)
+            .finish()
     }
 }
 
@@ -170,15 +172,15 @@ impl KernelRegistry {
             let pass = if item == 0 {
                 fwd_counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
             } else {
-                fwd_counter.load(std::sync::atomic::Ordering::Relaxed).saturating_sub(1)
+                fwd_counter
+                    .load(std::sync::atomic::Ordering::Relaxed)
+                    .saturating_sub(1)
             };
             let keep_scale = 1.0 / (1.0 - ratio);
             let n = inv.per_item[0];
             for i in 0..n {
                 let h = splitmix(
-                    seed ^ pass.wrapping_mul(0x9e3779b97f4a7c15)
-                        ^ (item as u64) << 32
-                        ^ i as u64,
+                    seed ^ pass.wrapping_mul(0x9e3779b97f4a7c15) ^ (item as u64) << 32 ^ i as u64,
                 );
                 let keep = (h >> 11) as f32 / (1u64 << 53) as f32 >= ratio;
                 let m = if keep { keep_scale } else { 0.0 };
@@ -489,8 +491,7 @@ fn batch_norm_backward(inv: &mut ExternInvocation<'_>) -> Result<(), RuntimeErro
         for s in 0..spatial {
             for ch in 0..c {
                 let i = b * n + s * c + ch;
-                gin[i] +=
-                    (gout[i] - mean_g[ch] - xhat[i] * mean_gx[ch]) / (var[ch] + eps).sqrt();
+                gin[i] += (gout[i] - mean_g[ch] - xhat[i] * mean_gx[ch]) / (var[ch] + eps).sqrt();
             }
         }
     }
@@ -538,11 +539,7 @@ mod tests {
         let mut label = [1.0f32];
         let mut loss = [0.0f32];
         let mut prob = [0.0f32; 3];
-        let mut inv = invoke(
-            &attrs,
-            1,
-            vec![&mut pred, &mut label, &mut loss, &mut prob],
-        );
+        let mut inv = invoke(&attrs, 1, vec![&mut pred, &mut label, &mut loss, &mut prob]);
         softmax_loss_forward(&mut inv).unwrap();
         let expected = -(prob[1].ln());
         assert!((loss[0] - expected).abs() < 1e-6);
@@ -556,11 +553,7 @@ mod tests {
         let mut loss = [0.0f32];
         let mut prob = [0.0f32; 3];
         {
-            let mut inv = invoke(
-                &attrs,
-                1,
-                vec![&mut pred, &mut label, &mut loss, &mut prob],
-            );
+            let mut inv = invoke(&attrs, 1, vec![&mut pred, &mut label, &mut loss, &mut prob]);
             softmax_loss_forward(&mut inv).unwrap();
         }
         let mut gloss = [0.0f32];
@@ -570,7 +563,12 @@ mod tests {
             &attrs,
             1,
             vec![
-                &mut pred, &mut label, &mut loss, &mut gloss, &mut gpred, &mut glabel,
+                &mut pred,
+                &mut label,
+                &mut loss,
+                &mut gloss,
+                &mut gpred,
+                &mut glabel,
                 &mut prob,
             ],
         );

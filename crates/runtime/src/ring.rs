@@ -365,7 +365,10 @@ impl RingComm {
                     evicted,
                 });
             }
-            let me = live.iter().position(|&r| r == me_rank).expect("own rank live");
+            let me = live
+                .iter()
+                .position(|&r| r == me_rank)
+                .expect("own rank live");
             let right = live[(me + 1) % k];
             let left = live[(me + k - 1) % k];
             let spans = chunk_spans(grad.len(), k);
@@ -621,7 +624,10 @@ impl RingComm {
                         // silence — and then keeps circulating, a hop per
                         // receive, through every later step. Genuine
                         // signals come a window apart and always pass.
-                        if self.busy_relayed.is_none_or(|at| at.elapsed() >= per_op / 2) {
+                        if self
+                            .busy_relayed
+                            .is_none_or(|at| at.elapsed() >= per_op / 2)
+                        {
                             self.busy_relayed = Some(Instant::now());
                             self.tp.send_busy(right, key);
                         }
@@ -631,7 +637,14 @@ impl RingComm {
                     // indistinguishable from livelock: resume counting
                     // silence against it.
                     self.handle_silence(
-                        from, right, key, lossy, false, &mut silent, &metrics, evicted,
+                        from,
+                        right,
+                        key,
+                        lossy,
+                        false,
+                        &mut silent,
+                        &metrics,
+                        evicted,
                     )
                 }
                 Ok(Delivery::Frame(f)) => {
@@ -668,7 +681,14 @@ impl RingComm {
                     // but charged to the unforgivable budget, and no
                     // stall grace — corrupt data is active misbehavior.
                     self.handle_silence(
-                        from, right, key, lossy, false, &mut corrupt, &metrics, evicted,
+                        from,
+                        right,
+                        key,
+                        lossy,
+                        false,
+                        &mut corrupt,
+                        &metrics,
+                        evicted,
                     )
                 }
                 Err(TransportError::Timeout { .. }) => self.handle_silence(
@@ -815,10 +835,22 @@ mod tests {
     fn comm_policy_validation_catches_nonsense() {
         assert!(CommPolicy::default().validate().is_ok());
         let nonsense = [
-            CommPolicy { op_timeout_ms: 0, ..CommPolicy::default() },
-            CommPolicy { jitter: 1.5, ..CommPolicy::default() },
-            CommPolicy { straggler_threshold: 0.5, ..CommPolicy::default() },
-            CommPolicy { backoff_cap_ms: 0.5, ..CommPolicy::default() },
+            CommPolicy {
+                op_timeout_ms: 0,
+                ..CommPolicy::default()
+            },
+            CommPolicy {
+                jitter: 1.5,
+                ..CommPolicy::default()
+            },
+            CommPolicy {
+                straggler_threshold: 0.5,
+                ..CommPolicy::default()
+            },
+            CommPolicy {
+                backoff_cap_ms: 0.5,
+                ..CommPolicy::default()
+            },
         ];
         for p in nonsense {
             assert!(p.validate().is_err());
@@ -878,10 +910,22 @@ mod tests {
         // the first window even when that Busy reaches it before its own
         // deadline; nobody is evicted for "silence"; and once the step is
         // through, no Busy is left circulating.
-        let plan = FaultPlan::new(vec![Fault::TransferDrop { node: 0, iter: 0, layer: 0 }]);
-        let policy = CommPolicy { op_timeout_ms: 100, max_retries: 2, ..CommPolicy::default() };
+        let plan = FaultPlan::new(vec![Fault::TransferDrop {
+            node: 0,
+            iter: 0,
+            layer: 0,
+        }]);
+        let policy = CommPolicy {
+            op_timeout_ms: 100,
+            max_retries: 2,
+            ..CommPolicy::default()
+        };
         let grads: Vec<Vec<f32>> = (0..4)
-            .map(|r| (0..13).map(|i| (i + 1) as f32 * (r + 1) as f32 + 0.25 * r as f32).collect())
+            .map(|r| {
+                (0..13)
+                    .map(|i| (i + 1) as f32 * (r + 1) as f32 + 0.25 * r as f32)
+                    .collect()
+            })
             .collect();
         let expect = reference_allreduce(&grads);
         let endpoints = crate::transport::channel_group_with(4, |rank, wire| {
@@ -896,9 +940,16 @@ mod tests {
                 assert_eq!(metrics.peers_evicted, 0, "rank {rank}");
             }
             // One window to notice the loss, none wasted.
-            assert!(steps[0].2.timeouts <= 1, "rank {rank} sat out {} windows", steps[0].2.timeouts);
+            assert!(
+                steps[0].2.timeouts <= 1,
+                "rank {rank} sat out {} windows",
+                steps[0].2.timeouts
+            );
             // Healthy steps ask for nothing again.
-            assert_eq!(steps[5].2.send_retries, steps[2].2.send_retries, "rank {rank}");
+            assert_eq!(
+                steps[5].2.send_retries, steps[2].2.send_retries,
+                "rank {rank}"
+            );
         }
     }
 
@@ -914,12 +965,21 @@ mod tests {
         let out = allreduce_steps(endpoints, &CommPolicy::default(), &grads, 1);
         for rank in [0, 2] {
             let (merged, report, _) = &out[rank][0];
-            assert!(merged.iter().all(|v| v.is_finite()), "rank {rank} merged {merged:?}");
+            assert!(
+                merged.iter().all(|v| v.is_finite()),
+                "rank {rank} merged {merged:?}"
+            );
             // Nothing was averaged in that the poisoned rank had touched.
-            assert!(merged.iter().all(|&v| (1.0..=3.0).contains(&v)), "rank {rank}: {merged:?}");
+            assert!(
+                merged.iter().all(|&v| (1.0..=3.0).contains(&v)),
+                "rank {rank}: {merged:?}"
+            );
             assert!(report.evicted.is_empty());
         }
         let rejected: u64 = out.iter().map(|steps| steps[0].2.gradients_rejected).sum();
-        assert!(rejected >= 2, "both healthy ranks must refuse the poisoned chunks");
+        assert!(
+            rejected >= 2,
+            "both healthy ranks must refuse the poisoned chunks"
+        );
     }
 }

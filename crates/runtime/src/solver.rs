@@ -36,9 +36,7 @@ impl LrPolicy {
     pub fn at(&self, iter: usize) -> f32 {
         match *self {
             LrPolicy::Fixed { lr } => lr,
-            LrPolicy::Inv { base, gamma, power } => {
-                base * (1.0 + gamma * iter as f32).powf(-power)
-            }
+            LrPolicy::Inv { base, gamma, power } => base * (1.0 + gamma * iter as f32).powf(-power),
         }
     }
 
@@ -195,7 +193,12 @@ struct Accumulators<const N: usize> {
 
 impl<const N: usize> Accumulators<N> {
     fn new(kind: &'static str, names: [&'static str; N]) -> Self {
-        Accumulators { kind, iter: 0, names, groups: std::array::from_fn(|_| Vec::new()) }
+        Accumulators {
+            kind,
+            iter: 0,
+            names,
+            groups: std::array::from_fn(|_| Vec::new()),
+        }
     }
 
     /// One update step: calls `update(weights, gradients, rate,
@@ -212,7 +215,9 @@ impl<const N: usize> Accumulators<N> {
         let groups = &mut self.groups;
         let mut idx = 0;
         exec.for_each_param_mut(|v, g, lr_mult| {
-            let acc = groups.each_mut().map(|group| ensure_state(group, idx, v.len()).as_mut_slice());
+            let acc = groups
+                .each_mut()
+                .map(|group| ensure_state(group, idx, v.len()).as_mut_slice());
             idx += 1;
             update(v, g, lr * lr_mult, acc);
         });
@@ -223,7 +228,12 @@ impl<const N: usize> Accumulators<N> {
         SolverState {
             kind: self.kind.into(),
             iter: self.iter as u64,
-            groups: self.names.iter().map(|n| n.to_string()).zip(self.groups.iter().cloned()).collect(),
+            groups: self
+                .names
+                .iter()
+                .map(|n| n.to_string())
+                .zip(self.groups.iter().cloned())
+                .collect(),
         }
     }
 
@@ -262,7 +272,10 @@ pub struct Sgd {
 impl Sgd {
     /// Creates an SGD solver.
     pub fn new(params: SolverParams) -> Self {
-        Sgd { params, state: Accumulators::new("sgd", ["velocity"]) }
+        Sgd {
+            params,
+            state: Accumulators::new("sgd", ["velocity"]),
+        }
     }
 }
 
@@ -288,7 +301,11 @@ impl Solver for Sgd {
                 // microcode assist. Such a velocity moves only a weight
                 // below 2⁻¹⁰², so flushing it changes no other bit
                 // (DESIGN.md §9.2).
-                *vel = if next.abs() < f32::MIN_POSITIVE { 0.0 } else { next };
+                *vel = if next.abs() < f32::MIN_POSITIVE {
+                    0.0
+                } else {
+                    next
+                };
                 *w += *vel;
             }
         });
@@ -316,7 +333,12 @@ pub struct RmsProp {
 impl RmsProp {
     /// Creates an RMSProp solver with the given squared-gradient decay.
     pub fn new(params: SolverParams, decay: f32, eps: f32) -> Self {
-        RmsProp { params, decay, eps, state: Accumulators::new("rmsprop", ["ms"]) }
+        RmsProp {
+            params,
+            decay,
+            eps,
+            state: Accumulators::new("rmsprop", ["ms"]),
+        }
     }
 }
 
@@ -362,7 +384,11 @@ pub struct AdaGrad {
 impl AdaGrad {
     /// Creates an AdaGrad solver.
     pub fn new(params: SolverParams, eps: f32) -> Self {
-        AdaGrad { params, eps, state: Accumulators::new("adagrad", ["acc"]) }
+        AdaGrad {
+            params,
+            eps,
+            state: Accumulators::new("adagrad", ["acc"]),
+        }
     }
 }
 
@@ -411,7 +437,12 @@ pub struct AdaDelta {
 impl AdaDelta {
     /// Creates an AdaDelta solver with decay `rho`.
     pub fn new(params: SolverParams, rho: f32, eps: f32) -> Self {
-        AdaDelta { params, rho, eps, state: Accumulators::new("adadelta", ["acc_grad", "acc_update"]) }
+        AdaDelta {
+            params,
+            rho,
+            eps,
+            state: Accumulators::new("adadelta", ["acc_grad", "acc_update"]),
+        }
     }
 }
 
@@ -428,8 +459,7 @@ impl Solver for AdaDelta {
         let regu = self.params.regu_coef;
         let (rho, eps) = (self.rho, self.eps);
         self.state.step(&self.params, exec, |v, g, rate, [ag, au]| {
-            for (((w, &grad), ag), au) in
-                v.iter_mut().zip(g).zip(ag.iter_mut()).zip(au.iter_mut())
+            for (((w, &grad), ag), au) in v.iter_mut().zip(g).zip(ag.iter_mut()).zip(au.iter_mut())
             {
                 let d = grad + regu * *w;
                 *ag = rho * *ag + (1.0 - rho) * d * d;
@@ -559,7 +589,9 @@ mod tests {
 
     /// Runs one forward/backward on a fixed batch so gradients exist.
     fn populate_grads(exec: &mut Executor) {
-        let input: Vec<f32> = (0..exec.batch() * 4).map(|i| (i % 5) as f32 * 0.3).collect();
+        let input: Vec<f32> = (0..exec.batch() * 4)
+            .map(|i| (i % 5) as f32 * 0.3)
+            .collect();
         exec.set_input("data", &input).unwrap();
         exec.set_input("label", &vec![0.0; exec.batch()]).unwrap();
         exec.forward();
@@ -570,7 +602,11 @@ mod tests {
     fn lr_policies_scale_uniformly() {
         let fixed = LrPolicy::Fixed { lr: 0.4 }.scaled(0.5);
         assert_eq!(fixed.at(0), 0.2);
-        let inv = LrPolicy::Inv { base: 0.01, gamma: 0.0001, power: 0.75 };
+        let inv = LrPolicy::Inv {
+            base: 0.01,
+            gamma: 0.0001,
+            power: 0.75,
+        };
         let cut = inv.scaled(0.1);
         for iter in [0, 100, 10_000] {
             assert!((cut.at(iter) - 0.1 * inv.at(iter)).abs() < 1e-9);
@@ -590,7 +626,10 @@ mod tests {
         exec.write_buffer(&grad_names[0], &poisoned).unwrap();
 
         let metrics = FaultMetrics::new();
-        assert!(apply_grad_hygiene(&mut exec, &metrics), "a NaN vetoes the step");
+        assert!(
+            apply_grad_hygiene(&mut exec, &metrics),
+            "a NaN vetoes the step"
+        );
         assert_eq!(metrics.snapshot().grad_nonfinite_trips, 1);
         assert_eq!(metrics.snapshot().grad_clips, 0);
         // The veto leaves the gradients as they were.
@@ -607,7 +646,10 @@ mod tests {
         exec.for_each_param_grad_mut(|name, _| grad_names.push(name.to_string()));
         let len = exec.read_buffer(&grad_names[0]).unwrap().len();
         exec.write_buffer(&grad_names[0], &vec![50.0; len]).unwrap();
-        assert!(50.0 * (len as f32).sqrt() > MAX_GRAD_NORM, "the fixture must exceed the cap");
+        assert!(
+            50.0 * (len as f32).sqrt() > MAX_GRAD_NORM,
+            "the fixture must exceed the cap"
+        );
 
         let metrics = FaultMetrics::new();
         assert!(!apply_grad_hygiene(&mut exec, &metrics));
@@ -620,7 +662,10 @@ mod tests {
             }
         });
         let norm = sumsq.sqrt() as f32;
-        assert!(norm <= MAX_GRAD_NORM * (1.0 + 1e-4), "norm {norm} exceeds cap");
+        assert!(
+            norm <= MAX_GRAD_NORM * (1.0 + 1e-4),
+            "norm {norm} exceeds cap"
+        );
     }
 
     #[test]
@@ -675,7 +720,8 @@ mod tests {
         let compiled = compile(&mlp(&cfg, &[256]).net, &OptLevel::full()).unwrap();
         let mut exec = Executor::new(compiled).unwrap();
         let mut sgd = Sgd::new(SolverParams::default());
-        let fill = |exec: &mut Executor, g: f32| exec.for_each_param_grad_mut(|_, grad| grad.fill(g));
+        let fill =
+            |exec: &mut Executor, g: f32| exec.for_each_param_grad_mut(|_, grad| grad.fill(g));
         fill(&mut exec, 1.0);
         sgd.step(&mut exec);
         assert!(sgd.state.groups[0].iter().flatten().all(|&v| v <= -0.01));
@@ -692,7 +738,13 @@ mod tests {
             );
         }
         assert_eq!(sgd.state.iter, 2001);
-        assert!(sgd.state.groups[0].iter().flatten().all(|v| v.to_bits() == 0), "velocity stuck above zero");
+        assert!(
+            sgd.state.groups[0]
+                .iter()
+                .flatten()
+                .all(|v| v.to_bits() == 0),
+            "velocity stuck above zero"
+        );
     }
 
     #[test]

@@ -86,9 +86,11 @@ impl BufferTable {
 
     /// Placement of a named buffer, as an error-carrying lookup.
     pub(crate) fn require(&self, name: &str) -> Result<&BufInfo, RuntimeError> {
-        self.infos.get(name).ok_or_else(|| RuntimeError::UnknownBuffer {
-            name: name.to_string(),
-        })
+        self.infos
+            .get(name)
+            .ok_or_else(|| RuntimeError::UnknownBuffer {
+                name: name.to_string(),
+            })
     }
 }
 
@@ -114,7 +116,11 @@ impl BufferStore {
             .iter()
             .map(|&(per_item, batched)| vec![0.0; per_item * if batched { capacity } else { 1 }])
             .collect();
-        BufferStore { capacity, batch: capacity, storages }
+        BufferStore {
+            capacity,
+            batch: capacity,
+            storages,
+        }
     }
 
     /// The items every batched storage holds.
@@ -178,7 +184,12 @@ impl BufferStore {
     /// # Errors
     ///
     /// Fails when `data` length differs from that length.
-    pub(crate) fn write(&mut self, name: &str, info: &BufInfo, data: &[f32]) -> Result<(), RuntimeError> {
+    pub(crate) fn write(
+        &mut self,
+        name: &str,
+        info: &BufInfo,
+        data: &[f32],
+    ) -> Result<(), RuntimeError> {
         let len = self.len(info);
         if len != data.len() {
             return Err(RuntimeError::InputShape {
@@ -238,7 +249,10 @@ mod tests {
     }
 
     /// A bare buffer plan, resolved and allocated.
-    fn build(decls: Vec<BufferDecl>, batch: usize) -> Result<(BufferTable, BufferStore), RuntimeError> {
+    fn build(
+        decls: Vec<BufferDecl>,
+        batch: usize,
+    ) -> Result<(BufferTable, BufferStore), RuntimeError> {
         let table = BufferTable::resolve(&decls)?;
         let store = BufferStore::build(&table, batch);
         Ok((table, store))
@@ -255,7 +269,9 @@ mod tests {
     #[test]
     fn aliases_share_storage() {
         let (table, mut store) = build(decls(), 2).unwrap();
-        store.write("a.value", table.require("a.value").unwrap(), &[1.0; 8]).unwrap();
+        store
+            .write("a.value", table.require("a.value").unwrap(), &[1.0; 8])
+            .unwrap();
         assert_eq!(store.view(table.require("b.value").unwrap()), [1.0; 8]);
         assert_eq!(
             table.require("a.value").unwrap().storage,
@@ -282,8 +298,12 @@ mod tests {
         ));
         // Unbatched buffers accept only item 0.
         let weights = table.require("a.weights").unwrap();
-        store.write_item("a.weights", weights, 0, &[1.0; 8]).unwrap();
-        assert!(store.write_item("a.weights", weights, 1, &[1.0; 8]).is_err());
+        store
+            .write_item("a.weights", weights, 0, &[1.0; 8])
+            .unwrap();
+        assert!(store
+            .write_item("a.weights", weights, 1, &[1.0; 8])
+            .is_err());
     }
 
     #[test]
@@ -314,14 +334,21 @@ mod tests {
 
     #[test]
     fn missing_alias_target_rejected() {
-        let bad = vec![BufferDecl::alias("x", vec![4], BufferKind::Value, "missing")];
+        let bad = vec![BufferDecl::alias(
+            "x",
+            vec![4],
+            BufferKind::Value,
+            "missing",
+        )];
         assert!(matches!(build(bad, 1), Err(RuntimeError::BadAlias { .. })));
     }
 
     #[test]
     fn write_validates_length() {
         let (table, mut store) = build(decls(), 1).unwrap();
-        assert!(store.write("a.value", table.require("a.value").unwrap(), &[0.0; 3]).is_err());
+        assert!(store
+            .write("a.value", table.require("a.value").unwrap(), &[0.0; 3])
+            .is_err());
     }
 
     #[test]
@@ -331,7 +358,10 @@ mod tests {
             BufferDecl::new("bn.state_mean", vec![4], BufferKind::SharedState),
         ];
         let (table, store) = build(decls, 3).unwrap();
-        assert_eq!(store.view(table.require("bn.state_prob").unwrap()).len(), 12);
+        assert_eq!(
+            store.view(table.require("bn.state_prob").unwrap()).len(),
+            12
+        );
         assert_eq!(store.view(table.require("bn.state_mean").unwrap()).len(), 4);
     }
 

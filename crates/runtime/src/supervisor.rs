@@ -188,11 +188,25 @@ pub fn supervise(
         epoch_iter: 0,
         loss: 0.0,
     };
-    save_checkpoint(exec, &initial_meta, &solver.export_state(), &cfg.checkpoint_path)?;
+    save_checkpoint(
+        exec,
+        &initial_meta,
+        &solver.export_state(),
+        &cfg.checkpoint_path,
+    )?;
     FaultMetrics::bump(&metrics.checkpoints_saved);
 
     loop {
-        match run_attempt(solver, exec, source, cfg, plan, metrics, &mut st, health.as_mut()) {
+        match run_attempt(
+            solver,
+            exec,
+            source,
+            cfg,
+            plan,
+            metrics,
+            &mut st,
+            health.as_mut(),
+        ) {
             Ok(()) => break,
             Err(e @ RuntimeError::Numerical { .. }) => {
                 // A loss anomaly whose policy demands a rollback. Plain
@@ -323,7 +337,10 @@ fn run_attempt(
             exec.forward();
             let trip = health.as_deref().and_then(|h| {
                 let hits = exec.scan_numerics(h.cfg.sentinel, |k| {
-                    matches!(k, BufferKind::Value | BufferKind::InputStage | BufferKind::State)
+                    matches!(
+                        k,
+                        BufferKind::Value | BufferKind::InputStage | BufferKind::State
+                    )
                 });
                 hits.first().map(ToString::to_string)
             });
@@ -420,7 +437,8 @@ fn run_attempt(
                         epoch_iter: st.epoch_iter,
                         loss: reference,
                     };
-                    match save_checkpoint(exec, &meta, &solver.export_state(), &cfg.checkpoint_path) {
+                    match save_checkpoint(exec, &meta, &solver.export_state(), &cfg.checkpoint_path)
+                    {
                         Ok(()) => FaultMetrics::bump(&metrics.checkpoints_saved),
                         Err(RuntimeError::Io { .. }) => {
                             FaultMetrics::bump(&metrics.io_errors);
@@ -500,7 +518,7 @@ mod tests {
     use super::*;
     use crate::data::MemoryDataSource;
     use crate::fault::Fault;
-    use crate::solver::{LrPolicy, MomPolicy, Sgd, SolverParams, solve};
+    use crate::solver::{solve, LrPolicy, MomPolicy, Sgd, SolverParams};
     use latte_core::{compile, OptLevel};
     use latte_nn::models::{mlp, ModelConfig};
 
@@ -574,7 +592,10 @@ mod tests {
         assert_eq!(sup.iterations, plain.iterations as u64);
         assert_eq!(sup.restarts, 0);
         assert_eq!(sup.initial_loss, plain.initial_loss);
-        assert_eq!(sup.final_loss, plain.final_loss, "supervision must not perturb training");
+        assert_eq!(
+            sup.final_loss, plain.final_loss,
+            "supervision must not perturb training"
+        );
         assert!(metrics.snapshot().checkpoints_saved > 0);
         let _ = std::fs::remove_file(&cfg.checkpoint_path);
     }
@@ -735,14 +756,7 @@ mod tests {
         // Run a supervisor whose restore encounters the tampered file by
         // corrupting it from within the fault window: simplest is to run
         // to completion once, then tamper and restore by hand.
-        let sup = supervise(
-            &mut solver,
-            &mut exec,
-            &mut src,
-            &cfg,
-            &mut plan,
-            &metrics,
-        );
+        let sup = supervise(&mut solver, &mut exec, &mut src, &cfg, &mut plan, &metrics);
         assert!(sup.is_ok(), "baseline run should recover: {sup:?}");
 
         // Now tamper: rewrite the checkpoint claiming a wrong loss.
@@ -862,9 +876,8 @@ mod tests {
             &metrics,
         )
         .unwrap();
-        let poisoned = exec.scan_numerics(SentinelMode::Exhaustive, |k| {
-            matches!(k, BufferKind::Param)
-        });
+        let poisoned =
+            exec.scan_numerics(SentinelMode::Exhaustive, |k| matches!(k, BufferKind::Param));
         assert!(!poisoned.is_empty(), "weights must be NaN-poisoned");
         assert!(
             sup.final_loss > 1.0,
@@ -951,7 +964,10 @@ mod tests {
             }),
             ..SupervisorConfig::new(temp_ckpt("lrspike"))
         };
-        let mut plan = FaultPlan::new(vec![Fault::LrSpike { iter: 6, factor: 1000.0 }]);
+        let mut plan = FaultPlan::new(vec![Fault::LrSpike {
+            iter: 6,
+            factor: 1000.0,
+        }]);
         let metrics = FaultMetrics::new();
         let sup = supervise(
             &mut solver,

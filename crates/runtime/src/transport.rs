@@ -382,7 +382,9 @@ pub enum TransportError {
 impl fmt::Display for TransportError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TransportError::Timeout { peer } => write!(f, "deadline expired waiting on peer {peer}"),
+            TransportError::Timeout { peer } => {
+                write!(f, "deadline expired waiting on peer {peer}")
+            }
             TransportError::PeerDead { peer } => write!(f, "peer {peer} is dead"),
             TransportError::Disconnected { peer } => write!(f, "link to peer {peer} is down"),
             TransportError::Handshake { detail } => write!(f, "handshake rejected: {detail}"),
@@ -478,7 +480,10 @@ pub struct Router {
 }
 
 fn full_mask(world: usize) -> u32 {
-    debug_assert!(world <= MAX_WORLD, "world {world} exceeds the mask capacity");
+    debug_assert!(
+        world <= MAX_WORLD,
+        "world {world} exceeds the mask capacity"
+    );
     if world >= 32 {
         u32::MAX
     } else {
@@ -502,7 +507,10 @@ impl Router {
         metrics: Arc<FaultMetrics>,
     ) -> Result<Router, TransportError> {
         if world > MAX_WORLD {
-            return Err(TransportError::TooManyRanks { world, max: MAX_WORLD });
+            return Err(TransportError::TooManyRanks {
+                world,
+                max: MAX_WORLD,
+            });
         }
         if world == 0 || rank >= world {
             return Err(TransportError::Handshake {
@@ -770,11 +778,7 @@ impl Router {
                 FaultMetrics::bump(&self.inner.metrics.timeouts);
                 return Err(TransportError::Timeout { peer: from });
             }
-            let (guard, _) = self
-                .inner
-                .cv
-                .wait_timeout(st, deadline - now)
-                .unwrap();
+            let (guard, _) = self.inner.cv.wait_timeout(st, deadline - now).unwrap();
             st = guard;
         }
     }
@@ -1688,14 +1692,20 @@ mod tests {
         };
         assert_eq!(
             err,
-            TransportError::TooManyRanks { world: MAX_WORLD + 1, max: MAX_WORLD }
+            TransportError::TooManyRanks {
+                world: MAX_WORLD + 1,
+                max: MAX_WORLD
+            }
         );
         // Group constructors propagate the same error.
         let err = match channel_group(MAX_WORLD + 1) {
             Ok(_) => panic!("a 33-rank group must be refused"),
             Err(e) => e,
         };
-        assert!(matches!(err, TransportError::TooManyRanks { world: 33, .. }));
+        assert!(matches!(
+            err,
+            TransportError::TooManyRanks { world: 33, .. }
+        ));
         // Degenerate-but-small geometry still reports Handshake.
         assert!(matches!(
             Router::new(5, 2, Arc::new(FaultMetrics::new())),
@@ -1781,10 +1791,7 @@ mod tests {
         }
         // And the reverse direction.
         t1.send_data(0, data_head(1, 1), &[4.0]).unwrap();
-        assert_eq!(
-            expect_payload(t0.recv(1, deadline, 0).unwrap()),
-            vec![4.0]
-        );
+        assert_eq!(expect_payload(t0.recv(1, deadline, 0).unwrap()), vec![4.0]);
     }
 
     #[test]

@@ -19,7 +19,13 @@ fn items(n: usize) -> Vec<(Vec<f32>, f32)> {
         .map(|i| {
             let class = i % 3;
             let x: Vec<f32> = (0..9)
-                .map(|j| if j % 3 == class { 1.0 } else { 0.05 + (i % 5) as f32 * 0.01 })
+                .map(|j| {
+                    if j % 3 == class {
+                        1.0
+                    } else {
+                        0.05 + (i % 5) as f32 * 0.01
+                    }
+                })
                 .collect();
             (x, class as f32)
         })

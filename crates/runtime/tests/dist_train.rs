@@ -120,7 +120,11 @@ fn synchronized_group_matches_serial_oracle_bitwise() {
     // The tentpole's determinism contract, across optimization levels:
     // the real transport, comm thread, and overlapped streaming must not
     // perturb a single bit relative to the serial replicated oracle.
-    for opt in [OptLevel::none(), OptLevel::parallel_only(), OptLevel::full()] {
+    for opt in [
+        OptLevel::none(),
+        OptLevel::parallel_only(),
+        OptLevel::full(),
+    ] {
         let oracle = run_oracle(WORLD, STEPS, &opt);
         let ranks = run_group(WORLD, STEPS, &opt);
         for (rank, params) in ranks.iter().enumerate() {
@@ -148,7 +152,10 @@ fn world_of_one_matches_plain_training_bitwise() {
     let plain = read_params(&exec);
 
     let dist = run_group(1, STEPS, &OptLevel::full());
-    assert_eq!(dist[0], plain, "world-1 trainer diverged from plain training");
+    assert_eq!(
+        dist[0], plain,
+        "world-1 trainer diverged from plain training"
+    );
 }
 
 #[test]
@@ -164,8 +171,7 @@ fn fingerprint_spots_a_mismatched_net() {
         with_loss: true,
         seed: 7,
     };
-    let wider =
-        Executor::new(compile(&mlp(&cfg, &[16]).net, &OptLevel::full()).unwrap()).unwrap();
+    let wider = Executor::new(compile(&mlp(&cfg, &[16]).net, &OptLevel::full()).unwrap()).unwrap();
     assert_ne!(a, net_fingerprint(&wider), "a wider net must not match");
 
     // Same parameters (names, sizes, initial values) and the same
@@ -181,7 +187,11 @@ fn fingerprint_spots_a_mismatched_net() {
         net_fingerprint(&Executor::new(compile(&net, &OptLevel::full()).unwrap()).unwrap())
     };
     assert_eq!(activated(relu), activated(relu));
-    assert_ne!(activated(relu), activated(tanh), "a different activation must not match");
+    assert_ne!(
+        activated(relu),
+        activated(tanh),
+        "a different activation must not match"
+    );
 }
 
 #[test]
@@ -193,7 +203,15 @@ fn mid_run_crash_degrades_survivors_to_lossy() {
     let steps = 3u32;
     let plan = FaultPlan::new(vec![Fault::NodeCrash { node: 2, iter: 1 }]);
     let endpoints = channel_group_with(world, |rank, wire| {
-        FaultyTransport::new(rank, if rank == 2 { plan.clone() } else { FaultPlan::none() }, wire)
+        FaultyTransport::new(
+            rank,
+            if rank == 2 {
+                plan.clone()
+            } else {
+                FaultPlan::none()
+            },
+            wire,
+        )
     })
     .unwrap();
     let policy = CommPolicy {
@@ -237,9 +255,19 @@ fn mid_run_crash_degrades_survivors_to_lossy() {
         if *rank == 2 {
             continue;
         }
-        assert_eq!(*mode, SyncMode::LossyDegraded, "survivor {rank} not degraded");
+        assert_eq!(
+            *mode,
+            SyncMode::LossyDegraded,
+            "survivor {rank} not degraded"
+        );
         assert_eq!(*live, 2, "survivor {rank} sees wrong ring size");
-        assert!(metrics.lossy_steps >= 1, "survivor {rank} recorded no lossy step");
-        assert!(metrics.peers_evicted >= 1, "survivor {rank} has no eviction on the books");
+        assert!(
+            metrics.lossy_steps >= 1,
+            "survivor {rank} recorded no lossy step"
+        );
+        assert!(
+            metrics.peers_evicted >= 1,
+            "survivor {rank} has no eviction on the books"
+        );
     }
 }

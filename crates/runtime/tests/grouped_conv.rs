@@ -58,8 +58,8 @@ fn grouped_conv_matches_per_group_references() {
         for c in 0..in_pg {
             for y in 0..h {
                 for x in 0..h {
-                    out[c * h * h + y * h + x] = input_yxc
-                        [((item * h + y) * h + x) * in_c + group * in_pg + c];
+                    out[c * h * h + y * h + x] =
+                        input_yxc[((item * h + y) * h + x) * in_c + group * in_pg + c];
                 }
             }
         }
@@ -102,8 +102,7 @@ fn grouped_conv_matches_per_group_references() {
                 for y in 0..h {
                     for xx in 0..h {
                         let e = expect[oc * h * h + y * h + xx];
-                        let got_v = got
-                            [((item * h + y) * h + xx) * out_c + g * out_pg + oc];
+                        let got_v = got[((item * h + y) * h + xx) * out_c + g * out_pg + oc];
                         assert!(
                             (got_v - e).abs() < 1e-3,
                             "item {item} group {g} oc {oc} y{y} x{xx}: {got_v} vs {e}"

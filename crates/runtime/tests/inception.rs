@@ -28,11 +28,22 @@ fn inception_block(
         net,
         &format!("{prefix}_1x1"),
         input,
-        ConvSpec { out_channels: 3, kernel: 1, stride: 1, pad: 0 },
+        ConvSpec {
+            out_channels: 3,
+            kernel: 1,
+            stride: 1,
+            pad: 0,
+        },
         1,
     );
     let b1 = relu(net, &format!("{prefix}_1x1_relu"), b1);
-    let b3 = convolution(net, &format!("{prefix}_3x3"), input, ConvSpec::same(4, 3), 2);
+    let b3 = convolution(
+        net,
+        &format!("{prefix}_3x3"),
+        input,
+        ConvSpec::same(4, 3),
+        2,
+    );
     let b3 = relu(net, &format!("{prefix}_3x3_relu"), b3);
     // Pool branch keeps spatial size with a stride-1 3x3 window + pad via
     // a stride-1 conv after pooling is overkill here; use a 1x1 conv to
@@ -41,7 +52,12 @@ fn inception_block(
         net,
         &format!("{prefix}_proj"),
         input,
-        ConvSpec { out_channels: 2, kernel: 1, stride: 1, pad: 0 },
+        ConvSpec {
+            out_channels: 2,
+            kernel: 1,
+            stride: 1,
+            pad: 0,
+        },
         3,
     );
     concat(net, &format!("{prefix}_concat"), &[b1, b3, bp])
@@ -126,7 +142,10 @@ fn concat_gradients_split_back_to_branches() {
     exec.backward();
     // Both branches receive gradient; finite-difference check one weight
     // of each.
-    for (param, grad_buf) in [("c1.weights", "c1.g_weights"), ("c2.weights", "c2.g_weights")] {
+    for (param, grad_buf) in [
+        ("c1.weights", "c1.g_weights"),
+        ("c2.weights", "c2.g_weights"),
+    ] {
         let grads = exec.read_buffer(grad_buf).unwrap();
         let values = exec.read_buffer(param).unwrap();
         assert!(grads.iter().any(|g| *g != 0.0), "{param} got no gradient");

@@ -29,9 +29,7 @@ fn batch_norm_normalizes_per_channel_across_batch() {
     let out = exec.read_buffer("bn.value").unwrap();
     // Per channel, across batch and spatial positions: mean ~0, var ~1.
     for ch in 0..c {
-        let vals: Vec<f32> = (0..batch * 4)
-            .map(|i| out[i * c + ch])
-            .collect();
+        let vals: Vec<f32> = (0..batch * 4).map(|i| out[i * c + ch]).collect();
         let mean: f32 = vals.iter().sum::<f32>() / vals.len() as f32;
         let var: f32 =
             vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / vals.len() as f32;
@@ -48,9 +46,13 @@ fn batch_norm_backward_passes_finite_difference() {
     let fc_in = fully_connected(&mut net, "fc0", d, width, 3);
     // Reshape through a 3-channel spatial form for BN.
     let bn_in = {
-        use latte_core::dsl::{Ensemble, Mapping};
         use latte_core::dsl::stdlib::identity_neuron;
-        let e = net.add(Ensemble::new("as_chw", vec![1, 1, width], identity_neuron()));
+        use latte_core::dsl::{Ensemble, Mapping};
+        let e = net.add(Ensemble::new(
+            "as_chw",
+            vec![1, 1, width],
+            identity_neuron(),
+        ));
         net.connect(
             fc_in,
             e,
@@ -142,7 +144,11 @@ fn lrn_matches_caffe_layer() {
     let mut base = caffe::build(
         (c, h, h),
         batch,
-        &[LayerSpec::Lrn { size: 3, alpha: 2e-2, beta: 0.75 }],
+        &[LayerSpec::Lrn {
+            size: 3,
+            alpha: 2e-2,
+            beta: 0.75,
+        }],
         0,
     );
     base.set_input(&in_cyx);

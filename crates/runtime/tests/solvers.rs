@@ -32,7 +32,10 @@ fn task() -> (Executor, MemoryDataSource) {
             (x, class as f32)
         })
         .collect();
-    (exec, MemoryDataSource::try_new("data", "label", items, 8).unwrap())
+    (
+        exec,
+        MemoryDataSource::try_new("data", "label", items, 8).unwrap(),
+    )
 }
 
 fn check(solver: &mut dyn Solver, tag: &str) {

@@ -53,11 +53,7 @@ impl RankRun {
 
 /// Runs `steps` all-reduces (step s, bucket 0) on every endpoint in its
 /// own thread, each step starting from that rank's pristine gradient.
-fn run_ring<W: Wire>(
-    endpoints: Vec<Endpoint<W>>,
-    policy: CommPolicy,
-    steps: u32,
-) -> Vec<RankRun> {
+fn run_ring<W: Wire>(endpoints: Vec<Endpoint<W>>, policy: CommPolicy, steps: u32) -> Vec<RankRun> {
     let handles: Vec<_> = endpoints
         .into_iter()
         .enumerate()
@@ -134,7 +130,15 @@ fn corrupted_transfer_is_retried_then_exact() {
         layer: 0,
     }]);
     let endpoints = channel_group_with(4, |rank, wire| {
-        FaultyTransport::new(rank, if rank == 1 { plan.clone() } else { FaultPlan::none() }, wire)
+        FaultyTransport::new(
+            rank,
+            if rank == 1 {
+                plan.clone()
+            } else {
+                FaultPlan::none()
+            },
+            wire,
+        )
     })
     .unwrap();
     let runs = run_ring(endpoints, fast_policy(), 1);
@@ -157,11 +161,23 @@ fn corruption_beyond_budget_evicts_the_sender() {
     // receiver's budget (max_retries = 2) runs out and rank 1 is evicted;
     // the survivors heal and finish lossy.
     let plan = FaultPlan::new(vec![
-        Fault::TransferCorrupt { node: 1, iter: 0, layer: 0 };
+        Fault::TransferCorrupt {
+            node: 1,
+            iter: 0,
+            layer: 0
+        };
         4
     ]);
     let endpoints = channel_group_with(4, |rank, wire| {
-        FaultyTransport::new(rank, if rank == 1 { plan.clone() } else { FaultPlan::none() }, wire)
+        FaultyTransport::new(
+            rank,
+            if rank == 1 {
+                plan.clone()
+            } else {
+                FaultPlan::none()
+            },
+            wire,
+        )
     })
     .unwrap();
     let runs = run_ring(endpoints, fast_policy(), 1);
@@ -189,7 +205,15 @@ fn dropped_transfer_times_out_and_resends() {
     let mut policy = fast_policy();
     policy.op_timeout_ms = 150; // make the drop's timeout cheap
     let endpoints = channel_group_with(4, |rank, wire| {
-        FaultyTransport::new(rank, if rank == 2 { plan.clone() } else { FaultPlan::none() }, wire)
+        FaultyTransport::new(
+            rank,
+            if rank == 2 {
+                plan.clone()
+            } else {
+                FaultPlan::none()
+            },
+            wire,
+        )
     })
     .unwrap();
     let runs = run_ring(endpoints, policy, 1);
@@ -247,7 +271,15 @@ fn both_ranks_resend_at_once() {
 fn node_crash_heals_the_ring_to_lossy() {
     let plan = FaultPlan::new(vec![Fault::NodeCrash { node: 3, iter: 0 }]);
     let endpoints = channel_group_with(4, |rank, wire| {
-        FaultyTransport::new(rank, if rank == 3 { plan.clone() } else { FaultPlan::none() }, wire)
+        FaultyTransport::new(
+            rank,
+            if rank == 3 {
+                plan.clone()
+            } else {
+                FaultPlan::none()
+            },
+            wire,
+        )
     })
     .unwrap();
     let runs = run_ring(endpoints, fast_policy(), 1);
@@ -270,7 +302,15 @@ fn node_crash_heals_the_ring_to_lossy() {
 fn two_node_ring_heals_to_solo() {
     let plan = FaultPlan::new(vec![Fault::NodeCrash { node: 1, iter: 0 }]);
     let endpoints = channel_group_with(2, |rank, wire| {
-        FaultyTransport::new(rank, if rank == 1 { plan.clone() } else { FaultPlan::none() }, wire)
+        FaultyTransport::new(
+            rank,
+            if rank == 1 {
+                plan.clone()
+            } else {
+                FaultPlan::none()
+            },
+            wire,
+        )
     })
     .unwrap();
     let runs = run_ring(endpoints, fast_policy(), 1);
@@ -346,8 +386,16 @@ fn straggler_is_flagged_by_the_ewma_detector() {
         factor: 30.0,
     }]);
     let endpoints = channel_group_with(2, |rank, wire| {
-        FaultyTransport::new(rank, if rank == 1 { plan.clone() } else { FaultPlan::none() }, wire)
-            .with_straggle_unit(std::time::Duration::from_millis(1))
+        FaultyTransport::new(
+            rank,
+            if rank == 1 {
+                plan.clone()
+            } else {
+                FaultPlan::none()
+            },
+            wire,
+        )
+        .with_straggle_unit(std::time::Duration::from_millis(1))
     })
     .unwrap();
     let runs = run_ring(endpoints, fast_policy(), 8);

@@ -156,7 +156,9 @@ mod tests {
         assert!(b.push(42, t0).is_none());
         // Virtual clock: just before the deadline nothing flushes.
         assert!(b.poll(t0 + Duration::from_millis(9)).is_none());
-        let (batch, reason) = b.poll(t0 + Duration::from_millis(10)).expect("deadline hit");
+        let (batch, reason) = b
+            .poll(t0 + Duration::from_millis(10))
+            .expect("deadline hit");
         assert_eq!(batch, vec![42]);
         assert_eq!(reason, FlushReason::Deadline);
     }
@@ -208,7 +210,10 @@ mod tests {
         let t0 = clock();
         let items = vec![(1, Some(t0)), (2, Some(t0 + Duration::from_millis(1)))];
         let (live, expired) = shed_expired(items, t0 + Duration::from_millis(2), |i| i.1);
-        assert!(live.is_empty(), "an all-expired flush must be a no-op execution");
+        assert!(
+            live.is_empty(),
+            "an all-expired flush must be a no-op execution"
+        );
         assert_eq!(expired.len(), 2);
     }
 
@@ -226,7 +231,10 @@ mod tests {
         let (live, expired) = shed_expired(batch, t0 + Duration::from_millis(10), |i| i.1);
         assert_eq!(live.iter().map(|i| i.0).collect::<Vec<_>>(), vec![2, 3]);
         assert_eq!(expired.iter().map(|i| i.0).collect::<Vec<_>>(), vec![1]);
-        assert!(b.drain().is_none(), "drain is still idempotent after a shed");
+        assert!(
+            b.drain().is_none(),
+            "drain is still idempotent after a shed"
+        );
     }
 
     #[test]

@@ -68,10 +68,7 @@ fn parse_args() -> Result<Args, String> {
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
+        let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
             "--model" => args.model = value("--model")?,
             "--addr" => args.addr = value("--addr")?,
@@ -128,7 +125,10 @@ fn main() -> ExitCode {
     let model = match zoo::model(&args.model) {
         Ok(m) => m,
         Err(e) => {
-            eprintln!("latte-served: model `{}` failed to register: {e}", args.model);
+            eprintln!(
+                "latte-served: model `{}` failed to register: {e}",
+                args.model
+            );
             return ExitCode::FAILURE;
         }
     };

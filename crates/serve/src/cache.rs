@@ -106,7 +106,11 @@ impl PlanCache {
                 books.hits += 1;
                 return Ok((program, true));
             }
-            books.entries.iter().find(|(k, _)| k.0 == key.0).map(|(_, p)| Arc::clone(p))
+            books
+                .entries
+                .iter()
+                .find(|(k, _)| k.0 == key.0)
+                .map(|(_, p)| Arc::clone(p))
         };
         let sized = match resident {
             Some(program) => program.at_batch(key.1)?,
@@ -197,7 +201,11 @@ mod tests {
         assert_eq!((builds, cache.misses(), cache.hits()), (1, 1, 0));
         // A separately built but identical model has the same key.
         lookup(&cache, &tiny_model(2), 4, &mut builds);
-        assert_eq!((builds, cache.misses(), cache.hits()), (1, 1, 1), "a hit must not build");
+        assert_eq!(
+            (builds, cache.misses(), cache.hits()),
+            (1, 1, 1),
+            "a hit must not build"
+        );
         let (program, hit) = cache.get(&tiny_model(2), 4).unwrap();
         assert!(hit);
         assert_eq!(program.batch(), 4);
@@ -242,7 +250,9 @@ mod tests {
         // A failed lowering, of a net not yet resident, inserts and
         // counts nothing.
         let failed = cache.get_or_lower((key.0 ^ 1, 9), || {
-            Err(RuntimeError::Malformed { detail: "no".to_string() })
+            Err(RuntimeError::Malformed {
+                detail: "no".to_string(),
+            })
         });
         assert!(matches!(failed, Err(RuntimeError::Malformed { .. })));
         assert_eq!((cache.len(), cache.misses()), (1, 2));

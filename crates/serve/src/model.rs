@@ -61,7 +61,11 @@ impl Model {
         let compiled = compile(&factory(1), &opt).map_err(|e| ServeError::Compile {
             detail: format!("{name}: {e}"),
         })?;
-        let inputs = compiled.inputs.iter().map(|i| (i.ensemble.clone(), i.len)).collect();
+        let inputs = compiled
+            .inputs
+            .iter()
+            .map(|i| (i.ensemble.clone(), i.len))
+            .collect();
         if let Some(out) = outputs.iter().find(|out| compiled.buffer(out).is_none()) {
             return Err(ServeError::Compile {
                 detail: format!("{name}: output buffer `{out}` does not exist"),

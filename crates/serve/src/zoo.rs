@@ -298,9 +298,14 @@ mod tests {
                 check(name, &opt, &*factory(name));
             }
             for bucket in bucket_ladder(8) {
-                check(&format!("lstm-seq@l{bucket}"), &opt, &|n| seq_factory(n, bucket));
+                check(&format!("lstm-seq@l{bucket}"), &opt, &|n| {
+                    seq_factory(n, bucket)
+                });
             }
-            let cfg = |batch| ModelConfig { batch, ..ModelConfig::default() };
+            let cfg = |batch| ModelConfig {
+                batch,
+                ..ModelConfig::default()
+            };
             check("lenet", &opt, &|n| lenet(&cfg(n)).net);
             check("vgg_prefix", &opt, &|n| vgg_prefix(&cfg(n), 2).net);
         }
@@ -312,12 +317,24 @@ mod tests {
     /// every ring rendezvous, so it must be deliberate.
     #[test]
     fn fingerprints_are_pinned() {
-        let lenet_net = lenet(&ModelConfig { batch: 1, ..ModelConfig::default() }).net;
-        let mut nets: Vec<(&str, Net)> = NETS.iter().map(|&name| (name, factory(name)(1))).collect();
+        let lenet_net = lenet(&ModelConfig {
+            batch: 1,
+            ..ModelConfig::default()
+        })
+        .net;
+        let mut nets: Vec<(&str, Net)> =
+            NETS.iter().map(|&name| (name, factory(name)(1))).collect();
         nets.push(("lenet", lenet_net));
         let got: Vec<(&str, u64)> = nets
             .iter()
-            .map(|(name, net)| (*name, compile(net, &OptLevel::full()).expect("compiles").fingerprint()))
+            .map(|(name, net)| {
+                (
+                    *name,
+                    compile(net, &OptLevel::full())
+                        .expect("compiles")
+                        .fingerprint(),
+                )
+            })
             .collect();
         let pinned = [
             ("fc", 0x7ef6_e026_e8ec_a9ec),
@@ -353,7 +370,12 @@ mod tests {
         let cache = crate::PlanCache::new(latte_runtime::ExecConfig::default());
         for index in 0..ladder.buckets().len() {
             for batch in 1..=4 {
-                assert!(!cache.get(ladder.model(index), batch).expect("plan lowers").1);
+                assert!(
+                    !cache
+                        .get(ladder.model(index), batch)
+                        .expect("plan lowers")
+                        .1
+                );
             }
         }
         assert_eq!(calls.load(Ordering::SeqCst), 4);

@@ -33,7 +33,9 @@ fn solo_unroll(len: usize) -> Executor {
     let x = data(&mut step, "x", vec![zoo::SEQ_WIDTH]);
     lstm(&mut step, "lstm", x, 4, 19);
     let mut net = step.unroll(len);
-    let last = net.find(&format!("lstm_h@t{}", len - 1)).expect("last hidden state");
+    let last = net
+        .find(&format!("lstm_h@t{}", len - 1))
+        .expect("last hidden state");
     let head = fully_connected(&mut net, "head", last, 3, 20);
     let label = data(&mut net, "label", vec![1]);
     softmax_loss(&mut net, "loss", head, label);
@@ -42,7 +44,8 @@ fn solo_unroll(len: usize) -> Executor {
 
 fn solo_reply(exec: &mut Executor, req: &SeqRequest) -> Vec<f32> {
     for (t, step) in req.steps.iter().enumerate() {
-        exec.set_input(&format!("x@t{t}"), step).expect("solo step input");
+        exec.set_input(&format!("x@t{t}"), step)
+            .expect("solo step input");
     }
     for (name, values) in &req.extra {
         exec.set_input(name, values).expect("solo extra input");
@@ -71,20 +74,32 @@ fn a_warm_ladder_serves_mixed_lengths_in_micro_batches_without_recompiling() {
             let tickets: Vec<_> = (0..size)
                 .map(|i| {
                     let seed = (size as u64) << 32 | i as u64;
-                    server.submit(&zoo::seq_sample(bucket, seed)).expect("warmup submit")
+                    server
+                        .submit(&zoo::seq_sample(bucket, seed))
+                        .expect("warmup submit")
                 })
                 .collect();
             server.flush();
             for t in tickets {
                 let resp = t.wait_timeout(WAIT).expect("warmup response");
-                assert_eq!(resp.meta.batch_size, size, "bucket {bucket} warmed at the wrong size");
-                assert!(!resp.meta.cache_hit, "bucket {bucket} batch {size} was already lowered");
+                assert_eq!(
+                    resp.meta.batch_size, size,
+                    "bucket {bucket} warmed at the wrong size"
+                );
+                assert!(
+                    !resp.meta.cache_hit,
+                    "bucket {bucket} batch {size} was already lowered"
+                );
             }
         }
     }
     let warm_misses = server.cache().misses();
     assert_eq!(warm_misses, (ladder.len() * MAX_BATCH) as u64);
-    assert_eq!(server.bucket_spills(), 0, "exact-length warmup must not spill");
+    assert_eq!(
+        server.bucket_spills(),
+        0,
+        "exact-length warmup must not spill"
+    );
     let warm_routed = server.routed();
 
     // The stream: lengths uniform over 1..=MAX_LEN, so most requests pad
@@ -113,27 +128,57 @@ fn a_warm_ladder_serves_mixed_lengths_in_micro_batches_without_recompiling() {
         spills += route.spilled as u64;
         routed[route.bucket_index] += 1;
         let resp = ticket.wait_timeout(WAIT).expect("stream response");
-        assert!(resp.meta.cache_hit, "len {len} batch {} recompiled", resp.meta.batch_size);
-        assert_ne!(resp.meta.flush, FlushReason::Deadline, "the clock must not shape batches");
+        assert!(
+            resp.meta.cache_hit,
+            "len {len} batch {} recompiled",
+            resp.meta.batch_size
+        );
+        assert_ne!(
+            resp.meta.flush,
+            FlushReason::Deadline,
+            "the clock must not shape batches"
+        );
         batch_sizes.push(resp.meta.batch_size);
 
         let want = solo_reply(solos.entry(len).or_insert_with(|| solo_unroll(len)), req);
         let got = &resp.outputs[0].1;
         assert_eq!(got.len(), want.len());
         for (i, (a, b)) in got.iter().zip(&want).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "len {len} output[{i}]: served {a} vs solo {b}");
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "len {len} output[{i}]: served {a} vs solo {b}"
+            );
         }
     }
 
-    assert_eq!(server.cache().misses(), warm_misses, "a warm ladder must never recompile");
-    let boundary = stream.iter().filter(|r| r.steps.len().is_power_of_two()).count();
+    assert_eq!(
+        server.cache().misses(),
+        warm_misses,
+        "a warm ladder must never recompile"
+    );
+    let boundary = stream
+        .iter()
+        .filter(|r| r.steps.len().is_power_of_two())
+        .count();
     assert_eq!(spills, (STREAM - boundary) as u64);
-    assert!(spills > 0 && boundary > 0, "the stream must mix boundary and padded lengths");
+    assert!(
+        spills > 0 && boundary > 0,
+        "the stream must mix boundary and padded lengths"
+    );
     assert_eq!(server.bucket_spills(), spills);
-    let served: Vec<u64> = server.routed().iter().zip(&warm_routed).map(|(a, w)| a - w).collect();
+    let served: Vec<u64> = server
+        .routed()
+        .iter()
+        .zip(&warm_routed)
+        .map(|(a, w)| a - w)
+        .collect();
     assert_eq!(served, routed);
     // 48 requests over 4 buckets cannot all ride alone: full batches
     // flushed by size, and the explicit flush carried the tails.
     assert_eq!(batch_sizes.iter().max(), Some(&MAX_BATCH));
-    assert!(batch_sizes.iter().any(|&b| b < MAX_BATCH), "no tail batch was exercised");
+    assert!(
+        batch_sizes.iter().any(|&b| b < MAX_BATCH),
+        "no tail batch was exercised"
+    );
 }

@@ -72,7 +72,12 @@ fn lenet_at(batch: usize) -> latte_core::dsl::Net {
 const OUTPUT: &str = "ip2.value";
 
 fn model() -> Arc<Model> {
-    let model = Model::new("lenet", Box::new(lenet_at), OptLevel::full(), vec![OUTPUT.to_string()]);
+    let model = Model::new(
+        "lenet",
+        Box::new(lenet_at),
+        OptLevel::full(),
+        vec![OUTPUT.to_string()],
+    );
     Arc::new(model.expect("lenet registers"))
 }
 
@@ -80,11 +85,16 @@ fn model() -> Arc<Model> {
 fn request(seed: u32) -> Vec<(String, Vec<f32>)> {
     let image = (0..28 * 28)
         .map(|i| {
-            let h = (i as u32).wrapping_mul(2654435761).wrapping_add(seed.wrapping_mul(40503));
+            let h = (i as u32)
+                .wrapping_mul(2654435761)
+                .wrapping_add(seed.wrapping_mul(40503));
             ((h >> 8) % 1000) as f32 / 500.0 - 1.0
         })
         .collect();
-    vec![("data".to_string(), image), ("label".to_string(), vec![(seed % 10) as f32])]
+    vec![
+        ("data".to_string(), image),
+        ("label".to_string(), vec![(seed % 10) as f32]),
+    ]
 }
 
 /// `n` requests, numbered from `first`.
@@ -121,9 +131,15 @@ fn a_replica_serves_every_batch_on_one_executor_bit_for_bit() {
             let want = solo.read_item(OUTPUT, 0).expect("solo output");
             assert_eq!(reply.len(), 1);
             assert_eq!(reply[0].0, OUTPUT);
-            assert!(bits(&reply[0].1) == bits(&want), "batch {n}, slot {slot}: not the solo bits");
+            assert!(
+                bits(&reply[0].1) == bits(&want),
+                "batch {n}, slot {slot}: not the solo bits"
+            );
         }
-        assert!(format!("{engine:?}").contains("capacity: Some(8)"), "{engine:?}");
+        assert!(
+            format!("{engine:?}").contains("capacity: Some(8)"),
+            "{engine:?}"
+        );
     }
     assert_eq!(cache.misses(), 8, "one entry per size is still looked up");
 }
@@ -134,7 +150,10 @@ fn a_replica_serves_every_batch_on_one_executor_bit_for_bit() {
 #[test]
 fn a_replica_growing_through_every_batch_keeps_one_executor() {
     let model = model();
-    let cache = Arc::new(PlanCache::new(ExecConfig { threads: 1, ..ExecConfig::default() }));
+    let cache = Arc::new(PlanCache::new(ExecConfig {
+        threads: 1,
+        ..ExecConfig::default()
+    }));
     // Lower and cache every size first: the plan is not the replica's.
     let program = cache.get(&model, 8).expect("lowers").0;
     for n in 1..8 {
@@ -165,7 +184,10 @@ fn a_replica_growing_through_every_batch_keeps_one_executor() {
         }
         engine
     });
-    assert!(format!("{engine:?}").contains("capacity: Some(8)"), "{engine:?}");
+    assert!(
+        format!("{engine:?}").contains("capacity: Some(8)"),
+        "{engine:?}"
+    );
     let ratio = replica_bytes as f64 / one_bytes as f64;
     println!(
         "kept through batches 1..=8: {replica_bytes} B; one executor at 8: {one_bytes} B \

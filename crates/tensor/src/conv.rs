@@ -56,7 +56,10 @@ impl Conv2dParams {
 }
 
 fn out_extent(input: usize, kernel: usize, stride: usize, pad: usize) -> usize {
-    assert!(kernel > 0 && stride > 0, "kernel and stride must be non-zero");
+    assert!(
+        kernel > 0 && stride > 0,
+        "kernel and stride must be non-zero"
+    );
     let padded = input + 2 * pad;
     assert!(
         padded >= kernel,
@@ -180,8 +183,15 @@ pub fn conv2d_reference(
     bias: &[f32],
     output: &mut [f32],
 ) {
-    assert_eq!(weights.len(), p.out_channels * p.patch_len(), "weights length");
-    assert!(bias.is_empty() || bias.len() == p.out_channels, "bias length");
+    assert_eq!(
+        weights.len(),
+        p.out_channels * p.patch_len(),
+        "weights length"
+    );
+    assert!(
+        bias.is_empty() || bias.len() == p.out_channels,
+        "bias length"
+    );
     let (oh, ow) = (p.out_height(), p.out_width());
     assert_eq!(output.len(), p.out_channels * oh * ow, "output length");
     for oc in 0..p.out_channels {
@@ -225,12 +235,7 @@ pub fn conv2d_reference(
 ///
 /// Panics if the slice lengths do not match `p` (with
 /// `p.out_channels == p.in_channels`).
-pub fn maxpool2d(
-    p: &Conv2dParams,
-    input: &[f32],
-    output: &mut [f32],
-    argmax: &mut [usize],
-) {
+pub fn maxpool2d(p: &Conv2dParams, input: &[f32], output: &mut [f32], argmax: &mut [usize]) {
     let (oh, ow) = (p.out_height(), p.out_width());
     assert_eq!(input.len(), p.in_channels * p.height * p.width);
     assert_eq!(output.len(), p.in_channels * oh * ow);
@@ -323,7 +328,12 @@ mod tests {
         let p = params();
         assert_eq!(p.out_height(), 5);
         assert_eq!(p.out_width(), 5);
-        let p2 = Conv2dParams { kernel: 2, stride: 2, pad: 0, ..p };
+        let p2 = Conv2dParams {
+            kernel: 2,
+            stride: 2,
+            pad: 0,
+            ..p
+        };
         assert_eq!(p2.out_height(), 2); // floor((5-2)/2)+1
     }
 
@@ -367,7 +377,10 @@ mod tests {
         let mut img = vec![0.0; x.len()];
         col2im(&p, &y, &mut img);
         let rhs: f32 = x.iter().zip(&img).map(|(a, b)| a * b).sum();
-        assert!((lhs - rhs).abs() < 1e-2 * lhs.abs().max(1.0), "{lhs} vs {rhs}");
+        assert!(
+            (lhs - rhs).abs() < 1e-2 * lhs.abs().max(1.0),
+            "{lhs} vs {rhs}"
+        );
     }
 
     #[test]

@@ -229,7 +229,10 @@ impl Gemm {
         if m == 0 || n == 0 || k == 0 {
             return;
         }
-        let cp = CPtr { ptr: c.as_mut_ptr(), len: c.len() };
+        let cp = CPtr {
+            ptr: c.as_mut_ptr(),
+            len: c.len(),
+        };
         // SAFETY: a single part owns every output; `c` is exclusively
         // borrowed.
         unsafe { self.dispatch(ta, tb, m, n, k, a, b, cp, 0, 1) };
@@ -270,7 +273,10 @@ impl Gemm {
             pool.run_serial(&mut |eng| eng.compute(ta, tb, m, n, k, a, b, c));
             return;
         }
-        let cp = CPtr { ptr: c.as_mut_ptr(), len: c.len() };
+        let cp = CPtr {
+            ptr: c.as_mut_ptr(),
+            len: c.len(),
+        };
         pool.run_gemm(&|tid, eng| {
             // Bind the whole CPtr (not its fields) so the closure
             // captures the Sync wrapper, not the raw pointer.
@@ -311,7 +317,10 @@ impl Gemm {
         part: usize,
         nparts: usize,
     ) {
-        debug_assert!(nparts == 1 || !is_narrow(ta, n), "a narrow output is never split");
+        debug_assert!(
+            nparts == 1 || !is_narrow(ta, n),
+            "a narrow output is never split"
+        );
         match (is_narrow(ta, n), self.fma) {
             // Narrow-AVX: reads whole 8-lane rows of B.
             #[cfg(target_arch = "x86_64")]
@@ -951,10 +960,18 @@ mod tests {
                 continue;
             }
             let mut gemm = Gemm { fma, ..Gemm::new() };
-            let cases = if narrow { narrow_cases() } else { tiled_cases() };
+            let cases = if narrow {
+                narrow_cases()
+            } else {
+                tiled_cases()
+            };
             for (seed, &(ta, tb, m, n, k)) in cases.iter().enumerate() {
                 let what = format!("{name} {ta:?}/{tb:?} {m}x{n}x{k} seed {seed}");
-                assert_eq!(is_narrow(ta, n), narrow, "{what} is in the other shape class");
+                assert_eq!(
+                    is_narrow(ta, n),
+                    narrow,
+                    "{what} is in the other shape class"
+                );
                 let seed = seed as u32;
                 let (a, b) = (fill(m * k, seed, 1), fill(k * n, seed, 2));
                 let mut want = fill(m * n, seed, 3);
@@ -970,7 +987,10 @@ mod tests {
                     assert_same_bits(&alone, &got, &format!("{what}, a row at a time"));
                 }
             }
-            println!("GEMM sweep: {name}: {} shapes bit-identical to gemm_naive", cases.len());
+            println!(
+                "GEMM sweep: {name}: {} shapes bit-identical to gemm_naive",
+                cases.len()
+            );
         }
     }
 
@@ -1149,9 +1169,23 @@ mod tests {
         for parts in [1usize, 2, 3, 4, 8] {
             let mut c_par = dense(m, n, 9);
             let pool = SeqPool::new(parts);
-            Gemm::compute_parallel(&pool, Transpose::No, Transpose::No, m, n, k, &a, &b, &mut c_par);
+            Gemm::compute_parallel(
+                &pool,
+                Transpose::No,
+                Transpose::No,
+                m,
+                n,
+                k,
+                &a,
+                &b,
+                &mut c_par,
+            );
             for (i, (x, y)) in c_serial.iter().zip(&c_par).enumerate() {
-                assert_eq!(x.to_bits(), y.to_bits(), "parts={parts} elem {i}: {x} vs {y}");
+                assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
+                    "parts={parts} elem {i}: {x} vs {y}"
+                );
             }
         }
     }

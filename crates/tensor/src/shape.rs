@@ -95,7 +95,10 @@ impl Shape {
         );
         let mut off = 0;
         for (axis, (&i, &d)) in index.iter().zip(&self.dims).enumerate() {
-            assert!(i < d, "index {i} out of bounds for axis {axis} of extent {d}");
+            assert!(
+                i < d,
+                "index {i} out of bounds for axis {axis} of extent {d}"
+            );
             off += i * self.strides[axis];
         }
         off

@@ -162,11 +162,29 @@ fn only_a_gemm_that_splits_wakes_the_pool() {
     let cases = [
         ("narrow (a forward conv)", no, yes, 256, 32, 144, 4, false),
         ("under MIN_PARALLEL_FLOPS", no, no, 130, 40, 8, 4, false),
-        ("one macro-tile (LeNet ip1 forward)", no, yes, 8, 125, 588, 2, false),
+        (
+            "one macro-tile (LeNet ip1 forward)",
+            no,
+            yes,
+            8,
+            125,
+            588,
+            2,
+            false,
+        ),
         ("one macro-tile, full", yes, no, 64, 512, 64, 4, false),
         ("one worker", no, no, 130, 70, 64, 1, false),
         ("three macro-tiles", no, no, 130, 70, 64, 3, true),
-        ("two macro-tiles, transposed A", yes, yes, 70, 600, 40, 2, true),
+        (
+            "two macro-tiles, transposed A",
+            yes,
+            yes,
+            70,
+            600,
+            40,
+            2,
+            true,
+        ),
     ];
     for (what, ta, tb, m, n, k, threads, splits) in cases {
         let a = fill(m * k, 5, 1);
@@ -176,8 +194,16 @@ fn only_a_gemm_that_splits_wakes_the_pool() {
         Gemm::new().compute(ta, tb, m, n, k, &a, &b, &mut want);
         let pool = FakePool::new(threads);
         Gemm::compute_parallel(&pool, ta, tb, m, n, k, &a, &b, &mut got);
-        assert_eq!(pool.gemm_runs.get(), usize::from(splits), "{what}: run_gemm calls");
-        assert_eq!(pool.serial_runs.get(), usize::from(!splits), "{what}: run_serial calls");
+        assert_eq!(
+            pool.gemm_runs.get(),
+            usize::from(splits),
+            "{what}: run_gemm calls"
+        );
+        assert_eq!(
+            pool.serial_runs.get(),
+            usize::from(!splits),
+            "{what}: run_serial calls"
+        );
         for (i, (x, y)) in want.iter().zip(&got).enumerate() {
             assert_eq!(x.to_bits(), y.to_bits(), "{what}: elem {i}");
         }

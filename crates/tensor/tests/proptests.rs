@@ -1,8 +1,6 @@
 //! Property-based tests for the tensor substrate.
 
-use latte_tensor::conv::{
-    col2im, conv2d_reference, im2col, maxpool2d, Conv2dParams,
-};
+use latte_tensor::conv::{col2im, conv2d_reference, im2col, maxpool2d, Conv2dParams};
 use latte_tensor::gemm::{gemm_naive, Gemm, Transpose};
 use latte_tensor::Shape;
 use proptest::prelude::*;

@@ -42,12 +42,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut exec = Executor::new(compiled)?;
     let train = synthetic_mnist(512, 3);
-    let mut source = DoubleBufferedSource::new(MemoryDataSource::try_new(
-        "data",
-        "label",
-        train,
-        cfg.batch,
-    ).unwrap());
+    let mut source = DoubleBufferedSource::new(
+        MemoryDataSource::try_new("data", "label", train, cfg.batch).unwrap(),
+    );
     let mut sgd = Sgd::new(SolverParams {
         lr_policy: LrPolicy::Fixed { lr: 0.01 },
         mom_policy: MomPolicy::Fixed { mom: 0.9 },

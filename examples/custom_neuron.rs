@@ -27,9 +27,7 @@ fn swish_neuron() -> NeuronType {
         })
         .backward(|b| {
             let sig = b.input(0, 0).unary(UnaryOp::Sigmoid);
-            let deriv = b
-                .value_expr()
-                .add(sig.mul(b.lit(1.0).sub(b.value_expr())));
+            let deriv = b.value_expr().add(sig.mul(b.lit(1.0).sub(b.value_expr())));
             b.accumulate(b.grad_input(0, 0), b.grad_expr().mul(deriv));
         })
         .build()
@@ -68,8 +66,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     net.connect(fc1, swish, Mapping::one_to_one());
 
     let leaky = net.add(
-        Ensemble::new("leaky1", vec![32], leaky_relu_neuron())
-            .with_field("slope", vec![false], Tensor::full(vec![32, 1], 0.1)),
+        Ensemble::new("leaky1", vec![32], leaky_relu_neuron()).with_field(
+            "slope",
+            vec![false],
+            Tensor::full(vec![32, 1], 0.1),
+        ),
     );
     net.connect(swish, leaky, Mapping::one_to_one());
 
@@ -87,7 +88,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Train the net as an identity autoencoder for a few steps.
     let mut exec = Executor::new(compiled)?;
-    let input: Vec<f32> = (0..batch * width).map(|i| ((i % 7) as f32 - 3.0) / 3.0).collect();
+    let input: Vec<f32> = (0..batch * width)
+        .map(|i| ((i % 7) as f32 - 3.0) / 3.0)
+        .collect();
     exec.set_input("data", &input)?;
     exec.set_input("target", &input)?;
     exec.forward();

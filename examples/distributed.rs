@@ -35,30 +35,36 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let train = synthetic_mnist(1024, 5);
     let test = synthetic_mnist(256, 77);
 
-    let ranks = run_ranks(channel_group(world)?, |rank, endpoint| -> Result<_, RuntimeError> {
-        let compiled = compile(&mlp(&cfg, &[64]).net, &OptLevel::full()).expect("compiles");
-        let mut trainer =
-            DistTrainer::new(Executor::new(compiled)?, Box::new(endpoint), CommPolicy::default())?;
-        let mut solver = Sgd::new(SolverParams {
-            lr_policy: LrPolicy::Fixed { lr: 0.02 },
-            mom_policy: MomPolicy::Fixed { mom: 0.9 },
-            regu_coef: 0.0,
-            max_epoch: 3,
-        });
-        let shard: Vec<_> = train.iter().skip(rank).step_by(world).cloned().collect();
-        let mut source = MemoryDataSource::try_new("data", "label", shard, worker_batch)?;
-        let mut last = 0.0;
-        let mut steps = 0;
-        for _epoch in 0..solver.params().max_epoch {
-            source.reset();
-            while let Some(batch) = source.next_batch()? {
-                last = trainer.step(&batch, &mut |e| solver.step(e))?.loss;
-                steps += 1;
+    let ranks = run_ranks(
+        channel_group(world)?,
+        |rank, endpoint| -> Result<_, RuntimeError> {
+            let compiled = compile(&mlp(&cfg, &[64]).net, &OptLevel::full()).expect("compiles");
+            let mut trainer = DistTrainer::new(
+                Executor::new(compiled)?,
+                Box::new(endpoint),
+                CommPolicy::default(),
+            )?;
+            let mut solver = Sgd::new(SolverParams {
+                lr_policy: LrPolicy::Fixed { lr: 0.02 },
+                mom_policy: MomPolicy::Fixed { mom: 0.9 },
+                regu_coef: 0.0,
+                max_epoch: 3,
+            });
+            let shard: Vec<_> = train.iter().skip(rank).step_by(world).cloned().collect();
+            let mut source = MemoryDataSource::try_new("data", "label", shard, worker_batch)?;
+            let mut last = 0.0;
+            let mut steps = 0;
+            for _epoch in 0..solver.params().max_epoch {
+                source.reset();
+                while let Some(batch) = source.next_batch()? {
+                    last = trainer.step(&batch, &mut |e| solver.step(e))?.loss;
+                    steps += 1;
+                }
             }
-        }
-        let accuracy = top1_accuracy(trainer.exec_mut(), "data", "ip_out.value", &test)?;
-        Ok((last, accuracy, steps, trainer.mode()))
-    });
+            let accuracy = top1_accuracy(trainer.exec_mut(), "data", "ip_out.value", &test)?;
+            Ok((last, accuracy, steps, trainer.mode()))
+        },
+    );
 
     for (rank, outcome) in ranks.into_iter().enumerate() {
         let (loss, accuracy, steps, mode) = outcome?;

@@ -38,7 +38,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .ok_or("--seed requires a value, e.g. --seed 7")?;
             Some(v.parse::<u64>().map_err(|e| format!("--seed {v}: {e}"))?)
         }
-        Some(other) => return Err(format!("unknown argument {other:?}; usage: fault_tolerance [--seed N]").into()),
+        Some(other) => {
+            return Err(
+                format!("unknown argument {other:?}; usage: fault_tolerance [--seed N]").into(),
+            )
+        }
         None => None,
     };
 
@@ -56,9 +60,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             // which gives its neighbour's straggler detector a stable
             // baseline; for steps 6-7 it is 25x slower than that.
             FaultPlan::new(vec![
-                Fault::Straggler { node: 1, from_iter: 0, to_iter: STEPS as usize, factor: 2.0 },
-                Fault::TransferDrop { node: 0, iter: 2, layer: 0 },
-                Fault::Straggler { node: 1, from_iter: 6, to_iter: 8, factor: 12.5 },
+                Fault::Straggler {
+                    node: 1,
+                    from_iter: 0,
+                    to_iter: STEPS as usize,
+                    factor: 2.0,
+                },
+                Fault::TransferDrop {
+                    node: 0,
+                    iter: 2,
+                    layer: 0,
+                },
+                Fault::Straggler {
+                    node: 1,
+                    from_iter: 6,
+                    to_iter: 8,
+                    factor: 12.5,
+                },
                 Fault::NodeCrash { node: 2, iter: 10 },
             ])
         }
@@ -75,8 +93,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         straggler_grace: 18,
         ..CommPolicy::default()
     };
-    let endpoints =
-        channel_group_with(WORLD, |rank, wire| FaultyTransport::new(rank, plan.clone(), wire))?;
+    let endpoints = channel_group_with(WORLD, |rank, wire| {
+        FaultyTransport::new(rank, plan.clone(), wire)
+    })?;
     // Per rank: each completed step's report and the counters after it.
     let runs = run_ranks(endpoints, |rank, endpoint| -> Result<_, RuntimeError> {
         let metrics = Arc::clone(endpoint.metrics());
@@ -107,7 +126,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let labels = (0..4).map(|item| class(item) as f32).collect();
             let batch = vec![("data".to_string(), inputs), ("label".to_string(), labels)];
             // A rank the ring has given up on stops here.
-            let Ok(report) = trainer.step(&batch, &mut |e| solver.step(e)) else { break };
+            let Ok(report) = trainer.step(&batch, &mut |e| solver.step(e)) else {
+                break;
+            };
             steps.push((report, metrics.snapshot()));
         }
         Ok(steps)
@@ -119,7 +140,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A crashed rank keeps computing behind its dead wire; only the ranks
     // the plan left alive speak for the ring.
     let speakers = |step: usize| -> Vec<usize> {
-        (0..WORLD).filter(|&r| !plan.crashed_by(r, step) && runs[r].len() > step).collect()
+        (0..WORLD)
+            .filter(|&r| !plan.crashed_by(r, step) && runs[r].len() > step)
+            .collect()
     };
     let report = |rank: usize, step: usize| &runs[rank][step].0;
     // Whether one of `rank`'s counters grew during `step`.
@@ -133,22 +156,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut notes = Vec::new();
         for fault in plan.faults() {
             match *fault {
-                Fault::TransferDrop { node, iter, .. } | Fault::TransferCorrupt { node, iter, .. }
+                Fault::TransferDrop { node, iter, .. }
+                | Fault::TransferCorrupt { node, iter, .. }
                     if iter == step && grew(node, step, |m| m.send_retries) =>
                 {
                     notes.push(format!("rank {node} re-sent a lost frame"));
                 }
-                Fault::Straggler { node, from_iter, .. } if from_iter == step => {
+                Fault::Straggler {
+                    node, from_iter, ..
+                } if from_iter == step => {
                     let downstream = ranks.iter().copied().find(|&r| r > node).unwrap_or(first);
                     if grew(downstream, step, |m| m.stragglers_detected) {
-                        notes.push(format!("rank {downstream} flagged rank {node} as a straggler"));
+                        notes.push(format!(
+                            "rank {downstream} flagged rank {node} as a straggler"
+                        ));
                     }
                 }
                 _ => {}
             }
         }
-        let mut evicted: Vec<usize> =
-            ranks.iter().flat_map(|&r| report(r, step).evicted.clone()).collect();
+        let mut evicted: Vec<usize> = ranks
+            .iter()
+            .flat_map(|&r| report(r, step).evicted.clone())
+            .collect();
         evicted.sort_unstable();
         evicted.dedup();
         if !evicted.is_empty() {
@@ -160,7 +190,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     if let Some(&speaker) = speakers(STEPS as usize - 1).first() {
         let (last, books) = &runs[speaker][STEPS as usize - 1];
-        println!("survivors: {}/{WORLD}, final mode {:?}", last.live, last.mode);
+        println!(
+            "survivors: {}/{WORLD}, final mode {:?}",
+            last.live, last.mode
+        );
         println!(
             "rank {speaker}'s books: peers_evicted={} lossy_steps={}",
             books.peers_evicted, books.lossy_steps
@@ -190,8 +223,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
         .collect();
     let mut source = MemoryDataSource::try_new("data", "label", items, 4)?;
-    let mut exec =
-        Executor::new(compile(&mlp(&cfg, &[10]).net, &OptLevel::full())?)?;
+    let mut exec = Executor::new(compile(&mlp(&cfg, &[10]).net, &OptLevel::full())?)?;
     let mut solver = Sgd::new(SolverParams {
         lr_policy: LrPolicy::Fixed { lr: 0.1 },
         mom_policy: MomPolicy::None,

@@ -7,10 +7,10 @@
 //! cargo run --release --example lstm_sequence
 //! ```
 
+use latte::core::dsl::{Ensemble, Net};
 use latte::core::{compile, OptLevel};
 use latte::nn::layers::{fully_connected, softmax_loss};
 use latte::nn::rnn::lstm;
-use latte::core::dsl::{Ensemble, Net};
 use latte::runtime::data::synthetic_sequences;
 use latte::runtime::Executor;
 
@@ -49,7 +49,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut exec = Executor::new(compiled)?;
 
     let items = synthetic_sequences(STEPS, WIDTH, 512, 13);
-    let feed = |exec: &mut Executor, chunk: &[(Vec<f32>, f32)]| -> Result<(), Box<dyn std::error::Error>> {
+    let feed = |exec: &mut Executor,
+                chunk: &[(Vec<f32>, f32)]|
+     -> Result<(), Box<dyn std::error::Error>> {
         // Split each item's concatenated sequence into per-step inputs.
         for t in 0..STEPS {
             let mut step_in = Vec::with_capacity(BATCH * WIDTH);

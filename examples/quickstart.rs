@@ -35,12 +35,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut exec = Executor::new(compiled)?;
 
     let train = synthetic_mnist(1024, 7);
-    let mut source = DoubleBufferedSource::new(MemoryDataSource::try_new(
-        "data",
-        "label",
-        train.clone(),
-        cfg.batch,
-    ).unwrap());
+    let mut source = DoubleBufferedSource::new(
+        MemoryDataSource::try_new("data", "label", train.clone(), cfg.batch).unwrap(),
+    );
 
     let params = SolverParams {
         lr_policy: LrPolicy::Inv {

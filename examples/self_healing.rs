@@ -30,7 +30,10 @@ fn build_exec() -> Result<Executor, Box<dyn std::error::Error>> {
         with_loss: true,
         seed: 5,
     };
-    Ok(Executor::new(compile(&mlp(&cfg, &[10]).net, &OptLevel::full())?)?)
+    Ok(Executor::new(compile(
+        &mlp(&cfg, &[10]).net,
+        &OptLevel::full(),
+    )?)?)
 }
 
 fn source() -> Result<MemoryDataSource, Box<dyn std::error::Error>> {
@@ -139,7 +142,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     run(
         "LR spike x1000, guarded (divergence detected, rate cut, rollback)",
-        vec![Fault::LrSpike { iter: 6, factor: 1000.0 }],
+        vec![Fault::LrSpike {
+            iter: 6,
+            factor: 1000.0,
+        }],
         Some(HealthConfig {
             on_bad_batch: AnomalyReaction::rollback_and_reduce_lr(),
             on_spike: AnomalyReaction::rollback_and_reduce_lr(),

@@ -15,7 +15,9 @@
 
 use latte::core::dsl::Net;
 use latte::core::{compile, OptLevel};
-use latte::nn::layers::{convolution, data, fully_connected, max_pool, relu, softmax_loss, ConvSpec};
+use latte::nn::layers::{
+    convolution, data, fully_connected, max_pool, relu, softmax_loss, ConvSpec,
+};
 use latte::nn::models::{lenet, mlp, vgg_prefix, ModelConfig};
 use latte::runtime::registry::KernelRegistry;
 use latte::runtime::{CompiledProgram, ExecConfig};

@@ -107,7 +107,10 @@ fn parse_args() -> Result<Args, String> {
         return Err("--addrs is required (comma-separated host:port per rank)".into());
     }
     if rank >= addrs.len() {
-        return Err(format!("--rank {rank} out of range for {} addrs", addrs.len()));
+        return Err(format!(
+            "--rank {rank} out of range for {} addrs",
+            addrs.len()
+        ));
     }
     Ok(Args {
         rank,

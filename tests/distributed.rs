@@ -30,7 +30,14 @@ struct WorkerResult {
 
 fn spawn_worker(addrs: &str, rank: usize, extra: &[&str]) -> Child {
     Command::new(env!("CARGO_BIN_EXE_latte-worker"))
-        .args(["--rank", &rank.to_string(), "--addrs", addrs, "--steps", "3"])
+        .args([
+            "--rank",
+            &rank.to_string(),
+            "--addrs",
+            addrs,
+            "--steps",
+            "3",
+        ])
         .args(extra)
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -52,8 +59,18 @@ fn reap(mut child: Child, rank: usize) -> WorkerResult {
     };
     let mut stdout = String::new();
     let mut stderr = String::new();
-    child.stdout.take().unwrap().read_to_string(&mut stdout).unwrap();
-    child.stderr.take().unwrap().read_to_string(&mut stderr).unwrap();
+    child
+        .stdout
+        .take()
+        .unwrap()
+        .read_to_string(&mut stdout)
+        .unwrap();
+    child
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut stderr)
+        .unwrap();
     let fields = stdout
         .lines()
         .rev()
@@ -98,11 +115,7 @@ fn launch(world: usize, per_rank_extra: impl Fn(usize) -> Vec<String>) -> Vec<Wo
 fn four_processes_train_to_identical_parameters() {
     let results = launch(4, |_| vec![]);
     for (rank, r) in results.iter().enumerate() {
-        assert_eq!(
-            r.exit_code, 0,
-            "rank {rank} failed (stderr:\n{})",
-            r.stderr
-        );
+        assert_eq!(r.exit_code, 0, "rank {rank} failed (stderr:\n{})", r.stderr);
         assert_eq!(r.fields.get("mode").map(String::as_str), Some("sync"));
         assert_eq!(r.fields.get("live").map(String::as_str), Some("4"));
         assert_eq!(r.fields.get("steps").map(String::as_str), Some("3"));

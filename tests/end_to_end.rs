@@ -3,10 +3,12 @@
 //! end-to-end learning.
 
 use latte::baselines::{caffe, spec::LayerSpec};
-use latte::core::{compile, OptLevel};
-use latte::nn::layers::{convolution, data, fully_connected, max_pool, relu, softmax_loss, ConvSpec};
-use latte::nn::models::{lenet, mlp, ModelConfig};
 use latte::core::dsl::Net;
+use latte::core::{compile, OptLevel};
+use latte::nn::layers::{
+    convolution, data, fully_connected, max_pool, relu, softmax_loss, ConvSpec,
+};
+use latte::nn::models::{lenet, mlp, ModelConfig};
 use latte::runtime::data::{synthetic_mnist, MemoryDataSource};
 use latte::runtime::dist::{run_ranks, DistTrainer};
 use latte::runtime::ring::CommPolicy;
@@ -45,9 +47,17 @@ fn latte_matches_caffe_stack_with_same_weights() {
     let mut exec = Executor::new(compiled).unwrap();
 
     let specs = [
-        LayerSpec::Conv { out_channels: cout, kernel: 3, stride: 1, pad: 1 },
+        LayerSpec::Conv {
+            out_channels: cout,
+            kernel: 3,
+            stride: 1,
+            pad: 1,
+        },
         LayerSpec::ReLU,
-        LayerSpec::MaxPool { kernel: 2, stride: 2 },
+        LayerSpec::MaxPool {
+            kernel: 2,
+            stride: 2,
+        },
     ];
     let mut base = caffe::build((cin, h, h), batch, &specs, 99);
     // Inject Latte's weights, translating the patch order:
@@ -157,7 +167,10 @@ fn distributed_gradients_match_single_worker() {
         trainer.step(&shard, &mut |_| {}).unwrap();
         trainer.exec().read_buffer("ip1.g_weights").unwrap()
     });
-    assert_eq!(merged[0], merged[1], "both ranks hold the same merged gradient");
+    assert_eq!(
+        merged[0], merged[1],
+        "both ranks hold the same merged gradient"
+    );
     for (m, s) in merged[0].iter().zip(&g_single) {
         assert!((m - s).abs() < 1e-4 * s.abs().max(1.0), "{m} vs {s}");
     }
@@ -177,7 +190,8 @@ fn lenet_learns_synthetic_mnist() {
     let model = lenet(&cfg);
     let compiled = compile(&model.net, &OptLevel::full()).unwrap();
     let mut exec = Executor::new(compiled).unwrap();
-    let mut source = MemoryDataSource::try_new("data", "label", synthetic_mnist(160, 4), 8).unwrap();
+    let mut source =
+        MemoryDataSource::try_new("data", "label", synthetic_mnist(160, 4), 8).unwrap();
     let mut sgd = Sgd::new(SolverParams {
         lr_policy: LrPolicy::Fixed { lr: 0.02 },
         mom_policy: MomPolicy::Fixed { mom: 0.9 },
@@ -185,10 +199,7 @@ fn lenet_learns_synthetic_mnist() {
         max_epoch: 4,
     });
     let report = solve(&mut sgd, &mut exec, &mut source).unwrap();
-    assert!(
-        report.final_loss < report.initial_loss * 0.3,
-        "{report:?}"
-    );
+    assert!(report.final_loss < report.initial_loss * 0.3, "{report:?}");
 }
 
 /// An unrolled LSTM's analytic gradients pass a finite-difference check
@@ -291,7 +302,11 @@ fn opt_levels_agree_numerically() {
     let input = seeded(2 * 16 * 16, 3);
     let labels = [1.0, 3.0];
     let mut losses = Vec::new();
-    for opt in [OptLevel::none(), OptLevel::parallel_only(), OptLevel::full()] {
+    for opt in [
+        OptLevel::none(),
+        OptLevel::parallel_only(),
+        OptLevel::full(),
+    ] {
         let compiled = compile(&build().net, &opt).unwrap();
         let mut exec = Executor::new(compiled).unwrap();
         exec.set_input("data", &input).unwrap();

@@ -32,9 +32,23 @@ const STEPS: u32 = 12;
 ///   finish lossy over the three survivors.
 fn scripted_plan() -> FaultPlan {
     FaultPlan::new(vec![
-        Fault::Straggler { node: 1, from_iter: 0, to_iter: STEPS as usize, factor: 2.0 },
-        Fault::TransferDrop { node: 0, iter: 2, layer: 0 },
-        Fault::Straggler { node: 1, from_iter: 6, to_iter: 8, factor: 12.5 },
+        Fault::Straggler {
+            node: 1,
+            from_iter: 0,
+            to_iter: STEPS as usize,
+            factor: 2.0,
+        },
+        Fault::TransferDrop {
+            node: 0,
+            iter: 2,
+            layer: 0,
+        },
+        Fault::Straggler {
+            node: 1,
+            from_iter: 6,
+            to_iter: 8,
+            factor: 12.5,
+        },
         Fault::NodeCrash { node: 2, iter: 10 },
     ])
 }
@@ -70,7 +84,13 @@ fn shard(step: u32, rank: usize) -> Batch {
     let (mut inputs, mut labels) = (Vec::new(), Vec::new());
     for item in 0..4 {
         let class = (step as usize + rank + item) % 3;
-        inputs.extend((0..8).map(|j| if j % 3 == class { 1.0 } else { 0.05 * (rank + 1) as f32 }));
+        inputs.extend((0..8).map(|j| {
+            if j % 3 == class {
+                1.0
+            } else {
+                0.05 * (rank + 1) as f32
+            }
+        }));
         labels.push(class as f32);
     }
     vec![("data".into(), inputs), ("label".into(), labels)]
@@ -108,7 +128,11 @@ fn cluster_survives_crash_straggler_and_dropped_transfer() {
     });
     let survivors = [0, 1, 3];
     for &rank in &survivors {
-        assert_eq!(runs[rank].len(), STEPS as usize, "survivor {rank} must finish every step");
+        assert_eq!(
+            runs[rank].len(),
+            STEPS as usize,
+            "survivor {rank} must finish every step"
+        );
     }
     let counters = |rank: usize, step: usize| runs[rank][step].1;
 
@@ -118,9 +142,15 @@ fn cluster_survives_crash_straggler_and_dropped_transfer() {
     assert_eq!(retries_after(1), 0);
     assert!(retries_after(2) >= 1, "the lost frame must cost a retry");
     assert_eq!(counters(0, 1).send_retries, 0);
-    assert!(counters(0, 2).send_retries >= 1, "rank 0 must have re-sent it");
+    assert!(
+        counters(0, 2).send_retries >= 1,
+        "rank 0 must have re-sent it"
+    );
     for run in &runs {
-        assert_eq!((run[2].0.mode, run[2].0.live), (SyncMode::Synchronized, WORLD));
+        assert_eq!(
+            (run[2].0.mode, run[2].0.live),
+            (SyncMode::Synchronized, WORLD)
+        );
     }
 
     // The straggler is flagged by its downstream neighbour when it turns
@@ -128,19 +158,30 @@ fn cluster_survives_crash_straggler_and_dropped_transfer() {
     // and not again once it has recovered.
     let flagged = |step| counters(2, step).stragglers_detected;
     assert_eq!(flagged(5), 0, "no flag while rank 1 is healthy");
-    assert!(flagged(6) >= 1, "the 25x slowdown must trip rank 2's detector");
+    assert!(
+        flagged(6) >= 1,
+        "the 25x slowdown must trip rank 2's detector"
+    );
     assert_eq!(flagged(9), flagged(7), "no flag after recovery");
     // Slow is not dead.
-    assert!(runs.iter().all(|run| run[9].0.evicted.is_empty() && run[9].1.peers_evicted == 0));
+    assert!(runs
+        .iter()
+        .all(|run| run[9].0.evicted.is_empty() && run[9].1.peers_evicted == 0));
 
     // The crash removes rank 2 from the ring — evicted by the neighbour
     // that waited on it — and degrades the run to the lossy mode over
     // the three survivors.
     for &rank in &survivors {
         let steps = &runs[rank];
-        assert_eq!((steps[9].0.mode, steps[9].0.live), (SyncMode::Synchronized, WORLD));
+        assert_eq!(
+            (steps[9].0.mode, steps[9].0.live),
+            (SyncMode::Synchronized, WORLD)
+        );
         for step in [10, 11] {
-            assert_eq!((steps[step].0.mode, steps[step].0.live), (SyncMode::LossyDegraded, 3));
+            assert_eq!(
+                (steps[step].0.mode, steps[step].0.live),
+                (SyncMode::LossyDegraded, 3)
+            );
         }
     }
     assert_eq!(runs[3][10].0.evicted, vec![2]);
@@ -151,8 +192,14 @@ fn cluster_survives_crash_straggler_and_dropped_transfer() {
         assert_eq!(snap.peers_evicted, 1);
         assert_eq!(snap.lossy_steps, 2);
         let text = snap.to_string();
-        assert!(text.contains("peers_evicted=1") && text.contains("lossy_steps=2"), "{text}");
-        assert!(text.starts_with(&format!("retries={} ", snap.retries)), "{text}");
+        assert!(
+            text.contains("peers_evicted=1") && text.contains("lossy_steps=2"),
+            "{text}"
+        );
+        assert!(
+            text.starts_with(&format!("retries={} ", snap.retries)),
+            "{text}"
+        );
     }
 }
 

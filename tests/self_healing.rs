@@ -186,7 +186,11 @@ fn nan_batch_rollback_policy_rewinds_and_converges() {
     assert_eq!(report.quarantined, 1);
     assert_eq!(poisoned_params(&exec), 0);
     let rel = (report.final_loss - baseline).abs() / baseline.abs();
-    assert!(rel < 0.25, "loss {} vs baseline {baseline}", report.final_loss);
+    assert!(
+        rel < 0.25,
+        "loss {} vs baseline {baseline}",
+        report.final_loss
+    );
     assert_eq!(metrics.snapshot().rollbacks, 1);
     let _ = std::fs::remove_file(&cfg.checkpoint_path);
 }
@@ -261,7 +265,10 @@ fn lr_spike_is_healed_by_rate_cuts_and_rollbacks() {
         ..SupervisorConfig::new(ckpt("lr_guarded"))
     };
     let metrics = FaultMetrics::new();
-    let mut plan = FaultPlan::new(vec![Fault::LrSpike { iter: 6, factor: 1000.0 }]);
+    let mut plan = FaultPlan::new(vec![Fault::LrSpike {
+        iter: 6,
+        factor: 1000.0,
+    }]);
     let (report, exec) = run_supervised(&cfg, &mut plan, &metrics);
 
     assert!(
@@ -276,11 +283,13 @@ fn lr_spike_is_healed_by_rate_cuts_and_rollbacks() {
 
     // Negative control: the spiked schedule runs unchecked to the end.
     let unguarded = SupervisorConfig::new(ckpt("lr_unguarded"));
-    let mut plan = FaultPlan::new(vec![Fault::LrSpike { iter: 6, factor: 1000.0 }]);
+    let mut plan = FaultPlan::new(vec![Fault::LrSpike {
+        iter: 6,
+        factor: 1000.0,
+    }]);
     let (control, exec) = run_supervised(&unguarded, &mut plan, &FaultMetrics::new());
-    let wrecked = control.final_loss.is_nan()
-        || control.final_loss > 1.0
-        || poisoned_params(&exec) > 0;
+    let wrecked =
+        control.final_loss.is_nan() || control.final_loss > 1.0 || poisoned_params(&exec) > 0;
     assert!(
         wrecked,
         "unguarded spike must wreck the run, got final loss {}",
