@@ -24,8 +24,7 @@ fn executor(t: &TestNet, opt: &OptLevel, threads: usize) -> Executor {
         &KernelRegistry::with_builtins(),
         ExecConfig {
             threads,
-            arena: false,
-            gemm_blocking: None,
+            ..ExecConfig::default()
         },
     )
     .expect("lower");

@@ -17,8 +17,9 @@
 //!   coalescer.
 //! * [`PlanCache`] — lowered [`CompiledProgram`](latte_runtime::CompiledProgram)s
 //!   keyed by `(fingerprint, batch)`, with hit/miss counters.
-//! * [`Server`] — bounded admission, dispatcher + replica threads,
-//!   crash supervision with bounded retries, per-request [`Ticket`]s.
+//! * [`Server`] — bounded admission, replica threads that take flushed
+//!   batches straight from the batcher's lock, crash supervision with
+//!   bounded retries, per-request [`Ticket`]s.
 //! * [`SeqModel`] / [`SeqServer`] — dynamic shapes: variable-length
 //!   requests padded into a power-of-two bucket ladder (one server per
 //!   bucket over one shared plan cache), with bucket-spill
@@ -57,8 +58,6 @@ pub use error::ServeError;
 pub use loadgen::Misbehavior;
 pub use model::{Model, NetFactory};
 pub use net::{Client, HealthReport, NetConfig, NetError, NetFrontend, NetReply, WireError};
-pub use replica::{BatchAction, BatchEngine, FaultHooks, NoHooks, ReplicaHooks};
+pub use replica::{BatchAction, BatchEngine, FaultHooks, GateHooks, NoHooks, ReplicaHooks};
 pub use seq::{Route, SeqModel, SeqNetFactory, SeqRequest, SeqServer, SeqTicket};
-pub use server::{
-    GateHooks, ReplyMeta, Request, Response, ServeConfig, Server, StatsSnapshot, Ticket,
-};
+pub use server::{ReplyMeta, Request, Response, ServeConfig, Server, StatsSnapshot, Ticket};

@@ -5,6 +5,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export CARGO_NET_OFFLINE=true
 
+echo "==> cargo fmt --all --check (every workspace member, vendor/ included)"
+cargo fmt --all --check
+
 echo "==> cargo build --release"
 cargo build --release
 
